@@ -8,11 +8,14 @@ a topological order of the "feeds within the same interval" relation, so no
 equilibrium iteration is performed.  Detector channel counts are arrivals at
 (entries to) the detector link per interval.
 
-With travel times frozen, the loading is exactly linear in demand.  The
-assignment matrix collects the per-interval linear pieces by tracing unit
-departures through frozen times; the cumulative mapping combines those pieces
-with departure profiles to map leg deviations onto cumulative count
-deviations up to a measurement horizon.
+One propagation kernel moves demand parcels, tagged with their OD and
+departure interval, through the links for both the loader and its
+linearization.  With travel times frozen, the loading is exactly linear in
+demand.  The assignment matrix is one frozen-time pass of that kernel with a
+unit departure in every (OD, interval) cell, collecting the channel
+crossings as per-interval linear pieces; the cumulative mapping combines
+those pieces with departure profiles to map leg deviations onto cumulative
+count deviations up to a measurement horizon.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -149,25 +153,63 @@ def _link_order(net: Network) -> list[str]:
     return order
 
 
-def _split_window(grid: TimeGrid, a: float, b: float) -> tuple[list[tuple[int, float, float]], float]:
-    """Cut [a, b) at interval boundaries; returns in-horizon pieces and spilled width."""
-    pieces: list[tuple[int, float, float]] = []
-    spilled = 0.0
-    if b <= a:
-        return pieces, spilled
-    if a >= grid.end:
-        return pieces, b - a
-    t = a
-    while t < b:
-        h = grid.index_at(t)
-        if h >= grid.n_intervals:
-            spilled += b - t
-            break
-        hi_end = grid.start + (h + 1) * grid.interval_minutes
-        t_next = min(b, float(hi_end))
-        pieces.append((h, t, t_next))
-        t = t_next
-    return pieces, spilled
+def _propagate(
+    grid: TimeGrid,
+    order: list[str],
+    routes: list[tuple[str, ...]],
+    sources: Iterable[tuple[int, int, float]],
+    link_time: Callable[[str, int, list[tuple[int, int, float, float, float]]], float],
+) -> dict[str, float]:
+    """Move departure parcels along fixed routes in one interval-major pass.
+
+    ``sources`` yields ``(r, k, mass)``: ``mass`` departs uniformly over
+    interval ``k`` onto the first link of ``routes[r]``.  A parcel
+    ``(r, k, mass, a, b)`` enters its link uniformly over ``[a, b)``, which
+    lies within one interval.  Intervals are visited in order and, within
+    one, links in ``order``; ``link_time(lid, h, parcels)`` sees every parcel
+    entering ``lid`` during ``h`` and returns the link's travel time there.
+    Each parcel then moves on to the next link of its route, cut at interval
+    boundaries.  Returns, per link, the mass that would have entered it after
+    the horizon end.
+    """
+    n_h = grid.n_intervals
+    start, step, end = grid.start, grid.interval_minutes, grid.end
+    edges = [float(start + h * step) for h in range(n_h + 1)]  # as grid.bounds
+    succ = [dict(zip(route, route[1:])) for route in routes]
+    pending: dict[str, list[list[tuple[int, int, float, float, float]]]] = {
+        lid: [[] for _ in range(n_h)] for lid in order
+    }
+    spill = dict.fromkeys(order, 0.0)
+    for r, k, mass in sources:
+        pending[routes[r][0]][k].append((r, k, mass, edges[k], edges[k + 1]))
+
+    for h in range(n_h):
+        for lid in order:
+            parcels = pending[lid][h]
+            tt = link_time(lid, h, parcels)
+            if not parcels:
+                continue
+            for r, k, mass, a, b in parcels:
+                nxt = succ[r].get(lid)
+                if nxt is None:
+                    continue  # trip completed
+                # link times are nonnegative, so the shifted window starts
+                # inside or past the horizon; being at most one interval
+                # wide, it covers at most two intervals up to roundoff
+                width = b - a
+                t, t_end = a + tt, b + tt
+                into = pending[nxt]
+                while t < t_end:
+                    hp = int((t - start) // step) if t < end else n_h
+                    if hp >= n_h:
+                        spill[nxt] += mass * (t_end - t) / width
+                        break
+                    edge = edges[hp + 1]
+                    t_next = edge if edge < t_end else t_end
+                    into[hp].append((r, k, mass * (t_next - t) / width, t, t_next))
+                    t = t_next
+            parcels.clear()
+    return spill
 
 
 def load_network(
@@ -195,53 +237,24 @@ def load_network(
     for od in demand.od_index:
         net.path_of(od)
     order = _link_order(net)
-    succ_of: dict[int, dict[str, str | None]] = {}
-    first_link: dict[int, str] = {}
-    for oi, od in enumerate(demand.od_index):
-        seq = net.paths[od].links
-        succ_of[oi] = {a: b for a, b in zip(seq, seq[1:])}
-        succ_of[oi][seq[-1]] = None
-        first_link[oi] = seq[0]
-
-    pending: dict[str, list[list[tuple[int, float, float, float]]]] = {
-        lid: [[] for _ in range(n_h)] for lid in order
-    }
     link_inflow = {lid: np.zeros(n_h) for lid in order}
     link_tt = {lid: np.zeros(n_h) for lid in order}
-    spill = {lid: 0.0 for lid in order}
-
-    for oi in range(len(demand.od_index)):
-        lid = first_link[oi]
-        for h in range(n_h):
-            mass = float(demand.matrix[oi, h])
-            if mass > 0.0:
-                a, b = grid.bounds(h)
-                pending[lid][h].append((oi, mass, a, b))
-
     hours = grid.interval_minutes / 60.0
-    for h in range(n_h):
-        for lid in order:
-            parcels = pending[lid][h]
-            inflow = sum(p[1] for p in parcels)
-            link_inflow[lid][h] = inflow
-            if frozen_link_tt is not None:
-                tt = float(frozen_link_tt[lid][h])
-            else:
-                tt = bpr_travel_time(net.links[lid], inflow / hours)
-            link_tt[lid][h] = tt
-            if not parcels:
-                continue
-            for oi, mass, a, b in parcels:
-                nxt = succ_of[oi][lid]
-                if nxt is None:
-                    continue  # trip completed
-                pieces, spilled = _split_window(grid, a + tt, b + tt)
-                width = b - a
-                for hp, pa, pb in pieces:
-                    pending[nxt][hp].append((oi, mass * (pb - pa) / width, pa, pb))
-                if spilled > 0.0:
-                    spill[nxt] += mass * spilled / width
-            parcels.clear()
+
+    def link_time(lid: str, h: int, parcels: list) -> float:
+        inflow = sum([p[2] for p in parcels])
+        link_inflow[lid][h] = inflow
+        if frozen_link_tt is not None:
+            tt = float(frozen_link_tt[lid][h])
+        else:
+            tt = bpr_travel_time(net.links[lid], inflow / hours)
+        link_tt[lid][h] = tt
+        return tt
+
+    ois, ks = np.nonzero(demand.matrix > 0.0)
+    sources = zip(ois.tolist(), ks.tolist(), demand.matrix[ois, ks].tolist())
+    routes = [net.paths[od].links for od in demand.od_index]
+    spill = _propagate(grid, order, routes, sources, link_time)
 
     for ch in net.detectors:
         if ch not in link_inflow:
@@ -261,17 +274,21 @@ def load_network(
 def _probe_travel_times(
     net: Network, od_index: tuple[OD, ...], grid: TimeGrid, link_tt: dict[str, np.ndarray]
 ) -> np.ndarray:
+    """Door-to-door times of probes departing at every interval midpoint.
+
+    A probe entering a link before the grid uses interval 0's time, after it
+    the last interval's.
+    """
     n_h = grid.n_intervals
+    lo = grid.start + np.arange(n_h) * grid.interval_minutes
+    t0 = 0.5 * (lo.astype(float) + (lo + grid.interval_minutes).astype(float))
     tt = np.zeros((len(od_index), n_h))
     for oi, od in enumerate(od_index):
-        seq = net.paths[od].links
-        for h in range(n_h):
-            t = grid.midpoint(h)
-            t0 = t
-            for lid in seq:
-                hi = min(max(grid.index_at(t), 0), n_h - 1)
-                t += float(link_tt[lid][hi])
-            tt[oi, h] = t - t0
+        t = t0
+        for lid in net.paths[od].links:
+            hi = np.floor_divide(t - grid.start, grid.interval_minutes).clip(0, n_h - 1)
+            t = t + link_tt[lid][hi.astype(np.intp)]
+        tt[oi] = t - t0
     return tt
 
 
@@ -325,51 +342,36 @@ class AssignmentMatrix:
         return np.einsum("khci,ik->ch", self.pieces, np.asarray(demand_matrix, dtype=float))
 
 
-def _trace_unit(
-    net: Network, od: OD, k: int, grid: TimeGrid, link_tt: dict[str, np.ndarray]
-) -> list[tuple[str, int, float]]:
-    """Walk one unit departure through frozen times; yields channel crossings."""
-    seq = net.paths[od].links
-    a, b = grid.bounds(k)
-    pieces: list[tuple[float, float, float]] = [(1.0, a, b)]
-    crossings: list[tuple[str, int, float]] = []
-    for lid in seq:
-        entered: list[tuple[float, float, float]] = []
-        for mass, pa, pb in pieces:
-            h = grid.index_at(pa)
-            if h >= grid.n_intervals:
-                continue  # spilled past the horizon
-            crossings.append((lid, h, mass))
-            tt = float(link_tt[lid][h])
-            subs, _ = _split_window(grid, pa + tt, pb + tt)
-            width = pb - pa
-            for hp, qa, qb in subs:
-                entered.append((mass * (qb - qa) / width, qa, qb))
-        pieces = entered
-    return crossings
-
-
 def assignment_matrix(net: Network, load: LoadResult, od_index: tuple[OD, ...]) -> AssignmentMatrix:
     """Linearize the loader around the travel times of ``load``.
 
-    Unit departures per (OD, interval) are traced through the frozen times;
-    with those same times, ``load_network`` reproduces ``predict_counts``
-    up to float roundoff.
+    One unit departure per (OD, interval) moves through the frozen times,
+    whether or not the cell carries demand, and every channel crossing is
+    collected; with those same times, ``load_network`` reproduces
+    ``predict_counts`` up to float roundoff.
     """
     grid = load.counts.grid
     channels = load.counts.channels
     n_h = grid.n_intervals
     chan_pos = {ch: c for c, ch in enumerate(channels)}
     pieces = np.zeros((n_h, n_h, len(channels), len(od_index)))
-    for oi, od in enumerate(od_index):
-        on_path = [lid for lid in net.paths[od].links if lid in chan_pos]
-        if not on_path:
-            continue
-        for k in range(n_h):
-            for lid, h, mass in _trace_unit(net, od, k, grid, load.link_tt):
-                c = chan_pos.get(lid)
-                if c is not None:
-                    pieces[k, h, c, oi] += mass
+    # a route ends at its last channel: nothing further on is recorded
+    routes: list[tuple[str, ...]] = []
+    for od in od_index:
+        seq = net.paths[od].links
+        crossed = [i for i, lid in enumerate(seq) if lid in chan_pos]
+        routes.append(seq[: crossed[-1] + 1] if crossed else ())
+    link_tt = load.link_tt
+
+    def link_time(lid: str, h: int, parcels: list) -> float:
+        c = chan_pos.get(lid)
+        if c is not None:
+            for oi, k, mass, _, _ in parcels:
+                pieces[k, h, c, oi] += mass
+        return float(link_tt[lid][h])
+
+    sources = ((oi, k, 1.0) for oi, route in enumerate(routes) if route for k in range(n_h))
+    _propagate(grid, _link_order(net), routes, sources, link_time)
     return AssignmentMatrix(od_index=od_index, channels=channels, grid=grid, pieces=pieces)
 
 

@@ -244,6 +244,9 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
 
 @dataclass
 class ModelRow:
+    """One scored model.  ``runtime_s`` covers its estimation (the shared
+    filtering pass included) and its scoring."""
+
     model: str
     status: str = "ok"
     error: str = ""
@@ -321,6 +324,8 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
     A failure while estimating one model lands in ``errors`` under that
     model's name (a failure of the shared filtering pass hits every filter
     model) instead of propagating, so the report can still carry the others.
+    ``seconds[model]`` is the model's estimation time: the shared filtering
+    pass, for the filter models, plus the model's own work.
     """
     cut = cfg.cutoff_index
     n_h = cfg.grid.n_intervals
@@ -331,14 +336,18 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
     leg_diag: list[dict] = []
     misc: dict = {}
     errors: dict[str, str] = {}
+    seconds: dict[str, float] = {}
 
     if "seed" in wanted:
+        t = time.perf_counter()
         estimates["seed"] = hist_matrix.copy()
+        seconds["seed"] = time.perf_counter() - t
 
     filter_models = [m for m in wanted if m != "seed"]
     if not filter_models:
-        return estimates, kf_diag, leg_diag, misc, errors
+        return estimates, kf_diag, leg_diag, misc, errors, seconds
 
+    t = time.perf_counter()
     try:
         noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts)
         delta_y = artifacts.observed.counts - hist.load.counts.counts
@@ -352,9 +361,12 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
         lag_states = [s.mean for s in kf.states[-ar.order:]]
     except Exception as exc:  # noqa: BLE001 - shared pass, flag all filter rows
         logger.exception("interval filtering failed")
+        shared_s = time.perf_counter() - t
         for model in filter_models:
             errors[model] = f"{type(exc).__name__}: {exc}"
-        return estimates, kf_diag, leg_diag, misc, errors
+            seconds[model] = shared_s
+        return estimates, kf_diag, leg_diag, misc, errors, seconds
+    shared_s = time.perf_counter() - t
 
     profiles = hist.profiles()
     morning_profiles = {n: p[:, :cut] for n, p in profiles.items()}
@@ -372,16 +384,19 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
         return np.hstack([morning, evening]), extras
 
     if "kf" in wanted:
+        t = time.perf_counter()
         try:
             estimates["kf"], misc["kf"] = assemble({})
         except Exception as exc:  # noqa: BLE001
             logger.exception("model kf failed")
             errors["kf"] = f"{type(exc).__name__}: {exc}"
+        seconds["kf"] = shared_s + time.perf_counter() - t
 
     chained = [n for n in artifacts.chain.topological_order() if artifacts.chain.feeds.get(n)]
     for model in ("pkf", "spkf"):
         if model not in wanted:
             continue
+        t = time.perf_counter()
         try:
             if not chained:
                 # no chained legs: the leg term vanishes and the model
@@ -433,7 +448,9 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
         except Exception as exc:  # noqa: BLE001
             logger.exception("model %s failed", model)
             errors[model] = f"{type(exc).__name__}: {exc}"
-    return estimates, kf_diag, leg_diag, misc, errors
+        finally:
+            seconds[model] = shared_s + time.perf_counter() - t
+    return estimates, kf_diag, leg_diag, misc, errors, seconds
 
 
 def run_experiment(
@@ -466,7 +483,7 @@ def run_experiment(
     truth_counts = artifacts.truth.load.counts.counts
 
     t1 = time.perf_counter()
-    estimates, kf_diag, leg_diag, misc, errors = _estimate(cfg, artifacts, wanted)
+    estimates, kf_diag, leg_diag, misc, errors, est_seconds = _estimate(cfg, artifacts, wanted)
 
     # the seed baseline anchors the improvement columns even when not requested
     seed_rmse_od = rmse(artifacts.history.demand.matrix, truth_matrix)
@@ -479,7 +496,7 @@ def run_experiment(
         if model in errors:
             row.status = "failed"
             row.error = errors[model]
-            row.runtime_s = time.perf_counter() - tm
+            row.runtime_s = est_seconds[model] + time.perf_counter() - tm
             rows.append(row)
             continue
         try:
@@ -511,7 +528,7 @@ def run_experiment(
             logger.exception("model %s failed", model)
             row.status = "failed"
             row.error = f"{type(exc).__name__}: {exc}"
-        row.runtime_s = time.perf_counter() - tm
+        row.runtime_s = est_seconds[model] + time.perf_counter() - tm
         rows.append(row)
 
     report = ExperimentReport(

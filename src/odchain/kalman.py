@@ -6,7 +6,8 @@ intervals (identity random walk by default); counts observed at h are a
 linear function of the deviations of intervals k <= h through the assignment
 pieces.  The sequence runner handles those lags by subtracting the
 contribution of already-estimated intervals at their posterior means, leaving
-the same-interval piece as the measurement matrix.
+the same-interval piece as the measurement matrix.  Only the earlier
+intervals whose pieces reach h are visited, found in one scan per interval.
 
 Gains are computed through Cholesky solves of the innovation covariance, with
 a trace-scaled jitter retry; covariances are re-symmetrized after every
@@ -265,10 +266,9 @@ def run_kf_sequence(
         else:
             prior = kf_time_update(history, ar, noise.Q)
         lagged = np.zeros(n_ch)
-        for k in range(h):
-            piece = assignment.pieces[k, h]
-            if piece.any():
-                lagged += piece @ run.deltas[:, k]
+        reaching = assignment.pieces[:h, h].any(axis=(1, 2))
+        for k in np.flatnonzero(reaching):
+            lagged += assignment.pieces[k, h] @ run.deltas[:, k]
         H = assignment.pieces[h, h]
         post, gain = _update_with_gain(prior, H, noise.R, delta_y[:, h] - lagged)
         run.deltas[:, h] = post.mean

@@ -144,6 +144,21 @@ class TestLoader:
         for lid in load.link_inflow:
             assert np.abs(inflow[lid] - load.link_inflow[lid]).max() <= 0.5
 
+    def test_probe_times_match_scalar_walk(self):
+        """Probes walk link by link, reading each link's time in the interval
+        they enter it, clamped to the grid."""
+        grid = TimeGrid(start=0, interval_minutes=15, n_intervals=8)
+        tts = {lid: 3.0 + np.arange(grid.n_intervals) % 5 * 4.1 for lid in TOY.links}
+        tts["4a"] = np.full(grid.n_intervals, 52.5)  # late probes leave the grid
+        load = load_network(TOY, toy_demand(grid, {(("1", "3"), 2): 100.0}),
+                            frozen_link_tt=tts)
+        for oi, od in enumerate(TOY.od_index):
+            for h in range(grid.n_intervals):
+                t = t0 = grid.midpoint(h)
+                for lid in TOY.paths[od].links:
+                    t += float(tts[lid][min(max(grid.index_at(t), 0), grid.n_intervals - 1)])
+                assert load.tt_od[oi, h] == t - t0
+
     def test_congestion_raises_travel_times(self):
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=8)
         light = load_network(TOY, toy_demand(grid, {(("1", "3"), 1): 10.0}))
@@ -221,6 +236,23 @@ class TestAssignmentMatrix:
             toy_artifacts.config.network, hist.demand, frozen_link_tt=hist.load.link_tt
         )
         assert np.abs(predicted - refrozen.counts.counts).max() <= 1e-9
+
+    def test_cells_without_demand_are_linearized(self):
+        """Pieces depend on the frozen times only: a cell without demand gets
+        the pieces it would get with demand, and they match a unit load."""
+        grid = TimeGrid(start=0, interval_minutes=15, n_intervals=8)
+        tts = frozen_tts(grid, {"1a": 22.5, "4a": 10.0})
+        with_cell = load_network(TOY, toy_demand(grid, {(("1", "3"), 2): 100.0}),
+                                 frozen_link_tt=tts)
+        without = load_network(TOY, toy_demand(grid, {(("2", "4"), 5): 40.0}),
+                               frozen_link_tt=tts)
+        a = assignment_matrix(TOY, with_cell, TOY.od_index).pieces
+        b = assignment_matrix(TOY, without, TOY.od_index).pieces
+        oi = TOY.od_index.index(("1", "3"))
+        assert b[2, :, :, oi].sum() > 0.0
+        assert np.array_equal(a, b)
+        unit = load_network(TOY, toy_demand(grid, {(("1", "3"), 2): 1.0}), frozen_link_tt=tts)
+        assert np.array_equal(b[2, :, :, oi].T, unit.counts.counts)
 
     def test_congested_morning_produces_lagged_pieces(self, toy_artifacts):
         pieces = toy_artifacts.assignment.pieces

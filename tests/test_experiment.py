@@ -1,11 +1,16 @@
 import copy
+import dataclasses
 import json
+import pathlib
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import odchain.experiment
 import odchain.legfilter
+from odchain.assignment import DynamicDemand, load_network
 from odchain.errors import ConfigurationError
 from odchain.experiment import (
     emit_report,
@@ -14,6 +19,14 @@ from odchain.experiment import (
     run_experiment,
 )
 from odchain.scenario import scenario_from_mapping
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def with_refresh(cfg):
+    return dataclasses.replace(
+        cfg, estimation=dataclasses.replace(cfg.estimation, refresh_assignment=True)
+    )
 
 
 class TestRmse:
@@ -146,6 +159,31 @@ class TestRunExperiment:
         assert report.row("kf").status == "failed"
         assert "synthetic failure" in report.row("kf").error
 
+    def test_runtime_covers_estimation(self, toy_cfg, monkeypatch):
+        """kf's runtime_s holds the filtering pass, not just the scoring."""
+        filtering = []
+        real = odchain.experiment.run_kf_sequence
+
+        def timed(*args, **kwargs):
+            t = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                filtering.append(time.perf_counter() - t)
+
+        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", timed)
+        cfg = with_refresh(toy_cfg)
+        report = run_experiment(cfg, models=("seed", "kf"))
+        est = report.estimates["kf"]
+        t = time.perf_counter()  # scoring redone: one load and the RMSEs
+        load_network(cfg.network, DynamicDemand(od_index=report.od_index, grid=cfg.grid, matrix=est))
+        rmse(est, report.truth)
+        scoring_s = time.perf_counter() - t
+        row = report.row("kf")
+        assert len(filtering) == 1
+        assert row.runtime_s >= filtering[0]
+        assert row.runtime_s > scoring_s
+
 
 class TestEmission:
     def test_report_files(self, tmp_path, toy_report):
@@ -183,3 +221,17 @@ class TestEmission:
         emit_report(b, tmp_path / "b")
         assert (tmp_path / "a" / "report.csv").read_bytes() == \
             (tmp_path / "b" / "report.csv").read_bytes()
+
+
+class TestGoldenReport:
+    """report.csv of the toy preset, pinned at its printed precision."""
+
+    def test_toy(self, tmp_path, toy_report):
+        emit_report(toy_report, tmp_path, include_profiles=False)
+        assert (tmp_path / "report.csv").read_text() == \
+            (GOLDEN / "toy_report.csv").read_text()
+
+    def test_toy_with_refresh(self, tmp_path, toy_cfg):
+        emit_report(run_experiment(with_refresh(toy_cfg)), tmp_path, include_profiles=False)
+        assert (tmp_path / "report.csv").read_text() == \
+            (GOLDEN / "toy_refresh_report.csv").read_text()

@@ -189,3 +189,39 @@ class TestRunSequence:
         assert run.deltas[0, 0] == pytest.approx(10.0, rel=1e-6)
         # all of interval 1's observed 5 is lagged mass, so no new deviation
         assert abs(run.deltas[0, 1]) <= 1e-3
+
+    def test_lag_terms_match_full_scan(self, toy_artifacts):
+        """Against a reference that scans every earlier interval, also after
+        the hook swaps in a matrix whose lagged pieces are nonzero where the
+        first one's were zero."""
+        full = toy_artifacts.assignment
+        from odchain.assignment import AssignmentMatrix
+        same_interval = np.zeros_like(full.pieces)
+        for h in range(full.pieces.shape[0]):
+            same_interval[h, h] = full.pieces[h, h]
+        first = AssignmentMatrix(od_index=full.od_index, channels=full.channels,
+                                 grid=full.grid, pieces=same_interval)
+        hist = toy_artifacts.history
+        delta_y = (toy_artifacts.observed.counts - hist.load.counts.counts)[:, :48]
+        n_od, n_ch = len(full.od_index), len(full.channels)
+        noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
+        swap_at = 20
+        run = run_kf_sequence(first, delta_y, noise,
+                              refresh_hook=lambda h, _: full if h == swap_at else None)
+
+        state = kf_initialize(np.zeros(n_od), noise.Q.copy())
+        deltas = np.zeros((n_od, delta_y.shape[1]))
+        asg = first
+        for h in range(delta_y.shape[1]):
+            prior = state if h == 0 else kf_time_update([state], ArModel.identity(n_od), noise.Q)
+            lagged = np.zeros(n_ch)
+            for k in range(h):
+                piece = asg.pieces[k, h]
+                if piece.any():
+                    lagged += piece @ deltas[:, k]
+            state = kf_measurement_update(prior, asg.pieces[h, h], noise.R, delta_y[:, h] - lagged)
+            deltas[:, h] = state.mean
+            if h == swap_at:
+                asg = full
+        assert np.array_equal(run.deltas, deltas)
+        assert not np.array_equal(run.deltas, run_kf_sequence(first, delta_y, noise).deltas)
