@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--refresh-assignment",
         action="store_true",
-        help="rebuild the count linearization from the running estimate each interval",
+        help="after each interval, relinearize the day so far, through the next interval",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -305,13 +305,26 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
 
 
 def _refresh_hook(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
-    """Rebuild the linearization from the running estimate after each interval."""
-    hist = artifacts.history.demand.matrix
+    """Relinearize the day so far, through the next interval, after each interval.
 
-    def hook(h: int, deltas_so_far: np.ndarray) -> AssignmentMatrix:
-        est = hist.copy()
+    After interval ``h`` the filter reads only pieces ``[k, h + 1]`` with
+    ``k <= h + 1`` before the matrix is replaced again.  A link's time in an
+    interval depends only on departures up to it, so loading and linearizing
+    the grid cut after interval ``h + 1`` gives exactly the full day's pieces
+    on those columns.  After the last measured interval nothing is read and
+    no rebuild is made.
+    """
+    hist = artifacts.history.demand.matrix
+    cut = cfg.cutoff_index
+
+    def hook(h: int, deltas_so_far: np.ndarray) -> AssignmentMatrix | None:
+        n = h + 2
+        if n > cut:
+            return None
+        est = hist[:, :n].copy()
         est[:, : h + 1] = np.maximum(est[:, : h + 1] + deltas_so_far, 0.0)
-        demand = DynamicDemand(od_index=artifacts.od_index, grid=cfg.grid, matrix=est)
+        grid = replace(cfg.grid, n_intervals=n)
+        demand = DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est)
         fresh = load_network(cfg.network, demand)
         return assignment_matrix(cfg.network, fresh, artifacts.od_index)
 

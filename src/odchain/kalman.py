@@ -238,10 +238,18 @@ def run_kf_sequence(
     ``delta_y`` is (n_channels, n_steps): observed minus historical counts.
     For each interval the contribution of earlier intervals' posterior means
     is subtracted from the deviation and the same-interval assignment piece
-    acts as the measurement matrix.  ``refresh_hook`` may supply a rebuilt
-    assignment matrix after each interval (and is otherwise ignored).
+    acts as the measurement matrix.  ``refresh_hook(h, deltas)`` is called
+    after each interval with the posterior means so far and may return a
+    rebuilt assignment matrix (``None`` keeps the current one).  A refreshed
+    matrix may cover a shorter grid than the first, as long as it reaches the
+    next interval ``h + 1``: later steps read only pieces up to it.
 
     The initial state is interval 0's prior (zero mean by default).
+
+    Raises:
+        ConfigurationError: if the count deviations do not cover the steps,
+            or a refreshed matrix has other ODs, channels, grid start or
+            interval length, or stops before the next interval.
     """
     n_od = len(assignment.od_index)
     n_ch = len(assignment.channels)
@@ -290,5 +298,27 @@ def run_kf_sequence(
         if refresh_hook is not None:
             refreshed = refresh_hook(h, run.deltas[:, : h + 1])
             if refreshed is not None:
+                _check_refreshed(assignment, refreshed, h, n_steps)
                 assignment = refreshed
     return run
+
+
+def _check_refreshed(
+    current: AssignmentMatrix, refreshed: AssignmentMatrix, h: int, n_steps: int
+) -> None:
+    """Reject a refreshed matrix the remaining steps cannot read."""
+    if refreshed.od_index != current.od_index or refreshed.channels != current.channels:
+        raise ConfigurationError(
+            f"matrix refreshed after interval {h} has other ODs or channels"
+        )
+    old, new = current.grid, refreshed.grid
+    if (new.start, new.interval_minutes) != (old.start, old.interval_minutes):
+        raise ConfigurationError(
+            f"matrix refreshed after interval {h} has grid start {new.start} and "
+            f"{new.interval_minutes}-minute intervals, not {old.start} and {old.interval_minutes}"
+        )
+    if h + 1 < n_steps and new.n_intervals <= h + 1:
+        raise ConfigurationError(
+            f"matrix refreshed after interval {h} covers {new.n_intervals} intervals "
+            f"and misses the next one, {h + 1}"
+        )

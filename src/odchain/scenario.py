@@ -207,6 +207,8 @@ class ScenarioConfig:
             problems.append(f"estimation cutoff {cut} outside the grid horizon")
         elif self.cutoff_index < 1:
             problems.append("estimation cutoff leaves no measured interval")
+        elif self.cutoff_index >= self.grid.n_intervals:
+            problems.append("estimation cutoff leaves no prediction interval")
         for model in self.models:
             if model not in KNOWN_MODELS:
                 problems.append(f"unknown model {model!r}")

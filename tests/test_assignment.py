@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +255,23 @@ class TestAssignmentMatrix:
         assert np.array_equal(a, b)
         unit = load_network(TOY, toy_demand(grid, {(("1", "3"), 2): 1.0}), frozen_link_tt=tts)
         assert np.array_equal(b[2, :, :, oi].T, unit.counts.counts)
+
+    @pytest.mark.parametrize("n", [2, 40, 49])
+    def test_prefix_of_the_day_is_exact(self, toy_artifacts, n):
+        """Loading and linearizing the first n intervals alone reproduces the
+        full day's times, inflows and pieces on them, bit for bit."""
+        net = toy_artifacts.config.network
+        full = toy_artifacts.history.load
+        demand = toy_artifacts.history.demand
+        grid = dataclasses.replace(demand.grid, n_intervals=n)
+        prefix = load_network(
+            net, DynamicDemand(od_index=demand.od_index, grid=grid, matrix=demand.matrix[:, :n])
+        )
+        for lid in full.link_tt:
+            assert np.array_equal(prefix.link_tt[lid], full.link_tt[lid][:n])
+            assert np.array_equal(prefix.link_inflow[lid], full.link_inflow[lid][:n])
+        pieces = assignment_matrix(net, prefix, demand.od_index).pieces
+        assert np.array_equal(pieces, toy_artifacts.assignment.pieces[:n, :n])
 
     def test_congested_morning_produces_lagged_pieces(self, toy_artifacts):
         pieces = toy_artifacts.assignment.pieces

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import odchain.assignment
 import odchain.experiment
 import odchain.legfilter
 from odchain.assignment import DynamicDemand, load_network
@@ -183,6 +184,24 @@ class TestRunExperiment:
         assert len(filtering) == 1
         assert row.runtime_s >= filtering[0]
         assert row.runtime_s > scoring_s
+
+
+class TestRefresh:
+    def test_refresh_loads_only_what_the_filter_reads(self, toy_cfg):
+        """4 loads generate the two days, one refresh follows each measured
+        interval but the last, and 3 loads score kf, pkf and spkf."""
+        cfg = with_refresh(toy_cfg)
+        before = odchain.assignment.load_call_count()
+        run_experiment(cfg)
+        loads = odchain.assignment.load_call_count() - before
+        assert loads == 4 + (cfg.cutoff_index - 1) + 3 == 54
+
+    def test_hook_builds_through_the_next_interval(self, toy_cfg, toy_artifacts):
+        hook = odchain.experiment._refresh_hook(toy_cfg, toy_artifacts)
+        cut = toy_cfg.cutoff_index
+        n_od = len(toy_artifacts.od_index)
+        assert hook(cut - 2, np.zeros((n_od, cut - 1))).grid.n_intervals == cut
+        assert hook(cut - 1, np.zeros((n_od, cut))) is None
 
 
 class TestEmission:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,52 @@ class TestRunSequence:
         assert [c[0] for c in calls] == [0, 1, 2, 3, 4]
         assert calls[0][1] == (n_od, 1)
         assert calls[-1][1] == (n_od, 5)
+
+    @staticmethod
+    def _prefix(asg, n):
+        from odchain.assignment import AssignmentMatrix
+        return AssignmentMatrix(od_index=asg.od_index, channels=asg.channels,
+                                grid=dataclasses.replace(asg.grid, n_intervals=n),
+                                pieces=asg.pieces[:n, :n])
+
+    def test_refresh_may_shorten_the_grid_to_the_next_interval(self, toy_artifacts):
+        asg = toy_artifacts.assignment
+        hist = toy_artifacts.history
+        delta_y = (toy_artifacts.observed.counts - hist.load.counts.counts)[:, :48]
+        n_od, n_ch = len(asg.od_index), len(asg.channels)
+        noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
+        reference = run_kf_sequence(asg, delta_y, noise)
+        shortened = run_kf_sequence(
+            asg, delta_y, noise, refresh_hook=lambda h, _: self._prefix(asg, h + 2)
+        )
+        assert np.array_equal(shortened.deltas, reference.deltas)
+        # stopping at interval h is too short, except after the last step,
+        # which nothing reads
+        last = run_kf_sequence(
+            asg, delta_y[:, :3], noise,
+            refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 2 else h + 2),
+        )
+        assert np.array_equal(last.deltas, reference.deltas[:, :3])
+        with pytest.raises(ConfigurationError, match="after interval 5 .*misses"):
+            run_kf_sequence(
+                asg, delta_y, noise,
+                refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 5 else h + 2),
+            )
+
+    def test_refresh_must_keep_channels_and_timing(self, toy_artifacts):
+        from odchain.assignment import AssignmentMatrix
+        asg = toy_artifacts.assignment
+        n_od, n_ch = len(asg.od_index), len(asg.channels)
+        noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
+        swapped = AssignmentMatrix(od_index=asg.od_index, channels=asg.channels[::-1],
+                                   grid=asg.grid, pieces=asg.pieces)
+        shifted = AssignmentMatrix(od_index=asg.od_index, channels=asg.channels,
+                                   grid=dataclasses.replace(asg.grid, start=15),
+                                   pieces=asg.pieces)
+        for bad in (swapped, shifted):
+            with pytest.raises(ConfigurationError, match="after interval 2 "):
+                run_kf_sequence(asg, np.zeros((n_ch, 5)), noise,
+                                refresh_hook=lambda h, _: bad if h == 2 else None)
 
     def test_lagged_contributions_are_subtracted(self):
         """With mass split across two measurement intervals the second step

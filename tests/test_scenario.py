@@ -1,6 +1,9 @@
 import copy
+import pathlib
+import re
 
 import pytest
+import yaml
 
 from odchain.errors import ConfigurationError
 from odchain.scenario import (
@@ -111,6 +114,12 @@ class TestValidate:
         cfg = scenario_from_mapping(toy_doc)
         assert any("cutoff" in p for p in cfg.validate())
 
+    def test_cutoff_at_grid_end_flagged(self, toy_doc):
+        toy_doc["estimation"]["cutoff"] = "24:00"
+        cfg = scenario_from_mapping(toy_doc)
+        assert cfg.cutoff_index == cfg.grid.n_intervals
+        assert "estimation cutoff leaves no prediction interval" in cfg.validate()
+
     def test_missing_path_flagged(self, toy_doc):
         toy_doc["legs"][0]["od_split"] = {"1-5": 1.0}  # no such path in the toy net
         cfg = scenario_from_mapping(toy_doc)
@@ -208,3 +217,20 @@ class TestFiles:
         path.write_text("name: [unclosed\n")
         with pytest.raises(ConfigurationError):
             load_scenario(path)
+
+    def test_readme_example_parses_as_written(self):
+        """The scenario in README.md must mean what it says: unknown keys are
+        dropped silently in places, so the parsed values are checked."""
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+        cfg = scenario_from_mapping(yaml.safe_load(block))
+        assert cfg.validate() == []
+        assert (cfg.grid.n_intervals, cfg.grid.interval_minutes) == (96, 15)
+        legs = {leg.name: leg for leg in cfg.legs}
+        assert legs["work_home"].feeds == ("hw_direct",)
+        assert legs["hw_direct"].od_split[("1", "3")] == 0.35
+        assert cfg.network.links["1a"].capacity == 11000.0
+        assert cfg.network.links["7a"].capacity == 4000.0
+        assert cfg.noise.process == 0.5
+        assert cfg.noise.measurement == 0.1
+        assert cfg.estimation.cutoff_minute == 720.0
