@@ -20,7 +20,6 @@ count deviations up to a measurement horizon.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -28,7 +27,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ConfigurationError
-from .network import OD, Network, TimeGrid, bpr_travel_time, od_label
+from .network import OD, Network, TimeGrid, bpr_travel_time
 
 logger = logging.getLogger(__name__)
 
@@ -59,10 +58,6 @@ class DynamicDemand:
             )
         if (m < 0).any():
             raise ValueError("negative demand cells")
-
-    @property
-    def total(self) -> float:
-        return float(self.matrix.sum())
 
 
 @dataclass(frozen=True)
@@ -293,15 +288,13 @@ def _probe_travel_times(
 
 
 def extract_detector_counts(
-    flows: dict[str, np.ndarray] | LoadResult, detectors: tuple[str, ...], grid: TimeGrid
+    flows: dict[str, np.ndarray], detectors: tuple[str, ...], grid: TimeGrid
 ) -> LinkFlowSeries:
     """Pick the detector channels out of per-link flow series.
 
     Raises:
         ConfigurationError: for detector ids absent from the flow series.
     """
-    if isinstance(flows, LoadResult):
-        flows = flows.link_inflow
     counts = np.zeros((len(detectors), grid.n_intervals))
     for c, ch in enumerate(detectors):
         if ch not in flows:
@@ -333,9 +326,6 @@ class AssignmentMatrix:
             raise ValueError("assignment fractions outside [0, 1]")
         if (p.sum(axis=1) > 1.0 + 1e-9).any():
             raise ValueError("assignment fractions of one departure exceed 1 over the horizon")
-
-    def piece(self, k: int, h: int) -> np.ndarray:
-        return self.pieces[k, h]
 
     def predict_counts(self, demand_matrix: np.ndarray) -> np.ndarray:
         """Counts implied by the frozen linearization: sum_k H[k -> h] x_k."""
@@ -391,9 +381,6 @@ class CumulativeMapping:
     channels: tuple[str, ...]
     pieces: dict[str, np.ndarray]
 
-    def legs(self) -> tuple[str, ...]:
-        return tuple(self.pieces)
-
     def matrix(self, leg: str) -> np.ndarray:
         try:
             return self.pieces[leg].sum(axis=0)
@@ -432,28 +419,3 @@ def cumulative_mapping(
         channels=assignment.channels,
         pieces=out,
     )
-
-
-def dump_assignment_csv(assignment: AssignmentMatrix, path) -> None:
-    """Write the nonzero assignment pieces as rows (k, h, link, od, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "h", "link", "od", "value"])
-        ks, hs, cs, ois = np.nonzero(assignment.pieces)
-        for k, h, c, oi in zip(ks, hs, cs, ois):
-            writer.writerow(
-                [k, h, assignment.channels[c], od_label(assignment.od_index[oi]),
-                 f"{assignment.pieces[k, h, c, oi]:.12g}"]
-            )
-
-
-def dump_link_flows_csv(result: LoadResult, path) -> None:
-    """Write the loaded per-link inflow series as rows (h, link, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "link", "value"])
-        for lid in sorted(result.link_inflow):
-            series = result.link_inflow[lid]
-            for h in range(len(series)):
-                if series[h] != 0.0:
-                    writer.writerow([h, lid, f"{series[h]:.12g}"])

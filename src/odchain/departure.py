@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateProfileError
-from .network import OD, TimeGrid
+from .network import TimeGrid
 
 logger = logging.getLogger(__name__)
 
@@ -100,46 +100,3 @@ def departure_probabilities(
     if total <= 0.0:
         raise DegenerateProfileError("departure profile has zero total mass")
     return w / total
-
-
-@dataclass(frozen=True)
-class DepartureProfile:
-    """Normalized interval probabilities for one (OD, purpose)."""
-
-    od: OD
-    purpose: str
-    grid: TimeGrid
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-        if p.shape != (self.grid.n_intervals,):
-            raise ConfigurationError("profile length does not match grid")
-        if (p < 0).any() or (p > 1).any():
-            raise ValueError("profile entries must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"profile sums to {p.sum()!r}, not 1")
-
-
-def expected_od_flow(legs: list[tuple[float, DepartureProfile]], h: int) -> float:
-    """Dynamic OD flow in interval ``h``: sum of leg totals times interval shares.
-
-    Raises:
-        ValueError: if any leg total is negative.
-        ConfigurationError: if the profiles disagree on the grid.
-        IndexError: if ``h`` lies outside the grid.
-    """
-    total = 0.0
-    grid = None
-    for n, profile in legs:
-        if n < 0:
-            raise ValueError(f"negative leg flow {n!r}")
-        if grid is None:
-            grid = profile.grid
-        elif profile.grid != grid:
-            raise ConfigurationError("profiles use mismatched time grids")
-        grid.bounds(h)  # IndexError on out-of-range h
-        total += n * float(profile.probabilities[h])
-    return total

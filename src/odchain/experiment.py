@@ -52,11 +52,9 @@ from .legfilter import (
 )
 from .legs import ChainSpec, DemandLeg, build_leg_operator
 from .network import OD, Network, TimeGrid, od_label
-from .scenario import ScenarioConfig
+from .scenario import MODELS, ScenarioConfig
 
 logger = logging.getLogger(__name__)
-
-MODEL_ORDER = ("seed", "kf", "pkf", "spkf")
 
 
 def rmse(a: np.ndarray, b: np.ndarray) -> float:
@@ -481,10 +479,10 @@ def run_experiment(
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
     wanted = tuple(models) if models is not None else cfg.models
-    unknown = [m for m in wanted if m not in MODEL_ORDER]
+    unknown = [m for m in wanted if m not in MODELS]
     if unknown:
-        raise ConfigurationError(f"unknown models {unknown}")
-    wanted = tuple(m for m in MODEL_ORDER if m in wanted)
+        raise ConfigurationError(f"unknown models {unknown}; choose from {', '.join(MODELS)}")
+    wanted = tuple(m for m in MODELS if m in wanted)
     if not wanted:
         raise ConfigurationError("no models requested")
 

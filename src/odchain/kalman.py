@@ -123,11 +123,6 @@ class ArModel:
         return cls((np.eye(n),))
 
 
-def kf_initialize(x0: np.ndarray, P0: np.ndarray) -> FilterState:
-    """Validated initial state; rejects asymmetric or indefinite covariances."""
-    return FilterState(mean=x0, cov=P0)
-
-
 def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) -> FilterState:
     """Autoregressive prediction from the most recent posteriors.
 
@@ -230,12 +225,12 @@ def run_kf_sequence(
     *,
     ar: ArModel | None = None,
     init: FilterState | None = None,
-    n_steps: int | None = None,
     refresh_hook: Callable[[int, np.ndarray], AssignmentMatrix | None] | None = None,
 ) -> KfRun:
     """Filter count deviations interval by interval.
 
-    ``delta_y`` is (n_channels, n_steps): observed minus historical counts.
+    ``delta_y`` is (n_channels, n_steps): observed minus historical counts,
+    one column per filtered interval.
     For each interval the contribution of earlier intervals' posterior means
     is subtracted from the deviation and the same-interval assignment piece
     acts as the measurement matrix.  ``refresh_hook(h, deltas)`` is called
@@ -247,24 +242,22 @@ def run_kf_sequence(
     The initial state is interval 0's prior (zero mean by default).
 
     Raises:
-        ConfigurationError: if the count deviations do not cover the steps,
-            or a refreshed matrix has other ODs, channels, grid start or
+        ConfigurationError: if the count deviations do not match the
+            channels, cover more steps than the grid has intervals, or a
+            refreshed matrix has other ODs, channels, grid start or
             interval length, or stops before the next interval.
     """
     n_od = len(assignment.od_index)
     n_ch = len(assignment.channels)
     delta_y = np.asarray(delta_y, dtype=float)
-    if n_steps is None:
-        n_steps = delta_y.shape[1]
-    if delta_y.shape[0] != n_ch or delta_y.shape[1] < n_steps:
-        raise ConfigurationError(
-            f"count deviations {delta_y.shape} do not cover {n_ch} channels x {n_steps} steps"
-        )
+    if delta_y.ndim != 2 or delta_y.shape[0] != n_ch:
+        raise ConfigurationError(f"count deviations {delta_y.shape} do not match {n_ch} channels")
+    n_steps = delta_y.shape[1]
     if n_steps > assignment.grid.n_intervals:
         raise ConfigurationError("more steps than grid intervals")
     ar = ar or ArModel.identity(n_od)
     if init is None:
-        init = kf_initialize(np.zeros(n_od), noise.Q.copy())
+        init = FilterState(mean=np.zeros(n_od), cov=noise.Q.copy())
 
     run = KfRun(deltas=np.zeros((n_od, n_steps)))
     history: list[FilterState] = [init]

@@ -17,13 +17,13 @@ new measurements nor the loader.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import CumulativeMapping
 from .errors import ConfigurationError
-from .kalman import ArModel, FilterState, kf_measurement_update, kf_time_update
+from .kalman import ArModel, FilterState, kf_measurement_update
 from .legs import ChainSpec, DemandLeg, LegOperator, propagate_leg_deviation
 
 logger = logging.getLogger(__name__)
@@ -125,18 +125,6 @@ def leg_time_update(
     return FilterState(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def leg_measurement_update(
-    pred: FilterState, A: np.ndarray, R: np.ndarray, delta_y_net: np.ndarray
-) -> FilterState:
-    """Correct a leg against cumulative count deviations.
-
-    ``delta_y_net`` must already be net of the other legs' contributions; the
-    current leg's own predicted contribution is handled inside the update.
-    Algebra is shared with the interval filter.
-    """
-    return kf_measurement_update(pred, A, R, delta_y_net)
-
-
 def scale_factor(current: np.ndarray, predecessors: list[np.ndarray]) -> float:
     """Ratio of the leg's estimated total to its feeders' estimated total.
 
@@ -180,7 +168,16 @@ def run_leg_chain(
     feeders and then corrected against the cumulative count deviation
     ``delta_Y`` (net of all other legs' current contributions).  In "spkf"
     mode the corrected estimate is rescaled to conserve the feeders' total.
+
+    Raises:
+        ConfigurationError: if ``config.cumulative_horizon`` is not the
+            horizon of ``mapping``, or a leg lacks its inputs.
     """
+    if config.cumulative_horizon != mapping.horizon:
+        raise ConfigurationError(
+            f"chain filter horizon {config.cumulative_horizon} differs from the "
+            f"cumulative mapping's horizon {mapping.horizon}"
+        )
     order = chain.topological_order()
     missing = [name for name in order if name not in legs]
     if missing:
@@ -218,7 +215,7 @@ def run_leg_chain(
         for other in order:
             if other != name:
                 others += mapping.matrix(other) @ current_delta[other]
-        post = leg_measurement_update(pred, mapping.matrix(name), R, delta_Y - others)
+        post = kf_measurement_update(pred, mapping.matrix(name), R, delta_Y - others)
 
         leg_state = LegState(name=name, state=post, prior_norm=float(np.linalg.norm(pred.mean)))
         if config.mode == "spkf":

@@ -10,7 +10,7 @@ by a single square operator that also propagates deviations and covariances.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
@@ -60,10 +60,6 @@ class DemandLeg:
             if prof.ndim != 2 or prof.shape[0] != len(self.od_index):
                 raise ConfigurationError(f"leg {self.name!r}: profile shape {prof.shape} is invalid")
 
-    @property
-    def total(self) -> float:
-        return float(self.flows.sum())
-
     def member_indices(self) -> np.ndarray:
         lookup = {od: i for i, od in enumerate(self.od_index)}
         return np.array(sorted(lookup[od] for od in self.members), dtype=int)
@@ -95,24 +91,6 @@ class ChainSpec:
 
     def roots(self) -> tuple[str, ...]:
         return tuple(leg for leg in self.topological_order() if not self.feeds.get(leg))
-
-
-def arrivals_by_zone(leg: DemandLeg) -> dict[str, float]:
-    """Total demand of the leg arriving at each destination zone."""
-    out: dict[str, float] = {}
-    for i, (_, dest) in enumerate(leg.od_index):
-        if leg.flows[i] != 0.0:
-            out[dest] = out.get(dest, 0.0) + float(leg.flows[i])
-    return out
-
-
-def generated_by_zone(leg: DemandLeg) -> dict[str, float]:
-    """Total demand of the leg leaving each origin zone."""
-    out: dict[str, float] = {}
-    for i, (origin, _) in enumerate(leg.od_index):
-        if leg.flows[i] != 0.0:
-            out[origin] = out.get(origin, 0.0) + float(leg.flows[i])
-    return out
 
 
 def leg_fractions(leg: DemandLeg) -> np.ndarray:

@@ -247,7 +247,7 @@ _TOY_ZONES = {
 TOY_FREE_FLOW_TIME = 10.0
 TOY_CAPACITY = 4000.0
 
-_OVERRIDE_KEYS = ("free_flow_time", "capacity", "bpr_alpha", "bpr_beta")
+OVERRIDE_KEYS = ("free_flow_time", "capacity", "bpr_alpha", "bpr_beta")
 
 
 def _per_label(value, label: str, default: float, key: str) -> float:
@@ -269,7 +269,7 @@ def build_toy_network(overrides: dict | None = None) -> Network:
     ``bpr_beta`` (scalars).  Anything else raises a configuration error.
     """
     overrides = dict(overrides or {})
-    unknown = set(overrides) - set(_OVERRIDE_KEYS)
+    unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown network overrides: {sorted(unknown)}")
     alpha = float(overrides.get("bpr_alpha", 0.15))

@@ -12,8 +12,10 @@ identical runs bit for bit.
 
 from __future__ import annotations
 
+import difflib
+import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path as FsPath
 
@@ -24,6 +26,7 @@ from .departure import ScheduleParams
 from .legs import ChainSpec
 from .network import (
     OD,
+    OVERRIDE_KEYS,
     Link,
     Network,
     Path,
@@ -37,7 +40,8 @@ from .network import (
 logger = logging.getLogger(__name__)
 
 PERTURBATION_MODES = ("none", "uniform_scale", "scale_plus_noise")
-KNOWN_MODELS = ("seed", "kf", "pkf", "spkf")
+#: Every model a scenario may request, in report order.
+MODELS = ("seed", "kf", "pkf", "spkf")
 
 
 def parse_minutes(value) -> float:
@@ -123,10 +127,9 @@ class NoiseFractions:
     cumulative_measurement: float = 0.10
 
     def __post_init__(self) -> None:
-        for name in ("process", "measurement", "prior", "leg_process", "leg_prior",
-                     "cumulative_measurement"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"noise fraction {name!r} must be > 0")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ConfigurationError(f"noise fraction {f.name!r} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,7 @@ class ScenarioConfig:
     perturbation: PerturbationSpec
     noise: NoiseFractions
     estimation: EstimationConfig
-    models: tuple[str, ...] = KNOWN_MODELS
+    models: tuple[str, ...] = MODELS
     seed: int = 0
     measurement_noise_fraction: float = 0.0
     description: str = ""
@@ -165,12 +168,6 @@ class ScenarioConfig:
 
     def chain(self) -> ChainSpec:
         return ChainSpec(feeds={leg.name: tuple(leg.feeds) for leg in self.legs})
-
-    def leg_def(self, name: str) -> LegDef:
-        for leg in self.legs:
-            if leg.name == name:
-                return leg
-        raise ConfigurationError(f"unknown leg {name!r}")
 
     def validate(self) -> list[str]:
         """Collect violations; an empty list means the scenario can run."""
@@ -210,22 +207,53 @@ class ScenarioConfig:
         elif self.cutoff_index >= self.grid.n_intervals:
             problems.append("estimation cutoff leaves no prediction interval")
         for model in self.models:
-            if model not in KNOWN_MODELS:
+            if model not in MODELS:
                 problems.append(f"unknown model {model!r}")
         if not (0.0 <= self.measurement_noise_fraction < 1.0):
             problems.append("measurement_noise_fraction must lie in [0, 1)")
         return problems
 
 
+def _check_keys(spec, known: tuple[str, ...], where: str, required: tuple[str, ...] = ()) -> dict:
+    """Return one level of the scenario document as a mapping.
+
+    ``None`` reads as an empty mapping.  Anything else that is not a mapping,
+    a key outside ``known`` (the error names the nearest known key) and a
+    missing ``required`` key raise :class:`ConfigurationError`.
+    """
+    if spec is None:
+        return {}
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"{where} must be a mapping, not {type(spec).__name__} {spec!r}")
+    for key in spec:
+        if key not in known:
+            near = difflib.get_close_matches(str(key), known, n=1, cutoff=0.5)
+            hint = f"did you mean {near[0]!r}?" if near else f"known keys: {', '.join(known)}"
+            raise ConfigurationError(f"unknown key {key!r} in {where}; {hint}")
+    for key in required:
+        if key not in spec:
+            raise ConfigurationError(f"{where} lacks the required key {key!r}")
+    return spec
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """Keys of a level whose YAML keys are the dataclass's field names."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _build_inline_network(spec: dict) -> Network:
     zones = {}
-    for z in spec.get("zones", []):
+    for i, z in enumerate(spec.get("zones") or []):
+        z = _check_keys(z, ("id", "kind"), f"network.zones[{i}]", required=("id",))
         zid = str(z["id"])
         if "-" in zid:
             raise ConfigurationError(f"zone id {zid!r} must not contain '-'")
         zones[zid] = Zone(zid, z.get("kind", "residential"))
     links: dict[str, Link] = {}
-    for l in spec.get("links", []):
+    link_keys = ("label", "from", "to", "free_flow_time", "capacity", "bpr_alpha", "bpr_beta")
+    for i, l in enumerate(spec.get("links") or []):
+        l = _check_keys(l, link_keys, f"network.links[{i}]", required=("label", "from", "to"))
         label = str(l["label"])
         a, b = str(l["from"]), str(l["to"])
         fft = float(l.get("free_flow_time", 10.0))
@@ -238,28 +266,28 @@ def _build_inline_network(spec: dict) -> Network:
     for key, seq in (spec.get("paths") or {}).items():
         od = _parse_od(key)
         paths[od] = Path(od, tuple(str(s) for s in seq))
-    detectors = tuple(str(d) for d in spec.get("detectors", ()))
+    detectors = tuple(str(d) for d in spec.get("detectors") or ())
     return Network(zones=zones, links=links, paths=paths, detectors=detectors)
 
 
-def _build_network(spec: dict | None) -> Network:
-    spec = spec or {"preset": "toy"}
-    preset = spec.get("preset")
-    if preset is not None:
-        if preset != "toy":
-            raise ConfigurationError(f"unknown network preset {preset!r}")
-        return build_toy_network(spec.get("overrides"))
-    return _build_inline_network(spec)
+def _build_network(spec) -> Network:
+    """The toy preset (the default, with optional overrides) or an inline network."""
+    inline = ("zones", "links", "paths", "detectors")
+    if isinstance(spec, dict) and not spec.keys().isdisjoint(inline):
+        return _build_inline_network(_check_keys(spec, inline, "network"))
+    spec = _check_keys(spec, ("preset", "overrides"), "network")
+    preset = spec.get("preset", "toy")
+    if preset != "toy":
+        raise ConfigurationError(f"unknown network preset {preset!r}")
+    return build_toy_network(
+        _check_keys(spec.get("overrides"), OVERRIDE_KEYS, "network.overrides")
+    )
 
 
-def _build_schedule(spec: dict | None) -> ScheduleParams:
-    spec = dict(spec or {})
+def _build_schedule(spec, where: str) -> ScheduleParams:
+    spec = dict(_check_keys(spec, _field_names(ScheduleParams), where))
     if "preferred_arrival" in spec:
         spec["preferred_arrival"] = parse_minutes(spec["preferred_arrival"])
-    known = {"alpha", "beta", "gamma", "preferred_arrival", "logit_scale"}
-    unknown = set(spec) - known
-    if unknown:
-        raise ConfigurationError(f"unknown schedule keys: {sorted(unknown)}")
     try:
         return ScheduleParams(**{k: float(v) for k, v in spec.items()})
     except ValueError as exc:
@@ -270,12 +298,14 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
     """Build a scenario from a parsed YAML mapping.
 
     Raises:
-        ConfigurationError: on structural problems; value-level violations are
-            additionally reported by :meth:`ScenarioConfig.validate`.
+        ConfigurationError: on structural problems, unknown keys included;
+            value-level violations are additionally reported by
+            :meth:`ScenarioConfig.validate`.
     """
-    if not isinstance(doc, dict):
-        raise ConfigurationError("scenario document must be a mapping")
-    grid_spec = doc.get("time_grid") or {}
+    doc = _check_keys(doc, ("name", "description", "seed", "time_grid", "network", "legs",
+                      "perturbation", "measurement_noise_fraction", "noise", "estimation",
+                      "models"), "the scenario")
+    grid_spec = _check_keys(doc.get("time_grid"), _field_names(TimeGrid), "time_grid")
     grid = TimeGrid(
         start=int(parse_minutes(grid_spec.get("start", 0))),
         interval_minutes=int(grid_spec.get("interval_minutes", 15)),
@@ -284,43 +314,44 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
     network = _build_network(doc.get("network"))
 
     legs = []
-    for spec in doc.get("legs", []):
+    for i, spec in enumerate(doc.get("legs") or []):
+        where = f"legs[{i}]"
+        spec = _check_keys(spec, _field_names(LegDef), where, required=("name",))
         od_split = {_parse_od(k): float(v) for k, v in (spec.get("od_split") or {}).items()}
         legs.append(
             LegDef(
                 name=str(spec["name"]),
                 total=float(spec.get("total", 0.0)),
                 od_split=od_split,
-                schedule=_build_schedule(spec.get("schedule")),
+                schedule=_build_schedule(spec.get("schedule"), f"{where}.schedule"),
                 feeds=tuple(str(f) for f in spec.get("feeds") or ()),
             )
         )
     if not legs:
         raise ConfigurationError("scenario defines no demand legs")
 
-    pert_spec = doc.get("perturbation") or {}
+    pert_spec = _check_keys(doc.get("perturbation"), _field_names(PerturbationSpec), "perturbation")
     perturbation = PerturbationSpec(
         mode=str(pert_spec.get("mode", "uniform_scale")),
         scale=float(pert_spec.get("scale", 0.0)),
         noise=float(pert_spec.get("noise", 0.0)),
         seed=None if pert_spec.get("seed") is None else int(pert_spec["seed"]),
     )
-    noise_spec = doc.get("noise") or {}
-    known_noise = {"process", "measurement", "prior", "leg_process", "leg_prior",
-                   "cumulative_measurement"}
-    unknown = set(noise_spec) - known_noise
-    if unknown:
-        raise ConfigurationError(f"unknown noise keys: {sorted(unknown)}")
+    noise_spec = _check_keys(doc.get("noise"), _field_names(NoiseFractions), "noise")
     noise = NoiseFractions(**{k: float(v) for k, v in noise_spec.items()})
 
-    est_spec = doc.get("estimation") or {}
+    est_spec = _check_keys(
+        doc.get("estimation"),
+        ("cutoff", "prediction_intervals", "uniform_redistribution", "refresh_assignment"),
+        "estimation",
+    )
     estimation = EstimationConfig(
         cutoff_minute=parse_minutes(est_spec.get("cutoff", grid.end)),
         prediction_intervals=int(est_spec.get("prediction_intervals", 2)),
         uniform_redistribution=bool(est_spec.get("uniform_redistribution", False)),
         refresh_assignment=bool(est_spec.get("refresh_assignment", False)),
     )
-    models = tuple(str(m) for m in doc.get("models") or KNOWN_MODELS)
+    models = tuple(str(m) for m in doc.get("models") or MODELS)
     return ScenarioConfig(
         name=str(doc.get("name", "scenario")),
         grid=grid,

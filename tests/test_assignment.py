@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from odchain.assignment import (
     AssignmentMatrix,
-    CumulativeMapping,
     DynamicDemand,
     LinkFlowSeries,
     assignment_matrix,
     cumulative_mapping,
-    dump_assignment_csv,
-    dump_link_flows_csv,
     extract_detector_counts,
     load_network,
     load_call_count,
@@ -329,19 +326,3 @@ class TestCumulativeMapping:
             for h in range(k, horizon + 1):
                 brute += pieces[k, h] * profiles[leg][:, k][None, :]
         assert np.abs(mapping.matrix(leg) - brute).max() <= 1e-12
-
-
-class TestDumps:
-    def test_assignment_csv(self, tmp_path, toy_artifacts):
-        path = tmp_path / "assignment.csv"
-        dump_assignment_csv(toy_artifacts.assignment, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,h,link,od,value"
-        assert len(lines) > 100
-
-    def test_link_flows_csv(self, tmp_path, toy_artifacts):
-        path = tmp_path / "flows.csv"
-        dump_link_flows_csv(toy_artifacts.history.load, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "h,link,value"
-        assert len(lines) > 10

@@ -87,6 +87,26 @@ def test_unknown_model_is_config_error(tmp_path, capsys):
     assert "unknown models" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(time_grid=15),
+        lambda doc: doc["legs"][0].pop("name"),
+        lambda doc: doc["estimation"].update(cutof=doc["estimation"].pop("cutoff")),
+    ],
+    ids=["non-mapping-level", "leg-without-name", "misspelled-key"],
+)
+def test_malformed_scenario_is_config_error(tmp_path, toy_doc, capsys, mutate):
+    """Structural mistakes reach the user as one error line, not a traceback."""
+    mutate(toy_doc)
+    path = tmp_path / "malformed.yaml"
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_io_error(capsys):
     code = main(["run", "--scenario", "/no/such/dir/scenario.yaml"])
     assert code == 3

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from odchain.departure import (
-    DepartureProfile,
     ScheduleParams,
     departure_probabilities,
-    expected_od_flow,
     schedule_disutility,
 )
 from odchain.errors import ConfigurationError, DegenerateProfileError
@@ -100,51 +98,3 @@ class TestDepartureProbabilities:
         p = departure_probabilities(params, np.full(96, 30.0), grid)
         peak = int(np.argmax(p))
         assert abs(grid.midpoint(peak) + 30.0 - 480.0) <= 7.5
-
-
-class TestDepartureProfile:
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            DepartureProfile(
-                od=("1", "3"), purpose="work",
-                grid=TimeGrid(n_intervals=2), probabilities=np.array([0.6, 0.6]),
-            )
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            DepartureProfile(
-                od=("1", "3"), purpose="work",
-                grid=TimeGrid(n_intervals=2), probabilities=np.array([1.2, -0.2]),
-            )
-
-
-class TestExpectedOdFlow:
-    def _profile(self, probs):
-        return DepartureProfile(
-            od=("1", "3"), purpose="p", grid=TimeGrid(n_intervals=2),
-            probabilities=np.array(probs),
-        )
-
-    def test_two_leg_sum(self):
-        # 100*0.3 + 50*0.2 = 40
-        legs = [(100.0, self._profile([0.3, 0.7])), (50.0, self._profile([0.2, 0.8]))]
-        assert expected_od_flow(legs, 0) == pytest.approx(40.0, abs=1e-12)
-
-    def test_empty_is_zero(self):
-        assert expected_od_flow([], 0) == 0.0
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(ValueError):
-            expected_od_flow([(-1.0, self._profile([0.5, 0.5]))], 0)
-
-    def test_grid_mismatch(self):
-        other = DepartureProfile(
-            od=("1", "3"), purpose="p", grid=TimeGrid(n_intervals=4),
-            probabilities=np.array([0.25, 0.25, 0.25, 0.25]),
-        )
-        with pytest.raises(ConfigurationError):
-            expected_od_flow([(1.0, self._profile([0.5, 0.5])), (1.0, other)], 0)
-
-    def test_h_out_of_range(self):
-        with pytest.raises(IndexError):
-            expected_od_flow([(1.0, self._profile([0.5, 0.5]))], 5)

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import json
 import pathlib
@@ -63,7 +62,7 @@ class TestGeneration:
         scale = 1.0 + toy_cfg.perturbation.scale
         for name, leg in toy_artifacts.truth.legs.items():
             hist = toy_artifacts.history.legs[name]
-            assert hist.total == pytest.approx(scale * leg.total, rel=1e-12)
+            assert hist.flows.sum() == pytest.approx(scale * leg.flows.sum(), rel=1e-12)
 
     def test_profiles_feel_their_own_congestion(self, toy_artifacts):
         """The heavier historical day shifts its departure profiles away from
@@ -109,7 +108,7 @@ class TestRunExperiment:
         assert report.row("kf").impr_od_pct is not None
 
     def test_unknown_model_rejected(self, toy_cfg):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="choose from seed, kf, pkf, spkf"):
             run_experiment(toy_cfg, models=("seed", "telepathy"))
 
     def test_no_models_rejected(self, toy_cfg):

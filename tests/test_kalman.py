@@ -8,7 +8,6 @@ from odchain.kalman import (
     ArModel,
     FilterState,
     NoiseModel,
-    kf_initialize,
     kf_measurement_update,
     kf_time_update,
     min_eigenvalue,
@@ -31,7 +30,7 @@ class TestFilterState:
             FilterState(mean=np.zeros(2), cov=np.zeros((2, 3)))
 
     def test_dim(self):
-        assert kf_initialize(np.zeros(3), np.eye(3)).dim == 3
+        assert FilterState(mean=np.zeros(3), cov=np.eye(3)).dim == 3
 
 
 class TestArModel:
@@ -257,7 +256,7 @@ class TestRunSequence:
         run = run_kf_sequence(first, delta_y, noise,
                               refresh_hook=lambda h, _: full if h == swap_at else None)
 
-        state = kf_initialize(np.zeros(n_od), noise.Q.copy())
+        state = FilterState(mean=np.zeros(n_od), cov=noise.Q.copy())
         deltas = np.zeros((n_od, delta_y.shape[1]))
         asg = first
         for h in range(delta_y.shape[1]):

@@ -183,6 +183,16 @@ class TestRunLegChain:
                 leg_Q=noise["leg_Q"], root_P0={}, R=noise["R"],
             )
 
+    def test_horizon_must_match_mapping(self):
+        """The configured horizon is checked against the mapping actually used."""
+        chain, legs, operators, mapping, noise = two_leg_setup()
+        with pytest.raises(ConfigurationError, match="horizon 1 differs .* horizon 0"):
+            run_leg_chain(
+                legs, chain, operators, {"out": np.zeros(2)}, mapping, np.array([0.0]),
+                config=ChainFilterConfig(mode="pkf", cumulative_horizon=1),
+                leg_Q=noise["leg_Q"], root_P0=noise["root_P0"], R=noise["R"],
+            )
+
     def test_missing_operator_rejected(self):
         chain, legs, _, mapping, noise = two_leg_setup()
         with pytest.raises(ConfigurationError):

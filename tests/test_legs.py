@@ -7,9 +7,7 @@ from odchain.legs import (
     ChainSpec,
     DemandLeg,
     LegOperator,
-    arrivals_by_zone,
     build_leg_operator,
-    generated_by_zone,
     leg_fractions,
     propagate_leg_deviation,
     two_od_closed_form,
@@ -35,10 +33,6 @@ class TestDemandLeg:
         with pytest.raises(ConfigurationError):
             make_leg("m", [1.0, 2.0], (("h1", "w"), ("h2", "w")))
 
-    def test_total(self):
-        leg = make_leg("m", [100.0, 50.0, 0, 0], (("h1", "w"), ("h2", "w")))
-        assert leg.total == 150.0
-
 
 class TestChainSpec:
     def test_topological_order_puts_feeders_first(self):
@@ -61,13 +55,6 @@ class TestChainSpec:
     def test_unknown_feeder_rejected(self):
         with pytest.raises(ConfigurationError):
             ChainSpec(feeds={"b": ("nope",)}).topological_order()
-
-
-class TestZoneTotals:
-    def test_arrivals_and_generated(self):
-        leg = make_leg("m", [100.0, 50.0, 0, 0], (("h1", "w"), ("h2", "w")))
-        assert arrivals_by_zone(leg) == {"w": 150.0}
-        assert generated_by_zone(leg) == {"h1": 100.0, "h2": 50.0}
 
 
 class TestLegFractions:

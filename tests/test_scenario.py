@@ -92,12 +92,6 @@ class TestPackagedToy:
         assert chain.feeds["work_home"] == ("hw_direct",)
         assert chain.feeds["leisure_home"] == ("work_leisure",)
 
-    def test_leg_totals(self, toy_cfg):
-        assert toy_cfg.leg_def("hw_direct").total == 20000.0
-        assert toy_cfg.leg_def("work_leisure").total == 6000.0
-        with pytest.raises(ConfigurationError):
-            toy_cfg.leg_def("nope")
-
     def test_commute_capacity_override_applied(self, toy_cfg):
         assert toy_cfg.network.links["4a"].capacity == 11000.0
         assert toy_cfg.network.links["7a"].capacity == 4000.0
@@ -172,6 +166,49 @@ class TestMappingErrors:
         with pytest.raises(ConfigurationError):
             scenario_from_mapping(["not", "a", "mapping"])
 
+    @pytest.mark.parametrize(
+        "path, typo, meant",
+        [
+            ((), "time_gird", "time_grid"),
+            ((), "model", "models"),
+            (("legs", 2), "fed_by", "feeds"),
+            (("estimation",), "cutof", "cutoff"),
+            (("estimation",), "refresh_assignmnet", "refresh_assignment"),
+            (("perturbation",), "scael", "scale"),
+            (("network",), "overides", "overrides"),
+        ],
+    )
+    def test_misspelled_key_names_nearest(self, toy_doc, path, typo, meant):
+        """A misspelled key is rejected at every level, not dropped for a
+        default, and the error names the key that was meant."""
+        level = toy_doc
+        for step in path:
+            level = level[step]
+        level[typo] = level.pop(meant, True)
+        with pytest.raises(ConfigurationError, match=f"unknown key '{typo}'.*did you mean '{meant}'"):
+            scenario_from_mapping(toy_doc)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda doc: doc.update(time_grid=15), "time_grid must be a mapping"),
+            (lambda doc: doc["legs"][0].pop("name"), r"legs\[0\] lacks the required key 'name'"),
+            (lambda doc: doc["legs"].__setitem__(1, "hw_leisure"), r"legs\[1\] must be a mapping"),
+            (lambda doc: doc["network"].update(overrides=[1]), "network.overrides must be a mapping"),
+            (lambda doc: doc.update(network={"zones": [{"kind": "work"}]}),
+             r"network.zones\[0\] lacks the required key 'id'"),
+            (lambda doc: doc.update(network={"links": [{"label": "1", "from": "a", "too": "b"}]}),
+             "did you mean 'to'"),
+            (lambda doc: doc["network"].update(zones=[]), "unknown key 'preset' in network"),
+        ],
+        ids=["grid-not-mapping", "leg-without-name", "leg-not-mapping", "overrides-not-mapping",
+             "zone-without-id", "link-key-typo", "preset-beside-inline"],
+    )
+    def test_malformed_level_is_configuration_error(self, toy_doc, mutate, message):
+        mutate(toy_doc)
+        with pytest.raises(ConfigurationError, match=message):
+            scenario_from_mapping(toy_doc)
+
     def test_bad_od_key(self, toy_doc):
         toy_doc["legs"][0]["od_split"] = {"1_3": 1.0}
         with pytest.raises(ConfigurationError):
@@ -219,8 +256,8 @@ class TestFiles:
             load_scenario(path)
 
     def test_readme_example_parses_as_written(self):
-        """The scenario in README.md must mean what it says: unknown keys are
-        dropped silently in places, so the parsed values are checked."""
+        """The scenario in README.md must mean what it says: it parses under
+        the strict keys, and the parsed values are checked."""
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
         cfg = scenario_from_mapping(yaml.safe_load(block))
