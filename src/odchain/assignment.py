@@ -3,26 +3,34 @@
 Demand departs uniformly within each interval, follows the fixed path of its
 OD pair, and enters each successive link after the accumulated upstream travel
 times.  A link's travel time in an interval is the BPR time of the flow
-entering it during that interval; links are processed in one forward pass in
-a topological order of the "feeds within the same interval" relation, so no
-equilibrium iteration is performed.  Detector channel counts are arrivals at
-(entries to) the detector link per interval.
+entering it during that interval, so no equilibrium iteration is performed.
+Detector channel counts are arrivals at (entries to) the detector link per
+interval.
 
 One propagation kernel moves demand parcels, tagged with their OD and
 departure interval, through the links for both the loader and its
-linearization.  With travel times frozen, the loading is exactly linear in
-demand.  The assignment matrix is one frozen-time pass of that kernel with a
-unit departure in every (OD, interval) cell, collecting the channel
-crossings as per-interval linear pieces; the cumulative mapping combines
-those pieces with departure profiles to map leg deviations onto cumulative
-count deviations up to a measurement horizon.
+linearization.  It is link-major: links are visited once each, in a
+topological order of the routes' feeding relation, and each is handled for
+the whole day at once with numpy.  That is exact because a link's time in an
+interval depends only on its own inflow then, and travel times are
+nonnegative, so parcels only move forward in time: once every upstream link
+is done, all of a link's parcels are known.  Each link's parcels are kept in
+chronological order, so every sum accumulates as an interval-by-interval
+pass would.
+
+With travel times frozen, the loading is exactly linear in demand.  The
+assignment matrix is one frozen-time pass of that kernel with a unit
+departure in every (OD, interval) cell, collecting the channel crossings as
+per-interval linear pieces; the cumulative mapping combines those pieces with
+departure profiles to map leg deviations onto cumulative count deviations up
+to a measurement horizon.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -144,6 +152,7 @@ def _link_order(net: Network) -> list[str]:
 
     for lid in used:
         visit(lid)
+    del visit  # the recursive closure is a reference cycle; break it now
     order.reverse()
     return order
 
@@ -152,59 +161,138 @@ def _propagate(
     grid: TimeGrid,
     order: list[str],
     routes: list[tuple[str, ...]],
-    sources: Iterable[tuple[int, int, float]],
-    link_time: Callable[[str, int, list[tuple[int, int, float, float, float]]], float],
+    sources: tuple[np.ndarray, np.ndarray, np.ndarray],
+    link_time: Callable[[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> dict[str, float]:
-    """Move departure parcels along fixed routes in one interval-major pass.
+    """Move departure parcels along fixed routes, one link at a time over the day.
 
-    ``sources`` yields ``(r, k, mass)``: ``mass`` departs uniformly over
-    interval ``k`` onto the first link of ``routes[r]``.  A parcel
-    ``(r, k, mass, a, b)`` enters its link uniformly over ``[a, b)``, which
-    lies within one interval.  Intervals are visited in order and, within
-    one, links in ``order``; ``link_time(lid, h, parcels)`` sees every parcel
-    entering ``lid`` during ``h`` and returns the link's travel time there.
-    Each parcel then moves on to the next link of its route, cut at interval
-    boundaries.  Returns, per link, the mass that would have entered it after
-    the horizon end.
+    ``sources`` holds three arrays ``(r, k, mass)``: ``mass`` departs
+    uniformly over interval ``k`` onto the first link of ``routes[r]``.  A
+    parcel enters its link uniformly over a window ``[a, b)`` within one
+    interval ``h`` and carries its cell ``r * n_intervals + k``.
+
+    Links are visited in ``order``, each for every interval at once.  This is
+    exact: a link's time in an interval depends only on its inflow during
+    that interval, link times are nonnegative so parcels only move forward
+    in time, and ``order`` is a topological order of the feeding relation,
+    the same in every interval.  When a link's turn comes, every upstream
+    link has been processed for the whole day, so all the parcels that will
+    ever enter it are known.  ``link_time(lid, inflow, h, cell, mass)`` gets
+    the inflow per interval and the parcels' entry intervals, cells and
+    masses, and returns the link's travel time in every interval.  Each
+    parcel then moves on to the next link of its route, its window shifted
+    by the link time and cut at interval boundaries; a piece entering after
+    the horizon end is spilled.
+
+    A link's parcels are kept in chronological order: by entry interval,
+    then by the interval in which they entered the previous link (departures
+    first), then by that link's position in ``order`` and their order there.
+    Inflows, the callback's sums and the spillover therefore accumulate in
+    the order of an interval-by-interval pass.  Returns, per link, the mass
+    that would have entered it after the horizon end.
     """
     n_h = grid.n_intervals
-    start, step, end = grid.start, grid.interval_minutes, grid.end
-    edges = [float(start + h * step) for h in range(n_h + 1)]  # as grid.bounds
-    succ = [dict(zip(route, route[1:])) for route in routes]
-    pending: dict[str, list[list[tuple[int, int, float, float, float]]]] = {
-        lid: [[] for _ in range(n_h)] for lid in order
-    }
-    spill = dict.fromkeys(order, 0.0)
-    for r, k, mass in sources:
-        pending[routes[r][0]][k].append((r, k, mass, edges[k], edges[k + 1]))
+    # interval edges as grid.bounds gives them; nothing is cut past the end
+    edges = np.append(grid.start + grid.interval_minutes * np.arange(n_h + 1.0), np.inf)
+    at = {lid: i for i, lid in enumerate(order)}
+    # succ[i, r]: position in ``order`` of the link after order[i] on route r,
+    # -1 where the trip ends
+    succ = np.full((len(order), len(routes)), -1, dtype=np.int32)
+    for r, route in enumerate(routes):
+        for a, b in zip(route, route[1:]):
+            succ[at[a], r] = at[b]
+    fanout = [sorted(set(row.tolist()) - {-1}) for row in succ]
 
-    for h in range(n_h):
-        for lid in order:
-            parcels = pending[lid][h]
-            tt = link_time(lid, h, parcels)
-            if not parcels:
-                continue
-            for r, k, mass, a, b in parcels:
-                nxt = succ[r].get(lid)
-                if nxt is None:
-                    continue  # trip completed
-                # link times are nonnegative, so the shifted window starts
-                # inside or past the horizon; being at most one interval
-                # wide, it covers at most two intervals up to roundoff
-                width = b - a
-                t, t_end = a + tt, b + tt
-                into = pending[nxt]
-                while t < t_end:
-                    hp = int((t - start) // step) if t < end else n_h
-                    if hp >= n_h:
-                        spill[nxt] += mass * (t_end - t) / width
-                        break
-                    edge = edges[hp + 1]
-                    t_next = edge if edge < t_end else t_end
-                    into[hp].append((r, k, mass * (t_next - t) / width, t, t_next))
-                    t = t_next
-            parcels.clear()
+    # per link, the batches of parcels waiting to enter it, each
+    # (cell, entry interval, previous entry interval, mass, a, b)
+    inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
+    r, k, mass = sources
+    first = np.array([at[route[0]] if route else -1 for route in routes], dtype=np.int32)[r]
+    cell = (r * n_h + k).astype(np.int32)
+    for i in np.unique(first).tolist():
+        m = first == i
+        km = k[m]
+        inbox[i].append((cell[m], km.astype(np.int32), np.full(km.size, -1, dtype=np.int32),
+                         mass[m], edges[km], edges[km + 1]))
+    del r, k, mass, first, cell
+
+    spill: dict[str, float] = {}
+    nothing = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
+    for i, lid in enumerate(order):
+        batches, inbox[i] = inbox[i], []
+        if not batches:
+            spill[lid] = 0.0
+            link_time(lid, np.zeros(n_h), *nothing)
+            continue
+        cell, h, prev, mass, a, b = (
+            np.concatenate(col) if len(batches) > 1 else col[0] for col in zip(*batches)
+        )
+        del batches
+        key = h.astype(np.int64) * (n_h + 1) + prev
+        del prev
+        if (key[1:] < key[:-1]).any():
+            perm = np.argsort(key, kind="stable")
+            cell, h, mass, a, b = cell[perm], h[perm], mass[perm], a[perm], b[perm]
+            del perm
+        del key
+        sums = np.bincount(h, weights=mass, minlength=n_h + 1)
+        spill[lid] = float(sums[n_h])
+        n_in = int(np.searchsorted(h, n_h))  # spilled pieces sort last
+        cell, h, mass, a, b = cell[:n_in], h[:n_in], mass[:n_in], a[:n_in], b[:n_in]
+        tt = link_time(lid, sums[:n_h].copy(), h, cell, mass)
+
+        nxt = succ[i][cell // n_h]
+        go = nxt >= 0  # the others complete their trip here
+        if not go.all():
+            cell, h, mass, a, b, nxt = cell[go], h[go], mass[go], a[go], b[go], nxt[go]
+        shift = tt[h]
+        rows, piece_h, piece_a, piece_b = _cut_windows(grid, edges, a + shift, b + shift)
+        piece_mass = mass[rows] * (piece_b - piece_a) / (b - a)[rows]
+        out = (cell[rows], piece_h, h[rows], piece_mass, piece_a, piece_b)
+        # free this link's parcels before the next link gathers its own
+        del cell, h, mass, a, b, go, shift, piece_h, piece_mass, piece_a, piece_b
+        if len(fanout[i]) == 1:
+            inbox[fanout[i][0]].append(out)
+        else:
+            nxt = nxt[rows]
+            for n in fanout[i]:
+                m = nxt == n
+                inbox[n].append(tuple(col[m] for col in out))
+        del rows, nxt, out
     return spill
+
+
+def _cut_windows(
+    grid: TimeGrid, edges: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut the windows ``[a, b)`` at interval edges.
+
+    Returns ``(rows, h, a, b)`` over the pieces, in window order: piece ``j``
+    is the part of window ``rows[j]`` over ``[a[j], b[j])``, inside interval
+    ``h[j]``, or past the horizon end for ``h[j] == n_intervals``, which is
+    not cut further.  ``edges`` holds the grid's interval edges followed by
+    ``inf``.
+
+    Every window lies inside one interval: departures span one, and every
+    piece is cut at the edges.  Shifted by a link time, with each end
+    rounded, it cannot reach from before one edge to past the next, because
+    rounding is monotone and the edges are exact, so that would take a
+    window wider than an interval.  A window therefore crosses at most one
+    edge and gives one or two pieces, none if the shift rounded its width
+    to zero.
+    """
+    h = np.floor_divide(np.minimum(a, grid.end) - grid.start, grid.interval_minutes)
+    h = h.astype(np.int32)
+    edge = edges[h + 1]
+    # (window, piece) tables: the first piece runs to the next edge, the
+    # second from there to b; masking them row by row keeps window order
+    keep = np.array([a < b, edge < b]).T
+    return (
+        np.nonzero(keep)[0],
+        np.array([h, h + 1]).T[keep],
+        np.array([a, edge]).T[keep],
+        np.array([np.minimum(edge, b), b]).T[keep],
+    )
 
 
 def load_network(
@@ -213,7 +301,7 @@ def load_network(
     *,
     frozen_link_tt: dict[str, np.ndarray] | None = None,
 ) -> LoadResult:
-    """Load the demand onto the network in one chronological forward pass.
+    """Load the demand onto the network in one forward pass over the links.
 
     With ``frozen_link_tt`` the BPR feedback is bypassed and the given
     per-link per-interval times are used instead, which makes the loading an
@@ -232,31 +320,30 @@ def load_network(
     for od in demand.od_index:
         net.path_of(od)
     order = _link_order(net)
-    link_inflow = {lid: np.zeros(n_h) for lid in order}
-    link_tt = {lid: np.zeros(n_h) for lid in order}
+    link_inflow: dict[str, np.ndarray] = {}
+    link_tt: dict[str, np.ndarray] = {}
     hours = grid.interval_minutes / 60.0
 
-    def link_time(lid: str, h: int, parcels: list) -> float:
-        inflow = sum([p[2] for p in parcels])
-        link_inflow[lid][h] = inflow
+    def link_time(lid: str, inflow: np.ndarray, *_) -> np.ndarray:
+        link_inflow[lid] = inflow
         if frozen_link_tt is not None:
-            tt = float(frozen_link_tt[lid][h])
+            tt = np.array(frozen_link_tt[lid][:n_h], dtype=float)
         else:
             tt = bpr_travel_time(net.links[lid], inflow / hours)
-        link_tt[lid][h] = tt
+        link_tt[lid] = tt
         return tt
 
     ois, ks = np.nonzero(demand.matrix > 0.0)
-    sources = zip(ois.tolist(), ks.tolist(), demand.matrix[ois, ks].tolist())
     routes = [net.paths[od].links for od in demand.od_index]
-    spill = _propagate(grid, order, routes, sources, link_time)
+    spill = _propagate(grid, order, routes, (ois, ks, demand.matrix[ois, ks]), link_time)
 
     for ch in net.detectors:
         if ch not in link_inflow:
             link_inflow[ch] = np.zeros(n_h)
-            link_tt[ch] = np.array(
-                [bpr_travel_time(net.links[ch], 0.0)] * n_h
-            ) if frozen_link_tt is None else np.asarray(frozen_link_tt[ch], dtype=float)
+            if frozen_link_tt is None:
+                link_tt[ch] = bpr_travel_time(net.links[ch], np.zeros(n_h))
+            else:
+                link_tt[ch] = np.asarray(frozen_link_tt[ch], dtype=float)
             spill.setdefault(ch, 0.0)
 
     counts = extract_detector_counts(link_inflow, net.detectors, grid)
@@ -275,8 +362,7 @@ def _probe_travel_times(
     the last interval's.
     """
     n_h = grid.n_intervals
-    lo = grid.start + np.arange(n_h) * grid.interval_minutes
-    t0 = 0.5 * (lo.astype(float) + (lo + grid.interval_minutes).astype(float))
+    t0 = grid.midpoint(np.arange(n_h))
     tt = np.zeros((len(od_index), n_h))
     for oi, od in enumerate(od_index):
         t = t0
@@ -353,15 +439,18 @@ def assignment_matrix(net: Network, load: LoadResult, od_index: tuple[OD, ...]) 
         routes.append(seq[: crossed[-1] + 1] if crossed else ())
     link_tt = load.link_tt
 
-    def link_time(lid: str, h: int, parcels: list) -> float:
+    def link_time(lid: str, _, h: np.ndarray, cell: np.ndarray, mass: np.ndarray) -> np.ndarray:
         c = chan_pos.get(lid)
         if c is not None:
-            for oi, k, mass, _, _ in parcels:
-                pieces[k, h, c, oi] += mass
-        return float(link_tt[lid][h])
+            oi, k = np.divmod(cell, n_h)
+            np.add.at(pieces, (k, h, c, oi), mass)
+        return link_tt[lid]
 
-    sources = ((oi, k, 1.0) for oi, route in enumerate(routes) if route for k in range(n_h))
+    crossing = np.array([oi for oi, route in enumerate(routes) if route], dtype=np.intp)
+    cells = crossing.size * n_h
+    sources = (np.repeat(crossing, n_h), np.tile(np.arange(n_h), crossing.size), np.ones(cells))
     _propagate(grid, _link_order(net), routes, sources, link_time)
+    del sources  # before the tensor is validated, which is when the heap peaks
     return AssignmentMatrix(od_index=od_index, channels=channels, grid=grid, pieces=pieces)
 
 

@@ -49,24 +49,28 @@ class ScheduleParams:
             )
 
 
-def schedule_disutility(h: int, travel_time: float, params: ScheduleParams, grid: TimeGrid) -> float:
+def schedule_disutility(h, travel_time, params: ScheduleParams, grid: TimeGrid):
     """Disutility of departing in interval ``h`` given its travel time.
 
     Arrival is evaluated at the interval midpoint plus the travel time:
-    alpha*tt + beta*max(0, early) + gamma*max(0, late).
+    alpha*tt + beta*max(0, early) + gamma*max(0, late).  ``h`` and
+    ``travel_time`` may be arrays, broadcast against each other; scalars
+    give a float.  A non-finite travel time costs ``inf``.
 
     Raises:
-        IndexError: if ``h`` lies outside the grid.
-        ValueError: if ``travel_time`` is negative.
+        IndexError: if an interval lies outside the grid.
+        ValueError: if a travel time is negative.
     """
-    if travel_time < 0:
-        raise ValueError(f"negative travel time {travel_time!r}")
-    if not np.isfinite(travel_time):
-        return float("inf")  # unreachable in this interval, avoids 0 * inf
-    arrival = grid.midpoint(h) + travel_time
-    early = max(0.0, params.preferred_arrival - arrival)
-    late = max(0.0, arrival - params.preferred_arrival)
-    return params.alpha * travel_time + params.beta * early + params.gamma * late
+    tt = np.asarray(travel_time, dtype=float)
+    if (tt < 0).any():
+        raise ValueError(f"negative travel time {float(tt.min())!r}")
+    arrival = grid.midpoint(h) + tt
+    early = np.maximum(0.0, params.preferred_arrival - arrival)
+    late = np.maximum(0.0, arrival - params.preferred_arrival)
+    with np.errstate(invalid="ignore"):  # 0 * inf where a weight is zero
+        cost = params.alpha * tt + params.beta * early + params.gamma * late
+    cost = np.where(np.isfinite(tt), cost, np.inf)  # unreachable in that interval
+    return float(cost) if cost.ndim == 0 else cost
 
 
 def departure_probabilities(
@@ -87,9 +91,7 @@ def departure_probabilities(
         raise ConfigurationError(
             f"travel times of shape {tt.shape} do not match grid of {grid.n_intervals} intervals"
         )
-    cost = np.array(
-        [schedule_disutility(h, tt[h], params, grid) for h in range(grid.n_intervals)]
-    )
+    cost = schedule_disutility(np.arange(grid.n_intervals), tt, params, grid)
     z = -params.logit_scale * cost
     finite = np.isfinite(z)
     if not finite.any():

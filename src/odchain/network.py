@@ -15,6 +15,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 logger = logging.getLogger(__name__)
@@ -96,14 +98,24 @@ class TimeGrid:
     def end(self) -> int:
         return self.start + self.interval_minutes * self.n_intervals
 
-    def bounds(self, h: int) -> tuple[float, float]:
-        """Half-open [start, end) minute bounds of interval ``h``."""
-        if not 0 <= h < self.n_intervals:
+    def bounds(self, h):
+        """Half-open [start, end) minute bounds of interval ``h``.
+
+        An integer gives a pair of floats, an array of intervals a pair of
+        arrays.
+
+        Raises:
+            IndexError: if an interval lies outside the grid.
+        """
+        h = np.asarray(h)
+        if ((h < 0) | (h >= self.n_intervals)).any():
             raise IndexError(f"interval {h} outside grid of {self.n_intervals}")
         a = self.start + h * self.interval_minutes
-        return float(a), float(a + self.interval_minutes)
+        lo, hi = a.astype(float), (a + self.interval_minutes).astype(float)
+        return (float(lo), float(hi)) if h.ndim == 0 else (lo, hi)
 
-    def midpoint(self, h: int) -> float:
+    def midpoint(self, h):
+        """Midpoint of interval ``h``, elementwise for an array of intervals."""
         a, b = self.bounds(h)
         return 0.5 * (a + b)
 
@@ -135,18 +147,25 @@ class Network:
             raise ConfigurationError(f"no path for OD {od_label(od)}") from None
 
 
-def bpr_travel_time(link: Link, flow: float) -> float:
+def bpr_travel_time(link: Link, flow):
     """BPR volume-delay travel time in minutes for an hourly ``flow``.
 
     Classic form t0 * (1 + alpha * (v/c)**beta); strictly increasing in the
-    flow, equal to the free-flow time at zero flow.
+    flow, equal to the free-flow time at zero flow.  An array of flows gives
+    the array of times, each equal to the formula in Python floats: the
+    power is taken with Python's ``**`` per element, because numpy's
+    vectorized ``power`` may round differently in the last bit.
 
     Raises:
-        ValueError: if ``flow`` is negative.
+        ValueError: if a flow is negative.
     """
-    if flow < 0:
-        raise ValueError(f"negative flow {flow!r}")
-    return link.free_flow_time * (1.0 + link.bpr_alpha * (flow / link.capacity) ** link.bpr_beta)
+    flows = np.asarray(flow, dtype=float)
+    if (flows < 0).any():
+        raise ValueError(f"negative flow {float(flows.min())!r}")
+    ratio = flows / link.capacity
+    power = np.array([v ** link.bpr_beta for v in ratio.ravel().tolist()]).reshape(ratio.shape)
+    tt = link.free_flow_time * (1.0 + link.bpr_alpha * power)
+    return float(tt) if tt.ndim == 0 else tt
 
 
 def validate_network(net: Network) -> list[str]:

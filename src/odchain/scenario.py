@@ -214,22 +214,79 @@ class ScenarioConfig:
         return problems
 
 
-def _check_keys(spec, known: tuple[str, ...], where: str, required: tuple[str, ...] = ()) -> dict:
+def _path(where: str, key) -> str:
+    """The key path ``where.key``, or ``where`` alone without a key."""
+    return where if key is None else f"{where}.{key}"
+
+
+def _list(value, where: str, key=None) -> list | tuple:
+    """``value`` as a list; ``None`` reads as an empty one.  A string is not a list."""
+    if value is None:
+        return []
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(
+            f"{_path(where, key)} must be a list, not {type(value).__name__} {value!r}"
+        )
+    return value
+
+
+def _number(value, where: str, key=None) -> float:
+    """``float(value)``, or a :class:`ConfigurationError` naming the key path."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{_path(where, key)} must be a number, not {value!r}") from None
+
+
+def _numbers(spec, where: str, key=lambda k: k) -> dict:
+    """The mapping ``spec`` with its keys passed through ``key`` and its
+    values as floats.
+
+    Raises:
+        ConfigurationError: naming the key path of a value that is not a
+            number, or ``where`` if ``spec`` is not a mapping.
+    """
+    spec = _check_keys(spec, None, where)
+    try:
+        return {key(k): float(v) for k, v in spec.items()}
+    except (TypeError, ValueError):
+        for k, v in spec.items():
+            _number(v, where, k)  # raises for the value that is not a number
+        raise
+
+
+def _integer(value, where: str, key=None) -> int:
+    """``int(value)`` for an integer or a whole number; anything else is a
+    :class:`ConfigurationError` naming the key path."""
+    try:
+        result = int(value)
+    except (TypeError, ValueError, OverflowError):
+        result = None
+    if result is None or (isinstance(value, float) and result != value):
+        raise ConfigurationError(f"{_path(where, key)} must be an integer, not {value!r}")
+    return result
+
+
+def _check_keys(
+    spec, known: tuple[str, ...] | None, where: str, required: tuple[str, ...] = ()
+) -> dict:
     """Return one level of the scenario document as a mapping.
 
     ``None`` reads as an empty mapping.  Anything else that is not a mapping,
-    a key outside ``known`` (the error names the nearest known key) and a
-    missing ``required`` key raise :class:`ConfigurationError`.
+    a key outside ``known`` (the error names the nearest known key; ``None``
+    accepts any key) and a missing ``required`` key raise
+    :class:`ConfigurationError`.
     """
     if spec is None:
         return {}
     if not isinstance(spec, dict):
         raise ConfigurationError(f"{where} must be a mapping, not {type(spec).__name__} {spec!r}")
-    for key in spec:
-        if key not in known:
-            near = difflib.get_close_matches(str(key), known, n=1, cutoff=0.5)
-            hint = f"did you mean {near[0]!r}?" if near else f"known keys: {', '.join(known)}"
-            raise ConfigurationError(f"unknown key {key!r} in {where}; {hint}")
+    if known is not None:
+        for key in spec:
+            if key not in known:
+                near = difflib.get_close_matches(str(key), known, n=1, cutoff=0.5)
+                hint = f"did you mean {near[0]!r}?" if near else f"known keys: {', '.join(known)}"
+                raise ConfigurationError(f"unknown key {key!r} in {where}; {hint}")
     for key in required:
         if key not in spec:
             raise ConfigurationError(f"{where} lacks the required key {key!r}")
@@ -244,7 +301,7 @@ def _field_names(cls) -> tuple[str, ...]:
 
 def _build_inline_network(spec: dict) -> Network:
     zones = {}
-    for i, z in enumerate(spec.get("zones") or []):
+    for i, z in enumerate(_list(spec.get("zones"), "network.zones")):
         z = _check_keys(z, ("id", "kind"), f"network.zones[{i}]", required=("id",))
         zid = str(z["id"])
         if "-" in zid:
@@ -252,21 +309,22 @@ def _build_inline_network(spec: dict) -> Network:
         zones[zid] = Zone(zid, z.get("kind", "residential"))
     links: dict[str, Link] = {}
     link_keys = ("label", "from", "to", "free_flow_time", "capacity", "bpr_alpha", "bpr_beta")
-    for i, l in enumerate(spec.get("links") or []):
-        l = _check_keys(l, link_keys, f"network.links[{i}]", required=("label", "from", "to"))
+    for i, l in enumerate(_list(spec.get("links"), "network.links")):
+        where = f"network.links[{i}]"
+        l = _check_keys(l, link_keys, where, required=("label", "from", "to"))
         label = str(l["label"])
         a, b = str(l["from"]), str(l["to"])
-        fft = float(l.get("free_flow_time", 10.0))
-        cap = float(l.get("capacity", 4000.0))
-        alpha = float(l.get("bpr_alpha", 0.15))
-        beta = float(l.get("bpr_beta", 4.0))
+        fft = _number(l.get("free_flow_time", 10.0), where, "free_flow_time")
+        cap = _number(l.get("capacity", 4000.0), where, "capacity")
+        alpha = _number(l.get("bpr_alpha", 0.15), where, "bpr_alpha")
+        beta = _number(l.get("bpr_beta", 4.0), where, "bpr_beta")
         links[f"{label}a"] = Link(f"{label}a", label, a, b, fft, cap, alpha, beta)
         links[f"{label}b"] = Link(f"{label}b", label, b, a, fft, cap, alpha, beta)
     paths = {}
-    for key, seq in (spec.get("paths") or {}).items():
+    for key, seq in _check_keys(spec.get("paths"), None, "network.paths").items():
         od = _parse_od(key)
-        paths[od] = Path(od, tuple(str(s) for s in seq))
-    detectors = tuple(str(d) for d in spec.get("detectors") or ())
+        paths[od] = Path(od, tuple(map(str, _list(seq, "network.paths", key))))
+    detectors = tuple(str(d) for d in _list(spec.get("detectors"), "network.detectors"))
     return Network(zones=zones, links=links, paths=paths, detectors=detectors)
 
 
@@ -279,9 +337,11 @@ def _build_network(spec) -> Network:
     preset = spec.get("preset", "toy")
     if preset != "toy":
         raise ConfigurationError(f"unknown network preset {preset!r}")
-    return build_toy_network(
-        _check_keys(spec.get("overrides"), OVERRIDE_KEYS, "network.overrides")
-    )
+    overrides = _check_keys(spec.get("overrides"), OVERRIDE_KEYS, "network.overrides")
+    try:
+        return build_toy_network(overrides)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"network.overrides: {exc}") from None
 
 
 def _build_schedule(spec, where: str) -> ScheduleParams:
@@ -289,7 +349,7 @@ def _build_schedule(spec, where: str) -> ScheduleParams:
     if "preferred_arrival" in spec:
         spec["preferred_arrival"] = parse_minutes(spec["preferred_arrival"])
     try:
-        return ScheduleParams(**{k: float(v) for k, v in spec.items()})
+        return ScheduleParams(**_numbers(spec, where))
     except ValueError as exc:
         raise ConfigurationError(f"bad schedule parameters: {exc}") from exc
 
@@ -308,37 +368,40 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
     grid_spec = _check_keys(doc.get("time_grid"), _field_names(TimeGrid), "time_grid")
     grid = TimeGrid(
         start=int(parse_minutes(grid_spec.get("start", 0))),
-        interval_minutes=int(grid_spec.get("interval_minutes", 15)),
-        n_intervals=int(grid_spec.get("n_intervals", 96)),
+        interval_minutes=_integer(
+            grid_spec.get("interval_minutes", 15), "time_grid", "interval_minutes"
+        ),
+        n_intervals=_integer(grid_spec.get("n_intervals", 96), "time_grid", "n_intervals"),
     )
     network = _build_network(doc.get("network"))
 
     legs = []
-    for i, spec in enumerate(doc.get("legs") or []):
+    for i, spec in enumerate(_list(doc.get("legs"), "legs")):
         where = f"legs[{i}]"
         spec = _check_keys(spec, _field_names(LegDef), where, required=("name",))
-        od_split = {_parse_od(k): float(v) for k, v in (spec.get("od_split") or {}).items()}
+        od_split = _numbers(spec.get("od_split"), f"{where}.od_split", key=_parse_od)
         legs.append(
             LegDef(
                 name=str(spec["name"]),
-                total=float(spec.get("total", 0.0)),
+                total=_number(spec.get("total", 0.0), where, "total"),
                 od_split=od_split,
                 schedule=_build_schedule(spec.get("schedule"), f"{where}.schedule"),
-                feeds=tuple(str(f) for f in spec.get("feeds") or ()),
+                feeds=tuple(str(f) for f in _list(spec.get("feeds"), where, "feeds")),
             )
         )
     if not legs:
         raise ConfigurationError("scenario defines no demand legs")
 
     pert_spec = _check_keys(doc.get("perturbation"), _field_names(PerturbationSpec), "perturbation")
+    pert_seed = pert_spec.get("seed")
     perturbation = PerturbationSpec(
         mode=str(pert_spec.get("mode", "uniform_scale")),
-        scale=float(pert_spec.get("scale", 0.0)),
-        noise=float(pert_spec.get("noise", 0.0)),
-        seed=None if pert_spec.get("seed") is None else int(pert_spec["seed"]),
+        scale=_number(pert_spec.get("scale", 0.0), "perturbation", "scale"),
+        noise=_number(pert_spec.get("noise", 0.0), "perturbation", "noise"),
+        seed=None if pert_seed is None else _integer(pert_seed, "perturbation", "seed"),
     )
     noise_spec = _check_keys(doc.get("noise"), _field_names(NoiseFractions), "noise")
-    noise = NoiseFractions(**{k: float(v) for k, v in noise_spec.items()})
+    noise = NoiseFractions(**_numbers(noise_spec, "noise"))
 
     est_spec = _check_keys(
         doc.get("estimation"),
@@ -347,11 +410,13 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
     )
     estimation = EstimationConfig(
         cutoff_minute=parse_minutes(est_spec.get("cutoff", grid.end)),
-        prediction_intervals=int(est_spec.get("prediction_intervals", 2)),
+        prediction_intervals=_integer(
+            est_spec.get("prediction_intervals", 2), "estimation", "prediction_intervals"
+        ),
         uniform_redistribution=bool(est_spec.get("uniform_redistribution", False)),
         refresh_assignment=bool(est_spec.get("refresh_assignment", False)),
     )
-    models = tuple(str(m) for m in doc.get("models") or MODELS)
+    models = tuple(str(m) for m in _list(doc.get("models"), "models") or MODELS)
     return ScenarioConfig(
         name=str(doc.get("name", "scenario")),
         grid=grid,
@@ -361,8 +426,10 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
         noise=noise,
         estimation=estimation,
         models=models,
-        seed=int(doc.get("seed", 0)),
-        measurement_noise_fraction=float(doc.get("measurement_noise_fraction", 0.0)),
+        seed=_integer(doc.get("seed", 0), "seed"),
+        measurement_noise_fraction=_number(
+            doc.get("measurement_noise_fraction", 0.0), "measurement_noise_fraction"
+        ),
         description=str(doc.get("description", "")),
     )
 

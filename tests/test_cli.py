@@ -107,6 +107,28 @@ def test_malformed_scenario_is_config_error(tmp_path, toy_doc, capsys, mutate):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["legs"][0].update(total=[1]),
+        lambda doc: doc["time_grid"].update(n_intervals=None),
+        lambda doc: doc.update(legs=5),
+        lambda doc: doc.update(network={"zones": [{"id": "a"}, {"id": "b"}], "paths": [["1a"]]}),
+    ],
+    ids=["total-not-a-number", "n-intervals-null", "legs-not-a-list", "paths-as-list"],
+)
+def test_wrongly_typed_value_is_config_error(tmp_path, toy_doc, capsys, mutate):
+    """A value of the wrong type is one error line naming its key, not a traceback."""
+    mutate(toy_doc)
+    path = tmp_path / "mistyped.yaml"
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_io_error(capsys):
     code = main(["run", "--scenario", "/no/such/dir/scenario.yaml"])
     assert code == 3

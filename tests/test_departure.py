@@ -55,6 +55,26 @@ class TestDisutility:
             schedule_disutility(4, 10.0, ScheduleParams(), GRID4)
 
 
+    def test_array_form_equals_scalar_calls(self):
+        params = ScheduleParams(alpha=0.8, beta=0.4, gamma=2.5, preferred_arrival=40.0)
+        tts = np.array([0.0, 12.5, 33.0, 7.25])
+        costs = schedule_disutility(np.arange(4), tts, params, GRID4)
+        assert costs.tolist() == [schedule_disutility(h, tts[h], params, GRID4) for h in range(4)]
+
+    def test_array_form_non_finite_costs_inf(self):
+        costs = schedule_disutility(
+            np.arange(4), np.array([1.0, np.inf, np.nan, 2.0]), ScheduleParams(alpha=0.0), GRID4
+        )
+        assert np.isinf(costs[1]) and np.isinf(costs[2])
+        assert np.isfinite(costs[[0, 3]]).all()
+
+    def test_array_form_checks_every_element(self):
+        with pytest.raises(ValueError):
+            schedule_disutility(np.arange(4), np.array([1.0, 2.0, -0.5, 3.0]), ScheduleParams(), GRID4)
+        with pytest.raises(IndexError):
+            schedule_disutility(np.arange(5), np.ones(5), ScheduleParams(), GRID4)
+
+
 class TestDepartureProbabilities:
     def test_two_interval_logit(self):
         """With beta=gamma=0 the cost is just alpha*tt, so travel times (0, 1)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +29,16 @@ class TestTimeGrid:
 
     def test_midpoint(self):
         assert TimeGrid().midpoint(0) == 7.5
+
+    def test_bounds_and_midpoints_of_an_array_of_intervals(self):
+        grid = TimeGrid(start=420, interval_minutes=5, n_intervals=6)
+        lo, hi = grid.bounds(np.arange(6))
+        assert [(a, b) for a, b in zip(lo.tolist(), hi.tolist())] == [grid.bounds(h) for h in range(6)]
+        assert grid.midpoint(np.arange(6)).tolist() == [grid.midpoint(h) for h in range(6)]
+        with pytest.raises(IndexError):
+            grid.midpoint(np.array([0, 6]))
+        with pytest.raises(IndexError):
+            grid.bounds(-1)
 
     def test_index_at_half_open(self):
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=4)
@@ -84,6 +95,21 @@ class TestBpr:
                     free_flow_time=10.0, capacity=1000.0)
         with pytest.raises(ValueError):
             bpr_travel_time(link, -1.0)
+
+    def test_negative_flow_in_an_array_rejected(self):
+        link = Link(id="x", label="x", from_node="a", to_node="b",
+                    free_flow_time=10.0, capacity=1000.0)
+        with pytest.raises(ValueError, match="negative flow -2.0"):
+            bpr_travel_time(link, np.array([1.0, -2.0]))
+
+    def test_array_of_flows_matches_the_scalar_formula_to_the_bit(self):
+        """Elementwise Python arithmetic, whose power numpy's may not match."""
+        link = Link(id="x", label="x", from_node="a", to_node="b",
+                    free_flow_time=7.0, capacity=700.0, bpr_alpha=0.15, bpr_beta=4.0)
+        flows = np.random.default_rng(3).uniform(0.0, 3000.0, 500)
+        times = bpr_travel_time(link, flows)
+        assert times.shape == (500,)
+        assert times.tolist() == [7.0 * (1.0 + 0.15 * (f / 700.0) ** 4.0) for f in flows.tolist()]
 
     @given(st.floats(min_value=0.0, max_value=1e5), st.floats(min_value=0.0, max_value=1e5))
     def test_monotone_in_flow(self, v1, v2):

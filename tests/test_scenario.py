@@ -209,6 +209,40 @@ class TestMappingErrors:
         with pytest.raises(ConfigurationError, match=message):
             scenario_from_mapping(toy_doc)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda doc: doc["legs"][0].update(total=[1]), r"legs\[0\]\.total must be a number"),
+            (lambda doc: doc["time_grid"].update(n_intervals=None),
+             r"time_grid\.n_intervals must be an integer"),
+            (lambda doc: doc.update(legs=5), "legs must be a list"),
+            (lambda doc: doc.update(network=dict(INLINE_CORRIDOR["network"], paths=[["1a"]])),
+             "network.paths must be a mapping"),
+        ],
+        ids=["total-not-a-number", "n-intervals-null", "legs-not-a-list", "paths-as-list"],
+    )
+    def test_wrongly_typed_value_names_its_key(self, toy_doc, mutate, message):
+        mutate(toy_doc)
+        with pytest.raises(ConfigurationError, match=message):
+            scenario_from_mapping(toy_doc)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda doc: doc["time_grid"].update(interval_minutes=7.5),
+             r"time_grid\.interval_minutes must be an integer"),
+            (lambda doc: doc["legs"][2].update(feeds="hw_direct"), r"legs\[2\]\.feeds must be a list"),
+            (lambda doc: doc["legs"][0]["od_split"].update({"1-3": "most"}),
+             r"legs\[0\]\.od_split\.1-3 must be a number"),
+            (lambda doc: doc["network"]["overrides"].update(capacity=[1]), "network.overrides"),
+        ],
+        ids=["fractional-interval", "feeds-as-string", "split-not-a-number", "override-as-list"],
+    )
+    def test_mistyped_nested_value_names_its_key(self, toy_doc, mutate, message):
+        mutate(toy_doc)
+        with pytest.raises(ConfigurationError, match=message):
+            scenario_from_mapping(toy_doc)
+
     def test_bad_od_key(self, toy_doc):
         toy_doc["legs"][0]["od_split"] = {"1_3": 1.0}
         with pytest.raises(ConfigurationError):
