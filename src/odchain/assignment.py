@@ -21,7 +21,9 @@ pass would.
 With travel times frozen, the loading is exactly linear in demand.  The
 assignment matrix is one frozen-time pass of that kernel with a unit
 departure in every (OD, interval) cell, collecting the channel crossings as
-per-interval linear pieces; the cumulative mapping combines those pieces with
+per-interval linear pieces.  A departure in interval k is counted in
+intervals k..k+L only, with L small, so the pieces are stored as a band of
+L + 1 lags per departure interval.  The cumulative mapping combines them with
 departure profiles to map leg deviations onto cumulative count deviations up
 to a measurement horizon.
 """
@@ -391,31 +393,48 @@ def extract_detector_counts(
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """Linear pieces H with ``pieces[k, h, c, i]`` = fraction of OD ``i``'s
-    interval-``k`` departures crossing channel ``c`` during interval ``h``,
-    under the frozen travel times the matrix was built from."""
+    """Linear pieces H stored by lag: ``band[k, l, c, i]`` is the fraction of
+    OD ``i``'s interval-``k`` departures crossing channel ``c`` during
+    interval ``k + l``, under the frozen travel times the matrix was built
+    from.  The band's width ``L + 1`` covers every lag a crossing takes;
+    entries past the horizon end count in no interval."""
 
     od_index: tuple[OD, ...]
     channels: tuple[str, ...]
     grid: TimeGrid
-    pieces: np.ndarray
+    band: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.pieces, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "pieces", p)
-        n_h = self.grid.n_intervals
-        expected = (n_h, n_h, len(self.channels), len(self.od_index))
-        if p.shape != expected:
-            raise ConfigurationError(f"assignment pieces {p.shape} do not match {expected}")
-        if (p < -1e-12).any() or (p > 1.0 + 1e-12).any():
+        b = np.asarray(self.band, dtype=float)
+        b.setflags(write=False)
+        object.__setattr__(self, "band", b)
+        n_h, n_ch, n_od = self.grid.n_intervals, len(self.channels), len(self.od_index)
+        if b.shape[:1] + b.shape[2:] != (n_h, n_ch, n_od) or not 1 <= b.shape[1] <= n_h:
+            raise ConfigurationError(
+                f"assignment band {b.shape} is not ({n_h}, 1..{n_h}, {n_ch}, {n_od})")
+        if b.min(initial=0.0) < -1e-12 or b.max(initial=0.0) > 1.0 + 1e-12:
             raise ValueError("assignment fractions outside [0, 1]")
-        if (p.sum(axis=1) > 1.0 + 1e-9).any():
+        if b.sum(axis=1).max(initial=0.0) > 1.0 + 1e-9:
             raise ValueError("assignment fractions of one departure exceed 1 over the horizon")
+
+    @property
+    def pieces(self) -> np.ndarray:
+        """The dense ``(H, H, C, OD)`` view ``pieces[k, h] = band[k, h - k]``, built on demand."""
+        n_h = self.grid.n_intervals
+        dense = np.zeros((n_h, n_h, *self.band.shape[2:]))
+        for l in range(self.band.shape[1]):
+            k = np.arange(n_h - l)
+            dense[k, k + l] = self.band[: n_h - l, l]
+        return dense
 
     def predict_counts(self, demand_matrix: np.ndarray) -> np.ndarray:
         """Counts implied by the frozen linearization: sum_k H[k -> h] x_k."""
-        return np.einsum("khci,ik->ch", self.pieces, np.asarray(demand_matrix, dtype=float))
+        x = np.asarray(demand_matrix, dtype=float)
+        n_h = self.grid.n_intervals
+        counts = np.zeros((len(self.channels), n_h))
+        for l in range(self.band.shape[1]):
+            counts[:, l:] += np.einsum("kci,ik->ck", self.band[: n_h - l, l], x[:, : n_h - l])
+        return counts
 
 
 def assignment_matrix(net: Network, load: LoadResult, od_index: tuple[OD, ...]) -> AssignmentMatrix:
@@ -424,13 +443,13 @@ def assignment_matrix(net: Network, load: LoadResult, od_index: tuple[OD, ...]) 
     One unit departure per (OD, interval) moves through the frozen times,
     whether or not the cell carries demand, and every channel crossing is
     collected; with those same times, ``load_network`` reproduces
-    ``predict_counts`` up to float roundoff.
+    ``predict_counts`` up to float roundoff.  The band is as wide as the
+    longest lag of a crossing.
     """
     grid = load.counts.grid
     channels = load.counts.channels
     n_h = grid.n_intervals
     chan_pos = {ch: c for c, ch in enumerate(channels)}
-    pieces = np.zeros((n_h, n_h, len(channels), len(od_index)))
     # a route ends at its last channel: nothing further on is recorded
     routes: list[tuple[str, ...]] = []
     for od in od_index:
@@ -438,20 +457,28 @@ def assignment_matrix(net: Network, load: LoadResult, od_index: tuple[OD, ...]) 
         crossed = [i for i, lid in enumerate(seq) if lid in chan_pos]
         routes.append(seq[: crossed[-1] + 1] if crossed else ())
     link_tt = load.link_tt
+    # per channel visit, its crossings (k, h - k, c, od, mass); the empty first
+    # batch keeps the columns defined when no route crosses a channel
+    crossings = [(*[np.empty(0, np.intp)] * 4, np.empty(0))]
 
     def link_time(lid: str, _, h: np.ndarray, cell: np.ndarray, mass: np.ndarray) -> np.ndarray:
         c = chan_pos.get(lid)
         if c is not None:
             oi, k = np.divmod(cell, n_h)
-            np.add.at(pieces, (k, h, c, oi), mass)
+            crossings.append((k, h - k, np.full(k.size, c), oi, mass))
         return link_tt[lid]
 
     crossing = np.array([oi for oi, route in enumerate(routes) if route], dtype=np.intp)
     cells = crossing.size * n_h
     sources = (np.repeat(crossing, n_h), np.tile(np.arange(n_h), crossing.size), np.ones(cells))
     _propagate(grid, _link_order(net), routes, sources, link_time)
-    del sources  # before the tensor is validated, which is when the heap peaks
-    return AssignmentMatrix(od_index=od_index, channels=channels, grid=grid, pieces=pieces)
+    del sources  # before the band is allocated
+    k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))
+    del crossings
+    band = np.zeros((n_h, int(lag.max(initial=0)) + 1, len(channels), len(od_index)))
+    # crossings in the order they came, so every cell sums in visit order
+    np.add.at(band, (k, lag, c, oi), mass)
+    return AssignmentMatrix(od_index=od_index, channels=channels, grid=grid, band=band)
 
 
 @dataclass(frozen=True)
@@ -499,7 +526,7 @@ def cumulative_mapping(
             raise ConfigurationError(f"profile for leg {leg!r} has shape {prof.shape}")
         pieces = np.zeros((horizon + 1, len(assignment.channels), n_od))
         for k in range(horizon + 1):
-            h_sum = assignment.pieces[k, k : horizon + 1].sum(axis=0)
+            h_sum = assignment.band[k, : horizon + 1 - k].sum(axis=0)
             pieces[k] = h_sum * prof[:, k][None, :]
         out[leg] = pieces
     return CumulativeMapping(

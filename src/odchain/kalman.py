@@ -6,8 +6,8 @@ intervals (identity random walk by default); counts observed at h are a
 linear function of the deviations of intervals k <= h through the assignment
 pieces.  The sequence runner handles those lags by subtracting the
 contribution of already-estimated intervals at their posterior means, leaving
-the same-interval piece as the measurement matrix.  Only the earlier
-intervals whose pieces reach h are visited, found in one scan per interval.
+the same-interval piece as the measurement matrix.  Only the L intervals
+before h, whose departures can still be counted at h, are visited.
 
 Gains are computed through Cholesky solves of the innovation covariance, with
 a trace-scaled jitter retry; covariances are re-symmetrized after every
@@ -231,13 +231,13 @@ def run_kf_sequence(
 
     ``delta_y`` is (n_channels, n_steps): observed minus historical counts,
     one column per filtered interval.
-    For each interval the contribution of earlier intervals' posterior means
-    is subtracted from the deviation and the same-interval assignment piece
-    acts as the measurement matrix.  ``refresh_hook(h, deltas)`` is called
-    after each interval with the posterior means so far and may return a
-    rebuilt assignment matrix (``None`` keeps the current one).  A refreshed
-    matrix may cover a shorter grid than the first, as long as it reaches the
-    next interval ``h + 1``: later steps read only pieces up to it.
+    At interval ``h`` the pieces ``band[k, h - k]`` of the L intervals before
+    it map their posterior means out of the deviation, and ``band[h, 0]`` is
+    the measurement matrix.  ``refresh_hook(h, deltas)`` is called after each
+    interval with the posterior means so far and may return a rebuilt
+    assignment matrix, with its own L (``None`` keeps the current one).  It
+    may cover a shorter grid, as long as it reaches the next interval
+    ``h + 1``: later steps read only pieces up to it.
 
     The initial state is interval 0's prior (zero mean by default).
 
@@ -267,10 +267,9 @@ def run_kf_sequence(
         else:
             prior = kf_time_update(history, ar, noise.Q)
         lagged = np.zeros(n_ch)
-        reaching = assignment.pieces[:h, h].any(axis=(1, 2))
-        for k in np.flatnonzero(reaching):
-            lagged += assignment.pieces[k, h] @ run.deltas[:, k]
-        H = assignment.pieces[h, h]
+        for k in range(max(h + 1 - assignment.band.shape[1], 0), h):
+            lagged += assignment.band[k, h - k] @ run.deltas[:, k]
+        H = assignment.band[h, 0]
         post, gain = _update_with_gain(prior, H, noise.R, delta_y[:, h] - lagged)
         run.deltas[:, h] = post.mean
         history.append(post)

@@ -75,7 +75,6 @@ def attribute_interval_deviations(
     if deltas.ndim != 2 or deltas.shape[0] != n_od:
         raise ConfigurationError(f"deviation matrix {deltas.shape} does not match {n_od} ODs")
     window = window or slice(0, deltas.shape[1])
-    cols = range(*window.indices(deltas.shape[1]))
 
     weights = []
     for leg in legs:
@@ -84,21 +83,16 @@ def attribute_interval_deviations(
         if leg.profile.shape[1] < deltas.shape[1]:
             raise ConfigurationError(f"leg {leg.name!r}: profile shorter than the deviation window")
         weights.append(leg.flows[:, None] * leg.profile[:, : deltas.shape[1]])
-    total = np.sum(weights, axis=0)
-
-    out = {leg.name: np.zeros(n_od) for leg in legs}
-    dropped = 0.0
-    for h in cols:
-        for i in range(n_od):
-            d = deltas[i, h]
-            if d == 0.0:
-                continue
-            t = total[i, h]
-            if t <= 0.0:
-                dropped += abs(d)
-                continue
-            for leg, w in zip(legs, weights):
-                out[leg.name][i] += d * w[i, h] / t
+    d = deltas[:, window]
+    total = np.sum(weights, axis=0)[:, window]
+    active = total > 0.0
+    dropped = float(np.abs(d[~active]).sum())
+    total[~active] = 1.0
+    # summed interval by interval, in window order, from zero
+    out = {
+        leg.name: sum(np.where(active, d * w[:, window] / total, 0.0).T, np.zeros(n_od))
+        for leg, w in zip(legs, weights)
+    }
     if dropped > 0.0:
         logger.warning(
             "%.3g units of interval deviation had no active leg and were dropped", dropped

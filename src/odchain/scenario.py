@@ -267,6 +267,13 @@ def _integer(value, where: str, key=None) -> int:
     return result
 
 
+def _boolean(value, where: str, key=None) -> bool:
+    """``value`` if it is a YAML boolean; ``"false"`` or ``1`` is a :class:`ConfigurationError`."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{_path(where, key)} must be true or false, not {value!r}")
+    return value
+
+
 def _check_keys(
     spec, known: tuple[str, ...] | None, where: str, required: tuple[str, ...] = ()
 ) -> dict:
@@ -413,8 +420,8 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
         prediction_intervals=_integer(
             est_spec.get("prediction_intervals", 2), "estimation", "prediction_intervals"
         ),
-        uniform_redistribution=bool(est_spec.get("uniform_redistribution", False)),
-        refresh_assignment=bool(est_spec.get("refresh_assignment", False)),
+        **{key: _boolean(est_spec.get(key, False), "estimation", key)
+           for key in ("uniform_redistribution", "refresh_assignment")},
     )
     models = tuple(str(m) for m in _list(doc.get("models"), "models") or MODELS)
     return ScenarioConfig(

@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from banding import from_dense
 from odchain.assignment import (
     AssignmentMatrix,
     DynamicDemand,
@@ -15,7 +18,9 @@ from odchain.assignment import (
     load_call_count,
 )
 from odchain.errors import ConfigurationError
+from odchain.experiment import generate_truth_and_history
 from odchain.network import Link, Network, Path, TimeGrid, Zone, build_toy_network
+from odchain.scenario import scenario_from_mapping
 
 TOY = build_toy_network()
 
@@ -218,7 +223,7 @@ class TestAssignmentMatrix:
         pieces = np.zeros((2, 2, 1, 1))
         pieces[0, 0, 0, 0] = -0.1
         with pytest.raises(ValueError):
-            AssignmentMatrix(od_index=(("1", "3"),), channels=("4a",), grid=grid, pieces=pieces)
+            from_dense((("1", "3"),), ("4a",), grid, pieces)
 
     def test_departure_mass_cannot_exceed_one(self):
         grid = TimeGrid(n_intervals=2)
@@ -226,7 +231,14 @@ class TestAssignmentMatrix:
         pieces[0, 0, 0, 0] = 0.7
         pieces[0, 1, 0, 0] = 0.6
         with pytest.raises(ValueError):
-            AssignmentMatrix(od_index=(("1", "3"),), channels=("4a",), grid=grid, pieces=pieces)
+            from_dense((("1", "3"),), ("4a",), grid, pieces)
+
+    def test_band_shape_checked(self):
+        grid = TimeGrid(n_intervals=2)
+        for shape in [(2, 1, 1, 2), (2, 0, 1, 1), (2, 3, 1, 1), (2, 2, 1)]:
+            with pytest.raises(ConfigurationError, match="assignment band"):
+                AssignmentMatrix(od_index=(("1", "3"),), channels=("4a",), grid=grid,
+                                 band=np.zeros(shape))
 
     def test_prediction_matches_frozen_load(self, toy_artifacts):
         hist = toy_artifacts.history
@@ -280,13 +292,38 @@ class TestAssignmentMatrix:
         assert off_diagonal > 0.1
 
 
+class TestBandWidth:
+    """The band holds lags 0..L, L the longest lag of any crossing in the data."""
+
+    @staticmethod
+    def _lags(asg):
+        width = asg.band.shape[1]
+        assert asg.band[:, width - 1].any()  # the last lag is taken
+        return width - 1
+
+    @pytest.mark.parametrize("minutes, lags", [(15, 1), (5, 3), (3, 4)])
+    def test_toy(self, toy_cfg, minutes, lags):
+        grid = dataclasses.replace(toy_cfg.grid, interval_minutes=minutes,
+                                   n_intervals=24 * 60 // minutes)
+        asg = generate_truth_and_history(dataclasses.replace(toy_cfg, grid=grid)).assignment
+        assert self._lags(asg) == lags
+        assert asg.band.shape == (grid.n_intervals, lags + 1, 2, len(asg.od_index))
+
+    def test_benchmark_corridor(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "odbench"))
+        workloads = importlib.import_module("workloads")
+        cfg = scenario_from_mapping(workloads.corridor_mapping(6))
+        asg = generate_truth_and_history(cfg).assignment
+        assert self._lags(asg) == 2
+
+
 class TestCumulativeMapping:
     def _identity_assignment(self):
         grid = TimeGrid(n_intervals=2)
         pieces = np.zeros((2, 2, 1, 1))
         pieces[0, 0, 0, 0] = 1.0
         pieces[1, 1, 0, 0] = 1.0
-        return AssignmentMatrix(od_index=(("1", "3"),), channels=("4a",), grid=grid, pieces=pieces)
+        return from_dense((("1", "3"),), ("4a",), grid, pieces)
 
     def test_uniform_two_interval_profile(self):
         """Identity crossings with a half/half profile: covering h of the two

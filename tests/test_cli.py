@@ -129,6 +129,20 @@ def test_wrongly_typed_value_is_config_error(tmp_path, toy_doc, capsys, mutate):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["false", "off", 1], ids=["quoted-false", "off", "one"])
+def test_switch_that_is_not_a_boolean_is_config_error(tmp_path, toy_doc, capsys, value):
+    """A quoted "false" must not switch the refresh on; it is one error line."""
+    toy_doc["estimation"]["refresh_assignment"] = value
+    path = tmp_path / "switch.yaml"
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "estimation.refresh_assignment must be true or false" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_io_error(capsys):
     code = main(["run", "--scenario", "/no/such/dir/scenario.yaml"])
     assert code == 3

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from banding import from_dense
 from odchain.errors import ConfigurationError, NumericalError
 from odchain.kalman import (
     ArModel,
@@ -169,11 +170,9 @@ class TestRunSequence:
         assert calls[-1][1] == (n_od, 5)
 
     @staticmethod
-    def _prefix(asg, n):
-        from odchain.assignment import AssignmentMatrix
-        return AssignmentMatrix(od_index=asg.od_index, channels=asg.channels,
-                                grid=dataclasses.replace(asg.grid, n_intervals=n),
-                                pieces=asg.pieces[:n, :n])
+    def _prefix(asg, n, dense):
+        return from_dense(asg.od_index, asg.channels,
+                          dataclasses.replace(asg.grid, n_intervals=n), dense[:n, :n])
 
     def test_refresh_may_shorten_the_grid_to_the_next_interval(self, toy_artifacts):
         asg = toy_artifacts.assignment
@@ -181,22 +180,23 @@ class TestRunSequence:
         delta_y = (toy_artifacts.observed.counts - hist.load.counts.counts)[:, :48]
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
+        dense = asg.pieces
         reference = run_kf_sequence(asg, delta_y, noise)
         shortened = run_kf_sequence(
-            asg, delta_y, noise, refresh_hook=lambda h, _: self._prefix(asg, h + 2)
+            asg, delta_y, noise, refresh_hook=lambda h, _: self._prefix(asg, h + 2, dense)
         )
         assert np.array_equal(shortened.deltas, reference.deltas)
         # stopping at interval h is too short, except after the last step,
         # which nothing reads
         last = run_kf_sequence(
             asg, delta_y[:, :3], noise,
-            refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 2 else h + 2),
+            refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 2 else h + 2, dense),
         )
         assert np.array_equal(last.deltas, reference.deltas[:, :3])
         with pytest.raises(ConfigurationError, match="after interval 5 .*misses"):
             run_kf_sequence(
                 asg, delta_y, noise,
-                refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 5 else h + 2),
+                refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 5 else h + 2, dense),
             )
 
     def test_refresh_must_keep_channels_and_timing(self, toy_artifacts):
@@ -205,10 +205,10 @@ class TestRunSequence:
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
         swapped = AssignmentMatrix(od_index=asg.od_index, channels=asg.channels[::-1],
-                                   grid=asg.grid, pieces=asg.pieces)
+                                   grid=asg.grid, band=asg.band)
         shifted = AssignmentMatrix(od_index=asg.od_index, channels=asg.channels,
                                    grid=dataclasses.replace(asg.grid, start=15),
-                                   pieces=asg.pieces)
+                                   band=asg.band)
         for bad in (swapped, shifted):
             with pytest.raises(ConfigurationError, match="after interval 2 "):
                 run_kf_sequence(asg, np.zeros((n_ch, 5)), noise,
@@ -221,12 +221,8 @@ class TestRunSequence:
         grid_pieces[0, 0, 0, 0] = 0.5
         grid_pieces[0, 1, 0, 0] = 0.5  # half of interval 0 arrives during 1
         grid_pieces[1, 1, 0, 0] = 0.5
-        from odchain.assignment import AssignmentMatrix
         from odchain.network import TimeGrid
-        asg = AssignmentMatrix(
-            od_index=(("1", "3"),), channels=("4a",),
-            grid=TimeGrid(n_intervals=2), pieces=grid_pieces,
-        )
+        asg = from_dense((("1", "3"),), ("4a",), TimeGrid(n_intervals=2), grid_pieces)
         # a huge process noise keeps both priors vague, so the measurements
         # dominate and the recovered deltas are essentially exact
         noise = NoiseModel(Q=np.array([[1e6]]), R=np.array([[1e-12]]))
@@ -242,12 +238,13 @@ class TestRunSequence:
         the hook swaps in a matrix whose lagged pieces are nonzero where the
         first one's were zero."""
         full = toy_artifacts.assignment
-        from odchain.assignment import AssignmentMatrix
-        same_interval = np.zeros_like(full.pieces)
-        for h in range(full.pieces.shape[0]):
-            same_interval[h, h] = full.pieces[h, h]
-        first = AssignmentMatrix(od_index=full.od_index, channels=full.channels,
-                                 grid=full.grid, pieces=same_interval)
+        full_pieces = full.pieces
+        same_interval = np.zeros_like(full_pieces)
+        for h in range(full_pieces.shape[0]):
+            same_interval[h, h] = full_pieces[h, h]
+        first = from_dense(full.od_index, full.channels, full.grid, same_interval)
+        # the swapped-in matrix brings its own band width
+        assert (first.band.shape[1], full.band.shape[1]) == (1, 2)
         hist = toy_artifacts.history
         delta_y = (toy_artifacts.observed.counts - hist.load.counts.counts)[:, :48]
         n_od, n_ch = len(full.od_index), len(full.channels)
@@ -258,17 +255,17 @@ class TestRunSequence:
 
         state = FilterState(mean=np.zeros(n_od), cov=noise.Q.copy())
         deltas = np.zeros((n_od, delta_y.shape[1]))
-        asg = first
+        pieces = same_interval
         for h in range(delta_y.shape[1]):
             prior = state if h == 0 else kf_time_update([state], ArModel.identity(n_od), noise.Q)
             lagged = np.zeros(n_ch)
             for k in range(h):
-                piece = asg.pieces[k, h]
+                piece = pieces[k, h]
                 if piece.any():
                     lagged += piece @ deltas[:, k]
-            state = kf_measurement_update(prior, asg.pieces[h, h], noise.R, delta_y[:, h] - lagged)
+            state = kf_measurement_update(prior, pieces[h, h], noise.R, delta_y[:, h] - lagged)
             deltas[:, h] = state.mean
             if h == swap_at:
-                asg = full
+                pieces = full_pieces
         assert np.array_equal(run.deltas, deltas)
         assert not np.array_equal(run.deltas, run_kf_sequence(first, delta_y, noise).deltas)

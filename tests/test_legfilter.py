@@ -65,6 +65,43 @@ class TestAttribution:
     def test_empty_legs(self):
         assert attribute_interval_deviations(np.zeros((1, 1)), []) == {}
 
+    @staticmethod
+    def _by_loop(deltas, legs, window):
+        """Reference: cell by cell, interval-major, skipping zero deviations."""
+        weights = [leg.flows[:, None] * leg.profile[:, : deltas.shape[1]] for leg in legs]
+        total = np.sum(weights, axis=0)
+        out = {leg.name: np.zeros(deltas.shape[0]) for leg in legs}
+        for h in range(*window.indices(deltas.shape[1])):
+            for i in range(deltas.shape[0]):
+                d, t = deltas[i, h], total[i, h]
+                if d != 0.0 and t > 0.0:
+                    for leg, w in zip(legs, weights):
+                        out[leg.name][i] += d * w[i, h] / t
+        return out
+
+    def test_matches_cell_by_cell_loop_bit_for_bit(self):
+        """Random deviations (signed zeros included) against legs with
+        inactive cells, over windows with and without a step."""
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n_od, n_h = rng.integers(1, 5), rng.integers(1, 9)
+            od_index = tuple((f"o{i}", f"d{i}") for i in range(n_od))
+            legs = [
+                DemandLeg(name=f"leg{j}", od_index=od_index,
+                          flows=rng.choice([0.0, 1.0, 40.0], n_od) * rng.uniform(0.5, 2.0, n_od),
+                          members=od_index,
+                          profile=rng.uniform(size=(n_od, n_h)) * (rng.uniform(size=(n_od, n_h)) < 0.6))
+                for j in range(rng.integers(1, 4))
+            ]
+            deltas = rng.normal(size=(n_od, n_h)) * (rng.uniform(size=(n_od, n_h)) < 0.7)
+            deltas[rng.uniform(size=deltas.shape) < 0.1] = -0.0
+            start = int(rng.integers(0, n_h))
+            window = slice(start, int(rng.integers(start, n_h + 1)), int(rng.integers(1, 3)))
+            out = attribute_interval_deviations(deltas, legs, window=window)
+            expected = self._by_loop(deltas, legs, window)
+            for leg in legs:
+                assert out[leg.name].tobytes() == expected[leg.name].tobytes()
+
 
 class TestLegTimeUpdate:
     def test_congruence(self):

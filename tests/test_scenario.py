@@ -243,6 +243,20 @@ class TestMappingErrors:
         with pytest.raises(ConfigurationError, match=message):
             scenario_from_mapping(toy_doc)
 
+    @pytest.mark.parametrize("key", ["uniform_redistribution", "refresh_assignment"])
+    @pytest.mark.parametrize("value", ["false", "off", 1], ids=["quoted-false", "off", "one"])
+    def test_switch_must_be_a_yaml_boolean(self, toy_doc, key, value):
+        toy_doc["estimation"][key] = value
+        with pytest.raises(ConfigurationError, match=f"estimation.{key} must be true or false"):
+            scenario_from_mapping(toy_doc)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_switch_reads_yaml_booleans(self, toy_doc, value):
+        toy_doc["estimation"].update(uniform_redistribution=value, refresh_assignment=value)
+        estimation = scenario_from_mapping(toy_doc).estimation
+        assert estimation.uniform_redistribution is value
+        assert estimation.refresh_assignment is value
+
     def test_bad_od_key(self, toy_doc):
         toy_doc["legs"][0]["od_split"] = {"1_3": 1.0}
         with pytest.raises(ConfigurationError):
