@@ -19,13 +19,15 @@ chronological order, so every sum accumulates as an interval-by-interval
 pass would.
 
 With travel times frozen, the loading is exactly linear in demand.  The
-assignment matrix is one frozen-time pass of that kernel with a unit
-departure in every (OD, interval) cell, collecting the channel crossings as
-per-interval linear pieces.  A departure in interval k is counted in
-intervals k..k+L only, with L small, so the pieces are stored as a band of
-L + 1 lags per departure interval.  The cumulative mapping combines them with
-departure profiles to map leg deviations onto cumulative count deviations up
-to a measurement horizon.
+assignment matrix is one pass of that kernel with a unit departure in every
+(OD, interval) cell, collecting the channel crossings as per-interval linear
+pieces.  The times are either given, or those of loading a demand, found in
+the same pass: a parcel's windows do not depend on its mass, so each parcel
+carries its cell's demand, which loads the links, beside the unit mass.  A
+departure in interval k is counted in intervals k..k+L only, with L small,
+so the pieces are stored as a band of L + 1 lags per departure interval.  The
+cumulative mapping combines them with departure profiles to map leg
+deviations onto cumulative count deviations up to a measurement horizon.
 """
 
 from __future__ import annotations
@@ -45,7 +47,11 @@ _LOAD_CALLS = 0
 
 
 def load_call_count() -> int:
-    """Number of network loadings performed since import (purity instrument)."""
+    """Number of ``load_network`` calls since import (purity instrument).
+
+    ``assignment_matrix`` loads a demand in its own pass without one, so a
+    linearization at a demand is not counted.
+    """
     return _LOAD_CALLS
 
 
@@ -163,15 +169,17 @@ def _propagate(
     grid: TimeGrid,
     order: list[str],
     routes: list[tuple[str, ...]],
-    sources: tuple[np.ndarray, np.ndarray, np.ndarray],
-    link_time: Callable[[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    sources: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]],
+    link_time: Callable[[str, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]], np.ndarray],
 ) -> dict[str, float]:
     """Move departure parcels along fixed routes, one link at a time over the day.
 
-    ``sources`` holds three arrays ``(r, k, mass)``: ``mass`` departs
+    ``sources`` holds ``(r, k, masses)``: each array of ``masses`` departs
     uniformly over interval ``k`` onto the first link of ``routes[r]``.  A
     parcel enters its link uniformly over a window ``[a, b)`` within one
-    interval ``h`` and carries its cell ``r * n_intervals + k``.
+    interval ``h``, carries its cell ``r * n_intervals + k`` and one value of
+    each mass.  Its windows do not depend on its masses, so one parcel can
+    carry several; the first is the one that loads the links.
 
     Links are visited in ``order``, each for every interval at once.  This is
     exact: a link's time in an interval depends only on its inflow during
@@ -179,19 +187,19 @@ def _propagate(
     in time, and ``order`` is a topological order of the feeding relation,
     the same in every interval.  When a link's turn comes, every upstream
     link has been processed for the whole day, so all the parcels that will
-    ever enter it are known.  ``link_time(lid, inflow, h, cell, mass)`` gets
-    the inflow per interval and the parcels' entry intervals, cells and
-    masses, and returns the link's travel time in every interval.  Each
-    parcel then moves on to the next link of its route, its window shifted
-    by the link time and cut at interval boundaries; a piece entering after
-    the horizon end is spilled.
+    ever enter it are known.  ``link_time(lid, inflow, h, cell, masses)``
+    gets the first mass's inflow per interval and the parcels' entry
+    intervals, cells and masses, and returns the link's travel time in every
+    interval.  Each parcel then moves on to the next link of its route, its
+    window shifted by the link time and cut at interval boundaries; a piece
+    entering after the horizon end is spilled.
 
     A link's parcels are kept in chronological order: by entry interval,
     then by the interval in which they entered the previous link (departures
     first), then by that link's position in ``order`` and their order there.
     Inflows, the callback's sums and the spillover therefore accumulate in
-    the order of an interval-by-interval pass.  Returns, per link, the mass
-    that would have entered it after the horizon end.
+    the order of an interval-by-interval pass.  Returns, per link, the first
+    mass that would have entered it after the horizon end.
     """
     n_h = grid.n_intervals
     # interval edges as grid.bounds gives them; nothing is cut past the end
@@ -206,27 +214,28 @@ def _propagate(
     fanout = [sorted(set(row.tolist()) - {-1}) for row in succ]
 
     # per link, the batches of parcels waiting to enter it, each
-    # (cell, entry interval, previous entry interval, mass, a, b)
+    # (cell, entry interval, previous entry interval, a, b, *masses)
     inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
-    r, k, mass = sources
+    r, k, masses = sources
     first = np.array([at[route[0]] if route else -1 for route in routes], dtype=np.int32)[r]
     cell = (r * n_h + k).astype(np.int32)
     for i in np.unique(first).tolist():
         m = first == i
         km = k[m]
         inbox[i].append((cell[m], km.astype(np.int32), np.full(km.size, -1, dtype=np.int32),
-                         mass[m], edges[km], edges[km + 1]))
-    del r, k, mass, first, cell
+                         edges[km], edges[km + 1], *(x[m] for x in masses)))
+    del r, k, first, cell
 
     spill: dict[str, float] = {}
-    nothing = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
+    nothing = (np.empty(0, np.int32), np.empty(0, np.int32), [np.empty(0) for _ in masses])
+    del masses
     for i, lid in enumerate(order):
         batches, inbox[i] = inbox[i], []
         if not batches:
             spill[lid] = 0.0
             link_time(lid, np.zeros(n_h), *nothing)
             continue
-        cell, h, prev, mass, a, b = (
+        cell, h, prev, a, b, *mass = (
             np.concatenate(col) if len(batches) > 1 else col[0] for col in zip(*batches)
         )
         del batches
@@ -234,25 +243,29 @@ def _propagate(
         del prev
         if (key[1:] < key[:-1]).any():
             perm = np.argsort(key, kind="stable")
-            cell, h, mass, a, b = cell[perm], h[perm], mass[perm], a[perm], b[perm]
+            cell, h, a, b = cell[perm], h[perm], a[perm], b[perm]
+            mass = [m[perm] for m in mass]
             del perm
         del key
-        sums = np.bincount(h, weights=mass, minlength=n_h + 1)
+        sums = np.bincount(h, weights=mass[0], minlength=n_h + 1)
         spill[lid] = float(sums[n_h])
         n_in = int(np.searchsorted(h, n_h))  # spilled pieces sort last
-        cell, h, mass, a, b = cell[:n_in], h[:n_in], mass[:n_in], a[:n_in], b[:n_in]
+        if n_in < h.size:
+            cell, h, a, b = cell[:n_in], h[:n_in], a[:n_in], b[:n_in]
+            mass = [m[:n_in] for m in mass]
         tt = link_time(lid, sums[:n_h].copy(), h, cell, mass)
 
         nxt = succ[i][cell // n_h]
         go = nxt >= 0  # the others complete their trip here
         if not go.all():
-            cell, h, mass, a, b, nxt = cell[go], h[go], mass[go], a[go], b[go], nxt[go]
+            cell, h, a, b, nxt = cell[go], h[go], a[go], b[go], nxt[go]
+            mass = [m[go] for m in mass]
         shift = tt[h]
         rows, piece_h, piece_a, piece_b = _cut_windows(grid, edges, a + shift, b + shift)
-        piece_mass = mass[rows] * (piece_b - piece_a) / (b - a)[rows]
-        out = (cell[rows], piece_h, h[rows], piece_mass, piece_a, piece_b)
+        out = (cell[rows], piece_h, h[rows], piece_a, piece_b,
+               *[m[rows] * (piece_b - piece_a) / (b - a)[rows] for m in mass])
         # free this link's parcels before the next link gathers its own
-        del cell, h, mass, a, b, go, shift, piece_h, piece_mass, piece_a, piece_b
+        del cell, h, mass, a, b, go, shift, piece_h, piece_a, piece_b
         if len(fanout[i]) == 1:
             inbox[fanout[i][0]].append(out)
         else:
@@ -337,7 +350,7 @@ def load_network(
 
     ois, ks = np.nonzero(demand.matrix > 0.0)
     routes = [net.paths[od].links for od in demand.od_index]
-    spill = _propagate(grid, order, routes, (ois, ks, demand.matrix[ois, ks]), link_time)
+    spill = _propagate(grid, order, routes, (ois, ks, (demand.matrix[ois, ks],)), link_time)
 
     for ch in net.detectors:
         if ch not in link_inflow:
@@ -437,40 +450,67 @@ class AssignmentMatrix:
         return counts
 
 
-def assignment_matrix(net: Network, load: LoadResult, od_index: tuple[OD, ...]) -> AssignmentMatrix:
-    """Linearize the loader around the travel times of ``load``.
+def assignment_matrix(
+    net: Network,
+    demand: DynamicDemand,
+    *,
+    frozen_link_tt: dict[str, np.ndarray] | None = None,
+) -> AssignmentMatrix:
+    """Linearize the loader at ``demand``.
 
-    One unit departure per (OD, interval) moves through the frozen times,
-    whether or not the cell carries demand, and every channel crossing is
-    collected; with those same times, ``load_network`` reproduces
+    One unit departure per (OD, interval) moves through the links, whether
+    or not the cell carries demand, and every channel crossing is collected;
+    with the same travel times, ``load_network`` reproduces
     ``predict_counts`` up to float roundoff.  The band is as wide as the
     longest lag of a crossing.
+
+    Without ``frozen_link_tt`` the times are the BPR times of loading
+    ``demand``, found in the same pass: every cell's parcels carry its demand,
+    which alone sets the links' inflow and times, and the unit mass, which
+    alone is collected.  A parcel's windows do not depend on its mass, so the
+    band is, to the bit, the linearization at ``load_network(net,
+    demand).link_tt``.  With ``frozen_link_tt`` the times are given and only
+    the grid and OD index of ``demand`` are used: unit departures of the ODs
+    that cross a channel, their routes cut after the last channel.
+
+    Raises:
+        ConfigurationError: if an OD of ``demand`` lacks a path.
     """
-    grid = load.counts.grid
-    channels = load.counts.channels
+    grid = demand.grid
+    od_index = demand.od_index
+    channels = net.detectors
     n_h = grid.n_intervals
     chan_pos = {ch: c for c, ch in enumerate(channels)}
-    # a route ends at its last channel: nothing further on is recorded
-    routes: list[tuple[str, ...]] = []
-    for od in od_index:
-        seq = net.paths[od].links
-        crossed = [i for i, lid in enumerate(seq) if lid in chan_pos]
-        routes.append(seq[: crossed[-1] + 1] if crossed else ())
-    link_tt = load.link_tt
+    hours = grid.interval_minutes / 60.0
     # per channel visit, its crossings (k, h - k, c, od, mass); the empty first
     # batch keeps the columns defined when no route crosses a channel
     crossings = [(*[np.empty(0, np.intp)] * 4, np.empty(0))]
 
-    def link_time(lid: str, _, h: np.ndarray, cell: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    def link_time(lid: str, inflow: np.ndarray, h: np.ndarray, cell: np.ndarray,
+                  mass: list[np.ndarray]) -> np.ndarray:
         c = chan_pos.get(lid)
         if c is not None:
             oi, k = np.divmod(cell, n_h)
-            crossings.append((k, h - k, np.full(k.size, c), oi, mass))
-        return link_tt[lid]
+            crossings.append((k, h - k, np.full(k.size, c), oi, mass[-1]))  # the unit mass
+        if frozen_link_tt is not None:
+            return frozen_link_tt[lid]
+        return bpr_travel_time(net.links[lid], inflow / hours)
 
-    crossing = np.array([oi for oi, route in enumerate(routes) if route], dtype=np.intp)
-    cells = crossing.size * n_h
-    sources = (np.repeat(crossing, n_h), np.tile(np.arange(n_h), crossing.size), np.ones(cells))
+    if frozen_link_tt is None:
+        routes = [net.path_of(od).links for od in od_index]
+        oi, k = np.divmod(np.arange(len(od_index) * n_h), n_h)
+        sources = (oi, k, (demand.matrix.ravel(), np.ones(oi.size)))
+    else:
+        # a route ends at its last channel: nothing further on is recorded
+        routes = []
+        for od in od_index:
+            seq = net.path_of(od).links
+            crossed = [i for i, lid in enumerate(seq) if lid in chan_pos]
+            routes.append(seq[: crossed[-1] + 1] if crossed else ())
+        crossing = np.array([oi for oi, route in enumerate(routes) if route], dtype=np.intp)
+        cells = crossing.size * n_h
+        sources = (np.repeat(crossing, n_h), np.tile(np.arange(n_h), crossing.size),
+                   (np.ones(cells),))
     _propagate(grid, _link_order(net), routes, sources, link_time)
     del sources  # before the band is allocated
     k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))

@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--refresh-assignment",
         action="store_true",
-        help="after each interval, relinearize the day so far, through the next interval",
+        help="after each interval, relinearize at the estimate so far, through the next interval",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -227,7 +227,7 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     observed = LinkFlowSeries(
         channels=truth.load.counts.channels, grid=cfg.grid, counts=counts
     )
-    frozen = assignment_matrix(cfg.network, history.load, od_index)
+    frozen = assignment_matrix(cfg.network, history.demand, frozen_link_tt=history.load.link_tt)
     return ExperimentArtifacts(
         config=cfg,
         od_index=od_index,
@@ -303,14 +303,15 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
 
 
 def _refresh_hook(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
-    """Relinearize the day so far, through the next interval, after each interval.
+    """Relinearize at the estimate so far, through the next interval, after each interval.
 
     After interval ``h`` the filter reads only pieces ``[k, h + 1]`` with
     ``k <= h + 1`` before the matrix is replaced again.  A link's time in an
-    interval depends only on departures up to it, so loading and linearizing
-    the grid cut after interval ``h + 1`` gives exactly the full day's pieces
-    on those columns.  After the last measured interval nothing is read and
-    no rebuild is made.
+    interval depends only on departures up to it, so linearizing on the grid
+    cut after interval ``h + 1`` gives exactly the full day's pieces on those
+    columns.  ``assignment_matrix`` loads the estimate and linearizes it in
+    one pass, so a refresh makes no ``load_network`` call.  After the last
+    measured interval nothing is read and no rebuild is made.
     """
     hist = artifacts.history.demand.matrix
     cut = cfg.cutoff_index
@@ -322,9 +323,8 @@ def _refresh_hook(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
         est = hist[:, :n].copy()
         est[:, : h + 1] = np.maximum(est[:, : h + 1] + deltas_so_far, 0.0)
         grid = replace(cfg.grid, n_intervals=n)
-        demand = DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est)
-        fresh = load_network(cfg.network, demand)
-        return assignment_matrix(cfg.network, fresh, artifacts.od_index)
+        return assignment_matrix(
+            cfg.network, DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est))
 
     return hook
 

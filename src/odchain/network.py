@@ -173,7 +173,7 @@ def validate_network(net: Network) -> list[str]:
 
     Checks link endpoints, path connectivity (consecutive links must share a
     node, endpoints must match the OD's zones) and that every detector channel
-    references an existing directed link.
+    references an existing directed link and is listed once.
     """
     problems: list[str] = []
     for lid, link in net.links.items():
@@ -202,9 +202,12 @@ def validate_network(net: Network) -> list[str]:
                     f"path {od_label(od)}: link {a.id!r} ends at {a.to_node!r} "
                     f"but {b.id!r} starts at {b.from_node!r}"
                 )
-    for ch in net.detectors:
+    for c, ch in enumerate(net.detectors):
         if ch not in net.links:
             problems.append(f"detector channel {ch!r}: no such directed link")
+        times = net.detectors.count(ch)
+        if times > 1 and net.detectors.index(ch) == c:
+            problems.append(f"detector channel {ch!r}: listed {times} times")
     return problems
 
 

@@ -253,12 +253,10 @@ class TestAssignmentMatrix:
         the pieces it would get with demand, and they match a unit load."""
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=8)
         tts = frozen_tts(grid, {"1a": 22.5, "4a": 10.0})
-        with_cell = load_network(TOY, toy_demand(grid, {(("1", "3"), 2): 100.0}),
-                                 frozen_link_tt=tts)
-        without = load_network(TOY, toy_demand(grid, {(("2", "4"), 5): 40.0}),
-                               frozen_link_tt=tts)
-        a = assignment_matrix(TOY, with_cell, TOY.od_index).pieces
-        b = assignment_matrix(TOY, without, TOY.od_index).pieces
+        a = assignment_matrix(TOY, toy_demand(grid, {(("1", "3"), 2): 100.0}),
+                              frozen_link_tt=tts).pieces
+        b = assignment_matrix(TOY, toy_demand(grid, {(("2", "4"), 5): 40.0}),
+                              frozen_link_tt=tts).pieces
         oi = TOY.od_index.index(("1", "3"))
         assert b[2, :, :, oi].sum() > 0.0
         assert np.array_equal(a, b)
@@ -273,14 +271,15 @@ class TestAssignmentMatrix:
         full = toy_artifacts.history.load
         demand = toy_artifacts.history.demand
         grid = dataclasses.replace(demand.grid, n_intervals=n)
-        prefix = load_network(
-            net, DynamicDemand(od_index=demand.od_index, grid=grid, matrix=demand.matrix[:, :n])
-        )
+        head = DynamicDemand(od_index=demand.od_index, grid=grid, matrix=demand.matrix[:, :n])
+        prefix = load_network(net, head)
         for lid in full.link_tt:
             assert np.array_equal(prefix.link_tt[lid], full.link_tt[lid][:n])
             assert np.array_equal(prefix.link_inflow[lid], full.link_inflow[lid][:n])
-        pieces = assignment_matrix(net, prefix, demand.od_index).pieces
+        pieces = assignment_matrix(net, head, frozen_link_tt=prefix.link_tt).pieces
         assert np.array_equal(pieces, toy_artifacts.assignment.pieces[:n, :n])
+        # the refresh's one-pass linearization of the same prefix
+        assert np.array_equal(assignment_matrix(net, head).pieces, pieces)
 
     def test_congested_morning_produces_lagged_pieces(self, toy_artifacts):
         pieces = toy_artifacts.assignment.pieces

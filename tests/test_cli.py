@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from odchain.cli import main
+from odchain.network import build_toy_network, od_label
 
 
 def test_validate_packaged_preset_by_name(capsys):
@@ -29,6 +30,27 @@ def test_validate_reports_problems(tmp_path, toy_doc, capsys):
     err = capsys.readouterr().err
     assert "problem:" in err
     assert "warp" in err
+
+
+def test_duplicate_detector_channel_is_one_problem(tmp_path, toy_doc, capsys):
+    """The toy network written inline validates; listing 4a twice is one problem."""
+    net = build_toy_network()
+    toy_doc["network"] = {
+        "zones": [{"id": z.id, "kind": z.kind} for z in net.zones.values()],
+        "links": [{"label": l.label, "from": l.from_node, "to": l.to_node}
+                  for l in net.links.values() if l.id == f"{l.label}a"],
+        "paths": {od_label(od): list(p.links) for od, p in net.paths.items()},
+        "detectors": ["4a", "4b"],
+    }
+    path = tmp_path / "inline.yaml"
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["validate", "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    toy_doc["network"]["detectors"].append("4a")
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["problem: network: detector channel '4a': listed 2 times"]
 
 
 def test_run_writes_report(tmp_path, capsys):

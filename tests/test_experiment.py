@@ -186,14 +186,26 @@ class TestRunExperiment:
 
 
 class TestRefresh:
-    def test_refresh_loads_only_what_the_filter_reads(self, toy_cfg):
-        """4 loads generate the two days, one refresh follows each measured
-        interval but the last, and 3 loads score kf, pkf and spkf."""
+    def test_refresh_loads_only_what_the_filter_reads(self, toy_cfg, monkeypatch):
+        """4 loads generate the two days and 3 score kf, pkf and spkf; one
+        frozen linearization is generated, and one refresh follows each
+        measured interval but the last, loading and linearizing in one pass."""
+        linearizations = []
+        real = odchain.experiment.assignment_matrix
+
+        def counted(net, demand, **kwargs):
+            linearizations.append("refresh" if kwargs.get("frozen_link_tt") is None else "frozen")
+            return real(net, demand, **kwargs)
+
+        monkeypatch.setattr(odchain.experiment, "assignment_matrix", counted)
         cfg = with_refresh(toy_cfg)
         before = odchain.assignment.load_call_count()
         run_experiment(cfg)
         loads = odchain.assignment.load_call_count() - before
-        assert loads == 4 + (cfg.cutoff_index - 1) + 3 == 54
+        assert loads == 4 + 3 == 7
+        assert linearizations.count("frozen") == 1
+        assert linearizations.count("refresh") == cfg.cutoff_index - 1 == 47
+        assert len(linearizations) == 48
 
     def test_hook_builds_through_the_next_interval(self, toy_cfg, toy_artifacts):
         hook = odchain.experiment._refresh_hook(toy_cfg, toy_artifacts)

@@ -2,7 +2,9 @@
 
 ``load_network`` and ``assignment_matrix`` must give what the one-parcel-at-
 a-time walk in ``kernel_oracle`` gives, to the bit: the kernel keeps every
-link's parcels in the oracle's summation order.
+link's parcels in the oracle's summation order.  That holds for both of
+``assignment_matrix``'s passes: at given times, and the one that loads the
+demand and linearizes at its BPR times together.
 """
 
 import numpy as np
@@ -26,7 +28,12 @@ def assert_same_as_oracle(net, demand, frozen=None):
     channels = load.counts.channels
     assert np.array_equal(load.counts.counts, np.array([inflow[ch] for ch in channels]))
     pieces = oracle_pieces(net, demand.grid, load.link_tt, channels, demand.od_index)
-    assert np.array_equal(assignment_matrix(net, load, demand.od_index).pieces, pieces)
+    frozen_pieces = assignment_matrix(net, demand, frozen_link_tt=load.link_tt).pieces
+    assert np.array_equal(frozen_pieces, pieces)
+    # one pass that loads demand with BPR times and linearizes at them
+    bpr = load if frozen is None else load_network(net, demand)
+    pieces = oracle_pieces(net, demand.grid, bpr.link_tt, channels, demand.od_index)
+    assert np.array_equal(assignment_matrix(net, demand).pieces, pieces)
     return load
 
 
@@ -120,8 +127,9 @@ class TestEdgeShapes:
             m[:, 2:5] = 300.0
             m[TOY.od_index.index(("1", "3"))] = 0.0
 
-        load = assert_same_as_oracle(TOY, toy_demand(grid, fill))
-        pieces = assignment_matrix(TOY, load, TOY.od_index).pieces
+        demand = toy_demand(grid, fill)
+        load = assert_same_as_oracle(TOY, demand)
+        pieces = assignment_matrix(TOY, demand, frozen_link_tt=load.link_tt).pieces
         # zero demand is still linearized
         assert pieces[:, :, :, TOY.od_index.index(("1", "3"))].sum() > 0.0
 

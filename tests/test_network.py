@@ -184,6 +184,12 @@ class TestValidateNetwork:
         net = Network(zones=zones, links=links, paths=paths, detectors=("9z",))
         assert any("detector" in p for p in validate_network(net))
 
+    def test_duplicate_detector(self):
+        """A channel listed twice would get a band row only at its last position."""
+        zones, links, paths = self._base()
+        net = Network(zones=zones, links=links, paths=paths, detectors=("1a", "1a"))
+        assert validate_network(net) == ["detector channel '1a': listed 2 times"]
+
     def test_path_endpoint_mismatch(self):
         zones, links, paths = self._base()
         paths[("b", "a")] = Path(od=("b", "a"), links=("1a",))  # wrong direction
