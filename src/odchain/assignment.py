@@ -33,7 +33,7 @@ deviations onto cumulative count deviations up to a measurement horizon.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -527,19 +527,27 @@ class CumulativeMapping:
 
     ``pieces[leg][k]`` is the (n_channels, n_od) product of the horizon-summed
     assignment piece for departure interval ``k`` with the diagonal of the
-    leg's interval-``k`` departure shares; ``matrix(leg)`` sums the pieces, so
-    it sends a leg OD deviation to the induced cumulative detector-count
-    deviation up to the horizon.
+    leg's interval-``k`` departure shares; ``matrix(leg)`` is the sum of the
+    pieces, taken once on construction, so it sends a leg OD deviation to the
+    induced cumulative detector-count deviation up to the horizon.
     """
 
     horizon: int
     od_index: tuple[OD, ...]
     channels: tuple[str, ...]
     pieces: dict[str, np.ndarray]
+    _matrices: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        matrices = {}
+        for leg, pieces in self.pieces.items():
+            matrices[leg] = pieces.sum(axis=0)
+            matrices[leg].setflags(write=False)
+        object.__setattr__(self, "_matrices", matrices)
 
     def matrix(self, leg: str) -> np.ndarray:
         try:
-            return self.pieces[leg].sum(axis=0)
+            return self._matrices[leg]
         except KeyError:
             raise ConfigurationError(f"no cumulative mapping for leg {leg!r}") from None
 
@@ -550,6 +558,12 @@ def cumulative_mapping(
     """Combine assignment pieces with departure profiles up to ``horizon``.
 
     ``profiles[leg]`` is the (n_od, n_intervals) matrix of interval shares.
+    The assignment piece of departure interval ``k`` is summed over the lags
+    ``l <= horizon - k`` of its band, counted up to the horizon, and each
+    leg's piece ``k`` is that sum times the leg's interval-``k`` shares.  The
+    sums run over the L + 1 lags, all intervals at once, adding lag after
+    lag from zero as a per-interval sum over the lag axis does, so the
+    result is the same bit for bit.
 
     Raises:
         ConfigurationError: if the horizon lies outside the grid or a profile
@@ -559,16 +573,16 @@ def cumulative_mapping(
     if not 0 <= horizon < n_h:
         raise ConfigurationError(f"cumulative horizon {horizon} outside grid of {n_h}")
     n_od = len(assignment.od_index)
+    band = assignment.band
+    h_sum = np.zeros((horizon + 1, len(assignment.channels), n_od))
+    for lag in range(min(band.shape[1], horizon + 1)):
+        h_sum[: horizon + 1 - lag] += band[: horizon + 1 - lag, lag]
     out: dict[str, np.ndarray] = {}
     for leg, prof in profiles.items():
         prof = np.asarray(prof, dtype=float)
         if prof.shape != (n_od, n_h):
             raise ConfigurationError(f"profile for leg {leg!r} has shape {prof.shape}")
-        pieces = np.zeros((horizon + 1, len(assignment.channels), n_od))
-        for k in range(horizon + 1):
-            h_sum = assignment.band[k, : horizon + 1 - k].sum(axis=0)
-            pieces[k] = h_sum * prof[:, k][None, :]
-        out[leg] = pieces
+        out[leg] = h_sum * prof[:, : horizon + 1].T[:, None, :]
     return CumulativeMapping(
         horizon=horizon,
         od_index=assignment.od_index,

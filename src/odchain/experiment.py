@@ -403,26 +403,25 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
             errors["kf"] = f"{type(exc).__name__}: {exc}"
         seconds["kf"] = shared_s + time.perf_counter() - t
 
-    chained = [n for n in artifacts.chain.topological_order() if artifacts.chain.feeds.get(n)]
-    for model in ("pkf", "spkf"):
-        if model not in wanted:
-            continue
+    chain = artifacts.chain
+    chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
+    chain_models = [m for m in ("pkf", "spkf") if m in wanted]
+    # the chain's inputs do not depend on the mode, so pkf and spkf share them
+    # and their build time; a failure to build them fails both
+    chain_error = None
+    chain_s = 0.0
+    if chain_models and chained:
         t = time.perf_counter()
         try:
-            if not chained:
-                # no chained legs: the leg term vanishes and the model
-                # reduces to the interval filter
-                estimates[model], misc[model] = assemble({})
-                continue
             attributed = attribute_interval_deviations(
-                kf.deltas, [hist.legs[n] for n in artifacts.chain.topological_order()],
+                kf.deltas, [hist.legs[n] for n in chain.topological_order()],
                 window=slice(0, cut),
             )
             misc["attributed_totals"] = {n: float(v.sum()) for n, v in attributed.items()}
             operators = {
                 name: build_leg_operator(
-                    artifacts.chain,
-                    [hist.legs[f] for f in artifacts.chain.feeds[name]],
+                    chain,
+                    [hist.legs[f] for f in chain.feeds[name]],
                     hist.legs[name],
                     uniform_redistribution=cfg.estimation.uniform_redistribution,
                 )
@@ -430,10 +429,26 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
             }
             mapping = cumulative_mapping(artifacts.assignment, profiles, cut - 1)
             delta_Y = (artifacts.observed.cumulative() - hist.load.counts.cumulative())[:, cut - 1]
-            roots = {n: attributed[n] for n in artifacts.chain.roots()}
+            roots = {n: attributed[n] for n in chain.roots()}
+        except Exception as exc:  # noqa: BLE001 - shared inputs, flag both chain rows
+            logger.exception("leg-chain inputs failed")
+            chain_error = f"{type(exc).__name__}: {exc}"
+        chain_s = time.perf_counter() - t
+
+    for model in chain_models:
+        t = time.perf_counter()
+        try:
+            if not chained:
+                # no chained legs: the leg term vanishes and the model
+                # reduces to the interval filter
+                estimates[model], misc[model] = assemble({})
+                continue
+            if chain_error is not None:
+                errors[model] = chain_error
+                continue
             states = run_leg_chain(
                 hist.legs,
-                artifacts.chain,
+                chain,
                 operators,
                 roots,
                 mapping,
@@ -445,7 +460,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
             )
             leg_deltas = {n: states[n].state.mean for n in chained}
             estimates[model], misc[model] = assemble(leg_deltas)
-            for n in artifacts.chain.topological_order():
+            for n in chain.topological_order():
                 leg_diag.append(
                     {
                         "model": model,
@@ -460,7 +475,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
             logger.exception("model %s failed", model)
             errors[model] = f"{type(exc).__name__}: {exc}"
         finally:
-            seconds[model] = shared_s + time.perf_counter() - t
+            seconds[model] = shared_s + chain_s + time.perf_counter() - t
     return estimates, kf_diag, leg_diag, misc, errors, seconds
 
 

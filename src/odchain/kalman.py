@@ -12,6 +12,12 @@ before h, whose departures can still be counted at h, are visited.
 Gains are computed through Cholesky solves of the innovation covariance, with
 a trace-scaled jitter retry; covariances are re-symmetrized after every
 update so they stay usable over long horizons.
+
+Every state is checked on construction: finite entries, a symmetric
+covariance, and positive semidefiniteness up to ``1e-8 * max(trace, 1)``,
+decided by a Cholesky factorization of the covariance shifted by that bound.
+Eigenvalues are computed only for the per-step ``cov_min_eigenvalue``
+diagnostic of the sequence runner, once per filtered interval.
 """
 
 from __future__ import annotations
@@ -31,6 +37,13 @@ logger = logging.getLogger(__name__)
 #: Relative jitter added to a Cholesky factorization that failed.
 JITTER_SCALE = 1e-9
 
+#: Relative bound below which a covariance eigenvalue counts as negative.
+PSD_TOLERANCE = 1e-8
+
+# The LAPACK routines behind scipy.linalg.cho_factor / cho_solve, called
+# directly: the wrappers cost more than the factorization at these sizes.
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
@@ -44,9 +57,25 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m).min()) if m.size else 0.0
 
 
+def _cholesky(m: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``m``, or None if ``m`` is not positive definite."""
+    factor, info = _potrf(m, lower=True, clean=False)
+    if info < 0:
+        raise ValueError(f"LAPACK potrf: illegal value in argument {-info}")
+    return factor if info == 0 else None
+
+
 @dataclass(frozen=True)
 class FilterState:
-    """Mean and covariance of one deviation state."""
+    """Mean and covariance of one deviation state.
+
+    Raises ``ValueError`` unless the mean and covariance are finite, the
+    covariance is symmetric to ``1e-10`` of its largest entry, and no
+    eigenvalue lies below ``-1e-8 * max(trace, 1)``.  The last is decided by
+    whether ``cov + 1e-8 * max(trace, 1) * I`` has a Cholesky factor, which
+    gives the eigenvalue verdict up to roundoff at the boundary without an
+    eigendecomposition.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -61,11 +90,17 @@ class FilterState:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"covariance {cov.shape} does not match state of dimension {n}")
-        scale = max(1.0, float(np.abs(cov).max())) if cov.size else 1.0
-        if symmetry_error(cov) > 1e-10 * scale:
+        if not np.isfinite(mean).all():
+            raise ValueError("state mean has non-finite entries")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance has non-finite entries")
+        if not cov.size:
+            return
+        if symmetry_error(cov) > 1e-10 * max(1.0, float(np.abs(cov).max())):
             raise ValueError("covariance is not symmetric")
-        trace = float(np.trace(cov))
-        if cov.size and min_eigenvalue(cov) < -1e-8 * max(trace, 1.0):
+        shifted = cov.copy()
+        shifted.reshape(-1)[:: n + 1] += PSD_TOLERANCE * max(float(cov.trace()), 1.0)
+        if _cholesky(shifted) is None:
             raise ValueError("covariance is not positive semidefinite")
 
     @property
@@ -87,15 +122,22 @@ class NoiseModel:
             object.__setattr__(self, name, m)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"{name} must be square")
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} has non-finite entries")
             if symmetry_error(m) > 1e-10 * max(1.0, float(np.abs(m).max())):
                 raise ValueError(f"{name} is not symmetric")
 
 
 @dataclass(frozen=True)
 class ArModel:
-    """Autoregressive transition: coefficient matrices for lags 1..T."""
+    """Autoregressive transition: coefficient matrices for lags 1..T.
+
+    ``is_identity`` is set on construction: a single identity lag, the
+    random walk, which the time update applies without matrix products.
+    """
 
     coefficients: tuple[np.ndarray, ...]
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.coefficients:
@@ -113,6 +155,9 @@ class ArModel:
                 raise ConfigurationError("autoregression coefficients disagree on dimension")
             frozen.append(m)
         object.__setattr__(self, "coefficients", tuple(frozen))
+        object.__setattr__(
+            self, "is_identity", len(frozen) == 1 and np.array_equal(frozen[0], np.eye(n))
+        )
 
     @property
     def order(self) -> int:
@@ -128,7 +173,9 @@ def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) ->
 
     ``states`` holds the lag history ordered oldest first; the last entry is
     lag one.  Cross-covariances between distinct lags are neglected, which is
-    exact for a single lag.
+    exact for a single lag.  The identity random walk is applied as
+    ``Q + P`` and ``P``'s mean, which is what the products give bit for bit:
+    the identity's zeros add only ``0.0`` terms.
 
     Raises:
         ConfigurationError: if fewer states than lags are supplied.
@@ -137,9 +184,14 @@ def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) ->
         raise ConfigurationError(
             f"time update needs {ar.order} lagged states, got {len(states)}"
         )
+    Q = np.asarray(Q, dtype=float)
+    if ar.is_identity:
+        s = states[-1]
+        # + 0.0 turns -0.0 into 0.0, as the sum from zeros below does
+        return FilterState(mean=s.mean + 0.0, cov=_symmetrize(Q + s.cov))
     n = states[-1].dim
     mean = np.zeros(n)
-    cov = np.asarray(Q, dtype=float).copy()
+    cov = Q.copy()
     for lag, f in enumerate(ar.coefficients, start=1):
         s = states[-lag]
         mean += f @ s.mean
@@ -149,22 +201,22 @@ def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) ->
 
 def _solve_spd(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve s @ x = rhs for symmetric positive definite s, with jitter retry."""
-    try:
-        factor = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = JITTER_SCALE * max(float(np.trace(s)), 1.0)
-    bumped = s + jitter * np.eye(s.shape[0])
-    try:
-        factor = scipy.linalg.cho_factor(bumped, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"innovation covariance is not positive definite even with jitter {jitter:g} "
-            f"(trace {float(np.trace(s)):g})"
-        ) from exc
-    logger.debug("innovation covariance needed jitter %g", jitter)
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    if not s.size:
+        return np.empty_like(rhs)
+    factor = _cholesky(s)
+    if factor is None:
+        jitter = JITTER_SCALE * max(float(np.trace(s)), 1.0)
+        factor = _cholesky(s + jitter * np.eye(s.shape[0]))
+        if factor is None:
+            raise NumericalError(
+                f"innovation covariance is not positive definite even with jitter {jitter:g} "
+                f"(trace {float(np.trace(s)):g})"
+            )
+        logger.debug("innovation covariance needed jitter %g", jitter)
+    x, info = _potrs(factor, rhs, lower=True)
+    if info != 0:
+        raise ValueError(f"LAPACK potrs: illegal value in argument {-info}")
+    return x
 
 
 def _update_with_gain(
@@ -241,17 +293,23 @@ def run_kf_sequence(
 
     The initial state is interval 0's prior (zero mean by default).
 
+    Each step's ``cov_min_eigenvalue`` diagnostic is the smallest
+    eigenvalue of its posterior covariance, from ``eigvalsh``.
+
     Raises:
         ConfigurationError: if the count deviations do not match the
-            channels, cover more steps than the grid has intervals, or a
-            refreshed matrix has other ODs, channels, grid start or
-            interval length, or stops before the next interval.
+            channels, are not all finite, cover more steps than the grid has
+            intervals, or a refreshed matrix has other ODs, channels, grid
+            start or interval length, or stops before the next interval.
     """
     n_od = len(assignment.od_index)
     n_ch = len(assignment.channels)
     delta_y = np.asarray(delta_y, dtype=float)
     if delta_y.ndim != 2 or delta_y.shape[0] != n_ch:
         raise ConfigurationError(f"count deviations {delta_y.shape} do not match {n_ch} channels")
+    non_finite = int(delta_y.size - np.isfinite(delta_y).sum())
+    if non_finite:
+        raise ConfigurationError(f"count deviations have {non_finite} non-finite entries")
     n_steps = delta_y.shape[1]
     if n_steps > assignment.grid.n_intervals:
         raise ConfigurationError("more steps than grid intervals")

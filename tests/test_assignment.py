@@ -350,6 +350,34 @@ class TestCumulativeMapping:
         with pytest.raises(ConfigurationError):
             mapping.matrix("nope")
 
+    @staticmethod
+    def _per_interval(band, profiles, horizon):
+        """The mapping interval by interval: each departure interval's lags
+        summed up to the horizon, times that interval's shares."""
+        out = {}
+        for leg, prof in profiles.items():
+            pieces = np.zeros((horizon + 1, *band.shape[2:]))
+            for k in range(horizon + 1):
+                pieces[k] = band[k, : horizon + 1 - k].sum(axis=0) * prof[:, k][None, :]
+            out[leg] = pieces
+        return out
+
+    @pytest.mark.parametrize("horizon", [1, 3, 7, 9], ids=["below-L", "at-L", "above-L", "last"])
+    def test_equals_per_interval_sums_bit_for_bit(self, horizon):
+        rng = np.random.default_rng(horizon)
+        n_h, lags, n_ch, n_od = 10, 3, 2, 4
+        band = rng.uniform(0.0, 1.0 / (lags + 1), size=(n_h, lags + 1, n_ch, n_od))
+        band[rng.random(band.shape) < 0.3] = 0.0
+        od_index = tuple((str(i), "x") for i in range(n_od))
+        asg = AssignmentMatrix(od_index=od_index, channels=("a", "b"),
+                               grid=TimeGrid(n_intervals=n_h), band=band)
+        profiles = {leg: rng.dirichlet(np.ones(n_h), size=n_od) for leg in ("out", "back")}
+        mapping = cumulative_mapping(asg, profiles, horizon)
+        expected = self._per_interval(asg.band, profiles, horizon)
+        for leg in profiles:
+            assert mapping.pieces[leg].tobytes() == expected[leg].tobytes()
+            assert mapping.matrix(leg).tobytes() == expected[leg].sum(axis=0).tobytes()
+
     def test_matches_brute_double_sum(self, toy_artifacts):
         cfg = toy_artifacts.config
         profiles = toy_artifacts.history.profiles()

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import pathlib
@@ -158,6 +159,35 @@ class TestRunExperiment:
         assert report.row("seed").status == "ok"
         assert report.row("kf").status == "failed"
         assert "synthetic failure" in report.row("kf").error
+
+    def test_chain_inputs_built_once_for_pkf_and_spkf(self, toy_cfg, toy_artifacts, monkeypatch):
+        """pkf and spkf share one attribution, one cumulative mapping and one
+        operator per chained leg."""
+        calls = collections.Counter()
+        for name in ("attribute_interval_deviations", "build_leg_operator", "cumulative_mapping"):
+            def counted(*args, _real=getattr(odchain.experiment, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(odchain.experiment, name, counted)
+        report = run_experiment(toy_cfg, models=("pkf", "spkf"))
+        assert [r.status for r in report.rows] == ["ok", "ok"]
+        chain = toy_artifacts.chain
+        chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
+        assert chained
+        assert calls == {"attribute_interval_deviations": 1, "cumulative_mapping": 1,
+                         "build_leg_operator": len(chained)}
+
+    def test_failed_chain_inputs_fail_both_chain_models(self, toy_cfg, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("synthetic mapping failure")
+
+        monkeypatch.setattr(odchain.experiment, "cumulative_mapping", boom)
+        report = run_experiment(toy_cfg, models=("kf", "pkf", "spkf"))
+        assert report.row("kf").status == "ok"
+        for model in ("pkf", "spkf"):
+            assert report.row(model).status == "failed"
+            assert report.row(model).error == "ValueError: synthetic mapping failure"
 
     def test_runtime_covers_estimation(self, toy_cfg, monkeypatch):
         """kf's runtime_s holds the filtering pass, not just the scoring."""

@@ -33,12 +33,52 @@ class TestFilterState:
     def test_dim(self):
         assert FilterState(mean=np.zeros(3), cov=np.eye(3)).dim == 3
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mean(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            FilterState(mean=np.array([0.0, value]), cov=np.eye(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("cells", [[(0, 0)], [(1, 1)], [(0, 1)], [(0, 1), (1, 0)]])
+    def test_rejects_non_finite_covariance(self, value, cells):
+        cov = np.eye(2)
+        for cell in cells:
+            cov[cell] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            FilterState(mean=np.zeros(2), cov=cov)
+
+    @staticmethod
+    def _with_spectrum(eigenvalues, seed):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigenvalues),) * 2))
+        cov = q @ np.diag(eigenvalues) @ q.T
+        return 0.5 * (cov + cov.T)
+
+    @pytest.mark.parametrize("positive", [[0.3, 0.2, 0.1], [50.0, 20.0, 5.0]],
+                             ids=["trace-below-1", "trace-above-1"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_psd_verdict_at_the_tolerance(self, positive, seed):
+        """Eigenvalues a tenth of the tolerance below zero pass, ten times it fail."""
+        tol = 1e-8 * max(sum(positive), 1.0)
+        inside = self._with_spectrum([*positive, -0.1 * tol], seed)
+        outside = self._with_spectrum([*positive, -10.0 * tol], seed)
+        assert min_eigenvalue(inside) < 0.0
+        FilterState(mean=np.zeros(4), cov=inside)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            FilterState(mean=np.zeros(4), cov=outside)
+
 
 class TestArModel:
     def test_identity(self):
         ar = ArModel.identity(2)
         assert ar.order == 1
         assert (ar.coefficients[0] == np.eye(2)).all()
+        assert ar.is_identity
+
+    @pytest.mark.parametrize("coefficients", [
+        (np.diag([1.0, 0.5]),), (np.eye(2), np.eye(2)), (np.array([[0.5]]),),
+    ])
+    def test_only_a_single_identity_lag_is_the_identity(self, coefficients):
+        assert not ArModel(coefficients=coefficients).is_identity
 
     def test_needs_at_least_one_lag(self):
         with pytest.raises(ConfigurationError):
@@ -67,6 +107,28 @@ class TestTimeUpdate:
         with pytest.raises(ConfigurationError):
             kf_time_update([FilterState(mean=np.zeros(1), cov=np.eye(1))], ar, np.eye(1))
 
+    @pytest.mark.parametrize("n", [1, 3, 12, 42])
+    def test_identity_random_walk_equals_the_products(self, n):
+        """The random walk's shortcut gives what ``F x`` and ``Q + F P F'``
+        give with ``F = I``, bit for bit, signed zeros included."""
+        rng = np.random.default_rng(n)
+        eye = np.eye(n)
+        for _ in range(20):
+            a = rng.normal(size=(n, n))
+            b = rng.normal(size=(n, n))
+            mean = rng.normal(scale=50.0, size=n)
+            mean[rng.random(n) < 0.3] = -0.0
+            state = FilterState(mean=mean, cov=a @ a.T)
+            Q = b @ b.T
+            Q[0, -1] += 1e-12 * np.abs(Q).max()  # asymmetric within tolerance
+            pred = kf_time_update([state], ArModel.identity(n), Q)
+            ref_mean = np.zeros(n)
+            ref_mean += eye @ state.mean
+            ref_cov = Q.copy()
+            ref_cov += eye @ state.cov @ eye.T
+            assert pred.mean.tobytes() == ref_mean.tobytes()
+            assert pred.cov.tobytes() == (0.5 * (ref_cov + ref_cov.T)).tobytes()
+
 
 class TestMeasurementUpdate:
     def test_scalar_closed_form(self):
@@ -89,6 +151,12 @@ class TestMeasurementUpdate:
             H = rng.normal(size=(2, 3))
             post = kf_measurement_update(pred, H, np.eye(2), rng.normal(size=2))
             assert np.trace(post.cov) <= np.trace(pred.cov) + 1e-9
+
+    def test_no_channels_leave_the_prior(self):
+        pred = FilterState(mean=np.array([1.0, -2.0]), cov=np.eye(2))
+        post = kf_measurement_update(pred, np.zeros((0, 2)), np.zeros((0, 0)), np.zeros(0))
+        assert np.array_equal(post.mean, pred.mean)
+        assert np.array_equal(post.cov, pred.cov)
 
     def test_indefinite_innovation_covariance_fails(self):
         pred = FilterState(mean=np.zeros(2), cov=np.eye(2))
@@ -132,6 +200,15 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(Q=np.array([[1.0, 0.2], [0.0, 1.0]]), R=np.eye(1))
 
+    @pytest.mark.parametrize("name", ["Q", "R"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, name, value):
+        m = np.eye(2)
+        m[0, 1] = m[1, 0] = value
+        noise = {"Q": np.eye(2), "R": np.eye(2), name: m}
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            NoiseModel(**noise)
+
 
 class TestRunSequence:
     def test_zero_innovations_keep_zero_deltas(self, toy_artifacts):
@@ -142,6 +219,26 @@ class TestRunSequence:
         run = run_kf_sequence(asg, np.zeros((n_ch, 8)), noise)
         assert np.abs(run.deltas).max() == 0.0
         assert len(run.diagnostics) == 8
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_count_deviations_rejected(self, toy_artifacts, value):
+        asg = toy_artifacts.assignment
+        n_od, n_ch = len(asg.od_index), len(asg.channels)
+        delta_y = np.zeros((n_ch, 8))
+        delta_y[0, 3] = delta_y[-1, 5] = value
+        with pytest.raises(ConfigurationError, match="2 non-finite"):
+            run_kf_sequence(asg, delta_y, NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch)))
+
+    def test_min_eigenvalue_diagnostic_is_the_posterior_spectrum(self, toy_artifacts):
+        asg = toy_artifacts.assignment
+        hist = toy_artifacts.history
+        delta_y = toy_artifacts.observed.counts - hist.load.counts.counts
+        n_od, n_ch = len(asg.od_index), len(asg.channels)
+        noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
+        run = run_kf_sequence(asg, delta_y[:, :48], noise)
+        assert len(run.diagnostics) == len(run.states) == 48
+        for diag, state in zip(run.diagnostics, run.states):
+            assert diag.cov_min_eigenvalue == np.linalg.eigvalsh(state.cov).min()
 
     def test_covariances_stay_symmetric_and_psd(self, toy_artifacts):
         asg = toy_artifacts.assignment
