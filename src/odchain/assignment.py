@@ -18,6 +18,12 @@ is done, all of a link's parcels are known.  Each link's parcels are kept in
 chronological order, so every sum accumulates as an interval-by-interval
 pass would.
 
+Only ``load_network`` moves every parcel over its whole route: generation
+needs every link's times and the door-to-door probe times.  The passes that
+need counts only, the linearization and ``detector_counts``, cut each route
+after its last channel or its last link whose load shifts a count, whichever
+comes later (``_cut_routes``).  Beyond that, parcels move no count.
+
 With travel times frozen, the loading is exactly linear in demand.  The
 assignment matrix is one pass of that kernel with a unit departure in every
 (OD, interval) cell, collecting the channel crossings as per-interval linear
@@ -49,8 +55,9 @@ _LOAD_CALLS = 0
 def load_call_count() -> int:
     """Number of ``load_network`` calls since import (purity instrument).
 
-    ``assignment_matrix`` loads a demand in its own pass without one, so a
-    linearization at a demand is not counted.
+    Only ``load_network`` counts.  ``assignment_matrix`` loads a demand in its
+    own pass and ``detector_counts`` loads one for its counts alone, so
+    neither a linearization at a demand nor a count-only load is counted.
     """
     return _LOAD_CALLS
 
@@ -163,6 +170,41 @@ def _link_order(net: Network) -> list[str]:
     del visit  # the recursive closure is a reference cycle; break it now
     order.reverse()
     return order
+
+
+def _cut_routes(
+    net: Network, od_index: tuple[OD, ...], *, frozen: bool
+) -> tuple[list[tuple[str, ...]], list[str]]:
+    """The routes of ``od_index`` cut after the last link a count depends on.
+
+    A channel's count is its inflow.  That depends on the times of the links
+    before it on the routes entering it, and a BPR time on everything that
+    enters its link.  So a link *matters* when a channel or a link that
+    matters lies after it on some route of ``od_index``; it is enough to look
+    at the next link of each route, in reverse feeding order.  A route ends at
+    its last channel or its last link that matters, whichever comes later.
+    Every parcel that would enter a channel or a link that matters still
+    does, from the same links in the same order, so the counts are the same
+    to the bit.  With ``frozen`` times nothing matters, and a route ends at
+    its last channel.  An empty route departs nothing.
+
+    Returns the cut routes and the links they visit, in ``_link_order``.
+    """
+    routes = [net.path_of(od).links for od in od_index]
+    order = _link_order(net)
+    kept = set(net.detectors)
+    if not frozen:
+        succs: dict[str, set[str]] = {}
+        for route in routes:
+            for a, b in zip(route, route[1:]):
+                succs.setdefault(a, set()).add(b)
+        for lid in reversed(order):
+            if not kept.isdisjoint(succs.get(lid, ())):
+                kept.add(lid)
+    cut = [route[: max((j + 1 for j, lid in enumerate(route) if lid in kept), default=0)]
+           for route in routes]
+    visited = {lid for route in cut for lid in route}
+    return cut, [lid for lid in order if lid in visited]
 
 
 def _propagate(
@@ -368,6 +410,36 @@ def load_network(
     )
 
 
+def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
+    """The ``counts`` of ``load_network(net, demand)``, to the bit, and nothing else.
+
+    Parcels move along the routes cut after the last link a count depends on
+    (``_cut_routes``), and no probe times are taken, so it is the cheaper
+    call wherever only counts are read.  It is not counted by
+    ``load_call_count``.
+
+    Raises:
+        ConfigurationError: if demand ODs lack paths or the path set feeds
+            links cyclically within an interval.
+    """
+    grid = demand.grid
+    hours = grid.interval_minutes / 60.0
+    chan_pos = {ch: c for c, ch in enumerate(net.detectors)}
+    counts = np.zeros((len(net.detectors), grid.n_intervals))
+
+    def link_time(lid: str, inflow: np.ndarray, *_) -> np.ndarray:
+        c = chan_pos.get(lid)
+        if c is not None:
+            counts[c] = inflow
+        return bpr_travel_time(net.links[lid], inflow / hours)
+
+    routes, order = _cut_routes(net, demand.od_index, frozen=False)
+    live = np.array([bool(route) for route in routes], dtype=bool)
+    ois, ks = np.nonzero((demand.matrix > 0.0) & live[:, None])
+    _propagate(grid, order, routes, (ois, ks, (demand.matrix[ois, ks],)), link_time)
+    return LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts)
+
+
 def _probe_travel_times(
     net: Network, od_index: tuple[OD, ...], grid: TimeGrid, link_tt: dict[str, np.ndarray]
 ) -> np.ndarray:
@@ -470,8 +542,12 @@ def assignment_matrix(
     alone is collected.  A parcel's windows do not depend on its mass, so the
     band is, to the bit, the linearization at ``load_network(net,
     demand).link_tt``.  With ``frozen_link_tt`` the times are given and only
-    the grid and OD index of ``demand`` are used: unit departures of the ODs
-    that cross a channel, their routes cut after the last channel.
+    the grid and OD index of ``demand`` are used.
+
+    Either way the routes are cut after the last link a count depends on
+    (``_cut_routes``): at given times after their last channel, at BPR
+    times after their last channel or last link whose load moves a count.
+    Cells whose cut route is empty depart nothing.
 
     Raises:
         ConfigurationError: if an OD of ``demand`` lacks a path.
@@ -496,23 +572,14 @@ def assignment_matrix(
             return frozen_link_tt[lid]
         return bpr_travel_time(net.links[lid], inflow / hours)
 
+    routes, order = _cut_routes(net, od_index, frozen=frozen_link_tt is not None)
+    live = np.flatnonzero([bool(route) for route in routes])
+    masses = (np.ones(live.size * n_h),)
     if frozen_link_tt is None:
-        routes = [net.path_of(od).links for od in od_index]
-        oi, k = np.divmod(np.arange(len(od_index) * n_h), n_h)
-        sources = (oi, k, (demand.matrix.ravel(), np.ones(oi.size)))
-    else:
-        # a route ends at its last channel: nothing further on is recorded
-        routes = []
-        for od in od_index:
-            seq = net.path_of(od).links
-            crossed = [i for i, lid in enumerate(seq) if lid in chan_pos]
-            routes.append(seq[: crossed[-1] + 1] if crossed else ())
-        crossing = np.array([oi for oi, route in enumerate(routes) if route], dtype=np.intp)
-        cells = crossing.size * n_h
-        sources = (np.repeat(crossing, n_h), np.tile(np.arange(n_h), crossing.size),
-                   (np.ones(cells),))
-    _propagate(grid, _link_order(net), routes, sources, link_time)
-    del sources  # before the band is allocated
+        masses = (demand.matrix[live].ravel(), *masses)
+    _propagate(grid, order, routes,
+               (np.repeat(live, n_h), np.tile(np.arange(n_h), live.size), masses), link_time)
+    del masses  # before the band is allocated
     k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))
     del crossings
     band = np.zeros((n_h, int(lag.max(initial=0)) + 1, len(channels), len(od_index)))

@@ -38,6 +38,7 @@ from .assignment import (
     LoadResult,
     assignment_matrix,
     cumulative_mapping,
+    detector_counts,
     load_network,
 )
 from .departure import departure_probabilities
@@ -530,11 +531,10 @@ def run_experiment(
             if model == "seed":
                 counts = artifacts.history.load.counts.counts
             else:
-                loaded = load_network(
+                counts = detector_counts(
                     cfg.network,
                     DynamicDemand(od_index=artifacts.od_index, grid=cfg.grid, matrix=est),
-                )
-                counts = loaded.counts.counts
+                ).counts
             row.rmse_od = rmse(est, truth_matrix)
             row.rmse_link = rmse(counts, truth_counts)
             if seed_rmse_od > 0.0:

@@ -74,11 +74,13 @@ class FilterState:
     eigenvalue lies below ``-1e-8 * max(trace, 1)``.  The last is decided by
     whether ``cov + 1e-8 * max(trace, 1) * I`` has a Cholesky factor, which
     gives the eigenvalue verdict up to roundoff at the boundary without an
-    eigendecomposition.
+    eigendecomposition.  ``cov_symmetry_error`` keeps the symmetry error
+    measured on the way.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    cov_symmetry_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -94,9 +96,11 @@ class FilterState:
             raise ValueError("state mean has non-finite entries")
         if not np.isfinite(cov).all():
             raise ValueError("covariance has non-finite entries")
+        asymmetry = symmetry_error(cov)
+        object.__setattr__(self, "cov_symmetry_error", asymmetry)
         if not cov.size:
             return
-        if symmetry_error(cov) > 1e-10 * max(1.0, float(np.abs(cov).max())):
+        if asymmetry > 1e-10 * max(1.0, float(np.abs(cov).max())):
             raise ValueError("covariance is not symmetric")
         shifted = cov.copy()
         shifted.reshape(-1)[:: n + 1] += PSD_TOLERANCE * max(float(cov.trace()), 1.0)
@@ -340,7 +344,7 @@ def run_kf_sequence(
                 innovation_norm=float(np.linalg.norm(innovation)),
                 gain_norm=float(np.linalg.norm(gain)),
                 cov_trace=float(np.trace(post.cov)),
-                cov_symmetry_error=symmetry_error(post.cov),
+                cov_symmetry_error=post.cov_symmetry_error,
                 cov_min_eigenvalue=min_eigenvalue(post.cov),
             )
         )

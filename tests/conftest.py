@@ -1,8 +1,14 @@
 import pytest
 import yaml
+from hypothesis import settings
 
 from odchain.experiment import generate_truth_and_history, run_experiment
 from odchain.scenario import load_scenario, packaged_scenario_path
+
+# ``pytest --hypothesis-profile ci``: the kernel's oracle property test runs
+# 1,000 examples instead of its local 150, and so does every property test
+# that does not set its own count.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

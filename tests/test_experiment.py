@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import odchain.assignment
 import odchain.experiment
 import odchain.legfilter
-from odchain.assignment import DynamicDemand, load_network
+from odchain.assignment import DynamicDemand, detector_counts
 from odchain.errors import ConfigurationError
 from odchain.experiment import (
     emit_report,
@@ -102,6 +102,38 @@ class TestRunExperiment:
     def test_predictions_never_load_the_network(self, toy_report):
         for model in ("kf", "pkf", "spkf"):
             assert toy_report.row(model).extras["prediction_load_calls"] == 0
+
+    def test_predictions_never_run_the_kernel(self, toy_cfg, monkeypatch):
+        """No propagation pass of any kind, load, linearization or count-only
+        load, runs inside ``predict_horizon``: the paper's "no additional
+        simulations".  ``load_call_count`` sees only ``load_network``."""
+        passes = []
+        predicting = []
+        predictions = []
+        real_propagate = odchain.assignment._propagate
+        real_predict = odchain.experiment.predict_horizon
+
+        def propagate(*args, **kwargs):
+            passes.append(bool(predicting))
+            return real_propagate(*args, **kwargs)
+
+        def predict(*args, **kwargs):
+            predictions.append(True)
+            predicting.append(True)
+            try:
+                return real_predict(*args, **kwargs)
+            finally:
+                predicting.pop()
+
+        monkeypatch.setattr(odchain.assignment, "_propagate", propagate)
+        monkeypatch.setattr(odchain.experiment, "predict_horizon", predict)
+        report = run_experiment(with_refresh(toy_cfg))
+        assert all(row.status == "ok" for row in report.rows)
+        assert len(predictions) == 3  # kf, pkf and spkf
+        # 4 loads and 1 linearization generate, 47 refreshes and 3 count-only
+        # loads score: every pass goes through the instrument
+        assert len(passes) == 4 + 1 + 47 + 3
+        assert not any(passes)
 
     def test_subset_of_models(self, toy_cfg):
         report = run_experiment(toy_cfg, models=("seed", "kf"))
@@ -205,8 +237,9 @@ class TestRunExperiment:
         cfg = with_refresh(toy_cfg)
         report = run_experiment(cfg, models=("seed", "kf"))
         est = report.estimates["kf"]
-        t = time.perf_counter()  # scoring redone: one load and the RMSEs
-        load_network(cfg.network, DynamicDemand(od_index=report.od_index, grid=cfg.grid, matrix=est))
+        t = time.perf_counter()  # scoring redone: one count-only load and the RMSEs
+        detector_counts(
+            cfg.network, DynamicDemand(od_index=report.od_index, grid=cfg.grid, matrix=est))
         rmse(est, report.truth)
         scoring_s = time.perf_counter() - t
         row = report.row("kf")
@@ -217,9 +250,10 @@ class TestRunExperiment:
 
 class TestRefresh:
     def test_refresh_loads_only_what_the_filter_reads(self, toy_cfg, monkeypatch):
-        """4 loads generate the two days and 3 score kf, pkf and spkf; one
-        frozen linearization is generated, and one refresh follows each
-        measured interval but the last, loading and linearizing in one pass."""
+        """4 loads generate the two days; kf, pkf and spkf are scored by
+        count-only loads, which are not counted.  One frozen linearization is
+        generated, and one refresh follows each measured interval but the
+        last, loading and linearizing in one pass."""
         linearizations = []
         real = odchain.experiment.assignment_matrix
 
@@ -232,7 +266,7 @@ class TestRefresh:
         before = odchain.assignment.load_call_count()
         run_experiment(cfg)
         loads = odchain.assignment.load_call_count() - before
-        assert loads == 4 + 3 == 7
+        assert loads == 4
         assert linearizations.count("frozen") == 1
         assert linearizations.count("refresh") == cfg.cutoff_index - 1 == 47
         assert len(linearizations) == 48
