@@ -16,7 +16,13 @@ interval depends only on its own inflow then, and travel times are
 nonnegative, so parcels only move forward in time: once every upstream link
 is done, all of a link's parcels are known.  Each link's parcels are kept in
 chronological order, so every sum accumulates as an interval-by-interval
-pass would.
+pass would.  A link passes its parcels on as pieces: each window, shifted by
+the link time, is cut at the next interval edge, and one index over all
+pieces, sorted by next link where routes fan out, gathers every column once
+and hands each next link a slice.  The link order and the cut routes below
+depend on the network alone, so each is built once per network
+(``Network.plans``).  ``load_network``'s door-to-door probes walk every OD
+together, one route position at a time.
 
 Only ``load_network`` moves every parcel over its whole route: generation
 needs every link's times and the door-to-door probe times.  The passes that
@@ -136,11 +142,18 @@ def _used_links(net: Network) -> list[str]:
 
 
 def _link_order(net: Network) -> list[str]:
-    """Topological order of used links under same-interval feeding.
+    """Topological order of used links under same-interval feeding, built
+    once per network (``Network.plans``).
 
     An edge l -> m exists when some path traverses m immediately after l.
     A cycle would make the single forward pass ill-defined.
     """
+    if "link order" not in net.plans:
+        net.plans["link order"] = _feeding_order(net)
+    return net.plans["link order"]
+
+
+def _feeding_order(net: Network) -> list[str]:
     used = _used_links(net)
     succs: dict[str, set[str]] = {lid: set() for lid in used}
     for od in sorted(net.paths):
@@ -189,7 +202,18 @@ def _cut_routes(
     its last channel.  An empty route departs nothing.
 
     Returns the cut routes and the links they visit, in ``_link_order``.
+    Both are built once per network, OD index and ``frozen`` and shared, so
+    callers must not change them.
     """
+    key = ("cut routes", od_index, frozen)
+    if key not in net.plans:
+        net.plans[key] = _cut(net, od_index, frozen)
+    return net.plans[key]
+
+
+def _cut(
+    net: Network, od_index: tuple[OD, ...], frozen: bool
+) -> tuple[list[tuple[str, ...]], list[str]]:
     routes = [net.path_of(od).links for od in od_index]
     order = _link_order(net)
     kept = set(net.detectors)
@@ -297,59 +321,59 @@ def _propagate(
             mass = [m[:n_in] for m in mass]
         tt = link_time(lid, sums[:n_h].copy(), h, cell, mass)
 
-        nxt = succ[i][cell // n_h]
-        go = nxt >= 0  # the others complete their trip here
-        if not go.all():
-            cell, h, a, b, nxt = cell[go], h[go], a[go], b[go], nxt[go]
-            mass = [m[go] for m in mass]
+        if not fanout[i]:
+            del cell, h, a, b, mass
+            continue
+        # Shift every window by the link time and cut it at the next edge.
+        # A window lies inside one interval: departures span one, and every
+        # piece is cut at the edges.  Shifted, with each end rounded, it
+        # cannot reach past a second edge, because rounding is monotone and
+        # the edges are exact.  So window j gives piece 2j up to the edge and
+        # piece 2j + 1 past it, each kept if not empty and the trip goes on;
+        # a piece past the horizon end (edge ``inf``) is not cut further.
         shift = tt[h]
-        rows, piece_h, piece_a, piece_b = _cut_windows(grid, edges, a + shift, b + shift)
-        out = (cell[rows], piece_h, h[rows], piece_a, piece_b,
-               *[m[rows] * (piece_b - piece_a) / (b - a)[rows] for m in mass])
+        sa, sb = a + shift, b + shift
+        start = _interval_index(sa - grid.start, grid.interval_minutes, n_h)
+        edge = edges[start + 1]
+        nxt = succ[i][cell // n_h]
+        go = nxt >= 0
+        keep = np.empty((nxt.size, 2), dtype=bool)
+        np.logical_and(sa < sb, go, out=keep[:, 0])
+        np.logical_and(edge < sb, go, out=keep[:, 1])
+        pieces = np.flatnonzero(keep)
+        del go, keep
+        if len(fanout[i]) > 1:
+            pieces = pieces[np.argsort(nxt[pieces >> 1], kind="stable")]
+        rows, past = pieces >> 1, (pieces & 1).astype(bool)
+        del pieces
+        edge, sa, sb = edge[rows], sa[rows], sb[rows]
+        piece_a = np.where(past, edge, sa)
+        piece_b = np.where(past, sb, np.minimum(edge, sb))
+        width = (b - a)[rows]
+        out = (cell[rows], start[rows] + past, h[rows], piece_a, piece_b,
+               *[m[rows] * (piece_b - piece_a) / width for m in mass])
         # free this link's parcels before the next link gathers its own
-        del cell, h, mass, a, b, go, shift, piece_h, piece_a, piece_b
+        del cell, h, mass, a, b, shift, start, edge, sa, sb, past, width, piece_a, piece_b
         if len(fanout[i]) == 1:
             inbox[fanout[i][0]].append(out)
         else:
-            nxt = nxt[rows]
-            for n in fanout[i]:
-                m = nxt == n
-                inbox[n].append(tuple(col[m] for col in out))
+            ends = np.searchsorted(nxt[rows], fanout[i], side="right")
+            for n, lo, hi in zip(fanout[i], [0, *ends[:-1].tolist()], ends.tolist()):
+                inbox[n].append(tuple(col[lo:hi] for col in out))
         del rows, nxt, out
     return spill
 
 
-def _cut_windows(
-    grid: TimeGrid, edges: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cut the windows ``[a, b)`` at interval edges.
+def _interval_index(offset: np.ndarray, interval_minutes: int, last: int) -> np.ndarray:
+    """``np.floor_divide(offset, interval_minutes)`` clipped to ``0..last``, as
+    integers, to the bit, at a fraction of a float ``floor_divide``'s cost.
 
-    Returns ``(rows, h, a, b)`` over the pieces, in window order: piece ``j``
-    is the part of window ``rows[j]`` over ``[a[j], b[j])``, inside interval
-    ``h[j]``, or past the horizon end for ``h[j] == n_intervals``, which is
-    not cut further.  ``edges`` holds the grid's interval edges followed by
-    ``inf``.
-
-    Every window lies inside one interval: departures span one, and every
-    piece is cut at the edges.  Shifted by a link time, with each end
-    rounded, it cannot reach from before one edge to past the next, because
-    rounding is monotone and the edges are exact, so that would take a
-    window wider than an interval.  A window therefore crosses at most one
-    edge and gives one or two pieces, none if the shift rounded its width
-    to zero.
+    ``floor`` of the rounded quotient is exact for an integer interval
+    length: below an edge ``n * interval_minutes``, which is exact, an offset
+    lies at least one unit in its last place short of it, so its quotient
+    lies more than half a unit short of ``n`` and cannot round up to it.
     """
-    h = np.floor_divide(np.minimum(a, grid.end) - grid.start, grid.interval_minutes)
-    h = h.astype(np.int32)
-    edge = edges[h + 1]
-    # (window, piece) tables: the first piece runs to the next edge, the
-    # second from there to b; masking them row by row keeps window order
-    keep = np.array([a < b, edge < b]).T
-    return (
-        np.nonzero(keep)[0],
-        np.array([h, h + 1]).T[keep],
-        np.array([a, edge]).T[keep],
-        np.array([np.minimum(edge, b), b]).T[keep],
-    )
+    return np.floor(offset / interval_minutes).clip(0, last).astype(np.int32)
 
 
 def load_network(
@@ -446,18 +470,28 @@ def _probe_travel_times(
     """Door-to-door times of probes departing at every interval midpoint.
 
     A probe entering a link before the grid uses interval 0's time, after it
-    the last interval's.
+    the last interval's.  ``link_tt`` holds every link of ``_link_order``.
+    All ODs walk together, one route position at a time; a route that has
+    ended adds zero, so each row sums as its own walk would.
     """
     n_h = grid.n_intervals
     t0 = grid.midpoint(np.arange(n_h))
-    tt = np.zeros((len(od_index), n_h))
-    for oi, od in enumerate(od_index):
-        t = t0
-        for lid in net.paths[od].links:
-            hi = np.floor_divide(t - grid.start, grid.interval_minutes).clip(0, n_h - 1)
-            t = t + link_tt[lid][hi.astype(np.intp)]
-        tt[oi] = t - t0
-    return tt
+    routes = [net.paths[od].links for od in od_index]
+    order = _link_order(net)
+    # one row per link, and a zero row that walks the shorter routes in place
+    table = np.zeros((len(order) + 1, n_h))
+    for j, lid in enumerate(order):
+        table[j] = link_tt[lid]
+    at = {lid: j for j, lid in enumerate(order)}
+    depth = max(map(len, routes), default=0)
+    steps = np.full((len(routes), depth), len(order))
+    for oi, route in enumerate(routes):
+        steps[oi, : len(route)] = [at[lid] for lid in route]
+    t = np.tile(t0, (len(routes), 1))
+    for p in range(depth):
+        hi = _interval_index(t - grid.start, grid.interval_minutes, n_h - 1)
+        t = t + table[steps[:, p, None], hi]
+    return t - t0
 
 
 def extract_detector_counts(

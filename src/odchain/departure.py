@@ -78,27 +78,37 @@ def departure_probabilities(
 ) -> np.ndarray:
     """Logit choice probabilities over all departure intervals of the grid.
 
-    ``travel_times`` holds one travel time per interval for the OD at hand.
-    The softmax over -logit_scale * disutility is computed with the usual
-    max-subtraction so large disutilities cannot underflow the whole profile.
+    ``travel_times`` holds one travel time per interval for the OD at hand,
+    or an ``(m, n_intervals)`` array with one OD per row, which gives one
+    profile per row.  The softmax over -logit_scale * disutility is computed
+    with the usual max-subtraction so large disutilities cannot underflow the
+    whole profile.  Every reduction runs along a row, so a row of the 2-D
+    form equals the 1-D call on that row bit for bit.
 
     Raises:
         ConfigurationError: if ``travel_times`` does not match the grid.
-        DegenerateProfileError: if no interval retains probability mass.
+        DegenerateProfileError: if no interval of a profile retains
+            probability mass; for 2-D input its ``row`` is the first such row.
     """
     tt = np.asarray(travel_times, dtype=float)
-    if tt.shape != (grid.n_intervals,):
+    if tt.ndim not in (1, 2) or tt.shape[-1] != grid.n_intervals:
         raise ConfigurationError(
             f"travel times of shape {tt.shape} do not match grid of {grid.n_intervals} intervals"
         )
+    batch = tt.ndim == 2
     cost = schedule_disutility(np.arange(grid.n_intervals), tt, params, grid)
     z = -params.logit_scale * cost
     finite = np.isfinite(z)
-    if not finite.any():
-        raise DegenerateProfileError("all departure intervals have infinite disutility")
-    z = z - z[finite].max()
+    _check_rows(finite.any(axis=-1), "all departure intervals have infinite disutility", batch)
+    z = z - np.where(finite, z, -np.inf).max(axis=-1, keepdims=True)
     w = np.where(finite, np.exp(z, where=finite, out=np.zeros_like(z)), 0.0)
-    total = w.sum()
-    if total <= 0.0:
-        raise DegenerateProfileError("departure profile has zero total mass")
+    total = w.sum(axis=-1, keepdims=True)
+    _check_rows(total[..., 0] > 0.0, "departure profile has zero total mass", batch)
     return w / total
+
+
+def _check_rows(ok: np.ndarray, message: str, batch: bool) -> None:
+    """Raise ``DegenerateProfileError`` naming the first row where ``ok`` is false."""
+    if not ok.all():
+        row = int(np.argmin(ok)) if batch else None
+        raise DegenerateProfileError(message, row=row)

@@ -26,4 +26,12 @@ class NumericalError(OdchainError):
 
 
 class DegenerateProfileError(ValueError, OdchainError):
-    """A departure-time profile has no usable probability mass."""
+    """A departure-time profile has no usable probability mass.
+
+    ``row`` is the first degenerate row when profiles were computed in a
+    batch, ``None`` for a single profile.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row

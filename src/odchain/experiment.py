@@ -42,7 +42,7 @@ from .assignment import (
     load_network,
 )
 from .departure import departure_probabilities
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateProfileError
 from .kalman import ArModel, FilterState, KfStepDiagnostics, NoiseModel, run_kf_sequence
 from .legfilter import (
     ChainFilterConfig,
@@ -115,13 +115,23 @@ def _free_flow_tt(net: Network, od_index: tuple[OD, ...], grid: TimeGrid) -> np.
 def _leg_profiles(
     cfg: ScenarioConfig, od_index: tuple[OD, ...], tt_od: np.ndarray
 ) -> dict[str, np.ndarray]:
+    """Each leg's departure profiles, one row per OD, zero outside its members.
+
+    Raises:
+        DegenerateProfileError: naming the leg and the OD whose profile has
+            no usable mass.
+    """
     pos = {od: i for i, od in enumerate(od_index)}
     out: dict[str, np.ndarray] = {}
     for leg in cfg.legs:
+        members = sorted(leg.od_split)
+        rows = [pos[od] for od in members]
         prof = np.zeros((len(od_index), cfg.grid.n_intervals))
-        for od in sorted(leg.od_split):
-            i = pos[od]
-            prof[i] = departure_probabilities(leg.schedule, tt_od[i], cfg.grid)
+        try:
+            prof[rows] = departure_probabilities(leg.schedule, tt_od[rows], cfg.grid)
+        except DegenerateProfileError as exc:
+            raise DegenerateProfileError(
+                f"leg {leg.name!r}, OD {od_label(members[exc.row])}: {exc}") from exc
         out[leg.name] = prof
     return out
 

@@ -12,6 +12,7 @@ Everything here is immutable after construction; demand and flows live in
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -140,6 +141,13 @@ class Network:
         """Deterministic ordering of the OD pairs that have a path."""
         return tuple(sorted(self.paths))
 
+    @functools.cached_property
+    def plans(self) -> dict:
+        """A memo for what derives from the topology alone, such as the
+        loader's link order and cut routes.  It is sound because a network
+        is not changed after construction; a changed copy starts empty."""
+        return {}
+
     def path_of(self, od: OD) -> Path:
         try:
             return self.paths[od]
@@ -153,18 +161,25 @@ def bpr_travel_time(link: Link, flow):
     Classic form t0 * (1 + alpha * (v/c)**beta); strictly increasing in the
     flow, equal to the free-flow time at zero flow.  An array of flows gives
     the array of times, each equal to the formula in Python floats: the
-    power is taken with Python's ``**`` per element, because numpy's
-    vectorized ``power`` may round differently in the last bit.
+    power is ``np.float_power``, which calls the C library's ``pow`` as
+    Python's ``**`` does, where numpy's ``power`` may round differently in
+    the last bit.
 
     Raises:
-        ValueError: if a flow is negative.
+        ValueError: if a flow is negative, or a time is not finite (the
+            power overflowed, or the flow was not finite).
     """
     flows = np.asarray(flow, dtype=float)
     if (flows < 0).any():
         raise ValueError(f"negative flow {float(flows.min())!r}")
-    ratio = flows / link.capacity
-    power = np.array([v ** link.bpr_beta for v in ratio.ravel().tolist()]).reshape(ratio.shape)
-    tt = link.free_flow_time * (1.0 + link.bpr_alpha * power)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt = link.free_flow_time * (
+            1.0 + link.bpr_alpha * np.float_power(flows / link.capacity, link.bpr_beta))
+    finite = np.isfinite(tt)
+    if not finite.all():
+        raise ValueError(
+            f"link {link.id!r}: BPR travel time is not finite at flow "
+            f"{float(flows[~finite].flat[0])!r} veh/h")
     return float(tt) if tt.ndim == 0 else tt
 
 

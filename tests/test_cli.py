@@ -220,3 +220,18 @@ def test_show_network(capsys):
     assert "links (16)" in out
     assert "paths (12)" in out
     assert "detectors: 4a 4b" in out
+
+
+def test_bpr_overflow_is_one_error_line(tmp_path, toy_doc, capsys):
+    """A BPR power past the float range stops the run with the configuration
+    exit code and names the link, instead of a traceback or NaN masses."""
+    toy_doc["network"]["overrides"].update({"capacity": 100.0, "bpr_beta": 400.0})
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: link '")
+    assert "BPR travel time is not finite at flow" in lines[0]

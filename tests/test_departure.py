@@ -118,3 +118,65 @@ class TestDepartureProbabilities:
         p = departure_probabilities(params, np.full(96, 30.0), grid)
         peak = int(np.argmax(p))
         assert abs(grid.midpoint(peak) + 30.0 - 480.0) <= 7.5
+
+
+def _profile_before_batching(params, travel_times, grid):
+    """``departure_probabilities`` as it was before it took 2-D input: one
+    OD per call, the max taken over the finite entries by boolean indexing."""
+    tt = np.asarray(travel_times, dtype=float)
+    cost = schedule_disutility(np.arange(grid.n_intervals), tt, params, grid)
+    z = -params.logit_scale * cost
+    finite = np.isfinite(z)
+    if not finite.any():
+        raise DegenerateProfileError("all departure intervals have infinite disutility")
+    z = z - z[finite].max()
+    w = np.where(finite, np.exp(z, where=finite, out=np.zeros_like(z)), 0.0)
+    total = w.sum()
+    if total <= 0.0:
+        raise DegenerateProfileError("departure profile has zero total mass")
+    return w / total
+
+
+class TestBatchProfiles:
+    def test_rows_equal_the_one_od_loop_bit_for_bit(self):
+        """About 3,000 random rows, some with unreachable intervals, some with
+        zero schedule weights, on grids of 1 to 120 intervals."""
+        rng = np.random.default_rng(10)
+        rows = 0
+        while rows < 3000:
+            n_h = int(rng.integers(1, 121))
+            grid = TimeGrid(start=int(rng.integers(0, 600)), interval_minutes=int(rng.integers(1, 31)),
+                            n_intervals=n_h)
+            weights = rng.uniform(0.0, 3.0, 3) * (rng.random(3) > 0.3)
+            params = ScheduleParams(alpha=weights[0], beta=weights[1], gamma=weights[2],
+                                    preferred_arrival=float(rng.uniform(0.0, 1500.0)),
+                                    logit_scale=float(rng.uniform(1e-3, 2.0)))
+            m = int(rng.integers(1, 40))
+            tts = rng.uniform(0.0, 400.0, (m, n_h))
+            tts[rng.random((m, n_h)) < 0.1] = np.inf
+            tts[:, int(rng.integers(n_h))] = rng.uniform(0.0, 400.0, m)  # keep one finite
+            batch = departure_probabilities(params, tts, grid)
+            assert batch.shape == (m, n_h)
+            for i in range(m):
+                ref = _profile_before_batching(params, tts[i], grid)
+                assert batch[i].tobytes() == ref.tobytes()
+                assert departure_probabilities(params, tts[i], grid).tobytes() == ref.tobytes()
+            rows += m
+
+    def test_first_degenerate_row_is_named(self):
+        params = ScheduleParams(alpha=1.0, beta=0.0, gamma=0.0, logit_scale=1.0)
+        tts = np.ones((4, 4))
+        tts[2] = tts[3] = np.inf
+        with pytest.raises(DegenerateProfileError, match="infinite disutility") as info:
+            departure_probabilities(params, tts, GRID4)
+        assert info.value.row == 2
+
+    def test_one_profile_names_no_row(self):
+        with pytest.raises(DegenerateProfileError) as info:
+            departure_probabilities(ScheduleParams(), np.full(4, np.inf), GRID4)
+        assert info.value.row is None
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 4), ()])
+    def test_shape_checked(self, shape):
+        with pytest.raises(ConfigurationError):
+            departure_probabilities(ScheduleParams(), np.zeros(shape), GRID4)

@@ -12,14 +12,14 @@ import odchain.assignment
 import odchain.experiment
 import odchain.legfilter
 from odchain.assignment import DynamicDemand, detector_counts
-from odchain.errors import ConfigurationError
+from odchain.errors import ConfigurationError, DegenerateProfileError
 from odchain.experiment import (
     emit_report,
     generate_truth_and_history,
     rmse,
     run_experiment,
 )
-from odchain.scenario import scenario_from_mapping
+from odchain.scenario import load_scenario, packaged_scenario_path, scenario_from_mapping
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -84,6 +84,30 @@ class TestGeneration:
     def test_uniform_scale_needs_no_rng(self, toy_cfg, toy_artifacts):
         for factors in toy_artifacts.perturbation_factors.values():
             assert np.allclose(factors, 1.0 + toy_cfg.perturbation.scale)
+
+    def test_degenerate_profile_names_leg_and_od(self, toy_cfg):
+        """One departure call covers a whole leg; its error still says which
+        leg and which OD lost every interval."""
+        od_index = toy_cfg.network.od_index
+        tt = np.full((len(od_index), toy_cfg.grid.n_intervals), 20.0)
+        tt[od_index.index(("4", "5"))] = np.inf
+        with pytest.raises(DegenerateProfileError,
+                           match="leg 'work_leisure', OD 4-5: all departure intervals"):
+            odchain.experiment._leg_profiles(toy_cfg, od_index, tt)
+
+    def test_one_departure_call_per_leg(self, toy_cfg, monkeypatch):
+        calls = []
+        real = odchain.experiment.departure_probabilities
+
+        def counted(params, travel_times, grid):
+            calls.append(np.shape(travel_times))
+            return real(params, travel_times, grid)
+
+        monkeypatch.setattr(odchain.experiment, "departure_probabilities", counted)
+        generate_truth_and_history(toy_cfg)
+        # two days, two passes each, one call per leg with a row per member
+        sizes = [len(leg.od_split) for leg in toy_cfg.legs]
+        assert calls == [(n, toy_cfg.grid.n_intervals) for n in sizes] * 4
 
     def test_invalid_scenario_rejected(self, toy_doc):
         toy_doc["models"] = ["seed", "warp"]
@@ -270,6 +294,27 @@ class TestRefresh:
         assert linearizations.count("frozen") == 1
         assert linearizations.count("refresh") == cfg.cutoff_index - 1 == 47
         assert len(linearizations) == 48
+
+    def test_routing_plans_built_once(self, monkeypatch):
+        """The link order and each cut of the routes are built once per
+        network, however many of the experiment's 55 passes use them."""
+        orders, cuts = [], collections.Counter()
+        real_order, real_cut = odchain.assignment._feeding_order, odchain.assignment._cut
+
+        def order(net):
+            orders.append(net)
+            return real_order(net)
+
+        def cut(net, od_index, frozen):
+            cuts[od_index, frozen] += 1
+            return real_cut(net, od_index, frozen)
+
+        monkeypatch.setattr(odchain.assignment, "_feeding_order", order)
+        monkeypatch.setattr(odchain.assignment, "_cut", cut)
+        cfg = with_refresh(load_scenario(packaged_scenario_path("toy")))  # a fresh network
+        run_experiment(cfg)
+        assert orders == [cfg.network]
+        assert cuts == {(cfg.network.od_index, True): 1, (cfg.network.od_index, False): 1}
 
     def test_hook_builds_through_the_next_interval(self, toy_cfg, toy_artifacts):
         hook = odchain.experiment._refresh_hook(toy_cfg, toy_artifacts)

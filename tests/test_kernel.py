@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kernel_oracle import oracle_load, oracle_pieces
 from odchain.assignment import (
-    DynamicDemand, _cut_routes, assignment_matrix, detector_counts, load_network,
+    DynamicDemand, _cut_routes, _interval_index, assignment_matrix, detector_counts,
+    load_network,
 )
 from odchain.network import (
     Link, Network, Path, TimeGrid, Zone, build_toy_network,
@@ -233,3 +234,56 @@ class TestCutRoutes:
         assert _cut_routes(net, net.od_index, frozen=False) == ([(), ()], [])
         assert detector_counts(net, demand).counts.shape == (0, 8)
         assert assignment_matrix(net, demand).band.shape == (8, 1, 0, 2)
+
+
+class TestIntervalIndex:
+    """``_interval_index`` against the float ``np.floor_divide`` it replaces,
+    clipped as the kernel and the probes clip it."""
+
+    GRIDS = [(0, 15, 96), (0, 3, 480), (360, 5, 288), (17, 7, 40), (0, 1, 1440)]
+
+    @staticmethod
+    def assert_same(offset, interval_minutes, last):
+        offset = np.asarray(offset, dtype=float)
+        expected = np.floor_divide(offset, interval_minutes).clip(0, last).astype(np.int32)
+        assert np.array_equal(_interval_index(offset, interval_minutes, last), expected)
+
+    def test_edges_and_their_neighbours(self):
+        for start, step, n_h in self.GRIDS:
+            edges = start + step * np.arange(n_h + 1.0)  # as the kernel builds them
+            near = [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+            for _ in range(3):
+                near += [np.nextafter(near[-2], -np.inf), np.nextafter(near[-1], np.inf)]
+            for t in near:
+                # the kernel's cut, and the parent's: the window start capped at the end
+                self.assert_same(t - start, step, n_h)
+                self.assert_same(np.minimum(t, start + step * n_h) - start, step, n_h)
+
+    def test_shifted_windows(self):
+        """Window ends shifted by link times, as the kernel cuts them."""
+        rng = np.random.default_rng(11)
+        for start, step, n_h in self.GRIDS:
+            edges = start + step * np.arange(n_h + 1.0)
+            k = rng.integers(0, n_h, 20000)
+            lo = edges[k] + rng.uniform(0.0, 1.0, k.size) * step
+            for shift in (rng.uniform(0.0, 3.0 * step, k.size), rng.exponential(step, k.size),
+                          np.round(rng.uniform(0.0, 5.0, k.size)) * step):
+                capped = np.minimum(lo + shift, start + step * n_h) - start
+                self.assert_same(lo + shift - start, step, n_h)
+                assert np.array_equal(_interval_index(lo + shift - start, step, n_h),
+                                      _interval_index(capped, step, n_h))
+
+    def test_probe_offsets_before_and_far_past_the_grid(self):
+        offsets = np.concatenate([-np.logspace(-12, 4, 200), np.logspace(-12, 300, 400), [0.0]])
+        for step in (1, 3, 7, 15, 60):
+            self.assert_same(offsets, step, 95)
+
+    def test_below_far_edges(self):
+        """Just below an edge ``n * interval_minutes`` the quotient never
+        rounds up to ``n``, however large ``n``."""
+        for step in (1, 3, 7, 15, 60, 119):
+            for first in (1, 10**6, 2 * 10**9):
+                edge = np.arange(first, first + 5000, dtype=float) * step
+                below = np.nextafter(edge, -np.inf)
+                self.assert_same(below, step, first + 5000)
+                self.assert_same(edge, step, first + 5000)

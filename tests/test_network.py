@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -110,6 +112,39 @@ class TestBpr:
         times = bpr_travel_time(link, flows)
         assert times.shape == (500,)
         assert times.tolist() == [7.0 * (1.0 + 0.15 * (f / 700.0) ** 4.0) for f in flows.tolist()]
+
+    def test_power_matches_python_pow_bit_for_bit(self):
+        """The loop this function used to run, Python's ``**`` per element,
+        over random ratios and exponents."""
+        rng = np.random.default_rng(12)
+        for beta in [1.0, 2.0, 4.0, 5.5, *rng.uniform(1.0, 12.0, 12).tolist()]:
+            link = Link(id="x", label="x", from_node="a", to_node="b", free_flow_time=9.0,
+                        capacity=1234.5, bpr_alpha=0.15, bpr_beta=beta)
+            flows = np.concatenate([rng.uniform(0.0, 4000.0, 4000),
+                                    rng.exponential(800.0, 4000), [0.0, 1234.5]])
+            ratio = flows / link.capacity
+            power = np.array([v ** link.bpr_beta for v in ratio.tolist()])
+            expected = link.free_flow_time * (1.0 + link.bpr_alpha * power)
+            assert bpr_travel_time(link, flows).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("flow", [1e300, np.inf, np.nan])
+    def test_non_finite_time_names_link_and_flow(self, flow):
+        link = Link(id="9b", label="9", from_node="a", to_node="b",
+                    free_flow_time=10.0, capacity=100.0, bpr_beta=400.0)
+        with pytest.raises(ValueError, match=rf"link '9b': .* not finite at flow {re.escape(repr(flow))} veh/h"):
+            bpr_travel_time(link, np.array([5.0, flow, 7.0]))
+        with pytest.raises(ValueError, match="link '9b'"):
+            bpr_travel_time(link, flow)
+
+    def test_overflowing_power_is_an_error_not_inf(self):
+        """Python's ``**`` raised ``OverflowError`` here; the time must not
+        come back as ``inf``."""
+        link = Link(id="x", label="x", from_node="a", to_node="b",
+                    free_flow_time=10.0, capacity=100.0, bpr_beta=400.0)
+        with pytest.raises(OverflowError):
+            (1000.0 / 100.0) ** 400.0
+        with pytest.raises(ValueError, match="not finite at flow 1000.0"):
+            bpr_travel_time(link, np.array([10.0, 1000.0]))
 
     @given(st.floats(min_value=0.0, max_value=1e5), st.floats(min_value=0.0, max_value=1e5))
     def test_monotone_in_flow(self, v1, v2):
