@@ -19,27 +19,27 @@ chronological order, so every sum accumulates as an interval-by-interval
 pass would.  A link passes its parcels on as pieces: each window, shifted by
 the link time, is cut at the next interval edge, and one index over all
 pieces, sorted by next link where routes fan out, gathers every column once
-and hands each next link a slice.  The link order and the cut routes below
-depend on the network alone, so each is built once per network
-(``Network.plans``).  ``load_network``'s door-to-door probes walk every OD
-together, one route position at a time.
+and hands each next link a slice.  The link order and each route layout,
+with the tables the kernel walks, depend on the network alone, so each is
+built once per network (``Network.plans``).  ``load_network``'s door-to-door
+probes walk every OD together, one route position at a time.
 
 Only ``load_network`` moves every parcel over its whole route: generation
 needs every link's times and the door-to-door probe times.  The passes that
 need counts only, the linearization and ``detector_counts``, cut each route
 after its last channel or its last link whose load shifts a count, whichever
-comes later (``_cut_routes``).  Beyond that, parcels move no count.
+comes later (``_route_plan``).  Beyond that, parcels move no count.
 
 With travel times frozen, the loading is exactly linear in demand.  The
 assignment matrix is one pass of that kernel with a unit departure in every
 (OD, interval) cell, collecting the channel crossings as per-interval linear
-pieces.  The times are either given, or those of loading a demand, found in
-the same pass: a parcel's windows do not depend on its mass, so each parcel
-carries its cell's demand, which loads the links, beside the unit mass.  A
-departure in interval k is counted in intervals k..k+L only, with L small,
-so the pieces are stored as a band of L + 1 lags per departure interval.  The
-cumulative mapping combines them with departure profiles to map leg
-deviations onto cumulative count deviations up to a measurement horizon.
+pieces.  The times are those of loading a demand, found in the same pass: a
+parcel's windows do not depend on its mass, so each parcel carries its
+cell's demand, which loads the links, beside the unit mass.  A departure in
+interval k is counted in intervals k..k+L only, with L small, so the pieces
+are stored as a band of L + 1 lags per departure interval.  The cumulative
+mapping combines them with departure profiles to map leg deviations onto
+cumulative count deviations up to a measurement horizon.
 """
 
 from __future__ import annotations
@@ -120,6 +120,9 @@ class LoadResult:
     the midpoint of interval ``h``; beyond-horizon link entries reuse the last
     interval's link time.  ``spillover`` holds mass that would have entered a
     link after the horizon end and was dropped from the per-interval series.
+    ``link_tt``, ``link_inflow`` and ``spillover`` hold every link that some
+    path of the network uses and every detector channel, whether or not a
+    route of the demand visits it.
     """
 
     counts: LinkFlowSeries
@@ -185,39 +188,52 @@ def _feeding_order(net: Network) -> list[str]:
     return order
 
 
-def _cut_routes(
-    net: Network, od_index: tuple[OD, ...], *, frozen: bool
-) -> tuple[list[tuple[str, ...]], list[str]]:
-    """The routes of ``od_index`` cut after the last link a count depends on.
+@dataclass(frozen=True, eq=False)
+class _Routes:
+    """One route layout and the kernel's tables: ``order`` holds the links
+    ``_propagate`` visits, ``succ[i, r]`` the position in ``order`` of the
+    link after ``order[i]`` on ``routes[r]`` (-1 where the trip ends),
+    ``first[r]`` that of its first link (-1 for an empty route) and
+    ``fanout[i]`` the positions ``order[i]`` feeds, ascending."""
 
-    A channel's count is its inflow.  That depends on the times of the links
-    before it on the routes entering it, and a BPR time on everything that
-    enters its link.  So a link *matters* when a channel or a link that
-    matters lies after it on some route of ``od_index``; it is enough to look
-    at the next link of each route, in reverse feeding order.  A route ends at
-    its last channel or its last link that matters, whichever comes later.
-    Every parcel that would enter a channel or a link that matters still
-    does, from the same links in the same order, so the counts are the same
-    to the bit.  With ``frozen`` times nothing matters, and a route ends at
-    its last channel.  An empty route departs nothing.
+    routes: tuple[tuple[str, ...], ...]
+    order: tuple[str, ...]
+    succ: np.ndarray
+    first: np.ndarray
+    fanout: tuple[tuple[int, ...], ...]
 
-    Returns the cut routes and the links they visit, in ``_link_order``.
-    Both are built once per network, OD index and ``frozen`` and shared, so
-    callers must not change them.
+
+def _route_plan(net: Network, od_index: tuple[OD, ...], *, cut: bool) -> _Routes:
+    """The routes of ``od_index``, whole or cut, built once per network, OD
+    index and ``cut`` (``Network.plans``) and shared.
+
+    Whole routes are what ``load_network`` moves: ``order`` is ``_link_order``
+    and then every detector channel that no route visits, so each of them
+    gets its inflow and time, with no parcels.
+
+    Cut routes are what the passes that need counts only move.  A channel's
+    count is its inflow.  That depends on the times of the links before it
+    on the routes entering it, and a BPR time on everything that enters its
+    link.  So a link *matters* when a channel or a link that matters lies
+    after it on some route of ``od_index``; it is enough to look at the next
+    link of each route, in reverse feeding order.  A route ends at its last
+    channel or its last link that matters, whichever comes later.  Every
+    parcel that would enter a channel or a link that matters still does,
+    from the same links in the same order, so the counts are the same to the
+    bit.  An empty route departs nothing, and ``order`` holds only the links
+    the cut routes visit.
     """
-    key = ("cut routes", od_index, frozen)
+    key = ("routes", od_index, cut)
     if key not in net.plans:
-        net.plans[key] = _cut(net, od_index, frozen)
+        net.plans[key] = _build_plan(net, od_index, cut)
     return net.plans[key]
 
 
-def _cut(
-    net: Network, od_index: tuple[OD, ...], frozen: bool
-) -> tuple[list[tuple[str, ...]], list[str]]:
+def _build_plan(net: Network, od_index: tuple[OD, ...], cut: bool) -> _Routes:
     routes = [net.path_of(od).links for od in od_index]
     order = _link_order(net)
-    kept = set(net.detectors)
-    if not frozen:
+    if cut:
+        kept = set(net.detectors)
         succs: dict[str, set[str]] = {}
         for route in routes:
             for a, b in zip(route, route[1:]):
@@ -225,40 +241,52 @@ def _cut(
         for lid in reversed(order):
             if not kept.isdisjoint(succs.get(lid, ())):
                 kept.add(lid)
-    cut = [route[: max((j + 1 for j, lid in enumerate(route) if lid in kept), default=0)]
-           for route in routes]
-    visited = {lid for route in cut for lid in route}
-    return cut, [lid for lid in order if lid in visited]
+        routes = [route[: max((j + 1 for j, lid in enumerate(route) if lid in kept), default=0)]
+                  for route in routes]
+        visited = {lid for route in routes for lid in route}
+        order = [lid for lid in order if lid in visited]
+    else:
+        order = order + [ch for ch in dict.fromkeys(net.detectors) if ch not in order]
+    at = {lid: i for i, lid in enumerate(order)}
+    succ = np.full((len(order), len(routes)), -1, dtype=np.int32)
+    for r, route in enumerate(routes):
+        for a, b in zip(route, route[1:]):
+            succ[at[a], r] = at[b]
+    first = np.array([at[route[0]] if route else -1 for route in routes], dtype=np.int32)
+    succ.setflags(write=False)
+    first.setflags(write=False)
+    return _Routes(routes=tuple(routes), order=tuple(order), succ=succ, first=first,
+                   fanout=tuple(tuple(sorted(set(row.tolist()) - {-1})) for row in succ))
 
 
 def _propagate(
     grid: TimeGrid,
-    order: list[str],
-    routes: list[tuple[str, ...]],
+    plan: _Routes,
     sources: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]],
     link_time: Callable[[str, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]], np.ndarray],
 ) -> dict[str, float]:
     """Move departure parcels along fixed routes, one link at a time over the day.
 
     ``sources`` holds ``(r, k, masses)``: each array of ``masses`` departs
-    uniformly over interval ``k`` onto the first link of ``routes[r]``.  A
-    parcel enters its link uniformly over a window ``[a, b)`` within one
-    interval ``h``, carries its cell ``r * n_intervals + k`` and one value of
-    each mass.  Its windows do not depend on its masses, so one parcel can
-    carry several; the first is the one that loads the links.
+    uniformly over interval ``k`` onto the first link of ``plan.routes[r]``,
+    which must not be empty.  A parcel enters its link uniformly over a
+    window ``[a, b)`` within one interval ``h``, carries its cell
+    ``r * n_intervals + k`` and one value of each mass.  Its windows do not
+    depend on its masses, so one parcel can carry several; the first is the
+    one that loads the links.
 
-    Links are visited in ``order``, each for every interval at once.  This is
-    exact: a link's time in an interval depends only on its inflow during
-    that interval, link times are nonnegative so parcels only move forward
-    in time, and ``order`` is a topological order of the feeding relation,
-    the same in every interval.  When a link's turn comes, every upstream
-    link has been processed for the whole day, so all the parcels that will
-    ever enter it are known.  ``link_time(lid, inflow, h, cell, masses)``
-    gets the first mass's inflow per interval and the parcels' entry
-    intervals, cells and masses, and returns the link's travel time in every
-    interval.  Each parcel then moves on to the next link of its route, its
-    window shifted by the link time and cut at interval boundaries; a piece
-    entering after the horizon end is spilled.
+    Links are visited in ``plan.order``, each for every interval at once.
+    This is exact: a link's time in an interval depends only on its inflow
+    during that interval, link times are nonnegative so parcels only move
+    forward in time, and the order is a topological order of the feeding
+    relation, the same in every interval.  When a link's turn comes, every
+    upstream link has been processed for the whole day, so all the parcels
+    that will ever enter it are known.  ``link_time(lid, inflow, h, cell,
+    masses)`` gets the first mass's inflow per interval and the parcels'
+    entry intervals, cells and masses, and returns the link's travel time in
+    every interval.  Each parcel then moves on to the next link of its route,
+    its window shifted by the link time and cut at interval boundaries; a
+    piece entering after the horizon end is spilled.
 
     A link's parcels are kept in chronological order: by entry interval,
     then by the interval in which they entered the previous link (departures
@@ -270,20 +298,13 @@ def _propagate(
     n_h = grid.n_intervals
     # interval edges as grid.bounds gives them; nothing is cut past the end
     edges = np.append(grid.start + grid.interval_minutes * np.arange(n_h + 1.0), np.inf)
-    at = {lid: i for i, lid in enumerate(order)}
-    # succ[i, r]: position in ``order`` of the link after order[i] on route r,
-    # -1 where the trip ends
-    succ = np.full((len(order), len(routes)), -1, dtype=np.int32)
-    for r, route in enumerate(routes):
-        for a, b in zip(route, route[1:]):
-            succ[at[a], r] = at[b]
-    fanout = [sorted(set(row.tolist()) - {-1}) for row in succ]
+    order, succ, fanout = plan.order, plan.succ, plan.fanout
 
     # per link, the batches of parcels waiting to enter it, each
     # (cell, entry interval, previous entry interval, a, b, *masses)
     inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
     r, k, masses = sources
-    first = np.array([at[route[0]] if route else -1 for route in routes], dtype=np.int32)[r]
+    first = plan.first[r]
     cell = (r * n_h + k).astype(np.int32)
     for i in np.unique(first).tolist():
         m = first == i
@@ -398,9 +419,7 @@ def load_network(
 
     grid = demand.grid
     n_h = grid.n_intervals
-    for od in demand.od_index:
-        net.path_of(od)
-    order = _link_order(net)
+    plan = _route_plan(net, demand.od_index, cut=False)
     link_inflow: dict[str, np.ndarray] = {}
     link_tt: dict[str, np.ndarray] = {}
     hours = grid.interval_minutes / 60.0
@@ -415,20 +434,9 @@ def load_network(
         return tt
 
     ois, ks = np.nonzero(demand.matrix > 0.0)
-    routes = [net.paths[od].links for od in demand.od_index]
-    spill = _propagate(grid, order, routes, (ois, ks, (demand.matrix[ois, ks],)), link_time)
-
-    for ch in net.detectors:
-        if ch not in link_inflow:
-            link_inflow[ch] = np.zeros(n_h)
-            if frozen_link_tt is None:
-                link_tt[ch] = bpr_travel_time(net.links[ch], np.zeros(n_h))
-            else:
-                link_tt[ch] = np.asarray(frozen_link_tt[ch], dtype=float)
-            spill.setdefault(ch, 0.0)
-
+    spill = _propagate(grid, plan, (ois, ks, (demand.matrix[ois, ks],)), link_time)
     counts = extract_detector_counts(link_inflow, net.detectors, grid)
-    tt_od = _probe_travel_times(net, demand.od_index, grid, link_tt)
+    tt_od = _probe_travel_times(plan, grid, link_tt)
     return LoadResult(
         counts=counts, tt_od=tt_od, link_tt=link_tt, link_inflow=link_inflow, spillover=spill
     )
@@ -438,7 +446,7 @@ def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
     """The ``counts`` of ``load_network(net, demand)``, to the bit, and nothing else.
 
     Parcels move along the routes cut after the last link a count depends on
-    (``_cut_routes``), and no probe times are taken, so it is the cheaper
+    (``_route_plan``), and no probe times are taken, so it is the cheaper
     call wherever only counts are read.  It is not counted by
     ``load_call_count``.
 
@@ -457,40 +465,38 @@ def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
             counts[c] = inflow
         return bpr_travel_time(net.links[lid], inflow / hours)
 
-    routes, order = _cut_routes(net, demand.od_index, frozen=False)
-    live = np.array([bool(route) for route in routes], dtype=bool)
-    ois, ks = np.nonzero((demand.matrix > 0.0) & live[:, None])
-    _propagate(grid, order, routes, (ois, ks, (demand.matrix[ois, ks],)), link_time)
+    plan = _route_plan(net, demand.od_index, cut=True)
+    ois, ks = np.nonzero((demand.matrix > 0.0) & (plan.first >= 0)[:, None])
+    _propagate(grid, plan, (ois, ks, (demand.matrix[ois, ks],)), link_time)
     return LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts)
 
 
 def _probe_travel_times(
-    net: Network, od_index: tuple[OD, ...], grid: TimeGrid, link_tt: dict[str, np.ndarray]
+    plan: _Routes, grid: TimeGrid, link_tt: dict[str, np.ndarray]
 ) -> np.ndarray:
     """Door-to-door times of probes departing at every interval midpoint.
 
     A probe entering a link before the grid uses interval 0's time, after it
-    the last interval's.  ``link_tt`` holds every link of ``_link_order``.
-    All ODs walk together, one route position at a time; a route that has
-    ended adds zero, so each row sums as its own walk would.
+    the last interval's.  ``link_tt`` holds every link of ``plan.order``.
+    All ODs walk together, one route position at a time, each from
+    ``plan.first`` along ``plan.succ``; a route that has ended adds zero, so
+    each row sums as its own walk would.
     """
     n_h = grid.n_intervals
     t0 = grid.midpoint(np.arange(n_h))
-    routes = [net.paths[od].links for od in od_index]
-    order = _link_order(net)
-    # one row per link, and a zero row that walks the shorter routes in place
-    table = np.zeros((len(order) + 1, n_h))
-    for j, lid in enumerate(order):
+    # one row per link, and a zero row, at -1, that walks the ended routes in place
+    table = np.zeros((len(plan.order) + 1, n_h))
+    for j, lid in enumerate(plan.order):
         table[j] = link_tt[lid]
-    at = {lid: j for j, lid in enumerate(order)}
-    depth = max(map(len, routes), default=0)
-    steps = np.full((len(routes), depth), len(order))
-    for oi, route in enumerate(routes):
-        steps[oi, : len(route)] = [at[lid] for lid in route]
-    t = np.tile(t0, (len(routes), 1))
-    for p in range(depth):
+    ods = np.arange(len(plan.routes))
+    at = plan.first
+    t = np.tile(t0, (ods.size, 1))
+    for _ in range(max(map(len, plan.routes), default=0)):
         hi = _interval_index(t - grid.start, grid.interval_minutes, n_h - 1)
-        t = t + table[steps[:, p, None], hi]
+        t = t + table[at[:, None], hi]
+        # an ended route reads succ[-1], the last link's row: the last link of
+        # a topological order feeds none, so the route stays at -1
+        at = plan.succ[at, ods]
     return t - t0
 
 
@@ -556,12 +562,7 @@ class AssignmentMatrix:
         return counts
 
 
-def assignment_matrix(
-    net: Network,
-    demand: DynamicDemand,
-    *,
-    frozen_link_tt: dict[str, np.ndarray] | None = None,
-) -> AssignmentMatrix:
+def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
     """Linearize the loader at ``demand``.
 
     One unit departure per (OD, interval) moves through the links, whether
@@ -570,18 +571,13 @@ def assignment_matrix(
     ``predict_counts`` up to float roundoff.  The band is as wide as the
     longest lag of a crossing.
 
-    Without ``frozen_link_tt`` the times are the BPR times of loading
-    ``demand``, found in the same pass: every cell's parcels carry its demand,
-    which alone sets the links' inflow and times, and the unit mass, which
-    alone is collected.  A parcel's windows do not depend on its mass, so the
-    band is, to the bit, the linearization at ``load_network(net,
-    demand).link_tt``.  With ``frozen_link_tt`` the times are given and only
-    the grid and OD index of ``demand`` are used.
-
-    Either way the routes are cut after the last link a count depends on
-    (``_cut_routes``): at given times after their last channel, at BPR
-    times after their last channel or last link whose load moves a count.
-    Cells whose cut route is empty depart nothing.
+    The times are the BPR times of loading ``demand``, found in the same
+    pass: every cell's parcels carry its demand, which alone sets the links'
+    inflow and times, and the unit mass, which alone is collected.  A
+    parcel's windows do not depend on its mass, so the band is, to the bit,
+    the linearization at ``load_network(net, demand).link_tt``.  The routes
+    are cut after their last channel or last link whose load moves a count
+    (``_route_plan``); cells whose cut route is empty depart nothing.
 
     Raises:
         ConfigurationError: if an OD of ``demand`` lacks a path.
@@ -601,17 +597,13 @@ def assignment_matrix(
         c = chan_pos.get(lid)
         if c is not None:
             oi, k = np.divmod(cell, n_h)
-            crossings.append((k, h - k, np.full(k.size, c), oi, mass[-1]))  # the unit mass
-        if frozen_link_tt is not None:
-            return frozen_link_tt[lid]
+            crossings.append((k, h - k, np.full(k.size, c), oi, mass[1]))  # the unit mass
         return bpr_travel_time(net.links[lid], inflow / hours)
 
-    routes, order = _cut_routes(net, od_index, frozen=frozen_link_tt is not None)
-    live = np.flatnonzero([bool(route) for route in routes])
-    masses = (np.ones(live.size * n_h),)
-    if frozen_link_tt is None:
-        masses = (demand.matrix[live].ravel(), *masses)
-    _propagate(grid, order, routes,
+    plan = _route_plan(net, od_index, cut=True)
+    live = np.flatnonzero(plan.first >= 0)
+    masses = (demand.matrix[live].ravel(), np.ones(live.size * n_h))
+    _propagate(grid, plan,
                (np.repeat(live, n_h), np.tile(np.arange(n_h), live.size), masses), link_time)
     del masses  # before the band is allocated
     k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))

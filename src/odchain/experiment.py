@@ -238,7 +238,7 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     observed = LinkFlowSeries(
         channels=truth.load.counts.channels, grid=cfg.grid, counts=counts
     )
-    frozen = assignment_matrix(cfg.network, history.demand, frozen_link_tt=history.load.link_tt)
+    frozen = assignment_matrix(cfg.network, history.demand)
     return ExperimentArtifacts(
         config=cfg,
         od_index=od_index,

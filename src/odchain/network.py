@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,10 @@ class TimeGrid:
     n_intervals: int = 96
 
     def __post_init__(self) -> None:
+        for name in ("start", "interval_minutes", "n_intervals"):  # the kernel needs whole edges
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+                raise ConfigurationError(f"time grid {name} must be a whole number, not {value!r}")
         if self.interval_minutes <= 0 or self.n_intervals <= 0:
             raise ConfigurationError("time grid needs positive interval length and count")
 
@@ -143,9 +148,10 @@ class Network:
 
     @functools.cached_property
     def plans(self) -> dict:
-        """A memo for what derives from the topology alone, such as the
-        loader's link order and cut routes.  It is sound because a network
-        is not changed after construction; a changed copy starts empty."""
+        """A memo for what derives from the topology alone: the loader's
+        link order and its route plans, one per OD index and layout (whole or
+        cut routes).  It is sound because a network is not changed after
+        construction; a changed copy starts empty."""
         return {}
 
     def path_of(self, od: OD) -> Path:

@@ -374,7 +374,7 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
                       "models"), "the scenario")
     grid_spec = _check_keys(doc.get("time_grid"), _field_names(TimeGrid), "time_grid")
     grid = TimeGrid(
-        start=int(parse_minutes(grid_spec.get("start", 0))),
+        start=_integer(parse_minutes(grid_spec.get("start", 0)), "time_grid", "start"),
         interval_minutes=_integer(
             grid_spec.get("interval_minutes", 15), "time_grid", "interval_minutes"
         ),

@@ -4,8 +4,10 @@ The oracle that the package's link-major kernel, ``assignment._propagate``,
 is checked against.  Intervals are visited in order and, within one, links
 in topological order; every parcel ``(r, k, mass, a, b)`` enters its link
 uniformly over ``[a, b)`` and moves on, shifted by the link time and cut at
-interval boundaries.  ``oracle_load`` and ``oracle_pieces`` drive it the way
-``load_network`` and ``assignment_matrix`` drive the package's kernel.
+interval boundaries.  ``oracle_load`` drives it the way ``load_network``
+drives the package's kernel.  ``oracle_pieces`` walks unit departures at
+given link times; at the times of loading a demand, that is what
+``assignment_matrix`` gives for the demand in its one pass.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def oracle_load(net, demand, frozen_link_tt=None):
 
 
 def oracle_pieces(net, grid, link_tt, channels, od_index):
-    """The dense ``(H, H, C, OD)`` assignment pieces under frozen ``link_tt``."""
+    """The dense ``(H, H, C, OD)`` assignment pieces at the given ``link_tt``."""
     n_h = grid.n_intervals
     chan_pos = {ch: c for c, ch in enumerate(channels)}
     pieces = np.zeros((n_h, n_h, len(channels), len(od_index)))

@@ -249,24 +249,37 @@ class TestAssignmentMatrix:
         assert np.abs(predicted - refrozen.counts.counts).max() <= 1e-9
 
     def test_cells_without_demand_are_linearized(self):
-        """Pieces depend on the frozen times only: a cell without demand gets
-        the pieces it would get with demand, and they match a unit load."""
+        """Pieces depend on the link times only: a cell without demand gets
+        the pieces it would get with demand, and they match a unit load at
+        the same times.  With ``bpr_alpha`` 0 every link keeps its free-flow
+        time, whatever the demand."""
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=8)
-        tts = frozen_tts(grid, {"1a": 22.5, "4a": 10.0})
-        a = assignment_matrix(TOY, toy_demand(grid, {(("1", "3"), 2): 100.0}),
-                              frozen_link_tt=tts).pieces
-        b = assignment_matrix(TOY, toy_demand(grid, {(("2", "4"), 5): 40.0}),
-                              frozen_link_tt=tts).pieces
+        fixed = {"1a": 22.5, "4a": 10.0}
+        net = dataclasses.replace(TOY, links={
+            lid: dataclasses.replace(link, bpr_alpha=0.0, free_flow_time=fixed.get(lid, 7.5))
+            for lid, link in TOY.links.items()})
+        a = assignment_matrix(net, toy_demand(grid, {(("1", "3"), 2): 100.0})).pieces
+        b = assignment_matrix(net, toy_demand(grid, {(("2", "4"), 5): 40.0})).pieces
         oi = TOY.od_index.index(("1", "3"))
         assert b[2, :, :, oi].sum() > 0.0
         assert np.array_equal(a, b)
-        unit = load_network(TOY, toy_demand(grid, {(("1", "3"), 2): 1.0}), frozen_link_tt=tts)
-        assert np.array_equal(b[2, :, :, oi].T, unit.counts.counts)
+        unit = toy_demand(grid, {(("1", "3"), 2): 1.0})
+        tts = frozen_tts(grid, fixed)
+        assert np.array_equal(b[2, :, :, oi].T,
+                              load_network(TOY, unit, frozen_link_tt=tts).counts.counts)
+        # at congested times too: the unit load at the times of loading the demand
+        demand = toy_demand(grid, {(("1", "3"), 1): 3000.0, (("2", "4"), 2): 2000.0})
+        c = assignment_matrix(TOY, demand).pieces
+        tts = load_network(TOY, demand).link_tt
+        assert tts["1a"][1] > TOY.links["1a"].free_flow_time
+        assert np.array_equal(c[2, :, :, oi].T,
+                              load_network(TOY, unit, frozen_link_tt=tts).counts.counts)
 
-    @pytest.mark.parametrize("n", [2, 40, 49])
+    @pytest.mark.parametrize("n", [2, 40, 49, 96])
     def test_prefix_of_the_day_is_exact(self, toy_artifacts, n):
         """Loading and linearizing the first n intervals alone reproduces the
-        full day's times, inflows and pieces on them, bit for bit."""
+        full day's times, inflows and pieces on them, bit for bit; the full
+        day (n = 96) is the generated linearization itself."""
         net = toy_artifacts.config.network
         full = toy_artifacts.history.load
         demand = toy_artifacts.history.demand
@@ -276,10 +289,8 @@ class TestAssignmentMatrix:
         for lid in full.link_tt:
             assert np.array_equal(prefix.link_tt[lid], full.link_tt[lid][:n])
             assert np.array_equal(prefix.link_inflow[lid], full.link_inflow[lid][:n])
-        pieces = assignment_matrix(net, head, frozen_link_tt=prefix.link_tt).pieces
+        pieces = assignment_matrix(net, head).pieces
         assert np.array_equal(pieces, toy_artifacts.assignment.pieces[:n, :n])
-        # the refresh's one-pass linearization of the same prefix
-        assert np.array_equal(assignment_matrix(net, head).pieces, pieces)
 
     def test_congested_morning_produces_lagged_pieces(self, toy_artifacts):
         pieces = toy_artifacts.assignment.pieces

@@ -151,6 +151,19 @@ def test_wrongly_typed_value_is_config_error(tmp_path, toy_doc, capsys, mutate):
     assert "Traceback" not in err
 
 
+def test_fractional_grid_start_is_config_error(tmp_path, toy_doc, capsys):
+    """``time_grid: {start: 7.5}`` is one error line, not a grid silently starting at 7."""
+    toy_doc["time_grid"]["start"] = 7.5
+    path = tmp_path / "start.yaml"
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "time_grid.start must be an integer" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["false", "off", 1], ids=["quoted-false", "off", "one"])
 def test_switch_that_is_not_a_boolean_is_config_error(tmp_path, toy_doc, capsys, value):
     """A quoted "false" must not switch the refresh on; it is one error line."""

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -272,18 +273,28 @@ class TestRunExperiment:
         assert row.runtime_s > scoring_s
 
 
+def test_readme_python_example_runs(capsys):
+    """README's library example runs as written and prints pkf's OD RMSE."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 1
+    assert np.isfinite(float(printed[0])) and float(printed[0]) > 0.0
+
+
 class TestRefresh:
     def test_refresh_loads_only_what_the_filter_reads(self, toy_cfg, monkeypatch):
         """4 loads generate the two days; kf, pkf and spkf are scored by
-        count-only loads, which are not counted.  One frozen linearization is
-        generated, and one refresh follows each measured interval but the
-        last, loading and linearizing in one pass."""
+        count-only loads, which are not counted.  History is linearized once
+        in generation, and one refresh follows each measured interval but the
+        last; each loads and linearizes in one pass."""
         linearizations = []
         real = odchain.experiment.assignment_matrix
 
-        def counted(net, demand, **kwargs):
-            linearizations.append("refresh" if kwargs.get("frozen_link_tt") is None else "frozen")
-            return real(net, demand, **kwargs)
+        def counted(net, demand):
+            linearizations.append(demand.grid.n_intervals)
+            return real(net, demand)
 
         monkeypatch.setattr(odchain.experiment, "assignment_matrix", counted)
         cfg = with_refresh(toy_cfg)
@@ -291,30 +302,31 @@ class TestRefresh:
         run_experiment(cfg)
         loads = odchain.assignment.load_call_count() - before
         assert loads == 4
-        assert linearizations.count("frozen") == 1
-        assert linearizations.count("refresh") == cfg.cutoff_index - 1 == 47
+        # the whole day once, then the grids cut after intervals 1..47
+        assert linearizations == [cfg.grid.n_intervals, *range(2, cfg.cutoff_index + 1)]
         assert len(linearizations) == 48
 
     def test_routing_plans_built_once(self, monkeypatch):
-        """The link order and each cut of the routes are built once per
-        network, however many of the experiment's 55 passes use them."""
-        orders, cuts = [], collections.Counter()
-        real_order, real_cut = odchain.assignment._feeding_order, odchain.assignment._cut
+        """The link order and each route plan, whole routes for the loads and
+        cut routes for the linearizations and the count-only loads, are built
+        once per network, however many of the experiment's 55 passes use them."""
+        orders, plans = [], collections.Counter()
+        real_order, real_plan = odchain.assignment._feeding_order, odchain.assignment._build_plan
 
         def order(net):
             orders.append(net)
             return real_order(net)
 
-        def cut(net, od_index, frozen):
-            cuts[od_index, frozen] += 1
-            return real_cut(net, od_index, frozen)
+        def plan(net, od_index, cut):
+            plans[od_index, cut] += 1
+            return real_plan(net, od_index, cut)
 
         monkeypatch.setattr(odchain.assignment, "_feeding_order", order)
-        monkeypatch.setattr(odchain.assignment, "_cut", cut)
+        monkeypatch.setattr(odchain.assignment, "_build_plan", plan)
         cfg = with_refresh(load_scenario(packaged_scenario_path("toy")))  # a fresh network
         run_experiment(cfg)
         assert orders == [cfg.network]
-        assert cuts == {(cfg.network.od_index, True): 1, (cfg.network.od_index, False): 1}
+        assert plans == {(cfg.network.od_index, False): 1, (cfg.network.od_index, True): 1}
 
     def test_hook_builds_through_the_next_interval(self, toy_cfg, toy_artifacts):
         hook = odchain.experiment._refresh_hook(toy_cfg, toy_artifacts)

@@ -3,10 +3,11 @@
 ``load_network``, ``detector_counts`` and ``assignment_matrix`` must give
 what the one-parcel-at-a-time walk in ``kernel_oracle`` gives, to the bit:
 the kernel keeps every link's parcels in the oracle's summation order.  That
-holds for both of ``assignment_matrix``'s passes, at given times and the one
-that loads the demand and linearizes at its BPR times together, and for the
-count-only load.  The last two move parcels only as far as a count depends on
-them, while the oracle's load walks every route to its end.
+holds for the load, at BPR or given times, for ``assignment_matrix``'s one
+pass, which loads the demand and linearizes at its BPR times together, and
+for the count-only load.  The last two move parcels only as far as a count
+depends on them (``_route_plan``'s cut routes), while the oracle walks every
+route to its end.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kernel_oracle import oracle_load, oracle_pieces
 from odchain.assignment import (
-    DynamicDemand, _cut_routes, _interval_index, assignment_matrix, detector_counts,
+    DynamicDemand, _interval_index, _route_plan, assignment_matrix, detector_counts,
     load_network,
 )
 from odchain.network import (
@@ -33,9 +34,6 @@ def assert_same_as_oracle(net, demand, frozen=None):
     channels = load.counts.channels
     n_h = demand.grid.n_intervals
     assert np.array_equal(load.counts.counts, channel_rows(inflow, channels, n_h))
-    pieces = oracle_pieces(net, demand.grid, load.link_tt, channels, demand.od_index)
-    frozen_pieces = assignment_matrix(net, demand, frozen_link_tt=load.link_tt).pieces
-    assert np.array_equal(frozen_pieces, pieces)
     # one pass that loads demand with BPR times and linearizes at them
     bpr = load if frozen is None else load_network(net, demand)
     pieces = oracle_pieces(net, demand.grid, bpr.link_tt, channels, demand.od_index)
@@ -69,9 +67,14 @@ def _network(links, routes, detectors):
 @st.composite
 def cases(draw):
     """A small network with an acyclic path set, a grid, demand and link times."""
+    step = draw(st.integers(3, 15))
     n_links = draw(st.integers(2, 6))
+    # whole and half multiples of the interval among the free-flow times:
+    # with ``bpr_alpha`` 0 they are the link times the linearization sees
+    free_flow = st.one_of(st.sampled_from([float(step), 2.0 * step, 0.5 * step]),
+                          st.floats(0.5, 40.0))
     links = [
-        _link(f"L{j}", draw(st.floats(0.5, 40.0)), draw(st.floats(30.0, 3000.0)),
+        _link(f"L{j}", draw(free_flow), draw(st.floats(30.0, 3000.0)),
               draw(st.sampled_from([0.0, 0.15, 1.0])), draw(st.sampled_from([1.0, 2.5, 4.0])))
         for j in range(n_links)
     ]
@@ -82,7 +85,6 @@ def cases(draw):
         chosen = draw(st.sets(st.integers(0, n_links - 1), min_size=1))
         routes.append([f"L{j}" for j in sorted(chosen, key=rank.index)])
     detectors = draw(st.sets(st.sampled_from([l.id for l in links]), min_size=1))
-    step = draw(st.integers(3, 15))
     n_h = draw(st.integers(1, 10))
     start = draw(st.sampled_from([0, 7, 420]))
     grid = TimeGrid(start=start, interval_minutes=step, n_intervals=n_h)
@@ -147,8 +149,8 @@ class TestEdgeShapes:
             m[TOY.od_index.index(("1", "3"))] = 0.0
 
         demand = toy_demand(grid, fill)
-        load = assert_same_as_oracle(TOY, demand)
-        pieces = assignment_matrix(TOY, demand, frozen_link_tt=load.link_tt).pieces
+        assert_same_as_oracle(TOY, demand)
+        pieces = assignment_matrix(TOY, demand).pieces
         # zero demand is still linearized
         assert pieces[:, :, :, TOY.od_index.index(("1", "3"))].sum() > 0.0
 
@@ -159,6 +161,8 @@ class TestEdgeShapes:
         load = assert_same_as_oracle(net, demand)
         assert not load.link_inflow["x"].any()
         assert np.array_equal(load.link_tt["x"], np.full(5, 5.0))
+        # the whole-route plan visits x after the feeding order, with no parcels
+        assert _route_plan(net, net.od_index, cut=False).order == ("a", "b", "x")
 
     def test_no_demand_at_all(self):
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=4)
@@ -178,6 +182,10 @@ class TestCutRoutes:
     def demand(self, net, matrix):
         return DynamicDemand(od_index=net.od_index, grid=self.GRID, matrix=np.asarray(matrix))
 
+    @staticmethod
+    def cut(net):
+        return _route_plan(net, net.od_index, cut=True)
+
     def assert_load_moves_counts(self, net, matrix, od):
         """Dropping OD ``od``'s demand changes the counts, so its route must stay."""
         without = np.array(matrix, dtype=float)
@@ -187,20 +195,19 @@ class TestCutRoutes:
         assert not np.array_equal(counts, detector_counts(net, self.demand(net, without)).counts)
 
     def test_toy_keeps_the_links_before_its_channels(self):
-        routes, order = _cut_routes(TOY, TOY.od_index, frozen=False)
-        cut = dict(zip(TOY.od_index, routes))
-        assert sorted(order) == ["1a", "2a", "3b", "4a", "4b", "5b"]
+        plan = self.cut(TOY)
+        cut = dict(zip(TOY.od_index, plan.routes))
+        assert sorted(plan.order) == ["1a", "2a", "3b", "4a", "4b", "5b"]
         assert cut[("1", "3")] == ("1a", "4a")
         assert cut[("3", "5")] == ("3b",)  # 3b feeds channel 4b on 3->1
         assert cut[("5", "1")] == cut[("5", "2")] == ()
-        frozen_routes, _ = _cut_routes(TOY, TOY.od_index, frozen=True)
-        assert frozen_routes[TOY.od_index.index(("3", "5"))] == ()
+        assert plan.first[TOY.od_index.index(("5", "1"))] == -1
 
     def test_link_shared_by_a_channel_route_and_a_channel_free_route(self):
         net = _network([congested("a"), _link("b"), _link("c")], [["a", "b"], ["a", "c"]], ["b"])
         matrix = [[0, 200.0, 120.0, 0, 80.0, 0, 0, 0], [150.0, 300.0, 0, 90.0, 0, 0, 0, 0]]
         assert_same_as_oracle(net, self.demand(net, matrix))
-        assert _cut_routes(net, net.od_index, frozen=False)[0] == [("a", "b"), ("a",)]
+        assert self.cut(net).routes == (("a", "b"), ("a",))
         self.assert_load_moves_counts(net, matrix, 1)
 
     def test_chain_of_shared_links(self):
@@ -212,8 +219,7 @@ class TestCutRoutes:
         matrix = [[300.0, 300.0, 0, 0, 0, 0, 0, 0], [200.0, 200.0, 200.0, 0, 0, 0, 0, 0],
                   [0, 200.0, 200.0, 200.0, 0, 0, 0, 0]]
         assert_same_as_oracle(net, self.demand(net, matrix))
-        routes, _ = _cut_routes(net, net.od_index, frozen=False)
-        assert routes == [("q", "p"), ("p", "x"), ("x", "d")]
+        assert self.cut(net).routes == (("q", "p"), ("p", "x"), ("x", "d"))
         self.assert_load_moves_counts(net, matrix, 0)
 
     def test_route_with_no_channel_and_no_link_that_matters(self):
@@ -221,17 +227,19 @@ class TestCutRoutes:
         # route (c) crosses no channel and c feeds none: it departs nothing
         net = _network([_link("a"), _link("b"), _link("c")], [["a", "b"], ["c"]], ["b"])
         assert_same_as_oracle(net, self.demand(net, matrix))
-        assert _cut_routes(net, net.od_index, frozen=False) == ([("a", "b"), ()], ["a", "b"])
+        plan = self.cut(net)
+        assert (plan.routes, plan.order) == ((("a", "b"), ()), ("a", "b"))
         # nothing after channel a matters: a -> b stops at a
         net = _network([_link("a"), _link("b"), _link("c")], [["a", "b"], ["c", "a"]], ["a"])
         assert_same_as_oracle(net, self.demand(net, matrix))
-        assert _cut_routes(net, net.od_index, frozen=False)[0] == [("a",), ("c", "a")]
+        assert self.cut(net).routes == (("a",), ("c", "a"))
 
     def test_network_without_detectors(self):
         net = _network([_link("a"), _link("b")], [["a", "b"], ["b"]], [])
         demand = self.demand(net, np.full((2, 8), 100.0))
         assert_same_as_oracle(net, demand)
-        assert _cut_routes(net, net.od_index, frozen=False) == ([(), ()], [])
+        plan = self.cut(net)
+        assert (plan.routes, plan.order) == (((), ()), ())
         assert detector_counts(net, demand).counts.shape == (0, 8)
         assert assignment_matrix(net, demand).band.shape == (8, 1, 0, 2)
 

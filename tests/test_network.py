@@ -60,6 +60,18 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             TimeGrid(interval_minutes=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("interval_minutes", 0.1), ("start", 2.5), ("n_intervals", 4.5),
+        ("start", float("nan")), ("interval_minutes", float("inf")), ("start", "0"),
+    ])
+    def test_rejects_a_grid_not_in_whole_minutes(self, field, value):
+        """The kernel's interval index is exact on whole-minute edges only."""
+        with pytest.raises(ConfigurationError, match=f"time grid {field} must be a whole number"):
+            TimeGrid(**{field: value})
+
+    def test_whole_floats_are_whole_minutes(self):
+        assert TimeGrid(start=450.0, interval_minutes=15.0, n_intervals=4.0).end == 510.0
+
 
 class TestLink:
     def test_rejects_nonpositive_parameters(self):

@@ -243,6 +243,15 @@ class TestMappingErrors:
         with pytest.raises(ConfigurationError, match=message):
             scenario_from_mapping(toy_doc)
 
+    def test_grid_start_is_a_whole_minute(self, toy_doc):
+        """A fractional start is an error naming its key, not truncated; a
+        clock time still reads as its minute of the day."""
+        toy_doc["time_grid"]["start"] = "07:30"
+        assert scenario_from_mapping(toy_doc).grid.start == 450
+        toy_doc["time_grid"]["start"] = 7.5
+        with pytest.raises(ConfigurationError, match=r"time_grid\.start must be an integer, not 7\.5"):
+            scenario_from_mapping(toy_doc)
+
     @pytest.mark.parametrize("key", ["uniform_redistribution", "refresh_assignment"])
     @pytest.mark.parametrize("value", ["false", "off", 1], ids=["quoted-false", "off", "one"])
     def test_switch_must_be_a_yaml_boolean(self, toy_doc, key, value):
