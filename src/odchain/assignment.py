@@ -37,15 +37,18 @@ pieces.  The times are those of loading a demand, found in the same pass: a
 parcel's windows do not depend on its mass, so each parcel carries its
 cell's demand, which loads the links, beside the unit mass.  A departure in
 interval k is counted in intervals k..k+L only, with L small, so the pieces
-are stored as a band of L + 1 lags per departure interval.  The cumulative
-mapping combines them with departure profiles to map leg deviations onto
-cumulative count deviations up to a measurement horizon.
+are stored as a band of L + 1 lags per departure interval.  The kernel
+visits each channel once, and its crossings are summed there into the
+channel's block of the band, so no crossing outlives its visit.  The
+cumulative mapping combines the band with departure profiles to map leg
+deviations onto cumulative count deviations up to a measurement horizon; it
+keeps one matrix per leg.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -579,6 +582,13 @@ def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
     are cut after their last channel or last link whose load moves a count
     (``_route_plan``); cells whose cut route is empty depart nothing.
 
+    The kernel visits each channel once, with all of its crossings in the
+    order they come.  They are summed at once, with ``np.bincount`` over
+    (departure interval, lag, OD), into a block of the band over only the
+    ODs whose cut route crosses the channel: the same additions from 0.0, in
+    the same order, as adding every crossing into the band one by one.  The
+    band is allocated and filled from the blocks once the pass is done.
+
     Raises:
         ConfigurationError: if an OD of ``demand`` lacks a path.
     """
@@ -588,29 +598,34 @@ def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
     n_h = grid.n_intervals
     chan_pos = {ch: c for c, ch in enumerate(channels)}
     hours = grid.interval_minutes / 60.0
-    # per channel visit, its crossings (k, h - k, c, od, mass); the empty first
-    # batch keeps the columns defined when no route crosses a channel
-    crossings = [(*[np.empty(0, np.intp)] * 4, np.empty(0))]
+    plan = _route_plan(net, od_index, cut=True)
+    # per channel, the ODs whose cut route crosses it and its block of the
+    # band over them, (H, lags, ODs)
+    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def link_time(lid: str, inflow: np.ndarray, h: np.ndarray, cell: np.ndarray,
                   mass: list[np.ndarray]) -> np.ndarray:
         c = chan_pos.get(lid)
         if c is not None:
-            oi, k = np.divmod(cell, n_h)
-            crossings.append((k, h - k, np.full(k.size, c), oi, mass[1]))  # the unit mass
+            ods = np.array([r for r, route in enumerate(plan.routes) if lid in route], np.intp)
+            oi, k = np.divmod(cell.astype(np.intp), n_h)
+            lag = h - k
+            width = int(lag.max(initial=0)) + 1
+            # the unit mass, summed in the order the crossings came
+            block = np.bincount((k * width + lag) * ods.size + np.searchsorted(ods, oi),
+                                weights=mass[1], minlength=n_h * width * ods.size)
+            blocks[c] = ods, block.reshape(n_h, width, ods.size)
         return bpr_travel_time(net.links[lid], inflow / hours)
 
-    plan = _route_plan(net, od_index, cut=True)
     live = np.flatnonzero(plan.first >= 0)
     masses = (demand.matrix[live].ravel(), np.ones(live.size * n_h))
     _propagate(grid, plan,
                (np.repeat(live, n_h), np.tile(np.arange(n_h), live.size), masses), link_time)
     del masses  # before the band is allocated
-    k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))
-    del crossings
-    band = np.zeros((n_h, int(lag.max(initial=0)) + 1, len(channels), len(od_index)))
-    # crossings in the order they came, so every cell sums in visit order
-    np.add.at(band, (k, lag, c, oi), mass)
+    band = np.zeros((n_h, max((b.shape[1] for _, b in blocks.values()), default=1),
+                     len(channels), len(od_index)))
+    for c, (ods, block) in blocks.items():
+        band[:, : block.shape[1], c][..., ods] = block
     return AssignmentMatrix(od_index=od_index, channels=channels, grid=grid, band=band)
 
 
@@ -618,29 +633,35 @@ def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
 class CumulativeMapping:
     """Per-leg linear maps from leg deviations to cumulative count deviations.
 
-    ``pieces[leg][k]`` is the (n_channels, n_od) product of the horizon-summed
-    assignment piece for departure interval ``k`` with the diagonal of the
-    leg's interval-``k`` departure shares; ``matrix(leg)`` is the sum of the
-    pieces, taken once on construction, so it sends a leg OD deviation to the
-    induced cumulative detector-count deviation up to the horizon.
+    ``matrix(leg)`` is the (n_channels, n_od) matrix that sends a leg OD
+    deviation to the induced cumulative detector-count deviation up to the
+    horizon.  It is the sum over departure intervals ``k <= horizon`` of the
+    leg's piece ``k``: the horizon-summed assignment piece for departure
+    interval ``k`` times the diagonal of the leg's interval-``k`` departure
+    shares.  Only the sums are kept, in ``matrices``.  A mapping can also be
+    built from the per-interval ``pieces[leg]``, shape (horizon + 1,
+    n_channels, n_od), which are summed over axis 0, as
+    ``cumulative_mapping`` sums its own, and not kept.
     """
 
     horizon: int
     od_index: tuple[OD, ...]
     channels: tuple[str, ...]
-    pieces: dict[str, np.ndarray]
-    _matrices: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    pieces: InitVar[dict[str, np.ndarray] | None] = None
+    matrices: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        matrices = {}
-        for leg, pieces in self.pieces.items():
-            matrices[leg] = pieces.sum(axis=0)
-            matrices[leg].setflags(write=False)
-        object.__setattr__(self, "_matrices", matrices)
+    def __post_init__(self, pieces: dict[str, np.ndarray] | None) -> None:
+        if pieces is not None:
+            if self.matrices:
+                raise ConfigurationError("a cumulative mapping takes pieces or matrices, not both")
+            object.__setattr__(self, "matrices", {
+                leg: np.asarray(p, dtype=float).sum(axis=0) for leg, p in pieces.items()})
+        for m in self.matrices.values():
+            m.setflags(write=False)
 
     def matrix(self, leg: str) -> np.ndarray:
         try:
-            return self._matrices[leg]
+            return self.matrices[leg]
         except KeyError:
             raise ConfigurationError(f"no cumulative mapping for leg {leg!r}") from None
 
@@ -652,11 +673,12 @@ def cumulative_mapping(
 
     ``profiles[leg]`` is the (n_od, n_intervals) matrix of interval shares.
     The assignment piece of departure interval ``k`` is summed over the lags
-    ``l <= horizon - k`` of its band, counted up to the horizon, and each
-    leg's piece ``k`` is that sum times the leg's interval-``k`` shares.  The
-    sums run over the L + 1 lags, all intervals at once, adding lag after
-    lag from zero as a per-interval sum over the lag axis does, so the
-    result is the same bit for bit.
+    ``l <= horizon - k`` of its band, counted up to the horizon: over the
+    L + 1 lags, all intervals at once, adding lag after lag from zero as a
+    per-interval sum over the lag axis does.  Each leg's matrix then sums
+    over ``k`` that piece times the leg's interval-``k`` shares.  The
+    products are formed one leg at a time, in one buffer, and only their sums
+    are kept.
 
     Raises:
         ConfigurationError: if the horizon lies outside the grid or a profile
@@ -670,15 +692,17 @@ def cumulative_mapping(
     h_sum = np.zeros((horizon + 1, len(assignment.channels), n_od))
     for lag in range(min(band.shape[1], horizon + 1)):
         h_sum[: horizon + 1 - lag] += band[: horizon + 1 - lag, lag]
-    out: dict[str, np.ndarray] = {}
+    matrices: dict[str, np.ndarray] = {}
+    products = np.empty_like(h_sum)
     for leg, prof in profiles.items():
         prof = np.asarray(prof, dtype=float)
         if prof.shape != (n_od, n_h):
             raise ConfigurationError(f"profile for leg {leg!r} has shape {prof.shape}")
-        out[leg] = h_sum * prof[:, : horizon + 1].T[:, None, :]
+        np.multiply(h_sum, prof[:, : horizon + 1].T[:, None, :], out=products)
+        matrices[leg] = products.sum(axis=0)
     return CumulativeMapping(
         horizon=horizon,
         od_index=assignment.od_index,
         channels=assignment.channels,
-        pieces=out,
+        matrices=matrices,
     )

@@ -18,6 +18,10 @@ covariance, and positive semidefiniteness up to ``1e-8 * max(trace, 1)``,
 decided by a Cholesky factorization of the covariance shifted by that bound.
 Eigenvalues are computed only for the per-step ``cov_min_eigenvalue``
 diagnostic of the sequence runner, once per filtered interval.
+
+A sequence run keeps what is read after it: every posterior mean, every
+step's diagnostics, and only the last ``ar.order`` posteriors, the lag window
+that the time update reads during the run and prediction reads after it.
 """
 
 from __future__ import annotations
@@ -267,7 +271,13 @@ class KfStepDiagnostics:
 
 @dataclass
 class KfRun:
-    """Output of a filtering sweep: posteriors and per-step diagnostics."""
+    """Output of a filtering sweep: every posterior mean, the lag window of
+    posteriors and per-step diagnostics.
+
+    ``states`` holds the last ``ar.order`` posteriors, oldest first (all of
+    them when the run has fewer steps); earlier covariances are dropped as
+    the run moves on.
+    """
 
     deltas: np.ndarray  # (n_od, n_steps) posterior means
     states: list[FilterState] = field(default_factory=list)
@@ -295,7 +305,10 @@ def run_kf_sequence(
     may cover a shorter grid, as long as it reaches the next interval
     ``h + 1``: later steps read only pieces up to it.
 
-    The initial state is interval 0's prior (zero mean by default).
+    The initial state is interval 0's prior (zero mean by default).  The
+    run keeps every posterior mean in ``deltas`` but only the last
+    ``ar.order`` posteriors in ``states``: the one list is the time update's
+    lag window, and it holds no covariance the run will not read again.
 
     Each step's ``cov_min_eigenvalue`` diagnostic is the smallest
     eigenvalue of its posterior covariance, from ``eigvalsh``.
@@ -321,22 +334,21 @@ def run_kf_sequence(
     if init is None:
         init = FilterState(mean=np.zeros(n_od), cov=noise.Q.copy())
 
-    run = KfRun(deltas=np.zeros((n_od, n_steps)))
-    history: list[FilterState] = [init]
+    # the lag window: interval 0's prior until the posteriors fill it
+    run = KfRun(deltas=np.zeros((n_od, n_steps)), states=[init])
     for h in range(n_steps):
         if h == 0:
             prior = init
         else:
-            prior = kf_time_update(history, ar, noise.Q)
+            prior = kf_time_update(run.states, ar, noise.Q)
         lagged = np.zeros(n_ch)
         for k in range(max(h + 1 - assignment.band.shape[1], 0), h):
             lagged += assignment.band[k, h - k] @ run.deltas[:, k]
         H = assignment.band[h, 0]
         post, gain = _update_with_gain(prior, H, noise.R, delta_y[:, h] - lagged)
         run.deltas[:, h] = post.mean
-        history.append(post)
-        if len(history) > ar.order:
-            del history[: len(history) - ar.order]
+        run.states.append(post)
+        del run.states[: -ar.order]
         innovation = delta_y[:, h] - lagged - H @ prior.mean
         run.diagnostics.append(
             KfStepDiagnostics(
@@ -348,12 +360,13 @@ def run_kf_sequence(
                 cov_min_eigenvalue=min_eigenvalue(post.cov),
             )
         )
-        run.states.append(post)
         if refresh_hook is not None:
             refreshed = refresh_hook(h, run.deltas[:, : h + 1])
             if refreshed is not None:
                 _check_refreshed(assignment, refreshed, h, n_steps)
                 assignment = refreshed
+    if n_steps < ar.order:
+        del run.states[0]  # interval 0's prior is no posterior
     return run
 
 

@@ -263,11 +263,14 @@ def predict_horizon(
 
     ``lag_states`` holds the last posterior means of the interval filter
     (oldest first); interval deviations are propagated autoregressively and
-    combined with the leg terms over the window.  Uses no measurements and no
-    loader, only the historical matrix and the supplied states.
+    combined with the leg terms over the window.  The identity random walk
+    carries the last state over the whole window in one broadcast, which is
+    what the products give bit for bit.  Uses no measurements and no loader,
+    only the historical matrix and the supplied states.
 
     Raises:
-        ConfigurationError: if the window leaves the historical matrix.
+        ConfigurationError: if the window leaves the historical matrix, or
+            the lag states the AR model reads are too few or not finite.
     """
     historical = np.asarray(historical, dtype=float)
     start, stop = window
@@ -276,13 +279,20 @@ def predict_horizon(
     lags = [np.asarray(s, dtype=float) for s in lag_states]
     if len(lags) < ar.order:
         raise ConfigurationError(f"prediction needs {ar.order} lagged states, got {len(lags)}")
+    if not all(np.isfinite(s).all() for s in lags[len(lags) - ar.order:]):
+        raise ConfigurationError("prediction lag states have non-finite entries")
     deltas = np.zeros((historical.shape[0], stop - start))
-    for j in range(stop - start):
-        nxt = np.zeros(historical.shape[0])
-        for lag, f in enumerate(ar.coefficients, start=1):
-            nxt += f @ lags[-lag]
-        deltas[:, j] = nxt
-        lags.append(nxt)
-        del lags[0]
+    if ar.is_identity:
+        # the random walk carries the last state unchanged; + 0.0 turns -0.0
+        # into 0.0, as the products summed from zeros below do
+        deltas[:] = (lags[-1] + 0.0)[:, None]
+    else:
+        for j in range(stop - start):
+            nxt = np.zeros(historical.shape[0])
+            for lag, f in enumerate(ar.coefficients, start=1):
+                nxt += f @ lags[-lag]
+            deltas[:, j] = nxt
+            lags.append(nxt)
+            del lags[0]
     future_profiles = {name: np.asarray(p, dtype=float)[:, start:stop] for name, p in profiles.items()}
     return combined_demand(historical[:, start:stop], deltas, leg_deltas, future_profiles)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -171,22 +172,41 @@ def bpr_travel_time(link: Link, flow):
     Python's ``**`` does, where numpy's ``power`` may round differently in
     the last bit.
 
+    The time is increasing in the flow, so the largest flow's time bounds
+    all of them.  When the flows are not negative and that bound lies far
+    inside the float range, no time can overflow and the array is computed
+    with no further check; otherwise every time is computed and checked.
+
     Raises:
         ValueError: if a flow is negative, or a time is not finite (the
             power overflowed, or the flow was not finite).
     """
     flows = np.asarray(flow, dtype=float)
-    if (flows < 0).any():
-        raise ValueError(f"negative flow {float(flows.min())!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        tt = link.free_flow_time * (
-            1.0 + link.bpr_alpha * np.float_power(flows / link.capacity, link.bpr_beta))
-    finite = np.isfinite(tt)
-    if not finite.all():
-        raise ValueError(
-            f"link {link.id!r}: BPR travel time is not finite at flow "
-            f"{float(flows[~finite].flat[0])!r} veh/h")
+    lowest = np.minimum.reduce(flows, axis=None, initial=np.inf)
+    highest = float(np.maximum.reduce(flows, axis=None, initial=0.0))
+    try:
+        bound = link.free_flow_time * (
+            1.0 + link.bpr_alpha * (highest / link.capacity) ** link.bpr_beta)
+    except OverflowError:
+        bound = math.inf
+    if lowest >= 0.0 and bound < 1e300:
+        tt = _bpr_times(link, flows)
+    else:
+        if (flows < 0).any():
+            raise ValueError(f"negative flow {float(flows.min())!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            tt = _bpr_times(link, flows)
+        finite = np.isfinite(tt)
+        if not finite.all():
+            raise ValueError(
+                f"link {link.id!r}: BPR travel time is not finite at flow "
+                f"{float(flows[~finite].flat[0])!r} veh/h")
     return float(tt) if tt.ndim == 0 else tt
+
+
+def _bpr_times(link: Link, flows: np.ndarray) -> np.ndarray:
+    return link.free_flow_time * (
+        1.0 + link.bpr_alpha * np.float_power(flows / link.capacity, link.bpr_beta))
 
 
 def validate_network(net: Network) -> list[str]:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from banding import from_dense
+from odchain import assignment as assignment_mod
 from odchain.assignment import (
     AssignmentMatrix,
+    CumulativeMapping,
     DynamicDemand,
     LinkFlowSeries,
     assignment_matrix,
@@ -19,7 +21,8 @@ from odchain.assignment import (
 )
 from odchain.errors import ConfigurationError
 from odchain.experiment import generate_truth_and_history
-from odchain.network import Link, Network, Path, TimeGrid, Zone, build_toy_network
+from odchain.network import (
+    Link, Network, Path, TimeGrid, Zone, bpr_travel_time, build_toy_network)
 from odchain.scenario import scenario_from_mapping
 
 TOY = build_toy_network()
@@ -302,6 +305,64 @@ class TestAssignmentMatrix:
         assert off_diagonal > 0.1
 
 
+def add_at_band(net, demand):
+    """The band of ``assignment_matrix(net, demand)`` as each channel visit's
+    crossings, all added with one ``np.add.at`` in visit order: the same
+    additions from 0.0 that the per-channel sums make."""
+    grid = demand.grid
+    n_h = grid.n_intervals
+    chan_pos = {ch: c for c, ch in enumerate(net.detectors)}
+    hours = grid.interval_minutes / 60.0
+    crossings = [(*[np.empty(0, np.intp)] * 4, np.empty(0))]
+
+    def link_time(lid, inflow, h, cell, mass):
+        if lid in chan_pos:
+            oi, k = np.divmod(cell, n_h)
+            crossings.append((k, h - k, np.full(k.size, chan_pos[lid]), oi, mass[1]))
+        return bpr_travel_time(net.links[lid], inflow / hours)
+
+    plan = assignment_mod._route_plan(net, demand.od_index, cut=True)
+    live = np.flatnonzero(plan.first >= 0)
+    sources = (np.repeat(live, n_h), np.tile(np.arange(n_h), live.size),
+               (demand.matrix[live].ravel(), np.ones(live.size * n_h)))
+    assignment_mod._propagate(grid, plan, sources, link_time)
+    k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))
+    band = np.zeros((n_h, int(lag.max(initial=0)) + 1, len(net.detectors),
+                     len(demand.od_index)))
+    np.add.at(band, (k, lag, c, oi), mass)
+    return band
+
+
+class TestBandSums:
+    """Each channel's crossings are summed on their own, in the order they
+    come, over the ODs that cross it: the band is the ``np.add.at`` of every
+    crossing, to the bit."""
+
+    CONGESTED = {(("1", "3"), 1): 3000.0, (("1", "4"), 1): 1500.0,
+                 (("2", "4"), 2): 2000.0, (("3", "5"), 3): 900.0}
+
+    def test_a_channel_no_route_crosses(self):
+        net = dataclasses.replace(TOY, detectors=("4a", "6a", "4b"))
+        demand = toy_demand(TimeGrid(n_intervals=12), self.CONGESTED)
+        band = assignment_matrix(net, demand).band
+        assert band.tobytes() == add_at_band(net, demand).tobytes()
+        assert not band[:, :, 1].any() and band[:, :, [0, 2]].any()
+
+    def test_one_interval_grid(self):
+        demand = toy_demand(TimeGrid(n_intervals=1), {(od, 0): mass for (od, _), mass
+                                                       in self.CONGESTED.items()})
+        band = assignment_matrix(TOY, demand).band
+        assert band.shape == (1, 1, 2, len(TOY.od_index)) and band.any()
+        assert band.tobytes() == add_at_band(TOY, demand).tobytes()
+
+    def test_toy_at_three_minutes(self, toy_cfg):
+        grid = dataclasses.replace(toy_cfg.grid, interval_minutes=3, n_intervals=480)
+        art = generate_truth_and_history(dataclasses.replace(toy_cfg, grid=grid))
+        band = art.assignment.band
+        assert band.shape[1] == 5
+        assert band.tobytes() == add_at_band(toy_cfg.network, art.history.demand).tobytes()
+
+
 class TestBandWidth:
     """The band holds lags 0..L, L the longest lag of any crossing in the data."""
 
@@ -386,8 +447,32 @@ class TestCumulativeMapping:
         mapping = cumulative_mapping(asg, profiles, horizon)
         expected = self._per_interval(asg.band, profiles, horizon)
         for leg in profiles:
-            assert mapping.pieces[leg].tobytes() == expected[leg].tobytes()
             assert mapping.matrix(leg).tobytes() == expected[leg].sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("horizon", [0, 3, 9])
+    def test_built_from_pieces_equals_the_band_mapping(self, horizon):
+        """A mapping given per-interval pieces keeps the same matrices as
+        ``cumulative_mapping`` on the band they come from."""
+        rng = np.random.default_rng(100 + horizon)
+        n_h, lags, n_ch, n_od = 10, 2, 3, 5
+        band = rng.uniform(0.0, 1.0 / (lags + 1), size=(n_h, lags + 1, n_ch, n_od))
+        od_index = tuple((str(i), "x") for i in range(n_od))
+        asg = AssignmentMatrix(od_index=od_index, channels=("a", "b", "c"),
+                               grid=TimeGrid(n_intervals=n_h), band=band)
+        profiles = {leg: rng.dirichlet(np.ones(n_h), size=n_od) for leg in ("out", "back")}
+        mapping = cumulative_mapping(asg, profiles, horizon)
+        built = CumulativeMapping(horizon=horizon, od_index=od_index, channels=asg.channels,
+                                  pieces=self._per_interval(asg.band, profiles, horizon))
+        assert sorted(built.matrices) == sorted(mapping.matrices) == ["back", "out"]
+        for leg in profiles:
+            assert built.matrix(leg).tobytes() == mapping.matrix(leg).tobytes()
+            assert not built.matrix(leg).flags.writeable
+
+    def test_pieces_or_matrices_not_both(self):
+        with pytest.raises(ConfigurationError, match="not both"):
+            CumulativeMapping(horizon=0, od_index=(("a", "b"),), channels=("c",),
+                              pieces={"leg": np.ones((1, 1, 1))},
+                              matrices={"leg": np.ones((1, 1))})
 
     def test_matches_brute_double_sum(self, toy_artifacts):
         cfg = toy_artifacts.config

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from banding import from_dense
+from odchain import kalman as kalman_mod
 from odchain.errors import ConfigurationError, NumericalError
 from odchain.kalman import (
     ArModel,
@@ -229,27 +230,61 @@ class TestRunSequence:
         with pytest.raises(ConfigurationError, match="2 non-finite"):
             run_kf_sequence(asg, delta_y, NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch)))
 
-    def test_min_eigenvalue_diagnostic_is_the_posterior_spectrum(self, toy_artifacts):
+    @staticmethod
+    def _recorded_toy_run(toy_artifacts, monkeypatch, ar=None):
+        """A 48-step toy run and every posterior it made, recorded through
+        ``kalman._update_with_gain``, since the run keeps only its lag window."""
         asg = toy_artifacts.assignment
         hist = toy_artifacts.history
         delta_y = toy_artifacts.observed.counts - hist.load.counts.counts
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
-        run = run_kf_sequence(asg, delta_y[:, :48], noise)
-        assert len(run.diagnostics) == len(run.states) == 48
-        for diag, state in zip(run.diagnostics, run.states):
+        posteriors = []
+        real = kalman_mod._update_with_gain
+
+        def recording(*args, **kwargs):
+            state, gain = real(*args, **kwargs)
+            posteriors.append(state)
+            return state, gain
+
+        monkeypatch.setattr(kalman_mod, "_update_with_gain", recording)
+        return run_kf_sequence(asg, delta_y[:, :48], noise, ar=ar), posteriors
+
+    def test_min_eigenvalue_diagnostic_is_the_posterior_spectrum(self, toy_artifacts, monkeypatch):
+        run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch)
+        assert len(run.diagnostics) == len(posteriors) == 48
+        for diag, state in zip(run.diagnostics, posteriors):
             assert diag.cov_min_eigenvalue == np.linalg.eigvalsh(state.cov).min()
 
-    def test_covariances_stay_symmetric_and_psd(self, toy_artifacts):
-        asg = toy_artifacts.assignment
-        hist = toy_artifacts.history
-        delta_y = toy_artifacts.observed.counts - hist.load.counts.counts
-        n_od, n_ch = len(asg.od_index), len(asg.channels)
-        noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
-        run = run_kf_sequence(asg, delta_y[:, :48], noise)
-        for state in run.states:
+    def test_covariances_stay_symmetric_and_psd(self, toy_artifacts, monkeypatch):
+        _, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch)
+        assert len(posteriors) == 48
+        for state in posteriors:
             assert symmetry_error(state.cov) <= 1e-10
             assert min_eigenvalue(state.cov) >= -1e-8 * max(np.trace(state.cov), 1.0)
+
+    @pytest.mark.parametrize("lags", [1, 2], ids=["identity", "two-lag"])
+    def test_states_are_the_last_posteriors_of_the_lag_window(self, toy_artifacts, monkeypatch,
+                                                              lags):
+        n_od = len(toy_artifacts.assignment.od_index)
+        ar = (ArModel.identity(n_od) if lags == 1
+              else ArModel(coefficients=(0.6 * np.eye(n_od), 0.3 * np.eye(n_od))))
+        run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch, ar=ar)
+        assert len(posteriors) == 48
+        assert len(run.states) == ar.order
+        assert all(kept is made for kept, made in zip(run.states, posteriors[-ar.order:]))
+        assert np.array_equal(run.deltas[:, -1], run.states[-1].mean)
+
+    def test_a_run_shorter_than_the_lag_window_keeps_only_posteriors(self, toy_artifacts):
+        asg = toy_artifacts.assignment
+        n_od, n_ch = len(asg.od_index), len(asg.channels)
+        noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
+        ar = ArModel(coefficients=(np.eye(n_od), np.zeros((n_od, n_od)), np.zeros((n_od, n_od))))
+        init = FilterState(mean=np.full(n_od, 7.0), cov=np.eye(n_od))
+        assert run_kf_sequence(asg, np.zeros((n_ch, 0)), noise, ar=ar, init=init).states == []
+        run = run_kf_sequence(asg, np.zeros((n_ch, 1)), noise, ar=ar, init=init)
+        assert len(run.states) == 1 and run.states[0] is not init
+        assert np.array_equal(run.states[0].mean, run.deltas[:, 0])
 
     def test_refresh_hook_called_each_interval(self, toy_artifacts):
         asg = toy_artifacts.assignment

@@ -299,6 +299,45 @@ class TestPredictHorizon:
         with pytest.raises(ConfigurationError):
             predict_horizon(np.zeros((1, 4)), [np.zeros(1)], ar, {}, {}, (2, 4))
 
+    def test_identity_carry_equals_the_product_loop(self):
+        """The identity's one broadcast against the loop it replaces, one
+        identity product per interval summed from zeros, on random lags
+        holding 0.0 and -0.0.  The historical rows under the zeros are -0.0,
+        so a zero's sign shows in the demand."""
+        rng = np.random.default_rng(7)
+        n, n_h, window = 9, 12, (7, 12)
+        lag = rng.normal(0.0, 5.0, n)
+        lag[[1, 4]], lag[[2, 6]] = 0.0, -0.0
+        hist = rng.uniform(50.0, 100.0, (n, n_h))
+        hist[[1, 2, 4, 6]] = -0.0
+        expected = np.zeros((n, window[1] - window[0]))
+        last = lag
+        for j in range(expected.shape[1]):
+            nxt = np.zeros(n)
+            nxt += np.eye(n) @ last
+            expected[:, j] = last = nxt
+        x, clamped = predict_horizon(hist, [rng.normal(size=n), lag], ArModel.identity(n),
+                                     {}, {}, window)
+        ref, ref_clamped = combined_demand(hist[:, 7:], expected, {}, {})
+        assert x.tobytes() == ref.tobytes()
+        assert clamped == ref_clamped == 0
+        assert not np.signbit(x[[2, 6]]).any()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_lag_state_rejected(self, value):
+        """An infinite lag would turn every other OD's prediction into NaN
+        through 0 * inf in the identity's products."""
+        lag = np.array([3.0, value])
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            predict_horizon(np.full((2, 6), 50.0), [lag], ArModel.identity(2), {}, {}, (4, 6))
+        two = ArModel(coefficients=(0.5 * np.eye(2), 0.5 * np.eye(2)))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            predict_horizon(np.full((2, 6), 50.0), [lag, np.ones(2)], two, {}, {}, (4, 6))
+        # a state older than the AR's lags is not read
+        x, _ = predict_horizon(np.full((2, 6), 50.0), [lag, np.ones(2)], ArModel.identity(2),
+                               {}, {}, (4, 6))
+        assert np.array_equal(x, np.full((2, 2), 51.0))
+
     def test_never_touches_the_loader(self):
         before = assignment_mod.load_call_count()
         predict_horizon(np.full((2, 8), 10.0), [np.ones(2)], ArModel.identity(2),
