@@ -233,6 +233,9 @@ def _route_plan(net: Network, od_index: tuple[OD, ...], *, cut: bool) -> _Routes
 
 
 def _build_plan(net: Network, od_index: tuple[OD, ...], cut: bool) -> _Routes:
+    for ch in net.detectors:
+        if ch not in net.links:
+            raise ConfigurationError(f"unknown detector channel {ch!r}")
     routes = [net.path_of(od).links for od in od_index]
     order = _link_order(net)
     if cut:
@@ -413,8 +416,9 @@ def load_network(
     exactly linear map of the demand.
 
     Raises:
-        ConfigurationError: if demand ODs lack paths or the path set feeds
-            links cyclically within an interval.
+        ConfigurationError: if demand ODs lack paths, a detector channel is
+            no link of the network, or the path set feeds links cyclically
+            within an interval.
         ValueError: via :class:`DynamicDemand` on negative demand.
     """
     global _LOAD_CALLS
@@ -438,10 +442,12 @@ def load_network(
 
     ois, ks = np.nonzero(demand.matrix > 0.0)
     spill = _propagate(grid, plan, (ois, ks, (demand.matrix[ois, ks],)), link_time)
-    counts = extract_detector_counts(link_inflow, net.detectors, grid)
+    # the whole layout visits every detector channel
+    counts = np.array([link_inflow[ch] for ch in net.detectors]).reshape(len(net.detectors), n_h)
     tt_od = _probe_travel_times(plan, grid, link_tt)
     return LoadResult(
-        counts=counts, tt_od=tt_od, link_tt=link_tt, link_inflow=link_inflow, spillover=spill
+        counts=LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts),
+        tt_od=tt_od, link_tt=link_tt, link_inflow=link_inflow, spillover=spill,
     )
 
 
@@ -454,8 +460,9 @@ def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
     ``load_call_count``.
 
     Raises:
-        ConfigurationError: if demand ODs lack paths or the path set feeds
-            links cyclically within an interval.
+        ConfigurationError: if demand ODs lack paths, a detector channel is
+            no link of the network, or the path set feeds links cyclically
+            within an interval.
     """
     grid = demand.grid
     hours = grid.interval_minutes / 60.0
@@ -501,22 +508,6 @@ def _probe_travel_times(
         # a topological order feeds none, so the route stays at -1
         at = plan.succ[at, ods]
     return t - t0
-
-
-def extract_detector_counts(
-    flows: dict[str, np.ndarray], detectors: tuple[str, ...], grid: TimeGrid
-) -> LinkFlowSeries:
-    """Pick the detector channels out of per-link flow series.
-
-    Raises:
-        ConfigurationError: for detector ids absent from the flow series.
-    """
-    counts = np.zeros((len(detectors), grid.n_intervals))
-    for c, ch in enumerate(detectors):
-        if ch not in flows:
-            raise ConfigurationError(f"unknown detector channel {ch!r}")
-        counts[c] = flows[ch]
-    return LinkFlowSeries(channels=tuple(detectors), grid=grid, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -590,7 +581,8 @@ def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
     band is allocated and filled from the blocks once the pass is done.
 
     Raises:
-        ConfigurationError: if an OD of ``demand`` lacks a path.
+        ConfigurationError: if an OD of ``demand`` lacks a path or a
+            detector channel is no link of the network.
     """
     grid = demand.grid
     od_index = demand.od_index

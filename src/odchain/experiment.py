@@ -7,8 +7,8 @@ the assignment linearization at the historical load, and then estimates the
 demand with the requested models:
 
 * ``seed``  - the historical matrix untouched,
-* ``kf``    - interval filtering up to the cutoff, autoregressive prediction
-              beyond it,
+* ``kf``    - interval filtering up to the cutoff, its last deviation
+              carried beyond it by the random walk,
 * ``pkf``   - kf plus leg-chain deviations attributed from the morning and
               carried to the chained legs,
 * ``spkf``  - pkf with the conservation rescale per chained leg.
@@ -380,7 +380,6 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
             artifacts.assignment, delta_y[:, :cut], noise, ar=ar, init=init, refresh_hook=hook
         )
         kf_diag.extend(kf.diagnostics)
-        lag_states = [s.mean for s in kf.states[-ar.order:]]
     except Exception as exc:  # noqa: BLE001 - shared pass, flag all filter rows
         logger.exception("interval filtering failed")
         shared_s = time.perf_counter() - t
@@ -399,7 +398,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
         )
         before = assignment_mod.load_call_count()
         evening, clamped_e = predict_horizon(
-            hist_matrix, lag_states, ar, leg_deltas, profiles, (cut, n_h)
+            hist_matrix, kf.last.mean, ar, leg_deltas, profiles, (cut, n_h)
         )
         pred_loads = assignment_mod.load_call_count() - before
         extras = {"clamped_cells": clamped_m + clamped_e, "prediction_load_calls": pred_loads}

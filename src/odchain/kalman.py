@@ -1,9 +1,9 @@
 """Linear filtering of OD-demand deviations against detector counts.
 
 The state of interval h is the deviation of its OD departures from the
-historical matrix.  Deviations follow an autoregressive process across
-intervals (identity random walk by default); counts observed at h are a
-linear function of the deviations of intervals k <= h through the assignment
+historical matrix.  One transition matrix F carries it to the next interval
+(the identity random walk by default); counts observed at h are a linear
+function of the deviations of intervals k <= h through the assignment
 pieces.  The sequence runner handles those lags by subtracting the
 contribution of already-estimated intervals at their posterior means, leaving
 the same-interval piece as the measurement matrix.  Only the L intervals
@@ -20,8 +20,8 @@ Eigenvalues are computed only for the per-step ``cov_min_eigenvalue``
 diagnostic of the sequence runner, once per filtered interval.
 
 A sequence run keeps what is read after it: every posterior mean, every
-step's diagnostics, and only the last ``ar.order`` posteriors, the lag window
-that the time update reads during the run and prediction reads after it.
+step's diagnostics, and only the last posterior, the one state that the time
+update reads during the run and prediction reads after it.
 """
 
 from __future__ import annotations
@@ -138,38 +138,25 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ArModel:
-    """Autoregressive transition: coefficient matrices for lags 1..T.
+    """Transition of the interval deviation, ``x_{h+1} = F x_h`` plus noise.
 
-    ``is_identity`` is set on construction: a single identity lag, the
-    random walk, which the time update applies without matrix products.
+    Built as ``ArModel(coefficients=(F,))`` from one square matrix F.
+    ``is_identity`` is set on construction: F is the identity, the random
+    walk, which the time update and prediction apply without matrix products.
     """
 
     coefficients: tuple[np.ndarray, ...]
     is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise ConfigurationError("autoregression needs at least one lag")
-        frozen = []
-        n = None
-        for f in self.coefficients:
-            m = np.asarray(f, dtype=float)
-            m.setflags(write=False)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ConfigurationError("autoregression coefficients must be square")
-            if n is None:
-                n = m.shape[0]
-            elif m.shape[0] != n:
-                raise ConfigurationError("autoregression coefficients disagree on dimension")
-            frozen.append(m)
-        object.__setattr__(self, "coefficients", tuple(frozen))
-        object.__setattr__(
-            self, "is_identity", len(frozen) == 1 and np.array_equal(frozen[0], np.eye(n))
-        )
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
+        if len(self.coefficients) != 1:
+            raise ConfigurationError(f"the transition takes one matrix, got {len(self.coefficients)}")
+        m = np.asarray(self.coefficients[0], dtype=float)
+        m.setflags(write=False)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ConfigurationError("the transition matrix must be square")
+        object.__setattr__(self, "coefficients", (m,))
+        object.__setattr__(self, "is_identity", np.array_equal(m, np.eye(m.shape[0])))
 
     @classmethod
     def identity(cls, n: int) -> "ArModel":
@@ -177,34 +164,24 @@ class ArModel:
 
 
 def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) -> FilterState:
-    """Autoregressive prediction from the most recent posteriors.
+    """Prior of the next interval from the last posterior, ``states[-1]``.
 
-    ``states`` holds the lag history ordered oldest first; the last entry is
-    lag one.  Cross-covariances between distinct lags are neglected, which is
-    exact for a single lag.  The identity random walk is applied as
-    ``Q + P`` and ``P``'s mean, which is what the products give bit for bit:
-    the identity's zeros add only ``0.0`` terms.
+    The prior is ``F x`` with covariance ``Q + F P F'``.  The identity random
+    walk is applied as ``Q + P`` and ``P``'s mean, which is what the products
+    give bit for bit: the identity's zeros add only ``0.0`` terms.
 
     Raises:
-        ConfigurationError: if fewer states than lags are supplied.
+        ConfigurationError: if ``states`` is empty.
     """
-    if len(states) < ar.order:
-        raise ConfigurationError(
-            f"time update needs {ar.order} lagged states, got {len(states)}"
-        )
+    if not states:
+        raise ConfigurationError("time update needs a posterior")
+    s = states[-1]
     Q = np.asarray(Q, dtype=float)
     if ar.is_identity:
-        s = states[-1]
-        # + 0.0 turns -0.0 into 0.0, as the sum from zeros below does
+        # + 0.0 turns -0.0 into 0.0, as the identity's products summed from zero do
         return FilterState(mean=s.mean + 0.0, cov=_symmetrize(Q + s.cov))
-    n = states[-1].dim
-    mean = np.zeros(n)
-    cov = Q.copy()
-    for lag, f in enumerate(ar.coefficients, start=1):
-        s = states[-lag]
-        mean += f @ s.mean
-        cov += f @ s.cov @ f.T
-    return FilterState(mean=mean, cov=_symmetrize(cov))
+    f = ar.coefficients[0]
+    return FilterState(mean=f @ s.mean, cov=_symmetrize(Q + f @ s.cov @ f.T))
 
 
 def _solve_spd(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -271,16 +248,15 @@ class KfStepDiagnostics:
 
 @dataclass
 class KfRun:
-    """Output of a filtering sweep: every posterior mean, the lag window of
-    posteriors and per-step diagnostics.
+    """Output of a filtering sweep: every posterior mean, the last posterior
+    and per-step diagnostics.
 
-    ``states`` holds the last ``ar.order`` posteriors, oldest first (all of
-    them when the run has fewer steps); earlier covariances are dropped as
-    the run moves on.
+    ``last`` is the posterior of the last filtered interval, or ``None`` for
+    a run of no steps; earlier covariances are dropped as the run moves on.
     """
 
     deltas: np.ndarray  # (n_od, n_steps) posterior means
-    states: list[FilterState] = field(default_factory=list)
+    last: FilterState | None = None
     diagnostics: list[KfStepDiagnostics] = field(default_factory=list)
 
 
@@ -306,9 +282,8 @@ def run_kf_sequence(
     ``h + 1``: later steps read only pieces up to it.
 
     The initial state is interval 0's prior (zero mean by default).  The
-    run keeps every posterior mean in ``deltas`` but only the last
-    ``ar.order`` posteriors in ``states``: the one list is the time update's
-    lag window, and it holds no covariance the run will not read again.
+    run keeps every posterior mean in ``deltas`` but only the last posterior
+    in ``last``, the state the next time update reads.
 
     Each step's ``cov_min_eigenvalue`` diagnostic is the smallest
     eigenvalue of its posterior covariance, from ``eigvalsh``.
@@ -334,21 +309,16 @@ def run_kf_sequence(
     if init is None:
         init = FilterState(mean=np.zeros(n_od), cov=noise.Q.copy())
 
-    # the lag window: interval 0's prior until the posteriors fill it
-    run = KfRun(deltas=np.zeros((n_od, n_steps)), states=[init])
+    run = KfRun(deltas=np.zeros((n_od, n_steps)))
     for h in range(n_steps):
-        if h == 0:
-            prior = init
-        else:
-            prior = kf_time_update(run.states, ar, noise.Q)
+        prior = init if h == 0 else kf_time_update([run.last], ar, noise.Q)
         lagged = np.zeros(n_ch)
         for k in range(max(h + 1 - assignment.band.shape[1], 0), h):
             lagged += assignment.band[k, h - k] @ run.deltas[:, k]
         H = assignment.band[h, 0]
         post, gain = _update_with_gain(prior, H, noise.R, delta_y[:, h] - lagged)
         run.deltas[:, h] = post.mean
-        run.states.append(post)
-        del run.states[: -ar.order]
+        run.last = post
         innovation = delta_y[:, h] - lagged - H @ prior.mean
         run.diagnostics.append(
             KfStepDiagnostics(
@@ -365,8 +335,6 @@ def run_kf_sequence(
             if refreshed is not None:
                 _check_refreshed(assignment, refreshed, h, n_steps)
                 assignment = refreshed
-    if n_steps < ar.order:
-        del run.states[0]  # interval 0's prior is no posterior
     return run
 
 

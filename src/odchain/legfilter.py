@@ -10,8 +10,8 @@ conservation step rescales a leg so its estimated total matches its feeders'.
 
 Estimates combine as historical + interval deviations + sum over legs of leg
 deviation times departure shares; predictions beyond the estimation cutoff
-reuse that formula with autoregressive interval deviations and touch neither
-new measurements nor the loader.
+reuse that formula, carrying the last interval deviation through the
+transition matrix, and touch neither new measurements nor the loader.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def combined_demand(
 
 def predict_horizon(
     historical: np.ndarray,
-    lag_states: list[np.ndarray],
+    last: np.ndarray,
     ar: ArModel,
     leg_deltas: dict[str, np.ndarray],
     profiles: dict[str, np.ndarray],
@@ -261,38 +261,30 @@ def predict_horizon(
 ) -> tuple[np.ndarray, int]:
     """Predict the demand for intervals [start, stop) past the cutoff.
 
-    ``lag_states`` holds the last posterior means of the interval filter
-    (oldest first); interval deviations are propagated autoregressively and
-    combined with the leg terms over the window.  The identity random walk
-    carries the last state over the whole window in one broadcast, which is
-    what the products give bit for bit.  Uses no measurements and no loader,
-    only the historical matrix and the supplied states.
+    ``last`` is the interval filter's last posterior mean.  Each interval of
+    the window carries the one before it through the transition, ``x = F x``,
+    and is combined with the leg terms.  The identity random walk carries
+    ``last`` over the whole window in one broadcast.  Uses no measurements
+    and no loader, only the historical matrix and the supplied state.
 
     Raises:
         ConfigurationError: if the window leaves the historical matrix, or
-            the lag states the AR model reads are too few or not finite.
+            ``last`` is not finite.
     """
     historical = np.asarray(historical, dtype=float)
     start, stop = window
     if not (0 <= start <= stop <= historical.shape[1]):
         raise ConfigurationError(f"prediction window {window} outside horizon {historical.shape[1]}")
-    lags = [np.asarray(s, dtype=float) for s in lag_states]
-    if len(lags) < ar.order:
-        raise ConfigurationError(f"prediction needs {ar.order} lagged states, got {len(lags)}")
-    if not all(np.isfinite(s).all() for s in lags[len(lags) - ar.order:]):
-        raise ConfigurationError("prediction lag states have non-finite entries")
+    x = np.asarray(last, dtype=float)
+    if not np.isfinite(x).all():
+        raise ConfigurationError("prediction state has non-finite entries")
     deltas = np.zeros((historical.shape[0], stop - start))
     if ar.is_identity:
-        # the random walk carries the last state unchanged; + 0.0 turns -0.0
-        # into 0.0, as the products summed from zeros below do
-        deltas[:] = (lags[-1] + 0.0)[:, None]
+        # + 0.0 turns -0.0 into 0.0, so a zero deviation leaves no -0.0 in the demand
+        deltas[:] = (x + 0.0)[:, None]
     else:
         for j in range(stop - start):
-            nxt = np.zeros(historical.shape[0])
-            for lag, f in enumerate(ar.coefficients, start=1):
-                nxt += f @ lags[-lag]
-            deltas[:, j] = nxt
-            lags.append(nxt)
-            del lags[0]
+            x = ar.coefficients[0] @ x
+            deltas[:, j] = x
     future_profiles = {name: np.asarray(p, dtype=float)[:, start:stop] for name, p in profiles.items()}
     return combined_demand(historical[:, start:stop], deltas, leg_deltas, future_profiles)

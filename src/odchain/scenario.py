@@ -211,6 +211,10 @@ class ScenarioConfig:
                 problems.append(f"unknown model {model!r}")
         if not (0.0 <= self.measurement_noise_fraction < 1.0):
             problems.append("measurement_noise_fraction must lie in [0, 1)")
+        # numpy's generators take no negative seed
+        for key, seed in (("seed", self.seed), ("perturbation.seed", self.perturbation.seed)):
+            if seed is not None and seed < 0:
+                problems.append(f"{key} must be >= 0, not {seed}")
         return problems
 
 

@@ -15,7 +15,7 @@ from odchain.assignment import (
     LinkFlowSeries,
     assignment_matrix,
     cumulative_mapping,
-    extract_detector_counts,
+    detector_counts,
     load_network,
     load_call_count,
 )
@@ -65,10 +65,14 @@ class TestContainers:
         assert (np.diff(cumulative, axis=1) >= 0.0).all()
         assert cumulative[0, -1] == pytest.approx(3.5)
 
-    def test_extract_unknown_channel(self):
-        grid = TimeGrid(n_intervals=2)
-        with pytest.raises(ConfigurationError):
-            extract_detector_counts({"4a": np.zeros(2)}, ("9z",), grid)
+    @pytest.mark.parametrize("call", [load_network, detector_counts, assignment_matrix])
+    def test_unknown_detector_channel_rejected(self, call):
+        """A channel that is no link fails every pass the same way, not as a
+        bare ``KeyError`` or as a channel that silently counts nothing."""
+        net = dataclasses.replace(build_toy_network(), detectors=("4a", "9z"))
+        grid = TimeGrid(n_intervals=4)
+        with pytest.raises(ConfigurationError, match="unknown detector channel '9z'"):
+            call(net, toy_demand(grid, {(("1", "3"), 0): 100.0}))
 
 
 class TestLoader:

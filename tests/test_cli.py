@@ -53,6 +53,29 @@ def test_duplicate_detector_channel_is_one_problem(tmp_path, toy_doc, capsys):
     assert err.splitlines() == ["problem: network: detector channel '4a': listed 2 times"]
 
 
+@pytest.mark.parametrize("key", ["seed", "perturbation.seed"])
+def test_negative_seed_fails_validation(tmp_path, toy_doc, capsys, key):
+    """numpy takes no negative seed, so validation names the key instead of
+    ``run`` failing later without naming it."""
+    if key == "seed":
+        toy_doc["seed"] = -1
+    else:
+        toy_doc["perturbation"]["seed"] = -1
+    path = tmp_path / "seed.yaml"
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"problem: {key} must be >= 0, not -1"]
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {key} must be >= 0, not -1"]
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    code = main(["run", "--scenario", "toy", "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, not -1"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_report(tmp_path, capsys):
     out = tmp_path / "results"
     code = main([

@@ -165,6 +165,10 @@ class TestRunExperiment:
         assert [r.model for r in report.rows] == ["seed", "kf"]
         assert report.row("kf").impr_od_pct is not None
 
+    def test_negative_seed_rejected(self, toy_cfg):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, not -1$"):
+            run_experiment(toy_cfg, models=("seed", "kf"), seed=-1)
+
     def test_unknown_model_rejected(self, toy_cfg):
         with pytest.raises(ConfigurationError, match="choose from seed, kf, pkf, spkf"):
             run_experiment(toy_cfg, models=("seed", "telepathy"))

@@ -71,19 +71,27 @@ class TestFilterState:
 class TestArModel:
     def test_identity(self):
         ar = ArModel.identity(2)
-        assert ar.order == 1
+        assert len(ar.coefficients) == 1
         assert (ar.coefficients[0] == np.eye(2)).all()
         assert ar.is_identity
 
     @pytest.mark.parametrize("coefficients", [
-        (np.diag([1.0, 0.5]),), (np.eye(2), np.eye(2)), (np.array([[0.5]]),),
+        (np.diag([1.0, 0.5]),), (np.eye(2)[::-1],), (np.array([[0.5]]),),
     ])
     def test_only_a_single_identity_lag_is_the_identity(self, coefficients):
         assert not ArModel(coefficients=coefficients).is_identity
 
     def test_needs_at_least_one_lag(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="one matrix, got 0"):
             ArModel(coefficients=())
+
+    def test_takes_exactly_one_matrix(self):
+        with pytest.raises(ConfigurationError, match="one matrix, got 2"):
+            ArModel(coefficients=(np.eye(2), np.eye(2)))
+
+    def test_matrix_must_be_square(self):
+        with pytest.raises(ConfigurationError, match="square"):
+            ArModel(coefficients=(np.ones((2, 3)),))
 
 
 class TestTimeUpdate:
@@ -95,18 +103,30 @@ class TestTimeUpdate:
         assert pred.mean[0] == pytest.approx(1.0, abs=1e-12)
         assert pred.cov[0, 0] == pytest.approx(0.35, abs=1e-12)
 
-    def test_two_lag_combination(self):
-        s1 = FilterState(mean=np.array([1.0]), cov=np.array([[0.2]]))
-        s2 = FilterState(mean=np.array([3.0]), cov=np.array([[0.4]]))
-        ar = ArModel(coefficients=(np.array([[0.5]]), np.array([[0.25]])))
-        # lag one is the most recent state: 0.5*3 + 0.25*1 = 1.75
-        pred = kf_time_update([s1, s2], ar, np.zeros((1, 1)))
-        assert pred.mean[0] == pytest.approx(1.75, abs=1e-12)
-
     def test_too_few_states(self):
-        ar = ArModel(coefficients=(np.eye(1), np.eye(1)))
-        with pytest.raises(ConfigurationError):
-            kf_time_update([FilterState(mean=np.zeros(1), cov=np.eye(1))], ar, np.eye(1))
+        with pytest.raises(ConfigurationError, match="needs a posterior"):
+            kf_time_update([], ArModel.identity(1), np.eye(1))
+
+    @pytest.mark.parametrize("n", [1, 3, 12, 42])
+    def test_transition_equals_the_products(self, n):
+        """A transition other than the identity gives ``F x`` and the
+        symmetrized ``Q + F P F'``, bit for bit, signed zeros included."""
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            a = rng.normal(size=(n, n))
+            b = rng.normal(size=(n, n))
+            f = rng.normal(size=(n, n))
+            f[rng.random((n, n)) < 0.5] = 0.0
+            mean = rng.normal(scale=50.0, size=n)
+            mean[rng.random(n) < 0.3] = -0.0
+            state = FilterState(mean=mean, cov=a @ a.T)
+            Q = b @ b.T
+            ar = ArModel(coefficients=(f,))
+            assert not ar.is_identity
+            pred = kf_time_update([state], ar, Q)
+            ref_cov = Q + f @ state.cov @ f.T
+            assert pred.mean.tobytes() == (f @ state.mean).tobytes()
+            assert pred.cov.tobytes() == (0.5 * (ref_cov + ref_cov.T)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 3, 12, 42])
     def test_identity_random_walk_equals_the_products(self, n):
@@ -233,7 +253,7 @@ class TestRunSequence:
     @staticmethod
     def _recorded_toy_run(toy_artifacts, monkeypatch, ar=None):
         """A 48-step toy run and every posterior it made, recorded through
-        ``kalman._update_with_gain``, since the run keeps only its lag window."""
+        ``kalman._update_with_gain``, since the run keeps only the last."""
         asg = toy_artifacts.assignment
         hist = toy_artifacts.history
         delta_y = toy_artifacts.observed.counts - hist.load.counts.counts
@@ -263,28 +283,26 @@ class TestRunSequence:
             assert symmetry_error(state.cov) <= 1e-10
             assert min_eigenvalue(state.cov) >= -1e-8 * max(np.trace(state.cov), 1.0)
 
-    @pytest.mark.parametrize("lags", [1, 2], ids=["identity", "two-lag"])
-    def test_states_are_the_last_posteriors_of_the_lag_window(self, toy_artifacts, monkeypatch,
-                                                              lags):
+    @pytest.mark.parametrize("rho", [1.0, 0.5], ids=["identity", "decayed"])
+    def test_last_is_the_last_posterior(self, toy_artifacts, monkeypatch, rho):
         n_od = len(toy_artifacts.assignment.od_index)
-        ar = (ArModel.identity(n_od) if lags == 1
-              else ArModel(coefficients=(0.6 * np.eye(n_od), 0.3 * np.eye(n_od))))
+        ar = ArModel(coefficients=(rho * np.eye(n_od),))
         run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch, ar=ar)
         assert len(posteriors) == 48
-        assert len(run.states) == ar.order
-        assert all(kept is made for kept, made in zip(run.states, posteriors[-ar.order:]))
-        assert np.array_equal(run.deltas[:, -1], run.states[-1].mean)
+        assert run.last is posteriors[47]
+        assert np.array_equal(run.deltas[:, -1], run.last.mean)
 
     def test_a_run_shorter_than_the_lag_window_keeps_only_posteriors(self, toy_artifacts):
+        """A run of no steps has no last posterior, and interval 0's prior
+        is never kept as one."""
         asg = toy_artifacts.assignment
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
-        ar = ArModel(coefficients=(np.eye(n_od), np.zeros((n_od, n_od)), np.zeros((n_od, n_od))))
         init = FilterState(mean=np.full(n_od, 7.0), cov=np.eye(n_od))
-        assert run_kf_sequence(asg, np.zeros((n_ch, 0)), noise, ar=ar, init=init).states == []
-        run = run_kf_sequence(asg, np.zeros((n_ch, 1)), noise, ar=ar, init=init)
-        assert len(run.states) == 1 and run.states[0] is not init
-        assert np.array_equal(run.states[0].mean, run.deltas[:, 0])
+        assert run_kf_sequence(asg, np.zeros((n_ch, 0)), noise, init=init).last is None
+        run = run_kf_sequence(asg, np.zeros((n_ch, 1)), noise, init=init)
+        assert run.last is not init
+        assert np.array_equal(run.last.mean, run.deltas[:, 0])
 
     def test_refresh_hook_called_each_interval(self, toy_artifacts):
         asg = toy_artifacts.assignment

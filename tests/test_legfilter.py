@@ -275,7 +275,7 @@ class TestPredictHorizon:
     def test_identity_ar_carries_last_delta(self):
         hist = np.full((2, 6), 50.0)
         lag = np.array([3.0, -1.0])
-        x, clamped = predict_horizon(hist, [lag], ArModel.identity(2), {}, {}, (4, 6))
+        x, clamped = predict_horizon(hist, lag, ArModel.identity(2), {}, {}, (4, 6))
         assert x.shape == (2, 2)
         assert np.allclose(x[:, 0], [53.0, 49.0])
         assert np.allclose(x[:, 1], [53.0, 49.0])
@@ -285,25 +285,20 @@ class TestPredictHorizon:
         hist = np.zeros((1, 4))
         profiles = {"leg": np.array([[0.0, 0.0, 0.25, 0.75]])}
         x, _ = predict_horizon(
-            hist, [np.zeros(1)], ArModel.identity(1),
+            hist, np.zeros(1), ArModel.identity(1),
             {"leg": np.array([8.0])}, profiles, (2, 4),
         )
         assert np.allclose(x[0], [2.0, 6.0])
 
     def test_window_must_stay_inside_horizon(self):
         with pytest.raises(ConfigurationError):
-            predict_horizon(np.zeros((1, 4)), [np.zeros(1)], ArModel.identity(1), {}, {}, (2, 5))
-
-    def test_needs_enough_lags(self):
-        ar = ArModel(coefficients=(np.eye(1), np.eye(1)))
-        with pytest.raises(ConfigurationError):
-            predict_horizon(np.zeros((1, 4)), [np.zeros(1)], ar, {}, {}, (2, 4))
+            predict_horizon(np.zeros((1, 4)), np.zeros(1), ArModel.identity(1), {}, {}, (2, 5))
 
     def test_identity_carry_equals_the_product_loop(self):
-        """The identity's one broadcast against the loop it replaces, one
-        identity product per interval summed from zeros, on random lags
-        holding 0.0 and -0.0.  The historical rows under the zeros are -0.0,
-        so a zero's sign shows in the demand."""
+        """The identity's one broadcast against one identity product per
+        interval summed from zeros, on a last state holding 0.0 and -0.0.
+        The historical rows under the zeros are -0.0, so a zero's sign shows
+        in the demand."""
         rng = np.random.default_rng(7)
         n, n_h, window = 9, 12, (7, 12)
         lag = rng.normal(0.0, 5.0, n)
@@ -316,30 +311,42 @@ class TestPredictHorizon:
             nxt = np.zeros(n)
             nxt += np.eye(n) @ last
             expected[:, j] = last = nxt
-        x, clamped = predict_horizon(hist, [rng.normal(size=n), lag], ArModel.identity(n),
-                                     {}, {}, window)
+        x, clamped = predict_horizon(hist, lag, ArModel.identity(n), {}, {}, window)
         ref, ref_clamped = combined_demand(hist[:, 7:], expected, {}, {})
         assert x.tobytes() == ref.tobytes()
         assert clamped == ref_clamped == 0
         assert not np.signbit(x[[2, 6]]).any()
 
+    def test_decayed_carry_equals_the_per_interval_products(self):
+        """With ``F = rho I`` each interval is ``F`` times the one before it,
+        bit for bit, signed zeros included."""
+        rng = np.random.default_rng(11)
+        n, n_h, window = 9, 12, (7, 12)
+        f = 0.6 * np.eye(n)
+        last = rng.normal(0.0, 5.0, n)
+        last[[1, 4]], last[[2, 6]] = 0.0, -0.0
+        hist = rng.uniform(50.0, 100.0, (n, n_h))
+        hist[[1, 2, 4, 6]] = -0.0
+        expected = np.zeros((n, window[1] - window[0]))
+        x = last
+        for j in range(expected.shape[1]):
+            x = f @ x
+            expected[:, j] = x
+        got, clamped = predict_horizon(hist, last, ArModel(coefficients=(f,)), {}, {}, window)
+        ref, ref_clamped = combined_demand(hist[:, 7:], expected, {}, {})
+        assert got.tobytes() == ref.tobytes()
+        assert clamped == ref_clamped == 0
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_lag_state_rejected(self, value):
-        """An infinite lag would turn every other OD's prediction into NaN
-        through 0 * inf in the identity's products."""
-        lag = np.array([3.0, value])
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            predict_horizon(np.full((2, 6), 50.0), [lag], ArModel.identity(2), {}, {}, (4, 6))
-        two = ArModel(coefficients=(0.5 * np.eye(2), 0.5 * np.eye(2)))
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            predict_horizon(np.full((2, 6), 50.0), [lag, np.ones(2)], two, {}, {}, (4, 6))
-        # a state older than the AR's lags is not read
-        x, _ = predict_horizon(np.full((2, 6), 50.0), [lag, np.ones(2)], ArModel.identity(2),
-                               {}, {}, (4, 6))
-        assert np.array_equal(x, np.full((2, 2), 51.0))
+        """An infinite last state would turn every other OD's prediction into
+        NaN through 0 * inf in a transition's products."""
+        last = np.array([3.0, value])
+        for ar in (ArModel.identity(2), ArModel(coefficients=(0.5 * np.eye(2),))):
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                predict_horizon(np.full((2, 6), 50.0), last, ar, {}, {}, (4, 6))
 
     def test_never_touches_the_loader(self):
         before = assignment_mod.load_call_count()
-        predict_horizon(np.full((2, 8), 10.0), [np.ones(2)], ArModel.identity(2),
-                        {}, {}, (4, 8))
+        predict_horizon(np.full((2, 8), 10.0), np.ones(2), ArModel.identity(2), {}, {}, (4, 8))
         assert assignment_mod.load_call_count() == before

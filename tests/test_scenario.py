@@ -135,6 +135,13 @@ class TestValidate:
         cfg = scenario_from_mapping(toy_doc)
         assert any("duplicate" in p for p in cfg.validate())
 
+    def test_negative_seeds_flagged(self, toy_doc):
+        toy_doc["seed"] = -1
+        toy_doc["perturbation"]["seed"] = -5
+        assert scenario_from_mapping(toy_doc).validate() == [
+            "seed must be >= 0, not -1", "perturbation.seed must be >= 0, not -5",
+        ]
+
 
 class TestMappingErrors:
     def test_split_must_sum_to_one(self, toy_doc):
