@@ -37,10 +37,14 @@ pieces.  The times are those of loading a demand, found in the same pass: a
 parcel's windows do not depend on its mass, so each parcel carries its
 cell's demand, which loads the links, beside the unit mass.  A departure in
 interval k is counted in intervals k..k+L only, with L small, so the pieces
-are stored as a band of L + 1 lags per departure interval.  The kernel
-visits each channel once, and its crossings are summed there into the
-channel's block of the band, so no crossing outlives its visit.  The
-cumulative mapping combines the band with departure profiles to map leg
+are stored as a band of L + 1 lags per departure interval.  A channel counts
+only the ODs whose route crosses it, so the band holds only those
+(channel, OD) pairs, listed once per route layout.  The kernel visits each
+channel once, and its crossings are summed there into the channel's block
+of pairs, so no crossing outlives its visit.  The readers expand what they
+need: the interval filter each step's few measurement rows, the cumulative
+mapping each leg's matrix, and ``AssignmentMatrix.pieces`` the dense view.
+The cumulative mapping combines the band with departure profiles to map leg
 deviations onto cumulative count deviations up to a measurement horizon; it
 keeps one matrix per leg.
 """
@@ -197,13 +201,19 @@ class _Routes:
     ``_propagate`` visits, ``succ[i, r]`` the position in ``order`` of the
     link after ``order[i]`` on ``routes[r]`` (-1 where the trip ends),
     ``first[r]`` that of its first link (-1 for an empty route) and
-    ``fanout[i]`` the positions ``order[i]`` feeds, ascending."""
+    ``fanout[i]`` the positions ``order[i]`` feeds, ascending.
+
+    ``pairs`` lists the (channel, OD) pairs whose route crosses the channel,
+    as (channel rows, OD columns) ordered by channel and then OD; channel
+    ``c``'s pairs are ``pairs[:, pair_start[c] : pair_start[c + 1]]``."""
 
     routes: tuple[tuple[str, ...], ...]
     order: tuple[str, ...]
     succ: np.ndarray
     first: np.ndarray
     fanout: tuple[tuple[int, ...], ...]
+    pairs: np.ndarray
+    pair_start: np.ndarray
 
 
 def _route_plan(net: Network, od_index: tuple[OD, ...], *, cut: bool) -> _Routes:
@@ -233,10 +243,18 @@ def _route_plan(net: Network, od_index: tuple[OD, ...], *, cut: bool) -> _Routes
 
 
 def _build_plan(net: Network, od_index: tuple[OD, ...], cut: bool) -> _Routes:
-    for ch in net.detectors:
+    chan_pos: dict[str, int] = {}
+    for c, ch in enumerate(net.detectors):
         if ch not in net.links:
             raise ConfigurationError(f"unknown detector channel {ch!r}")
+        if ch in chan_pos:
+            raise ConfigurationError(f"detector channel {ch!r} is listed twice")
+        chan_pos[ch] = c
     routes = [net.path_of(od).links for od in od_index]
+    crossed = sorted({(chan_pos[lid], r) for r, route in enumerate(routes)
+                      for lid in route if lid in chan_pos})
+    pairs = np.array(crossed, dtype=np.intp).reshape(-1, 2).T
+    pair_start = np.searchsorted(pairs[0], np.arange(len(chan_pos) + 1))
     order = _link_order(net)
     if cut:
         kept = set(net.detectors)
@@ -252,17 +270,18 @@ def _build_plan(net: Network, od_index: tuple[OD, ...], cut: bool) -> _Routes:
         visited = {lid for route in routes for lid in route}
         order = [lid for lid in order if lid in visited]
     else:
-        order = order + [ch for ch in dict.fromkeys(net.detectors) if ch not in order]
+        order = order + [ch for ch in net.detectors if ch not in order]
     at = {lid: i for i, lid in enumerate(order)}
     succ = np.full((len(order), len(routes)), -1, dtype=np.int32)
     for r, route in enumerate(routes):
         for a, b in zip(route, route[1:]):
             succ[at[a], r] = at[b]
     first = np.array([at[route[0]] if route else -1 for route in routes], dtype=np.int32)
-    succ.setflags(write=False)
-    first.setflags(write=False)
+    for table in (succ, first, pairs, pair_start):
+        table.setflags(write=False)
     return _Routes(routes=tuple(routes), order=tuple(order), succ=succ, first=first,
-                   fanout=tuple(tuple(sorted(set(row.tolist()) - {-1})) for row in succ))
+                   fanout=tuple(tuple(sorted(set(row.tolist()) - {-1})) for row in succ),
+                   pairs=pairs, pair_start=pair_start)
 
 
 def _propagate(
@@ -417,8 +436,8 @@ def load_network(
 
     Raises:
         ConfigurationError: if demand ODs lack paths, a detector channel is
-            no link of the network, or the path set feeds links cyclically
-            within an interval.
+            no link of the network or is listed twice, or the path set feeds
+            links cyclically within an interval.
         ValueError: via :class:`DynamicDemand` on negative demand.
     """
     global _LOAD_CALLS
@@ -461,8 +480,8 @@ def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
 
     Raises:
         ConfigurationError: if demand ODs lack paths, a detector channel is
-            no link of the network, or the path set feeds links cyclically
-            within an interval.
+            no link of the network or is listed twice, or the path set feeds
+            links cyclically within an interval.
     """
     grid = demand.grid
     hours = grid.interval_minutes / 60.0
@@ -512,25 +531,41 @@ def _probe_travel_times(
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """Linear pieces H stored by lag: ``band[k, l, c, i]`` is the fraction of
-    OD ``i``'s interval-``k`` departures crossing channel ``c`` during
-    interval ``k + l``, under the frozen travel times the matrix was built
-    from.  The band's width ``L + 1`` covers every lag a crossing takes;
-    entries past the horizon end count in no interval."""
+    """Linear pieces H stored by lag over the crossed (channel, OD) pairs.
+
+    ``pairs`` is ``(2, P)``: channel rows and OD columns of the P pairs whose
+    route crosses the channel, ordered by channel and then OD.
+    ``band[k, l, p]`` is the fraction of OD ``pairs[1, p]``'s interval-``k``
+    departures crossing channel ``pairs[0, p]`` during interval ``k + l``,
+    under the frozen travel times the matrix was built from; every other
+    (channel, OD) pair is zero.  The band's width ``L + 1`` covers every lag a
+    crossing takes; entries past the horizon end count in no interval."""
 
     od_index: tuple[OD, ...]
     channels: tuple[str, ...]
     grid: TimeGrid
     band: np.ndarray
+    pairs: np.ndarray
 
     def __post_init__(self) -> None:
         b = np.asarray(self.band, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "band", b)
+        pairs = np.asarray(self.pairs, dtype=np.intp)
+        for a, name in ((b, "band"), (pairs, "pairs")):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         n_h, n_ch, n_od = self.grid.n_intervals, len(self.channels), len(self.od_index)
-        if b.shape[:1] + b.shape[2:] != (n_h, n_ch, n_od) or not 1 <= b.shape[1] <= n_h:
+        if pairs.ndim != 2 or pairs.shape[0] != 2:
+            raise ConfigurationError(f"assignment pairs {pairs.shape} are not (2, P)")
+        n_pairs = pairs.shape[1]
+        if b.shape[:1] + b.shape[2:] != (n_h, n_pairs) or not 1 <= b.shape[1] <= n_h:
             raise ConfigurationError(
-                f"assignment band {b.shape} is not ({n_h}, 1..{n_h}, {n_ch}, {n_od})")
+                f"assignment band {b.shape} is not ({n_h}, 1..{n_h}, {n_pairs})")
+        c, i = pairs
+        if n_pairs and (min(c.min(), i.min()) < 0 or c.max() >= n_ch or i.max() >= n_od
+                        or (np.diff(c * n_od + i) <= 0).any()):
+            raise ConfigurationError(
+                f"assignment pairs are not distinct (channel, OD) cells of "
+                f"({n_ch}, {n_od}) ordered by channel and then OD")
         if b.min(initial=0.0) < -1e-12 or b.max(initial=0.0) > 1.0 + 1e-12:
             raise ValueError("assignment fractions outside [0, 1]")
         if b.sum(axis=1).max(initial=0.0) > 1.0 + 1e-9:
@@ -540,19 +575,38 @@ class AssignmentMatrix:
     def pieces(self) -> np.ndarray:
         """The dense ``(H, H, C, OD)`` view ``pieces[k, h] = band[k, h - k]``, built on demand."""
         n_h = self.grid.n_intervals
-        dense = np.zeros((n_h, n_h, *self.band.shape[2:]))
+        c, i = self.pairs
+        dense = np.zeros((n_h, n_h, len(self.channels), len(self.od_index)))
         for l in range(self.band.shape[1]):
-            k = np.arange(n_h - l)
-            dense[k, k + l] = self.band[: n_h - l, l]
+            k = np.arange(n_h - l)[:, None]
+            dense[k, k + l, c, i] = self.band[: n_h - l, l]
         return dense
 
+    def counted_at(self, h: int) -> np.ndarray:
+        """The dense pieces counted in interval ``h``, by lag: ``(lags, C, OD)``
+        with ``[l] = pieces[h - l, h]`` for ``l = 0..min(L, h)``."""
+        lags = np.arange(min(self.band.shape[1], h + 1))
+        c, i = self.pairs
+        rows = np.zeros((lags.size, len(self.channels), len(self.od_index)))
+        rows[:, c, i] = self.band[h - lags, lags]
+        return rows
+
     def predict_counts(self, demand_matrix: np.ndarray) -> np.ndarray:
-        """Counts implied by the frozen linearization: sum_k H[k -> h] x_k."""
+        """Counts implied by the frozen linearization: sum_k H[k -> h] x_k.
+
+        Raises:
+            ConfigurationError: if ``demand_matrix`` is not (n_od, n_intervals).
+        """
         x = np.asarray(demand_matrix, dtype=float)
-        n_h = self.grid.n_intervals
-        counts = np.zeros((len(self.channels), n_h))
+        n_h, n_ch, n_od = self.grid.n_intervals, len(self.channels), len(self.od_index)
+        if x.shape != (n_od, n_h):
+            raise ConfigurationError(
+                f"demand matrix {x.shape} is not (n_od, n_intervals) = ({n_od}, {n_h})")
+        c, i = self.pairs
+        counts = np.zeros((n_ch, n_h))
         for l in range(self.band.shape[1]):
-            counts[:, l:] += np.einsum("kci,ik->ck", self.band[: n_h - l, l], x[:, : n_h - l])
+            # each pair's crossings in intervals l.., added into its channel
+            np.add.at(counts[:, l:], c, (self.band[: n_h - l, l] * x[i, : n_h - l].T).T)
         return counts
 
 
@@ -573,40 +627,39 @@ def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
     are cut after their last channel or last link whose load moves a count
     (``_route_plan``); cells whose cut route is empty depart nothing.
 
-    The kernel visits each channel once, with all of its crossings in the
-    order they come.  They are summed at once, with ``np.bincount`` over
-    (departure interval, lag, OD), into a block of the band over only the
-    ODs whose cut route crosses the channel: the same additions from 0.0, in
-    the same order, as adding every crossing into the band one by one.  The
-    band is allocated and filled from the blocks once the pass is done.
+    The band holds the (channel, OD) pairs of the route layout
+    (``_route_plan``).  The kernel visits each channel once, with all of its
+    crossings in the order they come.  They are summed at once, with
+    ``np.bincount`` over (departure interval, lag, OD), into the channel's
+    block over its pairs: the same additions from 0.0, in the same order, as
+    adding every crossing into the band one by one.  The band is allocated
+    once the pass is done, when its width is known, and each block is
+    written into its channel's slice of pairs.
 
     Raises:
         ConfigurationError: if an OD of ``demand`` lacks a path or a
-            detector channel is no link of the network.
+            detector channel is no link of the network or is listed twice.
     """
     grid = demand.grid
-    od_index = demand.od_index
-    channels = net.detectors
     n_h = grid.n_intervals
-    chan_pos = {ch: c for c, ch in enumerate(channels)}
+    chan_pos = {ch: c for c, ch in enumerate(net.detectors)}
     hours = grid.interval_minutes / 60.0
-    plan = _route_plan(net, od_index, cut=True)
-    # per channel, the ODs whose cut route crosses it and its block of the
-    # band over them, (H, lags, ODs)
-    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    plan = _route_plan(net, demand.od_index, cut=True)
+    # per channel, its block over its pairs, (H, lags, pairs)
+    blocks: dict[int, np.ndarray] = {}
 
     def link_time(lid: str, inflow: np.ndarray, h: np.ndarray, cell: np.ndarray,
                   mass: list[np.ndarray]) -> np.ndarray:
         c = chan_pos.get(lid)
         if c is not None:
-            ods = np.array([r for r, route in enumerate(plan.routes) if lid in route], np.intp)
+            ods = plan.pairs[1, plan.pair_start[c]: plan.pair_start[c + 1]]
             oi, k = np.divmod(cell.astype(np.intp), n_h)
             lag = h - k
             width = int(lag.max(initial=0)) + 1
             # the unit mass, summed in the order the crossings came
             block = np.bincount((k * width + lag) * ods.size + np.searchsorted(ods, oi),
                                 weights=mass[1], minlength=n_h * width * ods.size)
-            blocks[c] = ods, block.reshape(n_h, width, ods.size)
+            blocks[c] = block.reshape(n_h, width, ods.size)
         return bpr_travel_time(net.links[lid], inflow / hours)
 
     live = np.flatnonzero(plan.first >= 0)
@@ -614,11 +667,12 @@ def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
     _propagate(grid, plan,
                (np.repeat(live, n_h), np.tile(np.arange(n_h), live.size), masses), link_time)
     del masses  # before the band is allocated
-    band = np.zeros((n_h, max((b.shape[1] for _, b in blocks.values()), default=1),
-                     len(channels), len(od_index)))
-    for c, (ods, block) in blocks.items():
-        band[:, : block.shape[1], c][..., ods] = block
-    return AssignmentMatrix(od_index=od_index, channels=channels, grid=grid, band=band)
+    band = np.zeros((n_h, max((b.shape[1] for b in blocks.values()), default=1),
+                     plan.pairs.shape[1]))
+    for c, block in blocks.items():
+        band[:, : block.shape[1], plan.pair_start[c]: plan.pair_start[c + 1]] = block
+    return AssignmentMatrix(od_index=demand.od_index, channels=net.detectors, grid=grid,
+                            band=band, pairs=plan.pairs)
 
 
 @dataclass(frozen=True)
@@ -668,9 +722,10 @@ def cumulative_mapping(
     ``l <= horizon - k`` of its band, counted up to the horizon: over the
     L + 1 lags, all intervals at once, adding lag after lag from zero as a
     per-interval sum over the lag axis does.  Each leg's matrix then sums
-    over ``k`` that piece times the leg's interval-``k`` shares.  The
-    products are formed one leg at a time, in one buffer, and only their sums
-    are kept.
+    over ``k`` that piece times the leg's interval-``k`` shares, interval
+    after interval.  All of it runs over the band's (channel, OD) pairs; the
+    products are formed one leg at a time, in one buffer, and each leg's sums
+    are scattered into its (n_channels, n_od) matrix, zero off the pairs.
 
     Raises:
         ConfigurationError: if the horizon lies outside the grid or a profile
@@ -681,7 +736,8 @@ def cumulative_mapping(
         raise ConfigurationError(f"cumulative horizon {horizon} outside grid of {n_h}")
     n_od = len(assignment.od_index)
     band = assignment.band
-    h_sum = np.zeros((horizon + 1, len(assignment.channels), n_od))
+    c, i = assignment.pairs
+    h_sum = np.zeros((horizon + 1, band.shape[2]))
     for lag in range(min(band.shape[1], horizon + 1)):
         h_sum[: horizon + 1 - lag] += band[: horizon + 1 - lag, lag]
     matrices: dict[str, np.ndarray] = {}
@@ -690,8 +746,12 @@ def cumulative_mapping(
         prof = np.asarray(prof, dtype=float)
         if prof.shape != (n_od, n_h):
             raise ConfigurationError(f"profile for leg {leg!r} has shape {prof.shape}")
-        np.multiply(h_sum, prof[:, : horizon + 1].T[:, None, :], out=products)
-        matrices[leg] = products.sum(axis=0)
+        np.multiply(h_sum, prof[i, : horizon + 1].T, out=products)
+        matrix = np.zeros((len(assignment.channels), n_od))
+        # a running sum adds interval after interval for any number of pairs;
+        # ``sum(axis=0)`` over one pair would add pairwise
+        matrix[c, i] = np.cumsum(products, axis=0, out=products)[-1]
+        matrices[leg] = matrix
     return CumulativeMapping(
         horizon=horizon,
         od_index=assignment.od_index,

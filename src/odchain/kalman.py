@@ -7,7 +7,9 @@ function of the deviations of intervals k <= h through the assignment
 pieces.  The sequence runner handles those lags by subtracting the
 contribution of already-estimated intervals at their posterior means, leaving
 the same-interval piece as the measurement matrix.  Only the L intervals
-before h, whose departures can still be counted at h, are visited.
+before h, whose departures can still be counted at h, are visited, and only
+their pieces are expanded from the assignment's band, which holds the
+crossed (channel, OD) pairs alone, into dense matrices.
 
 Gains are computed through Cholesky solves of the innovation covariance, with
 a trace-scaled jitter retry; covariances are re-symmetrized after every
@@ -273,13 +275,15 @@ def run_kf_sequence(
 
     ``delta_y`` is (n_channels, n_steps): observed minus historical counts,
     one column per filtered interval.
-    At interval ``h`` the pieces ``band[k, h - k]`` of the L intervals before
-    it map their posterior means out of the deviation, and ``band[h, 0]`` is
-    the measurement matrix.  ``refresh_hook(h, deltas)`` is called after each
-    interval with the posterior means so far and may return a rebuilt
-    assignment matrix, with its own L (``None`` keeps the current one).  It
-    may cover a shorter grid, as long as it reaches the next interval
-    ``h + 1``: later steps read only pieces up to it.
+    At interval ``h`` the pieces ``pieces[k, h]`` of the L intervals before
+    it map their posterior means out of the deviation, and ``pieces[h, h]``
+    is the measurement matrix.  Each step expands only these pieces from the
+    band, into one dense ``(lags, C, OD)`` buffer
+    (``AssignmentMatrix.counted_at``).  ``refresh_hook(h, deltas)`` is
+    called after each interval with the posterior means so far and may
+    return a rebuilt assignment matrix, with its own L (``None`` keeps the
+    current one).  It may cover a shorter grid, as long as it reaches the
+    next interval ``h + 1``: later steps read only pieces up to it.
 
     The initial state is interval 0's prior (zero mean by default).  The
     run keeps every posterior mean in ``deltas`` but only the last posterior
@@ -312,10 +316,11 @@ def run_kf_sequence(
     run = KfRun(deltas=np.zeros((n_od, n_steps)))
     for h in range(n_steps):
         prior = init if h == 0 else kf_time_update([run.last], ar, noise.Q)
+        rows = assignment.counted_at(h)
         lagged = np.zeros(n_ch)
-        for k in range(max(h + 1 - assignment.band.shape[1], 0), h):
-            lagged += assignment.band[k, h - k] @ run.deltas[:, k]
-        H = assignment.band[h, 0]
+        for k in range(h + 1 - rows.shape[0], h):
+            lagged += rows[h - k] @ run.deltas[:, k]
+        H = rows[0]
         post, gain = _update_with_gain(prior, H, noise.R, delta_y[:, h] - lagged)
         run.deltas[:, h] = post.mean
         run.last = post

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from banding import from_dense
+from banding import dense_band, from_dense, route_crossings
 from odchain import assignment as assignment_mod
 from odchain.assignment import (
     AssignmentMatrix,
@@ -72,6 +72,15 @@ class TestContainers:
         net = dataclasses.replace(build_toy_network(), detectors=("4a", "9z"))
         grid = TimeGrid(n_intervals=4)
         with pytest.raises(ConfigurationError, match="unknown detector channel '9z'"):
+            call(net, toy_demand(grid, {(("1", "3"), 0): 100.0}))
+
+    @pytest.mark.parametrize("call", [load_network, detector_counts, assignment_matrix])
+    def test_duplicated_detector_channel_rejected(self, call):
+        """A channel listed twice fails every pass, not only the passes that
+        would fill one of its rows and leave the other empty."""
+        net = dataclasses.replace(build_toy_network(), detectors=("4a", "4b", "4a"))
+        grid = TimeGrid(n_intervals=4)
+        with pytest.raises(ConfigurationError, match="detector channel '4a' is listed twice"):
             call(net, toy_demand(grid, {(("1", "3"), 0): 100.0}))
 
 
@@ -242,10 +251,29 @@ class TestAssignmentMatrix:
 
     def test_band_shape_checked(self):
         grid = TimeGrid(n_intervals=2)
-        for shape in [(2, 1, 1, 2), (2, 0, 1, 1), (2, 3, 1, 1), (2, 2, 1)]:
+        for shape in [(2, 1, 2), (2, 0, 1), (2, 3, 1), (2, 2), (2, 1, 1, 1)]:
             with pytest.raises(ConfigurationError, match="assignment band"):
                 AssignmentMatrix(od_index=(("1", "3"),), channels=("4a",), grid=grid,
-                                 band=np.zeros(shape))
+                                 band=np.zeros(shape), pairs=[[0], [0]])
+
+    @pytest.mark.parametrize("pairs", [
+        [[0, 0, 1]], [[0, 1], [0, 0], [0, 0]],  # not (2, P)
+        [[0, 2], [0, 0]], [[0, 0], [0, 3]], [[0, -1], [0, 0]],  # outside (2, 3)
+        [[0, 0], [1, 1]], [[1, 0], [0, 0]], [[0, 0], [2, 1]],  # repeated or out of order
+    ])
+    def test_pairs_checked(self, pairs):
+        od_index = (("1", "3"), ("1", "4"), ("2", "4"))
+        with pytest.raises(ConfigurationError, match="assignment pairs"):
+            AssignmentMatrix(od_index=od_index, channels=("4a", "4b"),
+                             grid=TimeGrid(n_intervals=2),
+                             band=np.zeros((2, 1, np.shape(pairs)[-1])), pairs=pairs)
+
+    def test_predict_counts_shape_checked(self, toy_artifacts):
+        asg = toy_artifacts.assignment
+        n_od, n_h = len(asg.od_index), asg.grid.n_intervals
+        for shape in [(n_od, n_h + 5), (n_od, n_h - 1), (n_od + 1, n_h), (n_od * n_h,)]:
+            with pytest.raises(ConfigurationError, match=rf"\({n_od}, {n_h}\)"):
+                asg.predict_counts(np.ones(shape))
 
     def test_prediction_matches_frozen_load(self, toy_artifacts):
         hist = toy_artifacts.history
@@ -340,31 +368,37 @@ def add_at_band(net, demand):
 class TestBandSums:
     """Each channel's crossings are summed on their own, in the order they
     come, over the ODs that cross it: the band is the ``np.add.at`` of every
-    crossing, to the bit."""
+    crossing, to the bit, and that dense band is zero off its pairs."""
 
     CONGESTED = {(("1", "3"), 1): 3000.0, (("1", "4"), 1): 1500.0,
                  (("2", "4"), 2): 2000.0, (("3", "5"), 3): 900.0}
 
+    @staticmethod
+    def assert_add_at(asg, net, demand):
+        dense = add_at_band(net, demand)
+        assert dense_band(asg).tobytes() == dense.tobytes()
+        assert asg.band.tobytes() == dense[:, :, asg.pairs[0], asg.pairs[1]].tobytes()
+
     def test_a_channel_no_route_crosses(self):
         net = dataclasses.replace(TOY, detectors=("4a", "6a", "4b"))
         demand = toy_demand(TimeGrid(n_intervals=12), self.CONGESTED)
-        band = assignment_matrix(net, demand).band
-        assert band.tobytes() == add_at_band(net, demand).tobytes()
-        assert not band[:, :, 1].any() and band[:, :, [0, 2]].any()
+        asg = assignment_matrix(net, demand)
+        self.assert_add_at(asg, net, demand)
+        assert set(asg.pairs[0].tolist()) == {0, 2} and asg.band.any()
 
     def test_one_interval_grid(self):
         demand = toy_demand(TimeGrid(n_intervals=1), {(od, 0): mass for (od, _), mass
                                                        in self.CONGESTED.items()})
-        band = assignment_matrix(TOY, demand).band
-        assert band.shape == (1, 1, 2, len(TOY.od_index)) and band.any()
-        assert band.tobytes() == add_at_band(TOY, demand).tobytes()
+        asg = assignment_matrix(TOY, demand)
+        assert asg.band.shape == (1, 1, route_crossings(TOY, TOY.od_index))
+        assert asg.band.any()
+        self.assert_add_at(asg, TOY, demand)
 
     def test_toy_at_three_minutes(self, toy_cfg):
         grid = dataclasses.replace(toy_cfg.grid, interval_minutes=3, n_intervals=480)
         art = generate_truth_and_history(dataclasses.replace(toy_cfg, grid=grid))
-        band = art.assignment.band
-        assert band.shape[1] == 5
-        assert band.tobytes() == add_at_band(toy_cfg.network, art.history.demand).tobytes()
+        assert art.assignment.band.shape[1] == 5
+        self.assert_add_at(art.assignment, toy_cfg.network, art.history.demand)
 
 
 class TestBandWidth:
@@ -382,7 +416,9 @@ class TestBandWidth:
                                    n_intervals=24 * 60 // minutes)
         asg = generate_truth_and_history(dataclasses.replace(toy_cfg, grid=grid)).assignment
         assert self._lags(asg) == lags
-        assert asg.band.shape == (grid.n_intervals, lags + 1, 2, len(asg.od_index))
+        n_pairs = route_crossings(toy_cfg.network, asg.od_index)
+        assert asg.band.shape == (grid.n_intervals, lags + 1, n_pairs)
+        assert asg.band.nbytes == grid.n_intervals * (lags + 1) * n_pairs * 8
 
     def test_benchmark_corridor(self, monkeypatch):
         monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "odbench"))
@@ -390,6 +426,50 @@ class TestBandWidth:
         cfg = scenario_from_mapping(workloads.corridor_mapping(6))
         asg = generate_truth_and_history(cfg).assignment
         assert self._lags(asg) == 2
+
+
+class TestPairs:
+    """The band holds the (channel, OD) pairs whose route crosses the
+    channel, ordered by channel and then OD, and nothing else."""
+
+    @staticmethod
+    def _assert_crossed_pairs(net, asg):
+        crossed = [(c, i) for c, ch in enumerate(net.detectors)
+                   for i, od in enumerate(asg.od_index) if ch in net.path_of(od).links]
+        assert list(zip(*asg.pairs.tolist())) == crossed
+        n_h, width = asg.band.shape[:2]
+        assert asg.band.nbytes == n_h * width * len(crossed) * 8
+
+    def test_toy(self, toy_artifacts):
+        self._assert_crossed_pairs(toy_artifacts.config.network, toy_artifacts.assignment)
+
+    def test_small_corridor(self, monkeypatch):
+        """On an N-pair corridor trunk link k is crossed by (k + 1)(N - k)
+        ODs each way."""
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "odbench"))
+        workloads = importlib.import_module("workloads")
+        n = 3
+        cfg = scenario_from_mapping(workloads.corridor_mapping(n))
+        asg = generate_truth_and_history(cfg).assignment
+        self._assert_crossed_pairs(cfg.network, asg)
+        assert asg.pairs.shape[1] == 2 * sum((k + 1) * (n - k) for k in range(n)) == 20
+
+    def test_dense_view_is_zero_off_the_pairs(self, toy_artifacts):
+        asg = toy_artifacts.assignment
+        off = np.ones((len(asg.channels), len(asg.od_index)), dtype=bool)
+        off[asg.pairs[0], asg.pairs[1]] = False
+        pieces = asg.pieces
+        assert off.any() and not pieces[:, :, off].any()
+        assert pieces.sum() == pytest.approx(asg.band.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("h", [0, 1, 50, 95])
+    def test_counted_at_reads_the_dense_view(self, toy_artifacts, h):
+        asg = toy_artifacts.assignment
+        pieces = asg.pieces
+        rows = asg.counted_at(h)
+        assert rows.shape == (min(asg.band.shape[1], h + 1), *pieces.shape[2:])
+        for lag, row in enumerate(rows):
+            assert np.array_equal(row, pieces[h - lag, h])
 
 
 class TestCumulativeMapping:
@@ -438,35 +518,45 @@ class TestCumulativeMapping:
             out[leg] = pieces
         return out
 
-    @pytest.mark.parametrize("horizon", [1, 3, 7, 9], ids=["below-L", "at-L", "above-L", "last"])
-    def test_equals_per_interval_sums_bit_for_bit(self, horizon):
+    @staticmethod
+    def _random_assignment(rng, n_h, lags, channels, n_od, pairs, zero_share=0.0):
+        band = rng.uniform(0.0, 1.0 / (lags + 1), size=(n_h, lags + 1, len(pairs[0])))
+        band[rng.random(band.shape) < zero_share] = 0.0
+        return AssignmentMatrix(od_index=tuple((str(i), "x") for i in range(n_od)),
+                                channels=channels, grid=TimeGrid(n_intervals=n_h),
+                                band=band, pairs=pairs)
+
+    def _assert_per_interval_sums(self, horizon, pairs):
         rng = np.random.default_rng(horizon)
-        n_h, lags, n_ch, n_od = 10, 3, 2, 4
-        band = rng.uniform(0.0, 1.0 / (lags + 1), size=(n_h, lags + 1, n_ch, n_od))
-        band[rng.random(band.shape) < 0.3] = 0.0
-        od_index = tuple((str(i), "x") for i in range(n_od))
-        asg = AssignmentMatrix(od_index=od_index, channels=("a", "b"),
-                               grid=TimeGrid(n_intervals=n_h), band=band)
+        n_h, n_od = 10, 4
+        asg = self._random_assignment(rng, n_h, 3, ("a", "b"), n_od, pairs, zero_share=0.3)
         profiles = {leg: rng.dirichlet(np.ones(n_h), size=n_od) for leg in ("out", "back")}
         mapping = cumulative_mapping(asg, profiles, horizon)
-        expected = self._per_interval(asg.band, profiles, horizon)
+        expected = self._per_interval(dense_band(asg), profiles, horizon)
         for leg in profiles:
             assert mapping.matrix(leg).tobytes() == expected[leg].sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("horizon", [1, 3, 7, 9], ids=["below-L", "at-L", "above-L", "last"])
+    def test_equals_per_interval_sums_bit_for_bit(self, horizon):
+        self._assert_per_interval_sums(horizon, [[0, 0, 0, 1, 1], [0, 1, 3, 1, 2]])
+
+    @pytest.mark.parametrize("horizon", [7, 9])
+    def test_one_pair_sums_interval_after_interval(self, horizon):
+        """A sum over the intervals of one pair alone would add pairwise."""
+        self._assert_per_interval_sums(horizon, [[1], [2]])
 
     @pytest.mark.parametrize("horizon", [0, 3, 9])
     def test_built_from_pieces_equals_the_band_mapping(self, horizon):
         """A mapping given per-interval pieces keeps the same matrices as
         ``cumulative_mapping`` on the band they come from."""
         rng = np.random.default_rng(100 + horizon)
-        n_h, lags, n_ch, n_od = 10, 2, 3, 5
-        band = rng.uniform(0.0, 1.0 / (lags + 1), size=(n_h, lags + 1, n_ch, n_od))
-        od_index = tuple((str(i), "x") for i in range(n_od))
-        asg = AssignmentMatrix(od_index=od_index, channels=("a", "b", "c"),
-                               grid=TimeGrid(n_intervals=n_h), band=band)
+        n_h, n_od = 10, 5
+        pairs = np.nonzero(np.ones((3, n_od)))
+        asg = self._random_assignment(rng, n_h, 2, ("a", "b", "c"), n_od, pairs)
         profiles = {leg: rng.dirichlet(np.ones(n_h), size=n_od) for leg in ("out", "back")}
         mapping = cumulative_mapping(asg, profiles, horizon)
-        built = CumulativeMapping(horizon=horizon, od_index=od_index, channels=asg.channels,
-                                  pieces=self._per_interval(asg.band, profiles, horizon))
+        built = CumulativeMapping(horizon=horizon, od_index=asg.od_index, channels=asg.channels,
+                                  pieces=self._per_interval(dense_band(asg), profiles, horizon))
         assert sorted(built.matrices) == sorted(mapping.matrices) == ["back", "out"]
         for leg in profiles:
             assert built.matrix(leg).tobytes() == mapping.matrix(leg).tobytes()

@@ -160,6 +160,18 @@ class TestRunExperiment:
         assert len(passes) == 4 + 1 + 47 + 3
         assert not any(passes)
 
+    @pytest.mark.parametrize("refresh", [False, True], ids=["frozen", "refresh"])
+    def test_estimation_never_builds_the_dense_assignment(self, toy_cfg, monkeypatch, refresh):
+        """Every reader of the linearization reads its band of crossed
+        (channel, OD) pairs; the dense ``(H, H, C, OD)`` view is never built."""
+        def dense_view(self):
+            raise AssertionError("the dense assignment view was built")
+
+        monkeypatch.setattr(odchain.assignment.AssignmentMatrix, "pieces", property(dense_view))
+        report = run_experiment(with_refresh(toy_cfg) if refresh else toy_cfg)
+        assert [(row.model, row.status) for row in report.rows] == [
+            (model, "ok") for model in report.models]
+
     def test_subset_of_models(self, toy_cfg):
         report = run_experiment(toy_cfg, models=("seed", "kf"))
         assert [r.model for r in report.rows] == ["seed", "kf"]

@@ -355,10 +355,10 @@ class TestRunSequence:
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
         swapped = AssignmentMatrix(od_index=asg.od_index, channels=asg.channels[::-1],
-                                   grid=asg.grid, band=asg.band)
+                                   grid=asg.grid, band=asg.band, pairs=asg.pairs)
         shifted = AssignmentMatrix(od_index=asg.od_index, channels=asg.channels,
                                    grid=dataclasses.replace(asg.grid, start=15),
-                                   band=asg.band)
+                                   band=asg.band, pairs=asg.pairs)
         for bad in (swapped, shifted):
             with pytest.raises(ConfigurationError, match="after interval 2 "):
                 run_kf_sequence(asg, np.zeros((n_ch, 5)), noise,
