@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .network import OD, Network, TimeGrid, bpr_travel_time
+from .network import OD, Network, TimeGrid, bpr_travel_time, read_only_view
 
 logger = logging.getLogger(__name__)
 
@@ -77,15 +77,17 @@ def load_call_count() -> int:
 
 @dataclass(frozen=True)
 class DynamicDemand:
-    """OD departures per interval: matrix of shape (n_od, n_intervals)."""
+    """OD departures per interval: matrix of shape (n_od, n_intervals).
+
+    ``matrix`` is a read-only view of the array given; a float array is not
+    copied."""
 
     od_index: tuple[OD, ...]
     grid: TimeGrid
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
+        m = read_only_view(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m.shape != (len(self.od_index), self.grid.n_intervals):
             raise ConfigurationError(
@@ -98,15 +100,17 @@ class DynamicDemand:
 
 @dataclass(frozen=True)
 class LinkFlowSeries:
-    """Detector channel counts per interval, shape (n_channels, n_intervals)."""
+    """Detector channel counts per interval, shape (n_channels, n_intervals).
+
+    ``counts`` is a read-only view of the array given; a float array is not
+    copied."""
 
     channels: tuple[str, ...]
     grid: TimeGrid
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.counts, dtype=float)
-        y.setflags(write=False)
+        y = read_only_view(self.counts)
         object.__setattr__(self, "counts", y)
         if y.shape != (len(self.channels), self.grid.n_intervals):
             raise ConfigurationError(
@@ -539,7 +543,9 @@ class AssignmentMatrix:
     departures crossing channel ``pairs[0, p]`` during interval ``k + l``,
     under the frozen travel times the matrix was built from; every other
     (channel, OD) pair is zero.  The band's width ``L + 1`` covers every lag a
-    crossing takes; entries past the horizon end count in no interval."""
+    crossing takes; entries past the horizon end count in no interval.
+    ``band`` and ``pairs`` are read-only views of the arrays given, which are
+    not copied where they are float and ``intp`` arrays."""
 
     od_index: tuple[OD, ...]
     channels: tuple[str, ...]
@@ -548,11 +554,10 @@ class AssignmentMatrix:
     pairs: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.band, dtype=float)
-        pairs = np.asarray(self.pairs, dtype=np.intp)
-        for a, name in ((b, "band"), (pairs, "pairs")):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        b = read_only_view(self.band)
+        pairs = read_only_view(self.pairs, dtype=np.intp)
+        object.__setattr__(self, "band", b)
+        object.__setattr__(self, "pairs", pairs)
         n_h, n_ch, n_od = self.grid.n_intervals, len(self.channels), len(self.od_index)
         if pairs.ndim != 2 or pairs.shape[0] != 2:
             raise ConfigurationError(f"assignment pairs {pairs.shape} are not (2, P)")
@@ -584,11 +589,19 @@ class AssignmentMatrix:
 
     def counted_at(self, h: int) -> np.ndarray:
         """The dense pieces counted in interval ``h``, by lag: ``(lags, C, OD)``
-        with ``[l] = pieces[h - l, h]`` for ``l = 0..min(L, h)``."""
-        lags = np.arange(min(self.band.shape[1], h + 1))
+        with ``[l] = pieces[h - l, h]`` for ``l = 0..min(L, h)``.
+
+        The band entries ``band[h - l, l]`` lie ``L`` apart in the band's
+        ``(H·(L + 1), P)`` rows, from row ``h·(L + 1)`` back, so they are
+        read as a strided view, not gathered."""
+        n_h, width, n_pairs = self.band.shape
+        n_lags = min(width, h + 1)
+        flat = self.band.reshape(n_h * width, n_pairs)
+        # a band of width 1 holds lag 0 alone, and a step of 0 is no slice
+        diagonal = flat[h: h + 1] if width == 1 else flat[h * width:: 1 - width][:n_lags]
         c, i = self.pairs
-        rows = np.zeros((lags.size, len(self.channels), len(self.od_index)))
-        rows[:, c, i] = self.band[h - lags, lags]
+        rows = np.zeros((n_lags, len(self.channels), len(self.od_index)))
+        rows[:, c, i] = diagonal
         return rows
 
     def predict_counts(self, demand_matrix: np.ndarray) -> np.ndarray:
@@ -687,7 +700,9 @@ class CumulativeMapping:
     shares.  Only the sums are kept, in ``matrices``.  A mapping can also be
     built from the per-interval ``pieces[leg]``, shape (horizon + 1,
     n_channels, n_od), which are summed over axis 0, as
-    ``cumulative_mapping`` sums its own, and not kept.
+    ``cumulative_mapping`` sums its own, and not kept.  ``matrices`` holds
+    read-only views, in a dict of the mapping's own; given float matrices
+    are not copied.
     """
 
     horizon: int
@@ -697,13 +712,13 @@ class CumulativeMapping:
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self, pieces: dict[str, np.ndarray] | None) -> None:
+        matrices = self.matrices
         if pieces is not None:
-            if self.matrices:
+            if matrices:
                 raise ConfigurationError("a cumulative mapping takes pieces or matrices, not both")
-            object.__setattr__(self, "matrices", {
-                leg: np.asarray(p, dtype=float).sum(axis=0) for leg, p in pieces.items()})
-        for m in self.matrices.values():
-            m.setflags(write=False)
+            matrices = {leg: np.asarray(p, dtype=float).sum(axis=0) for leg, p in pieces.items()}
+        object.__setattr__(self, "matrices", {
+            leg: read_only_view(m) for leg, m in matrices.items()})
 
     def matrix(self, leg: str) -> np.ndarray:
         try:

@@ -170,15 +170,16 @@ def _generate_side(
 
     The first pass uses free-flow travel times; the second recomputes the
     profiles from the first pass's loaded times, so each side's profiles feel
-    its own congestion.
+    its own congestion.  Of the first pass only those times are read, and
+    they are dropped once the profiles are built.
     """
     net = cfg.network
-    tt = _free_flow_tt(net, od_index, cfg.grid)
-    for _ in range(2):
-        profiles = _leg_profiles(cfg, od_index, tt)
-        demand = DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=_expand(flows, profiles))
-        load = load_network(net, demand)
-        tt = load.tt_od
+    profiles = _leg_profiles(cfg, od_index, _free_flow_tt(net, od_index, cfg.grid))
+    first = DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=_expand(flows, profiles))
+    profiles = _leg_profiles(cfg, od_index, load_network(net, first).tt_od)
+    del first
+    demand = DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=_expand(flows, profiles))
+    load = load_network(net, demand)
     return GeneratedSide(legs=_make_legs(cfg, od_index, flows, profiles), demand=demand, load=load)
 
 

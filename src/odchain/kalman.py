@@ -37,6 +37,7 @@ import scipy.linalg
 
 from .assignment import AssignmentMatrix
 from .errors import ConfigurationError, NumericalError
+from .network import read_only_view
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +82,8 @@ class FilterState:
     whether ``cov + 1e-8 * max(trace, 1) * I`` has a Cholesky factor, which
     gives the eigenvalue verdict up to roundoff at the boundary without an
     eigendecomposition.  ``cov_symmetry_error`` keeps the symmetry error
-    measured on the way.
+    measured on the way.  ``mean`` and ``cov`` are read-only views of the
+    arrays given; float arrays are not copied.
     """
 
     mean: np.ndarray
@@ -89,10 +91,8 @@ class FilterState:
     cov_symmetry_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
+        mean = read_only_view(self.mean).reshape(-1)
+        cov = read_only_view(self.cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         n = mean.shape[0]
@@ -120,15 +120,15 @@ class FilterState:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Process and measurement noise covariances."""
+    """Process and measurement noise covariances, read-only views of the
+    arrays given; float arrays are not copied."""
 
     Q: np.ndarray
     R: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("Q", "R"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            m.setflags(write=False)
+            m = read_only_view(getattr(self, name))
             object.__setattr__(self, name, m)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"{name} must be square")
@@ -145,6 +145,8 @@ class ArModel:
     Built as ``ArModel(coefficients=(F,))`` from one square matrix F.
     ``is_identity`` is set on construction: F is the identity, the random
     walk, which the time update and prediction apply without matrix products.
+    F is kept as a read-only view of the array given; a float array is not
+    copied.
     """
 
     coefficients: tuple[np.ndarray, ...]
@@ -153,8 +155,7 @@ class ArModel:
     def __post_init__(self) -> None:
         if len(self.coefficients) != 1:
             raise ConfigurationError(f"the transition takes one matrix, got {len(self.coefficients)}")
-        m = np.asarray(self.coefficients[0], dtype=float)
-        m.setflags(write=False)
+        m = read_only_view(self.coefficients[0])
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError("the transition matrix must be square")
         object.__setattr__(self, "coefficients", (m,))
@@ -207,19 +208,13 @@ def _solve_spd(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _update_with_gain(
-    pred: FilterState, H: np.ndarray, R: np.ndarray, delta_y: np.ndarray
+    pred: FilterState, H: np.ndarray, R: np.ndarray, innovation: np.ndarray
 ) -> tuple[FilterState, np.ndarray]:
-    H = np.asarray(H, dtype=float)
-    R = np.asarray(R, dtype=float)
-    delta_y = np.asarray(delta_y, dtype=float).reshape(-1)
-    if H.shape != (delta_y.shape[0], pred.dim):
-        raise ConfigurationError(
-            f"measurement matrix {H.shape} does not map state {pred.dim} to {delta_y.shape[0]} channels"
-        )
+    """Posterior and gain of ``pred`` given the innovation ``delta_y - H x``,
+    which the caller forms and has checked against ``H``."""
     hp = H @ pred.cov
     s = _symmetrize(hp @ H.T + R)
     gain = _solve_spd(s, hp).T  # K = P H' S^-1 via S K' = H P
-    innovation = delta_y - H @ pred.mean
     mean = pred.mean + gain @ innovation
     cov = _symmetrize(pred.cov - gain @ hp)
     return FilterState(mean=mean, cov=cov), gain
@@ -233,8 +228,18 @@ def kf_measurement_update(
     Standard update with gain K = P H' (H P H' + R)^-1 computed via a
     Cholesky solve (never an explicit inverse); the posterior covariance
     P - K H P is re-symmetrized.
+
+    Raises:
+        ConfigurationError: if ``H`` does not map the state to the channels
+            of ``delta_y``.
     """
-    state, _ = _update_with_gain(pred, H, R, delta_y)
+    H = np.asarray(H, dtype=float)
+    delta_y = np.asarray(delta_y, dtype=float).reshape(-1)
+    if H.shape != (delta_y.shape[0], pred.dim):
+        raise ConfigurationError(
+            f"measurement matrix {H.shape} does not map state {pred.dim} to {delta_y.shape[0]} channels"
+        )
+    state, _ = _update_with_gain(pred, H, np.asarray(R, dtype=float), delta_y - H @ pred.mean)
     return state
 
 
@@ -321,10 +326,10 @@ def run_kf_sequence(
         for k in range(h + 1 - rows.shape[0], h):
             lagged += rows[h - k] @ run.deltas[:, k]
         H = rows[0]
-        post, gain = _update_with_gain(prior, H, noise.R, delta_y[:, h] - lagged)
+        innovation = delta_y[:, h] - lagged - H @ prior.mean
+        post, gain = _update_with_gain(prior, H, noise.R, innovation)
         run.deltas[:, h] = post.mean
         run.last = post
-        innovation = delta_y[:, h] - lagged - H @ prior.mean
         run.diagnostics.append(
             KfStepDiagnostics(
                 interval=h,

@@ -16,7 +16,7 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from .errors import ChainConsistencyError, ConfigurationError
-from .network import OD, od_label
+from .network import OD, od_label, read_only_view
 
 logger = logging.getLogger(__name__)
 
@@ -27,7 +27,8 @@ class DemandLeg:
 
     ``flows`` spans the full OD universe (zeros off ``members``) so legs can
     be combined with plain vector algebra.  ``profile`` optionally carries the
-    (n_od, n_intervals) departure-interval shares for the member ODs.
+    (n_od, n_intervals) departure-interval shares for the member ODs.  Both
+    are read-only views of the arrays given; float arrays are not copied.
     """
 
     name: str
@@ -37,8 +38,7 @@ class DemandLeg:
     profile: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        flows = np.asarray(self.flows, dtype=float)
-        flows.setflags(write=False)
+        flows = read_only_view(self.flows)
         object.__setattr__(self, "flows", flows)
         if flows.shape != (len(self.od_index),):
             raise ConfigurationError(f"leg {self.name!r}: flows do not match the OD index")
@@ -54,8 +54,7 @@ class DemandLeg:
                     f"leg {self.name!r}: positive flow on non-member OD {od_label(od)}"
                 )
         if self.profile is not None:
-            prof = np.asarray(self.profile, dtype=float)
-            prof.setflags(write=False)
+            prof = read_only_view(self.profile)
             object.__setattr__(self, "profile", prof)
             if prof.ndim != 2 or prof.shape[0] != len(self.od_index):
                 raise ConfigurationError(f"leg {self.name!r}: profile shape {prof.shape} is invalid")
@@ -129,7 +128,8 @@ class LegOperator:
     Column j (a predecessor OD ending at zone n) holds the current leg's
     fractions over ODs leaving n; other columns are zero.  Entries therefore
     live in [0, 1] and every column sums to either one (fully redistributed)
-    or zero (not chained / dropped).
+    or zero (not chained / dropped).  ``matrix`` is a read-only view of the
+    array given; a float array is not copied.
     """
 
     current: str
@@ -137,8 +137,7 @@ class LegOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
+        m = read_only_view(self.matrix)
         object.__setattr__(self, "matrix", m)
         n = len(self.od_index)
         if m.shape != (n, n):

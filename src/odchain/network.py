@@ -35,6 +35,15 @@ def od_label(od: OD) -> str:
     return f"{od[0]}-{od[1]}"
 
 
+def read_only_view(a, dtype=float) -> np.ndarray:
+    """A read-only view of ``a`` as an array of ``dtype``, copied only where
+    ``a`` is not already such an array; the caller's own array stays
+    writable."""
+    view = np.asarray(a, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class Zone:
     id: str

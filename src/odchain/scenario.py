@@ -39,6 +39,11 @@ from .network import (
 
 logger = logging.getLogger(__name__)
 
+#: libyaml's C parser under PyYAML's safe constructor and resolver, where
+#: PyYAML was built with libyaml; the pure-Python ``SafeLoader`` otherwise.
+#: Both build the same document from the same text.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 PERTURBATION_MODES = ("none", "uniform_scale", "scale_plus_noise")
 #: Every model a scenario may request, in report order.
 MODELS = ("seed", "kf", "pkf", "spkf")
@@ -448,13 +453,17 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
 def load_scenario(path: str | FsPath) -> ScenarioConfig:
     """Parse a scenario file.
 
+    The YAML is parsed by ``_LOADER``: libyaml's C parser where PyYAML has
+    it, several times faster than PyYAML's pure-Python ``SafeLoader``, which
+    is used otherwise.  Both give the same document, so the same scenario.
+
     Raises:
         OSError: if the file cannot be read.
         ConfigurationError: if the document does not describe a scenario.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"cannot parse scenario {path}: {exc}") from exc
     return scenario_from_mapping(doc)

@@ -57,6 +57,40 @@ class TestContainers:
         with pytest.raises(ValueError):
             DynamicDemand(od_index=TOY.od_index, grid=grid, matrix=m)
 
+    def test_demand_views_the_callers_matrix(self):
+        """The demand holds a read-only view, not a copy, and leaves the
+        caller's array writable."""
+        m = np.zeros((len(TOY.od_index), 4))
+        demand = DynamicDemand(od_index=TOY.od_index, grid=TimeGrid(n_intervals=4), matrix=m)
+        m[0, 0] = 1.0
+        assert demand.matrix[0, 0] == 1.0 and np.shares_memory(demand.matrix, m)
+        assert not demand.matrix.flags.writeable
+
+    def test_counts_view_the_callers_array(self):
+        y = np.zeros((1, 4))
+        series = LinkFlowSeries(channels=("4a",), grid=TimeGrid(n_intervals=4), counts=y)
+        y[0, 0] = 1.0
+        assert series.counts[0, 0] == 1.0 and np.shares_memory(series.counts, y)
+        assert not series.counts.flags.writeable
+
+    def test_assignment_views_the_callers_band_and_pairs(self):
+        band, pairs = np.zeros((2, 1, 1)), np.zeros((2, 1), dtype=np.intp)
+        asg = AssignmentMatrix(od_index=(("1", "3"),), channels=("4a",),
+                               grid=TimeGrid(n_intervals=2), band=band, pairs=pairs)
+        band[0, 0, 0] = 0.5
+        assert asg.band[0, 0, 0] == 0.5 and np.shares_memory(asg.band, band)
+        assert np.shares_memory(asg.pairs, pairs) and pairs.flags.writeable
+        assert not (asg.band.flags.writeable or asg.pairs.flags.writeable)
+
+    def test_mapping_views_the_callers_matrices(self):
+        given = {"leg": np.zeros((1, 1))}
+        mapping = CumulativeMapping(horizon=0, od_index=(("1", "3"),), channels=("4a",),
+                                    matrices=given)
+        given["leg"][0, 0] = 2.0
+        assert mapping.matrix("leg")[0, 0] == 2.0
+        assert np.shares_memory(mapping.matrix("leg"), given["leg"])
+        assert not mapping.matrix("leg").flags.writeable
+
     def test_cumulative_is_nondecreasing(self):
         grid = TimeGrid(n_intervals=4)
         series = LinkFlowSeries(channels=("4a",), grid=grid,
@@ -464,12 +498,19 @@ class TestPairs:
 
     @pytest.mark.parametrize("h", [0, 1, 50, 95])
     def test_counted_at_reads_the_dense_view(self, toy_artifacts, h):
+        """At the toy's band width 2, at width 1 (lag 0 alone, here a
+        non-contiguous slice of the band) and at the grid's full width,
+        wider than h + 1 below the last interval."""
         asg = toy_artifacts.assignment
-        pieces = asg.pieces
-        rows = asg.counted_at(h)
-        assert rows.shape == (min(asg.band.shape[1], h + 1), *pieces.shape[2:])
-        for lag, row in enumerate(rows):
-            assert np.array_equal(row, pieces[h - lag, h])
+        n_h = asg.grid.n_intervals
+        full = np.random.default_rng(h).uniform(0.0, 1.0 / n_h, (n_h, n_h, asg.pairs.shape[1]))
+        for band in (asg.band, asg.band[:, :1], full):
+            matrix = dataclasses.replace(asg, band=band)
+            pieces = matrix.pieces
+            rows = matrix.counted_at(h)
+            assert rows.shape == (min(band.shape[1], h + 1), *pieces.shape[2:])
+            for lag, row in enumerate(rows):
+                assert np.array_equal(row, pieces[h - lag, h])
 
 
 class TestCumulativeMapping:

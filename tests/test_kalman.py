@@ -34,6 +34,16 @@ class TestFilterState:
     def test_dim(self):
         assert FilterState(mean=np.zeros(3), cov=np.eye(3)).dim == 3
 
+    def test_views_the_callers_arrays(self):
+        """The state holds read-only views, not copies, and leaves the
+        caller's arrays writable."""
+        mean, cov = np.zeros(2), np.eye(2)
+        state = FilterState(mean=mean, cov=cov)
+        mean[0] = cov[1, 1] = 3.0
+        assert state.mean[0] == state.cov[1, 1] == 3.0
+        assert np.shares_memory(state.mean, mean) and np.shares_memory(state.cov, cov)
+        assert not (state.mean.flags.writeable or state.cov.flags.writeable)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_mean(self, value):
         with pytest.raises(ValueError, match="non-finite"):
@@ -80,6 +90,13 @@ class TestArModel:
     ])
     def test_only_a_single_identity_lag_is_the_identity(self, coefficients):
         assert not ArModel(coefficients=coefficients).is_identity
+
+    def test_views_the_callers_matrix(self):
+        f = np.eye(2)
+        ar = ArModel(coefficients=(f,))
+        f[0, 1] = 0.5
+        assert ar.coefficients[0][0, 1] == 0.5 and np.shares_memory(ar.coefficients[0], f)
+        assert not ar.coefficients[0].flags.writeable
 
     def test_needs_at_least_one_lag(self):
         with pytest.raises(ConfigurationError, match="one matrix, got 0"):
@@ -217,6 +234,14 @@ class TestMeasurementUpdate:
 
 
 class TestNoiseModel:
+    def test_views_the_callers_matrices(self):
+        q, r = np.eye(2), np.eye(1)
+        noise = NoiseModel(Q=q, R=r)
+        q[0, 0] = r[0, 0] = 4.0
+        assert noise.Q[0, 0] == noise.R[0, 0] == 4.0
+        assert np.shares_memory(noise.Q, q) and np.shares_memory(noise.R, r)
+        assert not (noise.Q.flags.writeable or noise.R.flags.writeable)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             NoiseModel(Q=np.array([[1.0, 0.2], [0.0, 1.0]]), R=np.eye(1))
@@ -405,6 +430,7 @@ class TestRunSequence:
 
         state = FilterState(mean=np.zeros(n_od), cov=noise.Q.copy())
         deltas = np.zeros((n_od, delta_y.shape[1]))
+        diagnostics = []
         pieces = same_interval
         for h in range(delta_y.shape[1]):
             prior = state if h == 0 else kf_time_update([state], ArModel.identity(n_od), noise.Q)
@@ -414,8 +440,16 @@ class TestRunSequence:
                 if piece.any():
                     lagged += piece @ deltas[:, k]
             state = kf_measurement_update(prior, pieces[h, h], noise.R, delta_y[:, h] - lagged)
+            innovation = delta_y[:, h] - lagged - pieces[h, h] @ prior.mean
+            _, gain = kalman_mod._update_with_gain(prior, pieces[h, h], noise.R, innovation)
+            diagnostics.append((np.linalg.norm(innovation), np.linalg.norm(gain),
+                                np.trace(state.cov), state.cov_symmetry_error,
+                                np.linalg.eigvalsh(state.cov).min()))
             deltas[:, h] = state.mean
             if h == swap_at:
                 pieces = full_pieces
         assert np.array_equal(run.deltas, deltas)
+        # every step's five diagnostics, bit for bit
+        assert [(d.innovation_norm, d.gain_norm, d.cov_trace, d.cov_symmetry_error,
+                 d.cov_min_eigenvalue) for d in run.diagnostics] == diagnostics
         assert not np.array_equal(run.deltas, run_kf_sequence(first, delta_y, noise).deltas)

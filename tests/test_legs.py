@@ -33,6 +33,17 @@ class TestDemandLeg:
         with pytest.raises(ConfigurationError):
             make_leg("m", [1.0, 2.0], (("h1", "w"), ("h2", "w")))
 
+    def test_views_the_callers_arrays(self):
+        """The leg holds read-only views, not copies, and leaves the
+        caller's arrays writable."""
+        flows, profile = np.array([1.0, 0, 0, 0]), np.zeros((4, 2))
+        leg = DemandLeg(name="m", od_index=OD4, flows=flows, members=(("h1", "w"),),
+                        profile=profile)
+        flows[0] = profile[0, 0] = 2.0
+        assert leg.flows[0] == leg.profile[0, 0] == 2.0
+        assert np.shares_memory(leg.flows, flows) and np.shares_memory(leg.profile, profile)
+        assert not (leg.flows.flags.writeable or leg.profile.flags.writeable)
+
 
 class TestChainSpec:
     def test_topological_order_puts_feeders_first(self):
@@ -80,6 +91,13 @@ class TestLegOperator:
         m[2, 0] = 1.5
         with pytest.raises(ValueError):
             LegOperator(current="x", od_index=OD4, matrix=m)
+
+    def test_views_the_callers_matrix(self):
+        m = np.zeros((4, 4))
+        op = LegOperator(current="x", od_index=OD4, matrix=m)
+        m[2, 0] = 1.0
+        assert op.matrix[2, 0] == 1.0 and np.shares_memory(op.matrix, m)
+        assert not op.matrix.flags.writeable
 
     def test_rejects_partial_columns(self):
         m = np.zeros((4, 4))

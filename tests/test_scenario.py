@@ -5,6 +5,7 @@ import re
 import pytest
 import yaml
 
+from odchain import scenario as scenario_mod
 from odchain.errors import ConfigurationError
 from odchain.scenario import (
     EstimationConfig,
@@ -305,6 +306,60 @@ class TestInlineNetwork:
         assert rows["kf"].impr_link_pct > 0.0
 
 
+README = pathlib.Path(__file__).parents[1] / "README.md"
+
+#: PyYAML's pure-Python safe loader, and libyaml's C parser under the same
+#: constructor and resolver where PyYAML was built with it.
+LOADERS = [
+    pytest.param(yaml.SafeLoader, id="pure"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                 marks=pytest.mark.skipif(not yaml.__with_libyaml__,
+                                          reason="PyYAML was built without libyaml")),
+]
+
+
+class TestLoaders:
+    """Every loader ``load_scenario`` may use builds the same scenario."""
+
+    @staticmethod
+    def _sources(tmp_path):
+        """The packaged toy and each YAML block of README.md, as files."""
+        yield packaged_scenario_path("toy")
+        blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert blocks
+        for n, block in enumerate(blocks):
+            path = tmp_path / f"readme-{n}.scenario"
+            path.write_text(block, encoding="utf-8")
+            yield path
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_same_scenario_as_safe_load(self, loader, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenario_mod, "_LOADER", loader)
+        for path in self._sources(tmp_path):
+            text = path.read_text(encoding="utf-8")
+            assert yaml.load(text, Loader=loader) == yaml.safe_load(text)
+            cfg = load_scenario(path)
+            expected = scenario_from_mapping(yaml.safe_load(text))
+            assert cfg == expected and repr(cfg) == repr(expected)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_same_scenario_as_the_toy_document(self, loader, toy_doc, monkeypatch):
+        monkeypatch.setattr(scenario_mod, "_LOADER", loader)
+        assert load_scenario(packaged_scenario_path("toy")) == scenario_from_mapping(toy_doc)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_malformed_file_names_its_path(self, loader, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenario_mod, "_LOADER", loader)
+        path = tmp_path / "broken.scenario"
+        path.write_text("name: [unclosed\n")
+        with pytest.raises(ConfigurationError, match=f"cannot parse scenario {re.escape(str(path))}"):
+            load_scenario(path)
+
+    def test_libyaml_is_used_where_pyyaml_has_it(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert scenario_mod._LOADER is expected
+
+
 class TestFiles:
     def test_packaged_path_exists(self):
         assert packaged_scenario_path("toy").exists()
@@ -322,8 +377,7 @@ class TestFiles:
     def test_readme_example_parses_as_written(self):
         """The scenario in README.md must mean what it says: it parses under
         the strict keys, and the parsed values are checked."""
-        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+        block = re.search(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
         cfg = scenario_from_mapping(yaml.safe_load(block))
         assert cfg.validate() == []
         assert (cfg.grid.n_intervals, cfg.grid.interval_minutes) == (96, 15)
