@@ -19,10 +19,16 @@ chronological order, so every sum accumulates as an interval-by-interval
 pass would.  A link passes its parcels on as pieces: each window, shifted by
 the link time, is cut at the next interval edge, and one index over all
 pieces, sorted by next link where routes fan out, gathers every column once
-and hands each next link a slice.  The link order and each route layout,
-with the tables the kernel walks, depend on the network alone, so each is
-built once per network (``Network.plans``).  ``load_network``'s door-to-door
-probes walk every OD together, one route position at a time.
+and hands each next link a slice.  A pass holds in flight only the parcels
+waiting at the links still to visit and those of the link it visits.  The
+callers hand the departure arrays over, so they are freed once sorted onto
+the first links; a link writes its shifted windows' ends once into one
+table, from which both ends of every piece are read, scales the masses in
+place and frees each array after its last reader.  The link order and each
+route layout, with the tables the kernel walks, depend on the network
+alone, so each is built once per network (``Network.plans``).
+``load_network``'s door-to-door probes walk every OD together, one route
+position at a time.
 
 Only ``load_network`` moves every parcel over its whole route: generation
 needs every link's times and the door-to-door probe times.  The passes that
@@ -291,18 +297,20 @@ def _build_plan(net: Network, od_index: tuple[OD, ...], cut: bool) -> _Routes:
 def _propagate(
     grid: TimeGrid,
     plan: _Routes,
-    sources: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]],
+    sources: list[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]],
     link_time: Callable[[str, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]], np.ndarray],
 ) -> dict[str, float]:
     """Move departure parcels along fixed routes, one link at a time over the day.
 
-    ``sources`` holds ``(r, k, masses)``: each array of ``masses`` departs
-    uniformly over interval ``k`` onto the first link of ``plan.routes[r]``,
-    which must not be empty.  A parcel enters its link uniformly over a
-    window ``[a, b)`` within one interval ``h``, carries its cell
-    ``r * n_intervals + k`` and one value of each mass.  Its windows do not
-    depend on its masses, so one parcel can carry several; the first is the
-    one that loads the links.
+    ``sources`` is a one-element list holding ``(r, k, masses)``: each array
+    of ``masses`` departs uniformly over interval ``k`` onto the first link
+    of ``plan.routes[r]``, which must not be empty.  The kernel pops it, so
+    the departure arrays are handed over: once they are sorted into the
+    first links' batches, no frame holds them.  A parcel enters its link
+    uniformly over a window ``[a, b)`` within one interval ``h``, carries
+    its cell ``r * n_intervals + k`` and one value of each mass.  Its
+    windows do not depend on its masses, so one parcel can carry several;
+    the first is the one that loads the links.
 
     Links are visited in ``plan.order``, each for every interval at once.
     This is exact: a link's time in an interval depends only on its inflow
@@ -332,7 +340,7 @@ def _propagate(
     # per link, the batches of parcels waiting to enter it, each
     # (cell, entry interval, previous entry interval, a, b, *masses)
     inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
-    r, k, masses = sources
+    r, k, masses = sources.pop()
     first = plan.first[r]
     cell = (r * n_h + k).astype(np.int32)
     for i in np.unique(first).tolist():
@@ -381,29 +389,44 @@ def _propagate(
         # the edges are exact.  So window j gives piece 2j up to the edge and
         # piece 2j + 1 past it, each kept if not empty and the trip goes on;
         # a piece past the horizon end (edge ``inf``) is not cut further.
+        # Row j of ``bounds`` is [sa, min(edge, sb), sb], so the piece's
+        # ends are its entries 3j + past and 3j + past + 1: a piece past the
+        # edge is kept only if edge < sb, and then begins at the edge.
+        bounds = np.empty((h.size, 3))
         shift = tt[h]
-        sa, sb = a + shift, b + shift
-        start = _interval_index(sa - grid.start, grid.interval_minutes, n_h)
-        edge = edges[start + 1]
+        np.add(a, shift, out=bounds[:, 0])
+        np.add(b, shift, out=bounds[:, 2])
+        del shift
+        start = _interval_index(bounds[:, 0] - grid.start, grid.interval_minutes, n_h)
+        np.minimum(edges[start + 1], bounds[:, 2], out=bounds[:, 1])
         nxt = succ[i][cell // n_h]
         go = nxt >= 0
         keep = np.empty((nxt.size, 2), dtype=bool)
-        np.logical_and(sa < sb, go, out=keep[:, 0])
-        np.logical_and(edge < sb, go, out=keep[:, 1])
+        np.logical_and(bounds[:, 0] < bounds[:, 2], go, out=keep[:, 0])
+        np.logical_and(bounds[:, 1] < bounds[:, 2], go, out=keep[:, 1])
         pieces = np.flatnonzero(keep)
         del go, keep
         if len(fanout[i]) > 1:
             pieces = pieces[np.argsort(nxt[pieces >> 1], kind="stable")]
         rows, past = pieces >> 1, (pieces & 1).astype(bool)
+        at = pieces + rows
         del pieces
-        edge, sa, sb = edge[rows], sa[rows], sb[rows]
-        piece_a = np.where(past, edge, sa)
-        piece_b = np.where(past, sb, np.minimum(edge, sb))
+        piece_a = bounds.ravel()[at]
+        at += 1
+        piece_b = bounds.ravel()[at]
+        del bounds, at
         width = (b - a)[rows]
-        out = (cell[rows], start[rows] + past, h[rows], piece_a, piece_b,
-               *[m[rows] * (piece_b - piece_a) / width for m in mass])
+        del a, b
+        span = piece_b - piece_a
+        moved = [m[rows] for m in mass]
+        del mass
+        for m in moved:  # m * span / width in place, rounded as that expression is
+            np.multiply(m, span, out=m)
+            np.divide(m, width, out=m)
+        del span, width
+        out = (cell[rows], start[rows] + past, h[rows], piece_a, piece_b, *moved)
         # free this link's parcels before the next link gathers its own
-        del cell, h, mass, a, b, shift, start, edge, sa, sb, past, width, piece_a, piece_b
+        del cell, h, start, past, piece_a, piece_b, moved
         if len(fanout[i]) == 1:
             inbox[fanout[i][0]].append(out)
         else:
@@ -412,6 +435,14 @@ def _propagate(
                 inbox[n].append(tuple(col[lo:hi] for col in out))
         del rows, nxt, out
     return spill
+
+
+def _departures(matrix: np.ndarray, cells: np.ndarray) -> list[tuple]:
+    """``_propagate``'s sources: every cell of ``cells`` departs its demand
+    in ``matrix``.  They are built here and handed over in a list, so no
+    caller's frame holds them through the pass."""
+    ois, ks = np.nonzero(cells)
+    return [(ois, ks, (matrix[ois, ks],))]
 
 
 def _interval_index(offset: np.ndarray, interval_minutes: int, last: int) -> np.ndarray:
@@ -463,8 +494,7 @@ def load_network(
         link_tt[lid] = tt
         return tt
 
-    ois, ks = np.nonzero(demand.matrix > 0.0)
-    spill = _propagate(grid, plan, (ois, ks, (demand.matrix[ois, ks],)), link_time)
+    spill = _propagate(grid, plan, _departures(demand.matrix, demand.matrix > 0.0), link_time)
     # the whole layout visits every detector channel
     counts = np.array([link_inflow[ch] for ch in net.detectors]).reshape(len(net.detectors), n_h)
     tt_od = _probe_travel_times(plan, grid, link_tt)
@@ -499,8 +529,8 @@ def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
         return bpr_travel_time(net.links[lid], inflow / hours)
 
     plan = _route_plan(net, demand.od_index, cut=True)
-    ois, ks = np.nonzero((demand.matrix > 0.0) & (plan.first >= 0)[:, None])
-    _propagate(grid, plan, (ois, ks, (demand.matrix[ois, ks],)), link_time)
+    live = (demand.matrix > 0.0) & (plan.first >= 0)[:, None]
+    _propagate(grid, plan, _departures(demand.matrix, live), link_time)
     return LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts)
 
 
@@ -676,10 +706,10 @@ def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
         return bpr_travel_time(net.links[lid], inflow / hours)
 
     live = np.flatnonzero(plan.first >= 0)
-    masses = (demand.matrix[live].ravel(), np.ones(live.size * n_h))
-    _propagate(grid, plan,
-               (np.repeat(live, n_h), np.tile(np.arange(n_h), live.size), masses), link_time)
-    del masses  # before the band is allocated
+    # handed over, so the departures are freed before the band is allocated
+    sources = [(np.repeat(live, n_h), np.tile(np.arange(n_h), live.size),
+                (demand.matrix[live].ravel(), np.ones(live.size * n_h)))]
+    _propagate(grid, plan, sources, link_time)
     band = np.zeros((n_h, max((b.shape[1] for b in blocks.values()), default=1),
                      plan.pairs.shape[1]))
     for c, block in blocks.items():

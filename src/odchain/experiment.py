@@ -292,6 +292,10 @@ class ExperimentReport:
 
 
 def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
+    """The filters' noise: the interval filter's, its prior covariance, and
+    the leg chain's, of which ``run_leg_chain`` reads a prior covariance for
+    each root leg and a process noise for each chained leg, so only those
+    are built."""
     hist = artifacts.history
     mean_flow = _positive_mean(hist.demand.matrix)
     mean_count = _positive_mean(hist.load.counts.counts)
@@ -303,10 +307,13 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
 
     leg_Q: dict[str, np.ndarray] = {}
     root_P0: dict[str, np.ndarray] = {}
+    roots = artifacts.chain.roots()
     for name, leg in hist.legs.items():
         mean_leg = _positive_mean(leg.flows) if (leg.flows > 0).any() else mean_flow
-        leg_Q[name] = (cfg.noise.leg_process * mean_leg) ** 2 * np.eye(n_od)
-        root_P0[name] = (cfg.noise.leg_prior * mean_leg) ** 2 * np.eye(n_od)
+        if name in roots:
+            root_P0[name] = (cfg.noise.leg_prior * mean_leg) ** 2 * np.eye(n_od)
+        else:
+            leg_Q[name] = (cfg.noise.leg_process * mean_leg) ** 2 * np.eye(n_od)
 
     cum_hist = hist.load.counts.cumulative()[:, artifacts.config.cutoff_index - 1]
     mean_cum = _positive_mean(cum_hist) if (cum_hist > 0).any() else mean_count
@@ -516,15 +523,26 @@ def run_experiment(
     cut = cfg.cutoff_index
     n_h = cfg.grid.n_intervals
     horizon_short = min(cut + cfg.estimation.prediction_intervals, n_h)
-    truth_matrix = artifacts.truth.demand.matrix
-    truth_counts = artifacts.truth.load.counts.counts
 
     t1 = time.perf_counter()
     estimates, kf_diag, leg_diag, misc, errors, est_seconds = _estimate(cfg, artifacts, wanted)
 
+    # Scoring and the report read these alone.  The rest of the generation
+    # data, the frozen band, every leg profile and both loads' link and probe
+    # times, is freed with the artifacts before the scoring passes.
+    od_index = artifacts.od_index
+    truth_matrix = artifacts.truth.demand.matrix
+    truth_counts = artifacts.truth.load.counts.counts
+    hist_matrix = artifacts.history.demand.matrix
+    hist_counts = artifacts.history.load.counts.counts
+    spillover_true = artifacts.truth.load.spilled()
+    spillover_historical = artifacts.history.load.spilled()
+    factors = artifacts.perturbation_factors
+    del artifacts
+
     # the seed baseline anchors the improvement columns even when not requested
-    seed_rmse_od = rmse(artifacts.history.demand.matrix, truth_matrix)
-    seed_rmse_link = rmse(artifacts.history.load.counts.counts, truth_counts)
+    seed_rmse_od = rmse(hist_matrix, truth_matrix)
+    seed_rmse_link = rmse(hist_counts, truth_counts)
 
     rows: list[ModelRow] = []
     for model in wanted:
@@ -539,11 +557,10 @@ def run_experiment(
         try:
             est = estimates[model]
             if model == "seed":
-                counts = artifacts.history.load.counts.counts
+                counts = hist_counts
             else:
                 counts = detector_counts(
-                    cfg.network,
-                    DynamicDemand(od_index=artifacts.od_index, grid=cfg.grid, matrix=est),
+                    cfg.network, DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=est),
                 ).counts
             row.rmse_od = rmse(est, truth_matrix)
             row.rmse_link = rmse(counts, truth_counts)
@@ -572,10 +589,10 @@ def run_experiment(
         seed=cfg.seed,
         models=wanted,
         rows=rows,
-        od_index=artifacts.od_index,
+        od_index=od_index,
         grid=cfg.grid,
         truth=truth_matrix,
-        historical=artifacts.history.demand.matrix,
+        historical=hist_matrix,
         estimates=estimates,
         kf_diagnostics=kf_diag,
         leg_diagnostics=leg_diag,
@@ -583,12 +600,10 @@ def run_experiment(
             "seed_rmse_od": seed_rmse_od,
             "seed_rmse_link": seed_rmse_link,
             "attributed_totals": misc.get("attributed_totals", {}),
-            "spillover_true": artifacts.truth.load.spilled(),
-            "spillover_historical": artifacts.history.load.spilled(),
+            "spillover_true": spillover_true,
+            "spillover_historical": spillover_historical,
             "generation_runtime_s": t1 - t0,
-            "perturbation_factors": {
-                n: f.tolist() for n, f in artifacts.perturbation_factors.items()
-            },
+            "perturbation_factors": {n: f.tolist() for n, f in factors.items()},
         },
     )
     report.runtime_s = time.perf_counter() - t0

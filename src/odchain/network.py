@@ -322,6 +322,14 @@ TOY_CAPACITY = 4000.0
 OVERRIDE_KEYS = ("free_flow_time", "capacity", "bpr_alpha", "bpr_beta")
 
 
+def _override(value, key: str) -> float:
+    """An override as a float; a boolean, NaN or an infinity is a ``ValueError``."""
+    result = None if isinstance(value, bool) else float(value)
+    if result is None or not math.isfinite(result):
+        raise ValueError(f"override {key} must be a finite number, not {value!r}")
+    return result
+
+
 def _per_label(value, label: str, default: float, key: str) -> float:
     if value is None:
         return default
@@ -329,8 +337,8 @@ def _per_label(value, label: str, default: float, key: str) -> float:
         for k in value:
             if str(k) not in {r[0] for r in _TOY_ROADS}:
                 raise ConfigurationError(f"override {key}: unknown link label {k!r}")
-        return float(value.get(label, value.get(int(label), default)))
-    return float(value)
+        return _override(value.get(label, value.get(int(label), default)), key)
+    return _override(value, key)
 
 
 def build_toy_network(overrides: dict | None = None) -> Network:
@@ -338,14 +346,16 @@ def build_toy_network(overrides: dict | None = None) -> Network:
 
     ``overrides`` may retune the declared tunables only: ``free_flow_time``
     and ``capacity`` (scalar or per-label mapping), ``bpr_alpha`` and
-    ``bpr_beta`` (scalars).  Anything else raises a configuration error.
+    ``bpr_beta`` (scalars).  Any other key raises a configuration error; a
+    value that is no finite number, a boolean included, a ``ValueError`` or
+    ``TypeError``.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown network overrides: {sorted(unknown)}")
-    alpha = float(overrides.get("bpr_alpha", 0.15))
-    beta = float(overrides.get("bpr_beta", 4.0))
+    alpha = _override(overrides.get("bpr_alpha", 0.15), "bpr_alpha")
+    beta = _override(overrides.get("bpr_beta", 4.0), "bpr_beta")
 
     links: dict[str, Link] = {}
     for label, a, b in _TOY_ROADS:

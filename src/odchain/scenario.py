@@ -15,6 +15,7 @@ from __future__ import annotations
 import difflib
 import functools
 import logging
+import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path as FsPath
@@ -49,22 +50,28 @@ PERTURBATION_MODES = ("none", "uniform_scale", "scale_plus_noise")
 MODELS = ("seed", "kf", "pkf", "spkf")
 
 
-def parse_minutes(value) -> float:
-    """Accept "HH:MM" strings or plain minute numbers."""
+def parse_minutes(value, where: str | None = None, key=None) -> float:
+    """Accept "HH:MM" strings or plain, finite minute numbers.
+
+    Raises:
+        ConfigurationError: for anything else, a boolean included, naming
+            the key path ``where.key`` when ``where`` is given.
+    """
+    at = "" if where is None else f"{_path(where, key)}: "
     if isinstance(value, str):
         parts = value.split(":")
         if len(parts) != 2:
-            raise ConfigurationError(f"cannot parse time {value!r}; expected HH:MM or minutes")
+            raise ConfigurationError(f"{at}cannot parse time {value!r}; expected HH:MM or minutes")
         try:
             hours, minutes = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise ConfigurationError(f"cannot parse time {value!r}") from exc
+            raise ConfigurationError(f"{at}cannot parse time {value!r}") from exc
         if not (0 <= minutes < 60):
-            raise ConfigurationError(f"minutes out of range in {value!r}")
+            raise ConfigurationError(f"{at}minutes out of range in {value!r}")
         return float(hours * 60 + minutes)
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
         return float(value)
-    raise ConfigurationError(f"cannot parse time {value!r}")
+    raise ConfigurationError(f"{at}cannot parse time {value!r}")
 
 
 def _parse_od(key: str) -> OD:
@@ -240,35 +247,36 @@ def _list(value, where: str, key=None) -> list | tuple:
 
 
 def _number(value, where: str, key=None) -> float:
-    """``float(value)``, or a :class:`ConfigurationError` naming the key path."""
+    """``float(value)`` if it is finite; a boolean, which Python counts as a
+    number, NaN, an infinity or anything else is a :class:`ConfigurationError`
+    naming the key path."""
     try:
-        return float(value)
+        result = None if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
-        raise ConfigurationError(f"{_path(where, key)} must be a number, not {value!r}") from None
+        result = None
+    if result is None:
+        raise ConfigurationError(f"{_path(where, key)} must be a number, not {value!r}")
+    if not math.isfinite(result):
+        raise ConfigurationError(f"{_path(where, key)} must be finite, not {value!r}")
+    return result
 
 
 def _numbers(spec, where: str, key=lambda k: k) -> dict:
     """The mapping ``spec`` with its keys passed through ``key`` and its
-    values as floats.
+    values as floats, each read by :func:`_number`.
 
     Raises:
         ConfigurationError: naming the key path of a value that is not a
-            number, or ``where`` if ``spec`` is not a mapping.
+            finite number, or ``where`` if ``spec`` is not a mapping.
     """
-    spec = _check_keys(spec, None, where)
-    try:
-        return {key(k): float(v) for k, v in spec.items()}
-    except (TypeError, ValueError):
-        for k, v in spec.items():
-            _number(v, where, k)  # raises for the value that is not a number
-        raise
+    return {key(k): _number(v, where, k) for k, v in _check_keys(spec, None, where).items()}
 
 
 def _integer(value, where: str, key=None) -> int:
-    """``int(value)`` for an integer or a whole number; anything else is a
-    :class:`ConfigurationError` naming the key path."""
+    """``int(value)`` for an integer or a whole number; a boolean or anything
+    else is a :class:`ConfigurationError` naming the key path."""
     try:
-        result = int(value)
+        result = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         result = None
     if result is None or (isinstance(value, float) and result != value):
@@ -363,7 +371,8 @@ def _build_network(spec) -> Network:
 def _build_schedule(spec, where: str) -> ScheduleParams:
     spec = dict(_check_keys(spec, _field_names(ScheduleParams), where))
     if "preferred_arrival" in spec:
-        spec["preferred_arrival"] = parse_minutes(spec["preferred_arrival"])
+        spec["preferred_arrival"] = parse_minutes(spec["preferred_arrival"], where,
+                                                  "preferred_arrival")
     try:
         return ScheduleParams(**_numbers(spec, where))
     except ValueError as exc:
@@ -383,7 +392,8 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
                       "models"), "the scenario")
     grid_spec = _check_keys(doc.get("time_grid"), _field_names(TimeGrid), "time_grid")
     grid = TimeGrid(
-        start=_integer(parse_minutes(grid_spec.get("start", 0)), "time_grid", "start"),
+        start=_integer(parse_minutes(grid_spec.get("start", 0), "time_grid", "start"),
+                       "time_grid", "start"),
         interval_minutes=_integer(
             grid_spec.get("interval_minutes", 15), "time_grid", "interval_minutes"
         ),
@@ -425,7 +435,7 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
         "estimation",
     )
     estimation = EstimationConfig(
-        cutoff_minute=parse_minutes(est_spec.get("cutoff", grid.end)),
+        cutoff_minute=parse_minutes(est_spec.get("cutoff", grid.end), "estimation", "cutoff"),
         prediction_intervals=_integer(
             est_spec.get("prediction_intervals", 2), "estimation", "prediction_intervals"
         ),

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -389,9 +390,10 @@ def add_at_band(net, demand):
 
     plan = assignment_mod._route_plan(net, demand.od_index, cut=True)
     live = np.flatnonzero(plan.first >= 0)
-    sources = (np.repeat(live, n_h), np.tile(np.arange(n_h), live.size),
-               (demand.matrix[live].ravel(), np.ones(live.size * n_h)))
+    sources = [(np.repeat(live, n_h), np.tile(np.arange(n_h), live.size),
+                (demand.matrix[live].ravel(), np.ones(live.size * n_h)))]
     assignment_mod._propagate(grid, plan, sources, link_time)
+    assert sources == []  # handed over
     k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))
     band = np.zeros((n_h, int(lag.max(initial=0)) + 1, len(net.detectors),
                      len(demand.od_index)))
@@ -433,6 +435,33 @@ class TestBandSums:
         art = generate_truth_and_history(dataclasses.replace(toy_cfg, grid=grid))
         assert art.assignment.band.shape[1] == 5
         self.assert_add_at(art.assignment, toy_cfg.network, art.history.demand)
+
+
+class TestHandOver:
+    """The kernel's callers hand their departure arrays over: once the
+    kernel has sorted them into the first links' batches, nothing holds
+    them, so they are dead by the first link's callback."""
+
+    @pytest.mark.parametrize("call", [load_network, detector_counts, assignment_matrix],
+                             ids=["load", "counts", "linearization"])
+    def test_departures_are_dead_by_the_first_callback(self, monkeypatch, call):
+        real = assignment_mod._propagate
+        seen = []
+
+        def propagate(grid, plan, sources, link_time):
+            refs = [weakref.ref(x) for x in (*sources[0][:2], *sources[0][2])]
+
+            def watched(*args):
+                seen.append([ref() is not None for ref in refs])
+                return link_time(*args)
+
+            spill = real(grid, plan, sources, watched)
+            assert sources == []
+            return spill
+
+        monkeypatch.setattr(assignment_mod, "_propagate", propagate)
+        call(TOY, toy_demand(TimeGrid(n_intervals=12), TestBandSums.CONGESTED))
+        assert seen and not any(seen[0])
 
 
 class TestBandWidth:

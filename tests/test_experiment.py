@@ -4,6 +4,7 @@ import json
 import pathlib
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -287,6 +288,42 @@ class TestRunExperiment:
         assert len(filtering) == 1
         assert row.runtime_s >= filtering[0]
         assert row.runtime_s > scoring_s
+
+    def test_generation_data_is_freed_before_scoring(self, toy_cfg, monkeypatch):
+        """Scoring reads no linearization, leg profile or link time: the
+        frozen band, both loads and the history's legs are gone when its
+        first count-only load runs."""
+        real_generate = odchain.experiment.generate_truth_and_history
+        real_counts = odchain.experiment.detector_counts
+        refs = []
+        alive = []
+
+        def generate(cfg):
+            artifacts = real_generate(cfg)
+            refs.extend(weakref.ref(x) for x in (
+                artifacts.assignment, artifacts.truth.load, artifacts.history.load,
+                *artifacts.history.legs.values()))
+            return artifacts
+
+        def counts(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return real_counts(*args, **kwargs)
+
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
+        monkeypatch.setattr(odchain.experiment, "detector_counts", counts)
+        report = run_experiment(toy_cfg)
+        assert all(row.status == "ok" for row in report.rows)
+        assert len(alive) == 3 and len(refs) == 3 + len(toy_cfg.legs)
+        assert not any(alive[0])
+
+    def test_noise_models_build_what_the_leg_chain_reads(self, toy_cfg, toy_artifacts):
+        """A prior covariance for each root leg, a process noise for each
+        chained leg, and nothing else."""
+        _, _, leg_Q, root_P0, _ = odchain.experiment._noise_models(toy_cfg, toy_artifacts)
+        chain = toy_artifacts.chain
+        assert set(root_P0) == set(chain.roots())
+        assert set(leg_Q) == {n for n in chain.topological_order() if chain.feeds.get(n)}
+        assert set(root_P0).isdisjoint(leg_Q)
 
 
 def test_readme_python_example_runs(capsys):

@@ -51,9 +51,13 @@ class TestParseMinutes:
         assert parse_minutes(12.5) == 12.5
 
     def test_rejects_garbage(self):
-        for bad in ("8", "a:b", "10:75", None, [1]):
+        for bad in ("8", "a:b", "10:75", None, [1], True, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 parse_minutes(bad)
+
+    def test_names_the_key_path(self):
+        with pytest.raises(ConfigurationError, match=r"^estimation\.cutoff: cannot parse time"):
+            parse_minutes("noon", "estimation", "cutoff")
 
 
 class TestSpecs:
@@ -278,6 +282,47 @@ class TestMappingErrors:
         toy_doc["legs"][0]["od_split"] = {"1_3": 1.0}
         with pytest.raises(ConfigurationError):
             scenario_from_mapping(toy_doc)
+
+    @pytest.mark.parametrize(
+        "inline, path, text, message",
+        [
+            (False, ("legs", 0, "total"), ".nan", r"legs\[0\]\.total must be finite, not nan"),
+            (True, ("network", "links", 0, "capacity"), ".nan",
+             r"network\.links\[0\]\.capacity must be finite, not nan"),
+            (True, ("network", "links", 0, "free_flow_time"), ".inf",
+             r"network\.links\[0\]\.free_flow_time must be finite, not inf"),
+            (False, ("noise", "process"), ".nan", r"noise\.process must be finite, not nan"),
+            (False, ("perturbation", "scale"), ".nan",
+             r"perturbation\.scale must be finite, not nan"),
+            (False, ("legs", 0, "schedule", "logit_scale"), ".nan",
+             r"legs\[0\]\.schedule\.logit_scale must be finite, not nan"),
+            (False, ("estimation", "prediction_intervals"), "yes",
+             r"estimation\.prediction_intervals must be an integer, not True"),
+            (False, ("legs", 0, "od_split", "1-3"), "true",
+             r"legs\[0\]\.od_split\.1-3 must be a number, not True"),
+            (False, ("seed",), "true", r"seed must be an integer, not True"),
+            (False, ("legs", 0, "schedule", "preferred_arrival"), "-.inf",
+             r"legs\[0\]\.schedule\.preferred_arrival: cannot parse time -inf"),
+            (False, ("time_grid", "start"), "false", r"time_grid\.start: cannot parse time False"),
+            (False, ("network", "overrides", "capacity", "4"), ".nan",
+             r"network\.overrides: override capacity must be a finite number, not nan"),
+        ],
+        ids=["total-nan", "capacity-nan", "free-flow-time-inf", "noise-nan", "scale-nan",
+             "logit-scale-nan", "prediction-intervals-yes", "split-true", "seed-true",
+             "arrival-minus-inf", "grid-start-false", "toy-capacity-nan"],
+    )
+    def test_boolean_or_non_finite_number_names_its_key(self, toy_doc, inline, path, text,
+                                                        message):
+        """A YAML boolean is an int to Python and ``.nan`` a float, yet
+        neither is a scenario number: each is an error naming its key path."""
+        doc = copy.deepcopy(INLINE_CORRIDOR) if inline else toy_doc
+        *parents, last = path
+        level = doc
+        for key in parents:
+            level = level[key]
+        level[last] = yaml.safe_load(text)
+        with pytest.raises(ConfigurationError, match=message):
+            scenario_from_mapping(doc)
 
 
 class TestInlineNetwork:
