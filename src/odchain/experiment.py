@@ -26,7 +26,8 @@ import logging
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -95,10 +96,18 @@ class GeneratedSide:
 
 @dataclass
 class ExperimentArtifacts:
+    """What generation hands to estimation and scoring.
+
+    ``truth`` is the true day.  Estimation reads none of it, so
+    ``run_experiment`` keeps its demand matrix, counts and spill total and
+    hands ``_estimate`` a copy with ``truth=None``; the object returned by
+    ``generate_truth_and_history`` is never changed.
+    """
+
     config: ScenarioConfig
     od_index: tuple[OD, ...]
     chain: ChainSpec
-    truth: GeneratedSide
+    truth: GeneratedSide | None
     history: GeneratedSide
     observed: LinkFlowSeries
     assignment: AssignmentMatrix
@@ -254,8 +263,15 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
 
 @dataclass
 class ModelRow:
-    """One scored model.  ``runtime_s`` covers its estimation (the shared
-    filtering pass included) and its scoring."""
+    """One model's record, filled in as the run goes.
+
+    ``status`` is ``"ok"`` or ``"failed"``; a failed row's ``error`` is
+    ``"<exception type>: <message>"`` of the stage that failed it.
+    ``runtime_s`` adds up every stage the model took part in: the stages it
+    shares with other models (the filtering pass, the leg chain's inputs),
+    its own estimation and its scoring.  ``extras`` holds the scoring window
+    RMSEs first, then what estimation reports (``clamped_cells``,
+    ``prediction_load_calls``)."""
 
     model: str
     status: str = "ok"
@@ -348,14 +364,39 @@ def _refresh_hook(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     return hook
 
 
-def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple[str, ...]):
-    """Produce the full-day demand estimate of every requested model.
+@contextmanager
+def _stage(rows: dict[str, ModelRow], models, what: str):
+    """Time one stage into the row of every model in ``models``, which share it.
 
-    A failure while estimating one model lands in ``errors`` under that
-    model's name (a failure of the shared filtering pass hits every filter
-    model) instead of propagating, so the report can still carry the others.
-    ``seconds[model]`` is the model's estimation time: the shared filtering
-    pass, for the filter models, plus the model's own work.
+    An exception in the stage does not propagate: it is logged once and
+    every one of those rows is marked failed with it, so the report can
+    still carry the other models.
+    """
+    t = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:  # noqa: BLE001 - a failed stage fails only the rows that share it
+        logger.exception("%s failed", what)
+        for model in models:
+            rows[model].status = "failed"
+            rows[model].error = f"{type(exc).__name__}: {exc}"
+    finally:
+        elapsed = time.perf_counter() - t
+        for model in models:
+            rows[model].runtime_s += elapsed
+
+
+def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[str, ModelRow]):
+    """Produce the full-day demand estimate of every model in ``rows``.
+
+    Each stage runs under ``_stage``: its time goes to every row that shares
+    it, and a failure marks those rows failed (a failure of the filtering
+    pass fails every filter model, one of the leg chain's inputs both pkf
+    and spkf).  A filter model's ``extras`` get its ``clamped_cells`` and
+    ``prediction_load_calls``.  Reads no part of ``artifacts.truth``.
+
+    Returns the estimates of the models that did not fail, the kf and leg
+    diagnostics, and the totals attributed to each leg.
     """
     cut = cfg.cutoff_index
     n_h = cfg.grid.n_intervals
@@ -364,21 +405,17 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
     estimates: dict[str, np.ndarray] = {}
     kf_diag: list[KfStepDiagnostics] = []
     leg_diag: list[dict] = []
-    misc: dict = {}
-    errors: dict[str, str] = {}
-    seconds: dict[str, float] = {}
+    attributed_totals: dict[str, float] = {}
+    result = estimates, kf_diag, leg_diag, attributed_totals
 
-    if "seed" in wanted:
-        t = time.perf_counter()
-        estimates["seed"] = hist_matrix.copy()
-        seconds["seed"] = time.perf_counter() - t
+    if "seed" in rows:
+        with _stage(rows, ("seed",), "model seed"):
+            estimates["seed"] = hist_matrix.copy()
 
-    filter_models = [m for m in wanted if m != "seed"]
+    filter_models = [m for m in rows if m != "seed"]
     if not filter_models:
-        return estimates, kf_diag, leg_diag, misc, errors, seconds
-
-    t = time.perf_counter()
-    try:
+        return result
+    with _stage(rows, filter_models, "interval filtering"):
         noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts)
         delta_y = artifacts.observed.counts - hist.load.counts.counts
         ar = ArModel.identity(len(artifacts.od_index))
@@ -388,19 +425,13 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
             artifacts.assignment, delta_y[:, :cut], noise, ar=ar, init=init, refresh_hook=hook
         )
         kf_diag.extend(kf.diagnostics)
-    except Exception as exc:  # noqa: BLE001 - shared pass, flag all filter rows
-        logger.exception("interval filtering failed")
-        shared_s = time.perf_counter() - t
-        for model in filter_models:
-            errors[model] = f"{type(exc).__name__}: {exc}"
-            seconds[model] = shared_s
-        return estimates, kf_diag, leg_diag, misc, errors, seconds
-    shared_s = time.perf_counter() - t
+    if rows[filter_models[0]].status == "failed":
+        return result
 
     profiles = hist.profiles()
     morning_profiles = {n: p[:, :cut] for n, p in profiles.items()}
 
-    def assemble(leg_deltas: dict[str, np.ndarray]) -> tuple[np.ndarray, dict]:
+    def assemble(model: str, leg_deltas: dict[str, np.ndarray]) -> None:
         morning, clamped_m = combined_demand(
             hist_matrix[:, :cut], kf.deltas, leg_deltas, morning_profiles
         )
@@ -409,33 +440,26 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
             hist_matrix, kf.last.mean, ar, leg_deltas, profiles, (cut, n_h)
         )
         pred_loads = assignment_mod.load_call_count() - before
-        extras = {"clamped_cells": clamped_m + clamped_e, "prediction_load_calls": pred_loads}
-        return np.hstack([morning, evening]), extras
+        estimates[model] = np.hstack([morning, evening])
+        rows[model].extras.update(
+            clamped_cells=clamped_m + clamped_e, prediction_load_calls=pred_loads)
 
-    if "kf" in wanted:
-        t = time.perf_counter()
-        try:
-            estimates["kf"], misc["kf"] = assemble({})
-        except Exception as exc:  # noqa: BLE001
-            logger.exception("model kf failed")
-            errors["kf"] = f"{type(exc).__name__}: {exc}"
-        seconds["kf"] = shared_s + time.perf_counter() - t
+    if "kf" in rows:
+        with _stage(rows, ("kf",), "model kf"):
+            assemble("kf", {})
 
     chain = artifacts.chain
     chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
-    chain_models = [m for m in ("pkf", "spkf") if m in wanted]
-    # the chain's inputs do not depend on the mode, so pkf and spkf share them
-    # and their build time; a failure to build them fails both
-    chain_error = None
-    chain_s = 0.0
+    chain_models = [m for m in ("pkf", "spkf") if m in rows]
     if chain_models and chained:
-        t = time.perf_counter()
-        try:
+        # the chain's inputs do not depend on the mode, so pkf and spkf
+        # share them and their build time
+        with _stage(rows, chain_models, "leg-chain inputs"):
             attributed = attribute_interval_deviations(
                 kf.deltas, [hist.legs[n] for n in chain.topological_order()],
                 window=slice(0, cut),
             )
-            misc["attributed_totals"] = {n: float(v.sum()) for n, v in attributed.items()}
+            attributed_totals.update((n, float(v.sum())) for n, v in attributed.items())
             operators = {
                 name: build_leg_operator(
                     chain,
@@ -448,21 +472,15 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
             mapping = cumulative_mapping(artifacts.assignment, profiles, cut - 1)
             delta_Y = (artifacts.observed.cumulative() - hist.load.counts.cumulative())[:, cut - 1]
             roots = {n: attributed[n] for n in chain.roots()}
-        except Exception as exc:  # noqa: BLE001 - shared inputs, flag both chain rows
-            logger.exception("leg-chain inputs failed")
-            chain_error = f"{type(exc).__name__}: {exc}"
-        chain_s = time.perf_counter() - t
 
     for model in chain_models:
-        t = time.perf_counter()
-        try:
+        if rows[model].status == "failed":
+            continue
+        with _stage(rows, (model,), f"model {model}"):
             if not chained:
                 # no chained legs: the leg term vanishes and the model
                 # reduces to the interval filter
-                estimates[model], misc[model] = assemble({})
-                continue
-            if chain_error is not None:
-                errors[model] = chain_error
+                assemble(model, {})
                 continue
             states = run_leg_chain(
                 hist.legs,
@@ -476,8 +494,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
                 root_P0=root_P0,
                 R=R_cum,
             )
-            leg_deltas = {n: states[n].state.mean for n in chained}
-            estimates[model], misc[model] = assemble(leg_deltas)
+            assemble(model, {n: states[n].state.mean for n in chained})
             for n in chain.topological_order():
                 leg_diag.append(
                     {
@@ -489,12 +506,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, wanted: tuple
                         "conservation_residual": states[n].conservation_residual,
                     }
                 )
-        except Exception as exc:  # noqa: BLE001
-            logger.exception("model %s failed", model)
-            errors[model] = f"{type(exc).__name__}: {exc}"
-        finally:
-            seconds[model] = shared_s + chain_s + time.perf_counter() - t
-    return estimates, kf_diag, leg_diag, misc, errors, seconds
+    return result
 
 
 def run_experiment(
@@ -524,18 +536,23 @@ def run_experiment(
     n_h = cfg.grid.n_intervals
     horizon_short = min(cut + cfg.estimation.prediction_intervals, n_h)
 
-    t1 = time.perf_counter()
-    estimates, kf_diag, leg_diag, misc, errors, est_seconds = _estimate(cfg, artifacts, wanted)
-
-    # Scoring and the report read these alone.  The rest of the generation
-    # data, the frozen band, every leg profile and both loads' link and probe
-    # times, is freed with the artifacts before the scoring passes.
-    od_index = artifacts.od_index
+    # Of the truth, scoring and the report read these alone; its legs and
+    # load are freed before estimation, which reads none of it.
     truth_matrix = artifacts.truth.demand.matrix
     truth_counts = artifacts.truth.load.counts.counts
+    spillover_true = artifacts.truth.load.spilled()
+    artifacts = replace(artifacts, truth=None)
+
+    t1 = time.perf_counter()
+    rows = {model: ModelRow(model=model) for model in wanted}
+    estimates, kf_diag, leg_diag, attributed_totals = _estimate(cfg, artifacts, rows)
+
+    # Scoring and the report read these alone.  The rest of the generation
+    # data, the frozen band, every leg profile and the history's link and
+    # probe times, is freed with the artifacts before the scoring passes.
+    od_index = artifacts.od_index
     hist_matrix = artifacts.history.demand.matrix
     hist_counts = artifacts.history.load.counts.counts
-    spillover_true = artifacts.truth.load.spilled()
     spillover_historical = artifacts.history.load.spilled()
     factors = artifacts.perturbation_factors
     del artifacts
@@ -544,17 +561,10 @@ def run_experiment(
     seed_rmse_od = rmse(hist_matrix, truth_matrix)
     seed_rmse_link = rmse(hist_counts, truth_counts)
 
-    rows: list[ModelRow] = []
-    for model in wanted:
-        row = ModelRow(model=model)
-        tm = time.perf_counter()
-        if model in errors:
-            row.status = "failed"
-            row.error = errors[model]
-            row.runtime_s = est_seconds[model] + time.perf_counter() - tm
-            rows.append(row)
+    for model, row in rows.items():
+        if row.status == "failed":
             continue
-        try:
+        with _stage(rows, (model,), f"scoring {model}"):
             est = estimates[model]
             if model == "seed":
                 counts = hist_counts
@@ -575,20 +585,14 @@ def run_experiment(
                     est[:, cut:horizon_short], truth_matrix[:, cut:horizon_short]
                 ),
                 "rmse_link_prediction_window": rmse(counts[:, cut:], truth_counts[:, cut:]),
+                **row.extras,
             }
-            row.extras.update(misc.get(model, {}))
-        except Exception as exc:  # noqa: BLE001 - a model failure must not sink the report
-            logger.exception("model %s failed", model)
-            row.status = "failed"
-            row.error = f"{type(exc).__name__}: {exc}"
-        row.runtime_s = est_seconds[model] + time.perf_counter() - tm
-        rows.append(row)
 
     report = ExperimentReport(
         scenario=cfg.name,
         seed=cfg.seed,
         models=wanted,
-        rows=rows,
+        rows=list(rows.values()),
         od_index=od_index,
         grid=cfg.grid,
         truth=truth_matrix,
@@ -599,7 +603,7 @@ def run_experiment(
         diagnostics={
             "seed_rmse_od": seed_rmse_od,
             "seed_rmse_link": seed_rmse_link,
-            "attributed_totals": misc.get("attributed_totals", {}),
+            "attributed_totals": attributed_totals,
             "spillover_true": spillover_true,
             "spillover_historical": spillover_historical,
             "generation_runtime_s": t1 - t0,
@@ -666,31 +670,8 @@ def _report_json(report: ExperimentReport) -> str:
         "seed": report.seed,
         "models": list(report.models),
         "runtime_s": report.runtime_s,
-        "rows": [
-            {
-                "model": r.model,
-                "status": r.status,
-                "error": r.error,
-                "rmse_od": r.rmse_od,
-                "rmse_link": r.rmse_link,
-                "impr_od_pct": r.impr_od_pct,
-                "impr_link_pct": r.impr_link_pct,
-                "runtime_s": r.runtime_s,
-                "extras": _jsonable(r.extras),
-            }
-            for r in report.rows
-        ],
-        "kf_diagnostics": [
-            {
-                "interval": d.interval,
-                "innovation_norm": d.innovation_norm,
-                "gain_norm": d.gain_norm,
-                "cov_trace": d.cov_trace,
-                "cov_symmetry_error": d.cov_symmetry_error,
-                "cov_min_eigenvalue": d.cov_min_eigenvalue,
-            }
-            for d in report.kf_diagnostics
-        ],
+        "rows": [_jsonable(asdict(r)) for r in report.rows],
+        "kf_diagnostics": [asdict(d) for d in report.kf_diagnostics],
         "leg_diagnostics": _jsonable(report.leg_diagnostics),
         "diagnostics": _jsonable(report.diagnostics),
     }

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import odchain.assignment
 import odchain.experiment
-import odchain.legfilter
+import odchain.kalman
 from odchain.assignment import DynamicDemand, detector_counts
 from odchain.errors import ConfigurationError, DegenerateProfileError
 from odchain.experiment import (
@@ -223,17 +223,6 @@ class TestRunExperiment:
         assert factors.max() <= 1.3 * 1.1 + 1e-9
         assert factors.std() > 0.0
 
-    def test_failing_model_is_flagged_not_fatal(self, toy_cfg, monkeypatch):
-        def boom(*args, **kwargs):
-            raise np.linalg.LinAlgError("synthetic failure")
-
-        monkeypatch.setattr(odchain.legfilter, "predict_horizon", boom)
-        monkeypatch.setattr("odchain.experiment.predict_horizon", boom)
-        report = run_experiment(toy_cfg, models=("seed", "kf"))
-        assert report.row("seed").status == "ok"
-        assert report.row("kf").status == "failed"
-        assert "synthetic failure" in report.row("kf").error
-
     def test_chain_inputs_built_once_for_pkf_and_spkf(self, toy_cfg, toy_artifacts, monkeypatch):
         """pkf and spkf share one attribution, one cumulative mapping and one
         operator per chained leg."""
@@ -252,16 +241,32 @@ class TestRunExperiment:
         assert calls == {"attribute_interval_deviations": 1, "cumulative_mapping": 1,
                          "build_leg_operator": len(chained)}
 
-    def test_failed_chain_inputs_fail_both_chain_models(self, toy_cfg, monkeypatch):
+    @pytest.mark.parametrize("stage, failing", [
+        pytest.param(stage, failing, id=stage) for stage, failing in (
+            ("run_kf_sequence", ("kf", "pkf", "spkf")),
+            ("predict_horizon", ("kf", "pkf", "spkf")),
+            ("cumulative_mapping", ("pkf", "spkf")),
+            ("run_leg_chain", ("pkf", "spkf")),
+            ("detector_counts", ("kf", "pkf", "spkf")),
+        )
+    ])
+    def test_failing_stage_fails_only_its_rows(self, toy_cfg, monkeypatch, stage, failing):
+        """The filtering pass, each model's prediction, the chain's shared
+        inputs, each chain model and scoring each fail the rows that use
+        them, with the stage's exception, and no other row."""
         def boom(*args, **kwargs):
-            raise ValueError("synthetic mapping failure")
+            raise np.linalg.LinAlgError(f"synthetic {stage} failure")
 
-        monkeypatch.setattr(odchain.experiment, "cumulative_mapping", boom)
-        report = run_experiment(toy_cfg, models=("kf", "pkf", "spkf"))
-        assert report.row("kf").status == "ok"
-        for model in ("pkf", "spkf"):
-            assert report.row(model).status == "failed"
-            assert report.row(model).error == "ValueError: synthetic mapping failure"
+        monkeypatch.setattr(odchain.experiment, stage, boom)
+        report = run_experiment(toy_cfg)
+        for row in report.rows:
+            if row.model in failing:
+                assert (row.status, row.error) == \
+                    ("failed", f"LinAlgError: synthetic {stage} failure")
+                assert row.model not in report.estimates or stage == "detector_counts"
+            else:
+                assert (row.status, row.error) == ("ok", "")
+            assert row.runtime_s > 0.0
 
     def test_runtime_covers_estimation(self, toy_cfg, monkeypatch):
         """kf's runtime_s holds the filtering pass, not just the scoring."""
@@ -315,6 +320,42 @@ class TestRunExperiment:
         assert all(row.status == "ok" for row in report.rows)
         assert len(alive) == 3 and len(refs) == 3 + len(toy_cfg.legs)
         assert not any(alive[0])
+
+    def test_truth_is_freed_before_estimation(self, toy_cfg, monkeypatch):
+        """Estimation reads nothing of the true day: its load and legs are
+        gone when the filter runs, and the object generation returned still
+        holds the truth, for callers that keep it."""
+        real_generate = odchain.experiment.generate_truth_and_history
+        real_filter = odchain.experiment.run_kf_sequence
+        refs = []
+        alive = []
+        kept = []
+
+        def generate(cfg):
+            artifacts = real_generate(cfg)
+            refs.extend(weakref.ref(x) for x in (
+                artifacts.truth.load, *artifacts.truth.legs.values()))
+            return artifacts
+
+        def keep(cfg):
+            kept.append(real_generate(cfg))
+            return kept[-1]
+
+        def filter_(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return real_filter(*args, **kwargs)
+
+        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", filter_)
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
+        run_experiment(toy_cfg, models=("kf",))
+        assert len(alive) == 1 and len(refs) == 1 + len(toy_cfg.legs)
+        assert not any(alive[0])
+
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", keep)
+        report = run_experiment(toy_cfg, models=("kf",))
+        (artifacts,) = kept
+        assert artifacts.truth is not None
+        assert np.array_equal(artifacts.truth.demand.matrix, report.truth)
 
     def test_noise_models_build_what_the_leg_chain_reads(self, toy_cfg, toy_artifacts):
         """A prior covariance for each root leg, a process noise for each
@@ -404,6 +445,20 @@ class TestEmission:
         assert {r["model"] for r in doc["rows"]} == {"seed", "kf", "pkf", "spkf"}
         assert (tmp_path / "kf_diagnostics.csv").exists()
         assert (tmp_path / "leg_diagnostics.csv").exists()
+
+    def test_report_json_rows_hold_every_field(self, tmp_path, toy_report):
+        """A report.json row is its ModelRow and a kf_diagnostics entry its
+        KfStepDiagnostics, field for field and in field order."""
+        emit_report(toy_report, tmp_path, include_profiles=False)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        row_fields = [f.name for f in dataclasses.fields(odchain.experiment.ModelRow)]
+        diag_fields = [f.name for f in dataclasses.fields(odchain.kalman.KfStepDiagnostics)]
+        assert doc["rows"] and doc["kf_diagnostics"]
+        assert all(list(r) == row_fields for r in doc["rows"])
+        assert all(list(d) == diag_fields for d in doc["kf_diagnostics"])
+        assert list(doc["rows"][1]["extras"]) == [
+            "rmse_od_measured_window", "rmse_od_prediction_window", "rmse_od_short_horizon",
+            "rmse_link_prediction_window", "clamped_cells", "prediction_load_calls"]
 
     def test_profiles_emitted_per_od(self, tmp_path, toy_report):
         emit_report(toy_report, tmp_path)
