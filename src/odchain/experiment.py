@@ -44,7 +44,7 @@ from .assignment import (
 )
 from .departure import departure_probabilities
 from .errors import ConfigurationError, DegenerateProfileError
-from .kalman import ArModel, FilterState, KfStepDiagnostics, NoiseModel, run_kf_sequence
+from .kalman import FilterState, KfStepDiagnostics, NoiseModel, run_kf_sequence
 from .legfilter import (
     ChainFilterConfig,
     attribute_interval_deviations,
@@ -418,11 +418,10 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     with _stage(rows, filter_models, "interval filtering"):
         noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts)
         delta_y = artifacts.observed.counts - hist.load.counts.counts
-        ar = ArModel.identity(len(artifacts.od_index))
         init = FilterState(mean=np.zeros(len(artifacts.od_index)), cov=P0)
         hook = _refresh_hook(cfg, artifacts) if cfg.estimation.refresh_assignment else None
         kf = run_kf_sequence(
-            artifacts.assignment, delta_y[:, :cut], noise, ar=ar, init=init, refresh_hook=hook
+            artifacts.assignment, delta_y[:, :cut], noise, init=init, refresh_hook=hook
         )
         kf_diag.extend(kf.diagnostics)
     if rows[filter_models[0]].status == "failed":
@@ -437,7 +436,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         )
         before = assignment_mod.load_call_count()
         evening, clamped_e = predict_horizon(
-            hist_matrix, kf.last.mean, ar, leg_deltas, profiles, (cut, n_h)
+            hist_matrix, kf.last.mean, leg_deltas, profiles, (cut, n_h)
         )
         pred_loads = assignment_mod.load_call_count() - before
         estimates[model] = np.hstack([morning, evening])
@@ -456,8 +455,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         # share them and their build time
         with _stage(rows, chain_models, "leg-chain inputs"):
             attributed = attribute_interval_deviations(
-                kf.deltas, [hist.legs[n] for n in chain.topological_order()],
-                window=slice(0, cut),
+                kf.deltas, [hist.legs[n] for n in chain.topological_order()]
             )
             attributed_totals.update((n, float(v.sum())) for n, v in attributed.items())
             operators = {

@@ -1,12 +1,12 @@
 """Linear filtering of OD-demand deviations against detector counts.
 
 The state of interval h is the deviation of its OD departures from the
-historical matrix.  One transition matrix F carries it to the next interval
-(the identity random walk by default); counts observed at h are a linear
-function of the deviations of intervals k <= h through the assignment
-pieces.  The sequence runner handles those lags by subtracting the
-contribution of already-estimated intervals at their posterior means, leaving
-the same-interval piece as the measurement matrix.  Only the L intervals
+historical matrix.  The identity random walk carries it to the next interval
+(prior covariance ``P + Q``); counts observed at h are a linear function of
+the deviations of intervals k <= h through the assignment pieces.  The
+sequence runner handles those lags by subtracting the contribution of
+already-estimated intervals at their posterior means, leaving the
+same-interval piece as the measurement matrix.  Only the L intervals
 before h, whose departures can still be counted at h, are visited, and only
 their pieces are expanded from the assignment's band, which holds the
 crossed (channel, OD) pairs alone, into dense matrices.
@@ -144,9 +144,10 @@ class ArModel:
 
     Built as ``ArModel(coefficients=(F,))`` from one square matrix F.
     ``is_identity`` is set on construction: F is the identity, the random
-    walk, which the time update and prediction apply without matrix products.
-    F is kept as a read-only view of the array given; a float array is not
-    copied.
+    walk the sequence filter runs, which the time update applies without
+    matrix products.  A general F stays in ``kf_time_update``'s contract,
+    which the scalar closed-form acceptance test runs with F != 1.  F is a
+    read-only view of the array given; a float array is not copied.
     """
 
     coefficients: tuple[np.ndarray, ...]
@@ -272,8 +273,7 @@ def run_kf_sequence(
     delta_y: np.ndarray,
     noise: NoiseModel,
     *,
-    ar: ArModel | None = None,
-    init: FilterState | None = None,
+    init: FilterState,
     refresh_hook: Callable[[int, np.ndarray], AssignmentMatrix | None] | None = None,
 ) -> KfRun:
     """Filter count deviations interval by interval.
@@ -290,9 +290,10 @@ def run_kf_sequence(
     current one).  It may cover a shorter grid, as long as it reaches the
     next interval ``h + 1``: later steps read only pieces up to it.
 
-    The initial state is interval 0's prior (zero mean by default).  The
-    run keeps every posterior mean in ``deltas`` but only the last posterior
-    in ``last``, the state the next time update reads.
+    ``init`` is interval 0's prior; each later one is the last posterior
+    carried by ``kf_time_update`` with ``ArModel.identity``.  The run keeps
+    every posterior mean in ``deltas`` but only the last posterior in
+    ``last``, the state the next time update reads.
 
     Each step's ``cov_min_eigenvalue`` diagnostic is the smallest
     eigenvalue of its posterior covariance, from ``eigvalsh``.
@@ -314,9 +315,7 @@ def run_kf_sequence(
     n_steps = delta_y.shape[1]
     if n_steps > assignment.grid.n_intervals:
         raise ConfigurationError("more steps than grid intervals")
-    ar = ar or ArModel.identity(n_od)
-    if init is None:
-        init = FilterState(mean=np.zeros(n_od), cov=noise.Q.copy())
+    ar = ArModel.identity(n_od)
 
     run = KfRun(deltas=np.zeros((n_od, n_steps)))
     for h in range(n_steps):

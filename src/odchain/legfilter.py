@@ -2,7 +2,7 @@
 
 The interval filter of :mod:`odchain.kalman` explains local deviations; this
 module carries structural deviations across the day.  Interval deviations in
-an estimation window are attributed to the legs active there (proportionally
+the filtered morning are attributed to the legs active there (proportionally
 to each leg's expected share of the OD's flow), chained legs inherit the
 attributed deviations through the redistribution operators, and cumulative
 detector counts up to a horizon correct each leg in turn.  The optional
@@ -10,8 +10,8 @@ conservation step rescales a leg so its estimated total matches its feeders'.
 
 Estimates combine as historical + interval deviations + sum over legs of leg
 deviation times departure shares; predictions beyond the estimation cutoff
-reuse that formula, carrying the last interval deviation through the
-transition matrix, and touch neither new measurements nor the loader.
+reuse that formula, carrying the last interval deviation flat, as the
+identity random walk does, and touch neither new measurements nor the loader.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignment import CumulativeMapping
 from .errors import ConfigurationError
-from .kalman import ArModel, FilterState, kf_measurement_update
+from .kalman import FilterState, kf_measurement_update
 from .legs import ChainSpec, DemandLeg, LegOperator, propagate_leg_deviation
 
 logger = logging.getLogger(__name__)
@@ -55,13 +55,14 @@ class LegState:
 
 
 def attribute_interval_deviations(
-    deltas: np.ndarray, legs: list[DemandLeg], *, window: slice | None = None
+    deltas: np.ndarray, legs: list[DemandLeg]
 ) -> dict[str, np.ndarray]:
     """Split interval OD deviations across legs by expected-share weights.
 
-    For each (OD, interval) cell the weight of a leg is its flow times its
-    departure share there, normalized over all given legs; the attributed leg
-    deviation is the weighted sum over the window's intervals.  Cells with
+    ``deltas`` is (n_od, n_intervals), one column per filtered interval from
+    the first.  For each (OD, interval) cell the weight of a leg is its flow
+    times its departure share there, normalized over all given legs; the
+    attributed leg deviation is the weighted sum over every column.  Cells with
     deviation but zero total weight cannot be attributed and are dropped with
     a warning.
 
@@ -74,23 +75,21 @@ def attribute_interval_deviations(
     n_od = len(legs[0].od_index)
     if deltas.ndim != 2 or deltas.shape[0] != n_od:
         raise ConfigurationError(f"deviation matrix {deltas.shape} does not match {n_od} ODs")
-    window = window or slice(0, deltas.shape[1])
 
     weights = []
     for leg in legs:
         if leg.profile is None:
             raise ConfigurationError(f"leg {leg.name!r} has no departure profile")
         if leg.profile.shape[1] < deltas.shape[1]:
-            raise ConfigurationError(f"leg {leg.name!r}: profile shorter than the deviation window")
+            raise ConfigurationError(f"leg {leg.name!r}: profile shorter than the deviation matrix")
         weights.append(leg.flows[:, None] * leg.profile[:, : deltas.shape[1]])
-    d = deltas[:, window]
-    total = np.sum(weights, axis=0)[:, window]
+    total = np.sum(weights, axis=0)
     active = total > 0.0
-    dropped = float(np.abs(d[~active]).sum())
+    dropped = float(np.abs(deltas[~active]).sum())
     total[~active] = 1.0
-    # summed interval by interval, in window order, from zero
+    # summed interval by interval, in column order, from zero
     out = {
-        leg.name: sum(np.where(active, d * w[:, window] / total, 0.0).T, np.zeros(n_od))
+        leg.name: sum(np.where(active, deltas * w / total, 0.0).T, np.zeros(n_od))
         for leg, w in zip(legs, weights)
     }
     if dropped > 0.0:
@@ -254,18 +253,16 @@ def combined_demand(
 def predict_horizon(
     historical: np.ndarray,
     last: np.ndarray,
-    ar: ArModel,
     leg_deltas: dict[str, np.ndarray],
     profiles: dict[str, np.ndarray],
     window: tuple[int, int],
 ) -> tuple[np.ndarray, int]:
     """Predict the demand for intervals [start, stop) past the cutoff.
 
-    ``last`` is the interval filter's last posterior mean.  Each interval of
-    the window carries the one before it through the transition, ``x = F x``,
-    and is combined with the leg terms.  The identity random walk carries
-    ``last`` over the whole window in one broadcast.  Uses no measurements
-    and no loader, only the historical matrix and the supplied state.
+    ``last`` is the interval filter's last posterior mean.  The identity
+    random walk carries it flat over the whole window, and each interval
+    combines it with the leg terms.  Uses no measurements and no loader, only
+    the historical matrix and the supplied state.
 
     Raises:
         ConfigurationError: if the window leaves the historical matrix, or
@@ -278,13 +275,7 @@ def predict_horizon(
     x = np.asarray(last, dtype=float)
     if not np.isfinite(x).all():
         raise ConfigurationError("prediction state has non-finite entries")
-    deltas = np.zeros((historical.shape[0], stop - start))
-    if ar.is_identity:
-        # + 0.0 turns -0.0 into 0.0, so a zero deviation leaves no -0.0 in the demand
-        deltas[:] = (x + 0.0)[:, None]
-    else:
-        for j in range(stop - start):
-            x = ar.coefficients[0] @ x
-            deltas[:, j] = x
+    # + 0.0 turns -0.0 into 0.0, so a zero deviation leaves no -0.0 in the demand
+    deltas = np.repeat((x + 0.0)[:, None], stop - start, axis=1)
     future_profiles = {name: np.asarray(p, dtype=float)[:, start:stop] for name, p in profiles.items()}
     return combined_demand(historical[:, start:stop], deltas, leg_deltas, future_profiles)

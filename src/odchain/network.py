@@ -135,14 +135,6 @@ class TimeGrid:
         a, b = self.bounds(h)
         return 0.5 * (a + b)
 
-    def index_at(self, minute: float) -> int:
-        """Interval containing ``minute``; -1 before the grid, n beyond it."""
-        if minute < self.start:
-            return -1
-        if minute >= self.end:
-            return self.n_intervals
-        return int((minute - self.start) // self.interval_minutes)
-
 
 @dataclass(frozen=True)
 class Network:

@@ -284,6 +284,23 @@ def _integer(value, where: str, key=None) -> int:
     return result
 
 
+def _string(value, where: str, key=None) -> str:
+    """``value`` if it is a string, or an integer as its digits (YAML reads
+    ``id: 1`` as an int); ``None``, a boolean, a float, a list or a mapping is
+    a :class:`ConfigurationError` naming the key path."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{_path(where, key)} must be a string, not {value!r}")
+    return value
+
+
+def _strings(value, where: str, key=None) -> tuple[str, ...]:
+    """The list ``value`` (see :func:`_list`), each item read by :func:`_string`."""
+    at = _path(where, key)
+    return tuple(_string(v, f"{at}[{j}]") for j, v in enumerate(_list(value, where, key)))
+
+
 def _boolean(value, where: str, key=None) -> bool:
     """``value`` if it is a YAML boolean; ``"false"`` or ``1`` is a :class:`ConfigurationError`."""
     if not isinstance(value, bool):
@@ -326,18 +343,20 @@ def _field_names(cls) -> tuple[str, ...]:
 def _build_inline_network(spec: dict) -> Network:
     zones = {}
     for i, z in enumerate(_list(spec.get("zones"), "network.zones")):
-        z = _check_keys(z, ("id", "kind"), f"network.zones[{i}]", required=("id",))
-        zid = str(z["id"])
-        if "-" in zid:
-            raise ConfigurationError(f"zone id {zid!r} must not contain '-'")
+        where = f"network.zones[{i}]"
+        z = _check_keys(z, ("id", "kind"), where, required=("id",))
+        zid = _string(z["id"], where, "id")
+        # '-' joins an OD's zones, and a zone id names its ODs' profile files
+        for ch in "-/\\":
+            if ch in zid:
+                raise ConfigurationError(f"zone id {zid!r} must not contain {ch!r}")
         zones[zid] = Zone(zid, z.get("kind", "residential"))
     links: dict[str, Link] = {}
     link_keys = ("label", "from", "to", "free_flow_time", "capacity", "bpr_alpha", "bpr_beta")
     for i, l in enumerate(_list(spec.get("links"), "network.links")):
         where = f"network.links[{i}]"
         l = _check_keys(l, link_keys, where, required=("label", "from", "to"))
-        label = str(l["label"])
-        a, b = str(l["from"]), str(l["to"])
+        label, a, b = (_string(l[k], where, k) for k in ("label", "from", "to"))
         fft = _number(l.get("free_flow_time", 10.0), where, "free_flow_time")
         cap = _number(l.get("capacity", 4000.0), where, "capacity")
         alpha = _number(l.get("bpr_alpha", 0.15), where, "bpr_alpha")
@@ -347,8 +366,8 @@ def _build_inline_network(spec: dict) -> Network:
     paths = {}
     for key, seq in _check_keys(spec.get("paths"), None, "network.paths").items():
         od = _parse_od(key)
-        paths[od] = Path(od, tuple(map(str, _list(seq, "network.paths", key))))
-    detectors = tuple(str(d) for d in _list(spec.get("detectors"), "network.detectors"))
+        paths[od] = Path(od, _strings(seq, "network.paths", key))
+    detectors = _strings(spec.get("detectors"), "network.detectors")
     return Network(zones=zones, links=links, paths=paths, detectors=detectors)
 
 
@@ -408,11 +427,11 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
         od_split = _numbers(spec.get("od_split"), f"{where}.od_split", key=_parse_od)
         legs.append(
             LegDef(
-                name=str(spec["name"]),
+                name=_string(spec["name"], where, "name"),
                 total=_number(spec.get("total", 0.0), where, "total"),
                 od_split=od_split,
                 schedule=_build_schedule(spec.get("schedule"), f"{where}.schedule"),
-                feeds=tuple(str(f) for f in _list(spec.get("feeds"), where, "feeds")),
+                feeds=_strings(spec.get("feeds"), where, "feeds"),
             )
         )
     if not legs:
@@ -421,7 +440,7 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
     pert_spec = _check_keys(doc.get("perturbation"), _field_names(PerturbationSpec), "perturbation")
     pert_seed = pert_spec.get("seed")
     perturbation = PerturbationSpec(
-        mode=str(pert_spec.get("mode", "uniform_scale")),
+        mode=_string(pert_spec.get("mode", "uniform_scale"), "perturbation", "mode"),
         scale=_number(pert_spec.get("scale", 0.0), "perturbation", "scale"),
         noise=_number(pert_spec.get("noise", 0.0), "perturbation", "noise"),
         seed=None if pert_seed is None else _integer(pert_seed, "perturbation", "seed"),
@@ -442,9 +461,9 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
         **{key: _boolean(est_spec.get(key, False), "estimation", key)
            for key in ("uniform_redistribution", "refresh_assignment")},
     )
-    models = tuple(str(m) for m in _list(doc.get("models"), "models") or MODELS)
+    models = _strings(doc.get("models"), "models") or MODELS
     return ScenarioConfig(
-        name=str(doc.get("name", "scenario")),
+        name=_string(doc.get("name", "scenario"), "name"),
         grid=grid,
         network=network,
         legs=tuple(legs),
@@ -456,7 +475,7 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
         measurement_noise_fraction=_number(
             doc.get("measurement_noise_fraction", 0.0), "measurement_noise_fraction"
         ),
-        description=str(doc.get("description", "")),
+        description=_string(doc.get("description", ""), "description"),
     )
 
 

@@ -38,6 +38,16 @@ def toy_demand(grid, cells):
     return DynamicDemand(od_index=TOY.od_index, grid=grid, matrix=m)
 
 
+def index_at(grid, minute):
+    """Interval of ``grid`` containing ``minute``: -1 before the grid, its
+    interval count beyond it."""
+    if minute < grid.start:
+        return -1
+    if minute >= grid.end:
+        return grid.n_intervals
+    return int((minute - grid.start) // grid.interval_minutes)
+
+
 def frozen_tts(grid, overrides=None):
     tts = {lid: np.full(grid.n_intervals, 7.5) for lid in TOY.links}
     for lid, v in (overrides or {}).items():
@@ -191,7 +201,7 @@ class TestLoader:
                 for j in range(k):
                     t = a + (j + 0.5) * (b - a) / k
                     for lid in seq:
-                        hi = grid.index_at(t)
+                        hi = index_at(grid, t)
                         if hi >= grid.n_intervals:
                             break
                         inflow[lid][hi] += unit
@@ -211,7 +221,7 @@ class TestLoader:
             for h in range(grid.n_intervals):
                 t = t0 = grid.midpoint(h)
                 for lid in TOY.paths[od].links:
-                    t += float(tts[lid][min(max(grid.index_at(t), 0), grid.n_intervals - 1)])
+                    t += float(tts[lid][min(max(index_at(grid, t), 0), grid.n_intervals - 1)])
                 assert load.tt_od[oi, h] == t - t0
 
     def test_congestion_raises_travel_times(self):

@@ -4,7 +4,9 @@ Everything calls ``main()`` in process so exit codes and printed output can
 be asserted directly.
 """
 
+import importlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -172,6 +174,21 @@ def test_wrongly_typed_value_is_config_error(tmp_path, toy_doc, capsys, mutate):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_zone_id_with_path_separator_is_config_error(tmp_path, capsys, monkeypatch):
+    """A zone id names its ODs' profile files: ``h/0`` is one error line
+    before anything runs, not a report left half written."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "odbench"))
+    workloads = importlib.import_module("workloads")
+    text = yaml.safe_dump(workloads.corridor_mapping(1))
+    assert "h0" in text
+    path = tmp_path / "corridor.yaml"
+    path.write_text(text.replace("h0", "h/0"))
+    out = tmp_path / "results"
+    assert main(["run", "--scenario", str(path), "--out", str(out), "--emit-profiles"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: zone id 'h/0' must not contain '/'"]
+    assert not out.exists()
 
 
 def test_fractional_grid_start_is_config_error(tmp_path, toy_doc, capsys):

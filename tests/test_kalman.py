@@ -256,13 +256,18 @@ class TestNoiseModel:
             NoiseModel(**noise)
 
 
+def zero_prior(noise):
+    """Interval 0's prior: zero mean, the process noise as covariance."""
+    return FilterState(mean=np.zeros(noise.Q.shape[0]), cov=noise.Q)
+
+
 class TestRunSequence:
     def test_zero_innovations_keep_zero_deltas(self, toy_artifacts):
         asg = toy_artifacts.assignment
         n_od = len(asg.od_index)
         n_ch = len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
-        run = run_kf_sequence(asg, np.zeros((n_ch, 8)), noise)
+        run = run_kf_sequence(asg, np.zeros((n_ch, 8)), noise, init=zero_prior(noise))
         assert np.abs(run.deltas).max() == 0.0
         assert len(run.diagnostics) == 8
 
@@ -272,11 +277,12 @@ class TestRunSequence:
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         delta_y = np.zeros((n_ch, 8))
         delta_y[0, 3] = delta_y[-1, 5] = value
+        noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
         with pytest.raises(ConfigurationError, match="2 non-finite"):
-            run_kf_sequence(asg, delta_y, NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch)))
+            run_kf_sequence(asg, delta_y, noise, init=zero_prior(noise))
 
     @staticmethod
-    def _recorded_toy_run(toy_artifacts, monkeypatch, ar=None):
+    def _recorded_toy_run(toy_artifacts, monkeypatch):
         """A 48-step toy run and every posterior it made, recorded through
         ``kalman._update_with_gain``, since the run keeps only the last."""
         asg = toy_artifacts.assignment
@@ -293,7 +299,7 @@ class TestRunSequence:
             return state, gain
 
         monkeypatch.setattr(kalman_mod, "_update_with_gain", recording)
-        return run_kf_sequence(asg, delta_y[:, :48], noise, ar=ar), posteriors
+        return run_kf_sequence(asg, delta_y[:, :48], noise, init=zero_prior(noise)), posteriors
 
     def test_min_eigenvalue_diagnostic_is_the_posterior_spectrum(self, toy_artifacts, monkeypatch):
         run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch)
@@ -308,14 +314,28 @@ class TestRunSequence:
             assert symmetry_error(state.cov) <= 1e-10
             assert min_eigenvalue(state.cov) >= -1e-8 * max(np.trace(state.cov), 1.0)
 
-    @pytest.mark.parametrize("rho", [1.0, 0.5], ids=["identity", "decayed"])
-    def test_last_is_the_last_posterior(self, toy_artifacts, monkeypatch, rho):
-        n_od = len(toy_artifacts.assignment.od_index)
-        ar = ArModel(coefficients=(rho * np.eye(n_od),))
-        run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch, ar=ar)
+    def test_last_is_the_last_posterior(self, toy_artifacts, monkeypatch):
+        run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch)
         assert len(posteriors) == 48
         assert run.last is posteriors[47]
         assert np.array_equal(run.deltas[:, -1], run.last.mean)
+
+    def test_time_update_is_the_modules_identity_random_walk(self, toy_artifacts, monkeypatch):
+        """Every step after the first calls ``kalman.kf_time_update``, looked
+        up on the module, with the identity transition: 47 calls in a 48-step
+        toy run, which the covariance acceptance test counts."""
+        real = kalman_mod.kf_time_update
+        transitions = []
+
+        def counting(states, ar, Q):
+            transitions.append(ar)
+            return real(states, ar, Q)
+
+        monkeypatch.setattr(kalman_mod, "kf_time_update", counting)
+        run, _ = self._recorded_toy_run(toy_artifacts, monkeypatch)
+        assert len(run.diagnostics) == 48
+        assert len(transitions) == 47
+        assert all(isinstance(ar, ArModel) and ar.is_identity for ar in transitions)
 
     def test_a_run_shorter_than_the_lag_window_keeps_only_posteriors(self, toy_artifacts):
         """A run of no steps has no last posterior, and interval 0's prior
@@ -339,7 +359,7 @@ class TestRunSequence:
             calls.append((h, deltas.shape))
             return asg
 
-        run_kf_sequence(asg, np.zeros((n_ch, 5)), noise, refresh_hook=hook)
+        run_kf_sequence(asg, np.zeros((n_ch, 5)), noise, init=zero_prior(noise), refresh_hook=hook)
         assert [c[0] for c in calls] == [0, 1, 2, 3, 4]
         assert calls[0][1] == (n_od, 1)
         assert calls[-1][1] == (n_od, 5)
@@ -356,21 +376,23 @@ class TestRunSequence:
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
         dense = asg.pieces
-        reference = run_kf_sequence(asg, delta_y, noise)
+        init = zero_prior(noise)
+        reference = run_kf_sequence(asg, delta_y, noise, init=init)
         shortened = run_kf_sequence(
-            asg, delta_y, noise, refresh_hook=lambda h, _: self._prefix(asg, h + 2, dense)
+            asg, delta_y, noise, init=init,
+            refresh_hook=lambda h, _: self._prefix(asg, h + 2, dense),
         )
         assert np.array_equal(shortened.deltas, reference.deltas)
         # stopping at interval h is too short, except after the last step,
         # which nothing reads
         last = run_kf_sequence(
-            asg, delta_y[:, :3], noise,
+            asg, delta_y[:, :3], noise, init=init,
             refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 2 else h + 2, dense),
         )
         assert np.array_equal(last.deltas, reference.deltas[:, :3])
         with pytest.raises(ConfigurationError, match="after interval 5 .*misses"):
             run_kf_sequence(
-                asg, delta_y, noise,
+                asg, delta_y, noise, init=init,
                 refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 5 else h + 2, dense),
             )
 
@@ -386,7 +408,7 @@ class TestRunSequence:
                                    band=asg.band, pairs=asg.pairs)
         for bad in (swapped, shifted):
             with pytest.raises(ConfigurationError, match="after interval 2 "):
-                run_kf_sequence(asg, np.zeros((n_ch, 5)), noise,
+                run_kf_sequence(asg, np.zeros((n_ch, 5)), noise, init=zero_prior(noise),
                                 refresh_hook=lambda h, _: bad if h == 2 else None)
 
     def test_lagged_contributions_are_subtracted(self):
@@ -425,10 +447,11 @@ class TestRunSequence:
         n_od, n_ch = len(full.od_index), len(full.channels)
         noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
         swap_at = 20
-        run = run_kf_sequence(first, delta_y, noise,
+        init = zero_prior(noise)
+        run = run_kf_sequence(first, delta_y, noise, init=init,
                               refresh_hook=lambda h, _: full if h == swap_at else None)
 
-        state = FilterState(mean=np.zeros(n_od), cov=noise.Q.copy())
+        state = init
         deltas = np.zeros((n_od, delta_y.shape[1]))
         diagnostics = []
         pieces = same_interval
@@ -452,4 +475,4 @@ class TestRunSequence:
         # every step's five diagnostics, bit for bit
         assert [(d.innovation_norm, d.gain_norm, d.cov_trace, d.cov_symmetry_error,
                  d.cov_min_eigenvalue) for d in run.diagnostics] == diagnostics
-        assert not np.array_equal(run.deltas, run_kf_sequence(first, delta_y, noise).deltas)
+        assert not np.array_equal(run.deltas, run_kf_sequence(first, delta_y, noise, init=init).deltas)

@@ -4,7 +4,7 @@ import pytest
 from odchain import assignment as assignment_mod
 from odchain.assignment import CumulativeMapping
 from odchain.errors import ConfigurationError
-from odchain.kalman import ArModel, FilterState
+from odchain.kalman import FilterState
 from odchain.legfilter import (
     ChainFilterConfig,
     apply_conservation,
@@ -38,15 +38,6 @@ class TestAttribution:
         assert out["a"][0] == pytest.approx(3.0, abs=1e-12)
         assert out["b"][0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_window_restricts_columns(self):
-        od_index = (("a", "b"),)
-        a = DemandLeg(name="a", od_index=od_index, flows=np.array([100.0]),
-                      members=od_index, profile=np.array([[0.5, 0.5]]))
-        out = attribute_interval_deviations(
-            np.array([[4.0, 6.0]]), [a], window=slice(0, 1)
-        )
-        assert out["a"][0] == pytest.approx(4.0)
-
     def test_zero_weight_cells_dropped_with_warning(self, caplog):
         od_index = (("a", "b"),)
         a = DemandLeg(name="a", od_index=od_index, flows=np.array([100.0]),
@@ -66,12 +57,12 @@ class TestAttribution:
         assert attribute_interval_deviations(np.zeros((1, 1)), []) == {}
 
     @staticmethod
-    def _by_loop(deltas, legs, window):
+    def _by_loop(deltas, legs):
         """Reference: cell by cell, interval-major, skipping zero deviations."""
         weights = [leg.flows[:, None] * leg.profile[:, : deltas.shape[1]] for leg in legs]
         total = np.sum(weights, axis=0)
         out = {leg.name: np.zeros(deltas.shape[0]) for leg in legs}
-        for h in range(*window.indices(deltas.shape[1])):
+        for h in range(deltas.shape[1]):
             for i in range(deltas.shape[0]):
                 d, t = deltas[i, h], total[i, h]
                 if d != 0.0 and t > 0.0:
@@ -81,7 +72,7 @@ class TestAttribution:
 
     def test_matches_cell_by_cell_loop_bit_for_bit(self):
         """Random deviations (signed zeros included) against legs with
-        inactive cells, over windows with and without a step."""
+        inactive cells, over every column of the deviation matrix."""
         rng = np.random.default_rng(7)
         for _ in range(300):
             n_od, n_h = rng.integers(1, 5), rng.integers(1, 9)
@@ -95,10 +86,8 @@ class TestAttribution:
             ]
             deltas = rng.normal(size=(n_od, n_h)) * (rng.uniform(size=(n_od, n_h)) < 0.7)
             deltas[rng.uniform(size=deltas.shape) < 0.1] = -0.0
-            start = int(rng.integers(0, n_h))
-            window = slice(start, int(rng.integers(start, n_h + 1)), int(rng.integers(1, 3)))
-            out = attribute_interval_deviations(deltas, legs, window=window)
-            expected = self._by_loop(deltas, legs, window)
+            out = attribute_interval_deviations(deltas, legs)
+            expected = self._by_loop(deltas, legs)
             for leg in legs:
                 assert out[leg.name].tobytes() == expected[leg.name].tobytes()
 
@@ -275,7 +264,7 @@ class TestPredictHorizon:
     def test_identity_ar_carries_last_delta(self):
         hist = np.full((2, 6), 50.0)
         lag = np.array([3.0, -1.0])
-        x, clamped = predict_horizon(hist, lag, ArModel.identity(2), {}, {}, (4, 6))
+        x, clamped = predict_horizon(hist, lag, {}, {}, (4, 6))
         assert x.shape == (2, 2)
         assert np.allclose(x[:, 0], [53.0, 49.0])
         assert np.allclose(x[:, 1], [53.0, 49.0])
@@ -285,17 +274,17 @@ class TestPredictHorizon:
         hist = np.zeros((1, 4))
         profiles = {"leg": np.array([[0.0, 0.0, 0.25, 0.75]])}
         x, _ = predict_horizon(
-            hist, np.zeros(1), ArModel.identity(1),
+            hist, np.zeros(1),
             {"leg": np.array([8.0])}, profiles, (2, 4),
         )
         assert np.allclose(x[0], [2.0, 6.0])
 
     def test_window_must_stay_inside_horizon(self):
         with pytest.raises(ConfigurationError):
-            predict_horizon(np.zeros((1, 4)), np.zeros(1), ArModel.identity(1), {}, {}, (2, 5))
+            predict_horizon(np.zeros((1, 4)), np.zeros(1), {}, {}, (2, 5))
 
     def test_identity_carry_equals_the_product_loop(self):
-        """The identity's one broadcast against one identity product per
+        """The flat carry's one broadcast against one identity product per
         interval summed from zeros, on a last state holding 0.0 and -0.0.
         The historical rows under the zeros are -0.0, so a zero's sign shows
         in the demand."""
@@ -311,42 +300,21 @@ class TestPredictHorizon:
             nxt = np.zeros(n)
             nxt += np.eye(n) @ last
             expected[:, j] = last = nxt
-        x, clamped = predict_horizon(hist, lag, ArModel.identity(n), {}, {}, window)
+        x, clamped = predict_horizon(hist, lag, {}, {}, window)
         ref, ref_clamped = combined_demand(hist[:, 7:], expected, {}, {})
         assert x.tobytes() == ref.tobytes()
         assert clamped == ref_clamped == 0
         assert not np.signbit(x[[2, 6]]).any()
 
-    def test_decayed_carry_equals_the_per_interval_products(self):
-        """With ``F = rho I`` each interval is ``F`` times the one before it,
-        bit for bit, signed zeros included."""
-        rng = np.random.default_rng(11)
-        n, n_h, window = 9, 12, (7, 12)
-        f = 0.6 * np.eye(n)
-        last = rng.normal(0.0, 5.0, n)
-        last[[1, 4]], last[[2, 6]] = 0.0, -0.0
-        hist = rng.uniform(50.0, 100.0, (n, n_h))
-        hist[[1, 2, 4, 6]] = -0.0
-        expected = np.zeros((n, window[1] - window[0]))
-        x = last
-        for j in range(expected.shape[1]):
-            x = f @ x
-            expected[:, j] = x
-        got, clamped = predict_horizon(hist, last, ArModel(coefficients=(f,)), {}, {}, window)
-        ref, ref_clamped = combined_demand(hist[:, 7:], expected, {}, {})
-        assert got.tobytes() == ref.tobytes()
-        assert clamped == ref_clamped == 0
-
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_lag_state_rejected(self, value):
-        """An infinite last state would turn every other OD's prediction into
-        NaN through 0 * inf in a transition's products."""
+        """A non-finite last state would be carried into every predicted
+        interval of its OD."""
         last = np.array([3.0, value])
-        for ar in (ArModel.identity(2), ArModel(coefficients=(0.5 * np.eye(2),))):
-            with pytest.raises(ConfigurationError, match="non-finite"):
-                predict_horizon(np.full((2, 6), 50.0), last, ar, {}, {}, (4, 6))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            predict_horizon(np.full((2, 6), 50.0), last, {}, {}, (4, 6))
 
     def test_never_touches_the_loader(self):
         before = assignment_mod.load_call_count()
-        predict_horizon(np.full((2, 8), 10.0), np.ones(2), ArModel.identity(2), {}, {}, (4, 8))
+        predict_horizon(np.full((2, 8), 10.0), np.ones(2), {}, {}, (4, 8))
         assert assignment_mod.load_call_count() == before

@@ -42,14 +42,6 @@ class TestTimeGrid:
         with pytest.raises(IndexError):
             grid.bounds(-1)
 
-    def test_index_at_half_open(self):
-        grid = TimeGrid(start=0, interval_minutes=15, n_intervals=4)
-        assert grid.index_at(0.0) == 0
-        assert grid.index_at(14.999) == 0
-        assert grid.index_at(15.0) == 1
-        assert grid.index_at(-1.0) == -1
-        assert grid.index_at(60.0) == 4  # beyond the horizon
-
     def test_bounds_out_of_range(self):
         with pytest.raises(IndexError):
             TimeGrid(n_intervals=4).bounds(4)

@@ -230,8 +230,36 @@ class TestMappingErrors:
             (lambda doc: doc.update(legs=5), "legs must be a list"),
             (lambda doc: doc.update(network=dict(INLINE_CORRIDOR["network"], paths=[["1a"]])),
              "network.paths must be a mapping"),
+            (lambda doc: doc.update(name=None), "name must be a string, not None"),
+            (lambda doc: doc.update(description=["a", "b"]),
+             r"description must be a string, not \['a', 'b'\]"),
+            (lambda doc: doc["legs"][4].update(name=None),
+             r"legs\[4\]\.name must be a string, not None"),
+            (lambda doc: doc["legs"][2].update(feeds=[1.5]),
+             r"legs\[2\]\.feeds\[0\] must be a string, not 1\.5"),
+            (lambda doc: doc["perturbation"].update(mode=None),
+             r"perturbation\.mode must be a string, not None"),
+            (lambda doc: doc.update(models=["kf", {"pkf": 1}]),
+             r"models\[1\] must be a string, not \{'pkf': 1\}"),
+            (lambda doc: doc.update(network=_inline(zones=[{"id": None}, {"id": "b"}])),
+             r"network\.zones\[0\]\.id must be a string, not None"),
+            (lambda doc: doc.update(network=_inline(zones=[{"id": "a"}, {"id": 2.5}])),
+             r"network\.zones\[1\]\.id must be a string, not 2\.5"),
+            (lambda doc: doc.update(network=_inline(links=[{"label": None, "from": "a", "to": "b"}])),
+             r"network\.links\[0\]\.label must be a string, not None"),
+            (lambda doc: doc.update(network=_inline(links=[{"label": "1", "from": True, "to": "b"}])),
+             r"network\.links\[0\]\.from must be a string, not True"),
+            (lambda doc: doc.update(network=_inline(links=[{"label": "1", "from": "a", "to": ["b"]}])),
+             r"network\.links\[0\]\.to must be a string, not \['b'\]"),
+            (lambda doc: doc.update(network=_inline(paths={"a-b": ["1a", None]})),
+             r"network\.paths\.a-b\[1\] must be a string, not None"),
+            (lambda doc: doc.update(network=_inline(detectors=[False])),
+             r"network\.detectors\[0\] must be a string, not False"),
         ],
-        ids=["total-not-a-number", "n-intervals-null", "legs-not-a-list", "paths-as-list"],
+        ids=["total-not-a-number", "n-intervals-null", "legs-not-a-list", "paths-as-list",
+             "name-null", "description-list", "leg-name-null", "feed-float", "mode-null",
+             "model-mapping", "zone-id-null", "zone-id-float", "link-label-null",
+             "link-from-boolean", "link-to-list", "path-link-null", "detector-boolean"],
     )
     def test_wrongly_typed_value_names_its_key(self, toy_doc, mutate, message):
         mutate(toy_doc)
@@ -325,6 +353,11 @@ class TestMappingErrors:
             scenario_from_mapping(doc)
 
 
+def _inline(**network):
+    """The inline corridor's network with the given keys replaced."""
+    return dict(copy.deepcopy(INLINE_CORRIDOR["network"]), **network)
+
+
 class TestInlineNetwork:
     def test_builds_and_validates(self):
         cfg = scenario_from_mapping(copy.deepcopy(INLINE_CORRIDOR))
@@ -337,6 +370,30 @@ class TestInlineNetwork:
         doc["network"]["zones"][0]["id"] = "a-1"
         with pytest.raises(ConfigurationError):
             scenario_from_mapping(doc)
+
+    @pytest.mark.parametrize("zid", ["h/0", "h\\0"], ids=["slash", "backslash"])
+    def test_zone_id_with_path_separator_rejected(self, zid):
+        """A zone id names the files of its ODs' profiles, so a path
+        separator in it would write outside the report directory."""
+        doc = copy.deepcopy(INLINE_CORRIDOR)
+        doc["network"]["zones"][0]["id"] = zid
+        with pytest.raises(ConfigurationError, match=f"zone id {re.escape(repr(zid))} must not contain"):
+            scenario_from_mapping(doc)
+
+    def test_integer_ids_and_labels_read_as_strings(self):
+        """YAML reads ``id: 1`` and ``label: 4`` as ints; they name the zone
+        ``'1'`` and the links ``4a`` and ``4b``."""
+        doc = copy.deepcopy(INLINE_CORRIDOR)
+        doc["network"]["zones"][0]["id"] = 1
+        doc["network"]["links"][0].update(label=4, **{"from": 1})
+        doc["network"].update(paths={"1-b": ["4a"], "b-1": ["4b"]}, detectors=["4a"])
+        for leg, od in zip(doc["legs"], ("1-b", "b-1")):
+            leg["od_split"] = {od: 1.0}
+        cfg = scenario_from_mapping(doc)
+        assert cfg.validate() == []
+        assert set(cfg.network.zones) == {"1", "b"}
+        assert set(cfg.network.links) == {"4a", "4b"}
+        assert cfg.network.links["4a"].from_node == "1"
 
     def test_runs_end_to_end(self):
         """A non-toy network through the whole pipeline: the chained filters

@@ -4,7 +4,7 @@ Every top-level and class-level ``def`` and ``class`` in ``src/odchain`` must
 be used, as a name or an attribute, somewhere in ``src/odchain`` or in the
 benchmark under ``odbench``.  Imports do not count as uses, and dunder
 methods are called by Python itself.  A helper that only tests call belongs
-in the tests; the two oracles below are the exceptions.
+in the tests; the oracle below is the exception.
 """
 
 import ast
@@ -18,8 +18,6 @@ USERS = (PACKAGE, ROOT / "odbench")
 ALLOWED = {
     "two_od_closed_form": "acceptance test 3 imports this oracle from odchain.legs, "
                           "and the acceptance tests are kept byte for byte",
-    "index_at": "the brute-force loader oracle in test_assignment places vehicles "
-                "on the grid with it",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
