@@ -21,6 +21,8 @@ loaded counts against the noise-free true counts.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import os
@@ -636,18 +638,21 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _report_csv(report: ExperimentReport) -> str:
-    lines = ["model,rmse_od,rmse_link,impr_od_pct,impr_link_pct"]
-    for row in report.rows:
-        if row.status != "ok":
-            lines.append(f"{row.model},n/a,n/a,n/a,n/a")
-            continue
-        impr_od = _fmt(None if row.model == "seed" else row.impr_od_pct, 4)
-        impr_link = _fmt(None if row.model == "seed" else row.impr_link_pct, 4)
-        lines.append(
-            f"{row.model},{_fmt(row.rmse_od)},{_fmt(row.rmse_link)},{impr_od},{impr_link}"
-        )
-    return "\n".join(lines) + "\n"
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as a CSV file, atomically; a field is quoted
+    only where it holds a comma, a quote or a line break (a leg ``work,home``)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
+def _report_row(row: ModelRow) -> tuple:
+    if row.status != "ok":
+        return (row.model, "n/a", "n/a", "n/a", "n/a")
+    od, link = (None, None) if row.model == "seed" else (row.impr_od_pct, row.impr_link_pct)
+    return (row.model, _fmt(row.rmse_od), _fmt(row.rmse_link), _fmt(od, 4), _fmt(link, 4))
 
 
 def _jsonable(value):
@@ -683,21 +688,20 @@ def emit_report(report: ExperimentReport, out_dir, *, include_profiles: bool = T
     crashed run never leaves half a report.
     """
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "report.csv"), _report_csv(report))
+    _write_csv(os.path.join(out_dir, "report.csv"),
+               ("model", "rmse_od", "rmse_link", "impr_od_pct", "impr_link_pct"),
+               map(_report_row, report.rows))
     _atomic_write(os.path.join(out_dir, "report.json"), _report_json(report))
-
-    kf_lines = ["interval,innovation_norm,gain_norm,cov_trace"]
-    for d in report.kf_diagnostics:
-        kf_lines.append(f"{d.interval},{d.innovation_norm:.6f},{d.gain_norm:.6f},{d.cov_trace:.6f}")
-    _atomic_write(os.path.join(out_dir, "kf_diagnostics.csv"), "\n".join(kf_lines) + "\n")
-
-    leg_lines = ["model,leg,prior_mean_norm,posterior_mean_norm,scale,conservation_residual"]
-    for d in report.leg_diagnostics:
-        leg_lines.append(
-            f"{d['model']},{d['leg']},{d['prior_mean_norm']:.6f},"
-            f"{d['posterior_mean_norm']:.6f},{d['scale']:.9f},{d['conservation_residual']:.9f}"
-        )
-    _atomic_write(os.path.join(out_dir, "leg_diagnostics.csv"), "\n".join(leg_lines) + "\n")
+    _write_csv(os.path.join(out_dir, "kf_diagnostics.csv"),
+               ("interval", "innovation_norm", "gain_norm", "cov_trace"),
+               ((d.interval, f"{d.innovation_norm:.6f}", f"{d.gain_norm:.6f}", f"{d.cov_trace:.6f}")
+                for d in report.kf_diagnostics))
+    _write_csv(os.path.join(out_dir, "leg_diagnostics.csv"),
+               ("model", "leg", "prior_mean_norm", "posterior_mean_norm", "scale",
+                "conservation_residual"),
+               ((d["model"], d["leg"], f"{d['prior_mean_norm']:.6f}",
+                 f"{d['posterior_mean_norm']:.6f}", f"{d['scale']:.9f}",
+                 f"{d['conservation_residual']:.9f}") for d in report.leg_diagnostics))
 
     if not include_profiles:
         return
@@ -705,9 +709,8 @@ def emit_report(report: ExperimentReport, out_dir, *, include_profiles: bool = T
     os.makedirs(profile_dir, exist_ok=True)
     model_cols = [m for m in report.models if m != "seed" and report.row(m).status == "ok"]
     for i, od in enumerate(report.od_index):
-        lines = ["interval,true,historical" + "".join(f",{m}" for m in model_cols)]
-        for h in range(report.grid.n_intervals):
-            cells = [str(h), f"{report.truth[i, h]:.6f}", f"{report.historical[i, h]:.6f}"]
-            cells += [f"{report.estimates[m][i, h]:.6f}" for m in model_cols]
-            lines.append(",".join(cells))
-        _atomic_write(os.path.join(profile_dir, f"{od_label(od)}.csv"), "\n".join(lines) + "\n")
+        columns = [report.truth[i], report.historical[i],
+                   *(report.estimates[m][i] for m in model_cols)]
+        _write_csv(os.path.join(profile_dir, f"{od_label(od)}.csv"),
+                   ("interval", "true", "historical", *model_cols),
+                   ([h, *(f"{c[h]:.6f}" for c in columns)] for h in range(report.grid.n_intervals)))

@@ -78,6 +78,9 @@ class ChainSpec:
                 raise ConfigurationError(f"leg {leg!r} fed by unknown legs {sorted(missing)}")
             if leg in preds:
                 raise ConfigurationError(f"leg {leg!r} feeds itself")
+            for feeder in preds:
+                if preds.count(feeder) > 1:  # its arrivals would be chained in twice
+                    raise ConfigurationError(f"leg {leg!r} lists its feeder {feeder!r} twice")
         try:
             order = tuple(TopologicalSorter(self.feeds).static_order())
         except CycleError as exc:

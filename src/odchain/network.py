@@ -1,10 +1,11 @@
 """Network topology, time discretization and BPR link performance.
 
-A network is a set of traffic zones attached to nodes, directed links (each
-bidirectional road contributes two directed links sharing a label), one fixed
-path per OD pair, and a set of detector channels.  A detector channel is a
-directed link id, so a bidirectional detector on link "4" shows up as the two
-channels "4a" and "4b".
+A network is a set of traffic zones attached to nodes, directed links, one
+fixed path per OD pair, and a set of detector channels.  Every road is
+bidirectional: :func:`road_links` makes its two directed links, which share
+the road's label.  A detector channel is a directed link id, so a
+bidirectional detector on road "4" shows up as the two channels "4a" and
+"4b".  :func:`build_toy_network` builds the packaged five-zone network.
 
 Everything here is immutable after construction; demand and flows live in
 :mod:`odchain.assignment`.
@@ -50,6 +51,10 @@ class Zone:
     kind: str = "residential"
 
     def __post_init__(self) -> None:
+        # '-' joins an OD's zones, and a zone id names its ODs' profile files
+        for ch in "-/\\":
+            if ch in self.id:
+                raise ConfigurationError(f"zone id {self.id!r} must not contain {ch!r}")
         if self.kind not in ZONE_KINDS:
             raise ConfigurationError(f"zone {self.id!r}: unknown kind {self.kind!r}")
 
@@ -66,8 +71,8 @@ class Link:
     label: str
     from_node: str
     to_node: str
-    free_flow_time: float  # minutes
-    capacity: float  # vehicles per hour
+    free_flow_time: float = 10.0  # minutes
+    capacity: float = 4000.0  # vehicles per hour
     bpr_alpha: float = 0.15
     bpr_beta: float = 4.0
 
@@ -80,6 +85,17 @@ class Link:
             raise ConfigurationError(f"link {self.id!r}: bpr_beta must be >= 1")
         if self.bpr_alpha < 0:
             raise ConfigurationError(f"link {self.id!r}: bpr_alpha must be >= 0")
+
+
+def road_links(label: str, a: str, b: str, **params) -> tuple[Link, Link]:
+    """The two directed links of the road ``label`` between nodes ``a`` and
+    ``b``: ``label + "a"`` runs a->b and ``label + "b"`` runs b->a.
+
+    ``params`` are :class:`Link` keyword arguments shared by both links
+    (``free_flow_time``, ``capacity``, ``bpr_alpha``, ``bpr_beta``); one left
+    out takes the field's default.
+    """
+    return (Link(f"{label}a", label, a, b, **params), Link(f"{label}b", label, b, a, **params))
 
 
 @dataclass(frozen=True)
@@ -306,60 +322,27 @@ _TOY_ZONES = {
     "5": "leisure",
 }
 
-#: Defaults sized so the central link runs near saturation under a peaked
-#: commute; scenario overrides may retune capacities and BPR parameters.
-TOY_FREE_FLOW_TIME = 10.0
-TOY_CAPACITY = 4000.0
-
-OVERRIDE_KEYS = ("free_flow_time", "capacity", "bpr_alpha", "bpr_beta")
-
-
-def _override(value, key: str) -> float:
-    """An override as a float; a boolean, NaN or an infinity is a ``ValueError``."""
-    result = None if isinstance(value, bool) else float(value)
-    if result is None or not math.isfinite(result):
-        raise ValueError(f"override {key} must be a finite number, not {value!r}")
-    return result
-
-
-def _per_label(value, label: str, default: float, key: str) -> float:
-    if value is None:
-        return default
-    if isinstance(value, dict):
-        for k in value:
-            if str(k) not in {r[0] for r in _TOY_ROADS}:
-                raise ConfigurationError(f"override {key}: unknown link label {k!r}")
-        return _override(value.get(label, value.get(int(label), default)), key)
-    return _override(value, key)
-
 
 def build_toy_network(overrides: dict | None = None) -> Network:
     """Construct the five-zone commute network with the bidirectional detector.
 
-    ``overrides`` may retune the declared tunables only: ``free_flow_time``
-    and ``capacity`` (scalar or per-label mapping), ``bpr_alpha`` and
-    ``bpr_beta`` (scalars).  Any other key raises a configuration error; a
-    value that is no finite number, a boolean included, a ``ValueError`` or
+    ``overrides`` maps a :class:`Link` parameter to one value for every road,
+    or to a mapping from road labels to values; a road left out keeps
+    :class:`Link`'s default.  The scenario reader has read and checked the
+    values.  They change no structure, and ``ScenarioConfig.validate`` checks
+    every network before a run.  An unknown road label is a
+    :class:`ConfigurationError`, a key that is no :class:`Link` parameter a
     ``TypeError``.
     """
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(OVERRIDE_KEYS)
-    if unknown:
-        raise ConfigurationError(f"unknown network overrides: {sorted(unknown)}")
-    alpha = _override(overrides.get("bpr_alpha", 0.15), "bpr_alpha")
-    beta = _override(overrides.get("bpr_beta", 4.0), "bpr_beta")
-
-    links: dict[str, Link] = {}
-    for label, a, b in _TOY_ROADS:
-        fft = _per_label(overrides.get("free_flow_time"), label, TOY_FREE_FLOW_TIME, "free_flow_time")
-        cap = _per_label(overrides.get("capacity"), label, TOY_CAPACITY, "capacity")
-        links[f"{label}a"] = Link(f"{label}a", label, a, b, fft, cap, alpha, beta)
-        links[f"{label}b"] = Link(f"{label}b", label, b, a, fft, cap, alpha, beta)
-
+    params: dict[str, dict] = {label: {} for label, _, _ in _TOY_ROADS}
+    for key, value in (overrides or {}).items():
+        per_road = value if isinstance(value, dict) else dict.fromkeys(params, value)
+        for label, v in per_road.items():
+            if label not in params:
+                raise ConfigurationError(f"override {key}: unknown road label {label!r}")
+            params[label][key] = v
+    links = {link.id: link for label, a, b in _TOY_ROADS
+             for link in road_links(label, a, b, **params[label])}
     zones = {zid: Zone(zid, kind) for zid, kind in _TOY_ZONES.items()}
     paths = {od: Path(od, seq) for od, seq in _TOY_PATHS.items()}
-    net = Network(zones=zones, links=links, paths=paths, detectors=("4a", "4b"))
-    problems = validate_network(net)
-    if problems:  # pragma: no cover - factory output is checked in tests
-        raise ConfigurationError("; ".join(problems))
-    return net
+    return Network(zones=zones, links=links, paths=paths, detectors=("4a", "4b"))

@@ -16,6 +16,7 @@ import difflib
 import functools
 import logging
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path as FsPath
@@ -27,7 +28,6 @@ from .departure import ScheduleParams
 from .legs import ChainSpec
 from .network import (
     OD,
-    OVERRIDE_KEYS,
     Link,
     Network,
     Path,
@@ -35,6 +35,7 @@ from .network import (
     Zone,
     build_toy_network,
     od_label,
+    road_links,
     validate_network,
 )
 
@@ -193,19 +194,15 @@ class ScenarioConfig:
                 if od not in self.network.paths:
                     problems.append(f"leg {leg.name!r}: no path for OD {od_label(od)}")
         try:
-            chain = self.chain()
+            self.chain()
         except ConfigurationError as exc:
             problems.append(str(exc))
-            chain = None
-        if chain is not None:
+        else:  # every feeder is a leg, listed once
             by_name = {leg.name: leg for leg in self.legs}
             for leg in self.legs:
+                current_origins = {od[0] for od in leg.od_split}
                 for feeder_name in leg.feeds:
-                    feeder = by_name.get(feeder_name)
-                    if feeder is None:
-                        continue
-                    current_origins = {od[0] for od in leg.od_split}
-                    for od in feeder.od_split:
+                    for od in by_name[feeder_name].od_split:
                         if od[1] not in current_origins:
                             problems.append(
                                 f"leg {leg.name!r}: arrivals at zone {od[1]!r} from "
@@ -231,8 +228,10 @@ class ScenarioConfig:
 
 
 def _path(where: str, key) -> str:
-    """The key path ``where.key``, or ``where`` alone without a key."""
-    return where if key is None else f"{where}.{key}"
+    """The key path ``where.key``: ``where`` without a key, ``key`` at the top level."""
+    if key is None:
+        return where
+    return f"{where}.{key}" if where else str(key)
 
 
 def _list(value, where: str, key=None) -> list | tuple:
@@ -298,7 +297,8 @@ def _string(value, where: str, key=None) -> str:
 def _strings(value, where: str, key=None) -> tuple[str, ...]:
     """The list ``value`` (see :func:`_list`), each item read by :func:`_string`."""
     at = _path(where, key)
-    return tuple(_string(v, f"{at}[{j}]") for j, v in enumerate(_list(value, where, key)))
+    return tuple([v if type(v) is str else _string(v, f"{at}[{j}]")
+                  for j, v in enumerate(_list(value, where, key))])
 
 
 def _boolean(value, where: str, key=None) -> bool:
@@ -309,17 +309,18 @@ def _boolean(value, where: str, key=None) -> bool:
 
 
 def _check_keys(
-    spec, known: tuple[str, ...] | None, where: str, required: tuple[str, ...] = ()
+    spec, known: Collection[str] | None, where: str, required: tuple[str, ...] = ()
 ) -> dict:
     """Return one level of the scenario document as a mapping.
 
     ``None`` reads as an empty mapping.  Anything else that is not a mapping,
     a key outside ``known`` (the error names the nearest known key; ``None``
     accepts any key) and a missing ``required`` key raise
-    :class:`ConfigurationError`.
+    :class:`ConfigurationError`.  An empty ``where`` is the top level.
     """
     if spec is None:
         return {}
+    where = where or "the scenario"
     if not isinstance(spec, dict):
         raise ConfigurationError(f"{where} must be a mapping, not {type(spec).__name__} {spec!r}")
     if known is not None:
@@ -334,35 +335,55 @@ def _check_keys(
     return spec
 
 
+def _read(spec, where: str, readers: dict, required: tuple[str, ...] = ()) -> dict:
+    """The keys present in one level, each read by ``readers[key](value, where,
+    key)``; the keys of ``readers`` are the level's known keys.  A key left
+    out stays out, so the dataclass built from the result takes its default."""
+    spec = _check_keys(spec, readers, where, required)
+    return {key: readers[key](value, where, key) for key, value in spec.items()}
+
+
+def _level(cls, readers: dict):
+    """A reader of one level: ``cls`` built from the keys present (``dict``: the mapping)."""
+    return lambda spec, where, key: cls(**_read(spec, _path(where, key), readers))
+
+
 @functools.cache
 def _field_names(cls) -> tuple[str, ...]:
     """Keys of a level whose YAML keys are the dataclass's field names."""
     return tuple(f.name for f in fields(cls))
 
 
+def _per_road(value, where: str, key=None) -> float | dict[str, float]:
+    """One number for every road, or a mapping from road labels (read by
+    :func:`_string`) to numbers, where a label given twice is an error."""
+    if not isinstance(value, dict):
+        return _number(value, where, key)
+    at, per_road = _path(where, key), {}
+    for k, v in value.items():
+        label = _string(k, at, k)
+        if label in per_road:
+            raise ConfigurationError(f"{_path(at, k)}: road {label!r} is given twice")
+        per_road[label] = _number(v, at, k)
+    return per_road
+
+
 def _build_inline_network(spec: dict) -> Network:
-    zones = {}
+    zones: dict[str, Zone] = {}
     for i, z in enumerate(_list(spec.get("zones"), "network.zones")):
         where = f"network.zones[{i}]"
-        z = _check_keys(z, ("id", "kind"), where, required=("id",))
-        zid = _string(z["id"], where, "id")
-        # '-' joins an OD's zones, and a zone id names its ODs' profile files
-        for ch in "-/\\":
-            if ch in zid:
-                raise ConfigurationError(f"zone id {zid!r} must not contain {ch!r}")
-        zones[zid] = Zone(zid, z.get("kind", "residential"))
+        zone = Zone(**_read(z, where, _ZONE, required=("id",)))
+        if zone.id in zones:
+            raise ConfigurationError(f"{where}.id: zone {zone.id!r} is given twice")
+        zones[zone.id] = zone
     links: dict[str, Link] = {}
-    link_keys = ("label", "from", "to", "free_flow_time", "capacity", "bpr_alpha", "bpr_beta")
     for i, l in enumerate(_list(spec.get("links"), "network.links")):
         where = f"network.links[{i}]"
-        l = _check_keys(l, link_keys, where, required=("label", "from", "to"))
-        label, a, b = (_string(l[k], where, k) for k in ("label", "from", "to"))
-        fft = _number(l.get("free_flow_time", 10.0), where, "free_flow_time")
-        cap = _number(l.get("capacity", 4000.0), where, "capacity")
-        alpha = _number(l.get("bpr_alpha", 0.15), where, "bpr_alpha")
-        beta = _number(l.get("bpr_beta", 4.0), where, "bpr_beta")
-        links[f"{label}a"] = Link(f"{label}a", label, a, b, fft, cap, alpha, beta)
-        links[f"{label}b"] = Link(f"{label}b", label, b, a, fft, cap, alpha, beta)
+        l = _read(l, where, _LINK, required=("label", "from", "to"))
+        road = road_links(l.pop("label"), l.pop("from"), l.pop("to"), **l)
+        if road[0].id in links:
+            raise ConfigurationError(f"{where}.label: road {road[0].label!r} is given twice")
+        links.update((link.id, link) for link in road)
     paths = {}
     for key, seq in _check_keys(spec.get("paths"), None, "network.paths").items():
         od = _parse_od(key)
@@ -371,7 +392,7 @@ def _build_inline_network(spec: dict) -> Network:
     return Network(zones=zones, links=links, paths=paths, detectors=detectors)
 
 
-def _build_network(spec) -> Network:
+def _build_network(spec, where: str, key=None) -> Network:
     """The toy preset (the default, with optional overrides) or an inline network."""
     inline = ("zones", "links", "paths", "detectors")
     if isinstance(spec, dict) and not spec.keys().isdisjoint(inline):
@@ -380,102 +401,88 @@ def _build_network(spec) -> Network:
     preset = spec.get("preset", "toy")
     if preset != "toy":
         raise ConfigurationError(f"unknown network preset {preset!r}")
-    overrides = _check_keys(spec.get("overrides"), OVERRIDE_KEYS, "network.overrides")
-    try:
-        return build_toy_network(overrides)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"network.overrides: {exc}") from None
+    return build_toy_network(_read(spec.get("overrides"), "network.overrides", _TOY_OVERRIDES))
 
 
 def _build_schedule(spec, where: str) -> ScheduleParams:
-    spec = dict(_check_keys(spec, _field_names(ScheduleParams), where))
-    if "preferred_arrival" in spec:
-        spec["preferred_arrival"] = parse_minutes(spec["preferred_arrival"], where,
-                                                  "preferred_arrival")
     try:
-        return ScheduleParams(**_numbers(spec, where))
+        return ScheduleParams(**_read(spec, where, _SCHEDULE))
     except ValueError as exc:
         raise ConfigurationError(f"bad schedule parameters: {exc}") from exc
 
 
+def _legs(value, where: str, key=None) -> tuple[LegDef, ...]:
+    legs = []
+    for i, spec in enumerate(_list(value, where, key)):
+        at = f"{_path(where, key)}[{i}]"
+        spec = _check_keys(spec, _field_names(LegDef), at, required=("name",))
+        legs.append(LegDef(
+            name=_string(spec["name"], at, "name"),
+            total=_number(spec.get("total", 0.0), at, "total"),
+            od_split=_numbers(spec.get("od_split"), f"{at}.od_split", key=_parse_od),
+            schedule=_build_schedule(spec.get("schedule"), f"{at}.schedule"),
+            feeds=_strings(spec.get("feeds"), at, "feeds"),
+        ))
+    return tuple(legs)
+
+
+#: The readers of each level of the document, keyed by its known keys.
+_ZONE = {"id": _string, "kind": _string}
+_LINK = {"label": _string, "from": _string, "to": _string,
+         **dict.fromkeys(("free_flow_time", "capacity", "bpr_alpha", "bpr_beta"), _number)}
+_SCHEDULE = {**dict.fromkeys(_field_names(ScheduleParams), _number),
+             "preferred_arrival": parse_minutes}
+_TOY_OVERRIDES = {"free_flow_time": _per_road, "capacity": _per_road, "bpr_alpha": _number,
+                  "bpr_beta": _number}
+_SCENARIO = {
+    "name": _string,
+    "description": _string,
+    "seed": _integer,
+    "time_grid": _level(TimeGrid, {
+        "start": lambda v, where, key: _integer(parse_minutes(v, where, key), where, key),
+        "interval_minutes": _integer, "n_intervals": _integer}),
+    "network": _build_network,
+    "legs": _legs,
+    "perturbation": _level(PerturbationSpec, {
+        "mode": _string, "scale": _number, "noise": _number,
+        "seed": lambda v, where, key: None if v is None else _integer(v, where, key)}),
+    "measurement_noise_fraction": _number,
+    "noise": _level(NoiseFractions, dict.fromkeys(_field_names(NoiseFractions), _number)),
+    "estimation": _level(dict, {
+        "cutoff": parse_minutes, "prediction_intervals": _integer,
+        "uniform_redistribution": _boolean, "refresh_assignment": _boolean}),
+    "models": lambda v, where, key: _strings(v, where, key) or MODELS,  # []: every model
+}
+
+
 def scenario_from_mapping(doc: dict) -> ScenarioConfig:
     """Build a scenario from a parsed YAML mapping.
+
+    Each value is read once, by its level's reader, and a key left out takes
+    its dataclass field's default; a network left out is the plain toy.  The
+    document's own defaults are the ``name`` "scenario", a leg ``total`` of 0
+    and the ``cutoff`` at the grid's end; ``models: []`` reads as every model.
+    A zone id, link label or per-road label given twice is an error.
 
     Raises:
         ConfigurationError: on structural problems, unknown keys included;
             value-level violations are additionally reported by
             :meth:`ScenarioConfig.validate`.
     """
-    doc = _check_keys(doc, ("name", "description", "seed", "time_grid", "network", "legs",
-                      "perturbation", "measurement_noise_fraction", "noise", "estimation",
-                      "models"), "the scenario")
-    grid_spec = _check_keys(doc.get("time_grid"), _field_names(TimeGrid), "time_grid")
-    grid = TimeGrid(
-        start=_integer(parse_minutes(grid_spec.get("start", 0), "time_grid", "start"),
-                       "time_grid", "start"),
-        interval_minutes=_integer(
-            grid_spec.get("interval_minutes", 15), "time_grid", "interval_minutes"
-        ),
-        n_intervals=_integer(grid_spec.get("n_intervals", 96), "time_grid", "n_intervals"),
-    )
-    network = _build_network(doc.get("network"))
-
-    legs = []
-    for i, spec in enumerate(_list(doc.get("legs"), "legs")):
-        where = f"legs[{i}]"
-        spec = _check_keys(spec, _field_names(LegDef), where, required=("name",))
-        od_split = _numbers(spec.get("od_split"), f"{where}.od_split", key=_parse_od)
-        legs.append(
-            LegDef(
-                name=_string(spec["name"], where, "name"),
-                total=_number(spec.get("total", 0.0), where, "total"),
-                od_split=od_split,
-                schedule=_build_schedule(spec.get("schedule"), f"{where}.schedule"),
-                feeds=_strings(spec.get("feeds"), where, "feeds"),
-            )
-        )
-    if not legs:
+    cfg = _read(doc, "", _SCENARIO)
+    if not cfg.get("legs"):
         raise ConfigurationError("scenario defines no demand legs")
-
-    pert_spec = _check_keys(doc.get("perturbation"), _field_names(PerturbationSpec), "perturbation")
-    pert_seed = pert_spec.get("seed")
-    perturbation = PerturbationSpec(
-        mode=_string(pert_spec.get("mode", "uniform_scale"), "perturbation", "mode"),
-        scale=_number(pert_spec.get("scale", 0.0), "perturbation", "scale"),
-        noise=_number(pert_spec.get("noise", 0.0), "perturbation", "noise"),
-        seed=None if pert_seed is None else _integer(pert_seed, "perturbation", "seed"),
-    )
-    noise_spec = _check_keys(doc.get("noise"), _field_names(NoiseFractions), "noise")
-    noise = NoiseFractions(**_numbers(noise_spec, "noise"))
-
-    est_spec = _check_keys(
-        doc.get("estimation"),
-        ("cutoff", "prediction_intervals", "uniform_redistribution", "refresh_assignment"),
-        "estimation",
-    )
-    estimation = EstimationConfig(
-        cutoff_minute=parse_minutes(est_spec.get("cutoff", grid.end), "estimation", "cutoff"),
-        prediction_intervals=_integer(
-            est_spec.get("prediction_intervals", 2), "estimation", "prediction_intervals"
-        ),
-        **{key: _boolean(est_spec.get(key, False), "estimation", key)
-           for key in ("uniform_redistribution", "refresh_assignment")},
-    )
-    models = _strings(doc.get("models"), "models") or MODELS
+    grid = cfg.pop("time_grid", TimeGrid())
+    estimation = cfg.pop("estimation", {})
+    cutoff = estimation.pop("cutoff", float(grid.end))
     return ScenarioConfig(
-        name=_string(doc.get("name", "scenario"), "name"),
+        name=cfg.pop("name", "scenario"),
         grid=grid,
-        network=network,
-        legs=tuple(legs),
-        perturbation=perturbation,
-        noise=noise,
-        estimation=estimation,
-        models=models,
-        seed=_integer(doc.get("seed", 0), "seed"),
-        measurement_noise_fraction=_number(
-            doc.get("measurement_noise_fraction", 0.0), "measurement_noise_fraction"
-        ),
-        description=_string(doc.get("description", ""), "description"),
+        network=cfg.pop("network") if "network" in cfg else build_toy_network(),
+        perturbation=cfg.pop("perturbation", PerturbationSpec()),
+        noise=cfg.pop("noise", NoiseFractions()),
+        estimation=EstimationConfig(cutoff_minute=cutoff, **estimation),
+        **cfg,
     )
 
 

@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import json
 import pathlib
@@ -472,6 +473,20 @@ class TestEmission:
     def test_profiles_can_be_skipped(self, tmp_path, toy_report):
         emit_report(toy_report, tmp_path, include_profiles=False)
         assert not (tmp_path / "profiles").exists()
+
+    def test_leg_names_that_need_quoting_read_back_intact(self, tmp_path, toy_doc):
+        """A leg name holding a comma or a quote stays one CSV field."""
+        renamed = {"work_home": "work,home", "work_leisure": 'say "hi"'}
+        for leg in toy_doc["legs"]:
+            leg["name"] = renamed.get(leg["name"], leg["name"])
+            leg["feeds"] = [renamed.get(f, f) for f in leg["feeds"]]
+        cfg = scenario_from_mapping(toy_doc)
+        assert cfg.validate() == []
+        emit_report(run_experiment(cfg, models=("seed", "pkf")), tmp_path, include_profiles=False)
+        with open(tmp_path / "leg_diagnostics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {6}
+        assert set(renamed.values()) <= {row[1] for row in rows[1:]}
 
     def test_emitted_csv_is_deterministic(self, tmp_path, toy_cfg):
         a = run_experiment(toy_cfg)

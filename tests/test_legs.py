@@ -67,6 +67,11 @@ class TestChainSpec:
         with pytest.raises(ConfigurationError):
             ChainSpec(feeds={"b": ("nope",)}).topological_order()
 
+    def test_feeder_listed_twice_rejected(self):
+        """A feeder listed twice would chain its arrivals in twice."""
+        with pytest.raises(ConfigurationError, match="leg 'b' lists its feeder 'a' twice"):
+            ChainSpec(feeds={"a": (), "b": ("a", "a")})
+
 
 class TestLegFractions:
     def test_shares_of_origin_total(self):

@@ -14,6 +14,7 @@ from odchain.network import (
     bpr_travel_time,
     build_toy_network,
     od_label,
+    road_links,
     validate_network,
 )
 
@@ -76,6 +77,11 @@ class TestLink:
                 id="1a", label="1", from_node="1", to_node="6",
                 free_flow_time=1.0, capacity=100.0, bpr_beta=0.5,
             )
+
+    def test_road_links_are_the_two_directions(self):
+        forward, backward = road_links("4", "6", "7", capacity=500.0, bpr_beta=2.0)
+        assert forward == Link("4a", "4", "6", "7", capacity=500.0, bpr_beta=2.0)
+        assert backward == Link("4b", "4", "7", "6", capacity=500.0, bpr_beta=2.0)
 
 
 class TestBpr:
@@ -198,8 +204,14 @@ class TestToyNetwork:
         assert net.links["4b"].capacity == 11000.0
         assert net.links["1a"].capacity != 11000.0
 
+    def test_unknown_road_label_rejected(self):
+        with pytest.raises(ConfigurationError, match="override capacity: unknown road label '9'"):
+            build_toy_network({"capacity": {"9": 500.0}})
+
     def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigurationError):
+        """A key that is no link parameter reaches ``Link`` and fails there;
+        the scenario reader names the key before it gets this far."""
+        with pytest.raises(TypeError, match="speed_limit"):
             build_toy_network({"speed_limit": 50})
 
 

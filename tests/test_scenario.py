@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pathlib
 import re
 
@@ -6,11 +7,14 @@ import pytest
 import yaml
 
 from odchain import scenario as scenario_mod
+from odchain.departure import ScheduleParams
 from odchain.errors import ConfigurationError
+from odchain.network import Link, TimeGrid, Zone, build_toy_network
 from odchain.scenario import (
     EstimationConfig,
     NoiseFractions,
     PerturbationSpec,
+    ScenarioConfig,
     load_scenario,
     packaged_scenario_path,
     parse_minutes,
@@ -134,6 +138,11 @@ class TestValidate:
         toy_doc["legs"][2]["feeds"] = ["ghost"]
         cfg = scenario_from_mapping(toy_doc)
         assert any("ghost" in p for p in cfg.validate())
+
+    def test_feeder_listed_twice_flagged(self, toy_doc):
+        toy_doc["legs"][2]["feeds"] = ["hw_direct", "hw_direct"]
+        cfg = scenario_from_mapping(toy_doc)
+        assert cfg.validate() == ["leg 'work_home' lists its feeder 'hw_direct' twice"]
 
     def test_duplicate_leg_flagged(self, toy_doc):
         toy_doc["legs"].append(copy.deepcopy(toy_doc["legs"][0]))
@@ -333,7 +342,7 @@ class TestMappingErrors:
              r"legs\[0\]\.schedule\.preferred_arrival: cannot parse time -inf"),
             (False, ("time_grid", "start"), "false", r"time_grid\.start: cannot parse time False"),
             (False, ("network", "overrides", "capacity", "4"), ".nan",
-             r"network\.overrides: override capacity must be a finite number, not nan"),
+             r"network\.overrides\.capacity\.4 must be finite, not nan"),
         ],
         ids=["total-nan", "capacity-nan", "free-flow-time-inf", "noise-nan", "scale-nan",
              "logit-scale-nan", "prediction-intervals-yes", "split-true", "seed-true",
@@ -351,6 +360,66 @@ class TestMappingErrors:
         level[last] = yaml.safe_load(text)
         with pytest.raises(ConfigurationError, match=message):
             scenario_from_mapping(doc)
+
+
+class TestDefaults:
+    """A key left out takes its dataclass field's default; only the name, a
+    leg's total and the cutoff have defaults of the document's own."""
+
+    MINIMAL = {"legs": [{"name": "only", "od_split": {"1-3": 1.0}}]}
+
+    def test_every_level_left_out(self):
+        cfg = scenario_from_mapping(copy.deepcopy(self.MINIMAL))
+        assert cfg.grid == TimeGrid()
+        assert cfg.perturbation == PerturbationSpec()
+        assert cfg.noise == NoiseFractions()
+        assert cfg.estimation == EstimationConfig(cutoff_minute=cfg.grid.end)
+        assert cfg.network == build_toy_network()
+        defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+        for key in ("models", "seed", "measurement_noise_fraction", "description"):
+            assert getattr(cfg, key) == defaults[key], key
+        assert cfg.name == "scenario"
+        (leg,) = cfg.legs
+        assert (leg.total, leg.schedule, leg.feeds) == (0.0, ScheduleParams(), ())
+
+    def test_empty_levels_and_models(self):
+        doc = dict(copy.deepcopy(self.MINIMAL), time_grid={}, perturbation={}, noise={},
+                   estimation={}, network={"overrides": {}}, models=[])
+        assert scenario_from_mapping(doc) == scenario_from_mapping(copy.deepcopy(self.MINIMAL))
+
+    def test_inline_zone_and_link_without_parameters(self):
+        doc = copy.deepcopy(INLINE_CORRIDOR)
+        doc["network"]["zones"][0] = {"id": "a"}
+        doc["network"]["links"][0] = {"label": "1", "from": "a", "to": "b"}
+        network = scenario_from_mapping(doc).network
+        assert network.zones["a"] == Zone("a")
+        assert network.links == {"1a": Link("1a", "1", "a", "b"), "1b": Link("1b", "1", "b", "a")}
+
+
+class TestNamesGivenTwice:
+    """A name given twice is an error naming its key path; the second
+    definition does not quietly replace the first."""
+
+    def test_zone_id(self):
+        doc = copy.deepcopy(INLINE_CORRIDOR)
+        doc["network"]["zones"].append({"id": "a", "kind": "work"})
+        with pytest.raises(ConfigurationError,
+                           match=r"^network\.zones\[2\]\.id: zone 'a' is given twice$"):
+            scenario_from_mapping(doc)
+
+    def test_link_label(self):
+        doc = copy.deepcopy(INLINE_CORRIDOR)
+        doc["network"]["links"].append(
+            {"label": "1", "from": "a", "to": "b", "free_flow_time": 30, "capacity": 500})
+        with pytest.raises(ConfigurationError,
+                           match=r"^network\.links\[1\]\.label: road '1' is given twice$"):
+            scenario_from_mapping(doc)
+
+    def test_toy_road_as_number_and_as_string(self, toy_doc):
+        toy_doc["network"]["overrides"]["capacity"] = {4: 500, "4": 11000}
+        with pytest.raises(ConfigurationError,
+                           match=r"^network\.overrides\.capacity\.4: road '4' is given twice$"):
+            scenario_from_mapping(toy_doc)
 
 
 def _inline(**network):
