@@ -29,7 +29,7 @@ import os
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -153,25 +153,16 @@ def _make_legs(
     flows: dict[str, np.ndarray],
     profiles: dict[str, np.ndarray],
 ) -> dict[str, DemandLeg]:
-    legs = {}
-    for leg in cfg.legs:
-        legs[leg.name] = DemandLeg(
-            name=leg.name,
-            od_index=od_index,
-            flows=flows[leg.name],
-            members=tuple(sorted(leg.od_split)),
-            profile=profiles[leg.name],
-        )
-    return legs
+    return {
+        leg.name: DemandLeg(name=leg.name, od_index=od_index, flows=flows[leg.name],
+                            members=tuple(sorted(leg.od_split)), profile=profiles[leg.name])
+        for leg in cfg.legs
+    }
 
 
 def _expand(flows: dict[str, np.ndarray], profiles: dict[str, np.ndarray]) -> np.ndarray:
-    names = sorted(flows)
-    total = None
-    for name in names:
-        term = flows[name][:, None] * profiles[name]
-        total = term if total is None else total + term
-    return total
+    """The dynamic matrix: each leg's flows spread over its profiles, summed in name order."""
+    return sum(flows[name][:, None] * profiles[name] for name in sorted(flows))
 
 
 def _generate_side(
@@ -212,6 +203,7 @@ def _perturb(
     spec = cfg.perturbation
     seed = cfg.seed if spec.seed is None else spec.seed
     rng = np.random.default_rng([seed, 101])
+    pos = {od: i for i, od in enumerate(od_index)}
     hist: dict[str, np.ndarray] = {}
     factors: dict[str, np.ndarray] = {}
     for leg in cfg.legs:
@@ -220,9 +212,7 @@ def _perturb(
         if spec.mode != "none":
             f *= 1.0 + spec.scale
         if spec.mode == "scale_plus_noise" and spec.noise > 0.0:
-            members = sorted(leg.od_split)
-            pos = {od: i for i, od in enumerate(od_index)}
-            for od in members:
+            for od in sorted(leg.od_split):
                 f[pos[od]] *= 1.0 + spec.noise * rng.uniform(-1.0, 1.0)
         hist[leg.name] = base * f
         factors[leg.name] = f
@@ -287,7 +277,28 @@ class ModelRow:
 
 
 @dataclass
+class LegDiagnostics:
+    """One leg of one chain model's leg chain: the norms of the leg's
+    deviation before and after its cumulative-count update, spkf's
+    conservation rescale (1 where none ran) and the gap it leaves between
+    the leg's total and its feeders'."""
+
+    model: str
+    leg: str
+    prior_mean_norm: float
+    posterior_mean_norm: float
+    scale: float
+    conservation_residual: float
+
+
+@dataclass
 class ExperimentReport:
+    """What ``run_experiment`` returns and ``emit_report`` writes.
+
+    ``leg_diagnostics`` has one record per leg and chain model, pkf's then
+    spkf's, each in topological order (none when no leg is chained).  Rows,
+    records and ``diagnostics`` hold plain Python values for ``report.json``."""
+
     scenario: str
     seed: int
     models: tuple[str, ...]
@@ -298,7 +309,7 @@ class ExperimentReport:
     historical: np.ndarray
     estimates: dict[str, np.ndarray]
     kf_diagnostics: list[KfStepDiagnostics]
-    leg_diagnostics: list[dict]
+    leg_diagnostics: list[LegDiagnostics]
     diagnostics: dict
     runtime_s: float = 0.0
 
@@ -391,22 +402,29 @@ def _stage(rows: dict[str, ModelRow], models, what: str):
 def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[str, ModelRow]):
     """Produce the full-day demand estimate of every model in ``rows``.
 
+    One filtering pass serves every filter model.  Where a leg is chained,
+    pkf and spkf share the leg chain's inputs and each runs its own leg
+    chain, which gives its leg deviations and leg diagnostics.  One loop
+    then assembles kf, pkf and spkf alike from the filter's deviations and
+    the model's leg deviations: none for kf, nor for any model when no leg
+    is chained, so pkf and spkf then equal kf.
+
     Each stage runs under ``_stage``: its time goes to every row that shares
     it, and a failure marks those rows failed (a failure of the filtering
     pass fails every filter model, one of the leg chain's inputs both pkf
-    and spkf).  A filter model's ``extras`` get its ``clamped_cells`` and
+    and spkf), so a model whose assembly fails keeps its leg diagnostics.
+    A filter model's ``extras`` get its ``clamped_cells`` and
     ``prediction_load_calls``.  Reads no part of ``artifacts.truth``.
 
     Returns the estimates of the models that did not fail, the kf and leg
     diagnostics, and the totals attributed to each leg.
     """
     cut = cfg.cutoff_index
-    n_h = cfg.grid.n_intervals
     hist = artifacts.history
     hist_matrix = hist.demand.matrix
     estimates: dict[str, np.ndarray] = {}
     kf_diag: list[KfStepDiagnostics] = []
-    leg_diag: list[dict] = []
+    leg_diag: list[LegDiagnostics] = []
     attributed_totals: dict[str, float] = {}
     result = estimates, kf_diag, leg_diag, attributed_totals
 
@@ -430,31 +448,12 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         return result
 
     profiles = hist.profiles()
-    morning_profiles = {n: p[:, :cut] for n, p in profiles.items()}
-
-    def assemble(model: str, leg_deltas: dict[str, np.ndarray]) -> None:
-        morning, clamped_m = combined_demand(
-            hist_matrix[:, :cut], kf.deltas, leg_deltas, morning_profiles
-        )
-        before = assignment_mod.load_call_count()
-        evening, clamped_e = predict_horizon(
-            hist_matrix, kf.last.mean, leg_deltas, profiles, (cut, n_h)
-        )
-        pred_loads = assignment_mod.load_call_count() - before
-        estimates[model] = np.hstack([morning, evening])
-        rows[model].extras.update(
-            clamped_cells=clamped_m + clamped_e, prediction_load_calls=pred_loads)
-
-    if "kf" in rows:
-        with _stage(rows, ("kf",), "model kf"):
-            assemble("kf", {})
-
     chain = artifacts.chain
     chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
-    chain_models = [m for m in ("pkf", "spkf") if m in rows]
-    if chain_models and chained:
-        # the chain's inputs do not depend on the mode, so pkf and spkf
-        # share them and their build time
+    chain_models = [m for m in ("pkf", "spkf") if m in rows] if chained else []
+    leg_deltas: dict[str, dict[str, np.ndarray]] = {}
+    if chain_models:
+        # pkf and spkf share the chain's inputs, which do not depend on the mode
         with _stage(rows, chain_models, "leg-chain inputs"):
             attributed = attribute_interval_deviations(
                 kf.deltas, [hist.legs[n] for n in chain.topological_order()]
@@ -462,11 +461,8 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
             attributed_totals.update((n, float(v.sum())) for n, v in attributed.items())
             operators = {
                 name: build_leg_operator(
-                    chain,
-                    [hist.legs[f] for f in chain.feeds[name]],
-                    hist.legs[name],
-                    uniform_redistribution=cfg.estimation.uniform_redistribution,
-                )
+                    chain, [hist.legs[f] for f in chain.feeds[name]], hist.legs[name],
+                    uniform_redistribution=cfg.estimation.uniform_redistribution)
                 for name in chained
             }
             mapping = cumulative_mapping(artifacts.assignment, profiles, cut - 1)
@@ -476,36 +472,33 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     for model in chain_models:
         if rows[model].status == "failed":
             continue
-        with _stage(rows, (model,), f"model {model}"):
-            if not chained:
-                # no chained legs: the leg term vanishes and the model
-                # reduces to the interval filter
-                assemble(model, {})
-                continue
+        with _stage(rows, (model,), f"leg chain {model}"):
             states = run_leg_chain(
-                hist.legs,
-                chain,
-                operators,
-                roots,
-                mapping,
-                delta_Y,
+                hist.legs, chain, operators, roots, mapping, delta_Y,
                 config=ChainFilterConfig(mode=model, cumulative_horizon=cut - 1),
-                leg_Q=leg_Q,
-                root_P0=root_P0,
-                R=R_cum,
-            )
-            assemble(model, {n: states[n].state.mean for n in chained})
+                leg_Q=leg_Q, root_P0=root_P0, R=R_cum)
+            leg_deltas[model] = {n: states[n].state.mean for n in chained}
             for n in chain.topological_order():
-                leg_diag.append(
-                    {
-                        "model": model,
-                        "leg": n,
-                        "prior_mean_norm": states[n].prior_norm,
-                        "posterior_mean_norm": float(np.linalg.norm(states[n].state.mean)),
-                        "scale": states[n].scale,
-                        "conservation_residual": states[n].conservation_residual,
-                    }
-                )
+                s = states[n]
+                leg_diag.append(LegDiagnostics(
+                    model, n, s.prior_norm, float(np.linalg.norm(s.state.mean)), s.scale,
+                    s.conservation_residual))
+
+    morning_profiles = {n: p[:, :cut] for n, p in profiles.items()}
+    for model in filter_models:
+        if rows[model].status == "failed":
+            continue
+        with _stage(rows, (model,), f"model {model}"):
+            deltas = leg_deltas.get(model, {})
+            morning, clamped_m = combined_demand(
+                hist_matrix[:, :cut], kf.deltas, deltas, morning_profiles)
+            before = assignment_mod.load_call_count()
+            evening, clamped_e = predict_horizon(
+                hist_matrix, kf.last.mean, deltas, profiles, (cut, cfg.grid.n_intervals))
+            pred_loads = assignment_mod.load_call_count() - before
+            estimates[model] = np.hstack([morning, evening])
+            rows[model].extras.update(
+                clamped_cells=clamped_m + clamped_e, prediction_load_calls=pred_loads)
     return result
 
 
@@ -655,28 +648,16 @@ def _report_row(row: ModelRow) -> tuple:
     return (row.model, _fmt(row.rmse_od), _fmt(row.rmse_link), _fmt(od, 4), _fmt(link, 4))
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _report_json(report: ExperimentReport) -> str:
     doc = {
         "scenario": report.scenario,
         "seed": report.seed,
         "models": list(report.models),
         "runtime_s": report.runtime_s,
-        "rows": [_jsonable(asdict(r)) for r in report.rows],
+        "rows": [asdict(r) for r in report.rows],
         "kf_diagnostics": [asdict(d) for d in report.kf_diagnostics],
-        "leg_diagnostics": _jsonable(report.leg_diagnostics),
-        "diagnostics": _jsonable(report.diagnostics),
+        "leg_diagnostics": [asdict(d) for d in report.leg_diagnostics],
+        "diagnostics": report.diagnostics,
     }
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
@@ -697,11 +678,10 @@ def emit_report(report: ExperimentReport, out_dir, *, include_profiles: bool = T
                ((d.interval, f"{d.innovation_norm:.6f}", f"{d.gain_norm:.6f}", f"{d.cov_trace:.6f}")
                 for d in report.kf_diagnostics))
     _write_csv(os.path.join(out_dir, "leg_diagnostics.csv"),
-               ("model", "leg", "prior_mean_norm", "posterior_mean_norm", "scale",
-                "conservation_residual"),
-               ((d["model"], d["leg"], f"{d['prior_mean_norm']:.6f}",
-                 f"{d['posterior_mean_norm']:.6f}", f"{d['scale']:.9f}",
-                 f"{d['conservation_residual']:.9f}") for d in report.leg_diagnostics))
+               [f.name for f in fields(LegDiagnostics)],
+               ((d.model, d.leg, f"{d.prior_mean_norm:.6f}", f"{d.posterior_mean_norm:.6f}",
+                 f"{d.scale:.9f}", f"{d.conservation_residual:.9f}")
+                for d in report.leg_diagnostics))
 
     if not include_profiles:
         return

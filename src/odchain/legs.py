@@ -103,17 +103,14 @@ def leg_fractions(leg: DemandLeg) -> np.ndarray:
     logged warning: arrivals chained into it are dropped rather than invented.
     """
     totals: dict[str, float] = {}
-    member_origins: set[str] = set()
-    for od in leg.members:
-        member_origins.add(od[0])
+    members = set(leg.members)
+    member_origins = {od[0] for od in members}
     for i, (origin, _) in enumerate(leg.od_index):
         totals[origin] = totals.get(origin, 0.0) + float(leg.flows[i])
     fractions = np.zeros(len(leg.od_index))
     for i, od in enumerate(leg.od_index):
-        if od not in set(leg.members):
-            continue
         g = totals.get(od[0], 0.0)
-        if g > 0.0:
+        if od in members and g > 0.0:
             fractions[i] = leg.flows[i] / g
     dead = sorted(z for z in member_origins if totals.get(z, 0.0) <= 0.0)
     if dead:
@@ -185,8 +182,9 @@ def build_leg_operator(
 
     n = len(current.od_index)
     origins_out: dict[str, list[int]] = {}
+    members = set(current.members)
     for i, od in enumerate(current.od_index):
-        if od in set(current.members):
+        if od in members:
             origins_out.setdefault(od[0], []).append(i)
 
     if uniform_redistribution:

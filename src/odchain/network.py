@@ -64,7 +64,9 @@ class Link:
     """One directed link.
 
     ``label`` is shared by the two directions of a bidirectional road; ``id``
-    is the direction-specific identifier (label + "a" or "b").
+    is the direction-specific identifier (label + "a" or "b").  The four
+    parameters must be finite; ``ConfigurationError`` names the link and the
+    parameter that is not, or that is out of its range.
     """
 
     id: str
@@ -77,6 +79,10 @@ class Link:
     bpr_beta: float = 4.0
 
     def __post_init__(self) -> None:
+        for name in ("free_flow_time", "capacity", "bpr_alpha", "bpr_beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"link {self.id!r}: {name} must be finite, not {value}")
         if self.free_flow_time <= 0:
             raise ConfigurationError(f"link {self.id!r}: free_flow_time must be > 0")
         if self.capacity <= 0:

@@ -41,10 +41,26 @@ from .network import (
 
 logger = logging.getLogger(__name__)
 
-#: libyaml's C parser under PyYAML's safe constructor and resolver, where
-#: PyYAML was built with libyaml; the pure-Python ``SafeLoader`` otherwise.
-#: Both build the same document from the same text.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, on libyaml's C parser where PyYAML has it, except
+    that a key given twice in one mapping is an error, where PyYAML keeps the
+    last; a merged (``<<``) key may still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        own = node.value  # merging puts the merged pairs before the node's own, in a new list
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) < len(node.value):  # a key given twice, or merged and overridden
+            seen = set()
+            for key_node, _ in own:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found key {key!r} given twice", key_node.start_mark)
+                seen.add(key)
+        return mapping
+
 
 PERTURBATION_MODES = ("none", "uniform_scale", "scale_plus_noise")
 #: Every model a scenario may request, in report order.
@@ -487,15 +503,14 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
 
 
 def load_scenario(path: str | FsPath) -> ScenarioConfig:
-    """Parse a scenario file.
-
-    The YAML is parsed by ``_LOADER``: libyaml's C parser where PyYAML has
-    it, several times faster than PyYAML's pure-Python ``SafeLoader``, which
-    is used otherwise.  Both give the same document, so the same scenario.
+    """Parse a scenario file with ``_LOADER``: libyaml's C parser where
+    PyYAML has it, several times faster than its pure-Python ``SafeLoader``.
 
     Raises:
         OSError: if the file cannot be read.
-        ConfigurationError: if the document does not describe a scenario.
+        ConfigurationError: if the text is not YAML, gives a key twice in one
+            mapping (naming the key and its line), or does not describe a
+            scenario.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -268,6 +268,11 @@ class TestRunExperiment:
             else:
                 assert (row.status, row.error) == ("ok", "")
             assert row.runtime_s > 0.0
+        if stage == "predict_horizon":
+            # the leg chain ran before the assembly failed: its rows stay
+            order = toy_cfg.chain().topological_order()
+            assert [(d.model, d.leg) for d in report.leg_diagnostics] == \
+                [(m, n) for m in ("pkf", "spkf") for n in order]
 
     def test_runtime_covers_estimation(self, toy_cfg, monkeypatch):
         """kf's runtime_s holds the filtering pass, not just the scoring."""
@@ -357,6 +362,26 @@ class TestRunExperiment:
         (artifacts,) = kept
         assert artifacts.truth is not None
         assert np.array_equal(artifacts.truth.demand.matrix, report.truth)
+
+    def test_no_chained_leg_reduces_chain_models_to_kf(self, toy_doc, monkeypatch):
+        """With every ``feeds`` empty no leg is chained: pkf and spkf equal
+        kf, no leg is attributed and there are no leg diagnostics."""
+        for leg in toy_doc["legs"]:
+            leg["feeds"] = []
+        cfg = scenario_from_mapping(toy_doc)
+        assert cfg.validate() == []
+
+        def attribute(*args, **kwargs):
+            raise AssertionError("attribute_interval_deviations called")
+
+        monkeypatch.setattr(odchain.experiment, "attribute_interval_deviations", attribute)
+        report = run_experiment(cfg)
+        assert [(r.model, r.status) for r in report.rows] == \
+            [("seed", "ok"), ("kf", "ok"), ("pkf", "ok"), ("spkf", "ok")]
+        for model in ("pkf", "spkf"):
+            assert np.array_equal(report.estimates[model], report.estimates["kf"])
+        assert report.leg_diagnostics == []
+        assert report.diagnostics["attributed_totals"] == {}
 
     def test_noise_models_build_what_the_leg_chain_reads(self, toy_cfg, toy_artifacts):
         """A prior covariance for each root leg, a process noise for each
@@ -448,15 +473,27 @@ class TestEmission:
         assert (tmp_path / "leg_diagnostics.csv").exists()
 
     def test_report_json_rows_hold_every_field(self, tmp_path, toy_report):
-        """A report.json row is its ModelRow and a kf_diagnostics entry its
-        KfStepDiagnostics, field for field and in field order."""
+        """A report.json row is its ModelRow, a kf_diagnostics entry its
+        KfStepDiagnostics and a leg_diagnostics entry its LegDiagnostics,
+        field for field and in field order; the leg entries are the rows of
+        leg_diagnostics.csv."""
         emit_report(toy_report, tmp_path, include_profiles=False)
         doc = json.loads((tmp_path / "report.json").read_text())
         row_fields = [f.name for f in dataclasses.fields(odchain.experiment.ModelRow)]
         diag_fields = [f.name for f in dataclasses.fields(odchain.kalman.KfStepDiagnostics)]
-        assert doc["rows"] and doc["kf_diagnostics"]
+        leg_fields = [f.name for f in dataclasses.fields(odchain.experiment.LegDiagnostics)]
+        assert doc["rows"] and doc["kf_diagnostics"] and doc["leg_diagnostics"]
         assert all(list(r) == row_fields for r in doc["rows"])
         assert all(list(d) == diag_fields for d in doc["kf_diagnostics"])
+        assert all(list(d) == leg_fields for d in doc["leg_diagnostics"])
+        with open(tmp_path / "leg_diagnostics.csv", newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert header == leg_fields
+        assert [line[:2] for line in lines] == \
+            [[d["model"], d["leg"]] for d in doc["leg_diagnostics"]]
+        assert [[float(v) for v in line[2:]] for line in lines] == [
+            pytest.approx([d[k] for k in leg_fields[2:]], abs=1e-6)
+            for d in doc["leg_diagnostics"]]
         assert list(doc["rows"][1]["extras"]) == [
             "rmse_od_measured_window", "rmse_od_prediction_window", "rmse_od_short_horizon",
             "rmse_link_prediction_window", "clamped_cells", "prediction_load_calls"]
@@ -498,12 +535,15 @@ class TestEmission:
 
 
 class TestGoldenReport:
-    """report.csv of the toy preset, pinned at its printed precision."""
+    """report.csv and leg_diagnostics.csv of the toy preset, pinned at their
+    printed precision."""
 
     def test_toy(self, tmp_path, toy_report):
         emit_report(toy_report, tmp_path, include_profiles=False)
         assert (tmp_path / "report.csv").read_text() == \
             (GOLDEN / "toy_report.csv").read_text()
+        assert (tmp_path / "leg_diagnostics.csv").read_text() == \
+            (GOLDEN / "toy_leg_diagnostics.csv").read_text()
 
     def test_toy_with_refresh(self, tmp_path, toy_cfg):
         emit_report(run_experiment(with_refresh(toy_cfg)), tmp_path, include_profiles=False)

@@ -78,6 +78,19 @@ class TestLink:
                 free_flow_time=1.0, capacity=100.0, bpr_beta=0.5,
             )
 
+    @pytest.mark.parametrize("param", ["free_flow_time", "capacity", "bpr_alpha", "bpr_beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_parameters(self, param, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"^link 'x': {param} must be finite, not {value}$"):
+            Link("x", "x", "a", "b", **{param: value})
+
+    @pytest.mark.parametrize("override", [{"capacity": float("inf")},
+                                          {"free_flow_time": {"3": float("nan")}}])
+    def test_toy_overrides_must_be_finite(self, override):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            build_toy_network(override)
+
     def test_road_links_are_the_two_directions(self):
         forward, backward = road_links("4", "6", "7", capacity=500.0, bpr_beta=2.0)
         assert forward == Link("4a", "4", "6", "7", capacity=500.0, bpr_beta=2.0)

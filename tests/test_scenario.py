@@ -486,6 +486,7 @@ LOADERS = [
     pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
                  marks=pytest.mark.skipif(not yaml.__with_libyaml__,
                                           reason="PyYAML was built without libyaml")),
+    pytest.param(scenario_mod._LOADER, id="scenario"),
 ]
 
 
@@ -528,7 +529,50 @@ class TestLoaders:
 
     def test_libyaml_is_used_where_pyyaml_has_it(self):
         expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-        assert scenario_mod._LOADER is expected
+        assert scenario_mod._LOADER.__bases__ == (expected,)
+
+
+class TestKeyGivenTwice:
+    """A key given twice in one mapping is an error naming the key and its
+    line, at every level; PyYAML alone would keep the last."""
+
+    @staticmethod
+    def _toy_with(tmp_path, pattern, repeat):
+        text = packaged_scenario_path("toy").read_text(encoding="utf-8")
+        text, n = re.subn(pattern, lambda m: m.group(0) + repeat, text, count=1, flags=re.M)
+        assert n == 1
+        path = tmp_path / "twice.scenario"
+        path.write_text(text, encoding="utf-8")
+        line = text[:text.index(repeat) + 1].count("\n") + 1
+        return path, line
+
+    def test_top_level_key(self, tmp_path):
+        path, line = self._toy_with(tmp_path, r"^seed: .*$", "\nseed: 7")
+        with pytest.raises(ConfigurationError,
+                           match=rf"found key 'seed' given twice\n.*line {line}, column 1"):
+            load_scenario(path)
+
+    def test_nested_key(self, tmp_path):
+        path, line = self._toy_with(tmp_path, r'^      "5": 11000$', '\n      "5": 300')
+        with pytest.raises(ConfigurationError,
+                           match=rf"found key '5' given twice\n.*line {line}, column 7"):
+            load_scenario(path)
+
+    def test_a_merge_key_may_be_overridden(self):
+        text = ("base: &base {alpha: 1.0, beta: 0.5}\n"
+                "late: {<<: *base, beta: 0.7}\n"
+                "both:\n  <<: [*base, {gamma: 2.0}]\n  alpha: 3.0\n")
+        assert yaml.load(text, Loader=scenario_mod._LOADER) == yaml.safe_load(text) == {
+            "base": {"alpha": 1.0, "beta": 0.5},
+            "late": {"alpha": 1.0, "beta": 0.7},
+            "both": {"alpha": 3.0, "beta": 0.5, "gamma": 2.0},
+        }
+
+    def test_a_key_given_twice_beside_a_merge_key(self):
+        text = "base: &base {alpha: 1.0}\nlate: {<<: *base, beta: 0.7, beta: 0.8}\n"
+        with pytest.raises(yaml.constructor.ConstructorError,
+                           match="found key 'beta' given twice"):
+            yaml.load(text, Loader=scenario_mod._LOADER)
 
 
 class TestFiles:
