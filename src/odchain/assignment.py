@@ -762,7 +762,11 @@ def cumulative_mapping(
 ) -> CumulativeMapping:
     """Combine assignment pieces with departure profiles up to ``horizon``.
 
-    ``profiles[leg]`` is the (n_od, n_intervals) matrix of interval shares.
+    ``profiles[leg]`` is the leg's dense (n_od, n_intervals) matrix of
+    interval shares, zero off its member ODs.  ``profiles`` may be any
+    mapping; one that builds each matrix on access, as
+    ``GeneratedSide.profiles`` does from the legs' member rows, has one
+    built at a time.
     The assignment piece of departure interval ``k`` is summed over the lags
     ``l <= horizon - k`` of its band, counted up to the horizon: over the
     L + 1 lags, all intervals at once, adding lag after lag from zero as a
@@ -792,6 +796,7 @@ def cumulative_mapping(
         if prof.shape != (n_od, n_h):
             raise ConfigurationError(f"profile for leg {leg!r} has shape {prof.shape}")
         np.multiply(h_sum, prof[i, : horizon + 1].T, out=products)
+        del prof  # a mapping that builds each profile on access then holds one at a time
         matrix = np.zeros((len(assignment.channels), n_od))
         # a running sum adds interval after interval for any number of pairs;
         # ``sum(axis=0)`` over one pair would add pairwise

@@ -28,8 +28,9 @@ import logging
 import os
 import tempfile
 import time
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .legfilter import (
     predict_horizon,
     run_leg_chain,
 )
-from .legs import ChainSpec, DemandLeg, build_leg_operator
+from .legs import ChainSpec, DemandLeg, build_leg_operator, dense_profile
 from .network import OD, Network, TimeGrid, od_label
 from .scenario import MODELS, ScenarioConfig
 
@@ -84,16 +85,35 @@ def _positive_mean(values: np.ndarray) -> float:
     return float(values[mask].mean())
 
 
+class _DenseProfiles(Mapping):
+    """Leg name -> the leg's dense profile (``dense_profile``), built on each
+    access and not kept, so iterating holds one leg's matrix at a time."""
+
+    def __init__(self, legs: dict[str, DemandLeg]) -> None:
+        self._legs = legs
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return dense_profile(self._legs[name])
+
+    def __iter__(self):
+        return iter(self._legs)
+
+    def __len__(self) -> int:
+        return len(self._legs)
+
+
 @dataclass
 class GeneratedSide:
-    """One generated day: legs with profiles, expanded demand, loaded flows."""
+    """One generated day: legs with their shares, expanded demand, loaded flows."""
 
     legs: dict[str, DemandLeg]
     demand: DynamicDemand
     load: LoadResult
 
-    def profiles(self) -> dict[str, np.ndarray]:
-        return {name: leg.profile for name, leg in self.legs.items()}
+    def profiles(self) -> Mapping[str, np.ndarray]:
+        """Each leg's dense (n_od, n_intervals) profile, zero off its members,
+        as a read-only mapping that builds one leg's matrix per access."""
+        return _DenseProfiles(self.legs)
 
 
 @dataclass
@@ -123,27 +143,33 @@ def _free_flow_tt(net: Network, od_index: tuple[OD, ...], grid: TimeGrid) -> np.
     return tt
 
 
+def _member_rows(cfg: ScenarioConfig, od_index: tuple[OD, ...]) -> dict[str, np.ndarray]:
+    """Each leg's member ODs as positions in ``od_index``, ascending: the row
+    order of its shares, which ``DemandLeg.member_indices`` gives too."""
+    pos = {od: i for i, od in enumerate(od_index)}
+    return {leg.name: np.array(sorted(pos[od] for od in leg.od_split), dtype=int)
+            for leg in cfg.legs}
+
+
 def _leg_profiles(
     cfg: ScenarioConfig, od_index: tuple[OD, ...], tt_od: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Each leg's departure profiles, one row per OD, zero outside its members.
+    """Each leg's departure shares at the times ``tt_od``, one row per member
+    OD, in the order of ``_member_rows``.
 
     Raises:
         DegenerateProfileError: naming the leg and the OD whose profile has
             no usable mass.
     """
-    pos = {od: i for i, od in enumerate(od_index)}
+    rows = _member_rows(cfg, od_index)
     out: dict[str, np.ndarray] = {}
     for leg in cfg.legs:
-        members = sorted(leg.od_split)
-        rows = [pos[od] for od in members]
-        prof = np.zeros((len(od_index), cfg.grid.n_intervals))
+        members = rows[leg.name]
         try:
-            prof[rows] = departure_probabilities(leg.schedule, tt_od[rows], cfg.grid)
+            out[leg.name] = departure_probabilities(leg.schedule, tt_od[members], cfg.grid)
         except DegenerateProfileError as exc:
             raise DegenerateProfileError(
-                f"leg {leg.name!r}, OD {od_label(members[exc.row])}: {exc}") from exc
-        out[leg.name] = prof
+                f"leg {leg.name!r}, OD {od_label(od_index[members[exc.row]])}: {exc}") from exc
     return out
 
 
@@ -155,33 +181,37 @@ def _make_legs(
 ) -> dict[str, DemandLeg]:
     return {
         leg.name: DemandLeg(name=leg.name, od_index=od_index, flows=flows[leg.name],
-                            members=tuple(sorted(leg.od_split)), profile=profiles[leg.name])
+                            members=tuple(sorted(leg.od_split)), shares=profiles[leg.name])
         for leg in cfg.legs
     }
 
 
-def _expand(flows: dict[str, np.ndarray], profiles: dict[str, np.ndarray]) -> np.ndarray:
-    """The dynamic matrix: each leg's flows spread over its profiles, summed in name order."""
-    return sum(flows[name][:, None] * profiles[name] for name in sorted(flows))
+def _expand(
+    cfg: ScenarioConfig,
+    od_index: tuple[OD, ...],
+    flows: dict[str, np.ndarray],
+    profiles: dict[str, np.ndarray],
+) -> DynamicDemand:
+    """The dynamic matrix: each leg's flows spread over its shares on its
+    member rows, summed from zero in name order.  Off its members a leg
+    would add an exact zero, so nothing is added there."""
+    rows = _member_rows(cfg, od_index)
+    matrix = np.zeros((len(od_index), cfg.grid.n_intervals))
+    for name in sorted(flows):
+        members = rows[name]
+        matrix[members] += flows[name][members, None] * profiles[name]
+    return DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=matrix)
 
 
 def _generate_side(
-    cfg: ScenarioConfig, od_index: tuple[OD, ...], flows: dict[str, np.ndarray]
+    cfg: ScenarioConfig,
+    od_index: tuple[OD, ...],
+    flows: dict[str, np.ndarray],
+    profiles: dict[str, np.ndarray],
 ) -> GeneratedSide:
-    """Expand leg totals to a dynamic matrix and load it, in two passes.
-
-    The first pass uses free-flow travel times; the second recomputes the
-    profiles from the first pass's loaded times, so each side's profiles feel
-    its own congestion.  Of the first pass only those times are read, and
-    they are dropped once the profiles are built.
-    """
-    net = cfg.network
-    profiles = _leg_profiles(cfg, od_index, _free_flow_tt(net, od_index, cfg.grid))
-    first = DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=_expand(flows, profiles))
-    profiles = _leg_profiles(cfg, od_index, load_network(net, first).tt_od)
-    del first
-    demand = DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=_expand(flows, profiles))
-    load = load_network(net, demand)
+    """One day's legs, its flows expanded over its profiles, and their load."""
+    demand = _expand(cfg, od_index, flows, profiles)
+    load = load_network(cfg.network, demand)
     return GeneratedSide(legs=_make_legs(cfg, od_index, flows, profiles), demand=demand, load=load)
 
 
@@ -227,10 +257,26 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     od_index = cfg.network.od_index
     chain = cfg.chain()
 
+    net = cfg.network
     true_flows = _true_flows(cfg, od_index)
     hist_flows, factors = _perturb(cfg, od_index, true_flows)
-    truth = _generate_side(cfg, od_index, true_flows)
-    history = _generate_side(cfg, od_index, hist_flows)
+
+    # Each day is expanded and loaded in two passes.  The first spreads its
+    # flows over the free-flow profiles, the same on both days, so they are
+    # built once and dropped once both first passes' demand exists.  The
+    # second recomputes the profiles from that load's times, so each day's
+    # profiles feel its own congestion; of the first pass only those times
+    # are read.
+    free = _leg_profiles(cfg, od_index, _free_flow_tt(net, od_index, cfg.grid))
+    first_truth = _expand(cfg, od_index, true_flows, free)
+    first_hist = _expand(cfg, od_index, hist_flows, free)
+    del free
+    true_profiles = _leg_profiles(cfg, od_index, load_network(net, first_truth).tt_od)
+    del first_truth
+    hist_profiles = _leg_profiles(cfg, od_index, load_network(net, first_hist).tt_od)
+    del first_hist
+    truth = _generate_side(cfg, od_index, true_flows, true_profiles)
+    history = _generate_side(cfg, od_index, hist_flows, hist_profiles)
 
     counts = truth.load.counts.counts.copy()
     if cfg.measurement_noise_fraction > 0.0:
@@ -447,7 +493,6 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     if rows[filter_models[0]].status == "failed":
         return result
 
-    profiles = hist.profiles()
     chain = artifacts.chain
     chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
     chain_models = [m for m in ("pkf", "spkf") if m in rows] if chained else []
@@ -465,7 +510,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
                     uniform_redistribution=cfg.estimation.uniform_redistribution)
                 for name in chained
             }
-            mapping = cumulative_mapping(artifacts.assignment, profiles, cut - 1)
+            mapping = cumulative_mapping(artifacts.assignment, hist.profiles(), cut - 1)
             delta_Y = (artifacts.observed.cumulative() - hist.load.counts.cumulative())[:, cut - 1]
             roots = {n: attributed[n] for n in chain.roots()}
 
@@ -484,17 +529,15 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
                     model, n, s.prior_norm, float(np.linalg.norm(s.state.mean)), s.scale,
                     s.conservation_residual))
 
-    morning_profiles = {n: p[:, :cut] for n, p in profiles.items()}
     for model in filter_models:
         if rows[model].status == "failed":
             continue
         with _stage(rows, (model,), f"model {model}"):
             deltas = leg_deltas.get(model, {})
-            morning, clamped_m = combined_demand(
-                hist_matrix[:, :cut], kf.deltas, deltas, morning_profiles)
+            morning, clamped_m = combined_demand(hist_matrix[:, :cut], kf.deltas, deltas, hist.legs)
             before = assignment_mod.load_call_count()
             evening, clamped_e = predict_horizon(
-                hist_matrix, kf.last.mean, deltas, profiles, (cut, cfg.grid.n_intervals))
+                hist_matrix, kf.last.mean, deltas, hist.legs, (cut, cfg.grid.n_intervals))
             pred_loads = assignment_mod.load_call_count() - before
             estimates[model] = np.hstack([morning, evening])
             rows[model].extras.update(
@@ -649,14 +692,16 @@ def _report_row(row: ModelRow) -> tuple:
 
 
 def _report_json(report: ExperimentReport) -> str:
+    # a record's ``vars`` are its fields, in order, and share their values;
+    # ``asdict`` would copy every value deeply first
     doc = {
         "scenario": report.scenario,
         "seed": report.seed,
         "models": list(report.models),
         "runtime_s": report.runtime_s,
-        "rows": [asdict(r) for r in report.rows],
-        "kf_diagnostics": [asdict(d) for d in report.kf_diagnostics],
-        "leg_diagnostics": [asdict(d) for d in report.leg_diagnostics],
+        "rows": [vars(r) for r in report.rows],
+        "kf_diagnostics": [vars(d) for d in report.kf_diagnostics],
+        "leg_diagnostics": [vars(d) for d in report.leg_diagnostics],
         "diagnostics": report.diagnostics,
     }
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"

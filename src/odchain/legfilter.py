@@ -62,9 +62,11 @@ def attribute_interval_deviations(
     ``deltas`` is (n_od, n_intervals), one column per filtered interval from
     the first.  For each (OD, interval) cell the weight of a leg is its flow
     times its departure share there, normalized over all given legs; the
-    attributed leg deviation is the weighted sum over every column.  Cells with
-    deviation but zero total weight cannot be attributed and are dropped with
-    a warning.
+    attributed leg deviation is the weighted sum over every column.  A leg
+    weighs nothing off its members, so its weights and its deviation are
+    formed on its member rows alone, and its deviation is zero elsewhere.
+    Cells with deviation but zero total weight cannot be attributed and are
+    dropped with a warning.
 
     Raises:
         ConfigurationError: if a leg lacks a profile or shapes disagree.
@@ -76,22 +78,30 @@ def attribute_interval_deviations(
     if deltas.ndim != 2 or deltas.shape[0] != n_od:
         raise ConfigurationError(f"deviation matrix {deltas.shape} does not match {n_od} ODs")
 
+    n_h = deltas.shape[1]
     weights = []
+    total = np.zeros(deltas.shape)
     for leg in legs:
-        if leg.profile is None:
+        if leg.shares is None:
             raise ConfigurationError(f"leg {leg.name!r} has no departure profile")
-        if leg.profile.shape[1] < deltas.shape[1]:
+        if leg.shares.shape[1] < n_h:
             raise ConfigurationError(f"leg {leg.name!r}: profile shorter than the deviation matrix")
-        weights.append(leg.flows[:, None] * leg.profile[:, : deltas.shape[1]])
-    total = np.sum(weights, axis=0)
+        rows = leg.member_indices()
+        w = leg.flows[rows, None] * leg.shares[:, :n_h]
+        # off its members a leg weighs an exact zero, which adds nothing
+        total[rows] += w
+        weights.append(w)
     active = total > 0.0
     dropped = float(np.abs(deltas[~active]).sum())
     total[~active] = 1.0
-    # summed interval by interval, in column order, from zero
-    out = {
-        leg.name: sum(np.where(active, deltas * w / total, 0.0).T, np.zeros(n_od))
-        for leg, w in zip(legs, weights)
-    }
+    out = {}
+    for leg, w in zip(legs, weights):
+        rows = leg.member_indices()
+        dev = np.zeros(n_od)
+        # summed interval by interval, in column order, from zero
+        dev[rows] = sum(np.where(active[rows], deltas[rows] * w / total[rows], 0.0).T,
+                        np.zeros(len(rows)))
+        out[leg.name] = dev
     if dropped > 0.0:
         logger.warning(
             "%.3g units of interval deviation had no active leg and were dropped", dropped
@@ -232,17 +242,30 @@ def combined_demand(
     historical: np.ndarray,
     interval_deltas: np.ndarray,
     leg_deltas: dict[str, np.ndarray],
-    profiles: dict[str, np.ndarray],
+    legs: dict[str, DemandLeg],
+    start: int = 0,
 ) -> tuple[np.ndarray, int]:
     """Historical matrix plus interval deviations plus leg terms, clamped at 0.
 
-    Returns the estimate and the number of clamped cells (also logged).
+    The matrices cover the intervals from ``start`` on, and each leg term
+    reads its leg's shares there, on its member rows alone: off them the
+    term is an exact zero.  Returns the estimate and the number of clamped
+    cells (also logged).
+
+    Raises:
+        ConfigurationError: if a leg with a deviation has no shares covering
+            the intervals.
     """
     x = np.asarray(historical, dtype=float) + np.asarray(interval_deltas, dtype=float)
+    stop = start + x.shape[1]
     for name, dn in leg_deltas.items():
-        if name not in profiles:
+        leg = legs.get(name)
+        if leg is None or leg.shares is None:
             raise ConfigurationError(f"no departure profile for leg {name!r}")
-        x = x + np.asarray(dn, dtype=float)[:, None] * np.asarray(profiles[name], dtype=float)
+        if leg.shares.shape[1] < stop:
+            raise ConfigurationError(f"leg {name!r}: profile ends before interval {stop}")
+        rows = leg.member_indices()
+        x[rows] += np.asarray(dn, dtype=float)[rows, None] * leg.shares[:, start:stop]
     clamped = int((x < 0.0).sum())
     if clamped:
         logger.info("combined estimate clamped %d negative cells to zero", clamped)
@@ -254,15 +277,16 @@ def predict_horizon(
     historical: np.ndarray,
     last: np.ndarray,
     leg_deltas: dict[str, np.ndarray],
-    profiles: dict[str, np.ndarray],
+    legs: dict[str, DemandLeg],
     window: tuple[int, int],
 ) -> tuple[np.ndarray, int]:
     """Predict the demand for intervals [start, stop) past the cutoff.
 
     ``last`` is the interval filter's last posterior mean.  The identity
     random walk carries it flat over the whole window, and each interval
-    combines it with the leg terms.  Uses no measurements and no loader, only
-    the historical matrix and the supplied state.
+    combines it with the leg terms, read from ``legs``' shares over the
+    window.  Uses no measurements and no loader, only the historical matrix
+    and the supplied state.
 
     Raises:
         ConfigurationError: if the window leaves the historical matrix, or
@@ -277,5 +301,4 @@ def predict_horizon(
         raise ConfigurationError("prediction state has non-finite entries")
     # + 0.0 turns -0.0 into 0.0, so a zero deviation leaves no -0.0 in the demand
     deltas = np.repeat((x + 0.0)[:, None], stop - start, axis=1)
-    future_profiles = {name: np.asarray(p, dtype=float)[:, start:stop] for name, p in profiles.items()}
-    return combined_demand(historical[:, start:stop], deltas, leg_deltas, future_profiles)
+    return combined_demand(historical[:, start:stop], deltas, leg_deltas, legs, start)

@@ -26,16 +26,20 @@ class DemandLeg:
     """Total OD flows of one activity movement over a shared OD index.
 
     ``flows`` spans the full OD universe (zeros off ``members``) so legs can
-    be combined with plain vector algebra.  ``profile`` optionally carries the
-    (n_od, n_intervals) departure-interval shares for the member ODs.  Both
-    are read-only views of the arrays given; float arrays are not copied.
+    be combined with plain vector algebra.  ``shares`` optionally carries the
+    departure-interval shares of the member ODs alone, one row per member in
+    the order of ``member_indices()``, shape (len(members), n_intervals).
+    ``profile`` is the dense (n_od, n_intervals) view, zero off the members,
+    built from them on each access and never stored.  ``flows`` and
+    ``shares`` are read-only views of the arrays given; float arrays are not
+    copied.
     """
 
     name: str
     od_index: tuple[OD, ...]
     flows: np.ndarray
     members: tuple[OD, ...]
-    profile: np.ndarray | None = None
+    shares: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         flows = read_only_view(self.flows)
@@ -48,20 +52,48 @@ class DemandLeg:
         unknown = member_set - set(self.od_index)
         if unknown:
             raise ConfigurationError(f"leg {self.name!r}: members outside the OD index: {unknown}")
+        rows = []
         for i, od in enumerate(self.od_index):
-            if flows[i] > 0 and od not in member_set:
+            if od in member_set:
+                rows.append(i)
+            elif flows[i] > 0:
                 raise ConfigurationError(
                     f"leg {self.name!r}: positive flow on non-member OD {od_label(od)}"
                 )
-        if self.profile is not None:
-            prof = read_only_view(self.profile)
-            object.__setattr__(self, "profile", prof)
-            if prof.ndim != 2 or prof.shape[0] != len(self.od_index):
-                raise ConfigurationError(f"leg {self.name!r}: profile shape {prof.shape} is invalid")
+        rows = read_only_view(rows, dtype=int)
+        object.__setattr__(self, "_rows", rows)
+        if self.shares is not None:
+            shares = read_only_view(self.shares)
+            object.__setattr__(self, "shares", shares)
+            if shares.ndim != 2 or shares.shape[0] != len(rows):
+                raise ConfigurationError(
+                    f"leg {self.name!r}: shares of shape {shares.shape} do not have one row "
+                    f"per member OD ({len(rows)})"
+                )
+            if not np.isfinite(shares).all():
+                raise ValueError(f"leg {self.name!r}: non-finite departure shares")
+            if (shares < 0).any():
+                raise ValueError(f"leg {self.name!r}: negative departure shares")
 
     def member_indices(self) -> np.ndarray:
-        lookup = {od: i for i, od in enumerate(self.od_index)}
-        return np.array(sorted(lookup[od] for od in self.members), dtype=int)
+        """Positions of the member ODs in ``od_index``, ascending."""
+        return self._rows  # type: ignore[attr-defined]
+
+    @property
+    def profile(self) -> np.ndarray | None:
+        """``dense_profile(self)``: built on each access, never kept."""
+        return dense_profile(self)
+
+
+def dense_profile(leg: DemandLeg) -> np.ndarray | None:
+    """The leg's shares on their ODs' rows of a new read-only (n_od,
+    n_intervals) array, zero off the members, or ``None`` without shares."""
+    if leg.shares is None:
+        return None
+    dense = np.zeros((len(leg.od_index), leg.shares.shape[1]))
+    dense[leg.member_indices()] = leg.shares
+    dense.setflags(write=False)
+    return dense
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ from hypothesis import given, strategies as st
 import odchain.assignment
 import odchain.experiment
 import odchain.kalman
-from odchain.assignment import DynamicDemand, detector_counts
+import odchain.legs
+from odchain.assignment import DynamicDemand, detector_counts, load_network
+from odchain.departure import departure_probabilities
 from odchain.errors import ConfigurationError, DegenerateProfileError
 from odchain.experiment import (
     emit_report,
@@ -108,9 +110,51 @@ class TestGeneration:
 
         monkeypatch.setattr(odchain.experiment, "departure_probabilities", counted)
         generate_truth_and_history(toy_cfg)
-        # two days, two passes each, one call per leg with a row per member
+        # the free-flow pass, which both days share, then each day's second
+        # pass: one call per leg with a row per member
         sizes = [len(leg.od_split) for leg in toy_cfg.legs]
-        assert calls == [(n, toy_cfg.grid.n_intervals) for n in sizes] * 4
+        assert calls == [(n, toy_cfg.grid.n_intervals) for n in sizes] * 3
+
+    @staticmethod
+    def _dense_generation(cfg, flows):
+        """Reference: one day's two passes over dense (n_od, n_intervals)
+        profiles, zero off each leg's members, summed from Python's 0."""
+        od_index = cfg.network.od_index
+        pos = {od: i for i, od in enumerate(od_index)}
+
+        def profiles(tt):
+            out = {}
+            for leg in cfg.legs:
+                rows = [pos[od] for od in sorted(leg.od_split)]
+                out[leg.name] = np.zeros((len(od_index), cfg.grid.n_intervals))
+                out[leg.name][rows] = departure_probabilities(leg.schedule, tt[rows], cfg.grid)
+            return out
+
+        def expand(p):
+            return sum(flows[name][:, None] * p[name] for name in sorted(flows))
+
+        p = profiles(odchain.experiment._free_flow_tt(cfg.network, od_index, cfg.grid))
+        first = DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=expand(p))
+        p = profiles(load_network(cfg.network, first).tt_od)
+        return p, expand(p)
+
+    def test_member_rows_equal_the_dense_generation(self, toy_cfg, toy_artifacts):
+        """Both days' dense views, through the side and through each leg,
+        and their demand equal the dense generation's bit for bit, zero off
+        every leg's members."""
+        od_index = toy_cfg.network.od_index
+        true_flows = odchain.experiment._true_flows(toy_cfg, od_index)
+        hist_flows, _ = odchain.experiment._perturb(toy_cfg, od_index, true_flows)
+        for side, flows in ((toy_artifacts.truth, true_flows), (toy_artifacts.history, hist_flows)):
+            profiles, demand = self._dense_generation(toy_cfg, flows)
+            assert side.demand.matrix.tobytes() == demand.tobytes()
+            assert sorted(side.profiles()) == sorted(profiles)
+            for name, dense in side.profiles().items():
+                leg = side.legs[name]
+                off = np.setdiff1d(np.arange(len(od_index)), leg.member_indices())
+                assert len(off) > 0 and not dense[off].any()
+                assert dense.tobytes() == leg.profile.tobytes() == profiles[name].tobytes()
+                assert leg.shares.shape == (len(leg.members), toy_cfg.grid.n_intervals)
 
     def test_invalid_scenario_rejected(self, toy_doc):
         toy_doc["models"] = ["seed", "warp"]
@@ -173,6 +217,19 @@ class TestRunExperiment:
         report = run_experiment(with_refresh(toy_cfg) if refresh else toy_cfg)
         assert [(row.model, row.status) for row in report.rows] == [
             (model, "ok") for model in report.models]
+
+    def test_estimation_never_builds_a_dense_leg_profile(self, tmp_path, toy_cfg, monkeypatch):
+        """Attribution, assembly and prediction read each leg's member rows
+        alone: with ``DemandLeg.profile`` raising, the run still writes the
+        golden report and leg diagnostics."""
+        def dense_view(self):
+            raise AssertionError("a dense leg profile was built")
+
+        monkeypatch.setattr(odchain.legs.DemandLeg, "profile", property(dense_view))
+        emit_report(run_experiment(toy_cfg), tmp_path, include_profiles=False)
+        assert (tmp_path / "report.csv").read_text() == (GOLDEN / "toy_report.csv").read_text()
+        assert (tmp_path / "leg_diagnostics.csv").read_text() == \
+            (GOLDEN / "toy_leg_diagnostics.csv").read_text()
 
     def test_subset_of_models(self, toy_cfg):
         report = run_experiment(toy_cfg, models=("seed", "kf"))

@@ -20,9 +20,9 @@ from odchain.legs import ChainSpec, DemandLeg, build_leg_operator
 OD2 = (("a", "b"), ("b", "a"))
 
 
-def leg2(name, flows, members, profile=None):
+def leg2(name, flows, members, shares=None):
     return DemandLeg(name=name, od_index=OD2, flows=np.asarray(flows, dtype=float),
-                     members=members, profile=profile)
+                     members=members, shares=shares)
 
 
 class TestAttribution:
@@ -31,9 +31,9 @@ class TestAttribution:
         # of 4 into 3 and 1
         od_index = (("a", "b"),)
         a = DemandLeg(name="a", od_index=od_index, flows=np.array([100.0]),
-                      members=od_index, profile=np.array([[0.3]]))
+                      members=od_index, shares=np.array([[0.3]]))
         b = DemandLeg(name="b", od_index=od_index, flows=np.array([100.0]),
-                      members=od_index, profile=np.array([[0.1]]))
+                      members=od_index, shares=np.array([[0.1]]))
         out = attribute_interval_deviations(np.array([[4.0]]), [a, b])
         assert out["a"][0] == pytest.approx(3.0, abs=1e-12)
         assert out["b"][0] == pytest.approx(1.0, abs=1e-12)
@@ -41,7 +41,7 @@ class TestAttribution:
     def test_zero_weight_cells_dropped_with_warning(self, caplog):
         od_index = (("a", "b"),)
         a = DemandLeg(name="a", od_index=od_index, flows=np.array([100.0]),
-                      members=od_index, profile=np.array([[0.0]]))
+                      members=od_index, shares=np.array([[0.0]]))
         with caplog.at_level("WARNING"):
             out = attribute_interval_deviations(np.array([[5.0]]), [a])
         assert out["a"][0] == 0.0
@@ -72,18 +72,22 @@ class TestAttribution:
 
     def test_matches_cell_by_cell_loop_bit_for_bit(self):
         """Random deviations (signed zeros included) against legs with
-        inactive cells, over every column of the deviation matrix."""
+        inactive cells and random member sets, whose shares may run past the
+        deviation matrix, over every column of it.  The reference reads the
+        dense profiles."""
         rng = np.random.default_rng(7)
         for _ in range(300):
             n_od, n_h = rng.integers(1, 5), rng.integers(1, 9)
             od_index = tuple((f"o{i}", f"d{i}") for i in range(n_od))
-            legs = [
-                DemandLeg(name=f"leg{j}", od_index=od_index,
-                          flows=rng.choice([0.0, 1.0, 40.0], n_od) * rng.uniform(0.5, 2.0, n_od),
-                          members=od_index,
-                          profile=rng.uniform(size=(n_od, n_h)) * (rng.uniform(size=(n_od, n_h)) < 0.6))
-                for j in range(rng.integers(1, 4))
-            ]
+            legs = []
+            for j in range(rng.integers(1, 4)):
+                member = rng.uniform(size=n_od) < 0.7
+                shape = (int(member.sum()), n_h + rng.integers(0, 3))
+                legs.append(DemandLeg(
+                    name=f"leg{j}", od_index=od_index,
+                    flows=member * rng.choice([0.0, 1.0, 40.0], n_od) * rng.uniform(0.5, 2.0, n_od),
+                    members=tuple(od for od, m in zip(od_index, member) if m),
+                    shares=rng.uniform(size=shape) * (rng.uniform(size=shape) < 0.6)))
             deltas = rng.normal(size=(n_od, n_h)) * (rng.uniform(size=(n_od, n_h)) < 0.7)
             deltas[rng.uniform(size=deltas.shape) < 0.1] = -0.0
             out = attribute_interval_deviations(deltas, legs)
@@ -242,12 +246,44 @@ class TestRunLegChain:
 class TestCombinedDemand:
     def test_all_three_terms(self):
         # 100 + 5 + 10*0.2 = 107
+        od_index = (("a", "b"),)
+        leg = DemandLeg(name="leg", od_index=od_index, flows=np.array([50.0]),
+                        members=od_index, shares=np.array([[0.2]]))
         x, clamped = combined_demand(
-            np.array([[100.0]]), np.array([[5.0]]),
-            {"leg": np.array([10.0])}, {"leg": np.array([[0.2]])},
+            np.array([[100.0]]), np.array([[5.0]]), {"leg": np.array([10.0])}, {"leg": leg},
         )
         assert x[0, 0] == pytest.approx(107.0, abs=1e-12)
         assert clamped == 0
+
+    def test_member_rows_equal_the_dense_profiles(self):
+        """Leg terms on the member rows alone equal the dense sum, which adds
+        an exact zero off the members, bit for bit, from ``start`` on."""
+        rng = np.random.default_rng(3)
+        od_index = tuple((f"o{i}", f"d{i}") for i in range(5))
+        legs = {}
+        for name, rows in (("out", [0, 3]), ("back", [1, 2, 4]), ("lone", [2])):
+            member = np.isin(np.arange(5), rows)
+            legs[name] = DemandLeg(name=name, od_index=od_index, flows=member * 30.0,
+                                   members=tuple(od_index[i] for i in rows),
+                                   shares=rng.dirichlet(np.ones(8), size=len(rows)))
+        hist = rng.uniform(0.0, 20.0, (5, 5))
+        deltas = rng.normal(0.0, 10.0, (5, 5))
+        leg_deltas = {n: np.isin(np.arange(5), leg.member_indices()) * rng.normal(0.0, 40.0, 5)
+                      for n, leg in legs.items()}
+        x, clamped = combined_demand(hist, deltas, leg_deltas, legs, 3)
+        dense = hist + deltas
+        for n, dn in leg_deltas.items():
+            dense = dense + dn[:, None] * legs[n].profile[:, 3:]
+        assert clamped == int((dense < 0.0).sum()) > 0
+        assert x.tobytes() == np.maximum(dense, 0.0).tobytes()
+
+    def test_shares_must_cover_the_intervals(self):
+        od_index = (("a", "b"),)
+        leg = DemandLeg(name="leg", od_index=od_index, flows=np.array([50.0]),
+                        members=od_index, shares=np.array([[0.2, 0.8]]))
+        with pytest.raises(ConfigurationError, match="leg 'leg'"):
+            combined_demand(np.zeros((1, 2)), np.zeros((1, 2)), {"leg": np.array([1.0])},
+                            {"leg": leg}, 1)
 
     def test_clamps_negative_cells(self, caplog):
         with caplog.at_level("INFO"):
@@ -272,10 +308,12 @@ class TestPredictHorizon:
 
     def test_leg_term_uses_future_profile_slice(self):
         hist = np.zeros((1, 4))
-        profiles = {"leg": np.array([[0.0, 0.0, 0.25, 0.75]])}
+        od_index = (("a", "b"),)
+        leg = DemandLeg(name="leg", od_index=od_index, flows=np.array([50.0]),
+                        members=od_index, shares=np.array([[0.0, 0.0, 0.25, 0.75]]))
         x, _ = predict_horizon(
             hist, np.zeros(1),
-            {"leg": np.array([8.0])}, profiles, (2, 4),
+            {"leg": np.array([8.0])}, {"leg": leg}, (2, 4),
         )
         assert np.allclose(x[0], [2.0, 6.0])
 

@@ -36,13 +36,43 @@ class TestDemandLeg:
     def test_views_the_callers_arrays(self):
         """The leg holds read-only views, not copies, and leaves the
         caller's arrays writable."""
-        flows, profile = np.array([1.0, 0, 0, 0]), np.zeros((4, 2))
+        flows, shares = np.array([1.0, 0, 0, 0]), np.zeros((1, 2))
         leg = DemandLeg(name="m", od_index=OD4, flows=flows, members=(("h1", "w"),),
-                        profile=profile)
-        flows[0] = profile[0, 0] = 2.0
-        assert leg.flows[0] == leg.profile[0, 0] == 2.0
-        assert np.shares_memory(leg.flows, flows) and np.shares_memory(leg.profile, profile)
-        assert not (leg.flows.flags.writeable or leg.profile.flags.writeable)
+                        shares=shares)
+        flows[0] = shares[0, 0] = 2.0
+        assert leg.flows[0] == leg.shares[0, 0] == 2.0
+        assert np.shares_memory(leg.flows, flows) and np.shares_memory(leg.shares, shares)
+        assert not (leg.flows.flags.writeable or leg.shares.flags.writeable)
+
+    def test_shares_have_one_row_per_member_in_index_order(self):
+        """Members listed out of index order: the shares' rows follow
+        ``member_indices``, and the dense profile puts each on its OD's row,
+        zero elsewhere, as a new read-only array on each access."""
+        members = (("w", "h2"), ("h1", "w"))
+        shares = np.array([[0.25, 0.75], [1.0, 0.0]])
+        leg = DemandLeg(name="m", od_index=OD4, flows=np.array([3.0, 0, 0, 5.0]),
+                        members=members, shares=shares)
+        assert leg.member_indices().tolist() == [0, 3]
+        profile = leg.profile
+        assert profile.tolist() == [[0.25, 0.75], [0, 0], [0, 0], [1.0, 0.0]]
+        assert not profile.flags.writeable
+        assert leg.profile is not profile
+
+    def test_no_shares_no_profile(self):
+        assert make_leg("m", [1.0, 0, 0, 0], (("h1", "w"),)).profile is None
+
+    @pytest.mark.parametrize("shares, error", [
+        (np.zeros((4, 2)), ConfigurationError),   # one row per OD, not per member
+        (np.zeros((1, 2)), ConfigurationError),   # too few rows
+        (np.zeros(2), ConfigurationError),        # not a matrix
+        (np.array([[0.5, 0.5], [1.5, -0.5]]), ValueError),
+        (np.array([[0.5, 0.5], [np.nan, 1.0]]), ValueError),
+        (np.array([[0.5, np.inf], [0.5, 0.5]]), ValueError),
+    ])
+    def test_bad_shares_rejected_naming_the_leg(self, shares, error):
+        with pytest.raises(error, match="leg 'commute'"):
+            DemandLeg(name="commute", od_index=OD4, flows=np.array([1.0, 2.0, 0, 0]),
+                      members=(("h1", "w"), ("h2", "w")), shares=shares)
 
 
 class TestChainSpec:
