@@ -20,15 +20,16 @@ pass would.  A link passes its parcels on as pieces: each window, shifted by
 the link time, is cut at the next interval edge, and one index over all
 pieces, sorted by next link where routes fan out, gathers every column once
 and hands each next link a slice.  A pass holds in flight only the parcels
-waiting at the links still to visit and those of the link it visits.  The
-callers hand the departure arrays over, so they are freed once sorted onto
-the first links; a link writes its shifted windows' ends once into one
-table, from which both ends of every piece are read, scales the masses in
-place and frees each array after its last reader.  The link order and each
-route layout, with the tables the kernel walks, depend on the network
-alone, so each is built once per network (``Network.plans``).
-``load_network``'s door-to-door probes walk every OD together, one route
-position at a time.
+waiting at the links still to visit and those of the link it visits.  A
+first link's departures are built from the demand when its turn comes, so
+none waits through the pass; a link writes its shifted windows' ends once
+into one table, from which both ends of every piece are read, scales the
+masses in place and frees each array after its last reader.  The link
+order and each route layout, with the tables the kernel walks, depend on
+the network alone, so each is built once per network (``Network.plans``).
+A load keeps the links' times and the channels' counts, not every link's
+inflow.  Its door-to-door probes are walked the first time they are read
+(``LoadResult.tt_od``), every OD together, one route position at a time.
 
 Only ``load_network`` moves every parcel over its whole route: generation
 needs every link's times and the door-to-door probe times.  The passes that
@@ -57,6 +58,7 @@ keeps one matrix per leg.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import InitVar, dataclass, field
 from typing import Callable
@@ -133,20 +135,28 @@ class LinkFlowSeries:
 class LoadResult:
     """Everything one loading produces.
 
+    ``counts`` holds the detector channels' inflows per interval.
+    ``spillover`` holds mass that would have entered a link after the
+    horizon end and was dropped from the per-interval series.  ``link_tt``
+    and ``spillover`` hold every link that some path of the network uses and
+    every detector channel, whether or not a route of the demand visits it.
+    ``plan`` is the whole-route layout the load moved its parcels along.
+
     ``tt_od[i, h]`` is the door-to-door travel time of a probe departing at
     the midpoint of interval ``h``; beyond-horizon link entries reuse the last
-    interval's link time.  ``spillover`` holds mass that would have entered a
-    link after the horizon end and was dropped from the per-interval series.
-    ``link_tt``, ``link_inflow`` and ``spillover`` hold every link that some
-    path of the network uses and every detector channel, whether or not a
-    route of the demand visits it.
+    interval's link time.  The probes walk ``link_tt`` the first time
+    ``tt_od`` is read, and the result is kept, so a load whose probe times
+    nobody reads never walks them.
     """
 
     counts: LinkFlowSeries
-    tt_od: np.ndarray
     link_tt: dict[str, np.ndarray]
-    link_inflow: dict[str, np.ndarray]
     spillover: dict[str, float]
+    plan: _Routes = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def tt_od(self) -> np.ndarray:
+        return _probe_travel_times(self.plan, self.counts.grid, self.link_tt)
 
     def spilled(self) -> float:
         return float(sum(self.spillover.values()))
@@ -211,7 +221,9 @@ class _Routes:
     ``_propagate`` visits, ``succ[i, r]`` the position in ``order`` of the
     link after ``order[i]`` on ``routes[r]`` (-1 where the trip ends),
     ``first[r]`` that of its first link (-1 for an empty route) and
-    ``fanout[i]`` the positions ``order[i]`` feeds, ascending.
+    ``fanout[i]`` the positions ``order[i]`` feeds, ascending.  ``by_first``
+    lists the routes ordered by ``first`` and then index; the routes that
+    start at ``order[i]`` are ``by_first[first_start[i] : first_start[i + 1]]``.
 
     ``pairs`` lists the (channel, OD) pairs whose route crosses the channel,
     as (channel rows, OD columns) ordered by channel and then OD; channel
@@ -222,6 +234,8 @@ class _Routes:
     succ: np.ndarray
     first: np.ndarray
     fanout: tuple[tuple[int, ...], ...]
+    by_first: np.ndarray
+    first_start: np.ndarray
     pairs: np.ndarray
     pair_start: np.ndarray
 
@@ -287,30 +301,37 @@ def _build_plan(net: Network, od_index: tuple[OD, ...], cut: bool) -> _Routes:
         for a, b in zip(route, route[1:]):
             succ[at[a], r] = at[b]
     first = np.array([at[route[0]] if route else -1 for route in routes], dtype=np.int32)
-    for table in (succ, first, pairs, pair_start):
+    by_first = np.argsort(first, kind="stable")
+    first_start = np.searchsorted(first[by_first], np.arange(len(order) + 1))
+    for table in (succ, first, by_first, first_start, pairs, pair_start):
         table.setflags(write=False)
     return _Routes(routes=tuple(routes), order=tuple(order), succ=succ, first=first,
                    fanout=tuple(tuple(sorted(set(row.tolist()) - {-1})) for row in succ),
-                   pairs=pairs, pair_start=pair_start)
+                   by_first=by_first, first_start=first_start, pairs=pairs,
+                   pair_start=pair_start)
 
 
 def _propagate(
     grid: TimeGrid,
     plan: _Routes,
-    sources: list[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]],
+    matrix: np.ndarray,
+    cells: np.ndarray,
     link_time: Callable[[str, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]], np.ndarray],
+    *,
+    unit: bool = False,
 ) -> dict[str, float]:
     """Move departure parcels along fixed routes, one link at a time over the day.
 
-    ``sources`` is a one-element list holding ``(r, k, masses)``: each array
-    of ``masses`` departs uniformly over interval ``k`` onto the first link
-    of ``plan.routes[r]``, which must not be empty.  The kernel pops it, so
-    the departure arrays are handed over: once they are sorted into the
-    first links' batches, no frame holds them.  A parcel enters its link
-    uniformly over a window ``[a, b)`` within one interval ``h``, carries
-    its cell ``r * n_intervals + k`` and one value of each mass.  Its
-    windows do not depend on its masses, so one parcel can carry several;
-    the first is the one that loads the links.
+    Every cell ``(r, k)`` of the ``(routes, intervals)`` mask ``cells`` whose
+    route is not empty departs ``matrix[r, k]`` uniformly over interval
+    ``k`` onto the first link of ``plan.routes[r]``; with ``unit``, each of
+    its parcels also carries a unit mass.  A first link's departures are
+    built when its turn comes, from the rows of the routes that start there
+    (``plan.by_first``), so no other first link's departures exist meanwhile.
+    A parcel enters its link uniformly over a window ``[a, b)`` within one
+    interval ``h``, carries its cell ``r * n_intervals + k`` and one value
+    of each mass.  Its windows do not depend on its masses, so one parcel
+    can carry several; the first is the one that loads the links.
 
     Links are visited in ``plan.order``, each for every interval at once.
     This is exact: a link's time in an interval depends only on its inflow
@@ -340,21 +361,20 @@ def _propagate(
     # per link, the batches of parcels waiting to enter it, each
     # (cell, entry interval, previous entry interval, a, b, *masses)
     inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
-    r, k, masses = sources.pop()
-    first = plan.first[r]
-    cell = (r * n_h + k).astype(np.int32)
-    for i in np.unique(first).tolist():
-        m = first == i
-        km = k[m]
-        inbox[i].append((cell[m], km.astype(np.int32), np.full(km.size, -1, dtype=np.int32),
-                         edges[km], edges[km + 1], *(x[m] for x in masses)))
-    del r, k, first, cell
-
     spill: dict[str, float] = {}
-    nothing = (np.empty(0, np.int32), np.empty(0, np.int32), [np.empty(0) for _ in masses])
-    del masses
+    nothing = (np.empty(0, np.int32), np.empty(0, np.int32), [np.empty(0)] * (1 + unit))
     for i, lid in enumerate(order):
         batches, inbox[i] = inbox[i], []
+        rows = plan.by_first[plan.first_start[i]: plan.first_start[i + 1]]
+        if rows.size:
+            r, k = np.nonzero(cells[rows])
+            if k.size:
+                # the departures join first, in (route, interval) order
+                r = rows[r]
+                batches.insert(0, ((r * n_h + k).astype(np.int32), k.astype(np.int32),
+                                   np.full(k.size, -1, dtype=np.int32), edges[k], edges[k + 1],
+                                   matrix[r, k], *([np.ones(k.size)] if unit else [])))
+            del r, k
         if not batches:
             spill[lid] = 0.0
             link_time(lid, np.zeros(n_h), *nothing)
@@ -437,14 +457,6 @@ def _propagate(
     return spill
 
 
-def _departures(matrix: np.ndarray, cells: np.ndarray) -> list[tuple]:
-    """``_propagate``'s sources: every cell of ``cells`` departs its demand
-    in ``matrix``.  They are built here and handed over in a list, so no
-    caller's frame holds them through the pass."""
-    ois, ks = np.nonzero(cells)
-    return [(ois, ks, (matrix[ois, ks],))]
-
-
 def _interval_index(offset: np.ndarray, interval_minutes: int, last: int) -> np.ndarray:
     """``np.floor_divide(offset, interval_minutes)`` clipped to ``0..last``, as
     integers, to the bit, at a fraction of a float ``floor_divide``'s cost.
@@ -481,12 +493,15 @@ def load_network(
     grid = demand.grid
     n_h = grid.n_intervals
     plan = _route_plan(net, demand.od_index, cut=False)
-    link_inflow: dict[str, np.ndarray] = {}
+    chan_pos = {ch: c for c, ch in enumerate(net.detectors)}
+    counts = np.zeros((len(net.detectors), n_h))
     link_tt: dict[str, np.ndarray] = {}
     hours = grid.interval_minutes / 60.0
 
     def link_time(lid: str, inflow: np.ndarray, *_) -> np.ndarray:
-        link_inflow[lid] = inflow
+        c = chan_pos.get(lid)
+        if c is not None:
+            counts[c] = inflow
         if frozen_link_tt is not None:
             tt = np.array(frozen_link_tt[lid][:n_h], dtype=float)
         else:
@@ -494,14 +509,9 @@ def load_network(
         link_tt[lid] = tt
         return tt
 
-    spill = _propagate(grid, plan, _departures(demand.matrix, demand.matrix > 0.0), link_time)
-    # the whole layout visits every detector channel
-    counts = np.array([link_inflow[ch] for ch in net.detectors]).reshape(len(net.detectors), n_h)
-    tt_od = _probe_travel_times(plan, grid, link_tt)
-    return LoadResult(
-        counts=LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts),
-        tt_od=tt_od, link_tt=link_tt, link_inflow=link_inflow, spillover=spill,
-    )
+    spill = _propagate(grid, plan, demand.matrix, demand.matrix > 0.0, link_time)
+    return LoadResult(counts=LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts),
+                      link_tt=link_tt, spillover=spill, plan=plan)
 
 
 def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
@@ -528,9 +538,8 @@ def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
             counts[c] = inflow
         return bpr_travel_time(net.links[lid], inflow / hours)
 
-    plan = _route_plan(net, demand.od_index, cut=True)
-    live = (demand.matrix > 0.0) & (plan.first >= 0)[:, None]
-    _propagate(grid, plan, _departures(demand.matrix, live), link_time)
+    _propagate(grid, _route_plan(net, demand.od_index, cut=True), demand.matrix,
+               demand.matrix > 0.0, link_time)
     return LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts)
 
 
@@ -705,11 +714,8 @@ def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
             blocks[c] = block.reshape(n_h, width, ods.size)
         return bpr_travel_time(net.links[lid], inflow / hours)
 
-    live = np.flatnonzero(plan.first >= 0)
-    # handed over, so the departures are freed before the band is allocated
-    sources = [(np.repeat(live, n_h), np.tile(np.arange(n_h), live.size),
-                (demand.matrix[live].ravel(), np.ones(live.size * n_h)))]
-    _propagate(grid, plan, sources, link_time)
+    every_cell = np.broadcast_to(True, demand.matrix.shape)  # a view, no array
+    _propagate(grid, plan, demand.matrix, every_cell, link_time, unit=True)
     band = np.zeros((n_h, max((b.shape[1] for b in blocks.values()), default=1),
                      plan.pairs.shape[1]))
     for c, block in blocks.items():

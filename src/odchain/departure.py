@@ -11,7 +11,8 @@ travel times share a profile shape.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,7 +27,8 @@ class ScheduleParams:
     """Scheduling preferences for one trip purpose.
 
     ``alpha``/``beta``/``gamma`` weight travel time, early arrival and late
-    arrival (per minute); ``preferred_arrival`` is in minutes of day.  A
+    arrival (per minute); ``preferred_arrival`` is in minutes of day.  Every
+    field must be finite; ``ValueError`` names the one that is not.  A
     warning is logged when the conventional ordering beta < alpha < gamma does
     not hold, since the profile then loses its usual peaked shape.
     """
@@ -38,6 +40,10 @@ class ScheduleParams:
     logit_scale: float = 0.1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value}")
         if self.logit_scale <= 0:
             raise ValueError("logit_scale must be > 0")
         if min(self.alpha, self.beta, self.gamma) < 0:

@@ -55,7 +55,9 @@ def _propagate(grid, order, routes, sources, link_time):
 
 
 def oracle_load(net, demand, frozen_link_tt=None):
-    """``(link_inflow, link_tt, spillover)`` as ``load_network`` gives them."""
+    """``(link_inflow, link_tt, spillover)``: every link's inflow as the
+    kernel passes it to ``link_time`` in ``load_network``, and the load's
+    ``link_tt`` and ``spillover``."""
     grid = demand.grid
     n_h = grid.n_intervals
     order = _link_order(net)

@@ -1,7 +1,6 @@
 import dataclasses
 import importlib
 import pathlib
-import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from odchain.experiment import generate_truth_and_history
 from odchain.network import (
     Link, Network, Path, TimeGrid, Zone, bpr_travel_time, build_toy_network)
 from odchain.scenario import scenario_from_mapping
+from recorded_inflows import load_with_inflows
 
 TOY = build_toy_network()
 
@@ -134,27 +134,27 @@ class TestLoader:
         """A parcel shifted by 1.5 intervals straddles two intervals 50/50."""
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=6)
         demand = toy_demand(grid, {(("1", "3"), 0): 100.0})
-        load = load_network(TOY, demand, frozen_link_tt=frozen_tts(grid, {"1a": 22.5}))
-        assert load.link_inflow["4a"][1] == pytest.approx(50.0, abs=1e-12)
-        assert load.link_inflow["4a"][2] == pytest.approx(50.0, abs=1e-12)
+        _, inflow = load_with_inflows(TOY, demand, frozen_tts(grid, {"1a": 22.5}))
+        assert inflow["4a"][1] == pytest.approx(50.0, abs=1e-12)
+        assert inflow["4a"][2] == pytest.approx(50.0, abs=1e-12)
         # downstream the two halves merge back into one interval
-        assert load.link_inflow["3a"][2] == pytest.approx(100.0, abs=1e-12)
+        assert inflow["3a"][2] == pytest.approx(100.0, abs=1e-12)
 
     def test_whole_interval_times_shift_parcels_exactly(self):
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=6)
         demand = toy_demand(grid, {(("1", "3"), 0): 100.0})
-        load = load_network(TOY, demand, frozen_link_tt=frozen_tts(grid, {"1a": 15.0, "4a": 15.0}))
-        assert load.link_inflow["1a"][0] == 100.0
-        assert load.link_inflow["4a"][1] == 100.0
-        assert load.link_inflow["3a"][2] == 100.0
+        _, inflow = load_with_inflows(TOY, demand, frozen_tts(grid, {"1a": 15.0, "4a": 15.0}))
+        assert inflow["1a"][0] == 100.0
+        assert inflow["4a"][1] == 100.0
+        assert inflow["3a"][2] == 100.0
 
     def test_beyond_horizon_mass_is_spilled(self):
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=4)
         demand = toy_demand(grid, {(("1", "3"), 3): 100.0})
-        load = load_network(TOY, demand, frozen_link_tt=frozen_tts(grid, {"1a": 22.5}))
+        load, inflow = load_with_inflows(TOY, demand, frozen_tts(grid, {"1a": 22.5}))
         assert load.spilled() == pytest.approx(100.0, abs=1e-12)
         assert load.spillover["4a"] == pytest.approx(100.0, abs=1e-12)
-        assert load.link_inflow["4a"].sum() == 0.0
+        assert inflow["4a"].sum() == 0.0
 
     def test_conservation_when_everything_arrives(self):
         """Without spillover every used link sees exactly the demand routed
@@ -166,10 +166,10 @@ class TestLoader:
             (("1", "4"), 2): 200.0, (("1", "4"), 3): 300.0,
             (("3", "5"), 5): 250.0, (("3", "5"), 6): 150.0,
         })
-        load = load_network(TOY, demand)
+        load, inflow = load_with_inflows(TOY, demand)
         assert load.spilled() == 0.0
         pos = {od: i for i, od in enumerate(TOY.od_index)}
-        for lid, series in load.link_inflow.items():
+        for lid, series in inflow.items():
             expected = sum(
                 demand.matrix[pos[od]].sum()
                 for od in TOY.od_index if lid in TOY.paths[od].links
@@ -186,9 +186,9 @@ class TestLoader:
             (("1", "4"), 2): 200.0, (("1", "4"), 3): 700.0,
             (("3", "5"), 5): 400.0, (("3", "5"), 6): 500.0,
         })
-        load = load_network(TOY, demand)
+        load, loaded = load_with_inflows(TOY, demand)
         k = 2000
-        inflow = {lid: np.zeros(grid.n_intervals) for lid in load.link_inflow}
+        inflow = {lid: np.zeros(grid.n_intervals) for lid in loaded}
         pos = {od: i for i, od in enumerate(TOY.od_index)}
         for od in TOY.od_index:
             seq = TOY.paths[od].links
@@ -206,8 +206,8 @@ class TestLoader:
                             break
                         inflow[lid][hi] += unit
                         t += load.link_tt[lid][hi]
-        for lid in load.link_inflow:
-            assert np.abs(inflow[lid] - load.link_inflow[lid]).max() <= 0.5
+        for lid in loaded:
+            assert np.abs(inflow[lid] - loaded[lid]).max() <= 0.5
 
     def test_probe_times_match_scalar_walk(self):
         """Probes walk link by link, reading each link's time in the interval
@@ -365,10 +365,14 @@ class TestAssignmentMatrix:
         demand = toy_artifacts.history.demand
         grid = dataclasses.replace(demand.grid, n_intervals=n)
         head = DynamicDemand(od_index=demand.od_index, grid=grid, matrix=demand.matrix[:, :n])
-        prefix = load_network(net, head)
+        prefix, prefix_inflow = load_with_inflows(net, head)
+        # the generated load keeps no inflows: load its demand again
+        again, full_inflow = load_with_inflows(net, demand)
+        assert list(prefix_inflow) == list(full_inflow) == list(full.link_tt)
         for lid in full.link_tt:
+            assert np.array_equal(again.link_tt[lid], full.link_tt[lid])
             assert np.array_equal(prefix.link_tt[lid], full.link_tt[lid][:n])
-            assert np.array_equal(prefix.link_inflow[lid], full.link_inflow[lid][:n])
+            assert np.array_equal(prefix_inflow[lid], full_inflow[lid][:n])
         pieces = assignment_matrix(net, head).pieces
         assert np.array_equal(pieces, toy_artifacts.assignment.pieces[:n, :n])
 
@@ -399,11 +403,8 @@ def add_at_band(net, demand):
         return bpr_travel_time(net.links[lid], inflow / hours)
 
     plan = assignment_mod._route_plan(net, demand.od_index, cut=True)
-    live = np.flatnonzero(plan.first >= 0)
-    sources = [(np.repeat(live, n_h), np.tile(np.arange(n_h), live.size),
-                (demand.matrix[live].ravel(), np.ones(live.size * n_h)))]
-    assignment_mod._propagate(grid, plan, sources, link_time)
-    assert sources == []  # handed over
+    assignment_mod._propagate(grid, plan, demand.matrix, np.ones(demand.matrix.shape, dtype=bool),
+                              link_time, unit=True)
     k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))
     band = np.zeros((n_h, int(lag.max(initial=0)) + 1, len(net.detectors),
                      len(demand.od_index)))
@@ -447,31 +448,53 @@ class TestBandSums:
         self.assert_add_at(art.assignment, toy_cfg.network, art.history.demand)
 
 
+class RowsRead(np.ndarray):
+    """A view of an array that adds to ``log`` the rows each index reads."""
+
+    def __new__(cls, a, log):
+        view = np.asarray(a).view(cls)
+        view.log = log
+        return view
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __getitem__(self, index):
+        rows = index[0] if isinstance(index, tuple) else index
+        self.log.update(np.arange(self.shape[0])[rows].ravel().tolist())
+        return np.asarray(super().__getitem__(index))
+
+
 class TestHandOver:
-    """The kernel's callers hand their departure arrays over: once the
-    kernel has sorted them into the first links' batches, nothing holds
-    them, so they are dead by the first link's callback."""
+    """A pass builds a first link's departures when that link's turn comes,
+    from the demand and mask rows of the routes that start there, and hands
+    them over to that link's batch.  By its first callback it has read no
+    row of a route that starts at another link, so no other first link's
+    departures exist."""
 
     @pytest.mark.parametrize("call", [load_network, detector_counts, assignment_matrix],
                              ids=["load", "counts", "linearization"])
     def test_departures_are_dead_by_the_first_callback(self, monkeypatch, call):
         real = assignment_mod._propagate
-        seen = []
+        read, at_first_callback, plans = set(), [], []
 
-        def propagate(grid, plan, sources, link_time):
-            refs = [weakref.ref(x) for x in (*sources[0][:2], *sources[0][2])]
-
+        def propagate(grid, plan, matrix, cells, link_time, **kwargs):
             def watched(*args):
-                seen.append([ref() is not None for ref in refs])
+                if not at_first_callback:
+                    at_first_callback.append(set(read))
                 return link_time(*args)
 
-            spill = real(grid, plan, sources, watched)
-            assert sources == []
-            return spill
+            plans.append(plan)
+            return real(grid, plan, RowsRead(matrix, read), RowsRead(cells, read), watched,
+                        **kwargs)
 
         monkeypatch.setattr(assignment_mod, "_propagate", propagate)
         call(TOY, toy_demand(TimeGrid(n_intervals=12), TestBandSums.CONGESTED))
-        assert seen and not any(seen[0])
+        (plan,) = plans
+        first_link = set(np.flatnonzero(plan.first == 0).tolist())
+        assert at_first_callback[0] <= first_link
+        # routes that start at other links departed, later in the pass
+        assert read - first_link
 
 
 class TestBandWidth:

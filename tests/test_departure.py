@@ -22,6 +22,15 @@ class TestScheduleParams:
         with pytest.raises(ValueError):
             ScheduleParams(beta=-0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "preferred_arrival",
+                                      "logit_scale"])
+    def test_rejects_non_finite_fields_naming_them(self, name, value):
+        """A range check is false for NaN, so each field is checked for
+        finiteness first, not left to fail as a degenerate profile."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite, not {value}$"):
+            ScheduleParams(**{name: value})
+
     def test_unusual_ordering_only_warns(self, caplog):
         with caplog.at_level("WARNING"):
             ScheduleParams(alpha=1.0, beta=2.0, gamma=0.5)

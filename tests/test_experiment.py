@@ -460,6 +460,51 @@ def test_readme_python_example_runs(capsys):
     assert np.isfinite(float(printed[0])) and float(printed[0]) > 0.0
 
 
+class TestProbeTimes:
+    """``LoadResult.tt_od`` walks the probes the first time it is read."""
+
+    def test_only_the_first_passes_walk_their_probes(self, toy_cfg, monkeypatch):
+        """Each day's first pass reads its probe times for the second pass's
+        profiles; nothing reads the second passes' or any later load's."""
+        walks = []
+        real = odchain.assignment._probe_travel_times
+
+        def walk(*args):
+            walks.append(True)
+            return real(*args)
+
+        monkeypatch.setattr(odchain.assignment, "_probe_travel_times", walk)
+        report = run_experiment(toy_cfg)
+        assert all(row.status == "ok" for row in report.rows)
+        assert len(walks) == 2
+
+    def test_read_later_equals_the_walk_at_once(self, toy_cfg, monkeypatch):
+        """A second-pass load's probe times, read after the rest of the
+        generation has run, equal the walk taken when the load returned, bit
+        for bit; so do those of a load at frozen times."""
+        real = odchain.assignment.load_network
+        loads = []
+
+        def load(net, demand, **kwargs):
+            result = real(net, demand, **kwargs)
+            plan = odchain.assignment._route_plan(net, demand.od_index, cut=False)
+            walked = odchain.assignment._probe_travel_times(plan, demand.grid, result.link_tt)
+            loads.append((result, walked.tobytes()))
+            return result
+
+        monkeypatch.setattr(odchain.experiment, "load_network", load)
+        art = generate_truth_and_history(toy_cfg)
+        load(toy_cfg.network, art.history.demand, frozen_link_tt=art.history.load.link_tt)
+        generate_truth_and_history(toy_cfg)  # more passes before the reads
+        truth, history, frozen = (result for result, _ in loads[2:5])
+        assert truth is art.truth.load and history is art.history.load
+        assert frozen.link_tt is not history.link_tt
+        for result, walked in loads[2:5]:
+            assert "tt_od" not in vars(result)  # not walked yet
+            assert result.tt_od.tobytes() == walked
+            assert result.tt_od is result.tt_od  # walked once, then kept
+
+
 class TestRefresh:
     def test_refresh_loads_only_what_the_filter_reads(self, toy_cfg, monkeypatch):
         """4 loads generate the two days; kf, pkf and spkf are scored by

@@ -7,7 +7,9 @@ holds for the load, at BPR or given times, for ``assignment_matrix``'s one
 pass, which loads the demand and linearizes at its BPR times together, and
 for the count-only load.  The last two move parcels only as far as a count
 depends on them (``_route_plan``'s cut routes), while the oracle walks every
-route to its end.
+route to its end.  A load keeps the channels' inflows alone, as its counts;
+every link's inflow is read as the kernel passes it to ``link_time``
+(``recorded_inflows``).
 """
 
 import numpy as np
@@ -18,17 +20,19 @@ from odchain.assignment import (
     DynamicDemand, _interval_index, _route_plan, assignment_matrix, detector_counts,
     load_network,
 )
+from recorded_inflows import load_with_inflows
 from odchain.network import (
     Link, Network, Path, TimeGrid, Zone, build_toy_network,
 )
 
 
 def assert_same_as_oracle(net, demand, frozen=None):
-    load = load_network(net, demand, frozen_link_tt=frozen)
+    """Returns the load and the inflows its kernel pass computed."""
+    load, flows = load_with_inflows(net, demand, frozen)
     inflow, tt, spill = oracle_load(net, demand, frozen)
-    assert list(load.link_inflow) == list(inflow)
+    assert list(flows) == list(inflow)
     for lid in inflow:
-        assert np.array_equal(load.link_inflow[lid], inflow[lid]), lid
+        assert np.array_equal(flows[lid], inflow[lid]), lid
         assert np.array_equal(load.link_tt[lid], tt[lid]), lid
     assert load.spillover == spill
     channels = load.counts.channels
@@ -43,7 +47,7 @@ def assert_same_as_oracle(net, demand, frozen=None):
     counts = detector_counts(net, demand)
     assert counts.channels == channels
     assert np.array_equal(counts.counts, channel_rows(bpr_inflow, channels, n_h))
-    return load
+    return load, flows
 
 
 def channel_rows(inflow, channels, n_h):
@@ -125,7 +129,7 @@ def toy_demand(grid, fill):
 class TestEdgeShapes:
     def test_one_interval_grid(self):
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=1)
-        load = assert_same_as_oracle(TOY, toy_demand(grid, lambda m: m.fill(800.0)))
+        load, _ = assert_same_as_oracle(TOY, toy_demand(grid, lambda m: m.fill(800.0)))
         assert load.spilled() > 0.0  # nothing after the first link fits the horizon
 
     def test_one_interval_grid_frozen_times(self):
@@ -138,8 +142,8 @@ class TestEdgeShapes:
         grid = TimeGrid(start=0, interval_minutes=5, n_intervals=6)
         matrix = np.array([[100.0, 0, 50.0, 0, 0, 10.0], [0, 20.0, 0, 0, 0, 5.0]])
         demand = DynamicDemand(od_index=net.od_index, grid=grid, matrix=matrix)
-        load = assert_same_as_oracle(net, demand)
-        assert load.link_inflow["d"][0] == 100.0
+        _, inflow = assert_same_as_oracle(net, demand)
+        assert inflow["d"][0] == 100.0
 
     def test_od_with_all_zero_demand(self):
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=8)
@@ -158,15 +162,15 @@ class TestEdgeShapes:
         net = _network([_link("a"), _link("b"), _link("x")], [["a", "b"], ["b"]], ["b", "x"])
         grid = TimeGrid(start=0, interval_minutes=10, n_intervals=5)
         demand = DynamicDemand(od_index=net.od_index, grid=grid, matrix=np.full((2, 5), 120.0))
-        load = assert_same_as_oracle(net, demand)
-        assert not load.link_inflow["x"].any()
+        load, inflow = assert_same_as_oracle(net, demand)
+        assert not inflow["x"].any()
         assert np.array_equal(load.link_tt["x"], np.full(5, 5.0))
         # the whole-route plan visits x after the feeding order, with no parcels
         assert _route_plan(net, net.od_index, cut=False).order == ("a", "b", "x")
 
     def test_no_demand_at_all(self):
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=4)
-        load = assert_same_as_oracle(TOY, toy_demand(grid, lambda m: None))
+        load, _ = assert_same_as_oracle(TOY, toy_demand(grid, lambda m: None))
         assert load.spilled() == 0.0
 
 
