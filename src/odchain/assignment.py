@@ -632,8 +632,14 @@ class AssignmentMatrix:
 
         The band entries ``band[h - l, l]`` lie ``L`` apart in the band's
         ``(H·(L + 1), P)`` rows, from row ``h·(L + 1)`` back, so they are
-        read as a strided view, not gathered."""
+        read as a strided view, not gathered.
+
+        Raises:
+            IndexError: if ``h`` lies outside the grid.
+        """
         n_h, width, n_pairs = self.band.shape
+        if not 0 <= h < n_h:
+            raise IndexError(f"interval {h} outside grid of {n_h}")
         n_lags = min(width, h + 1)
         flat = self.band.reshape(n_h * width, n_pairs)
         # a band of width 1 holds lag 0 alone, and a step of 0 is no slice

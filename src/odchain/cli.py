@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--refresh-assignment",
         action="store_true",
-        help="after each interval, relinearize at the estimate so far, through the next interval",
+        help="before each measured interval but the first, relinearize at the estimate so far",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -26,7 +26,7 @@ import io
 import json
 import logging
 import os
-import tempfile
+import secrets
 import time
 from collections.abc import Mapping
 from contextlib import contextmanager
@@ -396,31 +396,33 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     return NoiseModel(Q=Q, R=R), P0, leg_Q, root_P0, R_cum
 
 
-def _refresh_hook(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
-    """Relinearize at the estimate so far, through the next interval, after each interval.
+def _refreshed_rows(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
+    """The filter's measurement rows, relinearized at the estimate so far.
 
-    After interval ``h`` the filter reads only pieces ``[k, h + 1]`` with
-    ``k <= h + 1`` before the matrix is replaced again.  A link's time in an
-    interval depends only on departures up to it, so linearizing on the grid
-    cut after interval ``h + 1`` gives exactly the full day's pieces on those
-    columns.  ``assignment_matrix`` loads the estimate and linearizes it in
-    one pass, so a refresh makes no ``load_network`` call.  After the last
-    measured interval nothing is read and no rebuild is made.
+    Interval 0 has no estimate yet and reads the frozen band.  For a later
+    interval ``h`` the history, with the posterior means of the intervals
+    before ``h`` added and clipped at zero, is linearized on the grid cut
+    after ``h``, and that matrix's rows counted at ``h`` are returned.  A
+    link's time in an interval depends only on departures up to it, so
+    these are the whole day's matrix's rows, though the cut band may stop
+    short of lags whose rows are zero.
+    ``assignment_matrix`` loads the estimate and linearizes it in one pass,
+    so a refresh makes no ``load_network`` call.
     """
     hist = artifacts.history.demand.matrix
-    cut = cfg.cutoff_index
+    frozen = artifacts.assignment
 
-    def hook(h: int, deltas_so_far: np.ndarray) -> AssignmentMatrix | None:
-        n = h + 2
-        if n > cut:
-            return None
-        est = hist[:, :n].copy()
-        est[:, : h + 1] = np.maximum(est[:, : h + 1] + deltas_so_far, 0.0)
-        grid = replace(cfg.grid, n_intervals=n)
+    def rows_at(h: int, deltas: np.ndarray) -> np.ndarray:
+        if h == 0:
+            return frozen.counted_at(0)
+        est = hist[:, : h + 1].copy()
+        est[:, :h] = np.maximum(est[:, :h] + deltas, 0.0)
+        grid = replace(cfg.grid, n_intervals=h + 1)
         return assignment_matrix(
-            cfg.network, DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est))
+            cfg.network, DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est)
+        ).counted_at(h)
 
-    return hook
+    return rows_at
 
 
 @contextmanager
@@ -485,10 +487,9 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts)
         delta_y = artifacts.observed.counts - hist.load.counts.counts
         init = FilterState(mean=np.zeros(len(artifacts.od_index)), cov=P0)
-        hook = _refresh_hook(cfg, artifacts) if cfg.estimation.refresh_assignment else None
-        kf = run_kf_sequence(
-            artifacts.assignment, delta_y[:, :cut], noise, init=init, refresh_hook=hook
-        )
+        rows_at = (_refreshed_rows(cfg, artifacts) if cfg.estimation.refresh_assignment
+                   else lambda h, _: artifacts.assignment.counted_at(h))
+        kf = run_kf_sequence(rows_at, delta_y[:, :cut], noise, init=init)
         kf_diag.extend(kf.diagnostics)
     if rows[filter_models[0]].status == "failed":
         return result
@@ -662,8 +663,12 @@ def _fmt(value: float | None, digits: int = 6) -> str:
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a new file next to ``path`` and rename it over
+    ``path``.  The file gets mode ``0o666`` less the umask, as
+    ``open(path, "w")`` would give it."""
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -3,13 +3,13 @@
 The state of interval h is the deviation of its OD departures from the
 historical matrix.  The identity random walk carries it to the next interval
 (prior covariance ``P + Q``); counts observed at h are a linear function of
-the deviations of intervals k <= h through the assignment pieces.  The
-sequence runner handles those lags by subtracting the contribution of
-already-estimated intervals at their posterior means, leaving the
-same-interval piece as the measurement matrix.  Only the L intervals
-before h, whose departures can still be counted at h, are visited, and only
-their pieces are expanded from the assignment's band, which holds the
-crossed (channel, OD) pairs alone, into dense matrices.
+the deviations of intervals k <= h through measurement rows, one per lag.
+The sequence runner asks its caller for interval h's rows, given the
+posterior means so far, so the frozen linearization and a refreshed one
+reach it alike and this module knows neither.  It handles the lags by
+subtracting the contribution of already-estimated intervals at their
+posterior means, leaving the same-interval row as the measurement matrix.
+Only the intervals the rows reach back to are visited.
 
 Gains are computed through Cholesky solves of the innovation covariance, with
 a trace-scaled jitter retry; covariances are re-symmetrized after every
@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .assignment import AssignmentMatrix
 from .errors import ConfigurationError, NumericalError
 from .network import read_only_view
 
@@ -269,26 +268,23 @@ class KfRun:
 
 
 def run_kf_sequence(
-    assignment: AssignmentMatrix,
+    rows_at: Callable[[int, np.ndarray], np.ndarray],
     delta_y: np.ndarray,
     noise: NoiseModel,
     *,
     init: FilterState,
-    refresh_hook: Callable[[int, np.ndarray], AssignmentMatrix | None] | None = None,
 ) -> KfRun:
     """Filter count deviations interval by interval.
 
     ``delta_y`` is (n_channels, n_steps): observed minus historical counts,
     one column per filtered interval.
-    At interval ``h`` the pieces ``pieces[k, h]`` of the L intervals before
-    it map their posterior means out of the deviation, and ``pieces[h, h]``
-    is the measurement matrix.  Each step expands only these pieces from the
-    band, into one dense ``(lags, C, OD)`` buffer
-    (``AssignmentMatrix.counted_at``).  ``refresh_hook(h, deltas)`` is
-    called after each interval with the posterior means so far and may
-    return a rebuilt assignment matrix, with its own L (``None`` keeps the
-    current one).  It may cover a shorter grid, as long as it reaches the
-    next interval ``h + 1``: later steps read only pieces up to it.
+    ``rows_at(h, deltas)`` gives interval ``h``'s measurement rows, given
+    ``deltas``, the ``(n_od, h)`` posterior means of the intervals before
+    it: a ``(lags, n_channels, n_od)`` array whose ``[l]`` maps interval
+    ``h - l``'s deviation to the counts of ``h``, for 1 to ``h + 1`` lags
+    (``AssignmentMatrix.counted_at`` is one).  The lagged rows map their
+    posterior means out of the deviation, and ``[0]`` is the measurement
+    matrix.
 
     ``init`` is interval 0's prior; each later one is the last posterior
     carried by ``kf_time_update`` with ``ArModel.identity``.  The run keeps
@@ -299,28 +295,29 @@ def run_kf_sequence(
     eigenvalue of its posterior covariance, from ``eigvalsh``.
 
     Raises:
-        ConfigurationError: if the count deviations do not match the
-            channels, are not all finite, cover more steps than the grid has
-            intervals, or a refreshed matrix has other ODs, channels, grid
-            start or interval length, or stops before the next interval.
+        ConfigurationError: if the count deviations are not a finite
+            (channels, steps) array, or an interval's rows do not map
+            ``init``'s ODs to those channels over 1 to ``h + 1`` lags,
+            naming the interval.
     """
-    n_od = len(assignment.od_index)
-    n_ch = len(assignment.channels)
+    n_od = init.dim
     delta_y = np.asarray(delta_y, dtype=float)
-    if delta_y.ndim != 2 or delta_y.shape[0] != n_ch:
-        raise ConfigurationError(f"count deviations {delta_y.shape} do not match {n_ch} channels")
+    if delta_y.ndim != 2:
+        raise ConfigurationError(f"count deviations {delta_y.shape} are not (channels, steps)")
     non_finite = int(delta_y.size - np.isfinite(delta_y).sum())
     if non_finite:
         raise ConfigurationError(f"count deviations have {non_finite} non-finite entries")
-    n_steps = delta_y.shape[1]
-    if n_steps > assignment.grid.n_intervals:
-        raise ConfigurationError("more steps than grid intervals")
+    n_ch, n_steps = delta_y.shape
     ar = ArModel.identity(n_od)
 
     run = KfRun(deltas=np.zeros((n_od, n_steps)))
     for h in range(n_steps):
         prior = init if h == 0 else kf_time_update([run.last], ar, noise.Q)
-        rows = assignment.counted_at(h)
+        rows = rows_at(h, run.deltas[:, :h])
+        if rows.shape[1:] != (n_ch, n_od) or not 1 <= len(rows) <= h + 1:
+            raise ConfigurationError(
+                f"measurement rows {rows.shape} of interval {h} are not "
+                f"(1..{h + 1}, {n_ch}, {n_od})")
         lagged = np.zeros(n_ch)
         for k in range(h + 1 - rows.shape[0], h):
             lagged += rows[h - k] @ run.deltas[:, k]
@@ -339,30 +336,4 @@ def run_kf_sequence(
                 cov_min_eigenvalue=min_eigenvalue(post.cov),
             )
         )
-        if refresh_hook is not None:
-            refreshed = refresh_hook(h, run.deltas[:, : h + 1])
-            if refreshed is not None:
-                _check_refreshed(assignment, refreshed, h, n_steps)
-                assignment = refreshed
     return run
-
-
-def _check_refreshed(
-    current: AssignmentMatrix, refreshed: AssignmentMatrix, h: int, n_steps: int
-) -> None:
-    """Reject a refreshed matrix the remaining steps cannot read."""
-    if refreshed.od_index != current.od_index or refreshed.channels != current.channels:
-        raise ConfigurationError(
-            f"matrix refreshed after interval {h} has other ODs or channels"
-        )
-    old, new = current.grid, refreshed.grid
-    if (new.start, new.interval_minutes) != (old.start, old.interval_minutes):
-        raise ConfigurationError(
-            f"matrix refreshed after interval {h} has grid start {new.start} and "
-            f"{new.interval_minutes}-minute intervals, not {old.start} and {old.interval_minutes}"
-        )
-    if h + 1 < n_steps and new.n_intervals <= h + 1:
-        raise ConfigurationError(
-            f"matrix refreshed after interval {h} covers {new.n_intervals} intervals "
-            f"and misses the next one, {h + 1}"
-        )

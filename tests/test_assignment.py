@@ -574,6 +574,16 @@ class TestPairs:
             for lag, row in enumerate(rows):
                 assert np.array_equal(row, pieces[h - lag, h])
 
+    @pytest.mark.parametrize("offset", [-1, 0, 5], ids=["-1", "H", "H+5"])
+    def test_counted_at_rejects_an_interval_off_the_grid(self, toy_artifacts, offset):
+        """Below 0 the strided read would be empty and past the last
+        interval it would read other intervals' rows."""
+        asg = toy_artifacts.assignment
+        n_h = asg.grid.n_intervals
+        h = -1 if offset < 0 else n_h + offset
+        with pytest.raises(IndexError, match=rf"interval {h} outside grid of {n_h}$"):
+            asg.counted_at(h)
+
 
 class TestCumulativeMapping:
     def _identity_assignment(self):

@@ -2,8 +2,10 @@ import collections
 import csv
 import dataclasses
 import json
+import os
 import pathlib
 import re
+import stat
 import time
 import weakref
 
@@ -550,12 +552,59 @@ class TestRefresh:
         assert orders == [cfg.network]
         assert plans == {(cfg.network.od_index, False): 1, (cfg.network.od_index, True): 1}
 
-    def test_hook_builds_through_the_next_interval(self, toy_cfg, toy_artifacts):
-        hook = odchain.experiment._refresh_hook(toy_cfg, toy_artifacts)
-        cut = toy_cfg.cutoff_index
+    def test_refresh_linearizes_on_the_grid_cut_after_h(self, toy_cfg, toy_artifacts,
+                                                        monkeypatch):
+        """Interval 0 reads the frozen band and makes no linearization.  A
+        later interval h linearizes the history plus the means before h,
+        clipped at zero, on the grid cut after h, and reads that matrix's
+        rows counted at h."""
+        real = odchain.experiment.assignment_matrix
+        made = []
+
+        def linearize(net, demand):
+            made.append((demand, real(net, demand)))
+            return made[-1][1]
+
+        monkeypatch.setattr(odchain.experiment, "assignment_matrix", linearize)
+        rows_at = odchain.experiment._refreshed_rows(toy_cfg, toy_artifacts)
+        hist = toy_artifacts.history.demand.matrix
         n_od = len(toy_artifacts.od_index)
-        assert hook(cut - 2, np.zeros((n_od, cut - 1))).grid.n_intervals == cut
-        assert hook(cut - 1, np.zeros((n_od, cut))) is None
+        assert np.array_equal(rows_at(0, np.zeros((n_od, 0))),
+                              toy_artifacts.assignment.counted_at(0))
+        assert made == []
+        for h in (1, 17, toy_cfg.cutoff_index - 1):
+            deltas = np.random.default_rng(h).normal(0.0, 50.0, (n_od, h))
+            rows = rows_at(h, deltas)
+            (demand, matrix), = made
+            made.clear()
+            assert demand.grid == dataclasses.replace(toy_cfg.grid, n_intervals=h + 1)
+            assert np.array_equal(demand.matrix[:, :h], np.maximum(hist[:, :h] + deltas, 0.0))
+            assert np.array_equal(demand.matrix[:, h], hist[:, h])
+            assert (demand.matrix[:, :h] != hist[:, :h]).any()
+            assert np.array_equal(rows, matrix.counted_at(h))
+
+    @pytest.mark.parametrize("minutes", [15, 3])
+    def test_refresh_at_zero_deviation_reads_the_frozen_rows(self, toy_cfg, toy_artifacts,
+                                                             minutes):
+        """Linearized at the history itself, on the grid cut after each
+        measured interval, the rows are the frozen matrix's, bit for bit.  A
+        cut grid's band stops at the longest lag it holds mass at, so on the
+        first 3-minute intervals it leaves out lags whose rows are zero:
+        both sides are compared over h + 1 lags, zero past their own."""
+        if minutes == 15:
+            cfg, artifacts = toy_cfg, toy_artifacts
+        else:
+            cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
+                toy_cfg.grid, interval_minutes=minutes, n_intervals=480))
+            artifacts = generate_truth_and_history(cfg)
+        rows_at = odchain.experiment._refreshed_rows(cfg, artifacts)
+        n_od = len(artifacts.od_index)
+        def all_lags(rows, h):
+            return np.concatenate([rows, np.zeros((h + 1 - len(rows), *rows.shape[1:]))])
+
+        for h in range(cfg.cutoff_index):
+            assert np.array_equal(all_lags(rows_at(h, np.zeros((n_od, h))), h),
+                                  all_lags(artifacts.assignment.counted_at(h), h)), h
 
 
 class TestEmission:
@@ -627,6 +676,21 @@ class TestEmission:
         assert {len(row) for row in rows} == {6}
         assert set(renamed.values()) <= {row[1] for row in rows[1:]}
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_files_get_the_umasks_mode(self, tmp_path, toy_report, umask):
+        """Every file gets mode 0666 less the umask, as ``open`` would give
+        it, and no temporary file is left."""
+        old = os.umask(umask)
+        try:
+            emit_report(toy_report, tmp_path)
+        finally:
+            os.umask(old)
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert len(written) == 4 + len(toy_report.od_index)
+        assert not [p for p in written if p.name.startswith(".tmp-")]
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == \
+            {p.name: 0o666 & ~umask for p in written}
+
     def test_emitted_csv_is_deterministic(self, tmp_path, toy_cfg):
         a = run_experiment(toy_cfg)
         b = run_experiment(toy_cfg)
@@ -637,8 +701,8 @@ class TestEmission:
 
 
 class TestGoldenReport:
-    """report.csv and leg_diagnostics.csv of the toy preset, pinned at their
-    printed precision."""
+    """report.csv and leg_diagnostics.csv of the toy preset, with and
+    without the refresh, pinned at their printed precision."""
 
     def test_toy(self, tmp_path, toy_report):
         emit_report(toy_report, tmp_path, include_profiles=False)
@@ -651,3 +715,5 @@ class TestGoldenReport:
         emit_report(run_experiment(with_refresh(toy_cfg)), tmp_path, include_profiles=False)
         assert (tmp_path / "report.csv").read_text() == \
             (GOLDEN / "toy_refresh_report.csv").read_text()
+        assert (tmp_path / "leg_diagnostics.csv").read_text() == \
+            (GOLDEN / "toy_refresh_leg_diagnostics.csv").read_text()

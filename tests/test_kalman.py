@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -261,13 +259,18 @@ def zero_prior(noise):
     return FilterState(mean=np.zeros(noise.Q.shape[0]), cov=noise.Q)
 
 
+def frozen_rows(asg):
+    """The provider that reads every interval's rows from ``asg``."""
+    return lambda h, _: asg.counted_at(h)
+
+
 class TestRunSequence:
     def test_zero_innovations_keep_zero_deltas(self, toy_artifacts):
         asg = toy_artifacts.assignment
         n_od = len(asg.od_index)
         n_ch = len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
-        run = run_kf_sequence(asg, np.zeros((n_ch, 8)), noise, init=zero_prior(noise))
+        run = run_kf_sequence(frozen_rows(asg), np.zeros((n_ch, 8)), noise, init=zero_prior(noise))
         assert np.abs(run.deltas).max() == 0.0
         assert len(run.diagnostics) == 8
 
@@ -279,17 +282,22 @@ class TestRunSequence:
         delta_y[0, 3] = delta_y[-1, 5] = value
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
         with pytest.raises(ConfigurationError, match="2 non-finite"):
-            run_kf_sequence(asg, delta_y, noise, init=zero_prior(noise))
+            run_kf_sequence(frozen_rows(asg), delta_y, noise, init=zero_prior(noise))
 
     @staticmethod
-    def _recorded_toy_run(toy_artifacts, monkeypatch):
-        """A 48-step toy run and every posterior it made, recorded through
-        ``kalman._update_with_gain``, since the run keeps only the last."""
+    def _toy_inputs(toy_artifacts):
+        """The toy's frozen matrix, its 48 measured count deviations and a
+        noise model."""
         asg = toy_artifacts.assignment
         hist = toy_artifacts.history
-        delta_y = toy_artifacts.observed.counts - hist.load.counts.counts
+        delta_y = (toy_artifacts.observed.counts - hist.load.counts.counts)[:, :48]
         n_od, n_ch = len(asg.od_index), len(asg.channels)
-        noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
+        return asg, delta_y, NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
+
+    def _recorded_toy_run(self, toy_artifacts, monkeypatch):
+        """A 48-step toy run and every posterior it made, recorded through
+        ``kalman._update_with_gain``, since the run keeps only the last."""
+        asg, delta_y, noise = self._toy_inputs(toy_artifacts)
         posteriors = []
         real = kalman_mod._update_with_gain
 
@@ -299,7 +307,7 @@ class TestRunSequence:
             return state, gain
 
         monkeypatch.setattr(kalman_mod, "_update_with_gain", recording)
-        return run_kf_sequence(asg, delta_y[:, :48], noise, init=zero_prior(noise)), posteriors
+        return run_kf_sequence(frozen_rows(asg), delta_y, noise, init=zero_prior(noise)), posteriors
 
     def test_min_eigenvalue_diagnostic_is_the_posterior_spectrum(self, toy_artifacts, monkeypatch):
         run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch)
@@ -344,72 +352,63 @@ class TestRunSequence:
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
         init = FilterState(mean=np.full(n_od, 7.0), cov=np.eye(n_od))
-        assert run_kf_sequence(asg, np.zeros((n_ch, 0)), noise, init=init).last is None
-        run = run_kf_sequence(asg, np.zeros((n_ch, 1)), noise, init=init)
+        assert run_kf_sequence(frozen_rows(asg), np.zeros((n_ch, 0)), noise, init=init).last is None
+        run = run_kf_sequence(frozen_rows(asg), np.zeros((n_ch, 1)), noise, init=init)
         assert run.last is not init
         assert np.array_equal(run.last.mean, run.deltas[:, 0])
 
-    def test_refresh_hook_called_each_interval(self, toy_artifacts):
-        asg = toy_artifacts.assignment
-        n_od, n_ch = len(asg.od_index), len(asg.channels)
-        noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
+    def test_rows_are_asked_for_once_per_step(self, toy_artifacts):
+        """Step h asks for its rows once, with the (n_od, h) posterior means
+        of the intervals before it."""
+        asg, delta_y, noise = self._toy_inputs(toy_artifacts)
         calls = []
 
-        def hook(h, deltas):
-            calls.append((h, deltas.shape))
-            return asg
+        def rows_at(h, deltas):
+            calls.append((h, deltas.copy()))
+            return asg.counted_at(h)
 
-        run_kf_sequence(asg, np.zeros((n_ch, 5)), noise, init=zero_prior(noise), refresh_hook=hook)
-        assert [c[0] for c in calls] == [0, 1, 2, 3, 4]
-        assert calls[0][1] == (n_od, 1)
-        assert calls[-1][1] == (n_od, 5)
+        run = run_kf_sequence(rows_at, delta_y, noise, init=zero_prior(noise))
+        assert [h for h, _ in calls] == list(range(48))
+        for h, deltas in calls:
+            assert deltas.shape == (len(asg.od_index), h)
+            assert np.array_equal(deltas, run.deltas[:, :h])
+        assert np.abs(run.deltas).max() > 0.0
 
-    @staticmethod
-    def _prefix(asg, n, dense):
-        return from_dense(asg.od_index, asg.channels,
-                          dataclasses.replace(asg.grid, n_intervals=n), dense[:n, :n])
+    def test_rows_may_reach_back_to_interval_0(self, toy_artifacts):
+        """h + 1 lags are read; zero rows past the band's width change no
+        estimate."""
+        asg, delta_y, noise = self._toy_inputs(toy_artifacts)
+        assert asg.band.shape[1] < 48
 
-    def test_refresh_may_shorten_the_grid_to_the_next_interval(self, toy_artifacts):
-        asg = toy_artifacts.assignment
-        hist = toy_artifacts.history
-        delta_y = (toy_artifacts.observed.counts - hist.load.counts.counts)[:, :48]
-        n_od, n_ch = len(asg.od_index), len(asg.channels)
-        noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
-        dense = asg.pieces
+        def padded(h, _):
+            rows = asg.counted_at(h)
+            return np.concatenate([rows, np.zeros((h + 1 - len(rows), *rows.shape[1:]))])
+
         init = zero_prior(noise)
-        reference = run_kf_sequence(asg, delta_y, noise, init=init)
-        shortened = run_kf_sequence(
-            asg, delta_y, noise, init=init,
-            refresh_hook=lambda h, _: self._prefix(asg, h + 2, dense),
-        )
-        assert np.array_equal(shortened.deltas, reference.deltas)
-        # stopping at interval h is too short, except after the last step,
-        # which nothing reads
-        last = run_kf_sequence(
-            asg, delta_y[:, :3], noise, init=init,
-            refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 2 else h + 2, dense),
-        )
-        assert np.array_equal(last.deltas, reference.deltas[:, :3])
-        with pytest.raises(ConfigurationError, match="after interval 5 .*misses"):
-            run_kf_sequence(
-                asg, delta_y, noise, init=init,
-                refresh_hook=lambda h, _: self._prefix(asg, h + 1 if h == 5 else h + 2, dense),
-            )
+        reference = run_kf_sequence(frozen_rows(asg), delta_y, noise, init=init)
+        assert np.array_equal(run_kf_sequence(padded, delta_y, noise, init=init).deltas,
+                              reference.deltas)
 
-    def test_refresh_must_keep_channels_and_timing(self, toy_artifacts):
-        from odchain.assignment import AssignmentMatrix
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda rows: rows[:, :-1], id="a-channel-short"),
+        pytest.param(lambda rows: rows[:, :, :-1], id="an-od-short"),
+        pytest.param(lambda rows: rows[:0], id="no-lags"),
+        pytest.param(lambda rows: np.zeros((4, *rows.shape[1:])), id="past-interval-0"),
+        pytest.param(lambda rows: rows[0], id="no-lag-axis"),
+    ])
+    def test_rows_must_map_the_state_to_the_channels(self, toy_artifacts, bad):
+        """Rows that do not map the state's ODs to the count channels over 1
+        to h + 1 lags are rejected, naming the interval."""
         asg = toy_artifacts.assignment
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
-        swapped = AssignmentMatrix(od_index=asg.od_index, channels=asg.channels[::-1],
-                                   grid=asg.grid, band=asg.band, pairs=asg.pairs)
-        shifted = AssignmentMatrix(od_index=asg.od_index, channels=asg.channels,
-                                   grid=dataclasses.replace(asg.grid, start=15),
-                                   band=asg.band, pairs=asg.pairs)
-        for bad in (swapped, shifted):
-            with pytest.raises(ConfigurationError, match="after interval 2 "):
-                run_kf_sequence(asg, np.zeros((n_ch, 5)), noise, init=zero_prior(noise),
-                                refresh_hook=lambda h, _: bad if h == 2 else None)
+
+        def rows_at(h, _):
+            rows = asg.counted_at(h)
+            return bad(rows) if h == 2 else rows
+
+        with pytest.raises(ConfigurationError, match=r"of interval 2 are not \(1\.\.3, "):
+            run_kf_sequence(rows_at, np.zeros((n_ch, 5)), noise, init=zero_prior(noise))
 
     def test_lagged_contributions_are_subtracted(self):
         """With mass split across two measurement intervals the second step
@@ -425,37 +424,34 @@ class TestRunSequence:
         noise = NoiseModel(Q=np.array([[1e6]]), R=np.array([[1e-12]]))
         init = FilterState(mean=np.zeros(1), cov=np.array([[1e6]]))
         # a deviation of 10 in interval 0 shows up as 5 then 5
-        run = run_kf_sequence(asg, np.array([[5.0, 5.0]]), noise, init=init)
+        run = run_kf_sequence(frozen_rows(asg), np.array([[5.0, 5.0]]), noise, init=init)
         assert run.deltas[0, 0] == pytest.approx(10.0, rel=1e-6)
         # all of interval 1's observed 5 is lagged mass, so no new deviation
         assert abs(run.deltas[0, 1]) <= 1e-3
 
     def test_lag_terms_match_full_scan(self, toy_artifacts):
         """Against a reference that scans every earlier interval, also after
-        the hook swaps in a matrix whose lagged pieces are nonzero where the
-        first one's were zero."""
-        full = toy_artifacts.assignment
+        the provider switches at step 20 to a matrix whose lagged pieces are
+        nonzero where the first one's were zero."""
+        full, delta_y, noise = self._toy_inputs(toy_artifacts)
         full_pieces = full.pieces
         same_interval = np.zeros_like(full_pieces)
         for h in range(full_pieces.shape[0]):
             same_interval[h, h] = full_pieces[h, h]
         first = from_dense(full.od_index, full.channels, full.grid, same_interval)
-        # the swapped-in matrix brings its own band width
+        # the matrix switched to brings its own band width
         assert (first.band.shape[1], full.band.shape[1]) == (1, 2)
-        hist = toy_artifacts.history
-        delta_y = (toy_artifacts.observed.counts - hist.load.counts.counts)[:, :48]
         n_od, n_ch = len(full.od_index), len(full.channels)
-        noise = NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
         swap_at = 20
         init = zero_prior(noise)
-        run = run_kf_sequence(first, delta_y, noise, init=init,
-                              refresh_hook=lambda h, _: full if h == swap_at else None)
+        run = run_kf_sequence(lambda h, _: (full if h >= swap_at else first).counted_at(h),
+                              delta_y, noise, init=init)
 
         state = init
         deltas = np.zeros((n_od, delta_y.shape[1]))
         diagnostics = []
-        pieces = same_interval
         for h in range(delta_y.shape[1]):
+            pieces = full_pieces if h >= swap_at else same_interval
             prior = state if h == 0 else kf_time_update([state], ArModel.identity(n_od), noise.Q)
             lagged = np.zeros(n_ch)
             for k in range(h):
@@ -469,10 +465,9 @@ class TestRunSequence:
                                 np.trace(state.cov), state.cov_symmetry_error,
                                 np.linalg.eigvalsh(state.cov).min()))
             deltas[:, h] = state.mean
-            if h == swap_at:
-                pieces = full_pieces
         assert np.array_equal(run.deltas, deltas)
         # every step's five diagnostics, bit for bit
         assert [(d.innovation_norm, d.gain_norm, d.cov_trace, d.cov_symmetry_error,
                  d.cov_min_eigenvalue) for d in run.diagnostics] == diagnostics
-        assert not np.array_equal(run.deltas, run_kf_sequence(first, delta_y, noise, init=init).deltas)
+        assert not np.array_equal(
+            run.deltas, run_kf_sequence(frozen_rows(first), delta_y, noise, init=init).deltas)

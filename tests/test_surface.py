@@ -61,3 +61,17 @@ def test_every_definition_has_a_caller_outside_tests():
         f"{sorted(f'{where}:{name}' for name, where in unused.items() if name not in ALLOWED)}; "
         f"allowlisted but now used or gone: {sorted(set(ALLOWED) - set(unused))}"
     )
+
+
+def test_kalman_imports_nothing_from_assignment():
+    """The interval filter reads measurement rows from its caller, so it
+    does not depend on how the assignment is stored or refreshed."""
+    imported = []
+    for node in ast.walk(_parse(PACKAGE / "kalman.py")):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "numpy" in imported
+    assert not [name for name in imported if "assignment" in name.split(".")]
