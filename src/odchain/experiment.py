@@ -55,7 +55,7 @@ from .legfilter import (
     predict_horizon,
     run_leg_chain,
 )
-from .legs import ChainSpec, DemandLeg, build_leg_operator, dense_profile
+from .legs import ChainSpec, DemandLeg, build_leg_operator, dense_profile, leg_terms
 from .network import OD, Network, TimeGrid, od_label
 from .scenario import MODELS, ScenarioConfig
 
@@ -143,110 +143,74 @@ def _free_flow_tt(net: Network, od_index: tuple[OD, ...], grid: TimeGrid) -> np.
     return tt
 
 
-def _member_rows(cfg: ScenarioConfig, od_index: tuple[OD, ...]) -> dict[str, np.ndarray]:
-    """Each leg's member ODs as positions in ``od_index``, ascending: the row
-    order of its shares, which ``DemandLeg.member_indices`` gives too."""
-    pos = {od: i for i, od in enumerate(od_index)}
-    return {leg.name: np.array(sorted(pos[od] for od in leg.od_split), dtype=int)
-            for leg in cfg.legs}
-
-
-def _leg_profiles(
-    cfg: ScenarioConfig, od_index: tuple[OD, ...], tt_od: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Each leg's departure shares at the times ``tt_od``, one row per member
-    OD, in the order of ``_member_rows``.
-
-    Raises:
-        DegenerateProfileError: naming the leg and the OD whose profile has
-            no usable mass.
-    """
-    rows = _member_rows(cfg, od_index)
-    out: dict[str, np.ndarray] = {}
-    for leg in cfg.legs:
-        members = rows[leg.name]
-        try:
-            out[leg.name] = departure_probabilities(leg.schedule, tt_od[members], cfg.grid)
-        except DegenerateProfileError as exc:
-            raise DegenerateProfileError(
-                f"leg {leg.name!r}, OD {od_label(od_index[members[exc.row]])}: {exc}") from exc
-    return out
-
-
-def _make_legs(
-    cfg: ScenarioConfig,
-    od_index: tuple[OD, ...],
-    flows: dict[str, np.ndarray],
-    profiles: dict[str, np.ndarray],
-) -> dict[str, DemandLeg]:
-    return {
-        leg.name: DemandLeg(name=leg.name, od_index=od_index, flows=flows[leg.name],
-                            members=tuple(sorted(leg.od_split)), shares=profiles[leg.name])
-        for leg in cfg.legs
-    }
-
-
-def _expand(
-    cfg: ScenarioConfig,
-    od_index: tuple[OD, ...],
-    flows: dict[str, np.ndarray],
-    profiles: dict[str, np.ndarray],
-) -> DynamicDemand:
-    """The dynamic matrix: each leg's flows spread over its shares on its
-    member rows, summed from zero in name order.  Off its members a leg
-    would add an exact zero, so nothing is added there."""
-    rows = _member_rows(cfg, od_index)
-    matrix = np.zeros((len(od_index), cfg.grid.n_intervals))
-    for name in sorted(flows):
-        members = rows[name]
-        matrix[members] += flows[name][members, None] * profiles[name]
-    return DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=matrix)
-
-
-def _generate_side(
-    cfg: ScenarioConfig,
-    od_index: tuple[OD, ...],
-    flows: dict[str, np.ndarray],
-    profiles: dict[str, np.ndarray],
-) -> GeneratedSide:
-    """One day's legs, its flows expanded over its profiles, and their load."""
-    demand = _expand(cfg, od_index, flows, profiles)
-    load = load_network(cfg.network, demand)
-    return GeneratedSide(legs=_make_legs(cfg, od_index, flows, profiles), demand=demand, load=load)
-
-
-def _true_flows(cfg: ScenarioConfig, od_index: tuple[OD, ...]) -> dict[str, np.ndarray]:
+def _true_legs(cfg: ScenarioConfig, od_index: tuple[OD, ...]) -> dict[str, DemandLeg]:
+    """The scenario's legs, in its order, with their true flows and no shares."""
     pos = {od: i for i, od in enumerate(od_index)}
     out = {}
     for leg in cfg.legs:
         v = np.zeros(len(od_index))
         for od, share in leg.od_split.items():
             v[pos[od]] = leg.total * share
-        out[leg.name] = v
+        out[leg.name] = DemandLeg(name=leg.name, od_index=od_index, flows=v,
+                                  members=tuple(sorted(leg.od_split)))
     return out
 
 
 def _perturb(
-    cfg: ScenarioConfig, od_index: tuple[OD, ...], true_flows: dict[str, np.ndarray]
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Historical leg flows and the per-OD factors that produced them."""
+    cfg: ScenarioConfig, od_index: tuple[OD, ...], legs: dict[str, DemandLeg]
+) -> dict[str, np.ndarray]:
+    """Each leg's per-OD factors from its true flows to its historical ones."""
     spec = cfg.perturbation
     seed = cfg.seed if spec.seed is None else spec.seed
     rng = np.random.default_rng([seed, 101])
     pos = {od: i for i, od in enumerate(od_index)}
-    hist: dict[str, np.ndarray] = {}
     factors: dict[str, np.ndarray] = {}
-    for leg in cfg.legs:
-        base = true_flows[leg.name]
+    for name, leg in legs.items():
         f = np.ones(len(od_index))
         if spec.mode != "none":
             f *= 1.0 + spec.scale
         if spec.mode == "scale_plus_noise" and spec.noise > 0.0:
-            for od in sorted(leg.od_split):
+            for od in leg.members:
                 f[pos[od]] *= 1.0 + spec.noise * rng.uniform(-1.0, 1.0)
-        hist[leg.name] = base * f
-        factors[leg.name] = f
-    return hist, factors
+        factors[name] = f
+    return factors
+
+
+def _leg_shares(
+    cfg: ScenarioConfig, legs: dict[str, DemandLeg], tt_od: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Each leg's departure shares at the times ``tt_od``, one row per member
+    OD, in the order of ``member_indices()``.
+
+    Raises:
+        DegenerateProfileError: naming the leg and the OD whose profile has
+            no usable mass.
+    """
+    out: dict[str, np.ndarray] = {}
+    for leg_def in cfg.legs:
+        leg = legs[leg_def.name]
+        rows = leg.member_indices()
+        try:
+            out[leg.name] = departure_probabilities(leg_def.schedule, tt_od[rows], cfg.grid)
+        except DegenerateProfileError as exc:
+            raise DegenerateProfileError(
+                f"leg {leg.name!r}, OD {od_label(leg.od_index[rows[exc.row]])}: {exc}") from exc
+    return out
+
+
+def _with_shares(legs: dict[str, DemandLeg], shares: dict[str, np.ndarray]) -> dict[str, DemandLeg]:
+    return {name: replace(leg, shares=shares[name]) for name, leg in legs.items()}
+
+
+def _expand(cfg: ScenarioConfig, legs: dict[str, DemandLeg]) -> DynamicDemand:
+    """The dynamic matrix: each leg's flows spread over its shares
+    (``leg_terms``), summed from zero in name order."""
+    od_index = cfg.network.od_index
+    matrix = np.zeros((len(od_index), cfg.grid.n_intervals))
+    terms = ((legs[name], legs[name].flows) for name in sorted(legs))
+    for rows, term in leg_terms(terms, 0, cfg.grid.n_intervals):
+        matrix[rows] += term
+    return DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=matrix)
 
 
 def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
@@ -258,25 +222,30 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     chain = cfg.chain()
 
     net = cfg.network
-    true_flows = _true_flows(cfg, od_index)
-    hist_flows, factors = _perturb(cfg, od_index, true_flows)
+    true_legs = _true_legs(cfg, od_index)
+    factors = _perturb(cfg, od_index, true_legs)
+    hist_legs = {name: replace(leg, flows=leg.flows * factors[name])
+                 for name, leg in true_legs.items()}
 
-    # Each day is expanded and loaded in two passes.  The first spreads its
-    # flows over the free-flow profiles, the same on both days, so they are
-    # built once and dropped once both first passes' demand exists.  The
-    # second recomputes the profiles from that load's times, so each day's
-    # profiles feel its own congestion; of the first pass only those times
-    # are read.
-    free = _leg_profiles(cfg, od_index, _free_flow_tt(net, od_index, cfg.grid))
-    first_truth = _expand(cfg, od_index, true_flows, free)
-    first_hist = _expand(cfg, od_index, hist_flows, free)
+    # Each day's legs are built once, and each pass attaches its shares.
+    # The first pass spreads the flows over the free-flow shares, the same
+    # on both days, so they are built once and dropped once both first
+    # passes' demand exists.  The second recomputes the shares from that
+    # load's times, so each day's shares feel its own congestion; of the
+    # first pass only those times are read.
+    free = _leg_shares(cfg, true_legs, _free_flow_tt(net, od_index, cfg.grid))
+    first_truth = _expand(cfg, _with_shares(true_legs, free))
+    first_hist = _expand(cfg, _with_shares(hist_legs, free))
     del free
-    true_profiles = _leg_profiles(cfg, od_index, load_network(net, first_truth).tt_od)
+    true_legs = _with_shares(true_legs, _leg_shares(cfg, true_legs, load_network(net, first_truth).tt_od))
     del first_truth
-    hist_profiles = _leg_profiles(cfg, od_index, load_network(net, first_hist).tt_od)
+    hist_legs = _with_shares(hist_legs, _leg_shares(cfg, hist_legs, load_network(net, first_hist).tt_od))
     del first_hist
-    truth = _generate_side(cfg, od_index, true_flows, true_profiles)
-    history = _generate_side(cfg, od_index, hist_flows, hist_profiles)
+    sides = []
+    for legs in (true_legs, hist_legs):
+        demand = _expand(cfg, legs)
+        sides.append(GeneratedSide(legs=legs, demand=demand, load=load_network(net, demand)))
+    truth, history = sides
 
     counts = truth.load.counts.counts.copy()
     if cfg.measurement_noise_fraction > 0.0:

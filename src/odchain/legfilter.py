@@ -12,6 +12,10 @@ Estimates combine as historical + interval deviations + sum over legs of leg
 deviation times departure shares; predictions beyond the estimation cutoff
 reuse that formula, carrying the last interval deviation flat, as the
 identity random walk does, and touch neither new measurements nor the loader.
+A leg's term, a per-OD vector spread over its departure shares on its member
+rows, comes from the one routine ``legs.leg_terms``: the attribution weights
+(the leg's flows), the combined estimate (its deviation) and the generated
+demand of :mod:`odchain.experiment` (its flows) are each a sum of its terms.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from .assignment import CumulativeMapping
 from .errors import ConfigurationError
 from .kalman import FilterState, kf_measurement_update
-from .legs import ChainSpec, DemandLeg, LegOperator, propagate_leg_deviation
+from .legs import ChainSpec, DemandLeg, LegOperator, leg_terms, propagate_leg_deviation
 
 logger = logging.getLogger(__name__)
 
@@ -61,10 +65,11 @@ def attribute_interval_deviations(
 
     ``deltas`` is (n_od, n_intervals), one column per filtered interval from
     the first.  For each (OD, interval) cell the weight of a leg is its flow
-    times its departure share there, normalized over all given legs; the
-    attributed leg deviation is the weighted sum over every column.  A leg
-    weighs nothing off its members, so its weights and its deviation are
-    formed on its member rows alone, and its deviation is zero elsewhere.
+    times its departure share there (its ``leg_terms`` term of its flows),
+    normalized over all given legs, whose weights are summed in the order
+    given; the attributed leg deviation is the weighted sum over every
+    column.  A leg weighs nothing off its members, so its weights and its
+    deviation are formed on its member rows alone, and zero elsewhere.
     Cells with deviation but zero total weight cannot be attributed and are
     dropped with a warning.
 
@@ -78,17 +83,9 @@ def attribute_interval_deviations(
     if deltas.ndim != 2 or deltas.shape[0] != n_od:
         raise ConfigurationError(f"deviation matrix {deltas.shape} does not match {n_od} ODs")
 
-    n_h = deltas.shape[1]
     weights = []
     total = np.zeros(deltas.shape)
-    for leg in legs:
-        if leg.shares is None:
-            raise ConfigurationError(f"leg {leg.name!r} has no departure profile")
-        if leg.shares.shape[1] < n_h:
-            raise ConfigurationError(f"leg {leg.name!r}: profile shorter than the deviation matrix")
-        rows = leg.member_indices()
-        w = leg.flows[rows, None] * leg.shares[:, :n_h]
-        # off its members a leg weighs an exact zero, which adds nothing
+    for rows, w in leg_terms(((leg, leg.flows) for leg in legs), 0, deltas.shape[1]):
         total[rows] += w
         weights.append(w)
     active = total > 0.0
@@ -247,25 +244,22 @@ def combined_demand(
 ) -> tuple[np.ndarray, int]:
     """Historical matrix plus interval deviations plus leg terms, clamped at 0.
 
-    The matrices cover the intervals from ``start`` on, and each leg term
-    reads its leg's shares there, on its member rows alone: off them the
-    term is an exact zero.  Returns the estimate and the number of clamped
-    cells (also logged).
+    The matrices cover the intervals from ``start`` on.  The leg terms are
+    ``legs.leg_terms`` of each leg's deviation over those intervals, added in
+    the order of ``leg_deltas``.  Returns the estimate and the number of
+    clamped cells (also logged).
 
     Raises:
-        ConfigurationError: if a leg with a deviation has no shares covering
-            the intervals.
+        ConfigurationError: if a leg with a deviation is not in ``legs`` or
+            has no shares covering the intervals.
     """
+    unknown = sorted(set(leg_deltas) - set(legs))
+    if unknown:
+        raise ConfigurationError(f"deviations given for unknown legs {unknown}")
     x = np.asarray(historical, dtype=float) + np.asarray(interval_deltas, dtype=float)
-    stop = start + x.shape[1]
-    for name, dn in leg_deltas.items():
-        leg = legs.get(name)
-        if leg is None or leg.shares is None:
-            raise ConfigurationError(f"no departure profile for leg {name!r}")
-        if leg.shares.shape[1] < stop:
-            raise ConfigurationError(f"leg {name!r}: profile ends before interval {stop}")
-        rows = leg.member_indices()
-        x[rows] += np.asarray(dn, dtype=float)[rows, None] * leg.shares[:, start:stop]
+    terms = ((legs[name], dn) for name, dn in leg_deltas.items())
+    for rows, term in leg_terms(terms, start, start + x.shape[1]):
+        x[rows] += term
     clamped = int((x < 0.0).sum())
     if clamped:
         logger.info("combined estimate clamped %d negative cells to zero", clamped)

@@ -10,6 +10,7 @@ by a single square operator that also propagates deviations and covariances.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
@@ -94,6 +95,31 @@ def dense_profile(leg: DemandLeg) -> np.ndarray | None:
     dense[leg.member_indices()] = leg.shares
     dense.setflags(write=False)
     return dense
+
+
+def leg_terms(
+    weighted: Iterable[tuple[DemandLeg, np.ndarray]], start: int, stop: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Spread per-OD leg vectors over their legs' departure shares.
+
+    For each ``(leg, vector)`` pair of ``weighted``, in the order given,
+    yields the leg's member rows and ``vector[rows, None] *
+    leg.shares[:, start:stop]``, the vector on the member ODs over intervals
+    [start, stop).  Off its members a term would be an exact zero, so
+    callers add it on the member rows alone; the order given is the order
+    of the sums, which fixes their last bits.
+
+    Raises:
+        ConfigurationError: naming the leg, if it has no shares or they end
+            before ``stop``.
+    """
+    for leg, vector in weighted:
+        if leg.shares is None:
+            raise ConfigurationError(f"leg {leg.name!r} has no departure shares")
+        if leg.shares.shape[1] < stop:
+            raise ConfigurationError(f"leg {leg.name!r}: shares end before interval {stop}")
+        rows = leg.member_indices()
+        yield rows, np.asarray(vector, dtype=float)[rows, None] * leg.shares[:, start:stop]
 
 
 @dataclass(frozen=True)

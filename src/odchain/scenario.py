@@ -70,6 +70,9 @@ MODELS = ("seed", "kf", "pkf", "spkf")
 def parse_minutes(value, where: str | None = None, key=None) -> float:
     """Accept "HH:MM" strings or plain, finite minute numbers.
 
+    Both parts of a clock string are ASCII digits alone: ``int`` would also
+    take a sign, an underscore or spaces, and ``"-1:30"`` would read as -30.
+
     Raises:
         ConfigurationError: for anything else, a boolean included, naming
             the key path ``where.key`` when ``where`` is given.
@@ -79,10 +82,9 @@ def parse_minutes(value, where: str | None = None, key=None) -> float:
         parts = value.split(":")
         if len(parts) != 2:
             raise ConfigurationError(f"{at}cannot parse time {value!r}; expected HH:MM or minutes")
-        try:
-            hours, minutes = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ConfigurationError(f"{at}cannot parse time {value!r}") from exc
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ConfigurationError(f"{at}cannot parse time {value!r}; expected HH:MM digits")
+        hours, minutes = int(parts[0]), int(parts[1])
         if not (0 <= minutes < 60):
             raise ConfigurationError(f"{at}minutes out of range in {value!r}")
         return float(hours * 60 + minutes)

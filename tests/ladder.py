@@ -1,10 +1,11 @@
 """The accuracy ladder's rungs, for ``test_ladder.py``.
 
 A rung is a scenario and the experiment seeds it is judged over.  The toy
-rungs vary the packaged toy: its grid, its historical perturbation, and the
+rungs vary the packaged toy: its grid, its historical perturbation, the
 truth of one chained leg, whose total then no longer matches its feeders'
-(a broken tour).  The corridor rungs are the benchmark's trunk corridor at
-N = 6 and N = 12 home/work pairs.  Every rung runs through
+(a broken tour), and a third root leg on the direct commute's ODs, so three
+leg terms add up on one OD.  The corridor rungs are the benchmark's trunk
+corridor at N = 6 and N = 12 home/work pairs.  Every rung runs through
 ``run_experiment``; its figures are means over its seeds.
 """
 
@@ -31,7 +32,7 @@ def _corridor_mapping(n_pairs: int) -> dict:
 
 
 def _toy(*, interval_minutes: int = 15, perturbation: dict | None = None,
-         work_home_total: float | None = None) -> dict:
+         work_home_total: float | None = None, extra_root_total: float | None = None) -> dict:
     with open(packaged_scenario_path("toy"), encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     doc["time_grid"].update(interval_minutes=interval_minutes,
@@ -41,6 +42,9 @@ def _toy(*, interval_minutes: int = 15, perturbation: dict | None = None,
     if work_home_total is not None:
         (leg,) = [leg for leg in doc["legs"] if leg["name"] == "work_home"]
         leg["total"] = work_home_total
+    if extra_root_total is not None:
+        (leisure,) = [leg for leg in doc["legs"] if leg["name"] == "hw_leisure"]
+        doc["legs"].append(dict(leisure, name="hw_extra", total=extra_root_total))
     return doc
 
 
@@ -60,6 +64,7 @@ RUNGS = {
     "corridor-12": (functools.partial(_corridor_mapping, 12), (1, 2)),
     "broken-tour-0.9": (functools.partial(_toy, work_home_total=18000), TOY_SEEDS),
     "broken-tour-0.8": (functools.partial(_toy, work_home_total=16000), TOY_SEEDS),
+    "toy-15-three-roots": (functools.partial(_toy, extra_root_total=3700), TOY_SEEDS),
 }
 
 

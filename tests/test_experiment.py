@@ -92,7 +92,7 @@ class TestGeneration:
         for factors in toy_artifacts.perturbation_factors.values():
             assert np.allclose(factors, 1.0 + toy_cfg.perturbation.scale)
 
-    def test_degenerate_profile_names_leg_and_od(self, toy_cfg):
+    def test_degenerate_profile_names_leg_and_od(self, toy_cfg, toy_artifacts):
         """One departure call covers a whole leg; its error still says which
         leg and which OD lost every interval."""
         od_index = toy_cfg.network.od_index
@@ -100,7 +100,7 @@ class TestGeneration:
         tt[od_index.index(("4", "5"))] = np.inf
         with pytest.raises(DegenerateProfileError,
                            match="leg 'work_leisure', OD 4-5: all departure intervals"):
-            odchain.experiment._leg_profiles(toy_cfg, od_index, tt)
+            odchain.experiment._leg_shares(toy_cfg, toy_artifacts.truth.legs, tt)
 
     def test_one_departure_call_per_leg(self, toy_cfg, monkeypatch):
         calls = []
@@ -140,15 +140,25 @@ class TestGeneration:
         p = profiles(load_network(cfg.network, first).tt_od)
         return p, expand(p)
 
-    def test_member_rows_equal_the_dense_generation(self, toy_cfg, toy_artifacts):
+    @pytest.mark.parametrize("fixture", ["toy_artifacts", "three_roots_artifacts"],
+                             ids=["toy-15", "toy-15-three-roots"])
+    def test_member_rows_equal_the_dense_generation(self, fixture, request):
         """Both days' dense views, through the side and through each leg,
         and their demand equal the dense generation's bit for bit, zero off
-        every leg's members."""
-        od_index = toy_cfg.network.od_index
-        true_flows = odchain.experiment._true_flows(toy_cfg, od_index)
-        hist_flows, _ = odchain.experiment._perturb(toy_cfg, od_index, true_flows)
-        for side, flows in ((toy_artifacts.truth, true_flows), (toy_artifacts.history, hist_flows)):
-            profiles, demand = self._dense_generation(toy_cfg, flows)
+        every leg's members.  With three root legs on one OD the order of
+        their sum shows in the last bits: name order is the reference's."""
+        artifacts = request.getfixturevalue(fixture)
+        cfg = artifacts.config
+        od_index = cfg.network.od_index
+        true_flows = {}
+        for leg in cfg.legs:
+            true_flows[leg.name] = np.zeros(len(od_index))
+            for od, share in leg.od_split.items():
+                true_flows[leg.name][od_index.index(od)] = leg.total * share
+        hist_flows = {name: flows * artifacts.perturbation_factors[name]
+                      for name, flows in true_flows.items()}
+        for side, flows in ((artifacts.truth, true_flows), (artifacts.history, hist_flows)):
+            profiles, demand = self._dense_generation(cfg, flows)
             assert side.demand.matrix.tobytes() == demand.tobytes()
             assert sorted(side.profiles()) == sorted(profiles)
             for name, dense in side.profiles().items():
@@ -156,7 +166,7 @@ class TestGeneration:
                 off = np.setdiff1d(np.arange(len(od_index)), leg.member_indices())
                 assert len(off) > 0 and not dense[off].any()
                 assert dense.tobytes() == leg.profile.tobytes() == profiles[name].tobytes()
-                assert leg.shares.shape == (len(leg.members), toy_cfg.grid.n_intervals)
+                assert leg.shares.shape == (len(leg.members), cfg.grid.n_intervals)
 
     def test_invalid_scenario_rejected(self, toy_doc):
         toy_doc["models"] = ["seed", "warp"]
@@ -232,6 +242,24 @@ class TestRunExperiment:
         assert (tmp_path / "report.csv").read_text() == (GOLDEN / "toy_report.csv").read_text()
         assert (tmp_path / "leg_diagnostics.csv").read_text() == \
             (GOLDEN / "toy_leg_diagnostics.csv").read_text()
+
+    def test_uniform_redistribution_end_to_end(self, toy_cfg, toy_report):
+        """Flattened redistribution fractions change the leg operators alone:
+        kf is the default run's, pkf and spkf are not, and spkf still
+        conserves each chained leg's total against its feeders'."""
+        cfg = dataclasses.replace(toy_cfg, estimation=dataclasses.replace(
+            toy_cfg.estimation, uniform_redistribution=True))
+        report = run_experiment(cfg)
+        assert [(row.model, row.status) for row in report.rows] == [
+            (model, "ok") for model in report.models]
+        assert report.estimates["kf"].tobytes() == toy_report.estimates["kf"].tobytes()
+        for model in ("pkf", "spkf"):
+            assert not np.array_equal(report.estimates[model], toy_report.estimates[model])
+        chained = {name for name, feeders in cfg.chain().feeds.items() if feeders}
+        residuals = {d.leg: d.conservation_residual for d in report.leg_diagnostics
+                     if d.model == "spkf" and d.leg in chained}
+        assert set(residuals) == chained
+        assert all(r == pytest.approx(0.0, abs=1e-6) for r in residuals.values())
 
     def test_subset_of_models(self, toy_cfg):
         report = run_experiment(toy_cfg, models=("seed", "kf"))

@@ -277,6 +277,33 @@ class TestCombinedDemand:
         assert clamped == int((dense < 0.0).sum()) > 0
         assert x.tobytes() == np.maximum(dense, 0.0).tobytes()
 
+    def test_adds_leg_terms_in_the_order_of_the_deviations(self, three_roots_artifacts):
+        """Three root legs share the direct commute's ODs, so the order of
+        their terms shows in the last bits: the estimate is a per-leg loop
+        over the dense profiles in ``leg_deltas`` order, and the reverse
+        order gives other bits."""
+        legs = three_roots_artifacts.history.legs
+        start = 24  # 06:00, in the morning peak of the three root legs
+        hist = three_roots_artifacts.history.demand.matrix[:, start:]
+        rng = np.random.default_rng(11)
+        deltas = rng.normal(0.0, 5.0, hist.shape)
+        # neither name order nor topological order; each deviation is a
+        # share of its leg's flows, so it is zero off the leg's members
+        order = ("hw_leisure", "work_home", "hw_extra", "hw_direct")
+        leg_deltas = {n: rng.uniform(-0.5, 0.5, len(hist)) * legs[n].flows for n in order}
+
+        def loop(names):
+            dense = hist + deltas
+            for n in names:
+                dense = dense + leg_deltas[n][:, None] * legs[n].profile[:, start:]
+            return dense
+
+        x, clamped = combined_demand(hist, deltas, leg_deltas, legs, start)
+        dense = loop(order)
+        assert clamped == int((dense < 0.0).sum())
+        assert x.tobytes() == np.maximum(dense, 0.0).tobytes()
+        assert x.tobytes() != np.maximum(loop(reversed(order)), 0.0).tobytes()
+
     def test_shares_must_cover_the_intervals(self):
         od_index = (("a", "b"),)
         leg = DemandLeg(name="leg", od_index=od_index, flows=np.array([50.0]),

@@ -55,7 +55,8 @@ class TestParseMinutes:
         assert parse_minutes(12.5) == 12.5
 
     def test_rejects_garbage(self):
-        for bad in ("8", "a:b", "10:75", None, [1], True, float("nan"), float("inf")):
+        for bad in ("8", "a:b", "10:75", None, [1], True, float("nan"), float("inf"),
+                    "-1:30", "-0:30", "1_0:00", "08:-0"):
             with pytest.raises(ConfigurationError):
                 parse_minutes(bad)
 
