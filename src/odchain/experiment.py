@@ -21,11 +21,11 @@ loaded counts against the noise-free true counts.
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import json
 import logging
 import os
+import re
 import secrets
 import time
 from collections.abc import Mapping
@@ -631,16 +631,16 @@ def _fmt(value: float | None, digits: int = 6) -> str:
     return f"{value:.{digits}f}"
 
 
-def _atomic_write(path, text: str) -> None:
-    """Write ``text`` to a new file next to ``path`` and rename it over
-    ``path``.  The file gets mode ``0o666`` less the umask, as
+def _atomic_write(path, write) -> None:
+    """Open a new file next to ``path``, hand it to ``write`` and rename it
+    over ``path``.  The file gets mode ``0o666`` less the umask, as
     ``open(path, "w")`` would give it."""
     directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -648,14 +648,33 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_field(value) -> str:
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
+
+
+def _csv_line(fields) -> str:
+    """One CSV line of ``fields`` (strings or integers, at least one).
+
+    A field holding a comma, a quote or a line break is quoted, its quotes
+    doubled, and a lone empty field is quoted so the line does not read back
+    as no field at all.  That is the line ``csv.writer(lineterminator="\\n")``
+    writes, except that the writer leaves a ``\\r`` unquoted, which a reader
+    then takes for a line end.
+    """
+    return (",".join(map(_csv_field, fields)) or '""') + "\n"
+
+
 def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` as a CSV file, atomically; a field is quoted
-    only where it holds a comma, a quote or a line break (a leg ``work,home``)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    """Write ``header`` and ``rows`` as a CSV file, atomically, line by line
+    (see ``_csv_line``); a leg ``work,home`` stays one field."""
+    def write(fh):
+        fh.write(_csv_line(header))
+        fh.writelines(map(_csv_line, rows))
+    _atomic_write(path, write)
 
 
 def _report_row(row: ModelRow) -> tuple:
@@ -665,10 +684,10 @@ def _report_row(row: ModelRow) -> tuple:
     return (row.model, _fmt(row.rmse_od), _fmt(row.rmse_link), _fmt(od, 4), _fmt(link, 4))
 
 
-def _report_json(report: ExperimentReport) -> str:
+def _report_doc(report: ExperimentReport) -> dict:
     # a record's ``vars`` are its fields, in order, and share their values;
     # ``asdict`` would copy every value deeply first
-    doc = {
+    return {
         "scenario": report.scenario,
         "seed": report.seed,
         "models": list(report.models),
@@ -678,7 +697,19 @@ def _report_json(report: ExperimentReport) -> str:
         "leg_diagnostics": [vars(d) for d in report.leg_diagnostics],
         "diagnostics": report.diagnostics,
     }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON, atomically, without the whole text in
+    memory: the encoder's chunks are the ones ``json.dumps`` would join, and
+    they go out joined 256 at a time.  The text layer would hold each chunk
+    handed to it on its own as an object until 8 KB of text are pending."""
+    def write(fh):
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        while batch := "".join(itertools.islice(chunks, 256)):
+            fh.write(batch)
+        fh.write("\n")
+    _atomic_write(path, write)
 
 
 def emit_report(report: ExperimentReport, out_dir, *, include_profiles: bool = True) -> None:
@@ -691,7 +722,7 @@ def emit_report(report: ExperimentReport, out_dir, *, include_profiles: bool = T
     _write_csv(os.path.join(out_dir, "report.csv"),
                ("model", "rmse_od", "rmse_link", "impr_od_pct", "impr_link_pct"),
                map(_report_row, report.rows))
-    _atomic_write(os.path.join(out_dir, "report.json"), _report_json(report))
+    _write_json(os.path.join(out_dir, "report.json"), _report_doc(report))
     _write_csv(os.path.join(out_dir, "kf_diagnostics.csv"),
                ("interval", "innovation_norm", "gain_norm", "cov_trace"),
                ((d.interval, f"{d.innovation_norm:.6f}", f"{d.gain_norm:.6f}", f"{d.cov_trace:.6f}")

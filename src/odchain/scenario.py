@@ -65,6 +65,8 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 PERTURBATION_MODES = ("none", "uniform_scale", "scale_plus_noise")
 #: Every model a scenario may request, in report order.
 MODELS = ("seed", "kf", "pkf", "spkf")
+# a leg's preferred arrival lies in the day: 00:00 to 24:00, in minutes of day
+_MINUTES_PER_DAY = 1440
 
 
 def parse_minutes(value, where: str | None = None, key=None) -> float:
@@ -204,10 +206,14 @@ class ScenarioConfig:
         """Collect violations; an empty list means the scenario can run."""
         problems = [f"network: {p}" for p in validate_network(self.network)]
         seen: set[str] = set()
-        for leg in self.legs:
+        for i, leg in enumerate(self.legs):
             if leg.name in seen:
                 problems.append(f"leg {leg.name!r}: duplicate name")
             seen.add(leg.name)
+            arrival = leg.schedule.preferred_arrival
+            if not (0.0 <= arrival <= _MINUTES_PER_DAY):
+                problems.append(f"legs[{i}].schedule.preferred_arrival: {arrival:g} minutes "
+                                f"lies outside the day (00:00 to 24:00)")
             for od in leg.od_split:
                 if od not in self.network.paths:
                     problems.append(f"leg {leg.name!r}: no path for OD {od_label(od)}")

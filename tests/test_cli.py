@@ -71,6 +71,16 @@ def test_negative_seed_fails_validation(tmp_path, toy_doc, capsys, key):
     assert capsys.readouterr().err.splitlines() == [f"error: {key} must be >= 0, not -1"]
 
 
+def test_preferred_arrival_outside_the_day_fails_validation(tmp_path, toy_doc, capsys):
+    toy_doc["legs"][0]["schedule"]["preferred_arrival"] = "80:00"
+    path = tmp_path / "arrival.yaml"
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "problem: legs[0].schedule.preferred_arrival: 4800 minutes lies outside the day "
+        "(00:00 to 24:00)"]
+
+
 def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     code = main(["run", "--scenario", "toy", "--seed", "-1", "--out", str(tmp_path / "out")])
     assert code == 1

@@ -1,12 +1,14 @@
 import collections
 import csv
 import dataclasses
+import io
 import json
 import os
 import pathlib
 import re
 import stat
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -273,6 +275,12 @@ class TestRunExperiment:
     def test_unknown_model_rejected(self, toy_cfg):
         with pytest.raises(ConfigurationError, match="choose from seed, kf, pkf, spkf"):
             run_experiment(toy_cfg, models=("seed", "telepathy"))
+
+    def test_preferred_arrival_outside_the_day_rejected(self, toy_doc):
+        toy_doc["legs"][0]["schedule"]["preferred_arrival"] = "80:00"
+        with pytest.raises(ConfigurationError,
+                           match=r"^legs\[0\]\.schedule\.preferred_arrival: 4800 minutes"):
+            run_experiment(scenario_from_mapping(toy_doc))
 
     def test_no_models_rejected(self, toy_cfg):
         with pytest.raises(ConfigurationError):
@@ -691,8 +699,10 @@ class TestEmission:
         assert not (tmp_path / "profiles").exists()
 
     def test_leg_names_that_need_quoting_read_back_intact(self, tmp_path, toy_doc):
-        """A leg name holding a comma or a quote stays one CSV field."""
-        renamed = {"work_home": "work,home", "work_leisure": 'say "hi"'}
+        """A leg name holding a comma, a quote or a line break stays one CSV
+        field; ``csv.writer`` would leave the ``\\r`` unquoted."""
+        renamed = {"work_home": "work,home", "work_leisure": 'say "hi"',
+                   "hw_leisure": "hw\nleisure", "leisure_home": "leisure\rhome"}
         for leg in toy_doc["legs"]:
             leg["name"] = renamed.get(leg["name"], leg["name"])
             leg["feeds"] = [renamed.get(f, f) for f in leg["feeds"]]
@@ -703,6 +713,36 @@ class TestEmission:
             rows = list(csv.reader(fh))
         assert {len(row) for row in rows} == {6}
         assert set(renamed.values()) <= {row[1] for row in rows[1:]}
+
+    @given(st.lists(st.text(st.characters(blacklist_characters="\r\0"), max_size=6),
+                    min_size=1, max_size=5))
+    def test_csv_line_is_the_csv_writers_line(self, row):
+        """Without a ``\\r`` a line is the one ``csv.writer`` writes, and it
+        reads back as the row.  (Python 3.10's reader rejects a NUL.)"""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(row)
+        line = odchain.experiment._csv_line(row)
+        assert line == buf.getvalue()
+        assert list(csv.reader(io.StringIO(line + line, newline=""))) == [row, row]
+
+    def test_report_json_is_the_dumped_document(self, tmp_path, toy_report):
+        emit_report(toy_report, tmp_path, include_profiles=False)
+        doc = odchain.experiment._report_doc(toy_report)
+        assert (tmp_path / "report.json").read_bytes() == \
+            (json.dumps(doc, indent=2) + "\n").encode()
+
+    def test_emission_holds_no_whole_file(self, tmp_path, toy_report):
+        """Files are written line by line and report.json a few hundred
+        chunks at a time, so writing a report peaks little above its
+        entry; a ``csv.writer`` alone allocates a 131 KB record buffer."""
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            emit_report(toy_report, tmp_path, include_profiles=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 0.05e6
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_files_get_the_umasks_mode(self, tmp_path, toy_report, umask):

@@ -157,6 +157,21 @@ class TestValidate:
             "seed must be >= 0, not -1", "perturbation.seed must be >= 0, not -5",
         ]
 
+    def test_preferred_arrival_outside_the_day_flagged(self, toy_doc):
+        """A typo such as "80:00" for "08:00" is not a preferred arrival in
+        the day; the problem names the key path of each such leg."""
+        toy_doc["legs"][0]["schedule"]["preferred_arrival"] = "80:00"
+        toy_doc["legs"][3]["schedule"]["preferred_arrival"] = -0.5
+        assert scenario_from_mapping(toy_doc).validate() == [
+            "legs[0].schedule.preferred_arrival: 4800 minutes lies outside the day (00:00 to 24:00)",
+            "legs[3].schedule.preferred_arrival: -0.5 minutes lies outside the day (00:00 to 24:00)",
+        ]
+
+    @pytest.mark.parametrize("arrival", ["00:00", "24:00", 0, 1440])
+    def test_preferred_arrival_at_the_ends_of_the_day_validates(self, toy_doc, arrival):
+        toy_doc["legs"][0]["schedule"]["preferred_arrival"] = arrival
+        assert scenario_from_mapping(toy_doc).validate() == []
+
 
 class TestMappingErrors:
     def test_split_must_sum_to_one(self, toy_doc):
