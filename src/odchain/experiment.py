@@ -7,11 +7,24 @@ the assignment linearization at the historical load, and then estimates the
 demand with the requested models:
 
 * ``seed``  - the historical matrix untouched,
-* ``kf``    - interval filtering up to the cutoff, its last deviation
-              carried beyond it by the random walk,
-* ``pkf``   - kf plus leg-chain deviations attributed from the morning and
-              carried to the chained legs,
+* ``kf``    - interval filtering up to the cutoff of the relative deviation
+              ``r_h``, read by every lag of the linearization; the estimate
+              is ``hist ⊙ (1 + r)``, and the last ``r`` is carried beyond
+              the cutoff by the random walk,
+* ``pkf``   - kf with the tour chained: the root legs start from the
+              morning's ``r``, the chained legs' history is rebuilt from
+              their feeders', and the leg chain's estimates of the chained
+              legs, scaled by the retention the history shows
+              (``legfilter.leg_retention``), replace their share of kf's,
 * ``spkf``  - pkf with the conservation rescale per chained leg.
+
+The interval filter's measurement at interval h is one lag-summed row,
+``H_h = Σ_l counted_at(h)[l] · diag(hist[:, h − l])``: the counts' response
+to a relative deviation that every interval the counts reach back to shares.
+Its prior is ``prior²·11ᵀ + PRIOR_PER_OD²·I`` (``noise.prior`` is the
+common mode) and its random walk ``WALK_COMMON²·11ᵀ + WALK_PER_OD²·I`` per
+``WALK_MINUTES`` (15) of interval length, both on the relative state;
+``noise.process`` has no effect on it.
 
 All models consume the same measurements, and none consumes anything past
 the cutoff; predictions beyond it never touch the loader.  OD RMSE spans all
@@ -51,13 +64,16 @@ from .kalman import FilterState, KfStepDiagnostics, NoiseModel, run_kf_sequence
 from .legfilter import (
     ChainFilterConfig,
     attribute_interval_deviations,
+    chain_consistent_legs,
     combined_demand,
+    leg_retention,
     predict_horizon,
+    root_deviations,
     run_leg_chain,
 )
 from .legs import ChainSpec, DemandLeg, build_leg_operator, dense_profile, leg_terms
-from .network import OD, Network, TimeGrid, od_label
-from .scenario import MODELS, ScenarioConfig
+from .network import OD, Network, TimeGrid, od_label, read_only_view
+from .scenario import MODELS, NoiseFractions, ScenarioConfig
 
 logger = logging.getLogger(__name__)
 
@@ -335,19 +351,44 @@ class ExperimentReport:
         raise KeyError(model)
 
 
+#: Per-OD std of the interval filter's relative prior, beside ``noise.prior``,
+#: the std of its common mode.
+PRIOR_PER_OD = 0.1
+#: Common-mode and per-OD std of the relative state's random walk over
+#: ``WALK_MINUTES``.  A random walk's variance grows with the time it runs, so
+#: an interval of m minutes adds ``m / WALK_MINUTES`` of these variances: the
+#: state drifts as far per hour on any grid, and a finer grid does not let
+#: the last interval's counts pull the carried deviation further.
+WALK_COMMON = 0.03
+WALK_PER_OD = 0.01
+WALK_MINUTES = 15
+
+
 def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     """The filters' noise: the interval filter's, its prior covariance, and
     the leg chain's, of which ``run_leg_chain`` reads a prior covariance for
     each root leg and a process noise for each chained leg, so only those
-    are built."""
+    are built.
+
+    The interval filter's state is relative, so its prior and random walk
+    are a common mode plus a per-OD part: ``noise.prior`` is the prior's
+    common-mode std, and the other three stds are this module's constants.
+    ``noise.process`` sets none of them; a value other than its default
+    logs a warning."""
     hist = artifacts.history
     mean_flow = _positive_mean(hist.demand.matrix)
     mean_count = _positive_mean(hist.load.counts.counts)
     n_od = len(artifacts.od_index)
     n_ch = len(hist.load.counts.channels)
-    Q = (cfg.noise.process * mean_flow) ** 2 * np.eye(n_od)
+    if cfg.noise.process != NoiseFractions.process:
+        logger.warning("noise.process = %g has no effect: the interval filter's random walk "
+                       "is relative, with stds %g (common) and %g (per OD) per %d minutes",
+                       cfg.noise.process, WALK_COMMON, WALK_PER_OD, WALK_MINUTES)
+    ones = np.ones((n_od, n_od))
+    Q = (cfg.grid.interval_minutes / WALK_MINUTES
+         * (WALK_COMMON ** 2 * ones + WALK_PER_OD ** 2 * np.eye(n_od)))
     R = (cfg.noise.measurement * mean_count) ** 2 * np.eye(n_ch)
-    P0 = (cfg.noise.prior * mean_flow) ** 2 * np.eye(n_od)
+    P0 = cfg.noise.prior ** 2 * ones + PRIOR_PER_OD ** 2 * np.eye(n_od)
 
     leg_Q: dict[str, np.ndarray] = {}
     root_P0: dict[str, np.ndarray] = {}
@@ -365,33 +406,51 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     return NoiseModel(Q=Q, R=R), P0, leg_Q, root_P0, R_cum
 
 
+def _lag_summed(counted_at, hist: np.ndarray):
+    """The interval filter's provider: interval h's rows ``counted_at(h, r)``,
+    one per lag, summed into one lag as ``Σ_l rows[l] · diag(hist[:, h − l])``.
+
+    That row maps a relative deviation shared by every interval the counts
+    at h reach back to onto those counts, so the filter reads every lag and
+    subtracts none.
+    """
+    def rows_at(h: int, relative: np.ndarray) -> np.ndarray:
+        rows = counted_at(h, relative)
+        summed = rows[0] * hist[:, h]
+        for lag in range(1, len(rows)):
+            summed += rows[lag] * hist[:, h - lag]
+        return summed[None]
+
+    return rows_at
+
+
 def _refreshed_rows(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
-    """The filter's measurement rows, relinearized at the estimate so far.
+    """Interval h's rows, one per lag, relinearized at the estimate so far.
 
     Interval 0 has no estimate yet and reads the frozen band.  For a later
-    interval ``h`` the history, with the posterior means of the intervals
-    before ``h`` added and clipped at zero, is linearized on the grid cut
-    after ``h``, and that matrix's rows counted at ``h`` are returned.  A
-    link's time in an interval depends only on departures up to it, so
-    these are the whole day's matrix's rows, though the cut band may stop
-    short of lags whose rows are zero.
+    interval ``h`` the history, scaled by ``1 + r`` over the intervals
+    before ``h`` (``r`` their relative posterior means) and clipped at
+    zero, is linearized on the grid cut after ``h``, and that matrix's rows
+    counted at ``h`` are returned.  A link's time in an interval depends
+    only on departures up to it, so these are the whole day's matrix's
+    rows, though the cut band may stop short of lags whose rows are zero.
     ``assignment_matrix`` loads the estimate and linearizes it in one pass,
     so a refresh makes no ``load_network`` call.
     """
     hist = artifacts.history.demand.matrix
     frozen = artifacts.assignment
 
-    def rows_at(h: int, deltas: np.ndarray) -> np.ndarray:
+    def counted_at(h: int, relative: np.ndarray) -> np.ndarray:
         if h == 0:
             return frozen.counted_at(0)
         est = hist[:, : h + 1].copy()
-        est[:, :h] = np.maximum(est[:, :h] + deltas, 0.0)
+        est[:, :h] = np.maximum(est[:, :h] * (1.0 + relative), 0.0)
         grid = replace(cfg.grid, n_intervals=h + 1)
         return assignment_matrix(
             cfg.network, DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est)
         ).counted_at(h)
 
-    return rows_at
+    return counted_at
 
 
 @contextmanager
@@ -419,12 +478,15 @@ def _stage(rows: dict[str, ModelRow], models, what: str):
 def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[str, ModelRow]):
     """Produce the full-day demand estimate of every model in ``rows``.
 
-    One filtering pass serves every filter model.  Where a leg is chained,
-    pkf and spkf share the leg chain's inputs and each runs its own leg
-    chain, which gives its leg deviations and leg diagnostics.  One loop
-    then assembles kf, pkf and spkf alike from the filter's deviations and
-    the model's leg deviations: none for kf, nor for any model when no leg
-    is chained, so pkf and spkf then equal kf.
+    One filtering pass of the relative deviation serves every filter model.
+    Where a leg is chained, pkf and spkf share the leg chain's inputs (the
+    root legs' deviations, the chain-consistent legs, the operators and the
+    cumulative counts) and each runs its own leg chain, which gives its
+    chained legs' estimated flows and its leg diagnostics.  One assembly
+    then builds kf, pkf and spkf alike, morning and evening, into each
+    model's own matrix (``combined_demand``, ``predict_horizon``): with no
+    chained leg for kf, nor for any model when no leg is chained, so pkf
+    and spkf then equal kf.  The seed's estimate is the read-only history.
 
     Each stage runs under ``_stage``: its time goes to every row that shares
     it, and a failure marks those rows failed (a failure of the filtering
@@ -434,20 +496,26 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     ``prediction_load_calls``.  Reads no part of ``artifacts.truth``.
 
     Returns the estimates of the models that did not fail, the kf and leg
-    diagnostics, and the totals attributed to each leg.
+    diagnostics, and notes for the report's ``diagnostics``: the totals
+    that ``attribute_interval_deviations`` gives each leg of the morning's
+    absolute deviations ``hist ⊙ r`` (``attributed_totals``), each chained
+    leg's ``leg_retention``, by which pkf and spkf scale its estimate, and
+    the number of measured intervals whose measurement matrix is all zero
+    (``unobserved_intervals``), which a warning reports when it is not 0.
     """
     cut = cfg.cutoff_index
+    n_h = cfg.grid.n_intervals
     hist = artifacts.history
     hist_matrix = hist.demand.matrix
     estimates: dict[str, np.ndarray] = {}
     kf_diag: list[KfStepDiagnostics] = []
     leg_diag: list[LegDiagnostics] = []
-    attributed_totals: dict[str, float] = {}
-    result = estimates, kf_diag, leg_diag, attributed_totals
+    notes: dict = {"attributed_totals": {}, "leg_retention": {}, "unobserved_intervals": 0}
+    result = estimates, kf_diag, leg_diag, notes
 
     if "seed" in rows:
         with _stage(rows, ("seed",), "model seed"):
-            estimates["seed"] = hist_matrix.copy()
+            estimates["seed"] = read_only_view(hist_matrix)
 
     filter_models = [m for m in rows if m != "seed"]
     if not filter_models:
@@ -456,43 +524,53 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts)
         delta_y = artifacts.observed.counts - hist.load.counts.counts
         init = FilterState(mean=np.zeros(len(artifacts.od_index)), cov=P0)
-        rows_at = (_refreshed_rows(cfg, artifacts) if cfg.estimation.refresh_assignment
-                   else lambda h, _: artifacts.assignment.counted_at(h))
-        kf = run_kf_sequence(rows_at, delta_y[:, :cut], noise, init=init)
+        counted_at = (_refreshed_rows(cfg, artifacts) if cfg.estimation.refresh_assignment
+                      else lambda h, _: artifacts.assignment.counted_at(h))
+        kf = run_kf_sequence(_lag_summed(counted_at, hist_matrix), delta_y[:, :cut], noise,
+                             init=init)
         kf_diag.extend(kf.diagnostics)
+        notes["unobserved_intervals"] = sum(d.measurement_norm == 0.0 for d in kf.diagnostics)
+        if notes["unobserved_intervals"]:
+            logger.warning("the measurement rows of %d of %d measured intervals are all zero: "
+                           "the filter sees nothing there", notes["unobserved_intervals"], cut)
     if rows[filter_models[0]].status == "failed":
         return result
 
     chain = artifacts.chain
     chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
     chain_models = [m for m in ("pkf", "spkf") if m in rows] if chained else []
-    leg_deltas: dict[str, dict[str, np.ndarray]] = {}
+    chained_flows: dict[str, dict[str, np.ndarray]] = {}
     if chain_models:
         # pkf and spkf share the chain's inputs, which do not depend on the mode
         with _stage(rows, chain_models, "leg-chain inputs"):
             attributed = attribute_interval_deviations(
-                kf.deltas, [hist.legs[n] for n in chain.topological_order()]
+                hist_matrix[:, :cut] * kf.deltas, [hist.legs[n] for n in chain.topological_order()]
             )
-            attributed_totals.update((n, float(v.sum())) for n, v in attributed.items())
+            notes["attributed_totals"].update((n, float(v.sum())) for n, v in attributed.items())
+            del attributed
             operators = {
                 name: build_leg_operator(
                     chain, [hist.legs[f] for f in chain.feeds[name]], hist.legs[name],
                     uniform_redistribution=cfg.estimation.uniform_redistribution)
                 for name in chained
             }
+            consistent = chain_consistent_legs(hist.legs, chain, operators)
+            retention = notes["leg_retention"]
+            retention.update((n, leg_retention(hist.legs[n], consistent[n])) for n in chained)
             mapping = cumulative_mapping(artifacts.assignment, hist.profiles(), cut - 1)
             delta_Y = (artifacts.observed.cumulative() - hist.load.counts.cumulative())[:, cut - 1]
-            roots = {n: attributed[n] for n in chain.roots()}
+            roots = root_deviations(kf.deltas, [hist.legs[n] for n in chain.roots()])
 
     for model in chain_models:
         if rows[model].status == "failed":
             continue
         with _stage(rows, (model,), f"leg chain {model}"):
             states = run_leg_chain(
-                hist.legs, chain, operators, roots, mapping, delta_Y,
+                consistent, chain, operators, roots, mapping, delta_Y,
                 config=ChainFilterConfig(mode=model, cumulative_horizon=cut - 1),
                 leg_Q=leg_Q, root_P0=root_P0, R=R_cum)
-            leg_deltas[model] = {n: states[n].state.mean for n in chained}
+            chained_flows[model] = {
+                n: retention[n] * (consistent[n].flows + states[n].state.mean) for n in chained}
             for n in chain.topological_order():
                 s = states[n]
                 leg_diag.append(LegDiagnostics(
@@ -503,13 +581,15 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         if rows[model].status == "failed":
             continue
         with _stage(rows, (model,), f"model {model}"):
-            deltas = leg_deltas.get(model, {})
-            morning, clamped_m = combined_demand(hist_matrix[:, :cut], kf.deltas, deltas, hist.legs)
+            terms = chained_flows.get(model, {})
+            est = np.empty_like(hist_matrix)
+            _, clamped_m = combined_demand(hist_matrix[:, :cut], kf.deltas, terms, hist.legs,
+                                           out=est[:, :cut])
             before = assignment_mod.load_call_count()
-            evening, clamped_e = predict_horizon(
-                hist_matrix, kf.last.mean, deltas, hist.legs, (cut, cfg.grid.n_intervals))
+            _, clamped_e = predict_horizon(hist_matrix, kf.last.mean, terms, hist.legs,
+                                           (cut, n_h), out=est[:, cut:])
             pred_loads = assignment_mod.load_call_count() - before
-            estimates[model] = np.hstack([morning, evening])
+            estimates[model] = est
             rows[model].extras.update(
                 clamped_cells=clamped_m + clamped_e, prediction_load_calls=pred_loads)
     return result
@@ -551,7 +631,7 @@ def run_experiment(
 
     t1 = time.perf_counter()
     rows = {model: ModelRow(model=model) for model in wanted}
-    estimates, kf_diag, leg_diag, attributed_totals = _estimate(cfg, artifacts, rows)
+    estimates, kf_diag, leg_diag, notes = _estimate(cfg, artifacts, rows)
 
     # Scoring and the report read these alone.  The rest of the generation
     # data, the frozen band, every leg profile and the history's link and
@@ -609,7 +689,7 @@ def run_experiment(
         diagnostics={
             "seed_rmse_od": seed_rmse_od,
             "seed_rmse_link": seed_rmse_link,
-            "attributed_totals": attributed_totals,
+            **notes,
             "spillover_true": spillover_true,
             "spillover_historical": spillover_historical,
             "generation_runtime_s": t1 - t0,
@@ -739,8 +819,9 @@ def emit_report(report: ExperimentReport, out_dir, *, include_profiles: bool = T
     os.makedirs(profile_dir, exist_ok=True)
     model_cols = [m for m in report.models if m != "seed" and report.row(m).status == "ok"]
     for i, od in enumerate(report.od_index):
-        columns = [report.truth[i], report.historical[i],
-                   *(report.estimates[m][i] for m in model_cols)]
+        # Python floats format as their numpy scalars do, at a fraction of the cost
+        columns = [report.truth[i].tolist(), report.historical[i].tolist(),
+                   *(report.estimates[m][i].tolist() for m in model_cols)]
         _write_csv(os.path.join(profile_dir, f"{od_label(od)}.csv"),
                    ("interval", "true", "historical", *model_cols),
                    ([h, *(f"{c[h]:.6f}" for c in columns)] for h in range(report.grid.n_intervals)))

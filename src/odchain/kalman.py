@@ -1,15 +1,19 @@
 """Linear filtering of OD-demand deviations against detector counts.
 
-The state of interval h is the deviation of its OD departures from the
+The state of interval h is a deviation of its OD departures from the
 historical matrix.  The identity random walk carries it to the next interval
 (prior covariance ``P + Q``); counts observed at h are a linear function of
-the deviations of intervals k <= h through measurement rows, one per lag.
+the states of intervals k <= h through measurement rows, one per lag.
 The sequence runner asks its caller for interval h's rows, given the
 posterior means so far, so the frozen linearization and a refreshed one
 reach it alike and this module knows neither.  It handles the lags by
 subtracting the contribution of already-estimated intervals at their
 posterior means, leaving the same-interval row as the measurement matrix.
-Only the intervals the rows reach back to are visited.
+Only the intervals the rows reach back to are visited.  The experiment's
+provider (``experiment._lag_summed``) returns one lag: the rows of every lag
+summed, each scaled by the historical demand of the interval it reads, so
+the state is the relative deviation that those intervals share and nothing
+is subtracted.
 
 Gains are computed through Cholesky solves of the innovation covariance, with
 a trace-scaled jitter retry; covariances are re-symmetrized after every
@@ -245,12 +249,17 @@ def kf_measurement_update(
 
 @dataclass
 class KfStepDiagnostics:
+    """One filtered interval.  ``measurement_norm`` is the Frobenius norm of
+    its measurement matrix, the rows' lag 0: 0 where the counts see nothing
+    of the state."""
+
     interval: int
     innovation_norm: float
     gain_norm: float
     cov_trace: float
     cov_symmetry_error: float
     cov_min_eigenvalue: float
+    measurement_norm: float
 
 
 @dataclass
@@ -334,6 +343,7 @@ def run_kf_sequence(
                 cov_trace=float(np.trace(post.cov)),
                 cov_symmetry_error=post.cov_symmetry_error,
                 cov_min_eigenvalue=min_eigenvalue(post.cov),
+                measurement_norm=float(np.linalg.norm(H)),
             )
         )
     return run

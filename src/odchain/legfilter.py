@@ -1,27 +1,46 @@
 """Per-leg filtering over trip chains and the combined estimator.
 
-The interval filter of :mod:`odchain.kalman` explains local deviations; this
-module carries structural deviations across the day.  Interval deviations in
-the filtered morning are attributed to the legs active there (proportionally
-to each leg's expected share of the OD's flow), chained legs inherit the
-attributed deviations through the redistribution operators, and cumulative
-detector counts up to a horizon correct each leg in turn.  The optional
-conservation step rescales a leg so its estimated total matches its feeders'.
+The interval filter of :mod:`odchain.kalman` estimates each measured
+interval's relative deviation ``r_h`` from the historical matrix; this module
+carries the morning's structural deviation across the day.  Each root leg
+starts from what the morning estimated, ``flows ⊙ r̄``, where ``r̄`` is ``r``
+averaged over the measured intervals with the weights ``flows ⊙ shares``
+(``root_deviations``).  Each chained leg's historical flows are rebuilt, in
+topological order, from its operator and its feeders' rebuilt flows
+(``chain_consistent_legs``), so the history the chain starts from keeps
+the tour; chained legs then inherit their feeders' deviations through the
+redistribution operators, and cumulative detector counts up to a horizon
+correct each leg in turn.  The optional conservation step rescales a leg so
+its estimated total matches its feeders'.
 
-Estimates combine as historical + interval deviations + sum over legs of leg
-deviation times departure shares; predictions beyond the estimation cutoff
-reuse that formula, carrying the last interval deviation flat, as the
-identity random walk does, and touch neither new measurements nor the loader.
-A leg's term, a per-OD vector spread over its departure shares on its member
-rows, comes from the one routine ``legs.leg_terms``: the attribution weights
-(the leg's flows), the combined estimate (its deviation) and the generated
-demand of :mod:`odchain.experiment` (its flows) are each a sum of its terms.
+Each chained leg's estimate, its rebuilt flows plus its deviation, is then
+scaled by ``leg_retention``: the share of its feeders' arrivals that the
+history sends on the leg, where the leg's origin zones agree on it, and 1,
+a closed tour, where they scatter.
+
+Every model's estimate is ``(hist − W) ⊙ (1 + R) + Σ_c est_c ⊙ profile_c``,
+clamped at 0 (``combined_demand``): ``W`` is the chained legs' historical
+demand, ``est_c`` a chained leg's estimate, and ``R`` is ``r_h`` over the
+measured intervals.  kf chains no leg, so its estimate is
+``hist ⊙ (1 + R)``.  Predictions beyond the cutoff (``predict_horizon``)
+reuse that formula with ``R`` the last relative deviation, carried flat as
+the identity random walk does, and touch neither new measurements nor the
+loader.  A leg's term, a per-OD vector spread over its departure shares on
+its member rows, comes from the one routine ``legs.leg_terms``: the root
+legs' weights and the attribution weights (the leg's flows), the chained
+legs' historical and estimated demand in the estimate, and the generated
+demand of :mod:`odchain.experiment` (its flows) are each a sum of its
+terms.
+
+``attribute_interval_deviations`` splits absolute interval deviations across
+legs by expected shares; no estimate reads it, and the run reports the
+totals it attributes.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,6 +125,95 @@ def attribute_interval_deviations(
     return out
 
 
+def root_deviations(relative: np.ndarray, legs: list[DemandLeg]) -> dict[str, np.ndarray]:
+    """Each leg's deviation ``flows ⊙ r̄`` from the filtered relative deviations.
+
+    ``relative`` is (n_od, n_intervals), one column per measured interval
+    from the first.  Per member OD, ``r̄`` is the mean of its row weighted by
+    the leg's ``leg_terms`` term of its flows (``flows ⊙ shares`` over those
+    intervals), and 0 where that weighs nothing; off the members the
+    deviation is 0.
+
+    Raises:
+        ConfigurationError: if a leg lacks shares covering the intervals.
+    """
+    relative = np.asarray(relative, dtype=float)
+    out = {}
+    terms = leg_terms(((leg, leg.flows) for leg in legs), 0, relative.shape[1])
+    for leg, (rows, w) in zip(legs, terms):
+        weight = w.sum(axis=1)
+        mean = np.zeros(len(leg.od_index))
+        mean[rows] = np.divide((w * relative[rows]).sum(axis=1), weight,
+                               out=np.zeros(len(rows)), where=weight > 0.0)
+        out[leg.name] = leg.flows * mean
+    return out
+
+
+def chain_consistent_legs(
+    legs: dict[str, DemandLeg], chain: ChainSpec, operators: dict[str, LegOperator]
+) -> dict[str, DemandLeg]:
+    """``legs`` with each chained leg's flows rebuilt from its feeders'.
+
+    In topological order, a chained leg's flows become its operator applied
+    to its feeders' flows, already rebuilt; root legs and their shares stay
+    as given.  A history whose tour does not close is so replaced by the
+    one its root legs imply.
+
+    Raises:
+        ConfigurationError: if a chained leg has no operator.
+    """
+    out = dict(legs)
+    for name in chain.topological_order():
+        feeders = chain.feeds.get(name, ())
+        if not feeders:
+            continue
+        if name not in operators:
+            raise ConfigurationError(f"no operator for chained leg {name!r}")
+        flows = propagate_leg_deviation(operators[name], [out[f].flows for f in feeders])
+        out[name] = replace(legs[name], flows=flows)
+    return out
+
+
+#: How many standard errors of its origin zones' scatter a chained leg's
+#: historical retention must lie from 1 to be kept whole (``leg_retention``).
+RETENTION_Z = 10.0
+
+
+def leg_retention(historical: DemandLeg, consistent: DemandLeg) -> float:
+    """The share of its feeders' arrivals that the history sends on this leg.
+
+    ``consistent`` is the leg rebuilt from its feeders
+    (``chain_consistent_legs``).  Each origin zone's retention is its
+    historical flows over its rebuilt flows; ``ρ`` is their mean weighted
+    by the rebuilt flows, the ratio of the two totals.  A history that
+    scales the truth as a whole keeps the truth's retention in every zone
+    alike, so a break in the tour shows in all of them; a history that errs
+    per OD scatters them.  So ``ρ`` is shrunk toward 1 by
+    ``k = max(0, 1 − RETENTION_Z² · v / (ρ − 1)²)``,
+    where ``v`` is the variance of that weighted mean from the zones'
+    scatter, and the result is ``1 + k (ρ − 1)``: ``ρ`` itself where the
+    zones agree exactly, 1 where one zone alone cannot tell a break from
+    noise or nothing is rebuilt.
+    """
+    zones: dict[str, list[float]] = {}
+    for i in np.flatnonzero(consistent.flows > 0.0):
+        kept = zones.setdefault(consistent.od_index[i][0], [0.0, 0.0])
+        kept[0] += float(historical.flows[i])
+        kept[1] += float(consistent.flows[i])
+    if len(zones) < 2:
+        return 1.0
+    hist_z, rebuilt_z = np.array(list(zones.values())).T
+    weights = rebuilt_z / rebuilt_z.sum()
+    ratios = hist_z / rebuilt_z
+    rho = float(weights @ ratios)
+    if rho == 1.0:
+        return 1.0
+    w2 = float(weights @ weights)
+    v = float(weights @ (ratios - rho) ** 2) * w2 / (1.0 - w2)
+    k = max(0.0, 1.0 - RETENTION_Z ** 2 * v / (rho - 1.0) ** 2)
+    return 1.0 + k * (rho - 1.0)
+
+
 def leg_time_update(
     predecessors: list[FilterState], operator: LegOperator, Q: np.ndarray
 ) -> FilterState:
@@ -163,11 +271,12 @@ def run_leg_chain(
 ) -> dict[str, LegState]:
     """Estimate every leg's deviation in topological order.
 
-    Root legs are seeded with attributed deviations and their prior
-    covariance; each chained leg is time-updated from its already-finalized
-    feeders and then corrected against the cumulative count deviation
-    ``delta_Y`` (net of all other legs' current contributions).  In "spkf"
-    mode the corrected estimate is rescaled to conserve the feeders' total.
+    Root legs are seeded with ``root_deltas`` (``root_deviations``) and
+    their prior covariance; each chained leg is time-updated from its
+    already-finalized feeders and then corrected against the cumulative
+    count deviation ``delta_Y`` (net of all other legs' current
+    contributions).  In "spkf" mode the corrected estimate is rescaled to
+    conserve the feeders' total.
 
     Raises:
         ConfigurationError: if ``config.cumulative_horizon`` is not the
@@ -237,50 +346,65 @@ def run_leg_chain(
 
 def combined_demand(
     historical: np.ndarray,
-    interval_deltas: np.ndarray,
-    leg_deltas: dict[str, np.ndarray],
+    relative: np.ndarray,
+    chained: dict[str, np.ndarray],
     legs: dict[str, DemandLeg],
     start: int = 0,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Historical matrix plus interval deviations plus leg terms, clamped at 0.
+    """``(historical − W) ⊙ (1 + relative) + Σ_c chained[c] ⊙ profile_c``, clamped at 0.
 
-    The matrices cover the intervals from ``start`` on.  The leg terms are
-    ``legs.leg_terms`` of each leg's deviation over those intervals, added in
-    the order of ``leg_deltas``.  Returns the estimate and the number of
-    clamped cells (also logged).
+    The matrices cover the intervals from ``start`` on; ``relative`` is the
+    relative deviation per OD and interval, or one column carried over all
+    of them.  ``chained`` maps each chained leg to its estimated flows
+    (rebuilt flows plus deviation); ``W`` is those legs' historical demand,
+    the ``legs.leg_terms`` of ``legs``' flows, and both sums are their terms
+    on member rows, in the order of ``chained``.  The estimate is written
+    into ``out`` when given, else into a new array.  Returns the estimate
+    and the number of clamped cells (also logged).
 
     Raises:
-        ConfigurationError: if a leg with a deviation is not in ``legs`` or
-            has no shares covering the intervals.
+        ConfigurationError: if a chained leg is not in ``legs`` or has no
+            shares covering the intervals.
     """
-    unknown = sorted(set(leg_deltas) - set(legs))
+    unknown = sorted(set(chained) - set(legs))
     if unknown:
-        raise ConfigurationError(f"deviations given for unknown legs {unknown}")
-    x = np.asarray(historical, dtype=float) + np.asarray(interval_deltas, dtype=float)
-    terms = ((legs[name], dn) for name, dn in leg_deltas.items())
-    for rows, term in leg_terms(terms, start, start + x.shape[1]):
+        raise ConfigurationError(f"estimates given for unknown legs {unknown}")
+    historical = np.asarray(historical, dtype=float)
+    x = np.empty_like(historical) if out is None else out
+    x[...] = historical
+    stop = start + x.shape[1]
+    for rows, w in leg_terms(((legs[name], legs[name].flows) for name in chained), start, stop):
+        x[rows] -= w
+    x *= 1.0 + np.asarray(relative, dtype=float)
+    for rows, term in leg_terms(((legs[name], v) for name, v in chained.items()), start, stop):
         x[rows] += term
     clamped = int((x < 0.0).sum())
     if clamped:
         logger.info("combined estimate clamped %d negative cells to zero", clamped)
-        x = np.maximum(x, 0.0)
+        np.maximum(x, 0.0, out=x)
     return x, clamped
 
 
 def predict_horizon(
     historical: np.ndarray,
     last: np.ndarray,
-    leg_deltas: dict[str, np.ndarray],
+    chained: dict[str, np.ndarray],
     legs: dict[str, DemandLeg],
     window: tuple[int, int],
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Predict the demand for intervals [start, stop) past the cutoff.
 
-    ``last`` is the interval filter's last posterior mean.  The identity
-    random walk carries it flat over the whole window, and each interval
-    combines it with the leg terms, read from ``legs``' shares over the
-    window.  Uses no measurements and no loader, only the historical matrix
-    and the supplied state.
+    ``last`` is the interval filter's last posterior mean, a relative
+    deviation.  The identity random walk carries it flat over the whole
+    window, so each OD's historical demand there is scaled by ``1 + last``
+    and combined with the chained legs' terms, read from ``legs``' shares
+    over the window (``combined_demand``, written into ``out`` when given).
+    Uses no measurements and no loader, only the historical matrix and the
+    supplied state.
 
     Raises:
         ConfigurationError: if the window leaves the historical matrix, or
@@ -293,6 +417,4 @@ def predict_horizon(
     x = np.asarray(last, dtype=float)
     if not np.isfinite(x).all():
         raise ConfigurationError("prediction state has non-finite entries")
-    # + 0.0 turns -0.0 into 0.0, so a zero deviation leaves no -0.0 in the demand
-    deltas = np.repeat((x + 0.0)[:, None], stop - start, axis=1)
-    return combined_demand(historical[:, start:stop], deltas, leg_deltas, legs, start)
+    return combined_demand(historical[:, start:stop], x[:, None], chained, legs, start, out=out)

@@ -150,9 +150,16 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class NoiseFractions:
-    """Filter noise scales, as fractions of historical means over positive cells."""
+    """Filter noise scales.
 
-    process: float = 0.05
+    ``prior`` is the std of the common mode of the interval filter's
+    relative prior; ``measurement``, ``leg_process``, ``leg_prior`` and
+    ``cumulative_measurement`` are fractions of historical means over
+    positive cells.  ``process`` sets nothing: the relative random walk's
+    scales are constants of :mod:`odchain.experiment`, and a value other
+    than this default logs a warning."""
+
+    process: float = 0.50
     measurement: float = 0.10
     prior: float = 0.50
     leg_process: float = 0.05

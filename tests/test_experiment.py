@@ -184,6 +184,11 @@ class TestRunExperiment:
     def test_seed_row_reproduces_history(self, toy_report):
         assert np.array_equal(toy_report.estimates["seed"], toy_report.historical)
 
+    def test_seed_estimate_is_the_read_only_history(self, toy_report):
+        seed = toy_report.estimates["seed"]
+        assert np.shares_memory(seed, toy_report.historical)
+        assert not seed.flags.writeable
+
     def test_predictions_never_load_the_network(self, toy_report):
         for model in ("kf", "pkf", "spkf"):
             assert toy_report.row(model).extras["prediction_load_calls"] == 0
@@ -323,7 +328,8 @@ class TestRunExperiment:
         """pkf and spkf share one attribution, one cumulative mapping and one
         operator per chained leg."""
         calls = collections.Counter()
-        for name in ("attribute_interval_deviations", "build_leg_operator", "cumulative_mapping"):
+        for name in ("attribute_interval_deviations", "build_leg_operator", "cumulative_mapping",
+                     "root_deviations", "chain_consistent_legs"):
             def counted(*args, _real=getattr(odchain.experiment, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
@@ -335,6 +341,7 @@ class TestRunExperiment:
         chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
         assert chained
         assert calls == {"attribute_interval_deviations": 1, "cumulative_mapping": 1,
+                         "root_deviations": 1, "chain_consistent_legs": 1,
                          "build_leg_operator": len(chained)}
 
     @pytest.mark.parametrize("stage, failing", [
@@ -477,6 +484,7 @@ class TestRunExperiment:
             assert np.array_equal(report.estimates[model], report.estimates["kf"])
         assert report.leg_diagnostics == []
         assert report.diagnostics["attributed_totals"] == {}
+        assert report.diagnostics["leg_retention"] == {}
 
     def test_noise_models_build_what_the_leg_chain_reads(self, toy_cfg, toy_artifacts):
         """A prior covariance for each root leg, a process noise for each
@@ -486,6 +494,125 @@ class TestRunExperiment:
         assert set(root_P0) == set(chain.roots())
         assert set(leg_Q) == {n for n in chain.topological_order() if chain.feeds.get(n)}
         assert set(root_P0).isdisjoint(leg_Q)
+
+
+class TestRelativeFilter:
+    """The interval filter's state is the relative deviation r, measured
+    through one lag-summed row per interval; every model is assembled from
+    ``hist ⊙ (1 + r)`` and, for pkf and spkf, the chained legs' estimates."""
+
+    @pytest.mark.parametrize("h", [0, 1, 17, 47])
+    def test_provider_sums_every_lag_weighted_by_the_history(self, toy_artifacts, h):
+        hist = toy_artifacts.history.demand.matrix
+        asg = toy_artifacts.assignment
+        rows_at = odchain.experiment._lag_summed(lambda h, _: asg.counted_at(h), hist)
+        rows = rows_at(h, np.zeros((len(toy_artifacts.od_index), h)))
+        lagged = asg.counted_at(h)
+        expected = sum(lagged[l] * hist[:, h - l] for l in range(len(lagged)))
+        assert rows.shape == (1, *lagged.shape[1:])
+        assert np.allclose(rows[0], expected, rtol=1e-12, atol=0.0)
+
+    def test_the_lag_sum_sees_what_the_same_interval_row_misses(self, toy_cfg):
+        """On a 3-minute grid the detector lies an interval or more
+        downstream, so the same-interval rows are zero; the lag-summed rows
+        are zero only before any departure can reach it."""
+        cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
+            toy_cfg.grid, interval_minutes=3, n_intervals=480))
+        art = generate_truth_and_history(cfg)
+        hist = art.history.demand.matrix
+        rows_at = odchain.experiment._lag_summed(
+            lambda h, _: art.assignment.counted_at(h), hist)
+        n_od = len(art.od_index)
+        same = [art.assignment.counted_at(h)[0].any() for h in range(cfg.cutoff_index)]
+        summed = [rows_at(h, np.zeros((n_od, h))).any() for h in range(cfg.cutoff_index)]
+        assert not any(same)
+        assert summed == [False] * 3 + [True] * (cfg.cutoff_index - 3)
+
+    def test_noise_models_are_relative(self, toy_cfg, toy_artifacts):
+        """``noise.prior`` is the prior's common-mode std beside a per-OD
+        0.1; the random walk is 0.03 common and 0.01 per OD; the
+        measurement noise is ``noise.measurement`` of the mean count."""
+        noise, P0, _, _, _ = odchain.experiment._noise_models(toy_cfg, toy_artifacts)
+        n = len(toy_artifacts.od_index)
+        ones, eye = np.ones((n, n)), np.eye(n)
+        assert np.allclose(P0, toy_cfg.noise.prior ** 2 * ones + 0.1 ** 2 * eye, rtol=1e-15)
+        assert np.allclose(noise.Q, 0.03 ** 2 * ones + 0.01 ** 2 * eye, rtol=1e-15)
+        counts = toy_artifacts.history.load.counts.counts
+        sigma = toy_cfg.noise.measurement * counts[counts > 0].mean()
+        assert np.allclose(noise.R, sigma ** 2 * np.eye(len(counts)), rtol=1e-12)
+
+    def test_random_walk_variance_scales_with_the_interval_length(self, toy_cfg, toy_artifacts):
+        """The walk's stds are per 15 minutes: a 3-minute interval adds a
+        fifth of their variance, so the state drifts as far per hour."""
+        cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
+            toy_cfg.grid, interval_minutes=3, n_intervals=480))
+        fine = odchain.experiment._noise_models(cfg, toy_artifacts)[0]
+        coarse = odchain.experiment._noise_models(toy_cfg, toy_artifacts)[0]
+        assert np.allclose(fine.Q, coarse.Q / 5.0, rtol=1e-15)
+
+    def test_process_noise_sets_nothing_and_warns(self, toy_cfg, toy_artifacts, caplog):
+        base = odchain.experiment._noise_models(toy_cfg, toy_artifacts)
+        with caplog.at_level("WARNING", logger="odchain.experiment"):
+            assert not caplog.records
+            other = odchain.experiment._noise_models(
+                dataclasses.replace(toy_cfg, noise=dataclasses.replace(toy_cfg.noise, process=0.05)),
+                toy_artifacts)
+        (record,) = caplog.records
+        assert "noise.process = 0.05 has no effect" in record.getMessage()
+        assert np.array_equal(other[0].Q, base[0].Q) and np.array_equal(other[1], base[1])
+
+    def test_estimates_follow_the_relative_formula(self, toy_cfg, monkeypatch):
+        """kf is ``hist ⊙ (1 + r)``, r carried flat past the cutoff; pkf
+        replaces the chained legs' historical demand by the leg chain's
+        estimates of them, over the dense profiles."""
+        runs, chains = [], []
+        real_run, real_chain = odchain.experiment.run_kf_sequence, odchain.experiment.run_leg_chain
+
+        def run(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        def leg_chain(legs, *args, **kwargs):
+            chains.append((kwargs["config"].mode, legs, real_chain(legs, *args, **kwargs)))
+            return chains[-1][2]
+
+        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", run)
+        monkeypatch.setattr(odchain.experiment, "run_leg_chain", leg_chain)
+        report = run_experiment(toy_cfg)
+        (kf,) = runs
+        cut = toy_cfg.cutoff_index
+        hist = report.historical
+        relative = np.hstack([kf.deltas, np.repeat(kf.last.mean[:, None], hist.shape[1] - cut, 1)])
+        assert np.allclose(report.estimates["kf"], np.maximum(hist * (1.0 + relative), 0.0),
+                           rtol=1e-12, atol=1e-9)
+        chain = toy_cfg.chain()
+        chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
+        art = generate_truth_and_history(toy_cfg)
+        for mode, legs, states in chains:
+            dense = hist.copy()
+            for n in chained:
+                dense -= art.history.legs[n].flows[:, None] * legs[n].profile
+            dense *= 1.0 + relative
+            for n in chained:
+                dense += (legs[n].flows + states[n].state.mean)[:, None] * legs[n].profile
+            assert np.allclose(report.estimates[mode], np.maximum(dense, 0.0),
+                               rtol=1e-12, atol=1e-9)
+
+    def test_unobserved_intervals_counted_and_warned_once(self, toy_cfg, toy_report, caplog):
+        """Each step records its measurement matrix's Frobenius norm; the
+        report counts the measured intervals where it is 0, and a run with
+        any logs one warning."""
+        assert toy_report.diagnostics["unobserved_intervals"] == 0
+        assert all(d.measurement_norm > 0.0 for d in toy_report.kf_diagnostics)
+        cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
+            toy_cfg.grid, interval_minutes=3, n_intervals=480))
+        with caplog.at_level("WARNING", logger="odchain.experiment"):
+            report = run_experiment(cfg, models=("kf",))
+        assert report.diagnostics["unobserved_intervals"] == 3
+        assert [d.measurement_norm == 0.0 for d in report.kf_diagnostics[:4]] == \
+            [True, True, True, False]
+        (record,) = caplog.records
+        assert "3 of 240 measured intervals" in record.getMessage()
 
 
 def test_readme_python_example_runs(capsys):
@@ -591,9 +718,9 @@ class TestRefresh:
     def test_refresh_linearizes_on_the_grid_cut_after_h(self, toy_cfg, toy_artifacts,
                                                         monkeypatch):
         """Interval 0 reads the frozen band and makes no linearization.  A
-        later interval h linearizes the history plus the means before h,
-        clipped at zero, on the grid cut after h, and reads that matrix's
-        rows counted at h."""
+        later interval h linearizes the history scaled by one plus the
+        relative means before h, clipped at zero, on the grid cut after h,
+        and reads that matrix's rows counted at h."""
         real = odchain.experiment.assignment_matrix
         made = []
 
@@ -609,12 +736,14 @@ class TestRefresh:
                               toy_artifacts.assignment.counted_at(0))
         assert made == []
         for h in (1, 17, toy_cfg.cutoff_index - 1):
-            deltas = np.random.default_rng(h).normal(0.0, 50.0, (n_od, h))
-            rows = rows_at(h, deltas)
+            relative = np.random.default_rng(h).normal(0.0, 0.8, (n_od, h))
+            rows = rows_at(h, relative)
             (demand, matrix), = made
             made.clear()
             assert demand.grid == dataclasses.replace(toy_cfg.grid, n_intervals=h + 1)
-            assert np.array_equal(demand.matrix[:, :h], np.maximum(hist[:, :h] + deltas, 0.0))
+            assert np.array_equal(demand.matrix[:, :h],
+                                  np.maximum(hist[:, :h] * (1.0 + relative), 0.0))
+            assert (relative < -1.0).any() and (demand.matrix[:, :h] == 0.0).any()
             assert np.array_equal(demand.matrix[:, h], hist[:, h])
             assert (demand.matrix[:, :h] != hist[:, :h]).any()
             assert np.array_equal(rows, matrix.counted_at(h))
@@ -693,6 +822,20 @@ class TestEmission:
         assert "1-3.csv" in files
         header = (profile_dir / "1-3.csv").read_text().splitlines()[0]
         assert header == "interval,true,historical,kf,pkf,spkf"
+
+    def test_profiles_format_as_the_numpy_scalars(self, tmp_path, toy_report):
+        """Each profile cell is formatted from a Python float of its column;
+        the files are the bytes the numpy scalars of the matrices give."""
+        emit_report(toy_report, tmp_path)
+        models = [m for m in toy_report.models if m != "seed"]
+        for i, od in enumerate(toy_report.od_index):
+            columns = [toy_report.truth[i], toy_report.historical[i],
+                       *(toy_report.estimates[m][i] for m in models)]
+            lines = [",".join(("interval", "true", "historical", *models))]
+            lines += [",".join([str(h), *(f"{c[h]:.6f}" for c in columns)])
+                      for h in range(toy_report.grid.n_intervals)]
+            path = tmp_path / "profiles" / f"{od[0]}-{od[1]}.csv"
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_profiles_can_be_skipped(self, tmp_path, toy_report):
         emit_report(toy_report, tmp_path, include_profiles=False)

@@ -9,9 +9,12 @@ from odchain.legfilter import (
     ChainFilterConfig,
     apply_conservation,
     attribute_interval_deviations,
+    chain_consistent_legs,
     combined_demand,
+    leg_retention,
     leg_time_update,
     predict_horizon,
+    root_deviations,
     run_leg_chain,
     scale_factor,
 )
@@ -243,21 +246,113 @@ class TestRunLegChain:
             )
 
 
+class TestRootDeviations:
+    def test_flows_times_the_share_weighted_mean(self):
+        """Per member OD, r̄ weighs each measured interval by flows ⊙ shares;
+        the deviation is flows ⊙ r̄, zero off the members."""
+        leg = leg2("out", [100.0, 0.0], OD2[:1], shares=np.array([[0.1, 0.3, 0.6]]))
+        relative = np.array([[0.2, -0.1, 0.5], [9.0, 9.0, 9.0]])
+        out = root_deviations(relative[:, :2], [leg])
+        mean = (0.1 * 0.2 + 0.3 * -0.1) / (0.1 + 0.3)
+        assert out["out"] == pytest.approx([100.0 * mean, 0.0], abs=1e-12)
+
+    def test_no_weight_gives_no_deviation(self):
+        """A member OD without flow, or without shares before the cutoff,
+        weighs nothing, and its deviation is 0, not a division by zero."""
+        leg = leg2("out", [0.0, 50.0], OD2, shares=np.array([[0.5, 0.5], [0.0, 1.0]]))
+        out = root_deviations(np.full((2, 1), 0.4), [leg])
+        assert out["out"].tolist() == [0.0, 0.0]
+
+    def test_leg_without_shares_rejected(self):
+        with pytest.raises(ConfigurationError, match="leg 'out'"):
+            root_deviations(np.zeros((2, 1)), [leg2("out", [1.0, 0.0], OD2[:1])])
+
+
+class TestChainConsistentLegs:
+    def test_chained_flows_follow_their_feeders(self, toy_artifacts):
+        """In topological order each chained leg's flows are its operator
+        applied to its feeders' rebuilt flows; root legs are the same
+        objects, and every leg keeps its shares."""
+        legs = toy_artifacts.history.legs
+        chain = toy_artifacts.chain
+        broken = dict(legs, work_home=DemandLeg(
+            name="work_home", od_index=legs["work_home"].od_index,
+            flows=legs["work_home"].flows * 0.7, members=legs["work_home"].members,
+            shares=legs["work_home"].shares))
+        chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
+        operators = {n: build_leg_operator(chain, [broken[f] for f in chain.feeds[n]], broken[n])
+                     for n in chained}
+        out = chain_consistent_legs(broken, chain, operators)
+        for name in chain.topological_order():
+            feeders = chain.feeds.get(name, ())
+            if not feeders:
+                assert out[name] is broken[name]
+                continue
+            fed = sum(out[f].flows for f in feeders)
+            assert np.array_equal(out[name].flows, operators[name].matrix @ fed)
+            assert np.shares_memory(out[name].shares, broken[name].shares)
+            assert out[name].flows.sum() == pytest.approx(fed.sum(), rel=1e-12)
+        assert out["work_home"].flows.sum() == pytest.approx(legs["hw_direct"].flows.sum())
+
+    def test_missing_operator_rejected(self):
+        chain = ChainSpec(feeds={"out": (), "back": ("out",)})
+        legs = {"out": leg2("out", [1.0, 0.0], OD2[:1]), "back": leg2("back", [0.0, 1.0], OD2[1:])}
+        with pytest.raises(ConfigurationError, match="'back'"):
+            chain_consistent_legs(legs, chain, {})
+
+
+class TestLegRetention:
+    OD4 = (("w1", "h1"), ("w1", "h2"), ("w2", "h1"), ("w2", "h2"))
+
+    def leg(self, flows):
+        return DemandLeg(name="back", od_index=self.OD4, flows=np.asarray(flows, dtype=float),
+                         members=self.OD4)
+
+    def test_zones_that_agree_keep_the_history_retention(self):
+        """A history that keeps 90 % of the arrivals in every zone breaks
+        the tour on purpose."""
+        rebuilt = self.leg([60.0, 40.0, 10.0, 30.0])
+        assert leg_retention(self.leg(0.9 * rebuilt.flows), rebuilt) == pytest.approx(0.9)
+
+    def test_scattered_zones_shrink_to_a_closed_tour(self):
+        rebuilt = self.leg([60.0, 40.0, 10.0, 30.0])
+        assert leg_retention(self.leg([66.0, 44.0, 8.0, 24.0]), rebuilt) == 1.0
+
+    def test_partial_scatter_shrinks_part_way(self):
+        rebuilt = self.leg([50.0, 50.0, 50.0, 50.0])
+        ratios = np.array([0.8, 0.8, 0.81, 0.81])
+        rho = ratios.mean()
+        v = np.var([0.8, 0.81]) * 0.5 / 0.5
+        k = 1.0 - 100.0 * v / (rho - 1.0) ** 2
+        assert 0.0 < k < 1.0
+        assert leg_retention(self.leg(ratios * 50.0), rebuilt) == pytest.approx(1.0 + k * (rho - 1.0))
+
+    def test_one_zone_cannot_tell_a_break_from_noise(self):
+        rebuilt = self.leg([60.0, 40.0, 0.0, 0.0])
+        assert leg_retention(self.leg([54.0, 36.0, 0.0, 0.0]), rebuilt) == 1.0
+
+
 class TestCombinedDemand:
     def test_all_three_terms(self):
-        # 100 + 5 + 10*0.2 = 107
+        # (100 - 50*0.2) * (1 + 0.05) + 60*0.2 = 94.5 + 12 = 106.5
         od_index = (("a", "b"),)
         leg = DemandLeg(name="leg", od_index=od_index, flows=np.array([50.0]),
                         members=od_index, shares=np.array([[0.2]]))
         x, clamped = combined_demand(
-            np.array([[100.0]]), np.array([[5.0]]), {"leg": np.array([10.0])}, {"leg": leg},
+            np.array([[100.0]]), np.array([[0.05]]), {"leg": np.array([60.0])}, {"leg": leg},
         )
-        assert x[0, 0] == pytest.approx(107.0, abs=1e-12)
+        assert x[0, 0] == pytest.approx(106.5, abs=1e-12)
+        assert clamped == 0
+
+    def test_without_chained_legs_scales_the_history(self):
+        hist = np.array([[10.0, 20.0], [0.0, 4.0]])
+        x, clamped = combined_demand(hist, np.array([[0.5, -0.25], [3.0, 0.0]]), {}, {})
+        assert x.tolist() == [[15.0, 15.0], [0.0, 4.0]]
         assert clamped == 0
 
     def test_member_rows_equal_the_dense_profiles(self):
-        """Leg terms on the member rows alone equal the dense sum, which adds
-        an exact zero off the members, bit for bit, from ``start`` on."""
+        """Leg terms on the member rows alone equal the dense sums, which
+        add an exact zero off the members, bit for bit, from ``start`` on."""
         rng = np.random.default_rng(3)
         od_index = tuple((f"o{i}", f"d{i}") for i in range(5))
         legs = {}
@@ -267,42 +362,60 @@ class TestCombinedDemand:
                                    members=tuple(od_index[i] for i in rows),
                                    shares=rng.dirichlet(np.ones(8), size=len(rows)))
         hist = rng.uniform(0.0, 20.0, (5, 5))
-        deltas = rng.normal(0.0, 10.0, (5, 5))
-        leg_deltas = {n: np.isin(np.arange(5), leg.member_indices()) * rng.normal(0.0, 40.0, 5)
-                      for n, leg in legs.items()}
-        x, clamped = combined_demand(hist, deltas, leg_deltas, legs, 3)
-        dense = hist + deltas
-        for n, dn in leg_deltas.items():
-            dense = dense + dn[:, None] * legs[n].profile[:, 3:]
+        relative = rng.normal(0.0, 0.5, (5, 5))
+        chained = {n: np.isin(np.arange(5), leg.member_indices()) * rng.normal(30.0, 40.0, 5)
+                   for n, leg in legs.items()}
+        x, clamped = combined_demand(hist, relative, chained, legs, 3)
+        dense = hist
+        for n in chained:
+            dense = dense - legs[n].flows[:, None] * legs[n].profile[:, 3:]
+        dense = dense * (1.0 + relative)
+        for n, v in chained.items():
+            dense = dense + v[:, None] * legs[n].profile[:, 3:]
         assert clamped == int((dense < 0.0).sum()) > 0
         assert x.tobytes() == np.maximum(dense, 0.0).tobytes()
 
     def test_adds_leg_terms_in_the_order_of_the_deviations(self, three_roots_artifacts):
         """Three root legs share the direct commute's ODs, so the order of
         their terms shows in the last bits: the estimate is a per-leg loop
-        over the dense profiles in ``leg_deltas`` order, and the reverse
-        order gives other bits."""
+        over the dense profiles in ``chained`` order, and the reverse order
+        gives other bits."""
         legs = three_roots_artifacts.history.legs
         start = 24  # 06:00, in the morning peak of the three root legs
         hist = three_roots_artifacts.history.demand.matrix[:, start:]
         rng = np.random.default_rng(11)
-        deltas = rng.normal(0.0, 5.0, hist.shape)
-        # neither name order nor topological order; each deviation is a
-        # share of its leg's flows, so it is zero off the leg's members
+        relative = rng.normal(0.0, 0.2, hist.shape)
+        # neither name order nor topological order; each estimate is a
+        # multiple of its leg's flows, so it is zero off the leg's members
         order = ("hw_leisure", "work_home", "hw_extra", "hw_direct")
-        leg_deltas = {n: rng.uniform(-0.5, 0.5, len(hist)) * legs[n].flows for n in order}
+        chained = {n: rng.uniform(0.5, 1.5, len(hist)) * legs[n].flows for n in order}
 
         def loop(names):
-            dense = hist + deltas
+            dense = hist
             for n in names:
-                dense = dense + leg_deltas[n][:, None] * legs[n].profile[:, start:]
+                dense = dense - legs[n].flows[:, None] * legs[n].profile[:, start:]
+            dense = dense * (1.0 + relative)
+            for n in names:
+                dense = dense + chained[n][:, None] * legs[n].profile[:, start:]
             return dense
 
-        x, clamped = combined_demand(hist, deltas, leg_deltas, legs, start)
+        x, clamped = combined_demand(hist, relative, chained, legs, start)
         dense = loop(order)
         assert clamped == int((dense < 0.0).sum())
         assert x.tobytes() == np.maximum(dense, 0.0).tobytes()
         assert x.tobytes() != np.maximum(loop(reversed(order)), 0.0).tobytes()
+
+    def test_writes_into_out(self):
+        od_index = (("a", "b"),)
+        leg = DemandLeg(name="leg", od_index=od_index, flows=np.array([50.0]),
+                        members=od_index, shares=np.array([[0.2, 0.8]]))
+        args = (np.array([[100.0, 80.0]]), np.array([[0.1, -0.2]]), {"leg": np.array([40.0])},
+                {"leg": leg})
+        day = np.full((1, 4), np.nan)
+        x, clamped = combined_demand(*args, out=day[:, 1:3])
+        assert np.shares_memory(x, day)
+        assert day[:, 1:3].tobytes() == combined_demand(*args)[0].tobytes()
+        assert np.isnan(day[:, [0, 3]]).all()
 
     def test_shares_must_cover_the_intervals(self):
         od_index = (("a", "b"),)
@@ -319,29 +432,29 @@ class TestCombinedDemand:
         assert clamped == 1
 
     def test_leg_without_profile_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown legs"):
             combined_demand(np.zeros((1, 1)), np.zeros((1, 1)), {"leg": np.array([1.0])}, {})
 
 
 class TestPredictHorizon:
     def test_identity_ar_carries_last_delta(self):
         hist = np.full((2, 6), 50.0)
-        lag = np.array([3.0, -1.0])
-        x, clamped = predict_horizon(hist, lag, {}, {}, (4, 6))
+        last = np.array([0.1, -0.2])
+        x, clamped = predict_horizon(hist, last, {}, {}, (4, 6))
         assert x.shape == (2, 2)
-        assert np.allclose(x[:, 0], [53.0, 49.0])
-        assert np.allclose(x[:, 1], [53.0, 49.0])
+        assert np.allclose(x[:, 0], [55.0, 40.0])
+        assert np.allclose(x[:, 1], [55.0, 40.0])
         assert clamped == 0
 
     def test_leg_term_uses_future_profile_slice(self):
-        hist = np.zeros((1, 4))
+        """Over the window, the chained leg's historical demand gives way
+        to its estimated flows spread over the same shares."""
         od_index = (("a", "b"),)
+        shares = np.array([[0.0, 0.0, 0.25, 0.75]])
         leg = DemandLeg(name="leg", od_index=od_index, flows=np.array([50.0]),
-                        members=od_index, shares=np.array([[0.0, 0.0, 0.25, 0.75]]))
-        x, _ = predict_horizon(
-            hist, np.zeros(1),
-            {"leg": np.array([8.0])}, {"leg": leg}, (2, 4),
-        )
+                        members=od_index, shares=shares)
+        x, _ = predict_horizon(50.0 * shares, np.array([0.5]),
+                               {"leg": np.array([8.0])}, {"leg": leg}, (2, 4))
         assert np.allclose(x[0], [2.0, 6.0])
 
     def test_window_must_stay_inside_horizon(self):
@@ -350,32 +463,29 @@ class TestPredictHorizon:
 
     def test_identity_carry_equals_the_product_loop(self):
         """The flat carry's one broadcast against one identity product per
-        interval summed from zeros, on a last state holding 0.0 and -0.0.
-        The historical rows under the zeros are -0.0, so a zero's sign shows
-        in the demand."""
+        interval summed from zeros, on a last state holding 0.0 and -0.0."""
         rng = np.random.default_rng(7)
         n, n_h, window = 9, 12, (7, 12)
-        lag = rng.normal(0.0, 5.0, n)
-        lag[[1, 4]], lag[[2, 6]] = 0.0, -0.0
+        last = rng.normal(0.0, 0.2, n)
+        last[[1, 4]], last[[2, 6]] = 0.0, -0.0
         hist = rng.uniform(50.0, 100.0, (n, n_h))
-        hist[[1, 2, 4, 6]] = -0.0
         expected = np.zeros((n, window[1] - window[0]))
-        last = lag
+        state = last
         for j in range(expected.shape[1]):
             nxt = np.zeros(n)
-            nxt += np.eye(n) @ last
-            expected[:, j] = last = nxt
-        x, clamped = predict_horizon(hist, lag, {}, {}, window)
+            nxt += np.eye(n) @ state
+            expected[:, j] = state = nxt
+        x, clamped = predict_horizon(hist, last, {}, {}, window)
         ref, ref_clamped = combined_demand(hist[:, 7:], expected, {}, {})
         assert x.tobytes() == ref.tobytes()
         assert clamped == ref_clamped == 0
-        assert not np.signbit(x[[2, 6]]).any()
+        assert np.array_equal(x[[1, 2, 4, 6]], hist[[1, 2, 4, 6], 7:])
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_lag_state_rejected(self, value):
         """A non-finite last state would be carried into every predicted
         interval of its OD."""
-        last = np.array([3.0, value])
+        last = np.array([0.1, value])
         with pytest.raises(ConfigurationError, match="non-finite"):
             predict_horizon(np.full((2, 6), 50.0), last, {}, {}, (4, 6))
 
