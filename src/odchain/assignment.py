@@ -49,7 +49,7 @@ only the ODs whose route crosses it, so the band holds only those
 (channel, OD) pairs, listed once per route layout.  The kernel visits each
 channel once, and its crossings are summed there into the channel's block
 of pairs, so no crossing outlives its visit.  The readers expand what they
-need: the interval filter each step's few measurement rows, the cumulative
+need: the interval filter each step's lag-summed matrix, the cumulative
 mapping each leg's matrix, and ``AssignmentMatrix.pieces`` the dense view.
 The cumulative mapping combines the band with departure profiles to map leg
 deviations onto cumulative count deviations up to a measurement horizon; it
@@ -610,7 +610,8 @@ class AssignmentMatrix:
             raise ConfigurationError(
                 f"assignment pairs are not distinct (channel, OD) cells of "
                 f"({n_ch}, {n_od}) ordered by channel and then OD")
-        if b.min(initial=0.0) < -1e-12 or b.max(initial=0.0) > 1.0 + 1e-12:
+        # written so that a NaN, which fails every comparison, fails it too
+        if not (b.min(initial=0.0) >= -1e-12 and b.max(initial=0.0) <= 1.0 + 1e-12):
             raise ValueError("assignment fractions outside [0, 1]")
         if b.sum(axis=1).max(initial=0.0) > 1.0 + 1e-9:
             raise ValueError("assignment fractions of one departure exceed 1 over the horizon")
@@ -626,28 +627,29 @@ class AssignmentMatrix:
             dense[k, k + l, c, i] = self.band[: n_h - l, l]
         return dense
 
-    def counted_at(self, h: int) -> np.ndarray:
-        """The dense pieces counted in interval ``h``, by lag: ``(lags, C, OD)``
-        with ``[l] = pieces[h - l, h]`` for ``l = 0..min(L, h)``.
+    def lag_summed(self, h: int, weights: np.ndarray) -> np.ndarray:
+        """The pieces counted in interval ``h``, each scaled by the weights
+        of the interval it reads and summed: the ``(C, OD)`` matrix
+        ``Σ_l pieces[h - l, h] · diag(weights[:, h - l])`` for
+        ``l = 0..min(L, h)``.
 
-        The band entries ``band[h - l, l]`` lie ``L`` apart in the band's
-        ``(H·(L + 1), P)`` rows, from row ``h·(L + 1)`` back, so they are
-        read as a strided view, not gathered.
+        ``weights`` is ``(OD, intervals)``, with a column for every interval
+        up to ``h``.  The lags' band rows ``band[h - l, l]`` are added over
+        the P pairs in order from lag 0 and scattered once into the matrix.
 
         Raises:
             IndexError: if ``h`` lies outside the grid.
         """
-        n_h, width, n_pairs = self.band.shape
+        n_h, width, _ = self.band.shape
         if not 0 <= h < n_h:
             raise IndexError(f"interval {h} outside grid of {n_h}")
-        n_lags = min(width, h + 1)
-        flat = self.band.reshape(n_h * width, n_pairs)
-        # a band of width 1 holds lag 0 alone, and a step of 0 is no slice
-        diagonal = flat[h: h + 1] if width == 1 else flat[h * width:: 1 - width][:n_lags]
         c, i = self.pairs
-        rows = np.zeros((n_lags, len(self.channels), len(self.od_index)))
-        rows[:, c, i] = diagonal
-        return rows
+        summed = self.band[h, 0] * weights[i, h]
+        for lag in range(1, min(width, h + 1)):
+            summed += self.band[h - lag, lag] * weights[i, h - lag]
+        matrix = np.zeros((len(self.channels), len(self.od_index)))
+        matrix[c, i] = summed
+        return matrix
 
     def predict_counts(self, demand_matrix: np.ndarray) -> np.ndarray:
         """Counts implied by the frozen linearization: sum_k H[k -> h] x_k.

@@ -18,8 +18,9 @@ demand with the requested models:
               (``legfilter.leg_retention``), replace their share of kf's,
 * ``spkf``  - pkf with the conservation rescale per chained leg.
 
-The interval filter's measurement at interval h is one lag-summed row,
-``H_h = Σ_l counted_at(h)[l] · diag(hist[:, h − l])``: the counts' response
+The interval filter's measurement at interval h is one lag-summed matrix,
+``H_h = Σ_l pieces[h − l, h] · diag(hist[:, h − l])``
+(``AssignmentMatrix.lag_summed``): the counts' response
 to a relative deviation that every interval the counts reach back to shares.
 Its prior is ``prior²·11ᵀ + PRIOR_PER_OD²·I`` (``noise.prior`` is the
 common mode) and its random walk ``WALK_COMMON²·11ᵀ + WALK_PER_OD²·I`` per
@@ -406,51 +407,33 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     return NoiseModel(Q=Q, R=R), P0, leg_Q, root_P0, R_cum
 
 
-def _lag_summed(counted_at, hist: np.ndarray):
-    """The interval filter's provider: interval h's rows ``counted_at(h, r)``,
-    one per lag, summed into one lag as ``Σ_l rows[l] · diag(hist[:, h − l])``.
-
-    That row maps a relative deviation shared by every interval the counts
-    at h reach back to onto those counts, so the filter reads every lag and
-    subtracts none.
-    """
-    def rows_at(h: int, relative: np.ndarray) -> np.ndarray:
-        rows = counted_at(h, relative)
-        summed = rows[0] * hist[:, h]
-        for lag in range(1, len(rows)):
-            summed += rows[lag] * hist[:, h - lag]
-        return summed[None]
-
-    return rows_at
-
-
 def _refreshed_rows(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
-    """Interval h's rows, one per lag, relinearized at the estimate so far.
+    """Interval h's measurement matrix, relinearized at the estimate so far.
 
     Interval 0 has no estimate yet and reads the frozen band.  For a later
     interval ``h`` the history, scaled by ``1 + r`` over the intervals
     before ``h`` (``r`` their relative posterior means) and clipped at
-    zero, is linearized on the grid cut after ``h``, and that matrix's rows
-    counted at ``h`` are returned.  A link's time in an interval depends
-    only on departures up to it, so these are the whole day's matrix's
-    rows, though the cut band may stop short of lags whose rows are zero.
-    ``assignment_matrix`` loads the estimate and linearizes it in one pass,
-    so a refresh makes no ``load_network`` call.
+    zero, is linearized on the grid cut after ``h``, and that matrix's
+    ``lag_summed(h, hist)`` is returned.  A link's time in an interval
+    depends only on departures up to it, so these are the whole day's
+    matrix's pieces, though the cut band may stop short of lags whose
+    pieces are zero.  ``assignment_matrix`` loads the estimate and
+    linearizes it in one pass, so a refresh makes no ``load_network`` call.
     """
     hist = artifacts.history.demand.matrix
     frozen = artifacts.assignment
 
-    def counted_at(h: int, relative: np.ndarray) -> np.ndarray:
+    def H_at(h: int, relative: np.ndarray) -> np.ndarray:
         if h == 0:
-            return frozen.counted_at(0)
+            return frozen.lag_summed(0, hist)
         est = hist[:, : h + 1].copy()
         est[:, :h] = np.maximum(est[:, :h] * (1.0 + relative), 0.0)
         grid = replace(cfg.grid, n_intervals=h + 1)
         return assignment_matrix(
             cfg.network, DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est)
-        ).counted_at(h)
+        ).lag_summed(h, hist)
 
-    return counted_at
+    return H_at
 
 
 @contextmanager
@@ -524,14 +507,13 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts)
         delta_y = artifacts.observed.counts - hist.load.counts.counts
         init = FilterState(mean=np.zeros(len(artifacts.od_index)), cov=P0)
-        counted_at = (_refreshed_rows(cfg, artifacts) if cfg.estimation.refresh_assignment
-                      else lambda h, _: artifacts.assignment.counted_at(h))
-        kf = run_kf_sequence(_lag_summed(counted_at, hist_matrix), delta_y[:, :cut], noise,
-                             init=init)
+        H_at = (_refreshed_rows(cfg, artifacts) if cfg.estimation.refresh_assignment
+                else lambda h, _: artifacts.assignment.lag_summed(h, hist_matrix))
+        kf = run_kf_sequence(H_at, delta_y[:, :cut], noise, init=init)
         kf_diag.extend(kf.diagnostics)
         notes["unobserved_intervals"] = sum(d.measurement_norm == 0.0 for d in kf.diagnostics)
         if notes["unobserved_intervals"]:
-            logger.warning("the measurement rows of %d of %d measured intervals are all zero: "
+            logger.warning("the measurement matrix of %d of %d measured intervals is all zero: "
                            "the filter sees nothing there", notes["unobserved_intervals"], cut)
     if rows[filter_models[0]].status == "failed":
         return result

@@ -3,17 +3,13 @@
 The state of interval h is a deviation of its OD departures from the
 historical matrix.  The identity random walk carries it to the next interval
 (prior covariance ``P + Q``); counts observed at h are a linear function of
-the states of intervals k <= h through measurement rows, one per lag.
-The sequence runner asks its caller for interval h's rows, given the
-posterior means so far, so the frozen linearization and a refreshed one
-reach it alike and this module knows neither.  It handles the lags by
-subtracting the contribution of already-estimated intervals at their
-posterior means, leaving the same-interval row as the measurement matrix.
-Only the intervals the rows reach back to are visited.  The experiment's
-provider (``experiment._lag_summed``) returns one lag: the rows of every lag
-summed, each scaled by the historical demand of the interval it reads, so
-the state is the relative deviation that those intervals share and nothing
-is subtracted.
+the state through one measurement matrix per interval.  The sequence runner
+asks its caller for interval h's matrix, given the posterior means so far,
+so the frozen linearization and a refreshed one reach it alike and this
+module knows neither.  The experiment's providers return
+``AssignmentMatrix.lag_summed``: the pieces of every lag summed, each scaled
+by the historical demand of the interval it reads, so the state is the
+relative deviation that those intervals share.
 
 Gains are computed through Cholesky solves of the innovation covariance, with
 a trace-scaled jitter retry; covariances are re-symmetrized after every
@@ -250,8 +246,7 @@ def kf_measurement_update(
 @dataclass
 class KfStepDiagnostics:
     """One filtered interval.  ``measurement_norm`` is the Frobenius norm of
-    its measurement matrix, the rows' lag 0: 0 where the counts see nothing
-    of the state."""
+    its measurement matrix: 0 where the counts see nothing of the state."""
 
     interval: int
     innovation_norm: float
@@ -271,13 +266,13 @@ class KfRun:
     a run of no steps; earlier covariances are dropped as the run moves on.
     """
 
-    deltas: np.ndarray  # (n_od, n_steps) posterior means
+    deltas: np.ndarray  # (n_od, n_steps) posterior means of the relative state
     last: FilterState | None = None
     diagnostics: list[KfStepDiagnostics] = field(default_factory=list)
 
 
 def run_kf_sequence(
-    rows_at: Callable[[int, np.ndarray], np.ndarray],
+    H_at: Callable[[int, np.ndarray], np.ndarray],
     delta_y: np.ndarray,
     noise: NoiseModel,
     *,
@@ -287,13 +282,10 @@ def run_kf_sequence(
 
     ``delta_y`` is (n_channels, n_steps): observed minus historical counts,
     one column per filtered interval.
-    ``rows_at(h, deltas)`` gives interval ``h``'s measurement rows, given
-    ``deltas``, the ``(n_od, h)`` posterior means of the intervals before
-    it: a ``(lags, n_channels, n_od)`` array whose ``[l]`` maps interval
-    ``h - l``'s deviation to the counts of ``h``, for 1 to ``h + 1`` lags
-    (``AssignmentMatrix.counted_at`` is one).  The lagged rows map their
-    posterior means out of the deviation, and ``[0]`` is the measurement
-    matrix.
+    ``H_at(h, relative)`` gives interval ``h``'s ``(n_channels, n_od)``
+    measurement matrix, given ``relative``, the ``(n_od, h)`` posterior
+    means of the intervals before it (``AssignmentMatrix.lag_summed`` makes
+    one).  The innovation is ``delta_y[:, h] - H @ prior.mean``.
 
     ``init`` is interval 0's prior; each later one is the last posterior
     carried by ``kf_time_update`` with ``ArModel.identity``.  The run keeps
@@ -305,9 +297,8 @@ def run_kf_sequence(
 
     Raises:
         ConfigurationError: if the count deviations are not a finite
-            (channels, steps) array, or an interval's rows do not map
-            ``init``'s ODs to those channels over 1 to ``h + 1`` lags,
-            naming the interval.
+            (channels, steps) array, or an interval's matrix does not map
+            ``init``'s ODs to those channels, naming the interval.
     """
     n_od = init.dim
     delta_y = np.asarray(delta_y, dtype=float)
@@ -322,16 +313,11 @@ def run_kf_sequence(
     run = KfRun(deltas=np.zeros((n_od, n_steps)))
     for h in range(n_steps):
         prior = init if h == 0 else kf_time_update([run.last], ar, noise.Q)
-        rows = rows_at(h, run.deltas[:, :h])
-        if rows.shape[1:] != (n_ch, n_od) or not 1 <= len(rows) <= h + 1:
+        H = H_at(h, run.deltas[:, :h])
+        if H.shape != (n_ch, n_od):
             raise ConfigurationError(
-                f"measurement rows {rows.shape} of interval {h} are not "
-                f"(1..{h + 1}, {n_ch}, {n_od})")
-        lagged = np.zeros(n_ch)
-        for k in range(h + 1 - rows.shape[0], h):
-            lagged += rows[h - k] @ run.deltas[:, k]
-        H = rows[0]
-        innovation = delta_y[:, h] - lagged - H @ prior.mean
+                f"measurement matrix {H.shape} of interval {h} is not ({n_ch}, {n_od})")
+        innovation = delta_y[:, h] - H @ prior.mean
         post, gain = _update_with_gain(prior, H, noise.R, innovation)
         run.deltas[:, h] = post.mean
         run.last = post

@@ -47,6 +47,8 @@ class DemandLeg:
         object.__setattr__(self, "flows", flows)
         if flows.shape != (len(self.od_index),):
             raise ConfigurationError(f"leg {self.name!r}: flows do not match the OD index")
+        if not np.isfinite(flows).all():
+            raise ValueError(f"leg {self.name!r}: non-finite OD flows")
         if (flows < 0).any():
             raise ValueError(f"leg {self.name!r}: negative OD flows")
         member_set = set(self.members)

@@ -286,6 +286,15 @@ class TestAssignmentMatrix:
         with pytest.raises(ValueError):
             from_dense((("1", "3"),), ("4a",), grid, pieces)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_fractions_rejected(self, value):
+        """A NaN fails every comparison, so the range check is written to
+        fail on it too."""
+        band = np.full((2, 1, 1), value)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            AssignmentMatrix(od_index=(("1", "3"),), channels=("4a",),
+                             grid=TimeGrid(n_intervals=2), band=band, pairs=np.zeros((2, 1)))
+
     def test_departure_mass_cannot_exceed_one(self):
         grid = TimeGrid(n_intervals=2)
         pieces = np.zeros((2, 2, 1, 1))
@@ -560,29 +569,34 @@ class TestPairs:
 
     @pytest.mark.parametrize("h", [0, 1, 50, 95])
     def test_counted_at_reads_the_dense_view(self, toy_artifacts, h):
-        """At the toy's band width 2, at width 1 (lag 0 alone, here a
-        non-contiguous slice of the band) and at the grid's full width,
-        wider than h + 1 below the last interval."""
+        """``lag_summed`` is, bit for bit, the dense pieces counted at h,
+        each scaled by random non-negative weights of the interval it reads
+        and added from lag 0: at the toy's band width 2, at width 1 (lag 0
+        alone, here a non-contiguous slice of the band) and at the grid's
+        full width, wider than h + 1 below the last interval."""
         asg = toy_artifacts.assignment
         n_h = asg.grid.n_intervals
-        full = np.random.default_rng(h).uniform(0.0, 1.0 / n_h, (n_h, n_h, asg.pairs.shape[1]))
+        rng = np.random.default_rng(h)
+        full = rng.uniform(0.0, 1.0 / n_h, (n_h, n_h, asg.pairs.shape[1]))
+        weights = rng.uniform(0.0, 100.0, (len(asg.od_index), n_h))
         for band in (asg.band, asg.band[:, :1], full):
             matrix = dataclasses.replace(asg, band=band)
             pieces = matrix.pieces
-            rows = matrix.counted_at(h)
-            assert rows.shape == (min(band.shape[1], h + 1), *pieces.shape[2:])
-            for lag, row in enumerate(rows):
-                assert np.array_equal(row, pieces[h - lag, h])
+            expected = pieces[h, h] * weights[:, h]
+            for lag in range(1, min(band.shape[1], h + 1)):
+                expected += pieces[h - lag, h] * weights[:, h - lag]
+            assert np.array_equal(matrix.lag_summed(h, weights), expected)
 
     @pytest.mark.parametrize("offset", [-1, 0, 5], ids=["-1", "H", "H+5"])
     def test_counted_at_rejects_an_interval_off_the_grid(self, toy_artifacts, offset):
-        """Below 0 the strided read would be empty and past the last
-        interval it would read other intervals' rows."""
+        """Below 0 numpy's negative indexing would read the day's last
+        intervals, and past the last interval the band has no row."""
         asg = toy_artifacts.assignment
         n_h = asg.grid.n_intervals
         h = -1 if offset < 0 else n_h + offset
+        weights = np.ones((len(asg.od_index), n_h + 6))
         with pytest.raises(IndexError, match=rf"interval {h} outside grid of {n_h}$"):
-            asg.counted_at(h)
+            asg.lag_summed(h, weights)
 
 
 class TestCumulativeMapping:

@@ -498,33 +498,32 @@ class TestRunExperiment:
 
 class TestRelativeFilter:
     """The interval filter's state is the relative deviation r, measured
-    through one lag-summed row per interval; every model is assembled from
+    through one lag-summed matrix per interval; every model is assembled from
     ``hist ⊙ (1 + r)`` and, for pkf and spkf, the chained legs' estimates."""
 
     @pytest.mark.parametrize("h", [0, 1, 17, 47])
     def test_provider_sums_every_lag_weighted_by_the_history(self, toy_artifacts, h):
+        """Bit for bit the dense pieces counted at h, each scaled by the
+        history of the interval it reads, added from lag 0."""
         hist = toy_artifacts.history.demand.matrix
         asg = toy_artifacts.assignment
-        rows_at = odchain.experiment._lag_summed(lambda h, _: asg.counted_at(h), hist)
-        rows = rows_at(h, np.zeros((len(toy_artifacts.od_index), h)))
-        lagged = asg.counted_at(h)
-        expected = sum(lagged[l] * hist[:, h - l] for l in range(len(lagged)))
-        assert rows.shape == (1, *lagged.shape[1:])
-        assert np.allclose(rows[0], expected, rtol=1e-12, atol=0.0)
+        pieces = asg.pieces
+        expected = pieces[h, h] * hist[:, h]
+        for lag in range(1, min(asg.band.shape[1], h + 1)):
+            expected += pieces[h - lag, h] * hist[:, h - lag]
+        assert np.array_equal(asg.lag_summed(h, hist), expected)
 
     def test_the_lag_sum_sees_what_the_same_interval_row_misses(self, toy_cfg):
         """On a 3-minute grid the detector lies an interval or more
-        downstream, so the same-interval rows are zero; the lag-summed rows
-        are zero only before any departure can reach it."""
+        downstream, so the same-interval pieces are zero; the lag-summed
+        matrices are zero only before any departure can reach it."""
         cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
             toy_cfg.grid, interval_minutes=3, n_intervals=480))
         art = generate_truth_and_history(cfg)
         hist = art.history.demand.matrix
-        rows_at = odchain.experiment._lag_summed(
-            lambda h, _: art.assignment.counted_at(h), hist)
-        n_od = len(art.od_index)
-        same = [art.assignment.counted_at(h)[0].any() for h in range(cfg.cutoff_index)]
-        summed = [rows_at(h, np.zeros((n_od, h))).any() for h in range(cfg.cutoff_index)]
+        asg = art.assignment
+        same = [asg.band[h, 0].any() for h in range(cfg.cutoff_index)]
+        summed = [asg.lag_summed(h, hist).any() for h in range(cfg.cutoff_index)]
         assert not any(same)
         assert summed == [False] * 3 + [True] * (cfg.cutoff_index - 3)
 
@@ -720,7 +719,7 @@ class TestRefresh:
         """Interval 0 reads the frozen band and makes no linearization.  A
         later interval h linearizes the history scaled by one plus the
         relative means before h, clipped at zero, on the grid cut after h,
-        and reads that matrix's rows counted at h."""
+        and reads that matrix's lag sum at h, weighted by the history."""
         real = odchain.experiment.assignment_matrix
         made = []
 
@@ -729,15 +728,15 @@ class TestRefresh:
             return made[-1][1]
 
         monkeypatch.setattr(odchain.experiment, "assignment_matrix", linearize)
-        rows_at = odchain.experiment._refreshed_rows(toy_cfg, toy_artifacts)
+        H_at = odchain.experiment._refreshed_rows(toy_cfg, toy_artifacts)
         hist = toy_artifacts.history.demand.matrix
         n_od = len(toy_artifacts.od_index)
-        assert np.array_equal(rows_at(0, np.zeros((n_od, 0))),
-                              toy_artifacts.assignment.counted_at(0))
+        assert np.array_equal(H_at(0, np.zeros((n_od, 0))),
+                              toy_artifacts.assignment.lag_summed(0, hist))
         assert made == []
         for h in (1, 17, toy_cfg.cutoff_index - 1):
             relative = np.random.default_rng(h).normal(0.0, 0.8, (n_od, h))
-            rows = rows_at(h, relative)
+            H = H_at(h, relative)
             (demand, matrix), = made
             made.clear()
             assert demand.grid == dataclasses.replace(toy_cfg.grid, n_intervals=h + 1)
@@ -746,30 +745,28 @@ class TestRefresh:
             assert (relative < -1.0).any() and (demand.matrix[:, :h] == 0.0).any()
             assert np.array_equal(demand.matrix[:, h], hist[:, h])
             assert (demand.matrix[:, :h] != hist[:, :h]).any()
-            assert np.array_equal(rows, matrix.counted_at(h))
+            assert np.array_equal(H, matrix.lag_summed(h, hist))
 
     @pytest.mark.parametrize("minutes", [15, 3])
     def test_refresh_at_zero_deviation_reads_the_frozen_rows(self, toy_cfg, toy_artifacts,
                                                              minutes):
         """Linearized at the history itself, on the grid cut after each
-        measured interval, the rows are the frozen matrix's, bit for bit.  A
-        cut grid's band stops at the longest lag it holds mass at, so on the
-        first 3-minute intervals it leaves out lags whose rows are zero:
-        both sides are compared over h + 1 lags, zero past their own."""
+        measured interval, the measurement matrix is the frozen one's, bit
+        for bit, although on the first 3-minute intervals a cut grid's band
+        stops at the longest lag it holds mass at and leaves out lags whose
+        pieces are zero."""
         if minutes == 15:
             cfg, artifacts = toy_cfg, toy_artifacts
         else:
             cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
                 toy_cfg.grid, interval_minutes=minutes, n_intervals=480))
             artifacts = generate_truth_and_history(cfg)
-        rows_at = odchain.experiment._refreshed_rows(cfg, artifacts)
+        H_at = odchain.experiment._refreshed_rows(cfg, artifacts)
+        hist = artifacts.history.demand.matrix
         n_od = len(artifacts.od_index)
-        def all_lags(rows, h):
-            return np.concatenate([rows, np.zeros((h + 1 - len(rows), *rows.shape[1:]))])
-
         for h in range(cfg.cutoff_index):
-            assert np.array_equal(all_lags(rows_at(h, np.zeros((n_od, h))), h),
-                                  all_lags(artifacts.assignment.counted_at(h), h)), h
+            assert np.array_equal(H_at(h, np.zeros((n_od, h))),
+                                  artifacts.assignment.lag_summed(h, hist)), h
 
 
 class TestEmission:

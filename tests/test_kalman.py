@@ -259,9 +259,10 @@ def zero_prior(noise):
     return FilterState(mean=np.zeros(noise.Q.shape[0]), cov=noise.Q)
 
 
-def frozen_rows(asg):
-    """The provider that reads every interval's rows from ``asg``."""
-    return lambda h, _: asg.counted_at(h)
+def frozen_rows(asg, weights):
+    """The provider that reads every interval's lag-summed matrix from
+    ``asg``, each lag scaled by ``weights`` of the interval it reads."""
+    return lambda h, _: asg.lag_summed(h, weights)
 
 
 class TestRunSequence:
@@ -270,7 +271,9 @@ class TestRunSequence:
         n_od = len(asg.od_index)
         n_ch = len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
-        run = run_kf_sequence(frozen_rows(asg), np.zeros((n_ch, 8)), noise, init=zero_prior(noise))
+        weights = toy_artifacts.history.demand.matrix
+        run = run_kf_sequence(frozen_rows(asg, weights), np.zeros((n_ch, 8)), noise,
+                              init=zero_prior(noise))
         assert np.abs(run.deltas).max() == 0.0
         assert len(run.diagnostics) == 8
 
@@ -282,22 +285,25 @@ class TestRunSequence:
         delta_y[0, 3] = delta_y[-1, 5] = value
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
         with pytest.raises(ConfigurationError, match="2 non-finite"):
-            run_kf_sequence(frozen_rows(asg), delta_y, noise, init=zero_prior(noise))
+            run_kf_sequence(frozen_rows(asg, toy_artifacts.history.demand.matrix), delta_y,
+                            noise, init=zero_prior(noise))
 
     @staticmethod
     def _toy_inputs(toy_artifacts):
-        """The toy's frozen matrix, its 48 measured count deviations and a
-        noise model."""
+        """The toy's frozen matrix, its historical demand as the lags'
+        weights, its 48 measured count deviations and a noise model on the
+        relative state."""
         asg = toy_artifacts.assignment
         hist = toy_artifacts.history
         delta_y = (toy_artifacts.observed.counts - hist.load.counts.counts)[:, :48]
         n_od, n_ch = len(asg.od_index), len(asg.channels)
-        return asg, delta_y, NoiseModel(Q=25.0 * np.eye(n_od), R=100.0 * np.eye(n_ch))
+        return (asg, hist.demand.matrix, delta_y,
+                NoiseModel(Q=0.01 * np.eye(n_od), R=100.0 * np.eye(n_ch)))
 
     def _recorded_toy_run(self, toy_artifacts, monkeypatch):
         """A 48-step toy run and every posterior it made, recorded through
         ``kalman._update_with_gain``, since the run keeps only the last."""
-        asg, delta_y, noise = self._toy_inputs(toy_artifacts)
+        asg, weights, delta_y, noise = self._toy_inputs(toy_artifacts)
         posteriors = []
         real = kalman_mod._update_with_gain
 
@@ -307,7 +313,8 @@ class TestRunSequence:
             return state, gain
 
         monkeypatch.setattr(kalman_mod, "_update_with_gain", recording)
-        return run_kf_sequence(frozen_rows(asg), delta_y, noise, init=zero_prior(noise)), posteriors
+        run = run_kf_sequence(frozen_rows(asg, weights), delta_y, noise, init=zero_prior(noise))
+        return run, posteriors
 
     def test_min_eigenvalue_diagnostic_is_the_posterior_spectrum(self, toy_artifacts, monkeypatch):
         run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch)
@@ -352,88 +359,59 @@ class TestRunSequence:
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
         init = FilterState(mean=np.full(n_od, 7.0), cov=np.eye(n_od))
-        assert run_kf_sequence(frozen_rows(asg), np.zeros((n_ch, 0)), noise, init=init).last is None
-        run = run_kf_sequence(frozen_rows(asg), np.zeros((n_ch, 1)), noise, init=init)
+        H_at = frozen_rows(asg, toy_artifacts.history.demand.matrix)
+        assert run_kf_sequence(H_at, np.zeros((n_ch, 0)), noise, init=init).last is None
+        run = run_kf_sequence(H_at, np.zeros((n_ch, 1)), noise, init=init)
         assert run.last is not init
         assert np.array_equal(run.last.mean, run.deltas[:, 0])
 
     def test_rows_are_asked_for_once_per_step(self, toy_artifacts):
-        """Step h asks for its rows once, with the (n_od, h) posterior means
-        of the intervals before it."""
-        asg, delta_y, noise = self._toy_inputs(toy_artifacts)
+        """Step h asks for its measurement matrix once, with the (n_od, h)
+        posterior means of the intervals before it."""
+        asg, weights, delta_y, noise = self._toy_inputs(toy_artifacts)
         calls = []
 
-        def rows_at(h, deltas):
-            calls.append((h, deltas.copy()))
-            return asg.counted_at(h)
+        def H_at(h, relative):
+            calls.append((h, relative.copy()))
+            return asg.lag_summed(h, weights)
 
-        run = run_kf_sequence(rows_at, delta_y, noise, init=zero_prior(noise))
+        run = run_kf_sequence(H_at, delta_y, noise, init=zero_prior(noise))
         assert [h for h, _ in calls] == list(range(48))
-        for h, deltas in calls:
-            assert deltas.shape == (len(asg.od_index), h)
-            assert np.array_equal(deltas, run.deltas[:, :h])
+        for h, relative in calls:
+            assert relative.shape == (len(asg.od_index), h)
+            assert np.array_equal(relative, run.deltas[:, :h])
         assert np.abs(run.deltas).max() > 0.0
 
-    def test_rows_may_reach_back_to_interval_0(self, toy_artifacts):
-        """h + 1 lags are read; zero rows past the band's width change no
-        estimate."""
-        asg, delta_y, noise = self._toy_inputs(toy_artifacts)
-        assert asg.band.shape[1] < 48
-
-        def padded(h, _):
-            rows = asg.counted_at(h)
-            return np.concatenate([rows, np.zeros((h + 1 - len(rows), *rows.shape[1:]))])
-
-        init = zero_prior(noise)
-        reference = run_kf_sequence(frozen_rows(asg), delta_y, noise, init=init)
-        assert np.array_equal(run_kf_sequence(padded, delta_y, noise, init=init).deltas,
-                              reference.deltas)
-
     @pytest.mark.parametrize("bad", [
-        pytest.param(lambda rows: rows[:, :-1], id="a-channel-short"),
-        pytest.param(lambda rows: rows[:, :, :-1], id="an-od-short"),
-        pytest.param(lambda rows: rows[:0], id="no-lags"),
-        pytest.param(lambda rows: np.zeros((4, *rows.shape[1:])), id="past-interval-0"),
-        pytest.param(lambda rows: rows[0], id="no-lag-axis"),
+        pytest.param(lambda H: H[:-1], id="a-channel-short"),
+        pytest.param(lambda H: H[:, :-1], id="an-od-short"),
+        pytest.param(lambda H: np.stack([H, H]), id="per-lag"),
+        pytest.param(lambda H: H[0], id="no-lag-axis"),
     ])
     def test_rows_must_map_the_state_to_the_channels(self, toy_artifacts, bad):
-        """Rows that do not map the state's ODs to the count channels over 1
-        to h + 1 lags are rejected, naming the interval."""
+        """A measurement matrix that is not (channels, ODs), per-lag rows
+        among them, is rejected, naming the interval."""
         asg = toy_artifacts.assignment
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
+        weights = toy_artifacts.history.demand.matrix
 
-        def rows_at(h, _):
-            rows = asg.counted_at(h)
-            return bad(rows) if h == 2 else rows
+        def H_at(h, _):
+            H = asg.lag_summed(h, weights)
+            return bad(H) if h == 2 else H
 
-        with pytest.raises(ConfigurationError, match=r"of interval 2 are not \(1\.\.3, "):
-            run_kf_sequence(rows_at, np.zeros((n_ch, 5)), noise, init=zero_prior(noise))
-
-    def test_lagged_contributions_are_subtracted(self):
-        """With mass split across two measurement intervals the second step
-        must only explain the part not already implied by the first."""
-        grid_pieces = np.zeros((2, 2, 1, 1))
-        grid_pieces[0, 0, 0, 0] = 0.5
-        grid_pieces[0, 1, 0, 0] = 0.5  # half of interval 0 arrives during 1
-        grid_pieces[1, 1, 0, 0] = 0.5
-        from odchain.network import TimeGrid
-        asg = from_dense((("1", "3"),), ("4a",), TimeGrid(n_intervals=2), grid_pieces)
-        # a huge process noise keeps both priors vague, so the measurements
-        # dominate and the recovered deltas are essentially exact
-        noise = NoiseModel(Q=np.array([[1e6]]), R=np.array([[1e-12]]))
-        init = FilterState(mean=np.zeros(1), cov=np.array([[1e6]]))
-        # a deviation of 10 in interval 0 shows up as 5 then 5
-        run = run_kf_sequence(frozen_rows(asg), np.array([[5.0, 5.0]]), noise, init=init)
-        assert run.deltas[0, 0] == pytest.approx(10.0, rel=1e-6)
-        # all of interval 1's observed 5 is lagged mass, so no new deviation
-        assert abs(run.deltas[0, 1]) <= 1e-3
+        with pytest.raises(ConfigurationError,
+                           match=rf"of interval 2 is not \({n_ch}, {n_od}\)$"):
+            run_kf_sequence(H_at, np.zeros((n_ch, 5)), noise, init=zero_prior(noise))
 
     def test_lag_terms_match_full_scan(self, toy_artifacts):
-        """Against a reference that scans every earlier interval, also after
-        the provider switches at step 20 to a matrix whose lagged pieces are
-        nonzero where the first one's were zero."""
-        full, delta_y, noise = self._toy_inputs(toy_artifacts)
+        """Against a reference filter whose measurement matrix scans every
+        earlier interval's dense piece, in lag order, and updates with
+        ``kf_time_update`` and ``kf_measurement_update``: deltas and every
+        step's diagnostics bit for bit, also after the provider switches at
+        step 20 to a matrix whose lagged pieces are nonzero where the first
+        one's were zero."""
+        full, weights, delta_y, noise = self._toy_inputs(toy_artifacts)
         full_pieces = full.pieces
         same_interval = np.zeros_like(full_pieces)
         for h in range(full_pieces.shape[0]):
@@ -441,33 +419,33 @@ class TestRunSequence:
         first = from_dense(full.od_index, full.channels, full.grid, same_interval)
         # the matrix switched to brings its own band width
         assert (first.band.shape[1], full.band.shape[1]) == (1, 2)
-        n_od, n_ch = len(full.od_index), len(full.channels)
+        n_od = len(full.od_index)
         swap_at = 20
         init = zero_prior(noise)
-        run = run_kf_sequence(lambda h, _: (full if h >= swap_at else first).counted_at(h),
-                              delta_y, noise, init=init)
+        run = run_kf_sequence(
+            lambda h, _: (full if h >= swap_at else first).lag_summed(h, weights),
+            delta_y, noise, init=init)
 
         state = init
         deltas = np.zeros((n_od, delta_y.shape[1]))
         diagnostics = []
         for h in range(delta_y.shape[1]):
             pieces = full_pieces if h >= swap_at else same_interval
+            # every earlier interval, most of whose pieces are zero
+            H = pieces[h, h] * weights[:, h]
+            for lag in range(1, h + 1):
+                H += pieces[h - lag, h] * weights[:, h - lag]
             prior = state if h == 0 else kf_time_update([state], ArModel.identity(n_od), noise.Q)
-            lagged = np.zeros(n_ch)
-            for k in range(h):
-                piece = pieces[k, h]
-                if piece.any():
-                    lagged += piece @ deltas[:, k]
-            state = kf_measurement_update(prior, pieces[h, h], noise.R, delta_y[:, h] - lagged)
-            innovation = delta_y[:, h] - lagged - pieces[h, h] @ prior.mean
-            _, gain = kalman_mod._update_with_gain(prior, pieces[h, h], noise.R, innovation)
+            state = kf_measurement_update(prior, H, noise.R, delta_y[:, h])
+            innovation = delta_y[:, h] - H @ prior.mean
+            _, gain = kalman_mod._update_with_gain(prior, H, noise.R, innovation)
             diagnostics.append((np.linalg.norm(innovation), np.linalg.norm(gain),
                                 np.trace(state.cov), state.cov_symmetry_error,
-                                np.linalg.eigvalsh(state.cov).min()))
+                                np.linalg.eigvalsh(state.cov).min(), np.linalg.norm(H)))
             deltas[:, h] = state.mean
         assert np.array_equal(run.deltas, deltas)
-        # every step's five diagnostics, bit for bit
+        # every step's five diagnostics and the measurement norm, bit for bit
         assert [(d.innovation_norm, d.gain_norm, d.cov_trace, d.cov_symmetry_error,
-                 d.cov_min_eigenvalue) for d in run.diagnostics] == diagnostics
-        assert not np.array_equal(
-            run.deltas, run_kf_sequence(frozen_rows(first), delta_y, noise, init=init).deltas)
+                 d.cov_min_eigenvalue, d.measurement_norm) for d in run.diagnostics] == diagnostics
+        assert not np.array_equal(run.deltas, run_kf_sequence(
+            frozen_rows(first, weights), delta_y, noise, init=init).deltas)

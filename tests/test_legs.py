@@ -25,6 +25,16 @@ class TestDemandLeg:
         with pytest.raises(ValueError):
             make_leg("m", [-1.0, 0, 0, 0], (("h1", "w"),))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1], ids=["member", "non-member"])
+    def test_rejects_non_finite_flow(self, value, at):
+        """A NaN compares false with 0, so neither the sign check nor the
+        non-member check would see it."""
+        flows = [0.0, 0.0, 0.0, 1.0]
+        flows[at] = value
+        with pytest.raises(ValueError, match="^leg 'm': non-finite OD flows$"):
+            make_leg("m", flows, (("h1", "w"), ("w", "h2")))
+
     def test_rejects_flow_off_members(self):
         with pytest.raises(ConfigurationError):
             make_leg("m", [0, 5.0, 0, 0], (("h1", "w"),))
