@@ -627,28 +627,35 @@ class AssignmentMatrix:
             dense[k, k + l, c, i] = self.band[: n_h - l, l]
         return dense
 
-    def lag_summed(self, h: int, weights: np.ndarray) -> np.ndarray:
-        """The pieces counted in interval ``h``, each scaled by the weights
-        of the interval it reads and summed: the ``(C, OD)`` matrix
+    def lag_rows(self, stop: int, weights: np.ndarray) -> np.ndarray:
+        """The pieces counted in each interval ``h < stop``, each scaled by
+        the weights of the interval it reads and summed, at the pairs: the
+        ``(stop, P)`` array whose row ``h`` holds, at pair ``p``, the entry of
         ``Σ_l pieces[h - l, h] · diag(weights[:, h - l])`` for
-        ``l = 0..min(L, h)``.
+        ``l = 0..min(L, h)``; ``pair_matrix`` of the row is that matrix.
 
         ``weights`` is ``(OD, intervals)``, with a column for every interval
-        up to ``h``.  The lags' band rows ``band[h - l, l]`` are added over
-        the P pairs in order from lag 0 and scattered once into the matrix.
+        before ``stop``.  Each row adds its lags' band rows ``band[h - l, l]``
+        in order from lag 0, one lag at a time over every interval.
 
         Raises:
-            IndexError: if ``h`` lies outside the grid.
+            IndexError: if ``stop`` lies outside ``0..H``.
         """
         n_h, width, _ = self.band.shape
-        if not 0 <= h < n_h:
-            raise IndexError(f"interval {h} outside grid of {n_h}")
+        if not 0 <= stop <= n_h:
+            raise IndexError(f"stop {stop} outside 0..{n_h}")
+        i = self.pairs[1]
+        rows = self.band[:stop, 0] * weights[i, :stop].T
+        for lag in range(1, min(width, stop)):
+            rows[lag:] += self.band[: stop - lag, lag] * weights[i, : stop - lag].T
+        return rows
+
+    def pair_matrix(self, values: np.ndarray) -> np.ndarray:
+        """The ``(C, OD)`` matrix holding ``values`` at the P pairs and zero
+        at every other (channel, OD) cell."""
         c, i = self.pairs
-        summed = self.band[h, 0] * weights[i, h]
-        for lag in range(1, min(width, h + 1)):
-            summed += self.band[h - lag, lag] * weights[i, h - lag]
         matrix = np.zeros((len(self.channels), len(self.od_index)))
-        matrix[c, i] = summed
+        matrix[c, i] = values
         return matrix
 
     def predict_counts(self, demand_matrix: np.ndarray) -> np.ndarray:

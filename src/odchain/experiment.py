@@ -20,7 +20,7 @@ demand with the requested models:
 
 The interval filter's measurement at interval h is one lag-summed matrix,
 ``H_h = Σ_l pieces[h − l, h] · diag(hist[:, h − l])``
-(``AssignmentMatrix.lag_summed``): the counts' response
+(a row of ``AssignmentMatrix.lag_rows``): the counts' response
 to a relative deviation that every interval the counts reach back to shares.
 Its prior is ``prior²·11ᵀ + PRIOR_PER_OD²·I`` (``noise.prior`` is the
 common mode) and its random walk ``WALK_COMMON²·11ᵀ + WALK_PER_OD²·I`` per
@@ -61,7 +61,7 @@ from .assignment import (
 )
 from .departure import departure_probabilities
 from .errors import ConfigurationError, DegenerateProfileError
-from .kalman import FilterState, KfStepDiagnostics, NoiseModel, run_kf_sequence
+from .kalman import FilterState, KfStepDiagnostics, NoiseModel, min_eigenvalue, run_kf_sequence
 from .legfilter import (
     ChainFilterConfig,
     attribute_interval_deviations,
@@ -407,17 +407,26 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     return NoiseModel(Q=Q, R=R), P0, leg_Q, root_P0, R_cum
 
 
+def _frozen_rows(artifacts: ExperimentArtifacts, stop: int):
+    """Interval h's measurement matrix from the frozen linearization: row h
+    of its ``lag_rows(stop, hist)``, built once for the measured intervals
+    and scattered into a matrix at each step."""
+    frozen = artifacts.assignment
+    rows = frozen.lag_rows(stop, artifacts.history.demand.matrix)
+    return lambda h, _: frozen.pair_matrix(rows[h])
+
+
 def _refreshed_rows(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     """Interval h's measurement matrix, relinearized at the estimate so far.
 
     Interval 0 has no estimate yet and reads the frozen band.  For a later
     interval ``h`` the history, scaled by ``1 + r`` over the intervals
     before ``h`` (``r`` their relative posterior means) and clipped at
-    zero, is linearized on the grid cut after ``h``, and that matrix's
-    ``lag_summed(h, hist)`` is returned.  A link's time in an interval
-    depends only on departures up to it, so these are the whole day's
-    matrix's pieces, though the cut band may stop short of lags whose
-    pieces are zero.  ``assignment_matrix`` loads the estimate and
+    zero, is linearized on the grid cut after ``h``, and the last of that
+    matrix's ``lag_rows(h + 1, hist)`` is scattered into the matrix.  A
+    link's time in an interval depends only on departures up to it, so
+    these are the whole day's matrix's pieces, though the cut band may stop
+    short of lags whose pieces are zero.  ``assignment_matrix`` loads the estimate and
     linearizes it in one pass, so a refresh makes no ``load_network`` call.
     """
     hist = artifacts.history.demand.matrix
@@ -425,13 +434,13 @@ def _refreshed_rows(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
 
     def H_at(h: int, relative: np.ndarray) -> np.ndarray:
         if h == 0:
-            return frozen.lag_summed(0, hist)
+            return frozen.pair_matrix(frozen.lag_rows(1, hist)[0])
         est = hist[:, : h + 1].copy()
         est[:, :h] = np.maximum(est[:, :h] * (1.0 + relative), 0.0)
         grid = replace(cfg.grid, n_intervals=h + 1)
-        return assignment_matrix(
-            cfg.network, DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est)
-        ).lag_summed(h, hist)
+        cut = assignment_matrix(
+            cfg.network, DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est))
+        return cut.pair_matrix(cut.lag_rows(h + 1, hist)[h])
 
     return H_at
 
@@ -482,9 +491,12 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     diagnostics, and notes for the report's ``diagnostics``: the totals
     that ``attribute_interval_deviations`` gives each leg of the morning's
     absolute deviations ``hist ⊙ r`` (``attributed_totals``), each chained
-    leg's ``leg_retention``, by which pkf and spkf scale its estimate, and
-    the number of measured intervals whose measurement matrix is all zero
-    (``unobserved_intervals``), which a warning reports when it is not 0.
+    leg's ``leg_retention``, by which pkf and spkf scale its estimate, the
+    number of measured intervals whose measurement matrix is all zero
+    (``unobserved_intervals``), which a warning reports when it is not 0,
+    and the smallest eigenvalue of the last posterior covariance, the one
+    that prediction reads (``kf_last_cov_min_eigenvalue``, from
+    ``eigvalsh``; ``None`` where no filter model ran).
     """
     cut = cfg.cutoff_index
     n_h = cfg.grid.n_intervals
@@ -493,7 +505,8 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     estimates: dict[str, np.ndarray] = {}
     kf_diag: list[KfStepDiagnostics] = []
     leg_diag: list[LegDiagnostics] = []
-    notes: dict = {"attributed_totals": {}, "leg_retention": {}, "unobserved_intervals": 0}
+    notes: dict = {"attributed_totals": {}, "leg_retention": {}, "unobserved_intervals": 0,
+                   "kf_last_cov_min_eigenvalue": None}
     result = estimates, kf_diag, leg_diag, notes
 
     if "seed" in rows:
@@ -506,15 +519,22 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     with _stage(rows, filter_models, "interval filtering"):
         noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts)
         delta_y = artifacts.observed.counts - hist.load.counts.counts
-        init = FilterState(mean=np.zeros(len(artifacts.od_index)), cov=P0)
-        H_at = (_refreshed_rows(cfg, artifacts) if cfg.estimation.refresh_assignment
-                else lambda h, _: artifacts.assignment.lag_summed(h, hist_matrix))
-        kf = run_kf_sequence(H_at, delta_y[:, :cut], noise, init=init)
+        # the provider and the prior are passed, not kept, so the rows and the
+        # prior's root are freed when the filter returns
+        kf = run_kf_sequence(
+            _refreshed_rows(cfg, artifacts) if cfg.estimation.refresh_assignment
+            else _frozen_rows(artifacts, cut), delta_y[:, :cut], noise,
+            init=FilterState(mean=np.zeros(len(artifacts.od_index)), cov=P0))
         kf_diag.extend(kf.diagnostics)
         notes["unobserved_intervals"] = sum(d.measurement_norm == 0.0 for d in kf.diagnostics)
         if notes["unobserved_intervals"]:
             logger.warning("the measurement matrix of %d of %d measured intervals is all zero: "
                            "the filter sees nothing there", notes["unobserved_intervals"], cut)
+        notes["kf_last_cov_min_eigenvalue"] = min_eigenvalue(kf.last.cov)
+        # prediction reads the last posterior's mean alone, so its covariance
+        # and root are not kept through the leg chain and the assembly
+        deltas, last_mean = kf.deltas, kf.last.mean
+        del kf
     if rows[filter_models[0]].status == "failed":
         return result
 
@@ -526,7 +546,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         # pkf and spkf share the chain's inputs, which do not depend on the mode
         with _stage(rows, chain_models, "leg-chain inputs"):
             attributed = attribute_interval_deviations(
-                hist_matrix[:, :cut] * kf.deltas, [hist.legs[n] for n in chain.topological_order()]
+                hist_matrix[:, :cut] * deltas, [hist.legs[n] for n in chain.topological_order()]
             )
             notes["attributed_totals"].update((n, float(v.sum())) for n, v in attributed.items())
             del attributed
@@ -541,7 +561,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
             retention.update((n, leg_retention(hist.legs[n], consistent[n])) for n in chained)
             mapping = cumulative_mapping(artifacts.assignment, hist.profiles(), cut - 1)
             delta_Y = (artifacts.observed.cumulative() - hist.load.counts.cumulative())[:, cut - 1]
-            roots = root_deviations(kf.deltas, [hist.legs[n] for n in chain.roots()])
+            roots = root_deviations(deltas, [hist.legs[n] for n in chain.roots()])
 
     for model in chain_models:
         if rows[model].status == "failed":
@@ -558,6 +578,8 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
                 leg_diag.append(LegDiagnostics(
                     model, n, s.prior_norm, float(np.linalg.norm(s.state.mean)), s.scale,
                     s.conservation_residual))
+            # the legs' covariances and roots are read no further
+            del states, s
 
     for model in filter_models:
         if rows[model].status == "failed":
@@ -565,10 +587,10 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         with _stage(rows, (model,), f"model {model}"):
             terms = chained_flows.get(model, {})
             est = np.empty_like(hist_matrix)
-            _, clamped_m = combined_demand(hist_matrix[:, :cut], kf.deltas, terms, hist.legs,
+            _, clamped_m = combined_demand(hist_matrix[:, :cut], deltas, terms, hist.legs,
                                            out=est[:, :cut])
             before = assignment_mod.load_call_count()
-            _, clamped_e = predict_horizon(hist_matrix, kf.last.mean, terms, hist.legs,
+            _, clamped_e = predict_horizon(hist_matrix, last_mean, terms, hist.legs,
                                            (cut, n_h), out=est[:, cut:])
             pred_loads = assignment_mod.load_call_count() - before
             estimates[model] = est

@@ -569,11 +569,13 @@ class TestPairs:
 
     @pytest.mark.parametrize("h", [0, 1, 50, 95])
     def test_counted_at_reads_the_dense_view(self, toy_artifacts, h):
-        """``lag_summed`` is, bit for bit, the dense pieces counted at h,
-        each scaled by random non-negative weights of the interval it reads
-        and added from lag 0: at the toy's band width 2, at width 1 (lag 0
-        alone, here a non-contiguous slice of the band) and at the grid's
-        full width, wider than h + 1 below the last interval."""
+        """Row h of ``lag_rows``, scattered by ``pair_matrix``, is, bit for
+        bit, the dense pieces counted at h, each scaled by random
+        non-negative weights of the interval it reads and added from lag 0,
+        whether the rows stop after h or run to the grid's end: at the toy's
+        band width 2, at width 1 (lag 0 alone, here a non-contiguous slice
+        of the band) and at the grid's full width, wider than h + 1 below
+        the last interval."""
         asg = toy_artifacts.assignment
         n_h = asg.grid.n_intervals
         rng = np.random.default_rng(h)
@@ -585,18 +587,27 @@ class TestPairs:
             expected = pieces[h, h] * weights[:, h]
             for lag in range(1, min(band.shape[1], h + 1)):
                 expected += pieces[h - lag, h] * weights[:, h - lag]
-            assert np.array_equal(matrix.lag_summed(h, weights), expected)
+            cut, whole = matrix.lag_rows(h + 1, weights), matrix.lag_rows(n_h, weights)
+            assert cut.shape == (h + 1, asg.pairs.shape[1])
+            assert np.array_equal(matrix.pair_matrix(cut[h]), expected)
+            assert np.array_equal(whole[h], cut[h])
+
+    def test_no_rows_before_the_first_interval(self, toy_artifacts):
+        asg = toy_artifacts.assignment
+        weights = np.ones((len(asg.od_index), asg.grid.n_intervals))
+        assert asg.lag_rows(0, weights).shape == (0, asg.pairs.shape[1])
 
     @pytest.mark.parametrize("offset", [-1, 0, 5], ids=["-1", "H", "H+5"])
     def test_counted_at_rejects_an_interval_off_the_grid(self, toy_artifacts, offset):
-        """Below 0 numpy's negative indexing would read the day's last
-        intervals, and past the last interval the band has no row."""
+        """Rows that stop below 0, or past the row of the last interval,
+        are refused: numpy would read a negative stop from the day's end and
+        clip one past the band's last row."""
         asg = toy_artifacts.assignment
         n_h = asg.grid.n_intervals
-        h = -1 if offset < 0 else n_h + offset
+        stop = -1 if offset < 0 else n_h + 1 + offset
         weights = np.ones((len(asg.od_index), n_h + 6))
-        with pytest.raises(IndexError, match=rf"interval {h} outside grid of {n_h}$"):
-            asg.lag_summed(h, weights)
+        with pytest.raises(IndexError, match=rf"stop {stop} outside 0\.\.{n_h}$"):
+            asg.lag_rows(stop, weights)
 
 
 class TestCumulativeMapping:

@@ -502,16 +502,18 @@ class TestRelativeFilter:
     ``hist ⊙ (1 + r)`` and, for pkf and spkf, the chained legs' estimates."""
 
     @pytest.mark.parametrize("h", [0, 1, 17, 47])
-    def test_provider_sums_every_lag_weighted_by_the_history(self, toy_artifacts, h):
-        """Bit for bit the dense pieces counted at h, each scaled by the
-        history of the interval it reads, added from lag 0."""
+    def test_provider_sums_every_lag_weighted_by_the_history(self, toy_cfg, toy_artifacts, h):
+        """The frozen provider's matrix at h is, bit for bit, the dense
+        pieces counted at h, each scaled by the history of the interval it
+        reads, added from lag 0."""
         hist = toy_artifacts.history.demand.matrix
         asg = toy_artifacts.assignment
         pieces = asg.pieces
         expected = pieces[h, h] * hist[:, h]
         for lag in range(1, min(asg.band.shape[1], h + 1)):
             expected += pieces[h - lag, h] * hist[:, h - lag]
-        assert np.array_equal(asg.lag_summed(h, hist), expected)
+        H_at = odchain.experiment._frozen_rows(toy_artifacts, toy_cfg.cutoff_index)
+        assert np.array_equal(H_at(h, None), expected)
 
     def test_the_lag_sum_sees_what_the_same_interval_row_misses(self, toy_cfg):
         """On a 3-minute grid the detector lies an interval or more
@@ -523,7 +525,7 @@ class TestRelativeFilter:
         hist = art.history.demand.matrix
         asg = art.assignment
         same = [asg.band[h, 0].any() for h in range(cfg.cutoff_index)]
-        summed = [asg.lag_summed(h, hist).any() for h in range(cfg.cutoff_index)]
+        summed = [row.any() for row in asg.lag_rows(cfg.cutoff_index, hist)]
         assert not any(same)
         assert summed == [False] * 3 + [True] * (cfg.cutoff_index - 3)
 
@@ -612,6 +614,25 @@ class TestRelativeFilter:
             [True, True, True, False]
         (record,) = caplog.records
         assert "3 of 240 measured intervals" in record.getMessage()
+
+    def test_last_cov_min_eigenvalue_is_the_last_posterior_spectrum(self, toy_cfg, monkeypatch):
+        """``kf_last_cov_min_eigenvalue`` is the smallest eigenvalue of the
+        last posterior covariance, the one prediction reads, from
+        ``eigvalsh``; it is null where no filter model runs."""
+        runs = []
+        real = odchain.experiment.run_kf_sequence
+
+        def recording(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", recording)
+        report = run_experiment(toy_cfg, models=("kf",))
+        (run,) = runs
+        got = report.diagnostics["kf_last_cov_min_eigenvalue"]
+        assert got == np.linalg.eigvalsh(run.last.cov).min() > 0.0
+        assert run_experiment(toy_cfg, models=("seed",)).diagnostics[
+            "kf_last_cov_min_eigenvalue"] is None
 
 
 def test_readme_python_example_runs(capsys):
@@ -731,8 +752,8 @@ class TestRefresh:
         H_at = odchain.experiment._refreshed_rows(toy_cfg, toy_artifacts)
         hist = toy_artifacts.history.demand.matrix
         n_od = len(toy_artifacts.od_index)
-        assert np.array_equal(H_at(0, np.zeros((n_od, 0))),
-                              toy_artifacts.assignment.lag_summed(0, hist))
+        frozen = odchain.experiment._frozen_rows(toy_artifacts, toy_cfg.cutoff_index)
+        assert np.array_equal(H_at(0, np.zeros((n_od, 0))), frozen(0, None))
         assert made == []
         for h in (1, 17, toy_cfg.cutoff_index - 1):
             relative = np.random.default_rng(h).normal(0.0, 0.8, (n_od, h))
@@ -745,7 +766,7 @@ class TestRefresh:
             assert (relative < -1.0).any() and (demand.matrix[:, :h] == 0.0).any()
             assert np.array_equal(demand.matrix[:, h], hist[:, h])
             assert (demand.matrix[:, :h] != hist[:, :h]).any()
-            assert np.array_equal(H, matrix.lag_summed(h, hist))
+            assert np.array_equal(H, matrix.pair_matrix(matrix.lag_rows(h + 1, hist)[h]))
 
     @pytest.mark.parametrize("minutes", [15, 3])
     def test_refresh_at_zero_deviation_reads_the_frozen_rows(self, toy_cfg, toy_artifacts,
@@ -762,11 +783,10 @@ class TestRefresh:
                 toy_cfg.grid, interval_minutes=minutes, n_intervals=480))
             artifacts = generate_truth_and_history(cfg)
         H_at = odchain.experiment._refreshed_rows(cfg, artifacts)
-        hist = artifacts.history.demand.matrix
+        frozen = odchain.experiment._frozen_rows(artifacts, cfg.cutoff_index)
         n_od = len(artifacts.od_index)
         for h in range(cfg.cutoff_index):
-            assert np.array_equal(H_at(h, np.zeros((n_od, h))),
-                                  artifacts.assignment.lag_summed(h, hist)), h
+            assert np.array_equal(H_at(h, np.zeros((n_od, h))), frozen(h, None)), h
 
 
 class TestEmission:

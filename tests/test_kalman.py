@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from banding import from_dense
+from kalman_oracle import oracle_filter, oracle_time_update, oracle_update
+from odchain import experiment as experiment_mod
 from odchain import kalman as kalman_mod
 from odchain.errors import ConfigurationError, NumericalError
 from odchain.kalman import (
@@ -74,6 +79,28 @@ class TestFilterState:
         FilterState(mean=np.zeros(4), cov=inside)
         with pytest.raises(ValueError, match="positive semidefinite"):
             FilterState(mean=np.zeros(4), cov=outside)
+
+    def test_root_is_the_cholesky_factor(self):
+        """A positive definite covariance's root is its lower Cholesky
+        factor, which the state keeps read-only."""
+        a = np.random.default_rng(3).normal(size=(5, 5))
+        cov = a @ a.T + 0.1 * np.eye(5)
+        state = FilterState(mean=np.zeros(5), cov=cov)
+        assert np.array_equal(state.root, np.tril(state.root))
+        assert np.allclose(state.root, np.linalg.cholesky(cov), rtol=0.0, atol=1e-12)
+        assert not state.root.flags.writeable
+
+    @pytest.mark.parametrize("eigenvalues", [[2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                                             [3.0, 1.0, 0.5, -1e-10]],
+                             ids=["rank-2", "zero", "inside-the-tolerance"])
+    def test_a_singular_covariance_takes_its_eigen_root(self, eigenvalues):
+        """A covariance with no Cholesky factor that passes the shifted
+        check gets ``V sqrt(max(w, 0))``, a root of it up to the negative
+        eigenvalues clipped."""
+        cov = self._with_spectrum(eigenvalues, 4)
+        assert kalman_mod._cholesky(cov) is None
+        state = FilterState(mean=np.zeros(4), cov=cov)
+        assert np.allclose(state.root @ state.root.T, cov, rtol=0.0, atol=1e-9)
 
 
 class TestArModel:
@@ -232,6 +259,21 @@ class TestMeasurementUpdate:
 
 
 class TestNoiseModel:
+    @pytest.mark.parametrize("name, noise", [
+        pytest.param("R", {"Q": np.eye(2), "R": np.diag([1.0, -0.5])}, id="R-negative-variance"),
+        pytest.param("Q", {"Q": np.array([[1.0, 2.0], [2.0, 1.0]]), "R": np.eye(1)},
+                     id="Q-indefinite"),
+    ])
+    def test_rejects_what_is_not_positive_semidefinite(self, name, noise):
+        """An indefinite Q or R is refused where it is made, naming it, not
+        mid-filter as a state's covariance."""
+        with pytest.raises(ValueError, match=f"^{name} is not positive semidefinite$"):
+            NoiseModel(**noise)
+
+    def test_accepts_singular_noise(self):
+        noise = NoiseModel(Q=np.zeros((2, 2)), R=np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert not noise.Q.any()
+
     def test_views_the_callers_matrices(self):
         q, r = np.eye(2), np.eye(1)
         noise = NoiseModel(Q=q, R=r)
@@ -254,6 +296,41 @@ class TestNoiseModel:
             NoiseModel(**noise)
 
 
+def _run_with_noise(Q, R):
+    """A two-step run of a 2-OD state against one channel."""
+    noise = NoiseModel(Q=Q, R=R)
+    run_kf_sequence(lambda h, _: np.ones((1, 2)), np.zeros((1, 2)), noise,
+                    init=FilterState(mean=np.zeros(2), cov=np.eye(2)))
+
+
+class TestNoiseShapes:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: _run_with_noise(np.eye(1), np.eye(1)),
+                     r"noise Q \(1, 1\) and R \(1, 1\) do not match 2 ODs and 1 channels",
+                     id="sequence-Q-1x1"),
+        pytest.param(lambda: _run_with_noise(np.eye(2), np.eye(2)),
+                     r"noise Q \(2, 2\) and R \(2, 2\) do not match 2 ODs and 1 channels",
+                     id="sequence-R-2x2"),
+        pytest.param(lambda: kf_time_update([FilterState(mean=np.zeros(2), cov=np.eye(2))],
+                                            ArModel.identity(2), np.eye(1)),
+                     r"process noise \(1, 1\) and transition \(2, 2\) do not match state "
+                     r"of dimension 2", id="time-update-Q-1x1"),
+        pytest.param(lambda: kf_time_update([FilterState(mean=np.zeros(2), cov=np.eye(2))],
+                                            ArModel(coefficients=(np.eye(3),)), np.eye(2)),
+                     r"process noise \(2, 2\) and transition \(3, 3\) do not match state "
+                     r"of dimension 2", id="time-update-F-3x3"),
+        pytest.param(lambda: kf_measurement_update(FilterState(mean=np.zeros(2), cov=np.eye(2)),
+                                                   np.ones((1, 2)), np.eye(2), np.zeros(1)),
+                     r"measurement noise \(2, 2\) does not match 1 channels",
+                     id="measurement-update-R-2x2"),
+    ])
+    def test_a_mis_shaped_noise_is_refused_naming_the_shapes(self, call, message):
+        """A (1, 1) Q would be broadcast over the state, adding ``q 11'``,
+        and a (2, 2) R for one channel would fail inside numpy."""
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            call()
+
+
 def zero_prior(noise):
     """Interval 0's prior: zero mean, the process noise as covariance."""
     return FilterState(mean=np.zeros(noise.Q.shape[0]), cov=noise.Q)
@@ -262,7 +339,8 @@ def zero_prior(noise):
 def frozen_rows(asg, weights):
     """The provider that reads every interval's lag-summed matrix from
     ``asg``, each lag scaled by ``weights`` of the interval it reads."""
-    return lambda h, _: asg.lag_summed(h, weights)
+    rows = asg.lag_rows(asg.grid.n_intervals, weights)
+    return lambda h, _: asg.pair_matrix(rows[h])
 
 
 class TestRunSequence:
@@ -316,17 +394,14 @@ class TestRunSequence:
         run = run_kf_sequence(frozen_rows(asg, weights), delta_y, noise, init=zero_prior(noise))
         return run, posteriors
 
-    def test_min_eigenvalue_diagnostic_is_the_posterior_spectrum(self, toy_artifacts, monkeypatch):
-        run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch)
-        assert len(run.diagnostics) == len(posteriors) == 48
-        for diag, state in zip(run.diagnostics, posteriors):
-            assert diag.cov_min_eigenvalue == np.linalg.eigvalsh(state.cov).min()
-
     def test_covariances_stay_symmetric_and_psd(self, toy_artifacts, monkeypatch):
+        """Every posterior covariance is its root times the root's
+        transpose: exactly symmetric, and positive semidefinite."""
         _, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch)
         assert len(posteriors) == 48
         for state in posteriors:
-            assert symmetry_error(state.cov) <= 1e-10
+            assert symmetry_error(state.cov) == 0.0
+            assert np.array_equal(state.cov, state.root @ state.root.T)
             assert min_eigenvalue(state.cov) >= -1e-8 * max(np.trace(state.cov), 1.0)
 
     def test_last_is_the_last_posterior(self, toy_artifacts, monkeypatch):
@@ -370,10 +445,11 @@ class TestRunSequence:
         posterior means of the intervals before it."""
         asg, weights, delta_y, noise = self._toy_inputs(toy_artifacts)
         calls = []
+        rows = frozen_rows(asg, weights)
 
         def H_at(h, relative):
             calls.append((h, relative.copy()))
-            return asg.lag_summed(h, weights)
+            return rows(h, relative)
 
         run = run_kf_sequence(H_at, delta_y, noise, init=zero_prior(noise))
         assert [h for h, _ in calls] == list(range(48))
@@ -394,10 +470,10 @@ class TestRunSequence:
         asg = toy_artifacts.assignment
         n_od, n_ch = len(asg.od_index), len(asg.channels)
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
-        weights = toy_artifacts.history.demand.matrix
+        rows = frozen_rows(asg, toy_artifacts.history.demand.matrix)
 
         def H_at(h, _):
-            H = asg.lag_summed(h, weights)
+            H = rows(h, _)
             return bad(H) if h == 2 else H
 
         with pytest.raises(ConfigurationError,
@@ -407,10 +483,11 @@ class TestRunSequence:
     def test_lag_terms_match_full_scan(self, toy_artifacts):
         """Against a reference filter whose measurement matrix scans every
         earlier interval's dense piece, in lag order, and updates with
-        ``kf_time_update`` and ``kf_measurement_update``: deltas and every
-        step's diagnostics bit for bit, also after the provider switches at
-        step 20 to a matrix whose lagged pieces are nonzero where the first
-        one's were zero."""
+        ``kf_time_update`` and ``kf_measurement_update``: deltas, the last
+        covariance and every step's diagnostics bit for bit (the gain from
+        ``_update_with_gain`` with R's Cholesky factor), also after the
+        provider switches at step 20 to a matrix whose lagged pieces are
+        nonzero where the first one's were zero."""
         full, weights, delta_y, noise = self._toy_inputs(toy_artifacts)
         full_pieces = full.pieces
         same_interval = np.zeros_like(full_pieces)
@@ -422,13 +499,15 @@ class TestRunSequence:
         n_od = len(full.od_index)
         swap_at = 20
         init = zero_prior(noise)
+        full_rows, first_rows = frozen_rows(full, weights), frozen_rows(first, weights)
         run = run_kf_sequence(
-            lambda h, _: (full if h >= swap_at else first).lag_summed(h, weights),
+            lambda h, _: (full_rows if h >= swap_at else first_rows)(h, _),
             delta_y, noise, init=init)
 
         state = init
         deltas = np.zeros((n_od, delta_y.shape[1]))
         diagnostics = []
+        R_root = np.linalg.cholesky(noise.R)
         for h in range(delta_y.shape[1]):
             pieces = full_pieces if h >= swap_at else same_interval
             # every earlier interval, most of whose pieces are zero
@@ -438,14 +517,101 @@ class TestRunSequence:
             prior = state if h == 0 else kf_time_update([state], ArModel.identity(n_od), noise.Q)
             state = kf_measurement_update(prior, H, noise.R, delta_y[:, h])
             innovation = delta_y[:, h] - H @ prior.mean
-            _, gain = kalman_mod._update_with_gain(prior, H, noise.R, innovation)
+            _, gain = kalman_mod._update_with_gain(prior, H, R_root, innovation)
             diagnostics.append((np.linalg.norm(innovation), np.linalg.norm(gain),
-                                np.trace(state.cov), state.cov_symmetry_error,
-                                np.linalg.eigvalsh(state.cov).min(), np.linalg.norm(H)))
+                                np.trace(state.cov), np.linalg.norm(H)))
             deltas[:, h] = state.mean
         assert np.array_equal(run.deltas, deltas)
-        # every step's five diagnostics and the measurement norm, bit for bit
-        assert [(d.innovation_norm, d.gain_norm, d.cov_trace, d.cov_symmetry_error,
-                 d.cov_min_eigenvalue, d.measurement_norm) for d in run.diagnostics] == diagnostics
+        assert np.array_equal(run.last.cov, state.cov)
+        # every step's diagnostics, bit for bit
+        assert [(d.innovation_norm, d.gain_norm, d.cov_trace, d.measurement_norm)
+                for d in run.diagnostics] == diagnostics
         assert not np.array_equal(run.deltas, run_kf_sequence(
             frozen_rows(first, weights), delta_y, noise, init=init).deltas)
+
+
+@st.composite
+def update_cases(draw):
+    """A prior of 1-15 dimensions, positive definite or singular, taken
+    through a general transition or not, and 0-6 channels whose counts it
+    updates on, with a general or a diagonal R; with the diagonal one,
+    channels with a zero row of H and zero noise make the innovation
+    covariance singular, which the jitter retry rescues."""
+    n = draw(st.integers(1, 15))
+    n_ch = draw(st.integers(0, 6))
+    rank = draw(st.one_of(st.just(n), st.integers(0, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, rank))
+    cov = a @ a.T + (0.1 * np.eye(n) if rank == n else 0.0)
+    mean = rng.normal(scale=5.0, size=n)
+    transition = None
+    if draw(st.booleans()):
+        b = rng.normal(size=(n, draw(st.integers(0, n))))
+        transition = (rng.normal(size=(n, n)), b @ b.T)
+    H = rng.normal(size=(n_ch, n))
+    if draw(st.booleans()):
+        c = rng.normal(size=(n_ch, n_ch))
+        R = c @ c.T + 0.1 * np.eye(n_ch)
+    else:
+        # a diagonal R, whose eigen root is exact, so the blind channels
+        # are exactly blind: the jitter amplifies what is not by 1e9
+        R = np.diag(rng.uniform(0.1, 10.0, n_ch))
+        blind = rng.random(n_ch) < 0.5
+        H[blind] = 0.0
+        R[blind, blind] = 0.0
+    return mean, cov, transition, H, R, rng.normal(scale=5.0, size=n_ch)
+
+
+def _relative_error(got, want, scale):
+    return float(np.abs(got - want).max(initial=0.0)) / max(scale, 1e-300)
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(update_cases())
+def test_update_matches_the_covariance_form_oracle(case):
+    """The square-root update, after the time update where there is one,
+    gives the covariance-form oracle's mean and covariance to 1e-10 of
+    their scale, and, where there are channels, a covariance that is
+    exactly its root times the root's transpose."""
+    mean, cov, transition, H, R, delta_y = case
+    state = FilterState(mean=mean, cov=cov)
+    want_mean, want_cov = mean, cov
+    if transition is not None:
+        F, Q = transition
+        state = kf_time_update([state], ArModel(coefficients=(F,)), Q)
+        want_mean, want_cov = oracle_time_update(mean, cov, F, Q)
+        assert np.array_equal(state.cov, want_cov)
+    post = kf_measurement_update(state, H, R, delta_y)
+    want_mean, want_cov, gain = oracle_update(want_mean, want_cov, H, R, delta_y)
+    mean_scale = max(np.abs(want_mean).max(), np.abs(state.mean).max(), 1.0)
+    assert _relative_error(post.mean, want_mean, mean_scale) <= 1e-10
+    assert _relative_error(post.cov, want_cov, max(np.abs(state.cov).max(), 1.0)) <= 1e-10
+    # with no channels the prior itself is the posterior
+    assert post is state if not H.shape[0] else np.array_equal(post.cov, post.root @ post.root.T)
+
+
+class TestAgainstTheOracle:
+    @pytest.mark.parametrize("minutes", [15, 3])
+    def test_the_toys_measured_intervals(self, toy_cfg, toy_artifacts, minutes):
+        """The toy's 48 measured intervals and the 3-minute toy's 240, with
+        the experiment's noise, prior and frozen rows: every posterior mean,
+        the last covariance and every gain match the covariance-form oracle
+        to 1e-10 of their scale."""
+        cfg, artifacts = toy_cfg, toy_artifacts
+        if minutes != 15:
+            cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
+                toy_cfg.grid, interval_minutes=minutes, n_intervals=480))
+            artifacts = experiment_mod.generate_truth_and_history(cfg)
+        cut = cfg.cutoff_index
+        noise, P0, *_ = experiment_mod._noise_models(cfg, artifacts)
+        delta_y = (artifacts.observed.counts - artifacts.history.load.counts.counts)[:, :cut]
+        H_at = experiment_mod._frozen_rows(artifacts, cut)
+        n_od = len(artifacts.od_index)
+        run = run_kf_sequence(H_at, delta_y, noise, init=FilterState(mean=np.zeros(n_od), cov=P0))
+        deltas, last_cov, gains = oracle_filter(
+            [H_at(h, None) for h in range(cut)], delta_y, noise.Q, noise.R, np.zeros(n_od), P0)
+        assert run.deltas.shape == (n_od, {15: 48, 3: 240}[minutes])
+        assert _relative_error(run.deltas, deltas, np.abs(deltas).max()) <= 1e-10
+        assert _relative_error(run.last.cov, last_cov, np.abs(last_cov).max()) <= 1e-10
+        assert max(abs(d.gain_norm - np.linalg.norm(g)) / max(np.linalg.norm(g), 1e-300)
+                   for d, g in zip(run.diagnostics, gains) if np.linalg.norm(g)) <= 1e-10
