@@ -21,12 +21,16 @@ the link time, is cut at the next interval edge, and one index over all
 pieces, sorted by next link where routes fan out, gathers every column once
 and hands each next link a slice.  A pass holds in flight only the parcels
 waiting at the links still to visit and those of the link it visits.  A
-first link's departures are built from the demand when its turn comes, so
-none waits through the pass; a link writes its shifted windows' ends once
-into one table, from which both ends of every piece are read, scales the
-masses in place and frees each array after its last reader.  The link
-order and each route layout, with the tables the kernel walks, depend on
-the network alone, so each is built once per network (``Network.plans``).
+first link's departures are built from the demand when its turn comes, in
+chronological order, so none waits through the pass and a link where trips
+only start needs no sort.  A link frees each array after its last reader:
+it builds its sort key in place, replaces its columns by their sorted
+gathers one at a time, writes its shifted windows' ends once into one
+table, from which both ends of every piece are read through one index
+built in place, writes the windows' widths over their ends, and scales the
+masses in place.  The link order and each route layout, with the tables
+the kernel walks, depend on the network alone, so each is built once per
+network (``Network.plans``).
 A load keeps the links' times and the channels' counts, not every link's
 inflow.  Its door-to-door probes are walked the first time they are read
 (``LoadResult.tt_od``), every OD together, one route position at a time.
@@ -326,7 +330,8 @@ def _propagate(
     route is not empty departs ``matrix[r, k]`` uniformly over interval
     ``k`` onto the first link of ``plan.routes[r]``; with ``unit``, each of
     its parcels also carries a unit mass.  A first link's departures are
-    built when its turn comes, from the rows of the routes that start there
+    built when its turn comes, in (interval, route) order, which is
+    chronological, from the rows of the routes that start there
     (``plan.by_first``), so no other first link's departures exist meanwhile.
     A parcel enters its link uniformly over a window ``[a, b)`` within one
     interval ``h``, carries its cell ``r * n_intervals + k`` and one value
@@ -352,6 +357,15 @@ def _propagate(
     Inflows, the callback's sums and the spillover therefore accumulate in
     the order of an interval-by-interval pass.  Returns, per link, the first
     mass that would have entered it after the horizon end.
+
+    A visit frees each array after its last reader, so the parcels in flight
+    and the visited link's columns are all that it holds beyond the entry:
+    the sort key is built in place and freed once the permutation exists,
+    the sorted gathers replace the columns one at a time, the windows'
+    widths are written over their ends ``b`` (a fresh array, or a slice of
+    one that no other link's slice overlaps, which nothing reads after this
+    visit), the piece index is built in place from the pieces, and the
+    masses are scaled in place.
     """
     n_h = grid.n_intervals
     # interval edges as grid.bounds gives them; nothing is cut past the end
@@ -367,9 +381,11 @@ def _propagate(
         batches, inbox[i] = inbox[i], []
         rows = plan.by_first[plan.first_start[i]: plan.first_start[i + 1]]
         if rows.size:
-            r, k = np.nonzero(cells[rows])
+            # (interval, route) order: chronological, so a link where trips
+            # only start needs no sort
+            k, r = np.nonzero(cells[rows].T)
             if k.size:
-                # the departures join first, in (route, interval) order
+                # the departures join first
                 r = rows[r]
                 batches.insert(0, ((r * n_h + k).astype(np.int32), k.astype(np.int32),
                                    np.full(k.size, -1, dtype=np.int32), edges[k], edges[k + 1],
@@ -383,14 +399,21 @@ def _propagate(
             np.concatenate(col) if len(batches) > 1 else col[0] for col in zip(*batches)
         )
         del batches
-        key = h.astype(np.int64) * (n_h + 1) + prev
+        key = h.astype(np.int64)
+        key *= n_h + 1
+        key += prev
         del prev
-        if (key[1:] < key[:-1]).any():
-            perm = np.argsort(key, kind="stable")
-            cell, h, a, b = cell[perm], h[perm], a[perm], b[perm]
-            mass = [m[perm] for m in mass]
-            del perm
+        perm = np.argsort(key, kind="stable") if (key[1:] < key[:-1]).any() else None
         del key
+        if perm is not None:
+            # one column at a time, each old one freed as its gather replaces it
+            cell = cell[perm]
+            h = h[perm]
+            a = a[perm]
+            b = b[perm]
+            for j in range(len(mass)):
+                mass[j] = mass[j][perm]
+        del perm
         sums = np.bincount(h, weights=mass[0], minlength=n_h + 1)
         spill[lid] = float(sums[n_h])
         n_in = int(np.searchsorted(h, n_h))  # spilled pieces sort last
@@ -417,6 +440,10 @@ def _propagate(
         np.add(a, shift, out=bounds[:, 0])
         np.add(b, shift, out=bounds[:, 2])
         del shift
+        # the widths, written over b: it is a fresh array, or a slice of
+        # one that no other link's slice overlaps, and nothing reads it after
+        width = np.subtract(b, a, out=b)
+        del a, b
         start = _interval_index(bounds[:, 0] - grid.start, grid.interval_minutes, n_h)
         np.minimum(edges[start + 1], bounds[:, 2], out=bounds[:, 1])
         nxt = succ[i][cell // n_h]
@@ -429,21 +456,20 @@ def _propagate(
         if len(fanout[i]) > 1:
             pieces = pieces[np.argsort(nxt[pieces >> 1], kind="stable")]
         rows, past = pieces >> 1, (pieces & 1).astype(bool)
-        at = pieces + rows
+        at = np.add(pieces, rows, out=pieces)  # piece 2j + past starts at 3j + past
         del pieces
         piece_a = bounds.ravel()[at]
         at += 1
         piece_b = bounds.ravel()[at]
         del bounds, at
-        width = (b - a)[rows]
-        del a, b
+        width = width[rows]
         span = piece_b - piece_a
         moved = [m[rows] for m in mass]
         del mass
         for m in moved:  # m * span / width in place, rounded as that expression is
             np.multiply(m, span, out=m)
             np.divide(m, width, out=m)
-        del span, width
+        del span, width, m
         out = (cell[rows], start[rows] + past, h[rows], piece_a, piece_b, *moved)
         # free this link's parcels before the next link gathers its own
         del cell, h, start, past, piece_a, piece_b, moved
@@ -650,12 +676,19 @@ class AssignmentMatrix:
             rows[lag:] += self.band[: stop - lag, lag] * weights[i, : stop - lag].T
         return rows
 
+    @functools.cached_property
+    def _flat_pairs(self) -> np.ndarray:
+        """Each pair's index ``c * n_od + i`` in a raveled ``(C, OD)`` matrix."""
+        c, i = self.pairs
+        flat = c * len(self.od_index) + i
+        flat.setflags(write=False)
+        return flat
+
     def pair_matrix(self, values: np.ndarray) -> np.ndarray:
         """The ``(C, OD)`` matrix holding ``values`` at the P pairs and zero
         at every other (channel, OD) cell."""
-        c, i = self.pairs
         matrix = np.zeros((len(self.channels), len(self.od_index)))
-        matrix[c, i] = values
+        matrix.ravel()[self._flat_pairs] = values
         return matrix
 
     def predict_counts(self, demand_matrix: np.ndarray) -> np.ndarray:

@@ -25,7 +25,9 @@ A state built from a covariance is checked on construction: finite entries,
 a symmetric covariance, and positive semidefiniteness up to
 ``1e-8 * max(trace, 1)``.  The covariance's own Cholesky factor, where it
 exists, decides the check and is the state's root; only where it does not
-does a Cholesky factorization of the covariance shifted by that bound decide.
+does a Cholesky factorization of the covariance shifted by that bound
+decide, and a pivoted Cholesky factorization give the root.  The time update
+hands its prior's new arrays to the same checks without copying them.
 A posterior, built from its root, is checked finite only.
 
 A sequence run keeps what is read after it: every posterior mean, every
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,13 +63,22 @@ SINGULAR_ROOT = float(np.sqrt(np.finfo(float).eps))
 PSD_TOLERANCE = 1e-8
 
 # The LAPACK routines behind scipy.linalg.cholesky, qr and solve_triangular,
-# called directly: the wrappers cost more than the factorization at these sizes.
-_potrf, _geqrf, _trtrs = scipy.linalg.get_lapack_funcs(
-    ("potrf", "geqrf", "trtrs"), dtype=np.float64)
+# called directly: the wrappers cost more than the factorization at these
+# sizes; and the pivoted Cholesky factorization, which scipy wraps nowhere else.
+_potrf, _pstrf, _geqrf, _trtrs = scipy.linalg.get_lapack_funcs(
+    ("potrf", "pstrf", "geqrf", "trtrs"), dtype=np.float64)
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a float array, to the bit: numpy's own path
+    for the default order, the square root of the raveled array's dot with
+    itself, without its dispatch."""
+    x = v.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def symmetry_error(m: np.ndarray) -> float:
@@ -94,8 +106,10 @@ def _psd_root(m: np.ndarray) -> np.ndarray | None:
     verdict is whether ``m + 1e-8 * max(trace, 1) * I`` has one, which gives
     the eigenvalue verdict up to roundoff at the boundary without an
     eigendecomposition; a matrix that passes is positive semidefinite to
-    that bound but singular, and its root is ``V * sqrt(max(w, 0))`` from
-    its eigenpairs.
+    that bound but singular.  Its root is then ``P L`` from the pivoted
+    Cholesky factorization ``P' m P = L L'`` (LAPACK ``pstrf``), with the
+    columns of ``L`` past its rank zeroed: a zero row and column of ``m``
+    is pivoted past the rank, so its row of the root is exactly zero.
     """
     n = m.shape[0]
     if not n:
@@ -107,8 +121,16 @@ def _psd_root(m: np.ndarray) -> np.ndarray | None:
     shifted.reshape(-1)[:: n + 1] += PSD_TOLERANCE * max(float(m.trace()), 1.0)
     if _cholesky(shifted) is None:
         return None
-    w, v = np.linalg.eigh(m)
-    return v * np.sqrt(np.maximum(w, 0.0))
+    factor, piv, rank, info = _pstrf(m, lower=True)
+    if info < 0:
+        raise ValueError(f"LAPACK pstrf: illegal value in argument {-info}")
+    # pstrf leaves the upper triangle as it found it, and past the rank
+    # what is left of the trailing block
+    factor = np.tril(factor)
+    factor[:, rank:] = 0.0
+    root = np.empty_like(factor)
+    root[piv - 1] = factor
+    return root
 
 
 @dataclass(frozen=True)
@@ -123,7 +145,8 @@ class FilterState:
     state's ``root``; otherwise ``cov + 1e-8 * max(trace, 1) * I`` having one
     decides, which gives the eigenvalue verdict up to roundoff at the
     boundary without an eigendecomposition, and the root of a covariance
-    that passes so is ``V * sqrt(max(w, 0))`` from its eigenpairs.
+    that passes so comes from its pivoted Cholesky factorization
+    (``_psd_root``).
     ``root @ root.T`` equals ``cov`` up to roundoff.  ``mean`` and ``cov``
     are read-only views of the arrays given; float arrays are not copied.
     ``root`` is read-only too.
@@ -145,18 +168,14 @@ class FilterState:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"covariance {cov.shape} does not match state of dimension {n}")
-        if not np.isfinite(mean).all():
-            raise ValueError("state mean has non-finite entries")
-        if not np.isfinite(cov).all():
-            raise ValueError("covariance has non-finite entries")
-        asymmetry = symmetry_error(cov)
-        # within 1e-10 it passes whatever the largest entry, which is then not needed
-        if asymmetry > 1e-10 and asymmetry > 1e-10 * float(np.abs(cov).max()):
-            raise ValueError("covariance is not symmetric")
-        root = _psd_root(cov)
-        if root is None:
-            raise ValueError("covariance is not positive semidefinite")
-        object.__setattr__(self, "root", read_only_view(root))
+        object.__setattr__(self, "root", read_only_view(_checked_root(mean, cov)))
+
+    @classmethod
+    def _from_cov(cls, mean: np.ndarray, cov: np.ndarray) -> "FilterState":
+        """The state of ``mean`` and ``cov``, new float arrays of shapes
+        ``(n,)`` and ``(n, n)`` that the state makes read-only and keeps,
+        checked as the constructor checks them."""
+        return cls._adopt(mean, cov, _checked_root(mean, cov))
 
     @classmethod
     def _from_root(cls, mean: np.ndarray, root: np.ndarray) -> "FilterState":
@@ -166,9 +185,13 @@ class FilterState:
             raise ValueError("state mean has non-finite entries")
         if not np.isfinite(root).all():
             raise ValueError("covariance has non-finite entries")
-        state = object.__new__(cls)
         # numpy forms a @ a.T with one symmetric rank-k update: exactly symmetric
-        for name, value in (("mean", mean), ("cov", root @ root.T), ("root", root)):
+        return cls._adopt(mean, root @ root.T, root)
+
+    @classmethod
+    def _adopt(cls, mean: np.ndarray, cov: np.ndarray, root: np.ndarray) -> "FilterState":
+        state = object.__new__(cls)
+        for name, value in (("mean", mean), ("cov", cov), ("root", root)):
             value.setflags(write=False)
             object.__setattr__(state, name, value)
         return state
@@ -176,6 +199,23 @@ class FilterState:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+def _checked_root(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``FilterState``'s checks of a mean and a covariance of matching
+    shapes, raising its ``ValueError``; returns the covariance's root."""
+    if not np.isfinite(mean).all():
+        raise ValueError("state mean has non-finite entries")
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance has non-finite entries")
+    asymmetry = symmetry_error(cov)
+    # within 1e-10 it passes whatever the largest entry, which is then not needed
+    if asymmetry > 1e-10 and asymmetry > 1e-10 * float(np.abs(cov).max()):
+        raise ValueError("covariance is not symmetric")
+    root = _psd_root(cov)
+    if root is None:
+        raise ValueError("covariance is not positive semidefinite")
+    return root
 
 
 @dataclass(frozen=True)
@@ -241,6 +281,8 @@ def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) ->
     its root is the Cholesky factor that its check computes.  The identity
     random walk is applied as ``Q + P`` and ``P``'s mean, which is what the
     products give bit for bit: the identity's zeros add only ``0.0`` terms.
+    Both arrays are new, so the prior keeps them as they are, checked as
+    ``FilterState`` checks a covariance and then made read-only.
 
     Raises:
         ConfigurationError: if ``states`` is empty, or ``Q`` or ``F`` is not
@@ -257,8 +299,8 @@ def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) ->
             f"state of dimension {s.dim}")
     if ar.is_identity:
         # + 0.0 turns -0.0 into 0.0, as the identity's products summed from zero do
-        return FilterState(mean=s.mean + 0.0, cov=_symmetrize(Q + s.cov))
-    return FilterState(mean=f @ s.mean, cov=_symmetrize(Q + f @ s.cov @ f.T))
+        return FilterState._from_cov(s.mean + 0.0, _symmetrize(Q + s.cov))
+    return FilterState._from_cov(f @ s.mean, _symmetrize(Q + f @ s.cov @ f.T))
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,10 +491,10 @@ def run_kf_sequence(
         run.diagnostics.append(
             KfStepDiagnostics(
                 interval=h,
-                innovation_norm=float(np.linalg.norm(innovation)),
-                gain_norm=float(np.linalg.norm(gain)),
-                cov_trace=float(np.trace(post.cov)),
-                measurement_norm=float(np.linalg.norm(H)),
+                innovation_norm=_norm(innovation),
+                gain_norm=_norm(gain),
+                cov_trace=float(post.cov.trace()),
+                measurement_norm=_norm(H),
             )
         )
     return run

@@ -114,9 +114,11 @@ def attribute_interval_deviations(
     for leg, w in zip(legs, weights):
         rows = leg.member_indices()
         dev = np.zeros(n_od)
-        # summed interval by interval, in column order, from zero
-        dev[rows] = sum(np.where(active[rows], deltas[rows] * w / total[rows], 0.0).T,
-                        np.zeros(len(rows)))
+        if deltas.shape[1]:
+            terms = np.where(active[rows], deltas[rows] * w / total[rows], 0.0)
+            # a running sum adds column after column, as a sum from zero
+            # does; + 0.0 turns a -0.0 total into the 0.0 that zero start gives
+            dev[rows] = np.cumsum(terms, axis=1, out=terms)[:, -1] + 0.0
         out[leg.name] = dev
     if dropped > 0.0:
         logger.warning(

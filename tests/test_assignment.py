@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,25 @@ class TestLoader:
                                matrix=np.array([[1.0, 0.0]]))
         with pytest.raises(ConfigurationError):
             load_network(net, demand)
+
+    def test_a_whole_route_load_frees_what_it_no_longer_reads(self, toy_cfg):
+        """One ``load_network`` of the 3-minute toy's history peaks at most
+        2 % above the 520,159 bytes over its entry measured on Python 3.11
+        once each link visit freed every array after its last reader; an
+        array kept one link too long, such as a stale loop variable, adds
+        more than that."""
+        cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
+            toy_cfg.grid, interval_minutes=3, n_intervals=480))
+        demand = generate_truth_and_history(cfg).history.demand
+        load_network(cfg.network, demand)  # the route plan is built once per network
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            load_network(cfg.network, demand)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry <= 520_159 * 1.02
 
     def test_call_counter_increments(self):
         grid = TimeGrid(n_intervals=2)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from banding import from_dense
 from kalman_oracle import oracle_filter, oracle_time_update, oracle_update
@@ -93,14 +93,28 @@ class TestFilterState:
     @pytest.mark.parametrize("eigenvalues", [[2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
                                              [3.0, 1.0, 0.5, -1e-10]],
                              ids=["rank-2", "zero", "inside-the-tolerance"])
-    def test_a_singular_covariance_takes_its_eigen_root(self, eigenvalues):
+    def test_a_singular_covariance_takes_a_pivoted_root(self, eigenvalues):
         """A covariance with no Cholesky factor that passes the shifted
-        check gets ``V sqrt(max(w, 0))``, a root of it up to the negative
-        eigenvalues clipped."""
+        check gets the root of its pivoted Cholesky factorization, a root
+        of it up to the negative eigenvalues left out."""
         cov = self._with_spectrum(eigenvalues, 4)
         assert kalman_mod._cholesky(cov) is None
         state = FilterState(mean=np.zeros(4), cov=cov)
         assert np.allclose(state.root @ state.root.T, cov, rtol=0.0, atol=1e-9)
+        assert not state.root.flags.writeable
+
+    @pytest.mark.parametrize("n, zero", [(3, [1]), (5, [2]), (5, [1, 4])])
+    def test_a_zero_variance_row_of_the_root_is_exactly_zero(self, n, zero):
+        """A zero row and column of a singular covariance, general
+        elsewhere, give an exactly zero row of its root.  An eigen root
+        ``V sqrt(max(w, 0))`` leaves 4e-16 to 2e-8 there in these cases."""
+        a = np.random.default_rng(0).normal(size=(n, n))
+        cov = a @ a.T + 0.1 * np.eye(n)
+        cov[zero] = 0.0
+        cov[:, zero] = 0.0
+        root = FilterState(mean=np.zeros(n), cov=cov).root
+        assert not root[zero].any()
+        assert np.allclose(root @ root.T, cov, rtol=0.0, atol=1e-12)
 
 
 class TestArModel:
@@ -191,6 +205,37 @@ class TestTimeUpdate:
             ref_cov += eye @ state.cov @ eye.T
             assert pred.mean.tobytes() == ref_mean.tobytes()
             assert pred.cov.tobytes() == (0.5 * (ref_cov + ref_cov.T)).tobytes()
+
+    @pytest.mark.parametrize("general", [False, True], ids=["identity", "general-F"])
+    def test_the_prior_covariance_is_exactly_symmetric(self, general):
+        """Random P, Q asymmetric within 1e-10, and the identity or a
+        general F: the prior's covariance equals its transpose exactly, and
+        the prior's arrays are read-only."""
+        rng = np.random.default_rng(29)
+        for n in (2, 5, 17):
+            for _ in range(10):
+                a = rng.normal(size=(n, n))
+                b = rng.normal(size=(n, n))
+                Q = b @ b.T
+                Q[0, -1] += 0.5e-10
+                ar = ArModel(coefficients=(rng.normal(size=(n, n)),)) if general \
+                    else ArModel.identity(n)
+                pred = kf_time_update([FilterState(mean=rng.normal(size=n), cov=a @ a.T)], ar, Q)
+                assert np.array_equal(pred.cov, pred.cov.T)
+                assert not any(x.flags.writeable for x in (pred.mean, pred.cov, pred.root))
+
+    @pytest.mark.parametrize("general", [False, True], ids=["identity", "general-F"])
+    @pytest.mark.parametrize("Q, message", [
+        (np.diag([1.0, -50.0]), "covariance is not positive semidefinite"),
+        (np.diag([1.0, np.inf]), "covariance has non-finite entries"),
+    ], ids=["indefinite", "non-finite"])
+    def test_the_prior_is_checked_as_a_state(self, general, Q, message):
+        """A process noise that makes the prior no covariance fails with the
+        message ``FilterState`` gives it."""
+        f = np.array([[1.0, 0.5], [0.0, 1.0]]) if general else np.eye(2)
+        state = FilterState(mean=np.ones(2), cov=np.eye(2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kf_time_update([state], ArModel(coefficients=(f,)), Q)
 
 
 class TestMeasurementUpdate:
@@ -404,6 +449,28 @@ class TestRunSequence:
             assert np.array_equal(state.cov, state.root @ state.root.T)
             assert min_eigenvalue(state.cov) >= -1e-8 * max(np.trace(state.cov), 1.0)
 
+    def test_diagnostics_are_numpys_norms_and_trace(self, toy_artifacts, monkeypatch):
+        """Every step's diagnostics are ``np.linalg.norm`` of its innovation,
+        gain and matrix and ``np.trace`` of its posterior covariance, bit for
+        bit, as Python floats."""
+        asg, weights, delta_y, noise = self._toy_inputs(toy_artifacts)
+        steps = []
+        real = kalman_mod._update_with_gain
+
+        def recording(pred, H, R_root, innovation):
+            state, gain = real(pred, H, R_root, innovation)
+            steps.append((np.linalg.norm(innovation), np.linalg.norm(gain),
+                          np.trace(state.cov), np.linalg.norm(H)))
+            return state, gain
+
+        monkeypatch.setattr(kalman_mod, "_update_with_gain", recording)
+        run = run_kf_sequence(frozen_rows(asg, weights), delta_y, noise, init=zero_prior(noise))
+        got = [(d.innovation_norm, d.gain_norm, d.cov_trace, d.measurement_norm)
+               for d in run.diagnostics]
+        assert len(got) == 48 and got == steps
+        assert all(type(v) is float for step in got for v in step)
+        assert any(d.gain_norm > 0.0 for d in run.diagnostics)
+
     def test_last_is_the_last_posterior(self, toy_artifacts, monkeypatch):
         run, posteriors = self._recorded_toy_run(toy_artifacts, monkeypatch)
         assert len(posteriors) == 48
@@ -530,36 +597,44 @@ class TestRunSequence:
             frozen_rows(first, weights), delta_y, noise, init=init).deltas)
 
 
-@st.composite
-def update_cases(draw):
-    """A prior of 1-15 dimensions, positive definite or singular, taken
-    through a general transition or not, and 0-6 channels whose counts it
-    updates on, with a general or a diagonal R; with the diagonal one,
-    channels with a zero row of H and zero noise make the innovation
-    covariance singular, which the jitter retry rescues."""
-    n = draw(st.integers(1, 15))
-    n_ch = draw(st.integers(0, 6))
-    rank = draw(st.one_of(st.just(n), st.integers(0, n - 1)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _update_case(n, n_ch, rank, transition_rank, blind, seed):
+    """A prior of ``n`` dimensions and rank ``rank`` (positive definite at
+    ``rank == n``), taken through a general transition whose Q has rank
+    ``transition_rank`` unless that is None, and ``n_ch`` channels whose
+    counts it updates on, with a general R.  With ``blind``, about half the
+    channels have a zero row of H and a zero row and column of R: they see
+    nothing and add no noise, so the innovation covariance is singular,
+    which the jitter retry rescues."""
+    rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, rank))
     cov = a @ a.T + (0.1 * np.eye(n) if rank == n else 0.0)
     mean = rng.normal(scale=5.0, size=n)
     transition = None
-    if draw(st.booleans()):
-        b = rng.normal(size=(n, draw(st.integers(0, n))))
+    if transition_rank is not None:
+        b = rng.normal(size=(n, transition_rank))
         transition = (rng.normal(size=(n, n)), b @ b.T)
     H = rng.normal(size=(n_ch, n))
-    if draw(st.booleans()):
-        c = rng.normal(size=(n_ch, n_ch))
-        R = c @ c.T + 0.1 * np.eye(n_ch)
-    else:
-        # a diagonal R, whose eigen root is exact, so the blind channels
-        # are exactly blind: the jitter amplifies what is not by 1e9
-        R = np.diag(rng.uniform(0.1, 10.0, n_ch))
-        blind = rng.random(n_ch) < 0.5
-        H[blind] = 0.0
-        R[blind, blind] = 0.0
+    c = rng.normal(size=(n_ch, n_ch))
+    R = c @ c.T + 0.1 * np.eye(n_ch)
+    if blind:
+        # exactly blind only where R's root has an exactly zero row there:
+        # the jitter amplifies what is not by 1e9
+        unseen = rng.random(n_ch) < 0.5
+        H[unseen] = 0.0
+        R[unseen] = 0.0
+        R[:, unseen] = 0.0
     return mean, cov, transition, H, R, rng.normal(scale=5.0, size=n_ch)
+
+
+@st.composite
+def update_cases(draw):
+    """``_update_case`` with 1-15 dimensions and 0-6 channels."""
+    n = draw(st.integers(1, 15))
+    return _update_case(
+        n=n, n_ch=draw(st.integers(0, 6)),
+        rank=draw(st.one_of(st.just(n), st.integers(0, n - 1))),
+        transition_rank=draw(st.one_of(st.none(), st.integers(0, n))),
+        blind=draw(st.booleans()), seed=draw(st.integers(0, 2**32 - 1)))
 
 
 def _relative_error(got, want, scale):
@@ -568,6 +643,8 @@ def _relative_error(got, want, scale):
 
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(update_cases())
+# one blind channel of three, whose row an eigen root of R leaves at ~1e-16, not 0
+@example(_update_case(n=3, n_ch=3, rank=3, transition_rank=None, blind=True, seed=51))
 def test_update_matches_the_covariance_form_oracle(case):
     """The square-root update, after the time update where there is one,
     gives the covariance-form oracle's mean and covariance to 1e-10 of

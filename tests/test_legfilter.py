@@ -59,6 +59,13 @@ class TestAttribution:
     def test_empty_legs(self):
         assert attribute_interval_deviations(np.zeros((1, 1)), []) == {}
 
+    def test_an_empty_window_attributes_zero(self):
+        od_index = (("a", "b"), ("b", "a"))
+        a = DemandLeg(name="a", od_index=od_index, flows=np.array([100.0, 0.0]),
+                      members=od_index[:1], shares=np.array([[0.3]]))
+        out = attribute_interval_deviations(np.zeros((2, 0)), [a])
+        assert out["a"].tobytes() == np.zeros(2).tobytes()
+
     @staticmethod
     def _by_loop(deltas, legs):
         """Reference: cell by cell, interval-major, skipping zero deviations."""
