@@ -28,7 +28,7 @@ it builds its sort key in place, replaces its columns by their sorted
 gathers one at a time, writes its shifted windows' ends once into one
 table, from which both ends of every piece are read through one index
 built in place, writes the windows' widths over their ends, and scales the
-masses in place.  The link order and each route layout, with the tables
+mass in place.  The link order and each route layout, with the tables
 the kernel walks, depend on the network alone, so each is built once per
 network (``Network.plans``).
 A load keeps the links' times and the channels' counts, not every link's
@@ -43,12 +43,10 @@ comes later (``_route_plan``).  Beyond that, parcels move no count.
 
 With travel times frozen, the loading is exactly linear in demand.  The
 assignment matrix is one pass of that kernel with a unit departure in every
-(OD, interval) cell, collecting the channel crossings as per-interval linear
-pieces.  The times are those of loading a demand, found in the same pass: a
-parcel's windows do not depend on its mass, so each parcel carries its
-cell's demand, which loads the links, beside the unit mass.  A departure in
-interval k is counted in intervals k..k+L only, with L small, so the pieces
-are stored as a band of L + 1 lags per departure interval.  A channel counts
+(OD, interval) cell, at the link times a load already holds, collecting the
+channel crossings as per-interval linear pieces.  A departure in interval k
+is counted in intervals k..k+L only, with L small, so the pieces are stored
+as a band of L + 1 lags per departure interval.  A channel counts
 only the ODs whose route crosses it, so the band holds only those
 (channel, OD) pairs, listed once per route layout.  The kernel visits each
 channel once, and its crossings are summed there into the channel's block
@@ -80,9 +78,9 @@ _LOAD_CALLS = 0
 def load_call_count() -> int:
     """Number of ``load_network`` calls since import (purity instrument).
 
-    Only ``load_network`` counts.  ``assignment_matrix`` loads a demand in its
-    own pass and ``detector_counts`` loads one for its counts alone, so
-    neither a linearization at a demand nor a count-only load is counted.
+    Only ``load_network`` counts.  ``assignment_matrix`` reads the link times
+    of a load already made and loads nothing, and ``detector_counts`` loads a
+    demand for its counts alone, so neither is counted.
     """
     return _LOAD_CALLS
 
@@ -320,23 +318,18 @@ def _propagate(
     plan: _Routes,
     matrix: np.ndarray,
     cells: np.ndarray,
-    link_time: Callable[[str, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]], np.ndarray],
-    *,
-    unit: bool = False,
+    link_time: Callable[[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> dict[str, float]:
     """Move departure parcels along fixed routes, one link at a time over the day.
 
     Every cell ``(r, k)`` of the ``(routes, intervals)`` mask ``cells`` whose
     route is not empty departs ``matrix[r, k]`` uniformly over interval
-    ``k`` onto the first link of ``plan.routes[r]``; with ``unit``, each of
-    its parcels also carries a unit mass.  A first link's departures are
-    built when its turn comes, in (interval, route) order, which is
-    chronological, from the rows of the routes that start there
+    ``k`` onto the first link of ``plan.routes[r]``.  A first link's
+    departures are built when its turn comes, in (interval, route) order,
+    which is chronological, from the rows of the routes that start there
     (``plan.by_first``), so no other first link's departures exist meanwhile.
     A parcel enters its link uniformly over a window ``[a, b)`` within one
-    interval ``h``, carries its cell ``r * n_intervals + k`` and one value
-    of each mass.  Its windows do not depend on its masses, so one parcel
-    can carry several; the first is the one that loads the links.
+    interval ``h`` and carries its cell ``r * n_intervals + k`` and its mass.
 
     Links are visited in ``plan.order``, each for every interval at once.
     This is exact: a link's time in an interval depends only on its inflow
@@ -345,18 +338,18 @@ def _propagate(
     relation, the same in every interval.  When a link's turn comes, every
     upstream link has been processed for the whole day, so all the parcels
     that will ever enter it are known.  ``link_time(lid, inflow, h, cell,
-    masses)`` gets the first mass's inflow per interval and the parcels'
-    entry intervals, cells and masses, and returns the link's travel time in
-    every interval.  Each parcel then moves on to the next link of its route,
-    its window shifted by the link time and cut at interval boundaries; a
-    piece entering after the horizon end is spilled.
+    mass)`` gets the inflow per interval and the parcels' entry intervals,
+    cells and masses, and returns the link's travel time in every interval.
+    Each parcel then moves on to the next link of its route, its window
+    shifted by the link time and cut at interval boundaries; a piece
+    entering after the horizon end is spilled.
 
     A link's parcels are kept in chronological order: by entry interval,
     then by the interval in which they entered the previous link (departures
     first), then by that link's position in ``order`` and their order there.
     Inflows, the callback's sums and the spillover therefore accumulate in
-    the order of an interval-by-interval pass.  Returns, per link, the first
-    mass that would have entered it after the horizon end.
+    the order of an interval-by-interval pass.  Returns, per link, the mass
+    that would have entered it after the horizon end.
 
     A visit frees each array after its last reader, so the parcels in flight
     and the visited link's columns are all that it holds beyond the entry:
@@ -365,7 +358,7 @@ def _propagate(
     widths are written over their ends ``b`` (a fresh array, or a slice of
     one that no other link's slice overlaps, which nothing reads after this
     visit), the piece index is built in place from the pieces, and the
-    masses are scaled in place.
+    mass is scaled in place.
     """
     n_h = grid.n_intervals
     # interval edges as grid.bounds gives them; nothing is cut past the end
@@ -373,10 +366,10 @@ def _propagate(
     order, succ, fanout = plan.order, plan.succ, plan.fanout
 
     # per link, the batches of parcels waiting to enter it, each
-    # (cell, entry interval, previous entry interval, a, b, *masses)
+    # (cell, entry interval, previous entry interval, a, b, mass)
     inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
     spill: dict[str, float] = {}
-    nothing = (np.empty(0, np.int32), np.empty(0, np.int32), [np.empty(0)] * (1 + unit))
+    nothing = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
     for i, lid in enumerate(order):
         batches, inbox[i] = inbox[i], []
         rows = plan.by_first[plan.first_start[i]: plan.first_start[i + 1]]
@@ -389,13 +382,13 @@ def _propagate(
                 r = rows[r]
                 batches.insert(0, ((r * n_h + k).astype(np.int32), k.astype(np.int32),
                                    np.full(k.size, -1, dtype=np.int32), edges[k], edges[k + 1],
-                                   matrix[r, k], *([np.ones(k.size)] if unit else [])))
+                                   matrix[r, k]))
             del r, k
         if not batches:
             spill[lid] = 0.0
             link_time(lid, np.zeros(n_h), *nothing)
             continue
-        cell, h, prev, a, b, *mass = (
+        cell, h, prev, a, b, mass = (
             np.concatenate(col) if len(batches) > 1 else col[0] for col in zip(*batches)
         )
         del batches
@@ -411,15 +404,13 @@ def _propagate(
             h = h[perm]
             a = a[perm]
             b = b[perm]
-            for j in range(len(mass)):
-                mass[j] = mass[j][perm]
+            mass = mass[perm]
         del perm
-        sums = np.bincount(h, weights=mass[0], minlength=n_h + 1)
+        sums = np.bincount(h, weights=mass, minlength=n_h + 1)
         spill[lid] = float(sums[n_h])
         n_in = int(np.searchsorted(h, n_h))  # spilled pieces sort last
         if n_in < h.size:
-            cell, h, a, b = cell[:n_in], h[:n_in], a[:n_in], b[:n_in]
-            mass = [m[:n_in] for m in mass]
+            cell, h, a, b, mass = cell[:n_in], h[:n_in], a[:n_in], b[:n_in], mass[:n_in]
         tt = link_time(lid, sums[:n_h].copy(), h, cell, mass)
 
         if not fanout[i]:
@@ -464,13 +455,13 @@ def _propagate(
         del bounds, at
         width = width[rows]
         span = piece_b - piece_a
-        moved = [m[rows] for m in mass]
+        moved = mass[rows]
         del mass
-        for m in moved:  # m * span / width in place, rounded as that expression is
-            np.multiply(m, span, out=m)
-            np.divide(m, width, out=m)
-        del span, width, m
-        out = (cell[rows], start[rows] + past, h[rows], piece_a, piece_b, *moved)
+        # mass * span / width in place, rounded as that expression is
+        np.multiply(moved, span, out=moved)
+        np.divide(moved, width, out=moved)
+        del span, width
+        out = (cell[rows], start[rows] + past, h[rows], piece_a, piece_b, moved)
         # free this link's parcels before the next link gathers its own
         del cell, h, start, past, piece_a, piece_b, moved
         if len(fanout[i]) == 1:
@@ -710,22 +701,16 @@ class AssignmentMatrix:
         return counts
 
 
-def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
-    """Linearize the loader at ``demand``.
+def assignment_matrix(net: Network, od_index: tuple[OD, ...], load: LoadResult) -> AssignmentMatrix:
+    """Linearize the loader at the link times of ``load``.
 
-    One unit departure per (OD, interval) moves through the links, whether
-    or not the cell carries demand, and every channel crossing is collected;
-    with the same travel times, ``load_network`` reproduces
-    ``predict_counts`` up to float roundoff.  The band is as wide as the
-    longest lag of a crossing.
-
-    The times are the BPR times of loading ``demand``, found in the same
-    pass: every cell's parcels carry its demand, which alone sets the links'
-    inflow and times, and the unit mass, which alone is collected.  A
-    parcel's windows do not depend on its mass, so the band is, to the bit,
-    the linearization at ``load_network(net, demand).link_tt``.  The routes
-    are cut after their last channel or last link whose load moves a count
-    (``_route_plan``); cells whose cut route is empty depart nothing.
+    One unit departure per (OD of ``od_index``, interval of ``load``'s grid)
+    moves through the links at the times ``load.link_tt``, and every channel
+    crossing is collected; with the same travel times, ``load_network``
+    reproduces ``predict_counts`` up to float roundoff.  No BPR time is
+    computed.  The band is as wide as the longest lag of a crossing.  The
+    routes are cut after their last channel or last link whose load moves a
+    count (``_route_plan``); cells whose cut route is empty depart nothing.
 
     The band holds the (channel, OD) pairs of the route layout
     (``_route_plan``).  The kernel visits each channel once, with all of its
@@ -737,38 +722,38 @@ def assignment_matrix(net: Network, demand: DynamicDemand) -> AssignmentMatrix:
     written into its channel's slice of pairs.
 
     Raises:
-        ConfigurationError: if an OD of ``demand`` lacks a path or a
+        ConfigurationError: if an OD of ``od_index`` lacks a path or a
             detector channel is no link of the network or is listed twice.
     """
-    grid = demand.grid
+    grid = load.counts.grid
     n_h = grid.n_intervals
     chan_pos = {ch: c for c, ch in enumerate(net.detectors)}
-    hours = grid.interval_minutes / 60.0
-    plan = _route_plan(net, demand.od_index, cut=True)
+    plan = _route_plan(net, od_index, cut=True)
     # per channel, its block over its pairs, (H, lags, pairs)
     blocks: dict[int, np.ndarray] = {}
 
     def link_time(lid: str, inflow: np.ndarray, h: np.ndarray, cell: np.ndarray,
-                  mass: list[np.ndarray]) -> np.ndarray:
+                  mass: np.ndarray) -> np.ndarray:
         c = chan_pos.get(lid)
         if c is not None:
             ods = plan.pairs[1, plan.pair_start[c]: plan.pair_start[c + 1]]
             oi, k = np.divmod(cell.astype(np.intp), n_h)
             lag = h - k
             width = int(lag.max(initial=0)) + 1
-            # the unit mass, summed in the order the crossings came
+            # summed in the order the crossings came
             block = np.bincount((k * width + lag) * ods.size + np.searchsorted(ods, oi),
-                                weights=mass[1], minlength=n_h * width * ods.size)
+                                weights=mass, minlength=n_h * width * ods.size)
             blocks[c] = block.reshape(n_h, width, ods.size)
-        return bpr_travel_time(net.links[lid], inflow / hours)
+        return load.link_tt[lid]
 
-    every_cell = np.broadcast_to(True, demand.matrix.shape)  # a view, no array
-    _propagate(grid, plan, demand.matrix, every_cell, link_time, unit=True)
+    # views, no arrays: a unit departure from every cell
+    shape = (len(od_index), n_h)
+    _propagate(grid, plan, np.broadcast_to(1.0, shape), np.broadcast_to(True, shape), link_time)
     band = np.zeros((n_h, max((b.shape[1] for b in blocks.values()), default=1),
                      plan.pairs.shape[1]))
     for c, block in blocks.items():
         band[:, : block.shape[1], plan.pair_start[c]: plan.pair_start[c + 1]] = block
-    return AssignmentMatrix(od_index=demand.od_index, channels=net.detectors, grid=grid,
+    return AssignmentMatrix(od_index=od_index, channels=net.detectors, grid=grid,
                             band=band, pairs=plan.pairs)
 
 

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 configuration problem, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -46,10 +45,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     models = None
     if args.models:
         models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    if args.refresh_assignment:
-        cfg = dataclasses.replace(
-            cfg, estimation=dataclasses.replace(cfg.estimation, refresh_assignment=True)
-        )
     report = run_experiment(cfg, models=models, seed=args.seed)
     emit_report(report, args.out, include_profiles=args.emit_profiles)
 
@@ -120,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="out", help="output directory (default: ./out)")
     run.add_argument(
         "--emit-profiles", action="store_true", help="also write per-OD profile CSVs"
-    )
-    run.add_argument(
-        "--refresh-assignment",
-        action="store_true",
-        help="before each measured interval but the first, relinearize at the estimate so far",
     )
     run.set_defaults(func=_cmd_run)
 

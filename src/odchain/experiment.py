@@ -2,9 +2,9 @@
 
 A run generates a true day and a perturbed historical day on the scenario's
 network (each in two passes, so departure profiles respond to that side's own
-congestion), observes the true detector counts with optional noise, freezes
-the assignment linearization at the historical load, and then estimates the
-demand with the requested models:
+congestion), observes the true detector counts with optional noise,
+linearizes the assignment once, at the link times of the historical load,
+and then estimates the demand with the requested models:
 
 * ``seed``  - the historical matrix untouched,
 * ``kf``    - interval filtering up to the cutoff of the relative deviation
@@ -25,7 +25,9 @@ to a relative deviation that every interval the counts reach back to shares.
 Its prior is ``prior²·11ᵀ + PRIOR_PER_OD²·I`` (``noise.prior`` is the
 common mode) and its random walk ``WALK_COMMON²·11ᵀ + WALK_PER_OD²·I`` per
 ``WALK_MINUTES`` (15) of interval length, both on the relative state;
-``noise.process`` has no effect on it.
+``noise.process`` has no effect on it.  Nor has
+``estimation.refresh_assignment``: every interval reads the one frozen
+linearization.  Either key set away from its default logs a warning.
 
 All models consume the same measurements, and none consumes anything past
 the cutoff; predictions beyond it never touch the loader.  OD RMSE spans all
@@ -272,7 +274,7 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     observed = LinkFlowSeries(
         channels=truth.load.counts.channels, grid=cfg.grid, counts=counts
     )
-    frozen = assignment_matrix(cfg.network, history.demand)
+    frozen = assignment_matrix(cfg.network, od_index, history.load)
     return ExperimentArtifacts(
         config=cfg,
         od_index=od_index,
@@ -413,36 +415,7 @@ def _frozen_rows(artifacts: ExperimentArtifacts, stop: int):
     and scattered into a matrix at each step."""
     frozen = artifacts.assignment
     rows = frozen.lag_rows(stop, artifacts.history.demand.matrix)
-    return lambda h, _: frozen.pair_matrix(rows[h])
-
-
-def _refreshed_rows(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
-    """Interval h's measurement matrix, relinearized at the estimate so far.
-
-    Interval 0 has no estimate yet and reads the frozen band.  For a later
-    interval ``h`` the history, scaled by ``1 + r`` over the intervals
-    before ``h`` (``r`` their relative posterior means) and clipped at
-    zero, is linearized on the grid cut after ``h``, and the last of that
-    matrix's ``lag_rows(h + 1, hist)`` is scattered into the matrix.  A
-    link's time in an interval depends only on departures up to it, so
-    these are the whole day's matrix's pieces, though the cut band may stop
-    short of lags whose pieces are zero.  ``assignment_matrix`` loads the estimate and
-    linearizes it in one pass, so a refresh makes no ``load_network`` call.
-    """
-    hist = artifacts.history.demand.matrix
-    frozen = artifacts.assignment
-
-    def H_at(h: int, relative: np.ndarray) -> np.ndarray:
-        if h == 0:
-            return frozen.pair_matrix(frozen.lag_rows(1, hist)[0])
-        est = hist[:, : h + 1].copy()
-        est[:, :h] = np.maximum(est[:, :h] * (1.0 + relative), 0.0)
-        grid = replace(cfg.grid, n_intervals=h + 1)
-        cut = assignment_matrix(
-            cfg.network, DynamicDemand(od_index=artifacts.od_index, grid=grid, matrix=est))
-        return cut.pair_matrix(cut.lag_rows(h + 1, hist)[h])
-
-    return H_at
+    return lambda h: frozen.pair_matrix(rows[h])
 
 
 @contextmanager
@@ -518,12 +491,14 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         return result
     with _stage(rows, filter_models, "interval filtering"):
         noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts)
+        if cfg.estimation.refresh_assignment:
+            logger.warning("estimation.refresh_assignment has no effect: the interval filter "
+                           "reads one linearization, frozen at the historical load")
         delta_y = artifacts.observed.counts - hist.load.counts.counts
         # the provider and the prior are passed, not kept, so the rows and the
         # prior's root are freed when the filter returns
         kf = run_kf_sequence(
-            _refreshed_rows(cfg, artifacts) if cfg.estimation.refresh_assignment
-            else _frozen_rows(artifacts, cut), delta_y[:, :cut], noise,
+            _frozen_rows(artifacts, cut), delta_y[:, :cut], noise,
             init=FilterState(mean=np.zeros(len(artifacts.od_index)), cov=P0))
         kf_diag.extend(kf.diagnostics)
         notes["unobserved_intervals"] = sum(d.measurement_norm == 0.0 for d in kf.diagnostics)

@@ -4,12 +4,11 @@ The state of interval h is a deviation of its OD departures from the
 historical matrix.  The identity random walk carries it to the next interval
 (prior covariance ``P + Q``); counts observed at h are a linear function of
 the state through one measurement matrix per interval.  The sequence runner
-asks its caller for interval h's matrix, given the posterior means so far,
-so the frozen linearization and a refreshed one reach it alike and this
-module knows neither.  The experiment's providers scatter rows of
-``AssignmentMatrix.lag_rows``: the pieces of every lag summed, each scaled
-by the historical demand of the interval it reads, so the state is the
-relative deviation that those intervals share.
+asks its caller for interval h's matrix, so this module does not know how
+the linearization is stored.  The experiment's provider scatters rows of
+``AssignmentMatrix.lag_rows`` of the one frozen linearization: the pieces of
+every lag summed, each scaled by the historical demand of the interval it
+reads, so the state is the relative deviation that those intervals share.
 
 Every state carries a square root of its covariance, ``root @ root.T ==
 cov``.  The measurement update works on that root in array form (Kailath,
@@ -218,13 +217,24 @@ def _checked_root(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return root
 
 
+def check_noise_matrix(name: str, m: np.ndarray) -> None:
+    """Raise ``ValueError``, naming ``m`` as ``name``, unless it is a finite
+    square matrix, symmetric to ``1e-10`` of its largest entry or of 1."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if symmetry_error(m) > 1e-10 * max(1.0, float(np.abs(m).max(initial=0.0))):
+        raise ValueError(f"{name} is not symmetric")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Process and measurement noise covariances, read-only views of the
     arrays given; float arrays are not copied.
 
-    Raises ``ValueError``, naming ``Q`` or ``R``, unless each is a finite,
-    symmetric and positive semidefinite square matrix, checked as
+    Raises ``ValueError``, naming ``Q`` or ``R``, unless each passes
+    ``check_noise_matrix`` and is positive semidefinite, checked as
     ``FilterState`` checks a covariance.
     """
 
@@ -235,12 +245,7 @@ class NoiseModel:
         for name in ("Q", "R"):
             m = read_only_view(getattr(self, name))
             object.__setattr__(self, name, m)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square")
-            if not np.isfinite(m).all():
-                raise ValueError(f"{name} has non-finite entries")
-            if symmetry_error(m) > 1e-10 * max(1.0, float(np.abs(m).max())):
-                raise ValueError(f"{name} is not symmetric")
+            check_noise_matrix(name, m)
             if _psd_root(m) is None:
                 raise ValueError(f"{name} is not positive semidefinite")
 
@@ -384,6 +389,8 @@ def kf_measurement_update(
     Raises:
         ConfigurationError: if ``H`` does not map the state to the channels
             of ``delta_y``, or ``R`` is not square in those channels.
+        ValueError: if ``R`` has a non-finite entry or is not symmetric
+            (``check_noise_matrix``), as ``NoiseModel`` rejects it.
         NumericalError: if ``R`` is not positive semidefinite.
     """
     H = np.asarray(H, dtype=float)
@@ -396,6 +403,8 @@ def kf_measurement_update(
         )
     if R.shape != (n_ch, n_ch):
         raise ConfigurationError(f"measurement noise {R.shape} does not match {n_ch} channels")
+    # the Cholesky factorization reads one triangle: an asymmetric R would pass as another
+    check_noise_matrix("R", R)
     R_root = _psd_root(R)
     if R_root is None:
         raise NumericalError("measurement noise covariance is not positive semidefinite")
@@ -432,7 +441,7 @@ class KfRun:
 
 
 def run_kf_sequence(
-    H_at: Callable[[int, np.ndarray], np.ndarray],
+    H_at: Callable[[int], np.ndarray],
     delta_y: np.ndarray,
     noise: NoiseModel,
     *,
@@ -442,10 +451,9 @@ def run_kf_sequence(
 
     ``delta_y`` is (n_channels, n_steps): observed minus historical counts,
     one column per filtered interval.
-    ``H_at(h, relative)`` gives interval ``h``'s ``(n_channels, n_od)``
-    measurement matrix, given ``relative``, the ``(n_od, h)`` posterior
-    means of the intervals before it (the experiment's providers scatter a
-    row of ``AssignmentMatrix.lag_rows``).  The innovation is
+    ``H_at(h)`` gives interval ``h``'s ``(n_channels, n_od)`` measurement
+    matrix (the experiment's provider scatters a row of
+    ``AssignmentMatrix.lag_rows``).  The innovation is
     ``delta_y[:, h] - H @ prior.mean``.
 
     ``init`` is interval 0's prior; each later one is the last posterior
@@ -480,7 +488,7 @@ def run_kf_sequence(
     run = KfRun(deltas=np.zeros((n_od, n_steps)))
     for h in range(n_steps):
         prior = init if h == 0 else kf_time_update([run.last], ar, noise.Q)
-        H = H_at(h, run.deltas[:, :h])
+        H = H_at(h)
         if H.shape != (n_ch, n_od):
             raise ConfigurationError(
                 f"measurement matrix {H.shape} of interval {h} is not ({n_ch}, {n_od})")

@@ -46,7 +46,7 @@ import numpy as np
 
 from .assignment import CumulativeMapping
 from .errors import ConfigurationError
-from .kalman import FilterState, kf_measurement_update
+from .kalman import FilterState, check_noise_matrix, kf_measurement_update
 from .legs import ChainSpec, DemandLeg, LegOperator, leg_terms, propagate_leg_deviation
 
 logger = logging.getLogger(__name__)
@@ -223,11 +223,18 @@ def leg_time_update(
 
     Mean is the operator applied to the summed feeder means; covariance is
     the operator-congruent sum of feeder covariances plus the leg process
-    noise.
+    noise, symmetrized against the products' roundoff.
+
+    Raises:
+        ValueError: if ``Q`` has a non-finite entry or is not symmetric
+            (``check_noise_matrix``), as ``NoiseModel`` rejects it; the
+            symmetrizing would otherwise average it without a word.
     """
     n = len(operator.od_index)
+    Q = np.asarray(Q, dtype=float)
+    check_noise_matrix("Q", Q)
     mean = propagate_leg_deviation(operator, [s.mean for s in predecessors])
-    cov = np.asarray(Q, dtype=float).copy()
+    cov = Q.copy()
     for s in predecessors:
         if s.dim != n:
             raise ConfigurationError("feeder state dimension does not match the operator")

@@ -174,7 +174,11 @@ class NoiseFractions:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Measurement cutoff and prediction settings."""
+    """Measurement cutoff and prediction settings.
+
+    ``refresh_assignment`` sets nothing: the interval filter reads one
+    linearization, frozen at the historical load, and ``True`` logs a
+    warning."""
 
     cutoff_minute: float
     prediction_intervals: int = 2

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from odchain.assignment import AssignmentMatrix
+from odchain.assignment import AssignmentMatrix, assignment_matrix, load_network
 
 
 def compact(pieces) -> tuple[np.ndarray, np.ndarray]:
@@ -44,3 +44,8 @@ def dense_band(asg: AssignmentMatrix) -> np.ndarray:
 def route_crossings(net, od_index) -> int:
     """How many (channel, OD) pairs have the OD's path cross the channel."""
     return sum(ch in net.path_of(od).links for od in od_index for ch in net.detectors)
+
+
+def linearize(net, demand) -> AssignmentMatrix:
+    """``assignment_matrix`` at the BPR times of loading ``demand``."""
+    return assignment_matrix(net, demand.od_index, load_network(net, demand))

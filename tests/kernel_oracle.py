@@ -6,8 +6,8 @@ in topological order; every parcel ``(r, k, mass, a, b)`` enters its link
 uniformly over ``[a, b)`` and moves on, shifted by the link time and cut at
 interval boundaries.  ``oracle_load`` drives it the way ``load_network``
 drives the package's kernel.  ``oracle_pieces`` walks unit departures at
-given link times; at the times of loading a demand, that is what
-``assignment_matrix`` gives for the demand in its one pass.
+given link times, which is what ``assignment_matrix`` gives at a load's
+times.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from banding import dense_band, from_dense, route_crossings
+from banding import dense_band, from_dense, linearize, route_crossings
 from odchain import assignment as assignment_mod
 from odchain.assignment import (
     AssignmentMatrix,
@@ -23,7 +23,7 @@ from odchain.assignment import (
 from odchain.errors import ConfigurationError
 from odchain.experiment import generate_truth_and_history
 from odchain.network import (
-    Link, Network, Path, TimeGrid, Zone, bpr_travel_time, build_toy_network)
+    Link, Network, Path, TimeGrid, Zone, build_toy_network)
 from odchain.scenario import scenario_from_mapping
 from recorded_inflows import load_with_inflows
 
@@ -37,6 +37,12 @@ def toy_demand(grid, cells):
     for (od, h), mass in cells.items():
         m[pos[od], h] = mass
     return DynamicDemand(od_index=TOY.od_index, grid=grid, matrix=m)
+
+
+def linearize_at_toy_times(net, demand):
+    """``assignment_matrix`` on ``net`` at the times of loading ``demand`` on
+    the plain toy, so that the linearization's own checks of ``net`` run."""
+    return assignment_matrix(net, demand.od_index, load_network(TOY, demand))
 
 
 def index_at(grid, minute):
@@ -111,7 +117,8 @@ class TestContainers:
         assert (np.diff(cumulative, axis=1) >= 0.0).all()
         assert cumulative[0, -1] == pytest.approx(3.5)
 
-    @pytest.mark.parametrize("call", [load_network, detector_counts, assignment_matrix])
+    @pytest.mark.parametrize("call", [load_network, detector_counts, linearize_at_toy_times],
+                             ids=["load_network", "detector_counts", "assignment_matrix"])
     def test_unknown_detector_channel_rejected(self, call):
         """A channel that is no link fails every pass the same way, not as a
         bare ``KeyError`` or as a channel that silently counts nothing."""
@@ -120,7 +127,8 @@ class TestContainers:
         with pytest.raises(ConfigurationError, match="unknown detector channel '9z'"):
             call(net, toy_demand(grid, {(("1", "3"), 0): 100.0}))
 
-    @pytest.mark.parametrize("call", [load_network, detector_counts, assignment_matrix])
+    @pytest.mark.parametrize("call", [load_network, detector_counts, linearize_at_toy_times],
+                             ids=["load_network", "detector_counts", "assignment_matrix"])
     def test_duplicated_detector_channel_rejected(self, call):
         """A channel listed twice fails every pass, not only the passes that
         would fill one of its rows and leave the other empty."""
@@ -367,8 +375,8 @@ class TestAssignmentMatrix:
         net = dataclasses.replace(TOY, links={
             lid: dataclasses.replace(link, bpr_alpha=0.0, free_flow_time=fixed.get(lid, 7.5))
             for lid, link in TOY.links.items()})
-        a = assignment_matrix(net, toy_demand(grid, {(("1", "3"), 2): 100.0})).pieces
-        b = assignment_matrix(net, toy_demand(grid, {(("2", "4"), 5): 40.0})).pieces
+        a = linearize(net, toy_demand(grid, {(("1", "3"), 2): 100.0})).pieces
+        b = linearize(net, toy_demand(grid, {(("2", "4"), 5): 40.0})).pieces
         oi = TOY.od_index.index(("1", "3"))
         assert b[2, :, :, oi].sum() > 0.0
         assert np.array_equal(a, b)
@@ -378,7 +386,7 @@ class TestAssignmentMatrix:
                               load_network(TOY, unit, frozen_link_tt=tts).counts.counts)
         # at congested times too: the unit load at the times of loading the demand
         demand = toy_demand(grid, {(("1", "3"), 1): 3000.0, (("2", "4"), 2): 2000.0})
-        c = assignment_matrix(TOY, demand).pieces
+        c = linearize(TOY, demand).pieces
         tts = load_network(TOY, demand).link_tt
         assert tts["1a"][1] > TOY.links["1a"].free_flow_time
         assert np.array_equal(c[2, :, :, oi].T,
@@ -402,7 +410,7 @@ class TestAssignmentMatrix:
             assert np.array_equal(again.link_tt[lid], full.link_tt[lid])
             assert np.array_equal(prefix.link_tt[lid], full.link_tt[lid][:n])
             assert np.array_equal(prefix_inflow[lid], full_inflow[lid][:n])
-        pieces = assignment_matrix(net, head).pieces
+        pieces = assignment_matrix(net, head.od_index, prefix).pieces
         assert np.array_equal(pieces, toy_artifacts.assignment.pieces[:n, :n])
 
     def test_congested_morning_produces_lagged_pieces(self, toy_artifacts):
@@ -416,24 +424,24 @@ class TestAssignmentMatrix:
 
 
 def add_at_band(net, demand):
-    """The band of ``assignment_matrix(net, demand)`` as each channel visit's
+    """The band of ``linearize(net, demand)`` as each channel visit's
     crossings, all added with one ``np.add.at`` in visit order: the same
     additions from 0.0 that the per-channel sums make."""
     grid = demand.grid
     n_h = grid.n_intervals
     chan_pos = {ch: c for c, ch in enumerate(net.detectors)}
-    hours = grid.interval_minutes / 60.0
+    link_tt = load_network(net, demand).link_tt
     crossings = [(*[np.empty(0, np.intp)] * 4, np.empty(0))]
 
     def link_time(lid, inflow, h, cell, mass):
         if lid in chan_pos:
             oi, k = np.divmod(cell, n_h)
-            crossings.append((k, h - k, np.full(k.size, chan_pos[lid]), oi, mass[1]))
-        return bpr_travel_time(net.links[lid], inflow / hours)
+            crossings.append((k, h - k, np.full(k.size, chan_pos[lid]), oi, mass))
+        return link_tt[lid]
 
     plan = assignment_mod._route_plan(net, demand.od_index, cut=True)
-    assignment_mod._propagate(grid, plan, demand.matrix, np.ones(demand.matrix.shape, dtype=bool),
-                              link_time, unit=True)
+    assignment_mod._propagate(grid, plan, np.ones(demand.matrix.shape),
+                              np.ones(demand.matrix.shape, dtype=bool), link_time)
     k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))
     band = np.zeros((n_h, int(lag.max(initial=0)) + 1, len(net.detectors),
                      len(demand.od_index)))
@@ -458,14 +466,14 @@ class TestBandSums:
     def test_a_channel_no_route_crosses(self):
         net = dataclasses.replace(TOY, detectors=("4a", "6a", "4b"))
         demand = toy_demand(TimeGrid(n_intervals=12), self.CONGESTED)
-        asg = assignment_matrix(net, demand)
+        asg = linearize(net, demand)
         self.assert_add_at(asg, net, demand)
         assert set(asg.pairs[0].tolist()) == {0, 2} and asg.band.any()
 
     def test_one_interval_grid(self):
         demand = toy_demand(TimeGrid(n_intervals=1), {(od, 0): mass for (od, _), mass
                                                        in self.CONGESTED.items()})
-        asg = assignment_matrix(TOY, demand)
+        asg = linearize(TOY, demand)
         assert asg.band.shape == (1, 1, route_crossings(TOY, TOY.od_index))
         assert asg.band.any()
         self.assert_add_at(asg, TOY, demand)
@@ -501,24 +509,28 @@ class TestHandOver:
     row of a route that starts at another link, so no other first link's
     departures exist."""
 
-    @pytest.mark.parametrize("call", [load_network, detector_counts, assignment_matrix],
-                             ids=["load", "counts", "linearization"])
+    @pytest.mark.parametrize("call", [
+        lambda demand, _: load_network(TOY, demand),
+        lambda demand, _: detector_counts(TOY, demand),
+        lambda demand, load: assignment_matrix(TOY, demand.od_index, load),
+    ], ids=["load", "counts", "linearization"])
     def test_departures_are_dead_by_the_first_callback(self, monkeypatch, call):
         real = assignment_mod._propagate
         read, at_first_callback, plans = set(), [], []
 
-        def propagate(grid, plan, matrix, cells, link_time, **kwargs):
+        def propagate(grid, plan, matrix, cells, link_time):
             def watched(*args):
                 if not at_first_callback:
                     at_first_callback.append(set(read))
                 return link_time(*args)
 
             plans.append(plan)
-            return real(grid, plan, RowsRead(matrix, read), RowsRead(cells, read), watched,
-                        **kwargs)
+            return real(grid, plan, RowsRead(matrix, read), RowsRead(cells, read), watched)
 
+        demand = toy_demand(TimeGrid(n_intervals=12), TestBandSums.CONGESTED)
+        load = load_network(TOY, demand)  # the linearization's times, loaded beforehand
         monkeypatch.setattr(assignment_mod, "_propagate", propagate)
-        call(TOY, toy_demand(TimeGrid(n_intervals=12), TestBandSums.CONGESTED))
+        call(demand, load)
         (plan,) = plans
         first_link = set(np.flatnonzero(plan.first == 0).tolist())
         assert at_first_callback[0] <= first_link

@@ -120,14 +120,15 @@ def test_run_emit_profiles(tmp_path):
     assert len(files) == 12
 
 
-def test_run_refresh_assignment_flag(tmp_path):
+def test_run_refresh_assignment_flag(tmp_path, capsys):
+    """The flag is gone: the linearization is frozen once, so it is an
+    unknown argument, and nothing is written."""
     out = tmp_path / "results"
-    code = main([
-        "run", "--scenario", "toy", "--models", "seed,kf",
-        "--out", str(out), "--refresh-assignment",
-    ])
-    assert code == 0
-    assert (out / "report.csv").is_file()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "toy", "--out", str(out), "--refresh-assignment"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --refresh-assignment" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_model_subset_rows(tmp_path):
@@ -216,7 +217,7 @@ def test_fractional_grid_start_is_config_error(tmp_path, toy_doc, capsys):
 
 @pytest.mark.parametrize("value", ["false", "off", 1], ids=["quoted-false", "off", "one"])
 def test_switch_that_is_not_a_boolean_is_config_error(tmp_path, toy_doc, capsys, value):
-    """A quoted "false" must not switch the refresh on; it is one error line."""
+    """A quoted "false" is not read as a boolean; it is one error line."""
     toy_doc["estimation"]["refresh_assignment"] = value
     path = tmp_path / "switch.yaml"
     path.write_text(yaml.safe_dump(toy_doc))

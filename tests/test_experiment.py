@@ -217,12 +217,12 @@ class TestRunExperiment:
 
         monkeypatch.setattr(odchain.assignment, "_propagate", propagate)
         monkeypatch.setattr(odchain.experiment, "predict_horizon", predict)
-        report = run_experiment(with_refresh(toy_cfg))
+        report = run_experiment(toy_cfg)
         assert all(row.status == "ok" for row in report.rows)
         assert len(predictions) == 3  # kf, pkf and spkf
-        # 4 loads and 1 linearization generate, 47 refreshes and 3 count-only
-        # loads score: every pass goes through the instrument
-        assert len(passes) == 4 + 1 + 47 + 3
+        # 4 loads and 1 linearization generate, and 3 count-only loads score:
+        # every pass goes through the instrument
+        assert len(passes) == 4 + 1 + 3
         assert not any(passes)
 
     @pytest.mark.parametrize("refresh", [False, True], ids=["frozen", "refresh"])
@@ -389,7 +389,7 @@ class TestRunExperiment:
                 filtering.append(time.perf_counter() - t)
 
         monkeypatch.setattr(odchain.experiment, "run_kf_sequence", timed)
-        cfg = with_refresh(toy_cfg)
+        cfg = toy_cfg
         report = run_experiment(cfg, models=("seed", "kf"))
         est = report.estimates["kf"]
         t = time.perf_counter()  # scoring redone: one count-only load and the RMSEs
@@ -513,7 +513,7 @@ class TestRelativeFilter:
         for lag in range(1, min(asg.band.shape[1], h + 1)):
             expected += pieces[h - lag, h] * hist[:, h - lag]
         H_at = odchain.experiment._frozen_rows(toy_artifacts, toy_cfg.cutoff_index)
-        assert np.array_equal(H_at(h, None), expected)
+        assert np.array_equal(H_at(h), expected)
 
     def test_the_lag_sum_sees_what_the_same_interval_row_misses(self, toy_cfg):
         """On a 3-minute grid the detector lies an interval or more
@@ -691,32 +691,41 @@ class TestProbeTimes:
 
 
 class TestRefresh:
+    """The interval filter reads one linearization, frozen at the historical
+    load.  ``estimation.refresh_assignment`` is read, changes nothing and
+    logs a warning when true."""
+
     def test_refresh_loads_only_what_the_filter_reads(self, toy_cfg, monkeypatch):
         """4 loads generate the two days; kf, pkf and spkf are scored by
-        count-only loads, which are not counted.  History is linearized once
-        in generation, and one refresh follows each measured interval but the
-        last; each loads and linearizes in one pass."""
+        count-only loads, which are not counted.  History is linearized once,
+        in generation, at its own load, also with the key set."""
         linearizations = []
         real = odchain.experiment.assignment_matrix
 
-        def counted(net, demand):
-            linearizations.append(demand.grid.n_intervals)
-            return real(net, demand)
+        def counted(net, od_index, load):
+            linearizations.append(load)
+            return real(net, od_index, load)
+
+        real_generate = odchain.experiment.generate_truth_and_history
+        histories = []
+
+        def generate(cfg):
+            artifacts = real_generate(cfg)
+            histories.append(artifacts.history.load)
+            return artifacts
 
         monkeypatch.setattr(odchain.experiment, "assignment_matrix", counted)
-        cfg = with_refresh(toy_cfg)
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
         before = odchain.assignment.load_call_count()
-        run_experiment(cfg)
-        loads = odchain.assignment.load_call_count() - before
-        assert loads == 4
-        # the whole day once, then the grids cut after intervals 1..47
-        assert linearizations == [cfg.grid.n_intervals, *range(2, cfg.cutoff_index + 1)]
-        assert len(linearizations) == 48
+        run_experiment(with_refresh(toy_cfg))
+        assert odchain.assignment.load_call_count() - before == 4
+        (load,) = linearizations
+        assert histories == [load]
 
     def test_routing_plans_built_once(self, monkeypatch):
         """The link order and each route plan, whole routes for the loads and
-        cut routes for the linearizations and the count-only loads, are built
-        once per network, however many of the experiment's 55 passes use them."""
+        cut routes for the linearization and the count-only loads, are built
+        once per network, however many of the experiment's 8 passes use them."""
         orders, plans = [], collections.Counter()
         real_order, real_plan = odchain.assignment._feeding_order, odchain.assignment._build_plan
 
@@ -730,63 +739,36 @@ class TestRefresh:
 
         monkeypatch.setattr(odchain.assignment, "_feeding_order", order)
         monkeypatch.setattr(odchain.assignment, "_build_plan", plan)
-        cfg = with_refresh(load_scenario(packaged_scenario_path("toy")))  # a fresh network
+        cfg = load_scenario(packaged_scenario_path("toy"))  # a fresh network
         run_experiment(cfg)
         assert orders == [cfg.network]
         assert plans == {(cfg.network.od_index, False): 1, (cfg.network.od_index, True): 1}
 
-    def test_refresh_linearizes_on_the_grid_cut_after_h(self, toy_cfg, toy_artifacts,
-                                                        monkeypatch):
-        """Interval 0 reads the frozen band and makes no linearization.  A
-        later interval h linearizes the history scaled by one plus the
-        relative means before h, clipped at zero, on the grid cut after h,
-        and reads that matrix's lag sum at h, weighted by the history."""
-        real = odchain.experiment.assignment_matrix
-        made = []
-
-        def linearize(net, demand):
-            made.append((demand, real(net, demand)))
-            return made[-1][1]
-
-        monkeypatch.setattr(odchain.experiment, "assignment_matrix", linearize)
-        H_at = odchain.experiment._refreshed_rows(toy_cfg, toy_artifacts)
-        hist = toy_artifacts.history.demand.matrix
-        n_od = len(toy_artifacts.od_index)
-        frozen = odchain.experiment._frozen_rows(toy_artifacts, toy_cfg.cutoff_index)
-        assert np.array_equal(H_at(0, np.zeros((n_od, 0))), frozen(0, None))
-        assert made == []
-        for h in (1, 17, toy_cfg.cutoff_index - 1):
-            relative = np.random.default_rng(h).normal(0.0, 0.8, (n_od, h))
-            H = H_at(h, relative)
-            (demand, matrix), = made
-            made.clear()
-            assert demand.grid == dataclasses.replace(toy_cfg.grid, n_intervals=h + 1)
-            assert np.array_equal(demand.matrix[:, :h],
-                                  np.maximum(hist[:, :h] * (1.0 + relative), 0.0))
-            assert (relative < -1.0).any() and (demand.matrix[:, :h] == 0.0).any()
-            assert np.array_equal(demand.matrix[:, h], hist[:, h])
-            assert (demand.matrix[:, :h] != hist[:, :h]).any()
-            assert np.array_equal(H, matrix.pair_matrix(matrix.lag_rows(h + 1, hist)[h]))
-
-    @pytest.mark.parametrize("minutes", [15, 3])
-    def test_refresh_at_zero_deviation_reads_the_frozen_rows(self, toy_cfg, toy_artifacts,
-                                                             minutes):
-        """Linearized at the history itself, on the grid cut after each
-        measured interval, the measurement matrix is the frozen one's, bit
-        for bit, although on the first 3-minute intervals a cut grid's band
-        stops at the longest lag it holds mass at and leaves out lags whose
-        pieces are zero."""
-        if minutes == 15:
-            cfg, artifacts = toy_cfg, toy_artifacts
-        else:
-            cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
-                toy_cfg.grid, interval_minutes=minutes, n_intervals=480))
-            artifacts = generate_truth_and_history(cfg)
-        H_at = odchain.experiment._refreshed_rows(cfg, artifacts)
-        frozen = odchain.experiment._frozen_rows(artifacts, cfg.cutoff_index)
-        n_od = len(artifacts.od_index)
-        for h in range(cfg.cutoff_index):
-            assert np.array_equal(H_at(h, np.zeros((n_od, h))), frozen(h, None)), h
+    def test_the_key_warns_once_and_changes_nothing(self, tmp_path, toy_cfg, toy_report,
+                                                     caplog):
+        """With the key true, one warning names it, and the estimates, the
+        rows with their extras, the kf and leg diagnostics and the emitted
+        files are those of the key false, bit for bit."""
+        with caplog.at_level("WARNING", logger="odchain"):
+            report = run_experiment(with_refresh(toy_cfg))
+        (record,) = caplog.records
+        assert "estimation.refresh_assignment" in record.getMessage()
+        assert report.estimates.keys() == toy_report.estimates.keys()
+        for model, est in toy_report.estimates.items():
+            assert report.estimates[model].tobytes() == est.tobytes(), model
+        rows = [(r.model, r.status, r.error, r.rmse_od, r.rmse_link, r.impr_od_pct,
+                 r.impr_link_pct, r.extras) for r in (report, toy_report) for r in r.rows]
+        assert rows[: len(report.rows)] == rows[len(report.rows):]
+        assert report.kf_diagnostics == toy_report.kf_diagnostics
+        assert report.leg_diagnostics == toy_report.leg_diagnostics
+        for name, r in (("on", report), ("off", toy_report)):
+            emit_report(r, tmp_path / name, include_profiles=False)
+        for f in ("report.csv", "kf_diagnostics.csv", "leg_diagnostics.csv"):
+            assert (tmp_path / "on" / f).read_bytes() == (tmp_path / "off" / f).read_bytes(), f
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="odchain"):
+            run_experiment(toy_cfg)
+        assert caplog.records == []
 
 
 class TestEmission:
@@ -929,8 +911,8 @@ class TestEmission:
 
 
 class TestGoldenReport:
-    """report.csv and leg_diagnostics.csv of the toy preset, with and
-    without the refresh, pinned at their printed precision."""
+    """report.csv and leg_diagnostics.csv of the toy preset, pinned at their
+    printed precision; ``refresh_assignment`` does not move them."""
 
     def test_toy(self, tmp_path, toy_report):
         emit_report(toy_report, tmp_path, include_profiles=False)
@@ -942,6 +924,6 @@ class TestGoldenReport:
     def test_toy_with_refresh(self, tmp_path, toy_cfg):
         emit_report(run_experiment(with_refresh(toy_cfg)), tmp_path, include_profiles=False)
         assert (tmp_path / "report.csv").read_text() == \
-            (GOLDEN / "toy_refresh_report.csv").read_text()
+            (GOLDEN / "toy_report.csv").read_text()
         assert (tmp_path / "leg_diagnostics.csv").read_text() == \
-            (GOLDEN / "toy_refresh_leg_diagnostics.csv").read_text()
+            (GOLDEN / "toy_leg_diagnostics.csv").read_text()

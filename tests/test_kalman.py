@@ -272,6 +272,20 @@ class TestMeasurementUpdate:
         with pytest.raises(NumericalError):
             kf_measurement_update(pred, np.zeros((2, 2)), bad_r, np.zeros(2))
 
+    @pytest.mark.parametrize("R, message", [
+        # the Cholesky factorization reads the lower triangle alone, so this
+        # R would pass as the identity: posterior mean [0.5, 0.5]
+        pytest.param([[1.0, 5.0], [0.0, 1.0]], "^R is not symmetric$", id="asymmetric"),
+        pytest.param([[1.0, np.nan], [np.nan, 1.0]], "^R has non-finite entries$", id="nan"),
+        pytest.param([[np.inf, 0.0], [0.0, 1.0]], "^R has non-finite entries$", id="inf"),
+    ])
+    def test_rejects_r_as_the_noise_model_does(self, R, message):
+        pred = FilterState(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(ValueError, match=message):
+            kf_measurement_update(pred, np.eye(2), np.array(R), np.ones(2))
+        with pytest.raises(ValueError, match=message):
+            NoiseModel(Q=np.eye(2), R=np.array(R))
+
     def test_singular_but_recoverable_system(self):
         """A zero innovation covariance is rescued by the jitter retry and
         yields a vanishing gain."""
@@ -344,7 +358,7 @@ class TestNoiseModel:
 def _run_with_noise(Q, R):
     """A two-step run of a 2-OD state against one channel."""
     noise = NoiseModel(Q=Q, R=R)
-    run_kf_sequence(lambda h, _: np.ones((1, 2)), np.zeros((1, 2)), noise,
+    run_kf_sequence(lambda h: np.ones((1, 2)), np.zeros((1, 2)), noise,
                     init=FilterState(mean=np.zeros(2), cov=np.eye(2)))
 
 
@@ -385,7 +399,7 @@ def frozen_rows(asg, weights):
     """The provider that reads every interval's lag-summed matrix from
     ``asg``, each lag scaled by ``weights`` of the interval it reads."""
     rows = asg.lag_rows(asg.grid.n_intervals, weights)
-    return lambda h, _: asg.pair_matrix(rows[h])
+    return lambda h: asg.pair_matrix(rows[h])
 
 
 class TestRunSequence:
@@ -508,21 +522,17 @@ class TestRunSequence:
         assert np.array_equal(run.last.mean, run.deltas[:, 0])
 
     def test_rows_are_asked_for_once_per_step(self, toy_artifacts):
-        """Step h asks for its measurement matrix once, with the (n_od, h)
-        posterior means of the intervals before it."""
+        """Step h asks for its measurement matrix once, in order."""
         asg, weights, delta_y, noise = self._toy_inputs(toy_artifacts)
         calls = []
         rows = frozen_rows(asg, weights)
 
-        def H_at(h, relative):
-            calls.append((h, relative.copy()))
-            return rows(h, relative)
+        def H_at(h):
+            calls.append(h)
+            return rows(h)
 
         run = run_kf_sequence(H_at, delta_y, noise, init=zero_prior(noise))
-        assert [h for h, _ in calls] == list(range(48))
-        for h, relative in calls:
-            assert relative.shape == (len(asg.od_index), h)
-            assert np.array_equal(relative, run.deltas[:, :h])
+        assert calls == list(range(48))
         assert np.abs(run.deltas).max() > 0.0
 
     @pytest.mark.parametrize("bad", [
@@ -539,8 +549,8 @@ class TestRunSequence:
         noise = NoiseModel(Q=np.eye(n_od), R=np.eye(n_ch))
         rows = frozen_rows(asg, toy_artifacts.history.demand.matrix)
 
-        def H_at(h, _):
-            H = rows(h, _)
+        def H_at(h):
+            H = rows(h)
             return bad(H) if h == 2 else H
 
         with pytest.raises(ConfigurationError,
@@ -568,7 +578,7 @@ class TestRunSequence:
         init = zero_prior(noise)
         full_rows, first_rows = frozen_rows(full, weights), frozen_rows(first, weights)
         run = run_kf_sequence(
-            lambda h, _: (full_rows if h >= swap_at else first_rows)(h, _),
+            lambda h: (full_rows if h >= swap_at else first_rows)(h),
             delta_y, noise, init=init)
 
         state = init
@@ -686,7 +696,7 @@ class TestAgainstTheOracle:
         n_od = len(artifacts.od_index)
         run = run_kf_sequence(H_at, delta_y, noise, init=FilterState(mean=np.zeros(n_od), cov=P0))
         deltas, last_cov, gains = oracle_filter(
-            [H_at(h, None) for h in range(cut)], delta_y, noise.Q, noise.R, np.zeros(n_od), P0)
+            [H_at(h) for h in range(cut)], delta_y, noise.Q, noise.R, np.zeros(n_od), P0)
         assert run.deltas.shape == (n_od, {15: 48, 3: 240}[minutes])
         assert _relative_error(run.deltas, deltas, np.abs(deltas).max()) <= 1e-10
         assert _relative_error(run.last.cov, last_cov, np.abs(last_cov).max()) <= 1e-10

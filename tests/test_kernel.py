@@ -3,9 +3,8 @@
 ``load_network``, ``detector_counts`` and ``assignment_matrix`` must give
 what the one-parcel-at-a-time walk in ``kernel_oracle`` gives, to the bit:
 the kernel keeps every link's parcels in the oracle's summation order.  That
-holds for the load, at BPR or given times, for ``assignment_matrix``'s one
-pass, which loads the demand and linearizes at its BPR times together, and
-for the count-only load.  The last two move parcels only as far as a count
+holds for the load, at BPR or given times, for ``assignment_matrix``'s
+pass at the BPR load's times, and for the count-only load.  The last two move parcels only as far as a count
 depends on them (``_route_plan``'s cut routes), while the oracle walks every
 route to its end.  A load keeps the channels' inflows alone, as its counts;
 every link's inflow is read as the kernel passes it to ``link_time``
@@ -15,6 +14,7 @@ every link's inflow is read as the kernel passes it to ``link_time``
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from banding import linearize
 from kernel_oracle import oracle_load, oracle_pieces
 from odchain.assignment import (
     DynamicDemand, _interval_index, _route_plan, assignment_matrix, detector_counts,
@@ -38,10 +38,10 @@ def assert_same_as_oracle(net, demand, frozen=None):
     channels = load.counts.channels
     n_h = demand.grid.n_intervals
     assert np.array_equal(load.counts.counts, channel_rows(inflow, channels, n_h))
-    # one pass that loads demand with BPR times and linearizes at them
+    # the linearization at the BPR load's times
     bpr = load if frozen is None else load_network(net, demand)
     pieces = oracle_pieces(net, demand.grid, bpr.link_tt, channels, demand.od_index)
-    assert np.array_equal(assignment_matrix(net, demand).pieces, pieces)
+    assert np.array_equal(assignment_matrix(net, demand.od_index, bpr).pieces, pieces)
     # the count-only load: the oracle's channel inflows at BPR times
     bpr_inflow = inflow if frozen is None else oracle_load(net, demand)[0]
     counts = detector_counts(net, demand)
@@ -154,7 +154,7 @@ class TestEdgeShapes:
 
         demand = toy_demand(grid, fill)
         assert_same_as_oracle(TOY, demand)
-        pieces = assignment_matrix(TOY, demand).pieces
+        pieces = linearize(TOY, demand).pieces
         # zero demand is still linearized
         assert pieces[:, :, :, TOY.od_index.index(("1", "3"))].sum() > 0.0
 
@@ -245,7 +245,7 @@ class TestCutRoutes:
         plan = self.cut(net)
         assert (plan.routes, plan.order) == (((), ()), ())
         assert detector_counts(net, demand).counts.shape == (0, 8)
-        asg = assignment_matrix(net, demand)
+        asg = linearize(net, demand)
         assert (asg.band.shape, asg.pairs.shape) == ((8, 1, 0), (2, 0))
 
 

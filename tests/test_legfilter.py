@@ -120,6 +120,19 @@ class TestLegTimeUpdate:
         assert np.allclose(pred.mean, L @ state.mean, atol=1e-12)
         assert np.allclose(pred.cov, L @ P @ L.T + Q, atol=1e-12)
 
+    @pytest.mark.parametrize("Q, message", [
+        # symmetrized after the sum, it would pass with off-diagonals of 1.5
+        pytest.param([[1.0, 3.0], [0.0, 1.0]], "^Q is not symmetric$", id="asymmetric"),
+        pytest.param([[1.0, np.nan], [np.nan, 1.0]], "^Q has non-finite entries$", id="nan"),
+    ])
+    def test_rejects_q_as_the_noise_model_does(self, Q, message):
+        chain = ChainSpec(feeds={"out": (), "back": ("out",)})
+        out = leg2("out", [200.0, 0.0], (("a", "b"),))
+        op = build_leg_operator(chain, [out], leg2("back", [0.0, 150.0], (("b", "a"),)))
+        state = FilterState(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(ValueError, match=message):
+            leg_time_update([state], op, np.array(Q))
+
 
 class TestConservationHelpers:
     def test_scale_factor(self):

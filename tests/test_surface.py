@@ -65,7 +65,7 @@ def test_every_definition_has_a_caller_outside_tests():
 
 def test_kalman_imports_nothing_from_assignment():
     """The interval filter reads its measurement matrix from its caller, so it
-    does not depend on how the assignment is stored or refreshed."""
+    does not depend on how the assignment is stored."""
     imported = []
     for node in ast.walk(_parse(PACKAGE / "kalman.py")):
         if isinstance(node, ast.ImportFrom):
