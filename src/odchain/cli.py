@@ -134,15 +134,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (NumericalError, ConfigurationError, ValueError, OSError) as exc:
+        # a line per line of the message, so a scenario's problems read one per line
+        for line in str(exc).splitlines():
+            print(f"error: {line}", file=sys.stderr)
+        return 2 if isinstance(exc, NumericalError) else 3 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -195,30 +195,37 @@ def _perturb(
     return factors
 
 
-def _leg_shares(
+def _shares_at(
     cfg: ScenarioConfig, legs: dict[str, DemandLeg], tt_od: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Each leg's departure shares at the times ``tt_od``, one row per member
-    OD, in the order of ``member_indices()``.
+) -> dict[str, DemandLeg]:
+    """``legs`` with each leg's departure shares at the times ``tt_od``, one
+    row per member OD, in the order of ``member_indices()``.
 
     Raises:
         DegenerateProfileError: naming the leg and the OD whose profile has
             no usable mass.
     """
-    out: dict[str, np.ndarray] = {}
+    out: dict[str, DemandLeg] = {}
     for leg_def in cfg.legs:
         leg = legs[leg_def.name]
         rows = leg.member_indices()
         try:
-            out[leg.name] = departure_probabilities(leg_def.schedule, tt_od[rows], cfg.grid)
+            shares = departure_probabilities(leg_def.schedule, tt_od[rows], cfg.grid)
         except DegenerateProfileError as exc:
             raise DegenerateProfileError(
                 f"leg {leg.name!r}, OD {od_label(leg.od_index[rows[exc.row]])}: {exc}") from exc
+        out[leg.name] = replace(leg, shares=shares)
     return out
 
 
-def _with_shares(legs: dict[str, DemandLeg], shares: dict[str, np.ndarray]) -> dict[str, DemandLeg]:
-    return {name: replace(leg, shares=shares[name]) for name, leg in legs.items()}
+def _congested_legs(cfg: ScenarioConfig, legs: dict[str, DemandLeg]) -> dict[str, DemandLeg]:
+    """Flow-only ``legs`` with the departure shares of their own congestion:
+    the flows are spread over the free-flow shares and loaded once, and the
+    shares are recomputed at that load's times; of the load only those
+    times are read."""
+    net = cfg.network
+    first = _expand(cfg, _shares_at(cfg, legs, _free_flow_tt(net, net.od_index, cfg.grid)))
+    return _shares_at(cfg, legs, load_network(net, first).tt_od)
 
 
 def _expand(cfg: ScenarioConfig, legs: dict[str, DemandLeg]) -> DynamicDemand:
@@ -236,7 +243,7 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     """Generate both days, the observed counts and the frozen linearization."""
     problems = cfg.validate()
     if problems:
-        raise ConfigurationError("; ".join(problems))
+        raise ConfigurationError("\n".join(problems))
     od_index = cfg.network.od_index
     chain = cfg.chain()
 
@@ -246,20 +253,10 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     hist_legs = {name: replace(leg, flows=leg.flows * factors[name])
                  for name, leg in true_legs.items()}
 
-    # Each day's legs are built once, and each pass attaches its shares.
-    # The first pass spreads the flows over the free-flow shares, the same
-    # on both days, so they are built once and dropped once both first
-    # passes' demand exists.  The second recomputes the shares from that
-    # load's times, so each day's shares feel its own congestion; of the
-    # first pass only those times are read.
-    free = _leg_shares(cfg, true_legs, _free_flow_tt(net, od_index, cfg.grid))
-    first_truth = _expand(cfg, _with_shares(true_legs, free))
-    first_hist = _expand(cfg, _with_shares(hist_legs, free))
-    del free
-    true_legs = _with_shares(true_legs, _leg_shares(cfg, true_legs, load_network(net, first_truth).tt_od))
-    del first_truth
-    hist_legs = _with_shares(hist_legs, _leg_shares(cfg, hist_legs, load_network(net, first_hist).tt_od))
-    del first_hist
+    # Both days' share passes run before either day's final load, so no
+    # final load's result is held while a share pass loads.
+    true_legs = _congested_legs(cfg, true_legs)
+    hist_legs = _congested_legs(cfg, hist_legs)
     sides = []
     for legs in (true_legs, hist_legs):
         demand = _expand(cfg, legs)
@@ -466,8 +463,12 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     absolute deviations ``hist ⊙ r`` (``attributed_totals``), each chained
     leg's ``leg_retention``, by which pkf and spkf scale its estimate, the
     number of measured intervals whose measurement matrix is all zero
-    (``unobserved_intervals``), which a warning reports when it is not 0,
-    and the smallest eigenvalue of the last posterior covariance, the one
+    (``unobserved_intervals``, logged at info level: early in the day no
+    departure has reached a detector yet, and later counts read them), the
+    number whose departures no detector counts at any lag although the
+    history has demand there (``uncounted_intervals``, from
+    ``artifacts.assignment.band``), which a warning reports when it is not
+    0, and the smallest eigenvalue of the last posterior covariance, the one
     that prediction reads (``kf_last_cov_min_eigenvalue``, from
     ``eigvalsh``; ``None`` where no filter model ran).
     """
@@ -479,7 +480,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     kf_diag: list[KfStepDiagnostics] = []
     leg_diag: list[LegDiagnostics] = []
     notes: dict = {"attributed_totals": {}, "leg_retention": {}, "unobserved_intervals": 0,
-                   "kf_last_cov_min_eigenvalue": None}
+                   "uncounted_intervals": 0, "kf_last_cov_min_eigenvalue": None}
     result = estimates, kf_diag, leg_diag, notes
 
     if "seed" in rows:
@@ -502,9 +503,14 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
             init=FilterState(mean=np.zeros(len(artifacts.od_index)), cov=P0))
         kf_diag.extend(kf.diagnostics)
         notes["unobserved_intervals"] = sum(d.measurement_norm == 0.0 for d in kf.diagnostics)
-        if notes["unobserved_intervals"]:
-            logger.warning("the measurement matrix of %d of %d measured intervals is all zero: "
-                           "the filter sees nothing there", notes["unobserved_intervals"], cut)
+        logger.info("the measurement matrix of %d of %d measured intervals is all zero",
+                    notes["unobserved_intervals"], cut)
+        # the measured intervals with departures that no detector counts at any lag
+        counted = artifacts.assignment.band[:cut].any(axis=(1, 2))
+        notes["uncounted_intervals"] = int(((hist_matrix[:, :cut] > 0).any(axis=0) & ~counted).sum())
+        if notes["uncounted_intervals"]:
+            logger.warning("the departures of %d of %d measured intervals are counted by no "
+                           "detector: the filter never sees them", notes["uncounted_intervals"], cut)
         notes["kf_last_cov_min_eigenvalue"] = min_eigenvalue(kf.last.cov)
         # prediction reads the last posterior's mean alone, so its covariance
         # and root are not kept through the leg chain and the assembly

@@ -319,15 +319,9 @@ def run_leg_chain(
             states[name] = LegState(name=name, state=state,
                                     prior_norm=float(np.linalg.norm(state.mean)))
             continue
-        for f in feeders:
-            if f not in states:
-                raise ConfigurationError(
-                    f"leg {name!r} processed before its feeder {f!r}"
-                )
         if name not in operators or name not in leg_Q:
             raise ConfigurationError(f"missing operator or process noise for leg {name!r}")
         pred = leg_time_update([states[f].state for f in feeders], operators[name], leg_Q[name])
-        current_delta[name] = pred.mean
 
         others = np.zeros_like(delta_Y)
         for other in order:

@@ -88,6 +88,26 @@ def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_lists_problems_one_per_line(tmp_path, toy_doc, capsys):
+    """``odchain run`` stops on a scenario with problems and prints each on
+    its own ``error:`` line, as ``odchain validate`` prints ``problem:`` lines."""
+    toy_doc["time_grid"]["interval_minutes"] = 5
+    toy_doc["legs"][0]["od_split"]["9-3"] = 0.0
+    path = tmp_path / "two-problems.yaml"
+    path.write_text(yaml.safe_dump(toy_doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: leg 'hw_direct': no path for OD 9-3",
+        "error: estimation cutoff 720.0 outside the grid horizon",
+    ]
+    assert not (tmp_path / "o").exists()
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "problem: leg 'hw_direct': no path for OD 9-3",
+        "problem: estimation cutoff 720.0 outside the grid horizon",
+    ]
+
+
 def test_run_writes_report(tmp_path, capsys):
     out = tmp_path / "results"
     code = main([

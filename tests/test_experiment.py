@@ -102,7 +102,7 @@ class TestGeneration:
         tt[od_index.index(("4", "5"))] = np.inf
         with pytest.raises(DegenerateProfileError,
                            match="leg 'work_leisure', OD 4-5: all departure intervals"):
-            odchain.experiment._leg_shares(toy_cfg, toy_artifacts.truth.legs, tt)
+            odchain.experiment._shares_at(toy_cfg, toy_artifacts.truth.legs, tt)
 
     def test_one_departure_call_per_leg(self, toy_cfg, monkeypatch):
         calls = []
@@ -114,10 +114,25 @@ class TestGeneration:
 
         monkeypatch.setattr(odchain.experiment, "departure_probabilities", counted)
         generate_truth_and_history(toy_cfg)
-        # the free-flow pass, which both days share, then each day's second
-        # pass: one call per leg with a row per member
+        # each day's free-flow pass, then its second pass: one call per leg
+        # with a row per member
         sizes = [len(leg.od_split) for leg in toy_cfg.legs]
-        assert calls == [(n, toy_cfg.grid.n_intervals) for n in sizes] * 3
+        assert calls == [(n, toy_cfg.grid.n_intervals) for n in sizes] * 4
+
+    @pytest.mark.parametrize("fixture", ["toy_artifacts", "three_roots_artifacts"],
+                             ids=["toy-15", "toy-15-three-roots"])
+    def test_congested_legs_are_the_generated_days(self, fixture, request):
+        """``_congested_legs`` of a day's flow-only legs gives the shares the
+        generator gave that day, byte for byte: the congestion-consistent
+        shares at the day's own flows are the generator's own result."""
+        artifacts = request.getfixturevalue(fixture)
+        for side in (artifacts.truth, artifacts.history):
+            flow_only = {n: dataclasses.replace(leg, shares=None) for n, leg in side.legs.items()}
+            legs = odchain.experiment._congested_legs(artifacts.config, flow_only)
+            assert list(legs) == list(side.legs)
+            for name, leg in legs.items():
+                assert leg.flows.tobytes() == side.legs[name].flows.tobytes()
+                assert leg.shares.tobytes() == side.legs[name].shares.tobytes()
 
     @staticmethod
     def _dense_generation(cfg, flows):
@@ -599,21 +614,40 @@ class TestRelativeFilter:
             assert np.allclose(report.estimates[mode], np.maximum(dense, 0.0),
                                rtol=1e-12, atol=1e-9)
 
-    def test_unobserved_intervals_counted_and_warned_once(self, toy_cfg, toy_report, caplog):
+    def test_unobserved_intervals_counted_and_not_warned(self, toy_cfg, toy_report, caplog):
         """Each step records its measurement matrix's Frobenius norm; the
-        report counts the measured intervals where it is 0, and a run with
-        any logs one warning."""
+        report counts the measured intervals where it is 0.  On a 3-minute
+        grid those are the first three, whose departures later counts read,
+        so no interval is uncounted and the run logs no warning."""
         assert toy_report.diagnostics["unobserved_intervals"] == 0
+        assert toy_report.diagnostics["uncounted_intervals"] == 0
         assert all(d.measurement_norm > 0.0 for d in toy_report.kf_diagnostics)
         cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
             toy_cfg.grid, interval_minutes=3, n_intervals=480))
         with caplog.at_level("WARNING", logger="odchain.experiment"):
             report = run_experiment(cfg, models=("kf",))
         assert report.diagnostics["unobserved_intervals"] == 3
+        assert report.diagnostics["uncounted_intervals"] == 0
         assert [d.measurement_norm == 0.0 for d in report.kf_diagnostics[:4]] == \
             [True, True, True, False]
+        assert caplog.records == []
+
+    def test_uncounted_intervals_warned_once(self, toy_cfg, toy_artifacts, caplog):
+        """Departures that no detector counts at any lag, where the history
+        has demand, are counted and warned about once."""
+        frozen = toy_artifacts.assignment
+        band = frozen.band.copy()
+        band[5:8] = 0.0
+        assert (toy_artifacts.history.demand.matrix[:, 5:8] > 0).any(axis=0).all()
+        artifacts = dataclasses.replace(
+            toy_artifacts, truth=None, assignment=dataclasses.replace(frozen, band=band))
+        rows = {"kf": odchain.experiment.ModelRow("kf")}
+        with caplog.at_level("WARNING", logger="odchain.experiment"):
+            *_, notes = odchain.experiment._estimate(toy_cfg, artifacts, rows)
+        assert rows["kf"].status == "ok"
+        assert notes["uncounted_intervals"] == 3
         (record,) = caplog.records
-        assert "3 of 240 measured intervals" in record.getMessage()
+        assert "3 of %d measured intervals" % toy_cfg.cutoff_index in record.getMessage()
 
     def test_last_cov_min_eigenvalue_is_the_last_posterior_spectrum(self, toy_cfg, monkeypatch):
         """``kf_last_cov_min_eigenvalue`` is the smallest eigenvalue of the
