@@ -23,12 +23,14 @@ and hands each next link a slice.  A pass holds in flight only the parcels
 waiting at the links still to visit and those of the link it visits.  A
 first link's departures are built from the demand when its turn comes, in
 chronological order, so none waits through the pass and a link where trips
-only start needs no sort.  A link frees each array after its last reader:
-it builds its sort key in place, replaces its columns by their sorted
-gathers one at a time, writes its shifted windows' ends once into one
-table, from which both ends of every piece are read through one index
-built in place, writes the windows' widths over their ends, and scales the
-mass in place.  The link order and each route layout, with the tables
+only start needs no sort.  A parcel carries one sort key that holds both
+its entry interval and the one at its previous link, so it is five columns,
+32 bytes.  A link frees each array after its last reader: it replaces its
+columns by their sorted gathers one at a time, turns the key into the entry
+interval in place, writes its shifted windows' ends once into one table,
+from which both ends of every piece are read through one index built in
+place, writes the windows' widths over their ends, and scales the mass in
+place.  The link order and each route layout, with the tables
 the kernel walks, depend on the network alone, so each is built once per
 network (``Network.plans``).
 A load keeps the links' times and the channels' counts, not every link's
@@ -329,7 +331,8 @@ def _propagate(
     which is chronological, from the rows of the routes that start there
     (``plan.by_first``), so no other first link's departures exist meanwhile.
     A parcel enters its link uniformly over a window ``[a, b)`` within one
-    interval ``h`` and carries its cell ``r * n_intervals + k`` and its mass.
+    interval ``h`` and carries its cell ``r * n_intervals + k``, its mass
+    and its sort key (below).
 
     Links are visited in ``plan.order``, each for every interval at once.
     This is exact: a link's time in an interval depends only on its inflow
@@ -351,22 +354,28 @@ def _propagate(
     the order of an interval-by-interval pass.  Returns, per link, the mass
     that would have entered it after the horizon end.
 
+    A parcel carries its entry interval ``h`` and the previous link's
+    ``prev`` (-1 for a departure) as one sort key ``h * (n_h + 1) + prev +
+    1``, in ``0..n_h * (n_h + 2)`` (``_key_dtype``), built when it leaves
+    the previous link; a visit sorts by it and takes ``h = key // (n_h +
+    1)``, in place.  So a parcel in flight is five columns, 32 bytes.
+
     A visit frees each array after its last reader, so the parcels in flight
     and the visited link's columns are all that it holds beyond the entry:
-    the sort key is built in place and freed once the permutation exists,
-    the sorted gathers replace the columns one at a time, the windows'
-    widths are written over their ends ``b`` (a fresh array, or a slice of
-    one that no other link's slice overlaps, which nothing reads after this
-    visit), the piece index is built in place from the pieces, and the
-    mass is scaled in place.
+    the sorted gathers replace the columns one at a time, the key becomes
+    ``h`` in place, the windows' widths are written over their ends ``b``
+    (a fresh array, or a slice of one that no other link's slice overlaps,
+    which nothing reads after this visit; so is the key), the piece index
+    is built in place from the pieces, and the mass is scaled in place.
     """
     n_h = grid.n_intervals
+    key_dtype = _key_dtype(n_h)
     # interval edges as grid.bounds gives them; nothing is cut past the end
     edges = np.append(grid.start + grid.interval_minutes * np.arange(n_h + 1.0), np.inf)
     order, succ, fanout = plan.order, plan.succ, plan.fanout
 
     # per link, the batches of parcels waiting to enter it, each
-    # (cell, entry interval, previous entry interval, a, b, mass)
+    # (cell, sort key, a, b, mass)
     inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
     spill: dict[str, float] = {}
     nothing = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
@@ -378,34 +387,32 @@ def _propagate(
             # only start needs no sort
             k, r = np.nonzero(cells[rows].T)
             if k.size:
-                # the departures join first
+                # the departures join first, keyed k * (n_h + 1) + (-1) + 1
                 r = rows[r]
-                batches.insert(0, ((r * n_h + k).astype(np.int32), k.astype(np.int32),
-                                   np.full(k.size, -1, dtype=np.int32), edges[k], edges[k + 1],
-                                   matrix[r, k]))
+                batches.insert(0, ((r * n_h + k).astype(np.int32), k.astype(key_dtype) * (n_h + 1),
+                                   edges[k], edges[k + 1], matrix[r, k]))
             del r, k
         if not batches:
             spill[lid] = 0.0
             link_time(lid, np.zeros(n_h), *nothing)
             continue
-        cell, h, prev, a, b, mass = (
+        cell, key, a, b, mass = (
             np.concatenate(col) if len(batches) > 1 else col[0] for col in zip(*batches)
         )
         del batches
-        key = h.astype(np.int64)
-        key *= n_h + 1
-        key += prev
-        del prev
-        perm = np.argsort(key, kind="stable") if (key[1:] < key[:-1]).any() else None
-        del key
-        if perm is not None:
+        if (key[1:] < key[:-1]).any():
+            perm = np.argsort(key, kind="stable")
             # one column at a time, each old one freed as its gather replaces it
             cell = cell[perm]
-            h = h[perm]
+            key = key[perm]
             a = a[perm]
             b = b[perm]
             mass = mass[perm]
-        del perm
+            del perm
+        # the entry intervals, written over the key: a fresh array, or a
+        # slice of one that no other link's slice overlaps
+        h = np.floor_divide(key, n_h + 1, out=key)
+        del key
         sums = np.bincount(h, weights=mass, minlength=n_h + 1)
         spill[lid] = float(sums[n_h])
         n_in = int(np.searchsorted(h, n_h))  # spilled pieces sort last
@@ -461,9 +468,15 @@ def _propagate(
         np.multiply(moved, span, out=moved)
         np.divide(moved, width, out=moved)
         del span, width
-        out = (cell[rows], start[rows] + past, h[rows], piece_a, piece_b, moved)
+        # each piece's key at the next link: its entry interval there, then h
+        key = start[rows].astype(key_dtype, copy=False)
+        key += past
+        key *= n_h + 1
+        key += h[rows]
+        key += 1
+        out = (cell[rows], key, piece_a, piece_b, moved)
         # free this link's parcels before the next link gathers its own
-        del cell, h, start, past, piece_a, piece_b, moved
+        del cell, h, start, past, key, piece_a, piece_b, moved
         if len(fanout[i]) == 1:
             inbox[fanout[i][0]].append(out)
         else:
@@ -472,6 +485,13 @@ def _propagate(
                 inbox[n].append(tuple(col[lo:hi] for col in out))
         del rows, nxt, out
     return spill
+
+
+def _key_dtype(n_h: int) -> type:
+    """The narrowest integer type of ``_propagate``'s sort keys on a grid of
+    ``n_h`` intervals: int32 while their largest, ``n_h * (n_h + 2)``, fits
+    it, int64 past that (from 46,340 intervals)."""
+    return np.int32 if n_h * (n_h + 2) <= np.iinfo(np.int32).max else np.int64
 
 
 def _interval_index(offset: np.ndarray, interval_minutes: int, last: int) -> np.ndarray:
@@ -719,7 +739,8 @@ def assignment_matrix(net: Network, od_index: tuple[OD, ...], load: LoadResult) 
     block over its pairs: the same additions from 0.0, in the same order, as
     adding every crossing into the band one by one.  The band is allocated
     once the pass is done, when its width is known, and each block is
-    written into its channel's slice of pairs.
+    written into its channel's slice of pairs and freed, so the band never
+    sits beside a whole second copy of itself.
 
     Raises:
         ConfigurationError: if an OD of ``od_index`` lacks a path or a
@@ -751,8 +772,11 @@ def assignment_matrix(net: Network, od_index: tuple[OD, ...], load: LoadResult) 
     _propagate(grid, plan, np.broadcast_to(1.0, shape), np.broadcast_to(True, shape), link_time)
     band = np.zeros((n_h, max((b.shape[1] for b in blocks.values()), default=1),
                      plan.pairs.shape[1]))
-    for c, block in blocks.items():
+    while blocks:
+        # each block is freed as the band takes it
+        c, block = blocks.popitem()
         band[:, : block.shape[1], plan.pair_start[c]: plan.pair_start[c + 1]] = block
+        del block
     return AssignmentMatrix(od_index=od_index, channels=net.detectors, grid=grid,
                             band=band, pairs=plan.pairs)
 

@@ -123,11 +123,18 @@ class _DenseProfiles(Mapping):
 
 @dataclass
 class GeneratedSide:
-    """One generated day: legs with their shares, expanded demand, loaded flows."""
+    """One generated day: legs with their shares and the load of their demand.
+
+    The demand is not kept: ``demand`` expands it from the legs on each
+    access, as ``DemandLeg.profile`` is built, so a reader that keeps the
+    matrix reads it once."""
 
     legs: dict[str, DemandLeg]
-    demand: DynamicDemand
     load: LoadResult
+
+    @property
+    def demand(self) -> DynamicDemand:
+        return _expand(self.load.counts.grid, self.legs)
 
     def profiles(self) -> Mapping[str, np.ndarray]:
         """Each leg's dense (n_od, n_intervals) profile, zero off its members,
@@ -141,8 +148,9 @@ class ExperimentArtifacts:
 
     ``truth`` is the true day.  Estimation reads none of it, so
     ``run_experiment`` keeps its demand matrix, counts and spill total and
-    hands ``_estimate`` a copy with ``truth=None``; the object returned by
-    ``generate_truth_and_history`` is never changed.
+    hands ``_estimate`` a copy with ``truth=None``, whose ``assignment``
+    ``_estimate`` sets to ``None`` after its last reader; the object
+    returned by ``generate_truth_and_history`` is never changed.
     """
 
     config: ScenarioConfig
@@ -151,7 +159,7 @@ class ExperimentArtifacts:
     truth: GeneratedSide | None
     history: GeneratedSide
     observed: LinkFlowSeries
-    assignment: AssignmentMatrix
+    assignment: AssignmentMatrix | None
     perturbation_factors: dict[str, np.ndarray]
 
 
@@ -224,19 +232,20 @@ def _congested_legs(cfg: ScenarioConfig, legs: dict[str, DemandLeg]) -> dict[str
     shares are recomputed at that load's times; of the load only those
     times are read."""
     net = cfg.network
-    first = _expand(cfg, _shares_at(cfg, legs, _free_flow_tt(net, net.od_index, cfg.grid)))
+    first = _expand(cfg.grid, _shares_at(cfg, legs, _free_flow_tt(net, net.od_index, cfg.grid)))
     return _shares_at(cfg, legs, load_network(net, first).tt_od)
 
 
-def _expand(cfg: ScenarioConfig, legs: dict[str, DemandLeg]) -> DynamicDemand:
-    """The dynamic matrix: each leg's flows spread over its shares
-    (``leg_terms``), summed from zero in name order."""
-    od_index = cfg.network.od_index
-    matrix = np.zeros((len(od_index), cfg.grid.n_intervals))
+def _expand(grid: TimeGrid, legs: dict[str, DemandLeg]) -> DynamicDemand:
+    """The dynamic matrix of ``legs``, which share one OD index: each leg's
+    flows spread over its shares (``leg_terms``), summed from zero in name
+    order."""
+    od_index = next(iter(legs.values())).od_index
+    matrix = np.zeros((len(od_index), grid.n_intervals))
     terms = ((legs[name], legs[name].flows) for name in sorted(legs))
-    for rows, term in leg_terms(terms, 0, cfg.grid.n_intervals):
+    for rows, term in leg_terms(terms, 0, grid.n_intervals):
         matrix[rows] += term
-    return DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=matrix)
+    return DynamicDemand(od_index=od_index, grid=grid, matrix=matrix)
 
 
 def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
@@ -254,14 +263,12 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
                  for name, leg in true_legs.items()}
 
     # Both days' share passes run before either day's final load, so no
-    # final load's result is held while a share pass loads.
+    # final load's result is held while a share pass loads.  A day keeps its
+    # legs and load, not its matrix, which is freed once its load returns.
     true_legs = _congested_legs(cfg, true_legs)
     hist_legs = _congested_legs(cfg, hist_legs)
-    sides = []
-    for legs in (true_legs, hist_legs):
-        demand = _expand(cfg, legs)
-        sides.append(GeneratedSide(legs=legs, demand=demand, load=load_network(net, demand)))
-    truth, history = sides
+    truth, history = (GeneratedSide(legs=legs, load=load_network(net, _expand(cfg.grid, legs)))
+                      for legs in (true_legs, hist_legs))
 
     counts = truth.load.counts.counts.copy()
     if cfg.measurement_noise_fraction > 0.0:
@@ -364,11 +371,11 @@ WALK_PER_OD = 0.01
 WALK_MINUTES = 15
 
 
-def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
-    """The filters' noise: the interval filter's, its prior covariance, and
-    the leg chain's, of which ``run_leg_chain`` reads a prior covariance for
-    each root leg and a process noise for each chained leg, so only those
-    are built.
+def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matrix: np.ndarray):
+    """The filters' noise at the history's demand ``hist_matrix``: the
+    interval filter's, its prior covariance, and the leg chain's, of which
+    ``run_leg_chain`` reads a prior covariance for each root leg and a
+    process noise for each chained leg, so only those are built.
 
     The interval filter's state is relative, so its prior and random walk
     are a common mode plus a per-OD part: ``noise.prior`` is the prior's
@@ -376,7 +383,7 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     ``noise.process`` sets none of them; a value other than its default
     logs a warning."""
     hist = artifacts.history
-    mean_flow = _positive_mean(hist.demand.matrix)
+    mean_flow = _positive_mean(hist_matrix)
     mean_count = _positive_mean(hist.load.counts.counts)
     n_od = len(artifacts.od_index)
     n_ch = len(hist.load.counts.channels)
@@ -406,12 +413,11 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     return NoiseModel(Q=Q, R=R), P0, leg_Q, root_P0, R_cum
 
 
-def _frozen_rows(artifacts: ExperimentArtifacts, stop: int):
+def _frozen_rows(frozen: AssignmentMatrix, stop: int, hist_matrix: np.ndarray):
     """Interval h's measurement matrix from the frozen linearization: row h
-    of its ``lag_rows(stop, hist)``, built once for the measured intervals
-    and scattered into a matrix at each step."""
-    frozen = artifacts.assignment
-    rows = frozen.lag_rows(stop, artifacts.history.demand.matrix)
+    of its ``lag_rows(stop, hist_matrix)``, built once for the measured
+    intervals and scattered into a matrix at each step."""
+    rows = frozen.lag_rows(stop, hist_matrix)
     return lambda h: frozen.pair_matrix(rows[h])
 
 
@@ -437,8 +443,10 @@ def _stage(rows: dict[str, ModelRow], models, what: str):
             rows[model].runtime_s += elapsed
 
 
-def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[str, ModelRow]):
-    """Produce the full-day demand estimate of every model in ``rows``.
+def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[str, ModelRow],
+              hist_matrix: np.ndarray):
+    """Produce the full-day demand estimate of every model in ``rows``, from
+    the history's demand ``hist_matrix``, which the caller reads once.
 
     One filtering pass of the relative deviation serves every filter model.
     Where a leg is chained, pkf and spkf share the leg chain's inputs (the
@@ -448,7 +456,11 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     then builds kf, pkf and spkf alike, morning and evening, into each
     model's own matrix (``combined_demand``, ``predict_horizon``): with no
     chained leg for kf, nor for any model when no leg is chained, so pkf
-    and spkf then equal kf.  The seed's estimate is the read-only history.
+    and spkf then equal kf.  The seed's estimate is a read-only view of
+    ``hist_matrix``.  The cumulative mapping is the band's last reader, so
+    the band is freed before the leg chains run (``artifacts`` is the
+    caller's own copy, and its ``assignment`` is set to ``None``), and the
+    leg chain's inputs are freed before the assembly.
 
     Each stage runs under ``_stage``: its time goes to every row that shares
     it, and a failure marks those rows failed (a failure of the filtering
@@ -475,7 +487,6 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     cut = cfg.cutoff_index
     n_h = cfg.grid.n_intervals
     hist = artifacts.history
-    hist_matrix = hist.demand.matrix
     estimates: dict[str, np.ndarray] = {}
     kf_diag: list[KfStepDiagnostics] = []
     leg_diag: list[LegDiagnostics] = []
@@ -491,7 +502,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     if not filter_models:
         return result
     with _stage(rows, filter_models, "interval filtering"):
-        noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts)
+        noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts, hist_matrix)
         if cfg.estimation.refresh_assignment:
             logger.warning("estimation.refresh_assignment has no effect: the interval filter "
                            "reads one linearization, frozen at the historical load")
@@ -499,7 +510,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         # the provider and the prior are passed, not kept, so the rows and the
         # prior's root are freed when the filter returns
         kf = run_kf_sequence(
-            _frozen_rows(artifacts, cut), delta_y[:, :cut], noise,
+            _frozen_rows(artifacts.assignment, cut, hist_matrix), delta_y[:, :cut], noise,
             init=FilterState(mean=np.zeros(len(artifacts.od_index)), cov=P0))
         kf_diag.extend(kf.diagnostics)
         notes["unobserved_intervals"] = sum(d.measurement_norm == 0.0 for d in kf.diagnostics)
@@ -513,9 +524,10 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
                            "detector: the filter never sees them", notes["uncounted_intervals"], cut)
         notes["kf_last_cov_min_eigenvalue"] = min_eigenvalue(kf.last.cov)
         # prediction reads the last posterior's mean alone, so its covariance
-        # and root are not kept through the leg chain and the assembly
+        # and root are not kept through the leg chain and the assembly, nor
+        # are the noise, the prior and the count deviations
         deltas, last_mean = kf.deltas, kf.last.mean
-        del kf
+        del kf, noise, P0, delta_y
     if rows[filter_models[0]].status == "failed":
         return result
 
@@ -543,6 +555,8 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
             mapping = cumulative_mapping(artifacts.assignment, hist.profiles(), cut - 1)
             delta_Y = (artifacts.observed.cumulative() - hist.load.counts.cumulative())[:, cut - 1]
             roots = root_deviations(deltas, [hist.legs[n] for n in chain.roots()])
+    # the cumulative mapping was the band's last reader
+    artifacts.assignment = None
 
     for model in chain_models:
         if rows[model].status == "failed":
@@ -562,6 +576,8 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
             # the legs' covariances and roots are read no further
             del states, s
 
+    # the assembly reads none of the leg chain's inputs
+    operators = consistent = mapping = delta_Y = roots = leg_Q = root_P0 = R_cum = None
     for model in filter_models:
         if rows[model].status == "failed":
             continue
@@ -608,21 +624,24 @@ def run_experiment(
     horizon_short = min(cut + cfg.estimation.prediction_intervals, n_h)
 
     # Of the truth, scoring and the report read these alone; its legs and
-    # load are freed before estimation, which reads none of it.
+    # load are freed before estimation, which reads none of it.  Each day's
+    # matrix is expanded once, here: estimation, scoring and the report
+    # share the history's.
     truth_matrix = artifacts.truth.demand.matrix
     truth_counts = artifacts.truth.load.counts.counts
     spillover_true = artifacts.truth.load.spilled()
+    hist_matrix = artifacts.history.demand.matrix
     artifacts = replace(artifacts, truth=None)
 
     t1 = time.perf_counter()
     rows = {model: ModelRow(model=model) for model in wanted}
-    estimates, kf_diag, leg_diag, notes = _estimate(cfg, artifacts, rows)
+    estimates, kf_diag, leg_diag, notes = _estimate(cfg, artifacts, rows, hist_matrix)
 
     # Scoring and the report read these alone.  The rest of the generation
-    # data, the frozen band, every leg profile and the history's link and
-    # probe times, is freed with the artifacts before the scoring passes.
+    # data, every leg profile and the history's link and probe times, is
+    # freed with the artifacts before the scoring passes; estimation has
+    # freed the frozen band.
     od_index = artifacts.od_index
-    hist_matrix = artifacts.history.demand.matrix
     hist_counts = artifacts.history.load.counts.counts
     spillover_historical = artifacts.history.load.spilled()
     factors = artifacts.perturbation_factors

@@ -216,6 +216,8 @@ class ScenarioConfig:
     def validate(self) -> list[str]:
         """Collect violations; an empty list means the scenario can run."""
         problems = [f"network: {p}" for p in validate_network(self.network)]
+        if not self.legs:
+            problems.append("scenario defines no demand legs")
         seen: set[str] = set()
         for i, leg in enumerate(self.legs):
             if leg.name in seen:

@@ -480,6 +480,87 @@ class TestRunExperiment:
         assert artifacts.truth is not None
         assert np.array_equal(artifacts.truth.demand.matrix, report.truth)
 
+    def test_each_day_is_expanded_once_for_its_load_and_once_after(self, toy_cfg, monkeypatch):
+        """A day keeps no matrix: generation expands each day's legs once,
+        for the day's load, and ``run_experiment`` reads each day's matrix
+        once, for estimation, scoring and the report.  The other two
+        expansions are the days' free-flow passes."""
+        real_generate = odchain.experiment.generate_truth_and_history
+        real_expand = odchain.experiment._expand
+        expanded = []
+        kept = []
+
+        def expand(grid, legs):
+            expanded.append(legs)
+            return real_expand(grid, legs)
+
+        def generate(cfg):
+            kept.append(real_generate(cfg))
+            expanded.append("returned")
+            return kept[-1]
+
+        monkeypatch.setattr(odchain.experiment, "_expand", expand)
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
+        report = run_experiment(toy_cfg)
+        assert all(row.status == "ok" for row in report.rows)
+        (artifacts,) = kept
+        returned = expanded.index("returned")
+        for side in (artifacts.truth, artifacts.history):
+            calls = [i for i, legs in enumerate(expanded) if legs is side.legs]
+            assert len(calls) == 2 and calls[0] < returned < calls[1]
+        assert len(expanded) == 1 + 6
+        assert np.shares_memory(report.estimates["seed"], report.historical)
+
+    def test_band_is_freed_before_the_leg_chains(self, toy_cfg, monkeypatch):
+        """The cumulative mapping is the band's last reader: the band is gone
+        when the leg chains and the assembly run, and so are the leg chain's
+        inputs when the assembly runs.  The object generation returned
+        keeps its linearization."""
+        real_generate = odchain.experiment.generate_truth_and_history
+        real_mapping = odchain.experiment.cumulative_mapping
+        real_chain = odchain.experiment.run_leg_chain
+        real_predict = odchain.experiment.predict_horizon
+        refs = {}
+        alive = collections.defaultdict(list)
+        kept = []
+
+        def generate(cfg):
+            artifacts = real_generate(cfg)
+            refs["band"] = weakref.ref(artifacts.assignment.band.base)
+            return artifacts
+
+        def keep(cfg):
+            kept.append(real_generate(cfg))
+            return kept[-1]
+
+        def mapping(*args, **kwargs):
+            result = real_mapping(*args, **kwargs)
+            refs["mapping"] = weakref.ref(result)
+            return result
+
+        def chain(*args, **kwargs):
+            alive["chain"].append(refs["band"]() is not None)
+            return real_chain(*args, **kwargs)
+
+        def predict(*args, **kwargs):
+            alive["predict"].append([ref() is not None for ref in refs.values()])
+            return real_predict(*args, **kwargs)
+
+        for name, fn in (("generate_truth_and_history", generate), ("cumulative_mapping", mapping),
+                         ("run_leg_chain", chain), ("predict_horizon", predict)):
+            monkeypatch.setattr(odchain.experiment, name, fn)
+        report = run_experiment(toy_cfg)
+        assert all(row.status == "ok" for row in report.rows)
+        assert alive["chain"] == [False, False]
+        assert alive["predict"] == [[False, False]] * 3
+
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", keep)
+        again = run_experiment(toy_cfg)
+        (artifacts,) = kept
+        assert artifacts.assignment is not None and artifacts.assignment.band.any()
+        for model in report.estimates:
+            assert np.array_equal(again.estimates[model], report.estimates[model])
+
     def test_no_chained_leg_reduces_chain_models_to_kf(self, toy_doc, monkeypatch):
         """With every ``feeds`` empty no leg is chained: pkf and spkf equal
         kf, no leg is attributed and there are no leg diagnostics."""
@@ -504,7 +585,8 @@ class TestRunExperiment:
     def test_noise_models_build_what_the_leg_chain_reads(self, toy_cfg, toy_artifacts):
         """A prior covariance for each root leg, a process noise for each
         chained leg, and nothing else."""
-        _, _, leg_Q, root_P0, _ = odchain.experiment._noise_models(toy_cfg, toy_artifacts)
+        _, _, leg_Q, root_P0, _ = odchain.experiment._noise_models(
+            toy_cfg, toy_artifacts, toy_artifacts.history.demand.matrix)
         chain = toy_artifacts.chain
         assert set(root_P0) == set(chain.roots())
         assert set(leg_Q) == {n for n in chain.topological_order() if chain.feeds.get(n)}
@@ -527,7 +609,7 @@ class TestRelativeFilter:
         expected = pieces[h, h] * hist[:, h]
         for lag in range(1, min(asg.band.shape[1], h + 1)):
             expected += pieces[h - lag, h] * hist[:, h - lag]
-        H_at = odchain.experiment._frozen_rows(toy_artifacts, toy_cfg.cutoff_index)
+        H_at = odchain.experiment._frozen_rows(asg, toy_cfg.cutoff_index, hist)
         assert np.array_equal(H_at(h), expected)
 
     def test_the_lag_sum_sees_what_the_same_interval_row_misses(self, toy_cfg):
@@ -548,7 +630,8 @@ class TestRelativeFilter:
         """``noise.prior`` is the prior's common-mode std beside a per-OD
         0.1; the random walk is 0.03 common and 0.01 per OD; the
         measurement noise is ``noise.measurement`` of the mean count."""
-        noise, P0, _, _, _ = odchain.experiment._noise_models(toy_cfg, toy_artifacts)
+        noise, P0, _, _, _ = odchain.experiment._noise_models(
+            toy_cfg, toy_artifacts, toy_artifacts.history.demand.matrix)
         n = len(toy_artifacts.od_index)
         ones, eye = np.ones((n, n)), np.eye(n)
         assert np.allclose(P0, toy_cfg.noise.prior ** 2 * ones + 0.1 ** 2 * eye, rtol=1e-15)
@@ -562,17 +645,19 @@ class TestRelativeFilter:
         fifth of their variance, so the state drifts as far per hour."""
         cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
             toy_cfg.grid, interval_minutes=3, n_intervals=480))
-        fine = odchain.experiment._noise_models(cfg, toy_artifacts)[0]
-        coarse = odchain.experiment._noise_models(toy_cfg, toy_artifacts)[0]
+        hist = toy_artifacts.history.demand.matrix
+        fine = odchain.experiment._noise_models(cfg, toy_artifacts, hist)[0]
+        coarse = odchain.experiment._noise_models(toy_cfg, toy_artifacts, hist)[0]
         assert np.allclose(fine.Q, coarse.Q / 5.0, rtol=1e-15)
 
     def test_process_noise_sets_nothing_and_warns(self, toy_cfg, toy_artifacts, caplog):
-        base = odchain.experiment._noise_models(toy_cfg, toy_artifacts)
+        hist = toy_artifacts.history.demand.matrix
+        base = odchain.experiment._noise_models(toy_cfg, toy_artifacts, hist)
         with caplog.at_level("WARNING", logger="odchain.experiment"):
             assert not caplog.records
             other = odchain.experiment._noise_models(
                 dataclasses.replace(toy_cfg, noise=dataclasses.replace(toy_cfg.noise, process=0.05)),
-                toy_artifacts)
+                toy_artifacts, hist)
         (record,) = caplog.records
         assert "noise.process = 0.05 has no effect" in record.getMessage()
         assert np.array_equal(other[0].Q, base[0].Q) and np.array_equal(other[1], base[1])
@@ -643,7 +728,8 @@ class TestRelativeFilter:
             toy_artifacts, truth=None, assignment=dataclasses.replace(frozen, band=band))
         rows = {"kf": odchain.experiment.ModelRow("kf")}
         with caplog.at_level("WARNING", logger="odchain.experiment"):
-            *_, notes = odchain.experiment._estimate(toy_cfg, artifacts, rows)
+            *_, notes = odchain.experiment._estimate(
+                toy_cfg, artifacts, rows, artifacts.history.demand.matrix)
         assert rows["kf"].status == "ok"
         assert notes["uncounted_intervals"] == 3
         (record,) = caplog.records

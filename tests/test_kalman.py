@@ -690,9 +690,10 @@ class TestAgainstTheOracle:
                 toy_cfg.grid, interval_minutes=minutes, n_intervals=480))
             artifacts = experiment_mod.generate_truth_and_history(cfg)
         cut = cfg.cutoff_index
-        noise, P0, *_ = experiment_mod._noise_models(cfg, artifacts)
+        hist = artifacts.history.demand.matrix
+        noise, P0, *_ = experiment_mod._noise_models(cfg, artifacts, hist)
         delta_y = (artifacts.observed.counts - artifacts.history.load.counts.counts)[:, :cut]
-        H_at = experiment_mod._frozen_rows(artifacts, cut)
+        H_at = experiment_mod._frozen_rows(artifacts.assignment, cut, hist)
         n_od = len(artifacts.od_index)
         run = run_kf_sequence(H_at, delta_y, noise, init=FilterState(mean=np.zeros(n_od), cov=P0))
         deltas, last_cov, gains = oracle_filter(

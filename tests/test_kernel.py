@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from banding import linearize
 from kernel_oracle import oracle_load, oracle_pieces
 from odchain.assignment import (
-    DynamicDemand, _interval_index, _route_plan, assignment_matrix, detector_counts,
-    load_network,
+    DynamicDemand, _interval_index, _key_dtype, _route_plan, assignment_matrix,
+    detector_counts, load_network,
 )
 from recorded_inflows import load_with_inflows
 from odchain.network import (
@@ -247,6 +247,42 @@ class TestCutRoutes:
         assert detector_counts(net, demand).counts.shape == (0, 8)
         asg = linearize(net, demand)
         assert (asg.band.shape, asg.pairs.shape) == ((8, 1, 0), (2, 0))
+
+
+class TestLongGrid:
+    """A parcel's sort key ``h * (n_h + 1) + prev + 1`` reaches
+    ``n_h * (n_h + 2)``, past int32 from 46,340 intervals on.  A wrapped key
+    would sort late parcels first, so the kernel keys in int64 there."""
+
+    def test_key_width(self):
+        assert _key_dtype(46_339) == np.int32
+        assert 46_339 * 46_341 <= np.iinfo(np.int32).max < 46_340 * 46_342
+        assert _key_dtype(46_340) == np.int64
+
+    def test_sparse_demand_past_the_int32_keys(self):
+        """Departures join parcels from the link before at the channel, at
+        the day's start and in its last intervals, whose keys need int64:
+        the load's inflows, times and spill, and the count-only load, are
+        the oracle's to the bit."""
+        n_h = 46_341
+        net = _network([_link("a", 1.5, 600.0), _link("d", 2.0, 600.0)], [["a", "d"], ["d"]],
+                       ["d"])
+        grid = TimeGrid(start=0, interval_minutes=1, n_intervals=n_h)
+        matrix = np.zeros((2, n_h))
+        matrix[:, :3] = [[40.0, 70.0, 25.0], [30.0, 0.0, 55.0]]
+        matrix[0, n_h - 9:] = np.linspace(35.0, 90.0, 9)
+        matrix[1, n_h - 5:] = np.linspace(60.0, 20.0, 5)
+        demand = DynamicDemand(od_index=net.od_index, grid=grid, matrix=matrix)
+        load, flows = load_with_inflows(net, demand)
+        inflow, tt, spill = oracle_load(net, demand)
+        assert list(flows) == list(inflow)
+        for lid in inflow:
+            assert np.array_equal(flows[lid], inflow[lid]), lid
+            assert np.array_equal(load.link_tt[lid], tt[lid]), lid
+        assert load.spillover == spill
+        # parcels enter the channel in the last interval, keyed past int32
+        assert inflow["d"][-1] > 0.0 and load.spilled() > 0.0
+        assert np.array_equal(detector_counts(net, demand).counts, load.counts.counts)
 
 
 class TestIntervalIndex:

@@ -145,6 +145,12 @@ class TestValidate:
         cfg = scenario_from_mapping(toy_doc)
         assert cfg.validate() == ["leg 'work_home' lists its feeder 'hw_direct' twice"]
 
+    def test_no_legs_flagged(self, toy_cfg):
+        """The parser rejects a document without legs; a config built
+        without them fails validation, and so generation, the same way."""
+        assert dataclasses.replace(toy_cfg, legs=()).validate() == [
+            "scenario defines no demand legs"]
+
     def test_duplicate_leg_flagged(self, toy_doc):
         toy_doc["legs"].append(copy.deepcopy(toy_doc["legs"][0]))
         cfg = scenario_from_mapping(toy_doc)
