@@ -24,10 +24,7 @@ The interval filter's measurement at interval h is one lag-summed matrix,
 to a relative deviation that every interval the counts reach back to shares.
 Its prior is ``prior²·11ᵀ + PRIOR_PER_OD²·I`` (``noise.prior`` is the
 common mode) and its random walk ``WALK_COMMON²·11ᵀ + WALK_PER_OD²·I`` per
-``WALK_MINUTES`` (15) of interval length, both on the relative state;
-``noise.process`` has no effect on it.  Nor has
-``estimation.refresh_assignment``: every interval reads the one frozen
-linearization.  Either key set away from its default logs a warning.
+``WALK_MINUTES`` (15) of interval length, both on the relative state.
 
 All models consume the same measurements, and none consumes anything past
 the cutoff; predictions beyond it never touch the loader.  OD RMSE spans all
@@ -37,6 +34,7 @@ loaded counts against the noise-free true counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -65,6 +63,7 @@ from .departure import departure_probabilities
 from .errors import ConfigurationError, DegenerateProfileError
 from .kalman import FilterState, KfStepDiagnostics, NoiseModel, min_eigenvalue, run_kf_sequence
 from .legfilter import (
+    CHAIN_MODELS,
     ChainFilterConfig,
     attribute_interval_deviations,
     chain_consistent_legs,
@@ -74,9 +73,9 @@ from .legfilter import (
     root_deviations,
     run_leg_chain,
 )
-from .legs import ChainSpec, DemandLeg, build_leg_operator, dense_profile, leg_terms
+from .legs import ChainSpec, DemandLeg, build_leg_operator, leg_terms
 from .network import OD, Network, TimeGrid, od_label, read_only_view
-from .scenario import MODELS, NoiseFractions, ScenarioConfig
+from .scenario import MODELS, ScenarioConfig
 
 logger = logging.getLogger(__name__)
 
@@ -105,14 +104,14 @@ def _positive_mean(values: np.ndarray) -> float:
 
 
 class _DenseProfiles(Mapping):
-    """Leg name -> the leg's dense profile (``dense_profile``), built on each
-    access and not kept, so iterating holds one leg's matrix at a time."""
+    """Leg name -> the leg's dense profile (``DemandLeg.profile``), built on
+    each access and not kept, so iterating holds one leg's matrix at a time."""
 
     def __init__(self, legs: dict[str, DemandLeg]) -> None:
         self._legs = legs
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return dense_profile(self._legs[name])
+        return self._legs[name].profile
 
     def __iter__(self):
         return iter(self._legs)
@@ -151,16 +150,23 @@ class ExperimentArtifacts:
     hands ``_estimate`` a copy with ``truth=None``, whose ``assignment``
     ``_estimate`` sets to ``None`` after its last reader; the object
     returned by ``generate_truth_and_history`` is never changed.
+    ``od_index`` and ``chain`` are the scenario's.
     """
 
     config: ScenarioConfig
-    od_index: tuple[OD, ...]
-    chain: ChainSpec
     truth: GeneratedSide | None
     history: GeneratedSide
     observed: LinkFlowSeries
     assignment: AssignmentMatrix | None
     perturbation_factors: dict[str, np.ndarray]
+
+    @property
+    def od_index(self) -> tuple[OD, ...]:
+        return self.config.network.od_index
+
+    @functools.cached_property
+    def chain(self) -> ChainSpec:
+        return self.config.chain()
 
 
 def _free_flow_tt(net: Network, od_index: tuple[OD, ...], grid: TimeGrid) -> np.ndarray:
@@ -253,10 +259,8 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     problems = cfg.validate()
     if problems:
         raise ConfigurationError("\n".join(problems))
-    od_index = cfg.network.od_index
-    chain = cfg.chain()
-
     net = cfg.network
+    od_index = net.od_index
     true_legs = _true_legs(cfg, od_index)
     factors = _perturb(cfg, od_index, true_legs)
     hist_legs = {name: replace(leg, flows=leg.flows * factors[name])
@@ -281,8 +285,6 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     frozen = assignment_matrix(cfg.network, od_index, history.load)
     return ExperimentArtifacts(
         config=cfg,
-        od_index=od_index,
-        chain=chain,
         truth=truth,
         history=history,
         observed=observed,
@@ -379,18 +381,12 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matr
 
     The interval filter's state is relative, so its prior and random walk
     are a common mode plus a per-OD part: ``noise.prior`` is the prior's
-    common-mode std, and the other three stds are this module's constants.
-    ``noise.process`` sets none of them; a value other than its default
-    logs a warning."""
+    common-mode std, and the other three stds are this module's constants."""
     hist = artifacts.history
     mean_flow = _positive_mean(hist_matrix)
     mean_count = _positive_mean(hist.load.counts.counts)
     n_od = len(artifacts.od_index)
     n_ch = len(hist.load.counts.channels)
-    if cfg.noise.process != NoiseFractions.process:
-        logger.warning("noise.process = %g has no effect: the interval filter's random walk "
-                       "is relative, with stds %g (common) and %g (per OD) per %d minutes",
-                       cfg.noise.process, WALK_COMMON, WALK_PER_OD, WALK_MINUTES)
     ones = np.ones((n_od, n_od))
     Q = (cfg.grid.interval_minutes / WALK_MINUTES
          * (WALK_COMMON ** 2 * ones + WALK_PER_OD ** 2 * np.eye(n_od)))
@@ -503,9 +499,6 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
         return result
     with _stage(rows, filter_models, "interval filtering"):
         noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts, hist_matrix)
-        if cfg.estimation.refresh_assignment:
-            logger.warning("estimation.refresh_assignment has no effect: the interval filter "
-                           "reads one linearization, frozen at the historical load")
         delta_y = artifacts.observed.counts - hist.load.counts.counts
         # the provider and the prior are passed, not kept, so the rows and the
         # prior's root are freed when the filter returns
@@ -533,7 +526,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
 
     chain = artifacts.chain
     chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
-    chain_models = [m for m in ("pkf", "spkf") if m in rows] if chained else []
+    chain_models = [m for m in CHAIN_MODELS if m in rows] if chained else []
     chained_flows: dict[str, dict[str, np.ndarray]] = {}
     if chain_models:
         # pkf and spkf share the chain's inputs, which do not depend on the mode

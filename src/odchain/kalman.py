@@ -205,12 +205,7 @@ def _checked_root(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     shapes, raising its ``ValueError``; returns the covariance's root."""
     if not np.isfinite(mean).all():
         raise ValueError("state mean has non-finite entries")
-    if not np.isfinite(cov).all():
-        raise ValueError("covariance has non-finite entries")
-    asymmetry = symmetry_error(cov)
-    # within 1e-10 it passes whatever the largest entry, which is then not needed
-    if asymmetry > 1e-10 and asymmetry > 1e-10 * float(np.abs(cov).max()):
-        raise ValueError("covariance is not symmetric")
+    check_noise_matrix("covariance", cov)
     root = _psd_root(cov)
     if root is None:
         raise ValueError("covariance is not positive semidefinite")
@@ -224,7 +219,9 @@ def check_noise_matrix(name: str, m: np.ndarray) -> None:
         raise ValueError(f"{name} must be square")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
-    if symmetry_error(m) > 1e-10 * max(1.0, float(np.abs(m).max(initial=0.0))):
+    asymmetry = symmetry_error(m)
+    # within 1e-10 it passes whatever the largest entry, which is then not needed
+    if asymmetry > 1e-10 and asymmetry > 1e-10 * float(np.abs(m).max()):
         raise ValueError(f"{name} is not symmetric")
 
 

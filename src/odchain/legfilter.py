@@ -51,16 +51,20 @@ from .legs import ChainSpec, DemandLeg, LegOperator, leg_terms, propagate_leg_de
 
 logger = logging.getLogger(__name__)
 
+#: The models that run the leg chain: plain, and with the conservation rescale.
+CHAIN_MODELS = ("pkf", "spkf")
+
 
 @dataclass(frozen=True)
 class ChainFilterConfig:
-    """Mode ("pkf" plain, "spkf" with conservation) and the cumulative horizon."""
+    """Mode (one of ``CHAIN_MODELS``: "pkf" plain, "spkf" with conservation)
+    and the cumulative horizon."""
 
     mode: str = "pkf"
     cumulative_horizon: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("pkf", "spkf"):
+        if self.mode not in CHAIN_MODELS:
             raise ConfigurationError(f"unknown chain filter mode {self.mode!r}")
         if self.cumulative_horizon < 0:
             raise ConfigurationError("cumulative horizon must be >= 0")

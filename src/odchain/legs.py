@@ -84,19 +84,15 @@ class DemandLeg:
 
     @property
     def profile(self) -> np.ndarray | None:
-        """``dense_profile(self)``: built on each access, never kept."""
-        return dense_profile(self)
-
-
-def dense_profile(leg: DemandLeg) -> np.ndarray | None:
-    """The leg's shares on their ODs' rows of a new read-only (n_od,
-    n_intervals) array, zero off the members, or ``None`` without shares."""
-    if leg.shares is None:
-        return None
-    dense = np.zeros((len(leg.od_index), leg.shares.shape[1]))
-    dense[leg.member_indices()] = leg.shares
-    dense.setflags(write=False)
-    return dense
+        """The shares on their ODs' rows of a new read-only (n_od,
+        n_intervals) array, zero off the members, or ``None`` without shares:
+        built on each access, never kept."""
+        if self.shares is None:
+            return None
+        dense = np.zeros((len(self.od_index), self.shares.shape[1]))
+        dense[self.member_indices()] = self.shares
+        dense.setflags(write=False)
+        return dense
 
 
 def leg_terms(

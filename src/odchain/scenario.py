@@ -17,7 +17,7 @@ import functools
 import logging
 import math
 from collections.abc import Collection
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path as FsPath
 
@@ -25,6 +25,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .departure import ScheduleParams
+from .legfilter import CHAIN_MODELS
 from .legs import ChainSpec
 from .network import (
     OD,
@@ -64,7 +65,7 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 PERTURBATION_MODES = ("none", "uniform_scale", "scale_plus_noise")
 #: Every model a scenario may request, in report order.
-MODELS = ("seed", "kf", "pkf", "spkf")
+MODELS = ("seed", "kf", *CHAIN_MODELS)
 # a leg's preferred arrival lies in the day: 00:00 to 24:00, in minutes of day
 _MINUTES_PER_DAY = 1440
 
@@ -107,9 +108,9 @@ class LegDef:
     """Declarative description of one demand leg."""
 
     name: str
-    total: float
-    od_split: dict[OD, float]
-    schedule: ScheduleParams
+    total: float = 0.0
+    od_split: dict[OD, float] = field(default_factory=dict)
+    schedule: ScheduleParams = ScheduleParams()
     feeds: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -156,8 +157,9 @@ class NoiseFractions:
     relative prior; ``measurement``, ``leg_process``, ``leg_prior`` and
     ``cumulative_measurement`` are fractions of historical means over
     positive cells.  ``process`` sets nothing: the relative random walk's
-    scales are constants of :mod:`odchain.experiment`, and a value other
-    than this default logs a warning."""
+    scales are constants of :mod:`odchain.experiment`.  A scenario document
+    that sets it to another value than this default gets one warning from
+    :func:`scenario_from_mapping`."""
 
     process: float = 0.50
     measurement: float = 0.10
@@ -177,8 +179,8 @@ class EstimationConfig:
     """Measurement cutoff and prediction settings.
 
     ``refresh_assignment`` sets nothing: the interval filter reads one
-    linearization, frozen at the historical load, and ``True`` logs a
-    warning."""
+    linearization, frozen at the historical load.  A scenario document that
+    sets it ``true`` gets one warning from :func:`scenario_from_mapping`."""
 
     cutoff_minute: float
     prediction_intervals: int = 2
@@ -192,13 +194,13 @@ class EstimationConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    grid: TimeGrid
-    network: Network
     legs: tuple[LegDef, ...]
-    perturbation: PerturbationSpec
-    noise: NoiseFractions
     estimation: EstimationConfig
+    name: str = "scenario"
+    grid: TimeGrid = TimeGrid()
+    network: Network = field(default_factory=build_toy_network)
+    perturbation: PerturbationSpec = PerturbationSpec()
+    noise: NoiseFractions = NoiseFractions()
     models: tuple[str, ...] = MODELS
     seed: int = 0
     measurement_noise_fraction: float = 0.0
@@ -355,10 +357,10 @@ def _check_keys(
     accepts any key) and a missing ``required`` key raise
     :class:`ConfigurationError`.  An empty ``where`` is the top level.
     """
-    if spec is None:
-        return {}
     where = where or "the scenario"
-    if not isinstance(spec, dict):
+    if spec is None:
+        spec = {}
+    elif not isinstance(spec, dict):
         raise ConfigurationError(f"{where} must be a mapping, not {type(spec).__name__} {spec!r}")
     if known is not None:
         for key in spec:
@@ -441,26 +443,11 @@ def _build_network(spec, where: str, key=None) -> Network:
     return build_toy_network(_read(spec.get("overrides"), "network.overrides", _TOY_OVERRIDES))
 
 
-def _build_schedule(spec, where: str) -> ScheduleParams:
+def _build_schedule(spec, where: str, key=None) -> ScheduleParams:
     try:
-        return ScheduleParams(**_read(spec, where, _SCHEDULE))
+        return ScheduleParams(**_read(spec, _path(where, key), _SCHEDULE))
     except ValueError as exc:
         raise ConfigurationError(f"bad schedule parameters: {exc}") from exc
-
-
-def _legs(value, where: str, key=None) -> tuple[LegDef, ...]:
-    legs = []
-    for i, spec in enumerate(_list(value, where, key)):
-        at = f"{_path(where, key)}[{i}]"
-        spec = _check_keys(spec, _field_names(LegDef), at, required=("name",))
-        legs.append(LegDef(
-            name=_string(spec["name"], at, "name"),
-            total=_number(spec.get("total", 0.0), at, "total"),
-            od_split=_numbers(spec.get("od_split"), f"{at}.od_split", key=_parse_od),
-            schedule=_build_schedule(spec.get("schedule"), f"{at}.schedule"),
-            feeds=_strings(spec.get("feeds"), at, "feeds"),
-        ))
-    return tuple(legs)
 
 
 #: The readers of each level of the document, keyed by its known keys.
@@ -471,6 +458,9 @@ _SCHEDULE = {**dict.fromkeys(_field_names(ScheduleParams), _number),
              "preferred_arrival": parse_minutes}
 _TOY_OVERRIDES = {"free_flow_time": _per_road, "capacity": _per_road, "bpr_alpha": _number,
                   "bpr_beta": _number}
+_LEG = {"name": _string, "total": _number,
+        "od_split": lambda v, where, key: _numbers(v, _path(where, key), key=_parse_od),
+        "schedule": _build_schedule, "feeds": _strings}
 _SCENARIO = {
     "name": _string,
     "description": _string,
@@ -479,7 +469,9 @@ _SCENARIO = {
         "start": lambda v, where, key: _integer(parse_minutes(v, where, key), where, key),
         "interval_minutes": _integer, "n_intervals": _integer}),
     "network": _build_network,
-    "legs": _legs,
+    "legs": lambda v, where, key: tuple(
+        LegDef(**_read(spec, f"{_path(where, key)}[{i}]", _LEG, required=("name",)))
+        for i, spec in enumerate(_list(v, where, key))),
     "perturbation": _level(PerturbationSpec, {
         "mode": _string, "scale": _number, "noise": _number,
         "seed": lambda v, where, key: None if v is None else _integer(v, where, key)}),
@@ -497,9 +489,11 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
 
     Each value is read once, by its level's reader, and a key left out takes
     its dataclass field's default; a network left out is the plain toy.  The
-    document's own defaults are the ``name`` "scenario", a leg ``total`` of 0
-    and the ``cutoff`` at the grid's end; ``models: []`` reads as every model.
-    A zone id, link label or per-road label given twice is an error.
+    document's one default of its own is the ``cutoff``, at the grid's end;
+    ``models: []`` reads as every model.  A zone id, link label or per-road
+    label given twice is an error.  Two keys are read and set nothing:
+    ``noise.process`` set to another value than its default and
+    ``estimation.refresh_assignment: true`` each log one warning.
 
     Raises:
         ConfigurationError: on structural problems, unknown keys included;
@@ -509,18 +503,19 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
     cfg = _read(doc, "", _SCENARIO)
     if not cfg.get("legs"):
         raise ConfigurationError("scenario defines no demand legs")
-    grid = cfg.pop("time_grid", TimeGrid())
+    grid = cfg.pop("time_grid", ScenarioConfig.grid)
     estimation = cfg.pop("estimation", {})
     cutoff = estimation.pop("cutoff", float(grid.end))
-    return ScenarioConfig(
-        name=cfg.pop("name", "scenario"),
-        grid=grid,
-        network=cfg.pop("network") if "network" in cfg else build_toy_network(),
-        perturbation=cfg.pop("perturbation", PerturbationSpec()),
-        noise=cfg.pop("noise", NoiseFractions()),
-        estimation=EstimationConfig(cutoff_minute=cutoff, **estimation),
-        **cfg,
-    )
+    config = ScenarioConfig(
+        grid=grid, estimation=EstimationConfig(cutoff_minute=cutoff, **estimation), **cfg)
+    if config.noise.process != NoiseFractions.process:
+        logger.warning("noise.process = %g has no effect: the interval filter's random walk "
+                       "is relative, its scales constants of odchain.experiment",
+                       config.noise.process)
+    if config.estimation.refresh_assignment:
+        logger.warning("estimation.refresh_assignment has no effect: the interval filter "
+                       "reads one linearization, frozen at the historical load")
+    return config
 
 
 def load_scenario(path: str | FsPath) -> ScenarioConfig:

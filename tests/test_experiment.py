@@ -255,10 +255,15 @@ class TestRunExperiment:
     def test_estimation_never_builds_a_dense_leg_profile(self, tmp_path, toy_cfg, monkeypatch):
         """Attribution, assembly and prediction read each leg's member rows
         alone: with ``DemandLeg.profile`` raising, the run still writes the
-        golden report and leg diagnostics."""
+        golden report and leg diagnostics.  The cumulative mapping reads the
+        dense profiles of ``GeneratedSide.profiles`` one leg at a time, so
+        those alone are still built, by the property's own code."""
         def dense_view(self):
             raise AssertionError("a dense leg profile was built")
 
+        build = odchain.legs.DemandLeg.profile.fget
+        monkeypatch.setattr(odchain.experiment._DenseProfiles, "__getitem__",
+                            lambda self, name: build(self._legs[name]))
         monkeypatch.setattr(odchain.legs.DemandLeg, "profile", property(dense_view))
         emit_report(run_experiment(toy_cfg), tmp_path, include_profiles=False)
         assert (tmp_path / "report.csv").read_text() == (GOLDEN / "toy_report.csv").read_text()
@@ -650,17 +655,25 @@ class TestRelativeFilter:
         coarse = odchain.experiment._noise_models(toy_cfg, toy_artifacts, hist)[0]
         assert np.allclose(fine.Q, coarse.Q / 5.0, rtol=1e-15)
 
-    def test_process_noise_sets_nothing_and_warns(self, toy_cfg, toy_artifacts, caplog):
+    def test_process_noise_sets_nothing(self, toy_cfg, toy_artifacts, toy_report, caplog):
+        """``noise.process`` sets none of the filters' noise, and a config
+        that sets it in code runs silently, to the default's estimates: the
+        scenario reader alone warns of the key."""
         hist = toy_artifacts.history.demand.matrix
         base = odchain.experiment._noise_models(toy_cfg, toy_artifacts, hist)
-        with caplog.at_level("WARNING", logger="odchain.experiment"):
-            assert not caplog.records
-            other = odchain.experiment._noise_models(
-                dataclasses.replace(toy_cfg, noise=dataclasses.replace(toy_cfg.noise, process=0.05)),
-                toy_artifacts, hist)
-        (record,) = caplog.records
-        assert "noise.process = 0.05 has no effect" in record.getMessage()
-        assert np.array_equal(other[0].Q, base[0].Q) and np.array_equal(other[1], base[1])
+        cfg = dataclasses.replace(toy_cfg, noise=dataclasses.replace(toy_cfg.noise, process=0.05))
+        with caplog.at_level("WARNING", logger="odchain"):
+            other = odchain.experiment._noise_models(cfg, toy_artifacts, hist)
+            report = run_experiment(cfg)
+        assert caplog.records == []
+        for got, want in zip((other[0].Q, other[0].R, *other[1:]), (base[0].Q, base[0].R, *base[1:])):
+            if isinstance(want, dict):
+                assert got.keys() == want.keys()
+                assert all(np.array_equal(got[n], want[n]) for n in want)
+            else:
+                assert np.array_equal(got, want)
+        for model, est in toy_report.estimates.items():
+            assert report.estimates[model].tobytes() == est.tobytes(), model
 
     def test_estimates_follow_the_relative_formula(self, toy_cfg, monkeypatch):
         """kf is ``hist ⊙ (1 + r)``, r carried flat past the cutoff; pkf
@@ -812,8 +825,8 @@ class TestProbeTimes:
 
 class TestRefresh:
     """The interval filter reads one linearization, frozen at the historical
-    load.  ``estimation.refresh_assignment`` is read, changes nothing and
-    logs a warning when true."""
+    load.  ``estimation.refresh_assignment`` changes nothing; the scenario
+    reader warns of it."""
 
     def test_refresh_loads_only_what_the_filter_reads(self, toy_cfg, monkeypatch):
         """4 loads generate the two days; kf, pkf and spkf are scored by
@@ -864,15 +877,15 @@ class TestRefresh:
         assert orders == [cfg.network]
         assert plans == {(cfg.network.od_index, False): 1, (cfg.network.od_index, True): 1}
 
-    def test_the_key_warns_once_and_changes_nothing(self, tmp_path, toy_cfg, toy_report,
-                                                     caplog):
-        """With the key true, one warning names it, and the estimates, the
-        rows with their extras, the kf and leg diagnostics and the emitted
-        files are those of the key false, bit for bit."""
+    def test_the_key_changes_nothing_and_logs_nothing(self, tmp_path, toy_cfg, toy_report,
+                                                      caplog):
+        """With the key true in code, the run logs no warning (the scenario
+        reader alone warns of the key), and the estimates, the rows with
+        their extras, the kf and leg diagnostics and the emitted files are
+        those of the key false, bit for bit."""
         with caplog.at_level("WARNING", logger="odchain"):
             report = run_experiment(with_refresh(toy_cfg))
-        (record,) = caplog.records
-        assert "estimation.refresh_assignment" in record.getMessage()
+        assert caplog.records == []
         assert report.estimates.keys() == toy_report.estimates.keys()
         for model, est in toy_report.estimates.items():
             assert report.estimates[model].tobytes() == est.tobytes(), model
@@ -885,10 +898,6 @@ class TestRefresh:
             emit_report(r, tmp_path / name, include_profiles=False)
         for f in ("report.csv", "kf_diagnostics.csv", "leg_diagnostics.csv"):
             assert (tmp_path / "on" / f).read_bytes() == (tmp_path / "off" / f).read_bytes(), f
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="odchain"):
-            run_experiment(toy_cfg)
-        assert caplog.records == []
 
 
 class TestEmission:

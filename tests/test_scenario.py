@@ -12,6 +12,7 @@ from odchain.errors import ConfigurationError
 from odchain.network import Link, TimeGrid, Zone, build_toy_network
 from odchain.scenario import (
     EstimationConfig,
+    LegDef,
     NoiseFractions,
     PerturbationSpec,
     ScenarioConfig,
@@ -237,15 +238,19 @@ class TestMappingErrors:
             (lambda doc: doc.update(time_grid=15), "time_grid must be a mapping"),
             (lambda doc: doc["legs"][0].pop("name"), r"legs\[0\] lacks the required key 'name'"),
             (lambda doc: doc["legs"].__setitem__(1, "hw_leisure"), r"legs\[1\] must be a mapping"),
+            (lambda doc: doc["legs"].__setitem__(1, None), r"legs\[1\] lacks the required key 'name'"),
             (lambda doc: doc["network"].update(overrides=[1]), "network.overrides must be a mapping"),
             (lambda doc: doc.update(network={"zones": [{"kind": "work"}]}),
+             r"network.zones\[0\] lacks the required key 'id'"),
+            (lambda doc: doc.update(network={"zones": [None]}),
              r"network.zones\[0\] lacks the required key 'id'"),
             (lambda doc: doc.update(network={"links": [{"label": "1", "from": "a", "too": "b"}]}),
              "did you mean 'to'"),
             (lambda doc: doc["network"].update(zones=[]), "unknown key 'preset' in network"),
         ],
-        ids=["grid-not-mapping", "leg-without-name", "leg-not-mapping", "overrides-not-mapping",
-             "zone-without-id", "link-key-typo", "preset-beside-inline"],
+        ids=["grid-not-mapping", "leg-without-name", "leg-not-mapping", "leg-empty",
+             "overrides-not-mapping", "zone-without-id", "zone-empty", "link-key-typo",
+             "preset-beside-inline"],
     )
     def test_malformed_level_is_configuration_error(self, toy_doc, mutate, message):
         mutate(toy_doc)
@@ -385,10 +390,23 @@ class TestMappingErrors:
 
 
 class TestDefaults:
-    """A key left out takes its dataclass field's default; only the name, a
-    leg's total and the cutoff have defaults of the document's own."""
+    """A key left out takes its dataclass field's default; only the cutoff
+    has a default of the document's own."""
 
     MINIMAL = {"legs": [{"name": "only", "od_split": {"1-3": 1.0}}]}
+
+    def test_minimal_document_is_the_dataclass_defaults(self):
+        doc = dict(copy.deepcopy(self.MINIMAL), name="minimal")
+        assert scenario_from_mapping(doc) == ScenarioConfig(
+            legs=(LegDef(name="only", od_split={("1", "3"): 1.0}),),
+            estimation=EstimationConfig(cutoff_minute=ScenarioConfig.grid.end),
+            name="minimal",
+        )
+
+    def test_leg_without_split_is_an_empty_split(self):
+        doc = {"legs": [{"name": "only"}]}
+        with pytest.raises(ConfigurationError, match="leg 'only': empty OD split"):
+            scenario_from_mapping(doc)
 
     def test_every_level_left_out(self):
         cfg = scenario_from_mapping(copy.deepcopy(self.MINIMAL))
@@ -416,6 +434,32 @@ class TestDefaults:
         network = scenario_from_mapping(doc).network
         assert network.zones["a"] == Zone("a")
         assert network.links == {"1a": Link("1a", "1", "a", "b"), "1b": Link("1b", "1", "b", "a")}
+
+
+class TestInertKeys:
+    """``noise.process`` and ``estimation.refresh_assignment`` are read and
+    set nothing: the reader logs one warning naming each that a document
+    sets away from its default, and none otherwise."""
+
+    @pytest.mark.parametrize("mutate, key", [
+        (lambda doc: doc["estimation"].update(refresh_assignment=True),
+         "estimation.refresh_assignment"),
+        (lambda doc: doc.setdefault("noise", {}).update(process=0.3), "noise.process"),
+    ], ids=["refresh", "process"])
+    def test_a_key_set_warns_once(self, toy_doc, caplog, mutate, key):
+        mutate(toy_doc)
+        with caplog.at_level("WARNING", logger="odchain"):
+            scenario_from_mapping(toy_doc)
+        (record,) = caplog.records
+        assert record.levelname == "WARNING" and key in record.getMessage()
+
+    def test_defaults_warn_not(self, toy_doc, caplog):
+        with caplog.at_level("WARNING", logger="odchain"):
+            scenario_from_mapping(copy.deepcopy(toy_doc))
+            toy_doc["estimation"]["refresh_assignment"] = False
+            toy_doc.setdefault("noise", {})["process"] = 0.5
+            scenario_from_mapping(toy_doc)
+        assert caplog.records == []
 
 
 class TestNamesGivenTwice:
@@ -623,6 +667,6 @@ class TestFiles:
         assert legs["hw_direct"].od_split[("1", "3")] == 0.35
         assert cfg.network.links["1a"].capacity == 11000.0
         assert cfg.network.links["7a"].capacity == 4000.0
-        assert cfg.noise.process == 0.5
+        assert cfg.noise.prior == 0.5
         assert cfg.noise.measurement == 0.1
         assert cfg.estimation.cutoff_minute == 720.0
