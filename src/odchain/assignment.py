@@ -20,10 +20,15 @@ pass would.  A link passes its parcels on as pieces: each window, shifted by
 the link time, is cut at the next interval edge, and one index over all
 pieces, sorted by next link where routes fan out, gathers every column once
 and hands each next link a slice.  A pass holds in flight only the parcels
-waiting at the links still to visit and those of the link it visits.  A
-first link's departures are built from the demand when its turn comes, in
-chronological order, so none waits through the pass and a link where trips
-only start needs no sort.  A parcel carries one sort key that holds both
+waiting at the links still to visit and those of the link it visits.  So a
+source link, where trips only start, is visited just before its first
+consumer rather than at the start of the pass, and its pieces wait through
+few visits (``_visiting_order``).  The visiting order decides no sum: a link
+takes its senders' pieces in the senders' order in the feeding order, its
+departures first, whichever sender came first.  A first link's departures
+are built from the demand when its turn comes, in chronological order, so
+none waits through the pass and a link where trips only start needs no
+sort.  A parcel carries one sort key that holds both
 its entry interval and the one at its previous link, so it is five columns,
 32 bytes.  A link frees each array after its last reader: it replaces its
 columns by their sorted gathers one at a time, turns the key into the entry
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import operator
 from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
@@ -151,15 +157,22 @@ class LoadResult:
     interval's link time.  The probes walk ``link_tt`` the first time
     ``tt_od`` is read, and the result is kept, so a load whose probe times
     nobody reads never walks them.
+
+    A holder that reads a load's link times no more keeps a copy with
+    ``link_tt`` ``None``, its times released: the true day's final load once
+    its pass returns, and ``run_experiment``'s history once the band is
+    built.  Such a load has no ``tt_od``.
     """
 
     counts: LinkFlowSeries
-    link_tt: dict[str, np.ndarray]
+    link_tt: dict[str, np.ndarray] | None
     spillover: dict[str, float]
     plan: _Routes = field(repr=False, compare=False)
 
     @functools.cached_property
     def tt_od(self) -> np.ndarray:
+        if self.link_tt is None:
+            raise ValueError("the load's link times were released; it has no probe times")
         return _probe_travel_times(self.plan, self.counts.grid, self.link_tt)
 
     def spilled(self) -> float:
@@ -222,12 +235,15 @@ def _feeding_order(net: Network) -> list[str]:
 @dataclass(frozen=True, eq=False)
 class _Routes:
     """One route layout and the kernel's tables: ``order`` holds the links
-    ``_propagate`` visits, ``succ[i, r]`` the position in ``order`` of the
-    link after ``order[i]`` on ``routes[r]`` (-1 where the trip ends),
-    ``first[r]`` that of its first link (-1 for an empty route) and
-    ``fanout[i]`` the positions ``order[i]`` feeds, ascending.  ``by_first``
-    lists the routes ordered by ``first`` and then index; the routes that
-    start at ``order[i]`` are ``by_first[first_start[i] : first_start[i + 1]]``.
+    ``_propagate`` visits, in the feeding order, ``succ[i, r]`` the position
+    in ``order`` of the link after ``order[i]`` on ``routes[r]`` (-1 where the
+    trip ends), ``first[r]`` that of its first link (-1 for an empty route)
+    and ``fanout[i]`` the positions ``order[i]`` feeds, ascending.  ``visit``
+    lists every position once, in the order ``_propagate`` visits them
+    (``_visiting_order``); a position is its link's rank, by which a link
+    sums its senders' pieces.  ``by_first`` lists the routes ordered by
+    ``first`` and then index; the routes that start at ``order[i]`` are
+    ``by_first[first_start[i] : first_start[i + 1]]``.
 
     ``pairs`` lists the (channel, OD) pairs whose route crosses the channel,
     as (channel rows, OD columns) ordered by channel and then OD; channel
@@ -238,6 +254,7 @@ class _Routes:
     succ: np.ndarray
     first: np.ndarray
     fanout: tuple[tuple[int, ...], ...]
+    visit: np.ndarray
     by_first: np.ndarray
     first_start: np.ndarray
     pairs: np.ndarray
@@ -307,12 +324,40 @@ def _build_plan(net: Network, od_index: tuple[OD, ...], cut: bool) -> _Routes:
     first = np.array([at[route[0]] if route else -1 for route in routes], dtype=np.int32)
     by_first = np.argsort(first, kind="stable")
     first_start = np.searchsorted(first[by_first], np.arange(len(order) + 1))
-    for table in (succ, first, by_first, first_start, pairs, pair_start):
+    fanout = tuple(tuple(sorted(set(row.tolist()) - {-1})) for row in succ)
+    visit = _visiting_order(fanout)
+    for table in (succ, first, visit, by_first, first_start, pairs, pair_start):
         table.setflags(write=False)
     return _Routes(routes=tuple(routes), order=tuple(order), succ=succ, first=first,
-                   fanout=tuple(tuple(sorted(set(row.tolist()) - {-1})) for row in succ),
-                   by_first=by_first, first_start=first_start, pairs=pairs,
-                   pair_start=pair_start)
+                   fanout=fanout, visit=visit, by_first=by_first, first_start=first_start,
+                   pairs=pairs, pair_start=pair_start)
+
+
+def _visiting_order(fanout: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The positions of a plan's ``order``, a topological order whose link
+    ``i`` feeds the positions ``fanout[i]``, in the order ``_propagate``
+    visits them: a topological order too, in which a source, a link that no
+    link feeds, comes just before its first consumer.
+
+    The links that have feeders are taken in ``order``, each after its
+    feeders not yet taken, in ``order``.  Those are sources: a feeder that
+    has feeders lies earlier in ``order`` and was taken at its own turn.  A
+    source that feeds nothing is taken at its own turn.  A source's
+    departures and pieces are then made just before a link reads them and
+    do not wait through the links before it.
+    """
+    feeders: list[list[int]] = [[] for _ in fanout]
+    for i, nxt in enumerate(fanout):
+        for n in nxt:
+            feeders[n].append(i)
+    taken: set[int] = set()
+    visit: list[int] = []
+    for i, sent in enumerate(feeders):
+        if sent or not fanout[i]:
+            new = [f for f in sent if f not in taken] + [i]
+            taken.update(new)
+            visit += new
+    return np.array(visit, dtype=np.intp)
 
 
 def _propagate(
@@ -334,13 +379,15 @@ def _propagate(
     interval ``h`` and carries its cell ``r * n_intervals + k``, its mass
     and its sort key (below).
 
-    Links are visited in ``plan.order``, each for every interval at once.
+    Links are visited in ``plan.visit``, each for every interval at once.
     This is exact: a link's time in an interval depends only on its inflow
     during that interval, link times are nonnegative so parcels only move
     forward in time, and the order is a topological order of the feeding
-    relation, the same in every interval.  When a link's turn comes, every
-    upstream link has been processed for the whole day, so all the parcels
-    that will ever enter it are known.  ``link_time(lid, inflow, h, cell,
+    relation, the same in every interval.  It visits a source link, where
+    trips only start, just before its first consumer, so the source's pieces
+    wait through few visits (``_visiting_order``).  When a link's turn
+    comes, every upstream link has been processed for the whole day, so all
+    the parcels that will ever enter it are known.  ``link_time(lid, inflow, h, cell,
     mass)`` gets the inflow per interval and the parcels' entry intervals,
     cells and masses, and returns the link's travel time in every interval.
     Each parcel then moves on to the next link of its route, its window
@@ -349,10 +396,14 @@ def _propagate(
 
     A link's parcels are kept in chronological order: by entry interval,
     then by the interval in which they entered the previous link (departures
-    first), then by that link's position in ``order`` and their order there.
+    first), then by that link's position in ``order``, its rank, and their
+    order there.  The visiting order decides none of it: each sender's batch
+    waits in the inbox under the sender's rank, and a visit joins its
+    batches in rank order, its departures first, before its stable sort.
     Inflows, the callback's sums and the spillover therefore accumulate in
-    the order of an interval-by-interval pass.  Returns, per link, the mass
-    that would have entered it after the horizon end.
+    the order of an interval-by-interval pass over ``order``, whichever
+    topological order ``plan.visit`` is.  Returns, per link of ``order`` in
+    that order, the mass that would have entered it after the horizon end.
 
     A parcel carries its entry interval ``h`` and the previous link's
     ``prev`` (-1 for a departure) as one sort key ``h * (n_h + 1) + prev +
@@ -374,13 +425,20 @@ def _propagate(
     edges = np.append(grid.start + grid.interval_minutes * np.arange(n_h + 1.0), np.inf)
     order, succ, fanout = plan.order, plan.succ, plan.fanout
 
-    # per link, the batches of parcels waiting to enter it, each
-    # (cell, sort key, a, b, mass)
-    inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
-    spill: dict[str, float] = {}
+    # per link, the batches of parcels waiting to enter it, each with its
+    # sender's position in ``order``: (rank, (cell, sort key, a, b, mass))
+    inbox: list[list[tuple[int, tuple[np.ndarray, ...]]]] = [[] for _ in order]
+    # in ``order``, whatever the visiting order, so that ``LoadResult.spilled``
+    # adds it up in that order
+    spill = dict.fromkeys(order, 0.0)
     nothing = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
-    for i, lid in enumerate(order):
-        batches, inbox[i] = inbox[i], []
+    for i in plan.visit.tolist():
+        lid = order[i]
+        # the batches in their senders' order in ``order``
+        sent, inbox[i] = inbox[i], []
+        sent.sort(key=operator.itemgetter(0))
+        batches = [batch for _, batch in sent]
+        del sent
         rows = plan.by_first[plan.first_start[i]: plan.first_start[i + 1]]
         if rows.size:
             # (interval, route) order: chronological, so a link where trips
@@ -393,7 +451,6 @@ def _propagate(
                                    edges[k], edges[k + 1], matrix[r, k]))
             del r, k
         if not batches:
-            spill[lid] = 0.0
             link_time(lid, np.zeros(n_h), *nothing)
             continue
         cell, key, a, b, mass = (
@@ -478,11 +535,11 @@ def _propagate(
         # free this link's parcels before the next link gathers its own
         del cell, h, start, past, key, piece_a, piece_b, moved
         if len(fanout[i]) == 1:
-            inbox[fanout[i][0]].append(out)
+            inbox[fanout[i][0]].append((i, out))
         else:
             ends = np.searchsorted(nxt[rows], fanout[i], side="right")
             for n, lo, hi in zip(fanout[i], [0, *ends[:-1].tolist()], ends.tolist()):
-                inbox[n].append(tuple(col[lo:hi] for col in out))
+                inbox[n].append((i, tuple(col[lo:hi] for col in out)))
         del rows, nxt, out
     return spill
 

@@ -147,9 +147,10 @@ class ExperimentArtifacts:
 
     ``truth`` is the true day.  Estimation reads none of it, so
     ``run_experiment`` keeps its demand matrix, counts and spill total and
-    hands ``_estimate`` a copy with ``truth=None``, whose ``assignment``
-    ``_estimate`` sets to ``None`` after its last reader; the object
-    returned by ``generate_truth_and_history`` is never changed.
+    hands ``_estimate`` a copy with ``truth=None`` and the history's link
+    times released, whose ``assignment`` ``_estimate`` sets to ``None``
+    after its last reader; the object returned by
+    ``generate_truth_and_history`` is never changed.
     ``od_index`` and ``chain`` are the scenario's.
     """
 
@@ -254,8 +255,18 @@ def _expand(grid: TimeGrid, legs: dict[str, DemandLeg]) -> DynamicDemand:
     return DynamicDemand(od_index=od_index, grid=grid, matrix=matrix)
 
 
+def _released(load: LoadResult) -> LoadResult:
+    """``load`` with its link times released (``link_tt`` ``None``), for a
+    holder that reads them no more."""
+    return replace(load, link_tt=None)
+
+
 def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
-    """Generate both days, the observed counts and the frozen linearization."""
+    """Generate both days, the observed counts and the frozen linearization.
+
+    The true day's load keeps its counts and spillover, not its link times
+    (``_released``); the history's keeps its link times, at which the band
+    was built."""
     problems = cfg.validate()
     if problems:
         raise ConfigurationError("\n".join(problems))
@@ -269,10 +280,13 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     # Both days' share passes run before either day's final load, so no
     # final load's result is held while a share pass loads.  A day keeps its
     # legs and load, not its matrix, which is freed once its load returns.
+    # Nothing reads the true load's link times: they are freed before the
+    # history loads.
     true_legs = _congested_legs(cfg, true_legs)
     hist_legs = _congested_legs(cfg, hist_legs)
-    truth, history = (GeneratedSide(legs=legs, load=load_network(net, _expand(cfg.grid, legs)))
-                      for legs in (true_legs, hist_legs))
+    truth = GeneratedSide(
+        legs=true_legs, load=_released(load_network(net, _expand(cfg.grid, true_legs))))
+    history = GeneratedSide(legs=hist_legs, load=load_network(net, _expand(cfg.grid, hist_legs)))
 
     counts = truth.load.counts.counts.copy()
     if cfg.measurement_noise_fraction > 0.0:
@@ -617,23 +631,24 @@ def run_experiment(
     horizon_short = min(cut + cfg.estimation.prediction_intervals, n_h)
 
     # Of the truth, scoring and the report read these alone; its legs and
-    # load are freed before estimation, which reads none of it.  Each day's
-    # matrix is expanded once, here: estimation, scoring and the report
-    # share the history's.
+    # load are freed before estimation, which reads none of it, and so are
+    # the history's link times, whose last reader built the band.  Each
+    # day's matrix is expanded once, here: estimation, scoring and the
+    # report share the history's.
     truth_matrix = artifacts.truth.demand.matrix
     truth_counts = artifacts.truth.load.counts.counts
     spillover_true = artifacts.truth.load.spilled()
     hist_matrix = artifacts.history.demand.matrix
-    artifacts = replace(artifacts, truth=None)
+    artifacts = replace(artifacts, truth=None, history=replace(
+        artifacts.history, load=_released(artifacts.history.load)))
 
     t1 = time.perf_counter()
     rows = {model: ModelRow(model=model) for model in wanted}
     estimates, kf_diag, leg_diag, notes = _estimate(cfg, artifacts, rows, hist_matrix)
 
     # Scoring and the report read these alone.  The rest of the generation
-    # data, every leg profile and the history's link and probe times, is
-    # freed with the artifacts before the scoring passes; estimation has
-    # freed the frozen band.
+    # data, the history's legs, is freed with the artifacts before the
+    # scoring passes; estimation has freed the frozen band.
     od_index = artifacts.od_index
     hist_counts = artifacts.history.load.counts.counts
     spillover_historical = artifacts.history.load.spilled()

@@ -532,7 +532,7 @@ class TestHandOver:
         monkeypatch.setattr(assignment_mod, "_propagate", propagate)
         call(demand, load)
         (plan,) = plans
-        first_link = set(np.flatnonzero(plan.first == 0).tolist())
+        first_link = set(np.flatnonzero(plan.first == plan.visit[0]).tolist())
         assert at_first_callback[0] <= first_link
         # routes that start at other links departed, later in the pass
         assert read - first_link

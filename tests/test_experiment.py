@@ -485,6 +485,67 @@ class TestRunExperiment:
         assert artifacts.truth is not None
         assert np.array_equal(artifacts.truth.demand.matrix, report.truth)
 
+    def test_truth_releases_its_link_times(self, toy_cfg, monkeypatch):
+        """Nothing reads the true day's link times: the arrays of its final
+        load are gone once generation returns, while the load keeps its
+        counts and spillover and has no probe times.  The history's final
+        load keeps its link times."""
+        real = odchain.experiment.load_network
+        loads = []
+
+        def load(net, demand, **kwargs):
+            result = real(net, demand, **kwargs)
+            loads.append(([weakref.ref(tt) for tt in result.link_tt.values()],
+                          result.counts, result.spillover))
+            return result
+
+        monkeypatch.setattr(odchain.experiment, "load_network", load)
+        art = generate_truth_and_history(toy_cfg)
+        assert len(loads) == 4  # each day's free-flow pass, then its final load
+        (truth_tt, truth_counts, truth_spill), (hist_tt, _, _) = loads[2:]
+        assert truth_tt and not any(ref() is not None for ref in truth_tt)
+        assert art.truth.load.link_tt is None
+        assert art.truth.load.counts is truth_counts and art.truth.load.spillover is truth_spill
+        with pytest.raises(ValueError, match="released"):
+            art.truth.load.tt_od
+        assert all(ref() is not None for ref in hist_tt)
+
+    def test_history_link_times_are_freed_before_estimation(self, toy_cfg, monkeypatch):
+        """The band is the last reader of the history's link times: their
+        arrays are gone when the filter runs, and the object generation
+        returned still holds them, for callers that keep it."""
+        real_generate = odchain.experiment.generate_truth_and_history
+        real_filter = odchain.experiment.run_kf_sequence
+        refs = []
+        alive = []
+        kept = []
+
+        def generate(cfg):
+            artifacts = real_generate(cfg)
+            refs.extend(weakref.ref(tt) for tt in artifacts.history.load.link_tt.values())
+            return artifacts
+
+        def keep(cfg):
+            kept.append(real_generate(cfg))
+            return kept[-1]
+
+        def filter_(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return real_filter(*args, **kwargs)
+
+        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", filter_)
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
+        run_experiment(toy_cfg, models=("kf",))
+        plan = odchain.assignment._route_plan(toy_cfg.network, toy_cfg.network.od_index, cut=False)
+        assert len(alive) == 1 and len(refs) == len(plan.order)
+        assert not any(alive[0])
+
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", keep)
+        run_experiment(toy_cfg, models=("kf",))
+        (artifacts,) = kept
+        assert artifacts.history.load.link_tt.keys() == set(plan.order)
+        assert artifacts.history.load.tt_od.shape == (len(plan.routes), toy_cfg.grid.n_intervals)
+
     def test_each_day_is_expanded_once_for_its_load_and_once_after(self, toy_cfg, monkeypatch):
         """A day keeps no matrix: generation expands each day's legs once,
         for the day's load, and ``run_experiment`` reads each day's matrix
@@ -797,9 +858,10 @@ class TestProbeTimes:
         assert len(walks) == 2
 
     def test_read_later_equals_the_walk_at_once(self, toy_cfg, monkeypatch):
-        """A second-pass load's probe times, read after the rest of the
+        """The history's final load's probe times, read after the rest of the
         generation has run, equal the walk taken when the load returned, bit
-        for bit; so do those of a load at frozen times."""
+        for bit; so do those of a load at frozen times.  (The true day's
+        final load releases its link times, so it has no probe times.)"""
         real = odchain.assignment.load_network
         loads = []
 
@@ -814,10 +876,10 @@ class TestProbeTimes:
         art = generate_truth_and_history(toy_cfg)
         load(toy_cfg.network, art.history.demand, frozen_link_tt=art.history.load.link_tt)
         generate_truth_and_history(toy_cfg)  # more passes before the reads
-        truth, history, frozen = (result for result, _ in loads[2:5])
-        assert truth is art.truth.load and history is art.history.load
+        history, frozen = (result for result, _ in loads[3:5])
+        assert history is art.history.load
         assert frozen.link_tt is not history.link_tt
-        for result, walked in loads[2:5]:
+        for result, walked in loads[3:5]:
             assert "tt_od" not in vars(result)  # not walked yet
             assert result.tt_od.tobytes() == walked
             assert result.tt_od is result.tt_od  # walked once, then kept

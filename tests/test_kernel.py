@@ -8,18 +8,28 @@ pass at the BPR load's times, and for the count-only load.  The last two move pa
 depends on them (``_route_plan``'s cut routes), while the oracle walks every
 route to its end.  A load keeps the channels' inflows alone, as its counts;
 every link's inflow is read as the kernel passes it to ``link_time``
-(``recorded_inflows``).
+(``recorded_inflows``).  The kernel visits a source link just before its
+first consumer, and the oracle every link in the feeding order: the visiting
+order decides no sum.
 """
 
+import dataclasses
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from banding import linearize
 from kernel_oracle import oracle_load, oracle_pieces
+from ladder import _corridor_mapping, _grid, _toy
+from odchain import assignment
 from odchain.assignment import (
     DynamicDemand, _interval_index, _key_dtype, _route_plan, assignment_matrix,
     detector_counts, load_network,
 )
+from odchain.experiment import generate_truth_and_history
+from odchain.scenario import scenario_from_mapping
 from recorded_inflows import load_with_inflows
 from odchain.network import (
     Link, Network, Path, TimeGrid, Zone, build_toy_network,
@@ -30,7 +40,11 @@ def assert_same_as_oracle(net, demand, frozen=None):
     """Returns the load and the inflows its kernel pass computed."""
     load, flows = load_with_inflows(net, demand, frozen)
     inflow, tt, spill = oracle_load(net, demand, frozen)
-    assert list(flows) == list(inflow)
+    # the kernel visits the oracle's links, each once, in the plan's
+    # visiting order, and sums in the oracle's order all the same
+    plan = _route_plan(net, demand.od_index, cut=False)
+    assert list(inflow) == list(plan.order)
+    assert list(flows) == [plan.order[i] for i in plan.visit]
     for lid in inflow:
         assert np.array_equal(flows[lid], inflow[lid]), lid
         assert np.array_equal(load.link_tt[lid], tt[lid]), lid
@@ -247,6 +261,66 @@ class TestCutRoutes:
         assert detector_counts(net, demand).counts.shape == (0, 8)
         asg = linearize(net, demand)
         assert (asg.band.shape, asg.pairs.shape) == ((8, 1, 0), (2, 0))
+
+
+class TestVisitingOrder:
+    """A pass visits a source link, where trips only start, just before its
+    first consumer (``_visiting_order``), and sums as a pass in the feeding
+    order, ``_Routes.order``, does."""
+
+    # (scenario mapping, whether the whole-route visiting order moves a link)
+    NETWORKS = {
+        "toy-15": (_toy, True),
+        "toy-3": (functools.partial(_toy, interval_minutes=3), True),
+        "corridor-6": (functools.partial(_corridor_mapping, 6), True),
+        "grid": (functools.partial(_grid, 0, n=3), False),
+    }
+
+    @staticmethod
+    def passes(net, demand):
+        """The load, the count-only load and the linearization at the load's
+        times, on a copy of ``net`` whose plans are built afresh."""
+        net = dataclasses.replace(net)
+        load = load_network(net, demand)
+        return load, detector_counts(net, demand), assignment_matrix(net, demand.od_index, load)
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_same_bytes_as_the_feeding_order(self, name, monkeypatch):
+        build, moved = self.NETWORKS[name]
+        cfg = scenario_from_mapping(build())
+        demand = generate_truth_and_history(cfg).history.demand  # a congested day
+        net = cfg.network
+        plan = _route_plan(net, demand.od_index, cut=False)
+        assert (plan.visit.tolist() != list(range(len(plan.order)))) == moved
+        load, counts, band = self.passes(net, demand)
+        monkeypatch.setattr(assignment, "_visiting_order", lambda fanout: np.arange(len(fanout)))
+        fed_load, fed_counts, fed_band = self.passes(net, demand)
+        assert load.counts.counts.tobytes() == fed_load.counts.counts.tobytes()
+        assert load.link_tt.keys() == fed_load.link_tt.keys()
+        for lid, tt in load.link_tt.items():
+            assert tt.tobytes() == fed_load.link_tt[lid].tobytes(), lid
+        assert list(load.spillover.items()) == list(fed_load.spillover.items())
+        assert counts.counts.tobytes() == fed_counts.counts.tobytes()
+        assert band.band.tobytes() == fed_band.band.tobytes()
+        assert band.pairs.tobytes() == fed_band.pairs.tobytes()
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_a_topological_order_of_every_link_once(self, name):
+        net = scenario_from_mapping(self.NETWORKS[name][0]()).network
+        for cut in (False, True):
+            plan = _route_plan(net, net.od_index, cut=cut)
+            assert sorted(plan.visit.tolist()) == list(range(len(plan.order)))
+            assert {lid for route in plan.routes for lid in route} <= set(plan.order)
+            turn = {plan.order[i]: t for t, i in enumerate(plan.visit.tolist())}
+            for route in plan.routes:
+                assert all(turn[a] < turn[b] for a, b in zip(route, route[1:])), route
+
+    def test_toy_sources_wait_for_their_first_consumer(self):
+        plan = _route_plan(TOY, TOY.od_index, cut=False)
+        assert plan.order[:5] == ("8a", "5b", "3b", "7a", "4b")
+        # 8a feeds 2b and 1b, 5b and 3b feed 7a and 4b, 2a and 1a feed 4a
+        assert [plan.order[i] for i in plan.visit] == [
+            "5b", "3b", "7a", "4b", "8a", "2b", "1b", "2a", "1a", "4a", "5a", "3a"]
 
 
 class TestLongGrid:
