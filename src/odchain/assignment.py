@@ -20,24 +20,22 @@ pass would.  A link passes its parcels on as pieces: each window, shifted by
 the link time, is cut at the next interval edge, and one index over all
 pieces, sorted by next link where routes fan out, gathers every column once
 and hands each next link a slice.  A pass holds in flight only the parcels
-waiting at the links still to visit and those of the link it visits.  So a
-source link, where trips only start, is visited just before its first
+waiting at the links still to visit and those of the link it visits.  So the
+link order puts a source link, where trips only start, just before its first
 consumer rather than at the start of the pass, and its pieces wait through
-few visits (``_visiting_order``).  The visiting order decides no sum: a link
-takes its senders' pieces in the senders' order in the feeding order, its
-departures first, whichever sender came first.  A first link's departures
-are built from the demand when its turn comes, in chronological order, so
-none waits through the pass and a link where trips only start needs no
-sort.  A parcel carries one sort key that holds both
-its entry interval and the one at its previous link, so it is five columns,
-32 bytes.  A link frees each array after its last reader: it replaces its
-columns by their sorted gathers one at a time, turns the key into the entry
-interval in place, writes its shifted windows' ends once into one table,
-from which both ends of every piece are read through one index built in
-place, writes the windows' widths over their ends, and scales the mass in
-place.  The link order and each route layout, with the tables
-the kernel walks, depend on the network alone, so each is built once per
-network (``Network.plans``).
+few visits.  A link sums its parcels in the order the pass visits their
+senders, its departures first, sorted stably by interval.  A first link's
+departures are built from the demand when its turn comes, in chronological
+order, so none waits through the pass and a link where trips only start
+needs no sort.  A parcel carries one sort key that holds both its entry
+interval and the one at its previous link, so it is five columns, 32 bytes.
+A link frees each array after its last reader: it replaces its columns by
+their sorted gathers one at a time, turns the key into the entry interval in
+place, writes its shifted windows' ends once into one table, from which both
+ends of every piece are read through one index built in place, writes the
+windows' widths over their ends, and scales the mass in place.  The link
+order and each route layout, with the tables the kernel walks, depend on the
+network alone, so each is built once per network (``Network.plans``).
 A load keeps the links' times and the channels' counts, not every link's
 inflow.  Its door-to-door probes are walked the first time they are read
 (``LoadResult.tt_od``), every OD together, one route position at a time.
@@ -69,7 +67,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import operator
 from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
@@ -190,10 +187,14 @@ def _used_links(net: Network) -> list[str]:
 
 def _link_order(net: Network) -> list[str]:
     """Topological order of used links under same-interval feeding, built
-    once per network (``Network.plans``).
+    once per network (``Network.plans``): the order in which a pass visits
+    its links and sums their parcels.
 
     An edge l -> m exists when some path traverses m immediately after l.
-    A cycle would make the single forward pass ill-defined.
+    A cycle would make the single forward pass ill-defined.  A source, a
+    link that no link feeds, comes just before its first consumer, after
+    the other sources of that consumer, so its pieces wait through few
+    visits; a source that feeds nothing keeps its place.
     """
     if "link order" not in net.plans:
         net.plans["link order"] = _feeding_order(net)
@@ -225,25 +226,37 @@ def _feeding_order(net: Network) -> list[str]:
         state[lid] = 2
         order.append(lid)
 
+    # A depth-first postorder keeps a link's feeders close to it, so few
+    # pieces wait at once: Kahn's order (``graphlib``), with sources moved
+    # as below, raises toy-3's experiment heap peak under tracemalloc from
+    # 675,463 B to 1,023,997 B (seed 20260825, Python 3.11).
     for lid in used:
         visit(lid)
     del visit  # the recursive closure is a reference cycle; break it now
     order.reverse()
-    return order
+    at = {lid: i for i, lid in enumerate(order)}
+    fed = {b for nxt in succs.values() for b in nxt}
+
+    def turn(lid: str) -> int:
+        # a source just before its first consumer, after that consumer's
+        # other sources in this order; every other link at its own place
+        if lid in fed or not succs[lid]:
+            return 2 * at[lid] + 1
+        return 2 * min(at[b] for b in succs[lid])
+
+    return sorted(order, key=turn)
 
 
 @dataclass(frozen=True, eq=False)
 class _Routes:
     """One route layout and the kernel's tables: ``order`` holds the links
-    ``_propagate`` visits, in the feeding order, ``succ[i, r]`` the position
-    in ``order`` of the link after ``order[i]`` on ``routes[r]`` (-1 where the
-    trip ends), ``first[r]`` that of its first link (-1 for an empty route)
-    and ``fanout[i]`` the positions ``order[i]`` feeds, ascending.  ``visit``
-    lists every position once, in the order ``_propagate`` visits them
-    (``_visiting_order``); a position is its link's rank, by which a link
-    sums its senders' pieces.  ``by_first`` lists the routes ordered by
-    ``first`` and then index; the routes that start at ``order[i]`` are
-    ``by_first[first_start[i] : first_start[i + 1]]``.
+    in the order ``_propagate`` visits them and sums their senders' pieces
+    (``_link_order``), ``succ[i, r]`` the position in ``order`` of the link
+    after ``order[i]`` on ``routes[r]`` (-1 where the trip ends),
+    ``first[r]`` that of its first link (-1 for an empty route) and
+    ``fanout[i]`` the positions ``order[i]`` feeds, ascending.  ``by_first``
+    lists the routes ordered by ``first`` and then index; the routes that
+    start at ``order[i]`` are ``by_first[first_start[i] : first_start[i + 1]]``.
 
     ``pairs`` lists the (channel, OD) pairs whose route crosses the channel,
     as (channel rows, OD columns) ordered by channel and then OD; channel
@@ -254,7 +267,6 @@ class _Routes:
     succ: np.ndarray
     first: np.ndarray
     fanout: tuple[tuple[int, ...], ...]
-    visit: np.ndarray
     by_first: np.ndarray
     first_start: np.ndarray
     pairs: np.ndarray
@@ -274,7 +286,7 @@ def _route_plan(net: Network, od_index: tuple[OD, ...], *, cut: bool) -> _Routes
     on the routes entering it, and a BPR time on everything that enters its
     link.  So a link *matters* when a channel or a link that matters lies
     after it on some route of ``od_index``; it is enough to look at the next
-    link of each route, in reverse feeding order.  A route ends at its last
+    link of each route, in reverse link order.  A route ends at its last
     channel or its last link that matters, whichever comes later.  Every
     parcel that would enter a channel or a link that matters still does,
     from the same links in the same order, so the counts are the same to the
@@ -325,39 +337,11 @@ def _build_plan(net: Network, od_index: tuple[OD, ...], cut: bool) -> _Routes:
     by_first = np.argsort(first, kind="stable")
     first_start = np.searchsorted(first[by_first], np.arange(len(order) + 1))
     fanout = tuple(tuple(sorted(set(row.tolist()) - {-1})) for row in succ)
-    visit = _visiting_order(fanout)
-    for table in (succ, first, visit, by_first, first_start, pairs, pair_start):
+    for table in (succ, first, by_first, first_start, pairs, pair_start):
         table.setflags(write=False)
     return _Routes(routes=tuple(routes), order=tuple(order), succ=succ, first=first,
-                   fanout=fanout, visit=visit, by_first=by_first, first_start=first_start,
+                   fanout=fanout, by_first=by_first, first_start=first_start,
                    pairs=pairs, pair_start=pair_start)
-
-
-def _visiting_order(fanout: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """The positions of a plan's ``order``, a topological order whose link
-    ``i`` feeds the positions ``fanout[i]``, in the order ``_propagate``
-    visits them: a topological order too, in which a source, a link that no
-    link feeds, comes just before its first consumer.
-
-    The links that have feeders are taken in ``order``, each after its
-    feeders not yet taken, in ``order``.  Those are sources: a feeder that
-    has feeders lies earlier in ``order`` and was taken at its own turn.  A
-    source that feeds nothing is taken at its own turn.  A source's
-    departures and pieces are then made just before a link reads them and
-    do not wait through the links before it.
-    """
-    feeders: list[list[int]] = [[] for _ in fanout]
-    for i, nxt in enumerate(fanout):
-        for n in nxt:
-            feeders[n].append(i)
-    taken: set[int] = set()
-    visit: list[int] = []
-    for i, sent in enumerate(feeders):
-        if sent or not fanout[i]:
-            new = [f for f in sent if f not in taken] + [i]
-            taken.update(new)
-            visit += new
-    return np.array(visit, dtype=np.intp)
 
 
 def _propagate(
@@ -379,31 +363,31 @@ def _propagate(
     interval ``h`` and carries its cell ``r * n_intervals + k``, its mass
     and its sort key (below).
 
-    Links are visited in ``plan.visit``, each for every interval at once.
+    Links are visited in ``plan.order``, each for every interval at once.
     This is exact: a link's time in an interval depends only on its inflow
     during that interval, link times are nonnegative so parcels only move
     forward in time, and the order is a topological order of the feeding
     relation, the same in every interval.  It visits a source link, where
     trips only start, just before its first consumer, so the source's pieces
-    wait through few visits (``_visiting_order``).  When a link's turn
-    comes, every upstream link has been processed for the whole day, so all
-    the parcels that will ever enter it are known.  ``link_time(lid, inflow, h, cell,
-    mass)`` gets the inflow per interval and the parcels' entry intervals,
-    cells and masses, and returns the link's travel time in every interval.
+    wait through few visits (``_link_order``).  When a link's turn comes,
+    every upstream link has been processed for the whole day, so all the
+    parcels that will ever enter it are known.  ``link_time(lid, inflow, h,
+    cell, mass)`` gets the inflow per interval and the parcels' entry
+    intervals, cells and masses, and returns the link's travel time in every
+    interval.
     Each parcel then moves on to the next link of its route, its window
     shifted by the link time and cut at interval boundaries; a piece
     entering after the horizon end is spilled.
 
     A link's parcels are kept in chronological order: by entry interval,
     then by the interval in which they entered the previous link (departures
-    first), then by that link's position in ``order``, its rank, and their
-    order there.  The visiting order decides none of it: each sender's batch
-    waits in the inbox under the sender's rank, and a visit joins its
-    batches in rank order, its departures first, before its stable sort.
-    Inflows, the callback's sums and the spillover therefore accumulate in
-    the order of an interval-by-interval pass over ``order``, whichever
-    topological order ``plan.visit`` is.  Returns, per link of ``order`` in
-    that order, the mass that would have entered it after the horizon end.
+    first), then by the order in which the pass visited that link, and their
+    order there.  Each sender's batch waits in the inbox in the order it was
+    sent, and a visit joins its departures and then its batches before its
+    stable sort.  Inflows, the callback's sums and the spillover therefore
+    accumulate in the order of an interval-by-interval pass over ``order``.
+    Returns, per link of ``order`` in that order, the mass that would have
+    entered it after the horizon end.
 
     A parcel carries its entry interval ``h`` and the previous link's
     ``prev`` (-1 for a departure) as one sort key ``h * (n_h + 1) + prev +
@@ -425,20 +409,13 @@ def _propagate(
     edges = np.append(grid.start + grid.interval_minutes * np.arange(n_h + 1.0), np.inf)
     order, succ, fanout = plan.order, plan.succ, plan.fanout
 
-    # per link, the batches of parcels waiting to enter it, each with its
-    # sender's position in ``order``: (rank, (cell, sort key, a, b, mass))
-    inbox: list[list[tuple[int, tuple[np.ndarray, ...]]]] = [[] for _ in order]
-    # in ``order``, whatever the visiting order, so that ``LoadResult.spilled``
-    # adds it up in that order
+    # per link, the batches of parcels waiting to enter it, in their
+    # senders' order: (cell, sort key, a, b, mass)
+    inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
     spill = dict.fromkeys(order, 0.0)
     nothing = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
-    for i in plan.visit.tolist():
-        lid = order[i]
-        # the batches in their senders' order in ``order``
-        sent, inbox[i] = inbox[i], []
-        sent.sort(key=operator.itemgetter(0))
-        batches = [batch for _, batch in sent]
-        del sent
+    for i, lid in enumerate(order):
+        batches, inbox[i] = inbox[i], []
         rows = plan.by_first[plan.first_start[i]: plan.first_start[i + 1]]
         if rows.size:
             # (interval, route) order: chronological, so a link where trips
@@ -535,11 +512,11 @@ def _propagate(
         # free this link's parcels before the next link gathers its own
         del cell, h, start, past, key, piece_a, piece_b, moved
         if len(fanout[i]) == 1:
-            inbox[fanout[i][0]].append((i, out))
+            inbox[fanout[i][0]].append(out)
         else:
             ends = np.searchsorted(nxt[rows], fanout[i], side="right")
             for n, lo, hi in zip(fanout[i], [0, *ends[:-1].tolist()], ends.tolist()):
-                inbox[n].append((i, tuple(col[lo:hi] for col in out)))
+                inbox[n].append(tuple(col[lo:hi] for col in out))
         del rows, nxt, out
     return spill
 

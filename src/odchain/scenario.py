@@ -132,7 +132,9 @@ class PerturbationSpec:
 
     ``uniform_scale`` multiplies every leg OD flow by (1 + scale);
     ``scale_plus_noise`` additionally applies a per-OD factor
-    (1 + noise * u) with u drawn uniformly from [-1, 1].
+    (1 + noise * u) with u drawn uniformly from [-1, 1].  A ``scale`` under
+    ``none`` or a ``noise`` under another mode than ``scale_plus_noise``
+    would be ignored, so it is an error.
     """
 
     mode: str = "uniform_scale"
@@ -147,6 +149,12 @@ class PerturbationSpec:
             raise ConfigurationError(f"perturbation scale {self.scale!r} must stay > -1")
         if not (0.0 <= self.noise < 1.0):
             raise ConfigurationError(f"perturbation noise {self.noise!r} must lie in [0, 1)")
+        if self.noise > 0.0 and self.mode != "scale_plus_noise":
+            raise ConfigurationError(f"perturbation.noise {self.noise!r} has no effect under "
+                                     f"mode {self.mode!r}; only 'scale_plus_noise' draws noise")
+        if self.scale != 0.0 and self.mode == "none":
+            raise ConfigurationError(f"perturbation.scale {self.scale!r} has no effect under "
+                                     f"mode 'none'")
 
 
 @dataclass(frozen=True)

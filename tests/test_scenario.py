@@ -79,6 +79,15 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             PerturbationSpec(mode="scale_plus_noise", noise=1.0)
 
+    @pytest.mark.parametrize("mode, key, value", [
+        ("uniform_scale", "noise", 0.15), ("none", "noise", 0.15), ("none", "scale", 0.3),
+    ])
+    def test_perturbation_value_its_mode_ignores(self, mode, key, value):
+        """A value the historical day would be drawn without is an error."""
+        message = rf"^perturbation\.{key} {value} has no effect under mode '{mode}'"
+        with pytest.raises(ConfigurationError, match=message):
+            PerturbationSpec(mode=mode, **{key: value})
+
     def test_noise_fractions_positive(self):
         with pytest.raises(ConfigurationError):
             NoiseFractions(process=0.0)
