@@ -234,13 +234,10 @@ def _shares_at(
 
 
 def _congested_legs(cfg: ScenarioConfig, legs: dict[str, DemandLeg]) -> dict[str, DemandLeg]:
-    """Flow-only ``legs`` with the departure shares of their own congestion:
-    the flows are spread over the free-flow shares and loaded once, and the
-    shares are recomputed at that load's times; of the load only those
-    times are read."""
-    net = cfg.network
-    first = _expand(cfg.grid, _shares_at(cfg, legs, _free_flow_tt(net, net.od_index, cfg.grid)))
-    return _shares_at(cfg, legs, load_network(net, first).tt_od)
+    """``legs``, at their free-flow shares, with the departure shares of their
+    own congestion instead: the legs are loaded once, and the shares are
+    recomputed at that load's times; of the load only those times are read."""
+    return _shares_at(cfg, legs, load_network(cfg.network, _expand(cfg.grid, legs)).tt_od)
 
 
 def _expand(grid: TimeGrid, legs: dict[str, DemandLeg]) -> DynamicDemand:
@@ -272,7 +269,9 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
         raise ConfigurationError("\n".join(problems))
     net = cfg.network
     od_index = net.od_index
-    true_legs = _true_legs(cfg, od_index)
+    # The free-flow shares depend on the schedules, members and free-flow
+    # times alone, so both days start from one set of them.
+    true_legs = _shares_at(cfg, _true_legs(cfg, od_index), _free_flow_tt(net, od_index, cfg.grid))
     factors = _perturb(cfg, od_index, true_legs)
     hist_legs = {name: replace(leg, flows=leg.flows * factors[name])
                  for name, leg in true_legs.items()}
@@ -387,26 +386,34 @@ WALK_PER_OD = 0.01
 WALK_MINUTES = 15
 
 
-def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matrix: np.ndarray):
-    """The filters' noise at the history's demand ``hist_matrix``: the
-    interval filter's, its prior covariance, and the leg chain's, of which
-    ``run_leg_chain`` reads a prior covariance for each root leg and a
-    process noise for each chained leg, so only those are built.
+def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
+    """The interval filter's noise and its prior covariance.
 
-    The interval filter's state is relative, so its prior and random walk
-    are a common mode plus a per-OD part: ``noise.prior`` is the prior's
-    common-mode std, and the other three stds are this module's constants."""
+    Its state is relative, so its prior and random walk are a common mode
+    plus a per-OD part: ``noise.prior`` is the prior's common-mode std, and
+    the other three stds are this module's constants.  The measurement
+    noise is ``noise.measurement`` of the history's mean positive count."""
+    n_od = len(artifacts.od_index)
+    counts = artifacts.history.load.counts.counts
+    ones = np.ones((n_od, n_od))
+    Q = (cfg.grid.interval_minutes / WALK_MINUTES
+         * (WALK_COMMON ** 2 * ones + WALK_PER_OD ** 2 * np.eye(n_od)))
+    R = (cfg.noise.measurement * _positive_mean(counts)) ** 2 * np.eye(len(counts))
+    P0 = cfg.noise.prior ** 2 * ones + PRIOR_PER_OD ** 2 * np.eye(n_od)
+    return NoiseModel(Q=Q, R=R), P0
+
+
+def _leg_noise(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matrix: np.ndarray):
+    """The leg chain's noise at the history's demand ``hist_matrix``: a prior
+    covariance for each root leg and a process noise for each chained leg,
+    the only ones ``run_leg_chain`` reads, and the cumulative counts'
+    measurement noise at the cutoff.  A leg with no positive flow takes the
+    history's mean positive flow, and counts with no positive cumulative
+    count the mean positive count."""
     hist = artifacts.history
     mean_flow = _positive_mean(hist_matrix)
     mean_count = _positive_mean(hist.load.counts.counts)
     n_od = len(artifacts.od_index)
-    n_ch = len(hist.load.counts.channels)
-    ones = np.ones((n_od, n_od))
-    Q = (cfg.grid.interval_minutes / WALK_MINUTES
-         * (WALK_COMMON ** 2 * ones + WALK_PER_OD ** 2 * np.eye(n_od)))
-    R = (cfg.noise.measurement * mean_count) ** 2 * np.eye(n_ch)
-    P0 = cfg.noise.prior ** 2 * ones + PRIOR_PER_OD ** 2 * np.eye(n_od)
-
     leg_Q: dict[str, np.ndarray] = {}
     root_P0: dict[str, np.ndarray] = {}
     roots = artifacts.chain.roots()
@@ -417,10 +424,10 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matr
         else:
             leg_Q[name] = (cfg.noise.leg_process * mean_leg) ** 2 * np.eye(n_od)
 
-    cum_hist = hist.load.counts.cumulative()[:, artifacts.config.cutoff_index - 1]
+    cum_hist = hist.load.counts.cumulative()[:, cfg.cutoff_index - 1]
     mean_cum = _positive_mean(cum_hist) if (cum_hist > 0).any() else mean_count
-    R_cum = (cfg.noise.cumulative_measurement * mean_cum) ** 2 * np.eye(n_ch)
-    return NoiseModel(Q=Q, R=R), P0, leg_Q, root_P0, R_cum
+    R_cum = (cfg.noise.cumulative_measurement * mean_cum) ** 2 * np.eye(len(cum_hist))
+    return leg_Q, root_P0, R_cum
 
 
 def _frozen_rows(frozen: AssignmentMatrix, stop: int, hist_matrix: np.ndarray):
@@ -467,15 +474,22 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     model's own matrix (``combined_demand``, ``predict_horizon``): with no
     chained leg for kf, nor for any model when no leg is chained, so pkf
     and spkf then equal kf.  The seed's estimate is a read-only view of
-    ``hist_matrix``.  The cumulative mapping is the band's last reader, so
-    the band is freed before the leg chains run (``artifacts`` is the
-    caller's own copy, and its ``assignment`` is set to ``None``), and the
-    leg chain's inputs are freed before the assembly.
+    ``hist_matrix``.
+
+    Each dense input lives from its first reader to its last.  The filter
+    builds only its own noise.  The leg chain's inputs start with the
+    cumulative mapping, the band's last reader; the band is then freed
+    (``artifacts`` is the caller's own copy, and its ``assignment`` is set
+    to ``None``) before the operators, the rebuilt history, the retentions,
+    the root deviations, the cumulative count deviation and the leg chain's
+    noise are built.  With no chain model the band is freed after the
+    filter.  The leg chain's inputs are freed before the assembly.
 
     Each stage runs under ``_stage``: its time goes to every row that shares
     it, and a failure marks those rows failed (a failure of the filtering
-    pass fails every filter model, one of the leg chain's inputs both pkf
-    and spkf), so a model whose assembly fails keeps its leg diagnostics.
+    pass fails every filter model, one of the leg chain's inputs, its noise
+    among them, only pkf and spkf), so a model whose assembly fails keeps
+    its leg diagnostics.
     A filter model's ``extras`` get its ``clamped_cells`` and
     ``prediction_load_calls``.  Reads no part of ``artifacts.truth``.
 
@@ -512,7 +526,7 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     if not filter_models:
         return result
     with _stage(rows, filter_models, "interval filtering"):
-        noise, P0, leg_Q, root_P0, R_cum = _noise_models(cfg, artifacts, hist_matrix)
+        noise, P0 = _noise_models(cfg, artifacts)
         delta_y = artifacts.observed.counts - hist.load.counts.counts
         # the provider and the prior are passed, not kept, so the rows and the
         # prior's root are freed when the filter returns
@@ -543,8 +557,12 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     chain_models = [m for m in CHAIN_MODELS if m in rows] if chained else []
     chained_flows: dict[str, dict[str, np.ndarray]] = {}
     if chain_models:
-        # pkf and spkf share the chain's inputs, which do not depend on the mode
+        # pkf and spkf share the chain's inputs, which do not depend on the
+        # mode.  The cumulative mapping is the band's last reader, so it runs
+        # first and the band is freed before the other inputs are built.
         with _stage(rows, chain_models, "leg-chain inputs"):
+            mapping = cumulative_mapping(artifacts.assignment, hist.profiles(), cut - 1)
+            artifacts.assignment = None
             attributed = attribute_interval_deviations(
                 hist_matrix[:, :cut] * deltas, [hist.legs[n] for n in chain.topological_order()]
             )
@@ -559,10 +577,11 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
             consistent = chain_consistent_legs(hist.legs, chain, operators)
             retention = notes["leg_retention"]
             retention.update((n, leg_retention(hist.legs[n], consistent[n])) for n in chained)
-            mapping = cumulative_mapping(artifacts.assignment, hist.profiles(), cut - 1)
-            delta_Y = (artifacts.observed.cumulative() - hist.load.counts.cumulative())[:, cut - 1]
             roots = root_deviations(deltas, [hist.legs[n] for n in chain.roots()])
-    # the cumulative mapping was the band's last reader
+            delta_Y = (artifacts.observed.cumulative() - hist.load.counts.cumulative())[:, cut - 1]
+            leg_Q, root_P0, R_cum = _leg_noise(cfg, artifacts, hist_matrix)
+    # with no chain model, or a failed mapping, the filter was the band's
+    # last reader
     artifacts.assignment = None
 
     for model in chain_models:

@@ -133,8 +133,8 @@ class PerturbationSpec:
     ``uniform_scale`` multiplies every leg OD flow by (1 + scale);
     ``scale_plus_noise`` additionally applies a per-OD factor
     (1 + noise * u) with u drawn uniformly from [-1, 1].  A ``scale`` under
-    ``none`` or a ``noise`` under another mode than ``scale_plus_noise``
-    would be ignored, so it is an error.
+    ``none``, a ``noise`` under another mode than ``scale_plus_noise``, or a
+    ``seed`` where no noise is drawn would be ignored, so it is an error.
     """
 
     mode: str = "uniform_scale"
@@ -155,6 +155,11 @@ class PerturbationSpec:
         if self.scale != 0.0 and self.mode == "none":
             raise ConfigurationError(f"perturbation.scale {self.scale!r} has no effect under "
                                      f"mode 'none'")
+        if self.seed is not None and not (self.mode == "scale_plus_noise" and self.noise > 0.0):
+            where = " with noise 0" if self.mode == "scale_plus_noise" else ""
+            raise ConfigurationError(f"perturbation.seed {self.seed!r} has no effect under mode "
+                                     f"{self.mode!r}{where}; only noise > 0 under "
+                                     f"'scale_plus_noise' is drawn")
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,9 @@ def test_negative_seed_fails_validation(tmp_path, toy_doc, capsys, key):
     if key == "seed":
         toy_doc["seed"] = -1
     else:
-        toy_doc["perturbation"]["seed"] = -1
+        # a seed is read only where noise is drawn
+        toy_doc["perturbation"] = {"mode": "scale_plus_noise", "scale": 0.3, "noise": 0.1,
+                                   "seed": -1}
     path = tmp_path / "seed.yaml"
     path.write_text(yaml.safe_dump(toy_doc))
     assert main(["validate", "--scenario", str(path)]) == 1

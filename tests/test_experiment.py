@@ -105,6 +105,8 @@ class TestGeneration:
             odchain.experiment._shares_at(toy_cfg, toy_artifacts.truth.legs, tt)
 
     def test_one_departure_call_per_leg(self, toy_cfg, monkeypatch):
+        """One call per leg and pass: one free-flow pass serves both days,
+        so a generation makes 3 calls per leg, not 4."""
         calls = []
         real = odchain.experiment.departure_probabilities
 
@@ -114,21 +116,24 @@ class TestGeneration:
 
         monkeypatch.setattr(odchain.experiment, "departure_probabilities", counted)
         generate_truth_and_history(toy_cfg)
-        # each day's free-flow pass, then its second pass: one call per leg
-        # with a row per member
+        # the shared free-flow pass, then each day's congested pass: one call
+        # per leg with a row per member
         sizes = [len(leg.od_split) for leg in toy_cfg.legs]
-        assert calls == [(n, toy_cfg.grid.n_intervals) for n in sizes] * 4
+        assert calls == [(n, toy_cfg.grid.n_intervals) for n in sizes] * 3
 
     @pytest.mark.parametrize("fixture", ["toy_artifacts", "three_roots_artifacts"],
                              ids=["toy-15", "toy-15-three-roots"])
     def test_congested_legs_are_the_generated_days(self, fixture, request):
-        """``_congested_legs`` of a day's flow-only legs gives the shares the
-        generator gave that day, byte for byte: the congestion-consistent
-        shares at the day's own flows are the generator's own result."""
+        """``_congested_legs`` of a day's legs at their free-flow shares gives
+        the shares the generator gave that day, byte for byte: the
+        congestion-consistent shares at the day's own flows are the
+        generator's own result."""
         artifacts = request.getfixturevalue(fixture)
+        cfg = artifacts.config
+        tt = odchain.experiment._free_flow_tt(cfg.network, cfg.network.od_index, cfg.grid)
         for side in (artifacts.truth, artifacts.history):
-            flow_only = {n: dataclasses.replace(leg, shares=None) for n, leg in side.legs.items()}
-            legs = odchain.experiment._congested_legs(artifacts.config, flow_only)
+            free_flow = odchain.experiment._shares_at(cfg, side.legs, tt)
+            legs = odchain.experiment._congested_legs(cfg, free_flow)
             assert list(legs) == list(side.legs)
             for name, leg in legs.items():
                 assert leg.flows.tobytes() == side.legs[name].flows.tobytes()
@@ -369,6 +374,7 @@ class TestRunExperiment:
             ("run_kf_sequence", ("kf", "pkf", "spkf")),
             ("predict_horizon", ("kf", "pkf", "spkf")),
             ("cumulative_mapping", ("pkf", "spkf")),
+            ("_leg_noise", ("pkf", "spkf")),
             ("run_leg_chain", ("pkf", "spkf")),
             ("detector_counts", ("kf", "pkf", "spkf")),
         )
@@ -627,6 +633,33 @@ class TestRunExperiment:
         for model in report.estimates:
             assert np.array_equal(again.estimates[model], report.estimates[model])
 
+    def test_mapping_runs_first_and_frees_the_band(self, toy_cfg, monkeypatch):
+        """Of the leg chain's inputs the cumulative mapping is built first,
+        with the band alive; the band is gone when the operators and the leg
+        chain's noise are built, and the filter built none of that noise."""
+        real_generate = odchain.experiment.generate_truth_and_history
+        refs = {}
+        calls = []
+
+        def generate(cfg):
+            artifacts = real_generate(cfg)
+            refs["band"] = weakref.ref(artifacts.assignment.band.base)
+            return artifacts
+
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
+        for name in ("run_kf_sequence", "cumulative_mapping", "build_leg_operator", "_leg_noise"):
+            def logged(*args, _real=getattr(odchain.experiment, name), _name=name, **kwargs):
+                calls.append((_name, refs["band"]() is not None))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(odchain.experiment, name, logged)
+        report = run_experiment(toy_cfg)
+        assert all(row.status == "ok" for row in report.rows)
+        chain = toy_cfg.chain()
+        chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
+        assert calls == [("run_kf_sequence", True), ("cumulative_mapping", True),
+                         *[("build_leg_operator", False)] * len(chained), ("_leg_noise", False)]
+
     def test_no_chained_leg_reduces_chain_models_to_kf(self, toy_doc, monkeypatch):
         """With every ``feeds`` empty no leg is chained: pkf and spkf equal
         kf, no leg is attributed and there are no leg diagnostics."""
@@ -651,7 +684,7 @@ class TestRunExperiment:
     def test_noise_models_build_what_the_leg_chain_reads(self, toy_cfg, toy_artifacts):
         """A prior covariance for each root leg, a process noise for each
         chained leg, and nothing else."""
-        _, _, leg_Q, root_P0, _ = odchain.experiment._noise_models(
+        leg_Q, root_P0, _ = odchain.experiment._leg_noise(
             toy_cfg, toy_artifacts, toy_artifacts.history.demand.matrix)
         chain = toy_artifacts.chain
         assert set(root_P0) == set(chain.roots())
@@ -696,8 +729,7 @@ class TestRelativeFilter:
         """``noise.prior`` is the prior's common-mode std beside a per-OD
         0.1; the random walk is 0.03 common and 0.01 per OD; the
         measurement noise is ``noise.measurement`` of the mean count."""
-        noise, P0, _, _, _ = odchain.experiment._noise_models(
-            toy_cfg, toy_artifacts, toy_artifacts.history.demand.matrix)
+        noise, P0 = odchain.experiment._noise_models(toy_cfg, toy_artifacts)
         n = len(toy_artifacts.od_index)
         ones, eye = np.ones((n, n)), np.eye(n)
         assert np.allclose(P0, toy_cfg.noise.prior ** 2 * ones + 0.1 ** 2 * eye, rtol=1e-15)
@@ -711,9 +743,8 @@ class TestRelativeFilter:
         fifth of their variance, so the state drifts as far per hour."""
         cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
             toy_cfg.grid, interval_minutes=3, n_intervals=480))
-        hist = toy_artifacts.history.demand.matrix
-        fine = odchain.experiment._noise_models(cfg, toy_artifacts, hist)[0]
-        coarse = odchain.experiment._noise_models(toy_cfg, toy_artifacts, hist)[0]
+        fine = odchain.experiment._noise_models(cfg, toy_artifacts)[0]
+        coarse = odchain.experiment._noise_models(toy_cfg, toy_artifacts)[0]
         assert np.allclose(fine.Q, coarse.Q / 5.0, rtol=1e-15)
 
     def test_process_noise_sets_nothing(self, toy_cfg, toy_artifacts, toy_report, caplog):
@@ -721,10 +752,15 @@ class TestRelativeFilter:
         that sets it in code runs silently, to the default's estimates: the
         scenario reader alone warns of the key."""
         hist = toy_artifacts.history.demand.matrix
-        base = odchain.experiment._noise_models(toy_cfg, toy_artifacts, hist)
+
+        def noise(cfg):
+            return (*odchain.experiment._noise_models(cfg, toy_artifacts),
+                    *odchain.experiment._leg_noise(cfg, toy_artifacts, hist))
+
+        base = noise(toy_cfg)
         cfg = dataclasses.replace(toy_cfg, noise=dataclasses.replace(toy_cfg.noise, process=0.05))
         with caplog.at_level("WARNING", logger="odchain"):
-            other = odchain.experiment._noise_models(cfg, toy_artifacts, hist)
+            other = noise(cfg)
             report = run_experiment(cfg)
         assert caplog.records == []
         for got, want in zip((other[0].Q, other[0].R, *other[1:]), (base[0].Q, base[0].R, *base[1:])):

@@ -691,7 +691,7 @@ class TestAgainstTheOracle:
             artifacts = experiment_mod.generate_truth_and_history(cfg)
         cut = cfg.cutoff_index
         hist = artifacts.history.demand.matrix
-        noise, P0, *_ = experiment_mod._noise_models(cfg, artifacts, hist)
+        noise, P0 = experiment_mod._noise_models(cfg, artifacts)
         delta_y = (artifacts.observed.counts - artifacts.history.load.counts.counts)[:, :cut]
         H_at = experiment_mod._frozen_rows(artifacts.assignment, cut, hist)
         n_od = len(artifacts.od_index)

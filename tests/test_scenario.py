@@ -81,9 +81,12 @@ class TestSpecs:
 
     @pytest.mark.parametrize("mode, key, value", [
         ("uniform_scale", "noise", 0.15), ("none", "noise", 0.15), ("none", "scale", 0.3),
+        ("none", "seed", 7), ("uniform_scale", "seed", 7), ("scale_plus_noise", "seed", 7),
     ])
     def test_perturbation_value_its_mode_ignores(self, mode, key, value):
-        """A value the historical day would be drawn without is an error."""
+        """A value the historical day would be drawn without is an error;
+        ``scale_plus_noise`` with the default noise 0 draws no number, so
+        its seed is one."""
         message = rf"^perturbation\.{key} {value} has no effect under mode '{mode}'"
         with pytest.raises(ConfigurationError, match=message):
             PerturbationSpec(mode=mode, **{key: value})
@@ -168,7 +171,9 @@ class TestValidate:
 
     def test_negative_seeds_flagged(self, toy_doc):
         toy_doc["seed"] = -1
-        toy_doc["perturbation"]["seed"] = -5
+        # a seed is read only where noise is drawn
+        toy_doc["perturbation"] = {"mode": "scale_plus_noise", "scale": 0.3, "noise": 0.1,
+                                   "seed": -5}
         assert scenario_from_mapping(toy_doc).validate() == [
             "seed must be >= 0, not -1", "perturbation.seed must be >= 0, not -5",
         ]
