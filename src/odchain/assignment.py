@@ -737,7 +737,8 @@ class AssignmentMatrix:
         return matrix
 
     def predict_counts(self, demand_matrix: np.ndarray) -> np.ndarray:
-        """Counts implied by the frozen linearization: sum_k H[k -> h] x_k.
+        """Counts implied by the frozen linearization, sum_k H[k -> h] x_k:
+        the channel sums of ``lag_rows(H, demand_matrix)``.
 
         Raises:
             ConfigurationError: if ``demand_matrix`` is not (n_od, n_intervals).
@@ -747,11 +748,8 @@ class AssignmentMatrix:
         if x.shape != (n_od, n_h):
             raise ConfigurationError(
                 f"demand matrix {x.shape} is not (n_od, n_intervals) = ({n_od}, {n_h})")
-        c, i = self.pairs
         counts = np.zeros((n_ch, n_h))
-        for l in range(self.band.shape[1]):
-            # each pair's crossings in intervals l.., added into its channel
-            np.add.at(counts[:, l:], c, (self.band[: n_h - l, l] * x[i, : n_h - l].T).T)
+        np.add.at(counts, self.pairs[0], self.lag_rows(n_h, x).T)
         return counts
 
 
@@ -870,8 +868,8 @@ def cumulative_mapping(
     per-interval sum over the lag axis does.  Each leg's matrix then sums
     over ``k`` that piece times the leg's interval-``k`` shares, interval
     after interval.  All of it runs over the band's (channel, OD) pairs; the
-    products are formed one leg at a time, in one buffer, and each leg's sums
-    are scattered into its (n_channels, n_od) matrix, zero off the pairs.
+    products are formed one leg at a time, in one buffer, and ``pair_matrix``
+    scatters each leg's sums into its (n_channels, n_od) matrix.
 
     Raises:
         ConfigurationError: if the horizon lies outside the grid or a profile
@@ -882,7 +880,6 @@ def cumulative_mapping(
         raise ConfigurationError(f"cumulative horizon {horizon} outside grid of {n_h}")
     n_od = len(assignment.od_index)
     band = assignment.band
-    c, i = assignment.pairs
     h_sum = np.zeros((horizon + 1, band.shape[2]))
     for lag in range(min(band.shape[1], horizon + 1)):
         h_sum[: horizon + 1 - lag] += band[: horizon + 1 - lag, lag]
@@ -892,13 +889,11 @@ def cumulative_mapping(
         prof = np.asarray(prof, dtype=float)
         if prof.shape != (n_od, n_h):
             raise ConfigurationError(f"profile for leg {leg!r} has shape {prof.shape}")
-        np.multiply(h_sum, prof[i, : horizon + 1].T, out=products)
+        np.multiply(h_sum, prof[assignment.pairs[1], : horizon + 1].T, out=products)
         del prof  # a mapping that builds each profile on access then holds one at a time
-        matrix = np.zeros((len(assignment.channels), n_od))
         # a running sum adds interval after interval for any number of pairs;
         # ``sum(axis=0)`` over one pair would add pairwise
-        matrix[c, i] = np.cumsum(products, axis=0, out=products)[-1]
-        matrices[leg] = matrix
+        matrices[leg] = assignment.pair_matrix(np.cumsum(products, axis=0, out=products)[-1])
     return CumulativeMapping(
         horizon=horizon,
         od_index=assignment.od_index,

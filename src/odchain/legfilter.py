@@ -74,7 +74,6 @@ class ChainFilterConfig:
 class LegState:
     """Deviation state of one leg plus bookkeeping for diagnostics."""
 
-    name: str
     state: FilterState
     prior_norm: float = 0.0
     scale: float = 1.0
@@ -282,18 +281,20 @@ def run_leg_chain(
     root_P0: dict[str, np.ndarray],
     R: np.ndarray,
 ) -> dict[str, LegState]:
-    """Estimate every leg's deviation in topological order.
+    """Estimate every leg's deviation against one running fit, the roots first.
 
-    Root legs are seeded with ``root_deltas`` (``root_deviations``) and
-    their prior covariance; each chained leg is time-updated from its
-    already-finalized feeders and then corrected against the cumulative
-    count deviation ``delta_Y`` (net of all other legs' current
-    contributions).  In "spkf" mode the corrected estimate is rescaled to
-    conserve the feeders' total.
+    ``root_deltas`` names every root of ``chain`` and nothing else; each root
+    is seeded with a copy of its deviation and its prior covariance.  Each
+    chained leg, in topological order, is time-updated from its finalized
+    feeders and corrected against ``delta_Y − fitted``, net of the counts
+    already fitted to the roots and the chained legs before it; "spkf" then
+    rescales it to conserve the feeders' total.  Each final leg adds its
+    ``mapping.matrix(leg) @ mean`` to ``fitted``.
 
     Raises:
         ConfigurationError: if ``config.cumulative_horizon`` is not the
-            horizon of ``mapping``, or a leg lacks its inputs.
+            horizon of ``mapping``, a leg lacks its inputs, or
+            ``root_deltas`` names a leg that is no root.
     """
     if config.cumulative_horizon != mapping.horizon:
         raise ConfigurationError(
@@ -304,36 +305,30 @@ def run_leg_chain(
     missing = [name for name in order if name not in legs]
     if missing:
         raise ConfigurationError(f"chain references unknown legs {missing}")
+    roots = chain.roots()
+    if set(root_deltas) != set(roots):
+        unknown = sorted(set(root_deltas) - set(roots))
+        raise ConfigurationError(f"root deviations must name the roots {list(roots)}: missing "
+                                 f"{[n for n in roots if n not in root_deltas]}, unknown {unknown}")
     delta_Y = np.asarray(delta_Y, dtype=float).reshape(-1)
 
     states: dict[str, LegState] = {}
-    current_delta: dict[str, np.ndarray] = {
-        name: np.zeros(len(legs[name].od_index)) for name in order
-    }
-    for name in chain.roots():
-        if name in root_deltas:
-            current_delta[name] = np.asarray(root_deltas[name], dtype=float).copy()
+    fitted = np.zeros_like(delta_Y)
+    for name in roots:
+        if name not in root_P0:
+            raise ConfigurationError(f"no prior covariance for root leg {name!r}")
+        state = FilterState(mean=np.array(root_deltas[name], dtype=float), cov=root_P0[name])
+        states[name] = LegState(state=state, prior_norm=float(np.linalg.norm(state.mean)))
+        fitted += mapping.matrix(name) @ state.mean
 
-    for name in order:
-        feeders = chain.feeds.get(name, ())
-        if not feeders:
-            if name not in root_P0:
-                raise ConfigurationError(f"no prior covariance for root leg {name!r}")
-            state = FilterState(mean=current_delta[name], cov=root_P0[name])
-            states[name] = LegState(name=name, state=state,
-                                    prior_norm=float(np.linalg.norm(state.mean)))
-            continue
+    for name in (n for n in order if chain.feeds[n]):
+        feeders = chain.feeds[name]
         if name not in operators or name not in leg_Q:
             raise ConfigurationError(f"missing operator or process noise for leg {name!r}")
         pred = leg_time_update([states[f].state for f in feeders], operators[name], leg_Q[name])
+        post = kf_measurement_update(pred, mapping.matrix(name), R, delta_Y - fitted)
 
-        others = np.zeros_like(delta_Y)
-        for other in order:
-            if other != name:
-                others += mapping.matrix(other) @ current_delta[other]
-        post = kf_measurement_update(pred, mapping.matrix(name), R, delta_Y - others)
-
-        leg_state = LegState(name=name, state=post, prior_norm=float(np.linalg.norm(pred.mean)))
+        leg_state = LegState(state=post, prior_norm=float(np.linalg.norm(pred.mean)))
         if config.mode == "spkf":
             estimate = legs[name].flows + post.mean
             fed = [legs[f].flows + states[f].state.mean for f in feeders]
@@ -347,7 +342,7 @@ def run_leg_chain(
                 mean=rescaled - legs[name].flows, cov=post.cov / (s * s)
             )
         states[name] = leg_state
-        current_delta[name] = leg_state.state.mean
+        fitted += mapping.matrix(name) @ leg_state.state.mean
     return states
 
 

@@ -7,7 +7,8 @@ truth of one chained leg, whose total then no longer matches its feeders'
 leg terms add up on one OD.  The corridor rungs are the benchmark's trunk
 corridor at N = 6 and N = 12 home/work pairs.  ``toy-15``, ``toy-15-noisy``
 and ``corridor-6`` are also run at the cutoffs 08:00, 10:00 and 14:00
-beside their own 12:00 (``toy-15@0800``, ...).  The grid rungs are a meshed
+beside their own 12:00, and at 17:00 and 18:00, after the evening legs
+start (``toy-15@0800``, ...).  The grid rungs are a meshed
 network whose detectors see destination totals only, under a history that
 errs per OD with no common scale, in two draws.  Every rung runs through
 ``run_experiment``; its figures are means over its seeds.
@@ -143,7 +144,7 @@ RUNGS.update({
     f"{rung}@{cutoff.replace(':', '')}": (functools.partial(_with_cutoff, RUNGS[rung][0], cutoff),
                                           RUNGS[rung][1])
     for rung in ("toy-15", "toy-15-noisy", "corridor-6")
-    for cutoff in ("08:00", "10:00", "14:00")
+    for cutoff in ("08:00", "10:00", "14:00", "17:00", "18:00")
 })
 
 

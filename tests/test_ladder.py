@@ -44,6 +44,8 @@ CLAIMS = {
 }
 SEED_CLAIMS = {"filters-beat-seed", "kf-beats-seed-after-cutoff"}
 
+_EVENING = "with the cutoff after the evening legs have started, "
+
 #: (rung, claim) -> why the claim is false today
 FALSE_TODAY = {
     ("toy-15-noisy@1400", "pkf-beats-kf"):
@@ -52,6 +54,24 @@ FALSE_TODAY = {
     ("grid-draw-7", "kf-beats-seed-after-cutoff"):
         "the history errs per OD with no common mode, and destination counts cannot "
         "separate the ODs: kf 2.79 against the seed's 2.78 after the cutoff",
+    ("toy-15@1800", "pkf-beats-kf"):
+        f"{_EVENING}pkf 13.4671 against kf 13.4013 over the day",
+    ("toy-15@1800", "pkf-beats-kf-after-cutoff"):
+        f"{_EVENING}pkf 3.0176 against kf 2.2137 after the cutoff",
+    ("toy-15-noisy@1700", "pkf-beats-kf"):
+        f"{_EVENING}pkf 27.4653 against kf 26.9083 over the day",
+    ("toy-15-noisy@1700", "pkf-beats-kf-after-cutoff"):
+        f"{_EVENING}pkf 24.2516 against kf 23.3360 after the cutoff",
+    ("toy-15-noisy@1800", "pkf-beats-kf"):
+        f"{_EVENING}pkf 28.7600 against kf 26.3699 over the day",
+    ("toy-15-noisy@1800", "pkf-beats-kf-after-cutoff"):
+        f"{_EVENING}pkf 16.5660 against kf 12.3289 after the cutoff",
+    ("corridor-6@1700", "pkf-beats-kf-after-cutoff"):
+        f"{_EVENING}pkf 0.7209 against kf 0.6191 after the cutoff",
+    ("corridor-6@1800", "pkf-beats-kf"):
+        f"{_EVENING}pkf 1.0841 against kf 1.0473 over the day",
+    ("corridor-6@1800", "pkf-beats-kf-after-cutoff"):
+        f"{_EVENING}pkf 0.5451 against kf 0.3691 after the cutoff",
 }
 
 SEED_IS_TRUTH = {"toy-15-exact"}

@@ -4,7 +4,7 @@ import pytest
 from odchain import assignment as assignment_mod
 from odchain.assignment import CumulativeMapping
 from odchain.errors import ConfigurationError
-from odchain.kalman import FilterState
+from odchain.kalman import FilterState, kf_measurement_update
 from odchain.legfilter import (
     ChainFilterConfig,
     apply_conservation,
@@ -19,6 +19,7 @@ from odchain.legfilter import (
     scale_factor,
 )
 from odchain.legs import ChainSpec, DemandLeg, build_leg_operator
+from test_acceptance import _random_chain
 
 OD2 = (("a", "b"), ("b", "a"))
 
@@ -229,9 +230,9 @@ class TestRunLegChain:
 
     def test_missing_root_prior_rejected(self):
         chain, legs, operators, mapping, noise = two_leg_setup()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="no prior covariance for root leg 'out'"):
             run_leg_chain(
-                legs, chain, operators, {}, mapping, np.array([0.0]),
+                legs, chain, operators, {"out": np.zeros(2)}, mapping, np.array([0.0]),
                 config=ChainFilterConfig(mode="pkf"),
                 leg_Q=noise["leg_Q"], root_P0={}, R=noise["R"],
             )
@@ -248,9 +249,9 @@ class TestRunLegChain:
 
     def test_missing_operator_rejected(self):
         chain, legs, _, mapping, noise = two_leg_setup()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="missing operator .* for leg 'back'"):
             run_leg_chain(
-                legs, chain, {}, {}, mapping, np.array([0.0]),
+                legs, chain, {}, {"out": np.zeros(2)}, mapping, np.array([0.0]),
                 config=ChainFilterConfig(mode="pkf"),
                 leg_Q=noise["leg_Q"], root_P0=noise["root_P0"], R=noise["R"],
             )
@@ -258,12 +259,94 @@ class TestRunLegChain:
     def test_unknown_leg_in_chain_rejected(self):
         chain, legs, operators, mapping, noise = two_leg_setup()
         del legs["back"]
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"chain references unknown legs \['back'\]"):
             run_leg_chain(
-                legs, chain, operators, {}, mapping, np.array([0.0]),
+                legs, chain, operators, {"out": np.zeros(2)}, mapping, np.array([0.0]),
                 config=ChainFilterConfig(mode="pkf"),
                 leg_Q=noise["leg_Q"], root_P0=noise["root_P0"], R=noise["R"],
             )
+
+    @pytest.mark.parametrize("root_deltas, message", [
+        ({"outt": np.zeros(2)}, r"missing \['out'\], unknown \['outt'\]"),
+        ({"out": np.zeros(2), "back": np.zeros(2)}, r"missing \[\], unknown \['back'\]"),
+        ({}, r"missing \['out'\], unknown \[\]"),
+    ], ids=["mistyped-root", "chained-leg", "none"])
+    def test_root_deviations_name_exactly_the_roots(self, root_deltas, message):
+        """A mistyped or missing root deviation fails loudly, and so does one
+        given for a chained leg, which the filter would not read."""
+        chain, legs, operators, mapping, noise = two_leg_setup()
+        with pytest.raises(ConfigurationError, match=message):
+            run_leg_chain(
+                legs, chain, operators, root_deltas, mapping, np.array([0.0]),
+                config=ChainFilterConfig(mode="pkf", cumulative_horizon=0),
+                leg_Q=noise["leg_Q"], root_P0=noise["root_P0"], R=noise["R"],
+            )
+
+    @staticmethod
+    def _every_other_leg(legs, chain, operators, root_deltas, mapping, delta_Y, mode,
+                         leg_Q, root_P0, R):
+        """The chain filter as a sum over every other leg: each chained leg,
+        in topological order, is updated against ``delta_Y`` minus every
+        other leg's ``mapping.matrix(o) @ current_delta[o]``, where a leg not
+        yet estimated is still zero.  Returns, per leg, its mean, covariance,
+        prior norm, scale and conservation residual."""
+        order = chain.topological_order()
+        current_delta = {name: np.zeros(len(legs[name].od_index)) for name in order}
+        for name in chain.roots():
+            current_delta[name] = np.asarray(root_deltas[name], dtype=float).copy()
+        out = {}
+        for name in order:
+            feeders = chain.feeds[name]
+            if not feeders:
+                out[name] = (current_delta[name], root_P0[name],
+                             float(np.linalg.norm(current_delta[name])), 1.0, 0.0)
+                continue
+            pred = leg_time_update([FilterState(out[f][0], out[f][1]) for f in feeders],
+                                   operators[name], leg_Q[name])
+            others = np.zeros_like(delta_Y)
+            for other in order:
+                if other != name:
+                    others += mapping.matrix(other) @ current_delta[other]
+            post = kf_measurement_update(pred, mapping.matrix(name), R, delta_Y - others)
+            mean, cov, scale, residual = post.mean, post.cov, 1.0, 0.0
+            if mode == "spkf":
+                estimate = legs[name].flows + mean
+                fed = [legs[f].flows + out[f][0] for f in feeders]
+                scale = scale_factor(estimate, fed)
+                rescaled = apply_conservation(estimate, scale)
+                residual = float(abs(rescaled.sum() - np.sum([f.sum() for f in fed])))
+                mean, cov = rescaled - legs[name].flows, cov / (scale * scale)
+            out[name] = (mean, cov, float(np.linalg.norm(pred.mean)), scale, residual)
+            current_delta[name] = mean
+        return out
+
+    @pytest.mark.parametrize("mode", ["pkf", "spkf"])
+    def test_running_fit_equals_the_sum_over_every_other_leg_bit_for_bit(self, mode):
+        """Over 60 random chains of one or two roots and one or two chained
+        legs, the running fit makes the same additions in the same order as
+        the sum over every other leg: every state's mean, covariance, prior
+        norm, scale and conservation residual agree bit for bit."""
+        rng = np.random.default_rng(37)
+        shapes = set()
+        for _ in range(60):
+            (legs, chain, operators, root_deltas, mapping, delta_Y, (leg_Q, root_P0, R),
+             horizon, chained, _) = _random_chain(rng)
+            shapes.add((len(root_deltas), len(chained)))
+            states = run_leg_chain(
+                legs, chain, operators, root_deltas, mapping, delta_Y,
+                config=ChainFilterConfig(mode=mode, cumulative_horizon=horizon),
+                leg_Q=leg_Q, root_P0=root_P0, R=R,
+            )
+            want = self._every_other_leg(legs, chain, operators, root_deltas, mapping,
+                                         delta_Y, mode, leg_Q, root_P0, R)
+            assert states.keys() == want.keys()
+            for name, (mean, cov, prior_norm, scale, residual) in want.items():
+                got = states[name]
+                assert got.state.mean.tobytes() == mean.tobytes(), name
+                assert got.state.cov.tobytes() == np.asarray(cov, dtype=float).tobytes(), name
+                assert (got.prior_norm, got.scale, got.conservation_residual) == (
+                    prior_norm, scale, residual), name
+        assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}  # every shape was drawn
 
 
 class TestRootDeviations:
