@@ -176,15 +176,6 @@ class LoadResult:
         return float(sum(self.spillover.values()))
 
 
-def _used_links(net: Network) -> list[str]:
-    seen: list[str] = []
-    for od in sorted(net.paths):
-        for lid in net.paths[od].links:
-            if lid not in seen:
-                seen.append(lid)
-    return seen
-
-
 def _link_order(net: Network) -> list[str]:
     """Topological order of used links under same-interval feeding, built
     once per network (``Network.plans``): the order in which a pass visits
@@ -202,10 +193,12 @@ def _link_order(net: Network) -> list[str]:
 
 
 def _feeding_order(net: Network) -> list[str]:
-    used = _used_links(net)
-    succs: dict[str, set[str]] = {lid: set() for lid in used}
+    # every used link, in the order the paths first reach it
+    succs: dict[str, set[str]] = {}
     for od in sorted(net.paths):
         seq = net.paths[od].links
+        for lid in seq:
+            succs.setdefault(lid, set())
         for a, b in zip(seq, seq[1:]):
             succs[a].add(b)
     order: list[str] = []
@@ -230,7 +223,7 @@ def _feeding_order(net: Network) -> list[str]:
     # pieces wait at once: Kahn's order (``graphlib``), with sources moved
     # as below, raises toy-3's experiment heap peak under tracemalloc from
     # 675,463 B to 1,023,997 B (seed 20260825, Python 3.11).
-    for lid in used:
+    for lid in succs:
         visit(lid)
     del visit  # the recursive closure is a reference cycle; break it now
     order.reverse()
@@ -348,17 +341,17 @@ def _propagate(
     grid: TimeGrid,
     plan: _Routes,
     matrix: np.ndarray,
-    cells: np.ndarray,
     link_time: Callable[[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> dict[str, float]:
     """Move departure parcels along fixed routes, one link at a time over the day.
 
-    Every cell ``(r, k)`` of the ``(routes, intervals)`` mask ``cells`` whose
-    route is not empty departs ``matrix[r, k]`` uniformly over interval
-    ``k`` onto the first link of ``plan.routes[r]``.  A first link's
-    departures are built when its turn comes, in (interval, route) order,
-    which is chronological, from the rows of the routes that start there
-    (``plan.by_first``), so no other first link's departures exist meanwhile.
+    Every cell ``(r, k)`` of the ``(routes, intervals)`` demand ``matrix``
+    with ``matrix[r, k] > 0`` whose route is not empty departs that mass
+    uniformly over interval ``k`` onto the first link of ``plan.routes[r]``.
+    A first link's departures are read off ``matrix`` when its turn comes, in
+    (interval, route) order, which is chronological, from the rows of the
+    routes that start there (``plan.by_first``), so no other first link's
+    departures exist meanwhile.
     A parcel enters its link uniformly over a window ``[a, b)`` within one
     interval ``h`` and carries its cell ``r * n_intervals + k``, its mass
     and its sort key (below).
@@ -420,7 +413,7 @@ def _propagate(
         if rows.size:
             # (interval, route) order: chronological, so a link where trips
             # only start needs no sort
-            k, r = np.nonzero(cells[rows].T)
+            k, r = np.nonzero(matrix[rows].T > 0.0)
             if k.size:
                 # the departures join first, keyed k * (n_h + 1) + (-1) + 1
                 r = rows[r]
@@ -580,7 +573,7 @@ def load_network(
         link_tt[lid] = tt
         return tt
 
-    spill = _propagate(grid, plan, demand.matrix, demand.matrix > 0.0, link_time)
+    spill = _propagate(grid, plan, demand.matrix, link_time)
     return LoadResult(counts=LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts),
                       link_tt=link_tt, spillover=spill, plan=plan)
 
@@ -609,8 +602,7 @@ def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
             counts[c] = inflow
         return bpr_travel_time(net.links[lid], inflow / hours)
 
-    _propagate(grid, _route_plan(net, demand.od_index, cut=True), demand.matrix,
-               demand.matrix > 0.0, link_time)
+    _propagate(grid, _route_plan(net, demand.od_index, cut=True), demand.matrix, link_time)
     return LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts)
 
 
@@ -799,9 +791,8 @@ def assignment_matrix(net: Network, od_index: tuple[OD, ...], load: LoadResult) 
             blocks[c] = block.reshape(n_h, width, ods.size)
         return load.link_tt[lid]
 
-    # views, no arrays: a unit departure from every cell
-    shape = (len(od_index), n_h)
-    _propagate(grid, plan, np.broadcast_to(1.0, shape), np.broadcast_to(True, shape), link_time)
+    # a view, no array: a unit departure from every cell
+    _propagate(grid, plan, np.broadcast_to(1.0, (len(od_index), n_h)), link_time)
     band = np.zeros((n_h, max((b.shape[1] for b in blocks.values()), default=1),
                      plan.pairs.shape[1]))
     while blocks:

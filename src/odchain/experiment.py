@@ -412,7 +412,6 @@ def _leg_noise(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matrix:
     count the mean positive count."""
     hist = artifacts.history
     mean_flow = _positive_mean(hist_matrix)
-    mean_count = _positive_mean(hist.load.counts.counts)
     n_od = len(artifacts.od_index)
     leg_Q: dict[str, np.ndarray] = {}
     root_P0: dict[str, np.ndarray] = {}
@@ -425,7 +424,8 @@ def _leg_noise(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matrix:
             leg_Q[name] = (cfg.noise.leg_process * mean_leg) ** 2 * np.eye(n_od)
 
     cum_hist = hist.load.counts.cumulative()[:, cfg.cutoff_index - 1]
-    mean_cum = _positive_mean(cum_hist) if (cum_hist > 0).any() else mean_count
+    mean_cum = (_positive_mean(cum_hist) if (cum_hist > 0).any()
+                else _positive_mean(hist.load.counts.counts))
     R_cum = (cfg.noise.cumulative_measurement * mean_cum) ** 2 * np.eye(len(cum_hist))
     return leg_Q, root_P0, R_cum
 

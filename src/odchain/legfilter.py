@@ -10,8 +10,9 @@ topological order, from its operator and its feeders' rebuilt flows
 (``chain_consistent_legs``), so the history the chain starts from keeps
 the tour; chained legs then inherit their feeders' deviations through the
 redistribution operators, and cumulative detector counts up to a horizon
-correct each leg in turn.  The optional conservation step rescales a leg so
-its estimated total matches its feeders'.
+correct each leg in turn.  spkf's conservation step, written inside
+``run_leg_chain``, rescales a leg so its estimated total matches its
+feeders'.
 
 Each chained leg's estimate, its rebuilt flows plus its deviation, is then
 scaled by ``leg_retention``: the share of its feeders' arrivals that the
@@ -245,29 +246,6 @@ def leg_time_update(
     return FilterState(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def scale_factor(current: np.ndarray, predecessors: list[np.ndarray]) -> float:
-    """Ratio of the leg's estimated total to its feeders' estimated total.
-
-    Raises:
-        ValueError: if the feeders' total is not positive.
-    """
-    fed = float(np.sum([np.asarray(p, dtype=float).sum() for p in predecessors]))
-    if fed <= 0.0:
-        raise ValueError(f"feeding legs total {fed!r}; conservation scale undefined")
-    return float(np.asarray(current, dtype=float).sum()) / fed
-
-
-def apply_conservation(estimate: np.ndarray, scale: float) -> np.ndarray:
-    """Divide a leg estimate by its scale so totals match the feeders'.
-
-    Raises:
-        ValueError: for a nonpositive scale.
-    """
-    if scale <= 0.0:
-        raise ValueError(f"conservation scale must be > 0, got {scale!r}")
-    return np.asarray(estimate, dtype=float) / scale
-
-
 def run_leg_chain(
     legs: dict[str, DemandLeg],
     chain: ChainSpec,
@@ -288,13 +266,18 @@ def run_leg_chain(
     chained leg, in topological order, is time-updated from its finalized
     feeders and corrected against ``delta_Y − fitted``, net of the counts
     already fitted to the roots and the chained legs before it; "spkf" then
-    rescales it to conserve the feeders' total.  Each final leg adds its
+    divides its estimate, rebuilt flows plus deviation, by the scale ``s``,
+    its estimated total over its feeders' estimated total, so the two totals
+    match, and divides its covariance by ``s²``; ``conservation_residual`` is
+    the absolute difference of the two totals left after.  Each final leg adds its
     ``mapping.matrix(leg) @ mean`` to ``fitted``.
 
     Raises:
         ConfigurationError: if ``config.cumulative_horizon`` is not the
             horizon of ``mapping``, a leg lacks its inputs, or
             ``root_deltas`` names a leg that is no root.
+        ValueError: in "spkf", naming the leg, if its feeders' estimated
+            total or its scale is not positive.
     """
     if config.cumulative_horizon != mapping.horizon:
         raise ConfigurationError(
@@ -331,13 +314,16 @@ def run_leg_chain(
         leg_state = LegState(state=post, prior_norm=float(np.linalg.norm(pred.mean)))
         if config.mode == "spkf":
             estimate = legs[name].flows + post.mean
-            fed = [legs[f].flows + states[f].state.mean for f in feeders]
-            s = scale_factor(estimate, fed)
-            rescaled = apply_conservation(estimate, s)
+            fed = float(np.sum([(legs[f].flows + states[f].state.mean).sum() for f in feeders]))
+            if fed <= 0.0:
+                raise ValueError(f"leg {name!r}: feeding legs total {fed!r}; "
+                                 "conservation scale undefined")
+            s = float(estimate.sum()) / fed
+            if s <= 0.0:
+                raise ValueError(f"leg {name!r}: conservation scale must be > 0, got {s!r}")
+            rescaled = estimate / s
             leg_state.scale = s
-            leg_state.conservation_residual = float(
-                abs(rescaled.sum() - np.sum([f.sum() for f in fed]))
-            )
+            leg_state.conservation_residual = float(abs(rescaled.sum() - fed))
             leg_state.state = FilterState(
                 mean=rescaled - legs[name].flows, cov=post.cov / (s * s)
             )

@@ -271,8 +271,6 @@ def propagate_leg_deviation(op: LegOperator, deviations: list[np.ndarray]) -> np
     Raises:
         ConfigurationError: on a dimension mismatch.
     """
-    if not deviations:
-        return np.zeros(len(op.od_index))
     total = np.zeros(len(op.od_index))
     for dev in deviations:
         arr = np.asarray(dev, dtype=float)

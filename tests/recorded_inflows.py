@@ -15,12 +15,12 @@ def load_with_inflows(net, demand, frozen_link_tt=None):
     inflow = {}
     kernel = assignment._propagate
 
-    def recording(grid, plan, matrix, cells, link_time):
+    def recording(grid, plan, matrix, link_time):
         def recorded(lid, flow, *rest):
             inflow[lid] = flow
             return link_time(lid, flow, *rest)
 
-        return kernel(grid, plan, matrix, cells, recorded)
+        return kernel(grid, plan, matrix, recorded)
 
     assignment._propagate = recording
     try:

@@ -440,8 +440,7 @@ def add_at_band(net, demand):
         return link_tt[lid]
 
     plan = assignment_mod._route_plan(net, demand.od_index, cut=True)
-    assignment_mod._propagate(grid, plan, np.ones(demand.matrix.shape),
-                              np.ones(demand.matrix.shape, dtype=bool), link_time)
+    assignment_mod._propagate(grid, plan, np.ones(demand.matrix.shape), link_time)
     k, lag, c, oi, mass = (np.concatenate(col) for col in zip(*crossings))
     band = np.zeros((n_h, int(lag.max(initial=0)) + 1, len(net.detectors),
                      len(demand.od_index)))
@@ -486,7 +485,8 @@ class TestBandSums:
 
 
 class RowsRead(np.ndarray):
-    """A view of an array that adds to ``log`` the rows each index reads."""
+    """A view of an array that adds to ``log`` the rows each index reads,
+    and every row when a ufunc reads the whole array."""
 
     def __new__(cls, a, log):
         view = np.asarray(a).view(cls)
@@ -501,13 +501,18 @@ class RowsRead(np.ndarray):
         self.log.update(np.arange(self.shape[0])[rows].ravel().tolist())
         return np.asarray(super().__getitem__(index))
 
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.log.update(range(self.shape[0]))
+        inputs = [np.asarray(x) if isinstance(x, RowsRead) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
 
 class TestHandOver:
     """A pass builds a first link's departures when that link's turn comes,
-    from the demand and mask rows of the routes that start there, and hands
-    them over to that link's batch.  By its first callback it has read no
-    row of a route that starts at another link, so no other first link's
-    departures exist."""
+    from the demand rows of the routes that start there, and hands them over
+    to that link's batch.  By its first callback it has read no row of a
+    route that starts at another link, and has computed nothing over the
+    whole demand, so no other first link's departures exist."""
 
     @pytest.mark.parametrize("call", [
         lambda demand, _: load_network(TOY, demand),
@@ -518,14 +523,14 @@ class TestHandOver:
         real = assignment_mod._propagate
         read, at_first_callback, plans = set(), [], []
 
-        def propagate(grid, plan, matrix, cells, link_time):
+        def propagate(grid, plan, matrix, link_time):
             def watched(*args):
                 if not at_first_callback:
                     at_first_callback.append(set(read))
                 return link_time(*args)
 
             plans.append(plan)
-            return real(grid, plan, RowsRead(matrix, read), RowsRead(cells, read), watched)
+            return real(grid, plan, RowsRead(matrix, read), watched)
 
         demand = toy_demand(TimeGrid(n_intervals=12), TestBandSums.CONGESTED)
         load = load_network(TOY, demand)  # the linearization's times, loaded beforehand

@@ -7,7 +7,6 @@ from odchain.errors import ConfigurationError
 from odchain.kalman import FilterState, kf_measurement_update
 from odchain.legfilter import (
     ChainFilterConfig,
-    apply_conservation,
     attribute_interval_deviations,
     chain_consistent_legs,
     combined_demand,
@@ -16,7 +15,6 @@ from odchain.legfilter import (
     predict_horizon,
     root_deviations,
     run_leg_chain,
-    scale_factor,
 )
 from odchain.legs import ChainSpec, DemandLeg, build_leg_operator
 from test_acceptance import _random_chain
@@ -135,24 +133,6 @@ class TestLegTimeUpdate:
             leg_time_update([state], op, np.array(Q))
 
 
-class TestConservationHelpers:
-    def test_scale_factor(self):
-        assert scale_factor(np.array([20000.0]), [np.array([26000.0])]) == \
-            pytest.approx(20000.0 / 26000.0, abs=1e-15)
-
-    def test_scale_factor_needs_positive_feeders(self):
-        with pytest.raises(ValueError):
-            scale_factor(np.array([10.0]), [np.array([0.0])])
-
-    def test_apply_conservation(self):
-        out = apply_conservation(np.array([10.0, 20.0]), 2.0)
-        assert np.allclose(out, [5.0, 10.0])
-
-    def test_apply_conservation_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            apply_conservation(np.array([1.0]), 0.0)
-
-
 def two_leg_setup():
     chain = ChainSpec(feeds={"out": (), "back": ("out",)})
     out = leg2("out", [200.0, 0.0], (("a", "b"),))
@@ -227,6 +207,24 @@ class TestRunLegChain:
         s = spkf["back"].scale
         assert s != 1.0
         assert np.allclose(spkf["back"].state.cov, pkf["back"].state.cov / s**2, atol=1e-10)
+
+    @pytest.mark.parametrize("root_delta, delta_Y, message", [
+        ([-200.0, 0.0], [0.0], r"leg 'back': feeding legs total 0\.0; conservation scale undefined"),
+        ([-250.0, 0.0], [0.0], r"leg 'back': feeding legs total -50\.0; conservation scale"),
+        ([0.0, 0.0], [-1e6], r"leg 'back': conservation scale must be > 0, got -"),
+    ], ids=["feeders-zero", "feeders-negative", "scale-negative"])
+    def test_spkf_conservation_errors_name_the_leg(self, root_delta, delta_Y, message):
+        """spkf's rescale needs a positive feeders' estimated total and a
+        positive scale; pkf runs the same inputs without a rescale."""
+        chain, legs, operators, mapping, noise = two_leg_setup()
+        args = (legs, chain, operators, {"out": np.array(root_delta)}, mapping,
+                np.array(delta_Y))
+        kwargs = dict(leg_Q=noise["leg_Q"], root_P0=noise["root_P0"], R=noise["R"])
+        run_leg_chain(*args, config=ChainFilterConfig(mode="pkf", cumulative_horizon=0),
+                      **kwargs)
+        with pytest.raises(ValueError, match=message):
+            run_leg_chain(*args, config=ChainFilterConfig(mode="spkf", cumulative_horizon=0),
+                          **kwargs)
 
     def test_missing_root_prior_rejected(self):
         chain, legs, operators, mapping, noise = two_leg_setup()
@@ -312,8 +310,8 @@ class TestRunLegChain:
             if mode == "spkf":
                 estimate = legs[name].flows + mean
                 fed = [legs[f].flows + out[f][0] for f in feeders]
-                scale = scale_factor(estimate, fed)
-                rescaled = apply_conservation(estimate, scale)
+                scale = float(estimate.sum()) / float(np.sum([f.sum() for f in fed]))
+                rescaled = estimate / scale
                 residual = float(abs(rescaled.sum() - np.sum([f.sum() for f in fed])))
                 mean, cov = rescaled - legs[name].flows, cov / (scale * scale)
             out[name] = (mean, cov, float(np.linalg.norm(pred.mean)), scale, residual)
