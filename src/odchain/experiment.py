@@ -403,13 +403,15 @@ def _noise_models(cfg: ScenarioConfig, artifacts: ExperimentArtifacts):
     return NoiseModel(Q=Q, R=R), P0
 
 
-def _leg_noise(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matrix: np.ndarray):
+def _leg_noise(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matrix: np.ndarray,
+               cum_hist: np.ndarray):
     """The leg chain's noise at the history's demand ``hist_matrix``: a prior
     covariance for each root leg and a process noise for each chained leg,
-    the only ones ``run_leg_chain`` reads, and the cumulative counts'
-    measurement noise at the cutoff.  A leg with no positive flow takes the
-    history's mean positive flow, and counts with no positive cumulative
-    count the mean positive count."""
+    the only ones ``run_leg_chain`` reads, and the measurement noise of
+    ``cum_hist``, the history's cumulative counts at the cutoff, which
+    ``_estimate`` sums.  A leg with no positive flow takes the history's mean
+    positive flow, and a ``cum_hist`` with no positive entry the mean
+    positive count."""
     hist = artifacts.history
     mean_flow = _positive_mean(hist_matrix)
     n_od = len(artifacts.od_index)
@@ -423,7 +425,6 @@ def _leg_noise(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, hist_matrix:
         else:
             leg_Q[name] = (cfg.noise.leg_process * mean_leg) ** 2 * np.eye(n_od)
 
-    cum_hist = hist.load.counts.cumulative()[:, cfg.cutoff_index - 1]
     mean_cum = (_positive_mean(cum_hist) if (cum_hist > 0).any()
                 else _positive_mean(hist.load.counts.counts))
     R_cum = (cfg.noise.cumulative_measurement * mean_cum) ** 2 * np.eye(len(cum_hist))
@@ -482,8 +483,9 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
     (``artifacts`` is the caller's own copy, and its ``assignment`` is set
     to ``None``) before the operators, the rebuilt history, the retentions,
     the root deviations, the cumulative count deviation and the leg chain's
-    noise are built.  With no chain model the band is freed after the
-    filter.  The leg chain's inputs are freed before the assembly.
+    noise are built, the last two from ``cum_hist``, the history's counts
+    summed along the day once.  With no chain model the band is freed after
+    the filter.  The leg chain's inputs are freed before the assembly.
 
     Each stage runs under ``_stage``: its time goes to every row that shares
     it, and a failure marks those rows failed (a failure of the filtering
@@ -578,8 +580,10 @@ def _estimate(cfg: ScenarioConfig, artifacts: ExperimentArtifacts, rows: dict[st
             retention = notes["leg_retention"]
             retention.update((n, leg_retention(hist.legs[n], consistent[n])) for n in chained)
             roots = root_deviations(deltas, [hist.legs[n] for n in chain.roots()])
-            delta_Y = (artifacts.observed.cumulative() - hist.load.counts.cumulative())[:, cut - 1]
-            leg_Q, root_P0, R_cum = _leg_noise(cfg, artifacts, hist_matrix)
+            # a copy, so the day's running totals are freed here
+            cum_hist = hist.load.counts.cumulative()[:, cut - 1].copy()
+            delta_Y = artifacts.observed.cumulative()[:, cut - 1] - cum_hist
+            leg_Q, root_P0, R_cum = _leg_noise(cfg, artifacts, hist_matrix, cum_hist)
     # with no chain model, or a failed mapping, the filter was the band's
     # last reader
     artifacts.assignment = None

@@ -26,8 +26,8 @@ a symmetric covariance, and positive semidefiniteness up to
 exists, decides the check and is the state's root; only where it does not
 does a Cholesky factorization of the covariance shifted by that bound
 decide, and a pivoted Cholesky factorization give the root.  The time update
-hands its prior's new arrays to the same checks without copying them.
-A posterior, built from its root, is checked finite only.
+builds its prior with that constructor.  A posterior, built from its root,
+is checked finite only.
 
 A sequence run keeps what is read after it: every posterior mean, every
 step's diagnostics, and only the last posterior, the one state that the time
@@ -167,14 +167,13 @@ class FilterState:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"covariance {cov.shape} does not match state of dimension {n}")
-        object.__setattr__(self, "root", read_only_view(_checked_root(mean, cov)))
-
-    @classmethod
-    def _from_cov(cls, mean: np.ndarray, cov: np.ndarray) -> "FilterState":
-        """The state of ``mean`` and ``cov``, new float arrays of shapes
-        ``(n,)`` and ``(n, n)`` that the state makes read-only and keeps,
-        checked as the constructor checks them."""
-        return cls._adopt(mean, cov, _checked_root(mean, cov))
+        if not np.isfinite(mean).all():
+            raise ValueError("state mean has non-finite entries")
+        check_noise_matrix("covariance", cov)
+        root = _psd_root(cov)
+        if root is None:
+            raise ValueError("covariance is not positive semidefinite")
+        object.__setattr__(self, "root", read_only_view(root))
 
     @classmethod
     def _from_root(cls, mean: np.ndarray, root: np.ndarray) -> "FilterState":
@@ -184,13 +183,9 @@ class FilterState:
             raise ValueError("state mean has non-finite entries")
         if not np.isfinite(root).all():
             raise ValueError("covariance has non-finite entries")
-        # numpy forms a @ a.T with one symmetric rank-k update: exactly symmetric
-        return cls._adopt(mean, root @ root.T, root)
-
-    @classmethod
-    def _adopt(cls, mean: np.ndarray, cov: np.ndarray, root: np.ndarray) -> "FilterState":
         state = object.__new__(cls)
-        for name, value in (("mean", mean), ("cov", cov), ("root", root)):
+        # numpy forms a @ a.T with one symmetric rank-k update: exactly symmetric
+        for name, value in (("mean", mean), ("cov", root @ root.T), ("root", root)):
             value.setflags(write=False)
             object.__setattr__(state, name, value)
         return state
@@ -198,18 +193,6 @@ class FilterState:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-def _checked_root(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``FilterState``'s checks of a mean and a covariance of matching
-    shapes, raising its ``ValueError``; returns the covariance's root."""
-    if not np.isfinite(mean).all():
-        raise ValueError("state mean has non-finite entries")
-    check_noise_matrix("covariance", cov)
-    root = _psd_root(cov)
-    if root is None:
-        raise ValueError("covariance is not positive semidefinite")
-    return root
 
 
 def check_noise_matrix(name: str, m: np.ndarray) -> None:
@@ -283,8 +266,8 @@ def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) ->
     its root is the Cholesky factor that its check computes.  The identity
     random walk is applied as ``Q + P`` and ``P``'s mean, which is what the
     products give bit for bit: the identity's zeros add only ``0.0`` terms.
-    Both arrays are new, so the prior keeps them as they are, checked as
-    ``FilterState`` checks a covariance and then made read-only.
+    The prior is built by ``FilterState``'s constructor, which checks it
+    and keeps read-only views of these new arrays without copying them.
 
     Raises:
         ConfigurationError: if ``states`` is empty, or ``Q`` or ``F`` is not
@@ -301,8 +284,8 @@ def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) ->
             f"state of dimension {s.dim}")
     if ar.is_identity:
         # + 0.0 turns -0.0 into 0.0, as the identity's products summed from zero do
-        return FilterState._from_cov(s.mean + 0.0, _symmetrize(Q + s.cov))
-    return FilterState._from_cov(f @ s.mean, _symmetrize(Q + f @ s.cov @ f.T))
+        return FilterState(mean=s.mean + 0.0, cov=_symmetrize(Q + s.cov))
+    return FilterState(mean=f @ s.mean, cov=_symmetrize(Q + f @ s.cov @ f.T))
 
 
 @functools.lru_cache(maxsize=None)

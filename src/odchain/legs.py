@@ -151,32 +151,6 @@ class ChainSpec:
         return tuple(leg for leg in self.topological_order() if not self.feeds.get(leg))
 
 
-def leg_fractions(leg: DemandLeg) -> np.ndarray:
-    """Per-OD share of its origin zone's generated total, over the full index.
-
-    For every zone with outgoing flow the member fractions sum to one.  A
-    member zone whose generated total is zero gets all-zero fractions and a
-    logged warning: arrivals chained into it are dropped rather than invented.
-    """
-    totals: dict[str, float] = {}
-    members = set(leg.members)
-    member_origins = {od[0] for od in members}
-    for i, (origin, _) in enumerate(leg.od_index):
-        totals[origin] = totals.get(origin, 0.0) + float(leg.flows[i])
-    fractions = np.zeros(len(leg.od_index))
-    for i, od in enumerate(leg.od_index):
-        g = totals.get(od[0], 0.0)
-        if od in members and g > 0.0:
-            fractions[i] = leg.flows[i] / g
-    dead = sorted(z for z in member_origins if totals.get(z, 0.0) <= 0.0)
-    if dead:
-        logger.warning(
-            "leg %s: zones %s generate no flow; chained arrivals there are dropped",
-            leg.name, dead,
-        )
-    return fractions
-
-
 @dataclass(frozen=True)
 class LegOperator:
     """Square matrix sending predecessor OD deviations to the current leg's.
@@ -217,8 +191,10 @@ def build_leg_operator(
 ) -> LegOperator:
     """Construct the redistribution operator of ``current`` from its feeders.
 
-    With ``uniform_redistribution`` the historical fractions are flattened to
-    a uniform split over each zone's outgoing member ODs.
+    Arrivals at a zone are split over its outgoing member ODs by their
+    shares of its generated total, which sum to one; a zone that generates
+    nothing gets zeros, dropping its arrivals rather than inventing them, and
+    a logged warning.  ``uniform_redistribution`` weighs each such OD as one.
 
     Raises:
         ConfigurationError: if the predecessors do not match the chain spec
@@ -238,17 +214,24 @@ def build_leg_operator(
 
     n = len(current.od_index)
     origins_out: dict[str, list[int]] = {}
-    members = set(current.members)
-    for i, od in enumerate(current.od_index):
-        if od in members:
-            origins_out.setdefault(od[0], []).append(i)
+    for i in current.member_indices().tolist():
+        origins_out.setdefault(current.od_index[i][0], []).append(i)
 
-    if uniform_redistribution:
-        fractions = np.zeros(n)
-        for rows in origins_out.values():
-            fractions[rows] = 1.0 / len(rows)
-    else:
-        fractions = leg_fractions(current)
+    weights = np.ones(n) if uniform_redistribution else current.flows
+    fractions = np.zeros(n)
+    dead = []
+    for zone, rows in origins_out.items():
+        # in OD-index order: the builtin sum compensates from Python 3.12 on
+        total = 0.0
+        for weight in weights[rows].tolist():
+            total += weight
+        if total > 0.0:
+            fractions[rows] = weights[rows] / total
+        else:
+            dead.append(zone)
+    if dead:
+        logger.warning("leg %s: zones %s generate no flow; chained arrivals there are dropped",
+                       current.name, sorted(dead))
 
     fed_ods = sorted({od for leg in predecessors for od in leg.members})
     matrix = np.zeros((n, n))

@@ -369,6 +369,22 @@ class TestRunExperiment:
                          "root_deviations": 1, "chain_consistent_legs": 1,
                          "build_leg_operator": len(chained)}
 
+    def test_each_count_series_is_summed_along_the_day_once(self, toy_cfg, monkeypatch):
+        """A run takes the running totals of two count series, once each:
+        the observed counts and the history's counts, which the cumulative
+        count deviation and the leg chain's measurement noise share."""
+        summed = []
+        real = odchain.assignment.LinkFlowSeries.cumulative
+
+        def counted(series):
+            summed.append(series)
+            return real(series)
+
+        monkeypatch.setattr(odchain.assignment.LinkFlowSeries, "cumulative", counted)
+        report = run_experiment(toy_cfg)
+        assert all(row.status == "ok" for row in report.rows)
+        assert len(summed) == 2 and summed[0] is not summed[1]
+
     @pytest.mark.parametrize("stage, failing", [
         pytest.param(stage, failing, id=stage) for stage, failing in (
             ("run_kf_sequence", ("kf", "pkf", "spkf")),
@@ -684,8 +700,10 @@ class TestRunExperiment:
     def test_noise_models_build_what_the_leg_chain_reads(self, toy_cfg, toy_artifacts):
         """A prior covariance for each root leg, a process noise for each
         chained leg, and nothing else."""
+        history = toy_artifacts.history
         leg_Q, root_P0, _ = odchain.experiment._leg_noise(
-            toy_cfg, toy_artifacts, toy_artifacts.history.demand.matrix)
+            toy_cfg, toy_artifacts, history.demand.matrix,
+            history.load.counts.cumulative()[:, toy_cfg.cutoff_index - 1])
         chain = toy_artifacts.chain
         assert set(root_P0) == set(chain.roots())
         assert set(leg_Q) == {n for n in chain.topological_order() if chain.feeds.get(n)}
@@ -752,10 +770,11 @@ class TestRelativeFilter:
         that sets it in code runs silently, to the default's estimates: the
         scenario reader alone warns of the key."""
         hist = toy_artifacts.history.demand.matrix
+        cum_hist = toy_artifacts.history.load.counts.cumulative()[:, toy_cfg.cutoff_index - 1]
 
         def noise(cfg):
             return (*odchain.experiment._noise_models(cfg, toy_artifacts),
-                    *odchain.experiment._leg_noise(cfg, toy_artifacts, hist))
+                    *odchain.experiment._leg_noise(cfg, toy_artifacts, hist, cum_hist))
 
         base = noise(toy_cfg)
         cfg = dataclasses.replace(toy_cfg, noise=dataclasses.replace(toy_cfg.noise, process=0.05))

@@ -8,7 +8,6 @@ from odchain.legs import (
     DemandLeg,
     LegOperator,
     build_leg_operator,
-    leg_fractions,
     propagate_leg_deviation,
     two_od_closed_form,
 )
@@ -113,23 +112,6 @@ class TestChainSpec:
             ChainSpec(feeds={"a": (), "b": ("a", "a")})
 
 
-class TestLegFractions:
-    def test_shares_of_origin_total(self):
-        # one origin generating 150 split 100/50 -> fractions 2/3 and 1/3
-        leg = make_leg("back", [0, 0, 100.0, 50.0], (("w", "h1"), ("w", "h2")))
-        f = leg_fractions(leg)
-        assert f[2] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert f[3] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert f[0] == 0.0 and f[1] == 0.0
-
-    def test_zero_outflow_zone_warns(self, caplog):
-        leg = make_leg("back", [0, 0, 0.0, 0.0], (("w", "h1"), ("w", "h2")))
-        with caplog.at_level("WARNING"):
-            f = leg_fractions(leg)
-        assert (f == 0.0).all()
-        assert any("no flow" in r.message for r in caplog.records)
-
-
 class TestLegOperator:
     def test_rejects_entries_outside_unit_interval(self):
         m = np.zeros((4, 4))
@@ -160,19 +142,35 @@ class TestBuildLegOperator:
         return chain, out, back
 
     def test_columns_carry_origin_fractions(self):
+        """w generates 150, split 100/50: both morning columns redistribute
+        arrivals at w by each OD's share of that total, 2/3 and 1/3."""
         chain, out, back = self._pair()
         op = build_leg_operator(chain, [out], back)
-        # both morning columns redistribute arrivals at w by 2/3 vs 1/3
         for col in (0, 1):
-            assert op.matrix[2, col] == pytest.approx(2.0 / 3.0, abs=1e-12)
-            assert op.matrix[3, col] == pytest.approx(1.0 / 3.0, abs=1e-12)
+            assert op.matrix[:, col].tolist() == [0.0, 0.0, 100.0 / 150.0, 50.0 / 150.0]
         assert op.matrix[:, 2:].sum() == 0.0
+
+    def test_zone_without_flow_drops_its_arrivals_and_warns(self, caplog):
+        """A member zone that generates nothing gets all-zero columns: the
+        arrivals chained into it are dropped rather than invented, and a
+        warning names the zone.  The uniform split ignores the flows, so it
+        splits there as anywhere and warns of nothing."""
+        chain, out, back = self._pair(back_flows=(0.0, 0.0))
+        with caplog.at_level("WARNING", logger="odchain"):
+            op = build_leg_operator(chain, [out], back)
+        assert (op.matrix == 0.0).all()
+        assert [r.getMessage() for r in caplog.records] == [
+            "leg back: zones ['w'] generate no flow; chained arrivals there are dropped"]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="odchain"):
+            op = build_leg_operator(chain, [out], back, uniform_redistribution=True)
+        assert caplog.records == []
+        assert op.matrix[2:, :2].tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_uniform_redistribution(self):
         chain, out, back = self._pair()
         op = build_leg_operator(chain, [out], back, uniform_redistribution=True)
-        assert op.matrix[2, 0] == pytest.approx(0.5)
-        assert op.matrix[3, 0] == pytest.approx(0.5)
+        assert op.matrix[2:, :2].tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_feeder_mismatch(self):
         chain, out, back = self._pair()
