@@ -401,6 +401,12 @@ def _propagate(
     # interval edges as grid.bounds gives them; nothing is cut past the end
     edges = np.append(grid.start + grid.interval_minutes * np.arange(n_h + 1.0), np.inf)
     order, succ, fanout = plan.order, plan.succ, plan.fanout
+    # a multi-consumer link sorts its pieces by their next link's position in
+    # ``order``, cast to the narrowest unsigned type that holds every
+    # position: numpy sorts 8- and 16-bit integers stably by radix, to the
+    # permutation a stable sort of the positions themselves gives
+    next_dtype = (np.uint8 if len(order) <= 1 << 8
+                  else np.uint16 if len(order) <= 1 << 16 else succ.dtype)
 
     # per link, the batches of parcels waiting to enter it, in their
     # senders' order: (cell, sort key, a, b, mass)
@@ -479,7 +485,7 @@ def _propagate(
         pieces = np.flatnonzero(keep)
         del go, keep
         if len(fanout[i]) > 1:
-            pieces = pieces[np.argsort(nxt[pieces >> 1], kind="stable")]
+            pieces = pieces[np.argsort(nxt[pieces >> 1].astype(next_dtype), kind="stable")]
         rows, past = pieces >> 1, (pieces & 1).astype(bool)
         at = np.add(pieces, rows, out=pieces)  # piece 2j + past starts at 3j + past
         del pieces
@@ -714,19 +720,21 @@ class AssignmentMatrix:
         return rows
 
     @functools.cached_property
-    def _flat_pairs(self) -> np.ndarray:
-        """Each pair's index ``c * n_od + i`` in a raveled ``(C, OD)`` matrix."""
+    def pair_matrix(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``pair_matrix(values)`` is the ``(C, OD)`` matrix holding
+        ``values`` at the P pairs and zero at every other (channel, OD) cell.
+        The scatter holds the pairs' flat index and not the band, so a reader
+        may keep it once the band is freed."""
         c, i = self.pairs
-        flat = c * len(self.od_index) + i
-        flat.setflags(write=False)
-        return flat
+        shape = (len(self.channels), len(self.od_index))
+        flat = c * shape[1] + i
 
-    def pair_matrix(self, values: np.ndarray) -> np.ndarray:
-        """The ``(C, OD)`` matrix holding ``values`` at the P pairs and zero
-        at every other (channel, OD) cell."""
-        matrix = np.zeros((len(self.channels), len(self.od_index)))
-        matrix.ravel()[self._flat_pairs] = values
-        return matrix
+        def scatter(values: np.ndarray) -> np.ndarray:
+            matrix = np.zeros(shape)
+            matrix.ravel()[flat] = values
+            return matrix
+
+        return scatter
 
     def predict_counts(self, demand_matrix: np.ndarray) -> np.ndarray:
         """Counts implied by the frozen linearization, sum_k H[k -> h] x_k:

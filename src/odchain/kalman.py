@@ -5,7 +5,7 @@ historical matrix.  The identity random walk carries it to the next interval
 (prior covariance ``P + Q``); counts observed at h are a linear function of
 the state through one measurement matrix per interval.  The sequence runner
 asks its caller for interval h's matrix, so this module does not know how
-the linearization is stored.  The experiment's provider scatters rows of
+the linearization is stored.  Estimation's provider scatters rows of
 ``AssignmentMatrix.lag_rows`` of the one frozen linearization: the pieces of
 every lag summed, each scaled by the historical demand of the interval it
 reads, so the state is the relative deviation that those intervals share.
@@ -432,7 +432,7 @@ def run_kf_sequence(
     ``delta_y`` is (n_channels, n_steps): observed minus historical counts,
     one column per filtered interval.
     ``H_at(h)`` gives interval ``h``'s ``(n_channels, n_od)`` measurement
-    matrix (the experiment's provider scatters a row of
+    matrix (estimation's provider scatters a row of
     ``AssignmentMatrix.lag_rows``).  The innovation is
     ``delta_y[:, h] - H @ prior.mean``.
 

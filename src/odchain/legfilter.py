@@ -30,7 +30,7 @@ loader.  A leg's term, a per-OD vector spread over its departure shares on
 its member rows, comes from the one routine ``legs.leg_terms``: the root
 legs' weights and the attribution weights (the leg's flows), the chained
 legs' historical and estimated demand in the estimate, and the generated
-demand of :mod:`odchain.experiment` (its flows) are each a sum of its
+demand of :mod:`odchain.generation` (its flows) are each a sum of its
 terms.
 
 ``attribute_interval_deviations`` splits absolute interval deviations across

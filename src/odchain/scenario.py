@@ -170,7 +170,7 @@ class NoiseFractions:
     relative prior; ``measurement``, ``leg_process``, ``leg_prior`` and
     ``cumulative_measurement`` are fractions of historical means over
     positive cells.  ``process`` sets nothing: the relative random walk's
-    scales are constants of :mod:`odchain.experiment`.  A scenario document
+    scales are constants of :mod:`odchain.estimation`.  A scenario document
     that sets it to another value than this default gets one warning from
     :func:`scenario_from_mapping`."""
 
@@ -523,7 +523,7 @@ def scenario_from_mapping(doc: dict) -> ScenarioConfig:
         grid=grid, estimation=EstimationConfig(cutoff_minute=cutoff, **estimation), **cfg)
     if config.noise.process != NoiseFractions.process:
         logger.warning("noise.process = %g has no effect: the interval filter's random walk "
-                       "is relative, its scales constants of odchain.experiment",
+                       "is relative, its scales constants of odchain.estimation",
                        config.noise.process)
     if config.estimation.refresh_assignment:
         logger.warning("estimation.refresh_assignment has no effect: the interval filter "

@@ -291,7 +291,7 @@ def test_failed_model_maps_to_numerical_exit(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("synthetic failure")
 
-    monkeypatch.setattr("odchain.experiment.predict_horizon", boom)
+    monkeypatch.setattr("odchain.estimation.predict_horizon", boom)
     code = main([
         "run", "--scenario", "toy", "--models", "seed,kf", "--out", str(tmp_path / "o"),
     ])

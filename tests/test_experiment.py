@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import odchain.assignment
+import odchain.estimation
 import odchain.experiment
+import odchain.generation
 import odchain.kalman
 import odchain.legs
 from odchain.assignment import DynamicDemand, detector_counts, load_network
@@ -29,6 +31,8 @@ from odchain.experiment import (
     run_experiment,
 )
 from odchain.scenario import load_scenario, packaged_scenario_path, scenario_from_mapping
+
+from ladder import RUNGS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -102,19 +106,19 @@ class TestGeneration:
         tt[od_index.index(("4", "5"))] = np.inf
         with pytest.raises(DegenerateProfileError,
                            match="leg 'work_leisure', OD 4-5: all departure intervals"):
-            odchain.experiment._shares_at(toy_cfg, toy_artifacts.truth.legs, tt)
+            odchain.generation._shares_at(toy_cfg, toy_artifacts.truth.legs, tt)
 
     def test_one_departure_call_per_leg(self, toy_cfg, monkeypatch):
         """One call per leg and pass: one free-flow pass serves both days,
         so a generation makes 3 calls per leg, not 4."""
         calls = []
-        real = odchain.experiment.departure_probabilities
+        real = odchain.generation.departure_probabilities
 
         def counted(params, travel_times, grid):
             calls.append(np.shape(travel_times))
             return real(params, travel_times, grid)
 
-        monkeypatch.setattr(odchain.experiment, "departure_probabilities", counted)
+        monkeypatch.setattr(odchain.generation, "departure_probabilities", counted)
         generate_truth_and_history(toy_cfg)
         # the shared free-flow pass, then each day's congested pass: one call
         # per leg with a row per member
@@ -130,10 +134,10 @@ class TestGeneration:
         generator's own result."""
         artifacts = request.getfixturevalue(fixture)
         cfg = artifacts.config
-        tt = odchain.experiment._free_flow_tt(cfg.network, cfg.network.od_index, cfg.grid)
+        tt = odchain.generation._free_flow_tt(cfg.network, cfg.network.od_index, cfg.grid)
         for side in (artifacts.truth, artifacts.history):
-            free_flow = odchain.experiment._shares_at(cfg, side.legs, tt)
-            legs = odchain.experiment._congested_legs(cfg, free_flow)
+            free_flow = odchain.generation._shares_at(cfg, side.legs, tt)
+            legs = odchain.generation._congested_legs(cfg, free_flow)
             assert list(legs) == list(side.legs)
             for name, leg in legs.items():
                 assert leg.flows.tobytes() == side.legs[name].flows.tobytes()
@@ -157,7 +161,7 @@ class TestGeneration:
         def expand(p):
             return sum(flows[name][:, None] * p[name] for name in sorted(flows))
 
-        p = profiles(odchain.experiment._free_flow_tt(cfg.network, od_index, cfg.grid))
+        p = profiles(odchain.generation._free_flow_tt(cfg.network, od_index, cfg.grid))
         first = DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=expand(p))
         p = profiles(load_network(cfg.network, first).tt_od)
         return p, expand(p)
@@ -221,7 +225,7 @@ class TestRunExperiment:
         predicting = []
         predictions = []
         real_propagate = odchain.assignment._propagate
-        real_predict = odchain.experiment.predict_horizon
+        real_predict = odchain.estimation.predict_horizon
 
         def propagate(*args, **kwargs):
             passes.append(bool(predicting))
@@ -236,7 +240,7 @@ class TestRunExperiment:
                 predicting.pop()
 
         monkeypatch.setattr(odchain.assignment, "_propagate", propagate)
-        monkeypatch.setattr(odchain.experiment, "predict_horizon", predict)
+        monkeypatch.setattr(odchain.estimation, "predict_horizon", predict)
         report = run_experiment(toy_cfg)
         assert all(row.status == "ok" for row in report.rows)
         assert len(predictions) == 3  # kf, pkf and spkf
@@ -267,7 +271,7 @@ class TestRunExperiment:
             raise AssertionError("a dense leg profile was built")
 
         build = odchain.legs.DemandLeg.profile.fget
-        monkeypatch.setattr(odchain.experiment._DenseProfiles, "__getitem__",
+        monkeypatch.setattr(odchain.generation._DenseProfiles, "__getitem__",
                             lambda self, name: build(self._legs[name]))
         monkeypatch.setattr(odchain.legs.DemandLeg, "profile", property(dense_view))
         emit_report(run_experiment(toy_cfg), tmp_path, include_profiles=False)
@@ -349,20 +353,20 @@ class TestRunExperiment:
         assert factors.max() <= 1.3 * 1.1 + 1e-9
         assert factors.std() > 0.0
 
-    def test_chain_inputs_built_once_for_pkf_and_spkf(self, toy_cfg, toy_artifacts, monkeypatch):
+    def test_chain_inputs_built_once_for_pkf_and_spkf(self, toy_cfg, monkeypatch):
         """pkf and spkf share one attribution, one cumulative mapping and one
         operator per chained leg."""
         calls = collections.Counter()
         for name in ("attribute_interval_deviations", "build_leg_operator", "cumulative_mapping",
                      "root_deviations", "chain_consistent_legs"):
-            def counted(*args, _real=getattr(odchain.experiment, name), _name=name, **kwargs):
+            def counted(*args, _real=getattr(odchain.estimation, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(odchain.experiment, name, counted)
+            monkeypatch.setattr(odchain.estimation, name, counted)
         report = run_experiment(toy_cfg, models=("pkf", "spkf"))
         assert [r.status for r in report.rows] == ["ok", "ok"]
-        chain = toy_artifacts.chain
+        chain = toy_cfg.chain()
         chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
         assert chained
         assert calls == {"attribute_interval_deviations": 1, "cumulative_mapping": 1,
@@ -385,24 +389,25 @@ class TestRunExperiment:
         assert all(row.status == "ok" for row in report.rows)
         assert len(summed) == 2 and summed[0] is not summed[1]
 
-    @pytest.mark.parametrize("stage, failing", [
-        pytest.param(stage, failing, id=stage) for stage, failing in (
-            ("run_kf_sequence", ("kf", "pkf", "spkf")),
-            ("predict_horizon", ("kf", "pkf", "spkf")),
-            ("cumulative_mapping", ("pkf", "spkf")),
-            ("_leg_noise", ("pkf", "spkf")),
-            ("run_leg_chain", ("pkf", "spkf")),
-            ("detector_counts", ("kf", "pkf", "spkf")),
+    @pytest.mark.parametrize("module, stage, failing", [
+        pytest.param(module, stage, failing, id=stage) for module, stage, failing in (
+            (odchain.estimation, "run_kf_sequence", ("kf", "pkf", "spkf")),
+            (odchain.estimation, "predict_horizon", ("kf", "pkf", "spkf")),
+            (odchain.estimation, "cumulative_mapping", ("pkf", "spkf")),
+            (odchain.estimation, "_leg_noise", ("pkf", "spkf")),
+            (odchain.estimation, "run_leg_chain", ("pkf", "spkf")),
+            (odchain.experiment, "detector_counts", ("kf", "pkf", "spkf")),
         )
     ])
-    def test_failing_stage_fails_only_its_rows(self, toy_cfg, monkeypatch, stage, failing):
+    def test_failing_stage_fails_only_its_rows(self, toy_cfg, monkeypatch, module, stage,
+                                               failing):
         """The filtering pass, each model's prediction, the chain's shared
         inputs, each chain model and scoring each fail the rows that use
         them, with the stage's exception, and no other row."""
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError(f"synthetic {stage} failure")
 
-        monkeypatch.setattr(odchain.experiment, stage, boom)
+        monkeypatch.setattr(module, stage, boom)
         report = run_experiment(toy_cfg)
         for row in report.rows:
             if row.model in failing:
@@ -421,7 +426,7 @@ class TestRunExperiment:
     def test_runtime_covers_estimation(self, toy_cfg, monkeypatch):
         """kf's runtime_s holds the filtering pass, not just the scoring."""
         filtering = []
-        real = odchain.experiment.run_kf_sequence
+        real = odchain.estimation.run_kf_sequence
 
         def timed(*args, **kwargs):
             t = time.perf_counter()
@@ -430,7 +435,7 @@ class TestRunExperiment:
             finally:
                 filtering.append(time.perf_counter() - t)
 
-        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", timed)
+        monkeypatch.setattr(odchain.estimation, "run_kf_sequence", timed)
         cfg = toy_cfg
         report = run_experiment(cfg, models=("seed", "kf"))
         est = report.estimates["kf"]
@@ -476,7 +481,7 @@ class TestRunExperiment:
         gone when the filter runs, and the object generation returned still
         holds the truth, for callers that keep it."""
         real_generate = odchain.experiment.generate_truth_and_history
-        real_filter = odchain.experiment.run_kf_sequence
+        real_filter = odchain.estimation.run_kf_sequence
         refs = []
         alive = []
         kept = []
@@ -495,7 +500,7 @@ class TestRunExperiment:
             alive.append([ref() is not None for ref in refs])
             return real_filter(*args, **kwargs)
 
-        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", filter_)
+        monkeypatch.setattr(odchain.estimation, "run_kf_sequence", filter_)
         monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
         run_experiment(toy_cfg, models=("kf",))
         assert len(alive) == 1 and len(refs) == 1 + len(toy_cfg.legs)
@@ -512,7 +517,7 @@ class TestRunExperiment:
         load are gone once generation returns, while the load keeps its
         counts and spillover and has no probe times.  The history's final
         load keeps its link times."""
-        real = odchain.experiment.load_network
+        real = odchain.generation.load_network
         loads = []
 
         def load(net, demand, **kwargs):
@@ -521,7 +526,7 @@ class TestRunExperiment:
                           result.counts, result.spillover))
             return result
 
-        monkeypatch.setattr(odchain.experiment, "load_network", load)
+        monkeypatch.setattr(odchain.generation, "load_network", load)
         art = generate_truth_and_history(toy_cfg)
         assert len(loads) == 4  # each day's free-flow pass, then its final load
         (truth_tt, truth_counts, truth_spill), (hist_tt, _, _) = loads[2:]
@@ -537,7 +542,7 @@ class TestRunExperiment:
         arrays are gone when the filter runs, and the object generation
         returned still holds them, for callers that keep it."""
         real_generate = odchain.experiment.generate_truth_and_history
-        real_filter = odchain.experiment.run_kf_sequence
+        real_filter = odchain.estimation.run_kf_sequence
         refs = []
         alive = []
         kept = []
@@ -555,7 +560,7 @@ class TestRunExperiment:
             alive.append([ref() is not None for ref in refs])
             return real_filter(*args, **kwargs)
 
-        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", filter_)
+        monkeypatch.setattr(odchain.estimation, "run_kf_sequence", filter_)
         monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
         run_experiment(toy_cfg, models=("kf",))
         plan = odchain.assignment._route_plan(toy_cfg.network, toy_cfg.network.od_index, cut=False)
@@ -574,7 +579,7 @@ class TestRunExperiment:
         once, for estimation, scoring and the report.  The other two
         expansions are the days' free-flow passes."""
         real_generate = odchain.experiment.generate_truth_and_history
-        real_expand = odchain.experiment._expand
+        real_expand = odchain.generation._expand
         expanded = []
         kept = []
 
@@ -587,7 +592,7 @@ class TestRunExperiment:
             expanded.append("returned")
             return kept[-1]
 
-        monkeypatch.setattr(odchain.experiment, "_expand", expand)
+        monkeypatch.setattr(odchain.generation, "_expand", expand)
         monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
         report = run_experiment(toy_cfg)
         assert all(row.status == "ok" for row in report.rows)
@@ -605,9 +610,9 @@ class TestRunExperiment:
         inputs when the assembly runs.  The object generation returned
         keeps its linearization."""
         real_generate = odchain.experiment.generate_truth_and_history
-        real_mapping = odchain.experiment.cumulative_mapping
-        real_chain = odchain.experiment.run_leg_chain
-        real_predict = odchain.experiment.predict_horizon
+        real_mapping = odchain.estimation.cumulative_mapping
+        real_chain = odchain.estimation.run_leg_chain
+        real_predict = odchain.estimation.predict_horizon
         refs = {}
         alive = collections.defaultdict(list)
         kept = []
@@ -634,9 +639,10 @@ class TestRunExperiment:
             alive["predict"].append([ref() is not None for ref in refs.values()])
             return real_predict(*args, **kwargs)
 
-        for name, fn in (("generate_truth_and_history", generate), ("cumulative_mapping", mapping),
-                         ("run_leg_chain", chain), ("predict_horizon", predict)):
-            monkeypatch.setattr(odchain.experiment, name, fn)
+        monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
+        for name, fn in (("cumulative_mapping", mapping), ("run_leg_chain", chain),
+                         ("predict_horizon", predict)):
+            monkeypatch.setattr(odchain.estimation, name, fn)
         report = run_experiment(toy_cfg)
         assert all(row.status == "ok" for row in report.rows)
         assert alive["chain"] == [False, False]
@@ -650,9 +656,10 @@ class TestRunExperiment:
             assert np.array_equal(again.estimates[model], report.estimates[model])
 
     def test_mapping_runs_first_and_frees_the_band(self, toy_cfg, monkeypatch):
-        """Of the leg chain's inputs the cumulative mapping is built first,
-        with the band alive; the band is gone when the operators and the leg
-        chain's noise are built, and the filter built none of that noise."""
+        """The cumulative mapping, the band's last reader, is built first,
+        with the band alive; the band is gone when the filter starts and when
+        the operators and the leg chain's noise are built, and the filter
+        built none of that noise."""
         real_generate = odchain.experiment.generate_truth_and_history
         refs = {}
         calls = []
@@ -664,16 +671,16 @@ class TestRunExperiment:
 
         monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
         for name in ("run_kf_sequence", "cumulative_mapping", "build_leg_operator", "_leg_noise"):
-            def logged(*args, _real=getattr(odchain.experiment, name), _name=name, **kwargs):
+            def logged(*args, _real=getattr(odchain.estimation, name), _name=name, **kwargs):
                 calls.append((_name, refs["band"]() is not None))
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(odchain.experiment, name, logged)
+            monkeypatch.setattr(odchain.estimation, name, logged)
         report = run_experiment(toy_cfg)
         assert all(row.status == "ok" for row in report.rows)
         chain = toy_cfg.chain()
         chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
-        assert calls == [("run_kf_sequence", True), ("cumulative_mapping", True),
+        assert calls == [("cumulative_mapping", True), ("run_kf_sequence", False),
                          *[("build_leg_operator", False)] * len(chained), ("_leg_noise", False)]
 
     def test_no_chained_leg_reduces_chain_models_to_kf(self, toy_doc, monkeypatch):
@@ -687,7 +694,7 @@ class TestRunExperiment:
         def attribute(*args, **kwargs):
             raise AssertionError("attribute_interval_deviations called")
 
-        monkeypatch.setattr(odchain.experiment, "attribute_interval_deviations", attribute)
+        monkeypatch.setattr(odchain.estimation, "attribute_interval_deviations", attribute)
         report = run_experiment(cfg)
         assert [(r.model, r.status) for r in report.rows] == \
             [("seed", "ok"), ("kf", "ok"), ("pkf", "ok"), ("spkf", "ok")]
@@ -701,13 +708,49 @@ class TestRunExperiment:
         """A prior covariance for each root leg, a process noise for each
         chained leg, and nothing else."""
         history = toy_artifacts.history
-        leg_Q, root_P0, _ = odchain.experiment._leg_noise(
-            toy_cfg, toy_artifacts, history.demand.matrix,
+        chain = toy_cfg.chain()
+        leg_Q, root_P0, _ = odchain.estimation._leg_noise(
+            toy_cfg, chain, history, history.demand.matrix,
             history.load.counts.cumulative()[:, toy_cfg.cutoff_index - 1])
-        chain = toy_artifacts.chain
         assert set(root_P0) == set(chain.roots())
         assert set(leg_Q) == {n for n in chain.topological_order() if chain.feeds.get(n)}
         assert set(root_P0).isdisjoint(leg_Q)
+
+
+class TestEstimate:
+    """``estimation.estimate`` is a unit of its own: it reads what a run
+    hands it of a generated day, which holds no part of the true day."""
+
+    @pytest.mark.parametrize("rung", ["toy-15", "corridor-6"])
+    def test_estimate_is_the_runs_estimation(self, rung):
+        """Built from a generated day with no truth object reachable, it
+        returns the run's estimates, kf and leg diagnostics and notes, and
+        the run's rows as estimation fills them, bit for bit; it clears the
+        band from its inputs."""
+        build, _ = RUNGS[rung]
+        cfg = scenario_from_mapping(build())
+        report = run_experiment(cfg)
+        artifacts = generate_truth_and_history(cfg)
+        inputs = odchain.estimation.EstimationInputs(
+            history=artifacts.history, observed=artifacts.observed,
+            assignment=artifacts.assignment)
+        truth = weakref.ref(artifacts.truth)
+        del artifacts
+        assert truth() is None  # the inputs hold nothing of the true day
+        rows = {model: odchain.estimation.ModelRow(model) for model in report.models}
+        estimates, kf_diag, leg_diag, notes = odchain.estimation.estimate(cfg, inputs, rows)
+        assert inputs.assignment is None
+        assert estimates.keys() == report.estimates.keys()
+        for model, est in estimates.items():
+            assert est.tobytes() == report.estimates[model].tobytes(), model
+        assert estimates["seed"].tobytes() == report.historical.tobytes()
+        assert kf_diag == report.kf_diagnostics
+        assert leg_diag == report.leg_diagnostics
+        assert notes == {key: report.diagnostics[key] for key in notes}
+        for model, row in rows.items():
+            run = report.row(model)
+            assert (row.status, row.error) == (run.status, run.error) == ("ok", "")
+            assert row.extras == {key: run.extras[key] for key in row.extras}
 
 
 class TestRelativeFilter:
@@ -716,8 +759,9 @@ class TestRelativeFilter:
     ``hist ⊙ (1 + r)`` and, for pkf and spkf, the chained legs' estimates."""
 
     @pytest.mark.parametrize("h", [0, 1, 17, 47])
-    def test_provider_sums_every_lag_weighted_by_the_history(self, toy_cfg, toy_artifacts, h):
-        """The frozen provider's matrix at h is, bit for bit, the dense
+    def test_provider_sums_every_lag_weighted_by_the_history(self, toy_cfg, toy_artifacts,
+                                                             monkeypatch, h):
+        """The filter's provider's matrix at h is, bit for bit, the dense
         pieces counted at h, each scaled by the history of the interval it
         reads, added from lag 0."""
         hist = toy_artifacts.history.demand.matrix
@@ -726,8 +770,17 @@ class TestRelativeFilter:
         expected = pieces[h, h] * hist[:, h]
         for lag in range(1, min(asg.band.shape[1], h + 1)):
             expected += pieces[h - lag, h] * hist[:, h - lag]
-        H_at = odchain.experiment._frozen_rows(asg, toy_cfg.cutoff_index, hist)
-        assert np.array_equal(H_at(h), expected)
+        provided = []
+        real = odchain.estimation.run_kf_sequence
+
+        def recording(H_at, *args, **kwargs):
+            provided.append(H_at(h))
+            return real(H_at, *args, **kwargs)
+
+        monkeypatch.setattr(odchain.estimation, "run_kf_sequence", recording)
+        run_experiment(toy_cfg, models=("kf",))
+        (got,) = provided
+        assert np.array_equal(got, expected)
 
     def test_the_lag_sum_sees_what_the_same_interval_row_misses(self, toy_cfg):
         """On a 3-minute grid the detector lies an interval or more
@@ -747,7 +800,7 @@ class TestRelativeFilter:
         """``noise.prior`` is the prior's common-mode std beside a per-OD
         0.1; the random walk is 0.03 common and 0.01 per OD; the
         measurement noise is ``noise.measurement`` of the mean count."""
-        noise, P0 = odchain.experiment._noise_models(toy_cfg, toy_artifacts)
+        noise, P0 = odchain.estimation._noise_models(toy_cfg, toy_artifacts.history)
         n = len(toy_artifacts.od_index)
         ones, eye = np.ones((n, n)), np.eye(n)
         assert np.allclose(P0, toy_cfg.noise.prior ** 2 * ones + 0.1 ** 2 * eye, rtol=1e-15)
@@ -761,8 +814,8 @@ class TestRelativeFilter:
         fifth of their variance, so the state drifts as far per hour."""
         cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
             toy_cfg.grid, interval_minutes=3, n_intervals=480))
-        fine = odchain.experiment._noise_models(cfg, toy_artifacts)[0]
-        coarse = odchain.experiment._noise_models(toy_cfg, toy_artifacts)[0]
+        fine = odchain.estimation._noise_models(cfg, toy_artifacts.history)[0]
+        coarse = odchain.estimation._noise_models(toy_cfg, toy_artifacts.history)[0]
         assert np.allclose(fine.Q, coarse.Q / 5.0, rtol=1e-15)
 
     def test_process_noise_sets_nothing(self, toy_cfg, toy_artifacts, toy_report, caplog):
@@ -773,8 +826,9 @@ class TestRelativeFilter:
         cum_hist = toy_artifacts.history.load.counts.cumulative()[:, toy_cfg.cutoff_index - 1]
 
         def noise(cfg):
-            return (*odchain.experiment._noise_models(cfg, toy_artifacts),
-                    *odchain.experiment._leg_noise(cfg, toy_artifacts, hist, cum_hist))
+            return (*odchain.estimation._noise_models(cfg, toy_artifacts.history),
+                    *odchain.estimation._leg_noise(cfg, cfg.chain(), toy_artifacts.history, hist,
+                                                   cum_hist))
 
         base = noise(toy_cfg)
         cfg = dataclasses.replace(toy_cfg, noise=dataclasses.replace(toy_cfg.noise, process=0.05))
@@ -796,7 +850,7 @@ class TestRelativeFilter:
         replaces the chained legs' historical demand by the leg chain's
         estimates of them, over the dense profiles."""
         runs, chains = [], []
-        real_run, real_chain = odchain.experiment.run_kf_sequence, odchain.experiment.run_leg_chain
+        real_run, real_chain = odchain.estimation.run_kf_sequence, odchain.estimation.run_leg_chain
 
         def run(*args, **kwargs):
             runs.append(real_run(*args, **kwargs))
@@ -806,8 +860,8 @@ class TestRelativeFilter:
             chains.append((kwargs["config"].mode, legs, real_chain(legs, *args, **kwargs)))
             return chains[-1][2]
 
-        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", run)
-        monkeypatch.setattr(odchain.experiment, "run_leg_chain", leg_chain)
+        monkeypatch.setattr(odchain.estimation, "run_kf_sequence", run)
+        monkeypatch.setattr(odchain.estimation, "run_leg_chain", leg_chain)
         report = run_experiment(toy_cfg)
         (kf,) = runs
         cut = toy_cfg.cutoff_index
@@ -838,7 +892,7 @@ class TestRelativeFilter:
         assert all(d.measurement_norm > 0.0 for d in toy_report.kf_diagnostics)
         cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
             toy_cfg.grid, interval_minutes=3, n_intervals=480))
-        with caplog.at_level("WARNING", logger="odchain.experiment"):
+        with caplog.at_level("WARNING", logger="odchain.estimation"):
             report = run_experiment(cfg, models=("kf",))
         assert report.diagnostics["unobserved_intervals"] == 3
         assert report.diagnostics["uncounted_intervals"] == 0
@@ -853,12 +907,12 @@ class TestRelativeFilter:
         band = frozen.band.copy()
         band[5:8] = 0.0
         assert (toy_artifacts.history.demand.matrix[:, 5:8] > 0).any(axis=0).all()
-        artifacts = dataclasses.replace(
-            toy_artifacts, truth=None, assignment=dataclasses.replace(frozen, band=band))
-        rows = {"kf": odchain.experiment.ModelRow("kf")}
-        with caplog.at_level("WARNING", logger="odchain.experiment"):
-            *_, notes = odchain.experiment._estimate(
-                toy_cfg, artifacts, rows, artifacts.history.demand.matrix)
+        inputs = odchain.estimation.EstimationInputs(
+            history=toy_artifacts.history, observed=toy_artifacts.observed,
+            assignment=dataclasses.replace(frozen, band=band))
+        rows = {"kf": odchain.estimation.ModelRow("kf")}
+        with caplog.at_level("WARNING", logger="odchain.estimation"):
+            *_, notes = odchain.estimation.estimate(toy_cfg, inputs, rows)
         assert rows["kf"].status == "ok"
         assert notes["uncounted_intervals"] == 3
         (record,) = caplog.records
@@ -869,13 +923,13 @@ class TestRelativeFilter:
         last posterior covariance, the one prediction reads, from
         ``eigvalsh``; it is null where no filter model runs."""
         runs = []
-        real = odchain.experiment.run_kf_sequence
+        real = odchain.estimation.run_kf_sequence
 
         def recording(*args, **kwargs):
             runs.append(real(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(odchain.experiment, "run_kf_sequence", recording)
+        monkeypatch.setattr(odchain.estimation, "run_kf_sequence", recording)
         report = run_experiment(toy_cfg, models=("kf",))
         (run,) = runs
         got = report.diagnostics["kf_last_cov_min_eigenvalue"]
@@ -927,7 +981,7 @@ class TestProbeTimes:
             loads.append((result, walked.tobytes()))
             return result
 
-        monkeypatch.setattr(odchain.experiment, "load_network", load)
+        monkeypatch.setattr(odchain.generation, "load_network", load)
         art = generate_truth_and_history(toy_cfg)
         load(toy_cfg.network, art.history.demand, frozen_link_tt=art.history.load.link_tt)
         generate_truth_and_history(toy_cfg)  # more passes before the reads
@@ -950,7 +1004,7 @@ class TestRefresh:
         count-only loads, which are not counted.  History is linearized once,
         in generation, at its own load, also with the key set."""
         linearizations = []
-        real = odchain.experiment.assignment_matrix
+        real = odchain.generation.assignment_matrix
 
         def counted(net, od_index, load):
             linearizations.append(load)
@@ -964,7 +1018,7 @@ class TestRefresh:
             histories.append(artifacts.history.load)
             return artifacts
 
-        monkeypatch.setattr(odchain.experiment, "assignment_matrix", counted)
+        monkeypatch.setattr(odchain.generation, "assignment_matrix", counted)
         monkeypatch.setattr(odchain.experiment, "generate_truth_and_history", generate)
         before = odchain.assignment.load_call_count()
         run_experiment(with_refresh(toy_cfg))
@@ -1040,9 +1094,9 @@ class TestEmission:
         leg_diagnostics.csv."""
         emit_report(toy_report, tmp_path, include_profiles=False)
         doc = json.loads((tmp_path / "report.json").read_text())
-        row_fields = [f.name for f in dataclasses.fields(odchain.experiment.ModelRow)]
+        row_fields = [f.name for f in dataclasses.fields(odchain.estimation.ModelRow)]
         diag_fields = [f.name for f in dataclasses.fields(odchain.kalman.KfStepDiagnostics)]
-        leg_fields = [f.name for f in dataclasses.fields(odchain.experiment.LegDiagnostics)]
+        leg_fields = [f.name for f in dataclasses.fields(odchain.estimation.LegDiagnostics)]
         assert doc["rows"] and doc["kf_diagnostics"] and doc["leg_diagnostics"]
         assert all(list(r) == row_fields for r in doc["rows"])
         assert all(list(d) == diag_fields for d in doc["kf_diagnostics"])

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from banding import from_dense
 from kalman_oracle import oracle_filter, oracle_time_update, oracle_update
-from odchain import experiment as experiment_mod
+from odchain import estimation as estimation_mod
+from odchain import generation as generation_mod
 from odchain import kalman as kalman_mod
 from odchain.errors import ConfigurationError, NumericalError
 from odchain.kalman import (
@@ -688,12 +689,12 @@ class TestAgainstTheOracle:
         if minutes != 15:
             cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
                 toy_cfg.grid, interval_minutes=minutes, n_intervals=480))
-            artifacts = experiment_mod.generate_truth_and_history(cfg)
+            artifacts = generation_mod.generate_truth_and_history(cfg)
         cut = cfg.cutoff_index
         hist = artifacts.history.demand.matrix
-        noise, P0 = experiment_mod._noise_models(cfg, artifacts)
+        noise, P0 = estimation_mod._noise_models(cfg, artifacts.history)
         delta_y = (artifacts.observed.counts - artifacts.history.load.counts.counts)[:, :cut]
-        H_at = experiment_mod._frozen_rows(artifacts.assignment, cut, hist)
+        H_at = frozen_rows(artifacts.assignment, hist)
         n_od = len(artifacts.od_index)
         run = run_kf_sequence(H_at, delta_y, noise, init=FilterState(mean=np.zeros(n_od), cov=P0))
         deltas, last_cov, gains = oracle_filter(

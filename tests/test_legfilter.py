@@ -370,12 +370,12 @@ class TestRootDeviations:
 
 
 class TestChainConsistentLegs:
-    def test_chained_flows_follow_their_feeders(self, toy_artifacts):
+    def test_chained_flows_follow_their_feeders(self, toy_cfg, toy_artifacts):
         """In topological order each chained leg's flows are its operator
         applied to its feeders' rebuilt flows; root legs are the same
         objects, and every leg keeps its shares."""
         legs = toy_artifacts.history.legs
-        chain = toy_artifacts.chain
+        chain = toy_cfg.chain()
         broken = dict(legs, work_home=DemandLeg(
             name="work_home", od_index=legs["work_home"].od_index,
             flows=legs["work_home"].flows * 0.7, members=legs["work_home"].members,
