@@ -37,8 +37,9 @@ windows' widths over their ends, and scales the mass in place.  The link
 order and each route layout, with the tables the kernel walks, depend on the
 network alone, so each is built once per network (``Network.plans``).
 A load keeps the links' times and the channels' counts, not every link's
-inflow.  Its door-to-door probes are walked the first time they are read
-(``LoadResult.tt_od``), every OD together, one route position at a time.
+inflow.  ``probe_travel_times`` walks its door-to-door probes from those
+times, every OD together, one route position at a time; generation's share
+pass is its one reader.
 
 Only ``load_network`` moves every parcel over its whole route: generation
 needs every link's times and the door-to-door probe times.  The passes that
@@ -66,7 +67,6 @@ keeps one matrix per leg.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
@@ -74,8 +74,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .network import OD, Network, TimeGrid, bpr_travel_time, read_only_view
-
-logger = logging.getLogger(__name__)
 
 _LOAD_CALLS = 0
 
@@ -147,30 +145,18 @@ class LoadResult:
     horizon end and was dropped from the per-interval series.  ``link_tt``
     and ``spillover`` hold every link that some path of the network uses and
     every detector channel, whether or not a route of the demand visits it.
-    ``plan`` is the whole-route layout the load moved its parcels along.
-
-    ``tt_od[i, h]`` is the door-to-door travel time of a probe departing at
-    the midpoint of interval ``h``; beyond-horizon link entries reuse the last
-    interval's link time.  The probes walk ``link_tt`` the first time
-    ``tt_od`` is read, and the result is kept, so a load whose probe times
-    nobody reads never walks them.
+    ``probe_travel_times`` walks the door-to-door times from ``link_tt``.
 
     A holder that reads a load's link times no more keeps a copy with
-    ``link_tt`` ``None``, its times released: the true day's final load once
-    its pass returns, and ``run_experiment``'s history once the band is
-    built.  Such a load has no ``tt_od``.
+    ``link_tt`` ``None``, its times released (``replace(load,
+    link_tt=None)``): the true day's final load once its pass returns, and
+    ``run_experiment``'s history once the band is built.  Such a load has no
+    probe times.
     """
 
     counts: LinkFlowSeries
     link_tt: dict[str, np.ndarray] | None
     spillover: dict[str, float]
-    plan: _Routes = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def tt_od(self) -> np.ndarray:
-        if self.link_tt is None:
-            raise ValueError("the load's link times were released; it has no probe times")
-        return _probe_travel_times(self.plan, self.counts.grid, self.link_tt)
 
     def spilled(self) -> float:
         return float(sum(self.spillover.values()))
@@ -251,6 +237,7 @@ class _Routes:
     lists the routes ordered by ``first`` and then index; the routes that
     start at ``order[i]`` are ``by_first[first_start[i] : first_start[i + 1]]``.
 
+    ``channel`` maps each detector channel to its row in ``net.detectors``.
     ``pairs`` lists the (channel, OD) pairs whose route crosses the channel,
     as (channel rows, OD columns) ordered by channel and then OD; channel
     ``c``'s pairs are ``pairs[:, pair_start[c] : pair_start[c + 1]]``."""
@@ -262,6 +249,7 @@ class _Routes:
     fanout: tuple[tuple[int, ...], ...]
     by_first: np.ndarray
     first_start: np.ndarray
+    channel: dict[str, int]
     pairs: np.ndarray
     pair_start: np.ndarray
 
@@ -334,7 +322,7 @@ def _build_plan(net: Network, od_index: tuple[OD, ...], cut: bool) -> _Routes:
         table.setflags(write=False)
     return _Routes(routes=tuple(routes), order=tuple(order), succ=succ, first=first,
                    fanout=fanout, by_first=by_first, first_start=first_start,
-                   pairs=pairs, pair_start=pair_start)
+                   channel=chan_pos, pairs=pairs, pair_start=pair_start)
 
 
 def _propagate(
@@ -563,13 +551,12 @@ def load_network(
     grid = demand.grid
     n_h = grid.n_intervals
     plan = _route_plan(net, demand.od_index, cut=False)
-    chan_pos = {ch: c for c, ch in enumerate(net.detectors)}
     counts = np.zeros((len(net.detectors), n_h))
     link_tt: dict[str, np.ndarray] = {}
     hours = grid.interval_minutes / 60.0
 
     def link_time(lid: str, inflow: np.ndarray, *_) -> np.ndarray:
-        c = chan_pos.get(lid)
+        c = plan.channel.get(lid)
         if c is not None:
             counts[c] = inflow
         if frozen_link_tt is not None:
@@ -581,7 +568,7 @@ def load_network(
 
     spill = _propagate(grid, plan, demand.matrix, link_time)
     return LoadResult(counts=LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts),
-                      link_tt=link_tt, spillover=spill, plan=plan)
+                      link_tt=link_tt, spillover=spill)
 
 
 def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
@@ -599,36 +586,41 @@ def detector_counts(net: Network, demand: DynamicDemand) -> LinkFlowSeries:
     """
     grid = demand.grid
     hours = grid.interval_minutes / 60.0
-    chan_pos = {ch: c for c, ch in enumerate(net.detectors)}
+    plan = _route_plan(net, demand.od_index, cut=True)
     counts = np.zeros((len(net.detectors), grid.n_intervals))
 
     def link_time(lid: str, inflow: np.ndarray, *_) -> np.ndarray:
-        c = chan_pos.get(lid)
+        c = plan.channel.get(lid)
         if c is not None:
             counts[c] = inflow
         return bpr_travel_time(net.links[lid], inflow / hours)
 
-    _propagate(grid, _route_plan(net, demand.od_index, cut=True), demand.matrix, link_time)
+    _propagate(grid, plan, demand.matrix, link_time)
     return LinkFlowSeries(channels=net.detectors, grid=grid, counts=counts)
 
 
-def _probe_travel_times(
-    plan: _Routes, grid: TimeGrid, link_tt: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Door-to-door times of probes departing at every interval midpoint.
+def probe_travel_times(net: Network, od_index: tuple[OD, ...], load: LoadResult) -> np.ndarray:
+    """Door-to-door times, ``(OD, intervals)``, of probes of ``od_index``
+    departing at every interval midpoint, at ``load``'s link times.
 
     A probe entering a link before the grid uses interval 0's time, after it
-    the last interval's.  ``link_tt`` holds every link of ``plan.order``.
-    All ODs walk together, one route position at a time, each from
-    ``plan.first`` along ``plan.succ``; a route that has ended adds zero, so
-    each row sums as its own walk would.
+    the last interval's.  All ODs walk their whole routes together, one route
+    position at a time, each from ``plan.first`` along ``plan.succ``; a route
+    that has ended adds zero, so each row sums as its own walk would.
+
+    Raises:
+        ValueError: if ``load``'s link times were released.
     """
+    if load.link_tt is None:
+        raise ValueError("the load's link times were released; it has no probe times")
+    plan = _route_plan(net, od_index, cut=False)
+    grid = load.counts.grid
     n_h = grid.n_intervals
     t0 = grid.midpoint(np.arange(n_h))
     # one row per link, and a zero row, at -1, that walks the ended routes in place
     table = np.zeros((len(plan.order) + 1, n_h))
     for j, lid in enumerate(plan.order):
-        table[j] = link_tt[lid]
+        table[j] = load.link_tt[lid]
     ods = np.arange(len(plan.routes))
     at = plan.first
     t = np.tile(t0, (ods.size, 1))
@@ -780,14 +772,13 @@ def assignment_matrix(net: Network, od_index: tuple[OD, ...], load: LoadResult) 
     """
     grid = load.counts.grid
     n_h = grid.n_intervals
-    chan_pos = {ch: c for c, ch in enumerate(net.detectors)}
     plan = _route_plan(net, od_index, cut=True)
     # per channel, its block over its pairs, (H, lags, pairs)
     blocks: dict[int, np.ndarray] = {}
 
     def link_time(lid: str, inflow: np.ndarray, h: np.ndarray, cell: np.ndarray,
                   mass: np.ndarray) -> np.ndarray:
-        c = chan_pos.get(lid)
+        c = plan.channel.get(lid)
         if c is not None:
             ods = plan.pairs[1, plan.pair_start[c]: plan.pair_start[c + 1]]
             oi, k = np.divmod(cell.astype(np.intp), n_h)

@@ -16,8 +16,6 @@ from .experiment import emit_report, run_experiment
 from .network import od_label
 from .scenario import MODELS, load_scenario, packaged_scenario_path
 
-logger = logging.getLogger(__name__)
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with the configuration code."""

@@ -2,9 +2,10 @@
 read of a generated day.
 
 ``estimate`` reads the history (its legs and counts, its link times
-released), the observed counts and the frozen linearization, and nothing of
-the true day (``EstimationInputs`` has no field for it).  It estimates the
-demand with the requested models:
+released), its demand matrix (``EstimationInputs.historical``, a field the
+run fills), the observed counts and the frozen linearization, and nothing
+of the true day (``EstimationInputs`` has no field for it).  It estimates
+the demand with the requested models:
 
 * ``seed``  - the historical matrix untouched,
 * ``kf``    - interval filtering up to the cutoff of the relative deviation
@@ -32,7 +33,6 @@ the cutoff; predictions beyond it never touch the loader.
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from contextlib import contextmanager
@@ -67,17 +67,14 @@ class EstimationInputs:
     """What estimation reads of a generated day, and nothing of the truth.
 
     ``history`` is the historical day, its load's link times released;
-    ``historical`` its demand matrix, expanded on first read and kept, so
-    estimation, scoring and the report share one.  ``estimate`` clears
+    ``historical`` its demand matrix, which ``run_experiment`` expands once,
+    so estimation, scoring and the report share one.  ``estimate`` clears
     ``assignment``, the frozen linearization, once it has read it."""
 
     history: GeneratedSide
+    historical: np.ndarray
     observed: LinkFlowSeries
     assignment: AssignmentMatrix | None
-
-    @functools.cached_property
-    def historical(self) -> np.ndarray:
-        return self.history.demand.matrix
 
 
 @dataclass

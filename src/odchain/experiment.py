@@ -5,7 +5,8 @@ true day, the perturbed historical day, the observed counts and the frozen
 linearization (``generate_truth_and_history``).  The run keeps of the true
 day what scoring and the report read, and hands ``estimation.estimate`` an
 ``EstimationInputs`` record of the rest: the history, its link times
-released, the observed counts and the band, with no field for the truth.
+released (``replace(load, link_tt=None)``), its demand matrix, expanded
+once, the observed counts and the band, with no field for the truth.
 Scoring, here, compares every model's estimate with the truth: OD RMSE
 spans all (OD, interval) cells, and link RMSE compares each model's loaded
 counts against the noise-free true counts.  ``emit_report`` writes the
@@ -29,7 +30,7 @@ from .errors import ConfigurationError
 from .estimation import EstimationInputs, LegDiagnostics, ModelRow, stage
 # bound as ``_estimate``, the name ``odbench/tracing.py`` wraps
 from .estimation import estimate as _estimate
-from .generation import generate_truth_and_history, released
+from .generation import generate_truth_and_history
 from .kalman import KfStepDiagnostics
 from .network import OD, TimeGrid, od_label
 from .scenario import MODELS, ScenarioConfig
@@ -110,10 +111,11 @@ def run_experiment(
     # rest of the truth is freed with the artifacts before estimation, which
     # reads none of it, and so are the history's link times, whose last
     # reader built the band: estimation gets the history, its link times
-    # released, the observed counts and the band, which it frees before the
-    # filter.  Each day's matrix is expanded once, here: estimation, scoring
-    # and the report share the history's.
+    # released, its matrix, the observed counts and the band, which it frees
+    # before the filter.  Each day's matrix is expanded once, here:
+    # estimation, scoring and the report share the history's.
     truth_matrix = artifacts.truth.demand.matrix
+    hist_matrix = artifacts.history.demand.matrix
     truth_counts = artifacts.truth.load.counts.counts
     spillover_true = artifacts.truth.load.spilled()
     od_index = artifacts.od_index
@@ -121,10 +123,9 @@ def run_experiment(
     spillover_historical = artifacts.history.load.spilled()
     factors = artifacts.perturbation_factors
     inputs = EstimationInputs(
-        history=replace(artifacts.history, load=released(artifacts.history.load)),
-        observed=artifacts.observed, assignment=artifacts.assignment)
+        history=replace(artifacts.history, load=replace(artifacts.history.load, link_tt=None)),
+        historical=hist_matrix, observed=artifacts.observed, assignment=artifacts.assignment)
     del artifacts
-    hist_matrix = inputs.historical
 
     t1 = time.perf_counter()
     rows = {model: ModelRow(model=model) for model in wanted}

@@ -6,10 +6,12 @@ scenario's leg totals split over ODs (``_true_legs``) and the history's by
 scaling the truth's flows (``_perturb``).  Their flows are spread over the
 day by the schedule model (``_shares_at``) and loaded twice: one free-flow
 pass serves both days, and ``_congested_legs`` then gives a day's legs the
-shares of their own congestion.  A day keeps its legs and its load, not its
-demand matrix, which ``_expand`` builds on each access.  The true counts,
-with seeded noise, are the observed counts, and the history is linearized
-once at its own load's link times (``assignment_matrix``).
+shares at the probe times of their own congestion, which
+``probe_travel_times`` walks from that load.  A day keeps its legs and its
+load, not its demand matrix, which ``_expand`` builds on each access.  The
+true day's load keeps no link times (``replace(load, link_tt=None)``).  The
+true counts, with seeded noise, are the observed counts, and the history is
+linearized once at its own load's link times (``assignment_matrix``).
 
 This module reads nothing of estimation or scoring: ``experiment`` hands
 what estimation may read of the generated day to ``estimation.estimate``.
@@ -29,6 +31,7 @@ from .assignment import (
     LoadResult,
     assignment_matrix,
     load_network,
+    probe_travel_times,
 )
 from .departure import departure_probabilities
 from .errors import ConfigurationError, DegenerateProfileError
@@ -172,8 +175,11 @@ def _shares_at(
 def _congested_legs(cfg: ScenarioConfig, legs: dict[str, DemandLeg]) -> dict[str, DemandLeg]:
     """``legs``, at their free-flow shares, with the departure shares of their
     own congestion instead: the legs are loaded once, and the shares are
-    recomputed at that load's times; of the load only those times are read."""
-    return _shares_at(cfg, legs, load_network(cfg.network, _expand(cfg.grid, legs)).tt_od)
+    recomputed at that load's probe times; of the load only its link times
+    are read, and it is freed once its probes are walked."""
+    net = cfg.network
+    tt_od = probe_travel_times(net, net.od_index, load_network(net, _expand(cfg.grid, legs)))
+    return _shares_at(cfg, legs, tt_od)
 
 
 def _expand(grid: TimeGrid, legs: dict[str, DemandLeg]) -> DynamicDemand:
@@ -188,18 +194,12 @@ def _expand(grid: TimeGrid, legs: dict[str, DemandLeg]) -> DynamicDemand:
     return DynamicDemand(od_index=od_index, grid=grid, matrix=matrix)
 
 
-def released(load: LoadResult) -> LoadResult:
-    """``load`` with its link times released (``link_tt`` ``None``), for a
-    holder that reads them no more."""
-    return replace(load, link_tt=None)
-
-
 def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     """Generate both days, the observed counts and the frozen linearization.
 
     The true day's load keeps its counts and spillover, not its link times
-    (``released``); the history's keeps its link times, at which the band
-    was built."""
+    (``replace(load, link_tt=None)``); the history's keeps its link times,
+    at which the band was built."""
     problems = cfg.validate()
     if problems:
         raise ConfigurationError("\n".join(problems))
@@ -219,8 +219,8 @@ def generate_truth_and_history(cfg: ScenarioConfig) -> ExperimentArtifacts:
     # history loads.
     true_legs = _congested_legs(cfg, true_legs)
     hist_legs = _congested_legs(cfg, hist_legs)
-    truth = GeneratedSide(
-        legs=true_legs, load=released(load_network(net, _expand(cfg.grid, true_legs))))
+    truth = GeneratedSide(legs=true_legs, load=replace(
+        load_network(net, _expand(cfg.grid, true_legs)), link_tt=None))
     history = GeneratedSide(legs=hist_legs, load=load_network(net, _expand(cfg.grid, hist_legs)))
 
     counts = truth.load.counts.counts.copy()

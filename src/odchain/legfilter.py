@@ -11,8 +11,8 @@ topological order, from its operator and its feeders' rebuilt flows
 the tour; chained legs then inherit their feeders' deviations through the
 redistribution operators, and cumulative detector counts up to a horizon
 correct each leg in turn.  spkf's conservation step, written inside
-``run_leg_chain``, rescales a leg so its estimated total matches its
-feeders'.
+``run_leg_chain``, rescales a leg so its estimated total matches what its
+operator carries of its feeders'.
 
 Each chained leg's estimate, its rebuilt flows plus its deviation, is then
 scaled by ``leg_retention``: the share of its feeders' arrivals that the
@@ -269,7 +269,10 @@ def run_leg_chain(
     divides its estimate, rebuilt flows plus deviation, by the scale ``s``,
     its estimated total over its feeders' estimated total, so the two totals
     match, and divides its covariance by ``s²``; ``conservation_residual`` is
-    the absolute difference of the two totals left after.  Each final leg adds its
+    the absolute difference of the two totals left after.  The feeders'
+    total leaves out their member ODs that the leg's operator drops, the
+    arrivals at a zone where the leg generates nothing
+    (``build_leg_operator``).  Each final leg adds its
     ``mapping.matrix(leg) @ mean`` to ``fitted``.
 
     Raises:
@@ -314,7 +317,14 @@ def run_leg_chain(
         leg_state = LegState(state=post, prior_norm=float(np.linalg.norm(pred.mean)))
         if config.mode == "spkf":
             estimate = legs[name].flows + post.mean
-            fed = float(np.sum([(legs[f].flows + states[f].state.mean).sum() for f in feeders]))
+            # a feeder's member OD whose column is all zero arrives at a zone
+            # where this leg generates nothing, and the operator drops it
+            carried = operators[name].matrix.any(axis=0)
+            totals = []
+            for f in feeders:
+                dropped = ~carried & np.isin(np.arange(carried.size), legs[f].member_indices())
+                totals.append(np.where(dropped, 0.0, legs[f].flows + states[f].state.mean).sum())
+            fed = float(np.sum(totals))
             if fed <= 0.0:
                 raise ValueError(f"leg {name!r}: feeding legs total {fed!r}; "
                                  "conservation scale undefined")

@@ -14,7 +14,6 @@ Everything here is immutable after construction; demand and flows live in
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -22,8 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-
-logger = logging.getLogger(__name__)
 
 ZONE_KINDS = ("residential", "work", "leisure")
 

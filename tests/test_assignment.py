@@ -19,6 +19,7 @@ from odchain.assignment import (
     detector_counts,
     load_network,
     load_call_count,
+    probe_travel_times,
 )
 from odchain.errors import ConfigurationError
 from odchain.experiment import generate_truth_and_history
@@ -226,20 +227,22 @@ class TestLoader:
         tts["4a"] = np.full(grid.n_intervals, 52.5)  # late probes leave the grid
         load = load_network(TOY, toy_demand(grid, {(("1", "3"), 2): 100.0}),
                             frozen_link_tt=tts)
+        tt_od = probe_travel_times(TOY, TOY.od_index, load)
         for oi, od in enumerate(TOY.od_index):
             for h in range(grid.n_intervals):
                 t = t0 = grid.midpoint(h)
                 for lid in TOY.paths[od].links:
                     t += float(tts[lid][min(max(index_at(grid, t), 0), grid.n_intervals - 1)])
-                assert load.tt_od[oi, h] == t - t0
+                assert tt_od[oi, h] == t - t0
 
     def test_congestion_raises_travel_times(self):
         grid = TimeGrid(start=0, interval_minutes=15, n_intervals=8)
         light = load_network(TOY, toy_demand(grid, {(("1", "3"), 1): 10.0}))
         heavy = load_network(TOY, toy_demand(grid, {(("1", "3"), 1): 3000.0}))
         assert heavy.link_tt["1a"][1] > light.link_tt["1a"][1]
-        assert heavy.tt_od[TOY.od_index.index(("1", "3")), 1] > \
-            light.tt_od[TOY.od_index.index(("1", "3")), 1]
+        oi = TOY.od_index.index(("1", "3"))
+        assert probe_travel_times(TOY, TOY.od_index, heavy)[oi, 1] > \
+            probe_travel_times(TOY, TOY.od_index, light)[oi, 1]
 
     def test_missing_path_rejected(self):
         grid = TimeGrid(n_intervals=2)
@@ -628,6 +631,27 @@ class TestPairs:
             assert cut.shape == (h + 1, asg.pairs.shape[1])
             assert np.array_equal(matrix.pair_matrix(cut[h]), expected)
             assert np.array_equal(whole[h], cut[h])
+
+    @pytest.mark.parametrize("workload", ["toy-15", "toy-3", "corridor"])
+    def test_rows_do_not_depend_on_where_they_stop(self, toy_cfg, workload, monkeypatch):
+        """Row h of ``lag_rows(stop, w)`` is row h of ``lag_rows(H, w)``,
+        byte for byte, for every stop in 0..H and every h < stop, on the
+        generated band weighted by the history: rows read up to a cutoff are
+        those that the rows of the whole day begin with."""
+        if workload == "corridor":
+            monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "odbench"))
+            cfg = scenario_from_mapping(importlib.import_module("workloads").corridor_mapping(6))
+        elif workload == "toy-3":
+            cfg = dataclasses.replace(toy_cfg, grid=dataclasses.replace(
+                toy_cfg.grid, interval_minutes=3, n_intervals=480))
+        else:
+            cfg = toy_cfg
+        artifacts = generate_truth_and_history(cfg)
+        asg, weights = artifacts.assignment, artifacts.history.demand.matrix
+        n_h = asg.grid.n_intervals
+        whole = asg.lag_rows(n_h, weights)
+        for stop in range(n_h + 1):
+            assert asg.lag_rows(stop, weights).tobytes() == whole[:stop].tobytes(), stop
 
     def test_no_rows_before_the_first_interval(self, toy_artifacts):
         asg = toy_artifacts.assignment

@@ -21,7 +21,7 @@ import odchain.experiment
 import odchain.generation
 import odchain.kalman
 import odchain.legs
-from odchain.assignment import DynamicDemand, detector_counts, load_network
+from odchain.assignment import DynamicDemand, detector_counts, load_network, probe_travel_times
 from odchain.departure import departure_probabilities
 from odchain.errors import ConfigurationError, DegenerateProfileError
 from odchain.experiment import (
@@ -163,7 +163,7 @@ class TestGeneration:
 
         p = profiles(odchain.generation._free_flow_tt(cfg.network, od_index, cfg.grid))
         first = DynamicDemand(od_index=od_index, grid=cfg.grid, matrix=expand(p))
-        p = profiles(load_network(cfg.network, first).tt_od)
+        p = profiles(probe_travel_times(cfg.network, od_index, load_network(cfg.network, first)))
         return p, expand(p)
 
     @pytest.mark.parametrize("fixture", ["toy_artifacts", "three_roots_artifacts"],
@@ -373,6 +373,22 @@ class TestRunExperiment:
                          "root_deviations": 1, "chain_consistent_legs": 1,
                          "build_leg_operator": len(chained)}
 
+    def test_spkf_fails_where_a_chained_leg_generates_nothing(self, toy_doc):
+        """With ``work_home`` at total 0, its operator drops every arrival of
+        ``hw_direct``, so spkf has no arrivals to conserve and fails naming
+        the leg; kf and pkf are those of a run without spkf, bit for bit."""
+        assert toy_doc["legs"][2]["name"] == "work_home"
+        toy_doc["legs"][2]["total"] = 0
+        cfg = scenario_from_mapping(toy_doc)
+        report = run_experiment(cfg)
+        spkf = report.row("spkf")
+        assert spkf.status == "failed" and "spkf" not in report.estimates
+        assert spkf.error.startswith("ValueError: leg 'work_home': feeding legs total 0.0;")
+        alone = run_experiment(cfg, models=("kf", "pkf"))
+        for model in ("kf", "pkf"):
+            assert report.row(model).status == "ok"
+            assert report.estimates[model].tobytes() == alone.estimates[model].tobytes()
+
     def test_each_count_series_is_summed_along_the_day_once(self, toy_cfg, monkeypatch):
         """A run takes the running totals of two count series, once each:
         the observed counts and the history's counts, which the cumulative
@@ -534,7 +550,7 @@ class TestRunExperiment:
         assert art.truth.load.link_tt is None
         assert art.truth.load.counts is truth_counts and art.truth.load.spillover is truth_spill
         with pytest.raises(ValueError, match="released"):
-            art.truth.load.tt_od
+            probe_travel_times(toy_cfg.network, toy_cfg.network.od_index, art.truth.load)
         assert all(ref() is not None for ref in hist_tt)
 
     def test_history_link_times_are_freed_before_estimation(self, toy_cfg, monkeypatch):
@@ -571,7 +587,9 @@ class TestRunExperiment:
         run_experiment(toy_cfg, models=("kf",))
         (artifacts,) = kept
         assert artifacts.history.load.link_tt.keys() == set(plan.order)
-        assert artifacts.history.load.tt_od.shape == (len(plan.routes), toy_cfg.grid.n_intervals)
+        net = toy_cfg.network
+        tt_od = probe_travel_times(net, net.od_index, artifacts.history.load)
+        assert tt_od.shape == (len(plan.routes), toy_cfg.grid.n_intervals)
 
     def test_each_day_is_expanded_once_for_its_load_and_once_after(self, toy_cfg, monkeypatch):
         """A day keeps no matrix: generation expands each day's legs once,
@@ -732,8 +750,8 @@ class TestEstimate:
         report = run_experiment(cfg)
         artifacts = generate_truth_and_history(cfg)
         inputs = odchain.estimation.EstimationInputs(
-            history=artifacts.history, observed=artifacts.observed,
-            assignment=artifacts.assignment)
+            history=artifacts.history, historical=artifacts.history.demand.matrix,
+            observed=artifacts.observed, assignment=artifacts.assignment)
         truth = weakref.ref(artifacts.truth)
         del artifacts
         assert truth() is None  # the inputs hold nothing of the true day
@@ -908,8 +926,8 @@ class TestRelativeFilter:
         band[5:8] = 0.0
         assert (toy_artifacts.history.demand.matrix[:, 5:8] > 0).any(axis=0).all()
         inputs = odchain.estimation.EstimationInputs(
-            history=toy_artifacts.history, observed=toy_artifacts.observed,
-            assignment=dataclasses.replace(frozen, band=band))
+            history=toy_artifacts.history, historical=toy_artifacts.history.demand.matrix,
+            observed=toy_artifacts.observed, assignment=dataclasses.replace(frozen, band=band))
         rows = {"kf": odchain.estimation.ModelRow("kf")}
         with caplog.at_level("WARNING", logger="odchain.estimation"):
             *_, notes = odchain.estimation.estimate(toy_cfg, inputs, rows)
@@ -949,49 +967,23 @@ def test_readme_python_example_runs(capsys):
 
 
 class TestProbeTimes:
-    """``LoadResult.tt_od`` walks the probes the first time it is read."""
+    """``probe_travel_times`` walks a load's probes; generation's share pass
+    is its one caller."""
 
     def test_only_the_first_passes_walk_their_probes(self, toy_cfg, monkeypatch):
-        """Each day's first pass reads its probe times for the second pass's
-        profiles; nothing reads the second passes' or any later load's."""
+        """Each day's first pass has its probe times walked for the second
+        pass's profiles; nothing walks the second passes' or any later load's."""
         walks = []
-        real = odchain.assignment._probe_travel_times
+        real = odchain.generation.probe_travel_times
 
         def walk(*args):
             walks.append(True)
             return real(*args)
 
-        monkeypatch.setattr(odchain.assignment, "_probe_travel_times", walk)
+        monkeypatch.setattr(odchain.generation, "probe_travel_times", walk)
         report = run_experiment(toy_cfg)
         assert all(row.status == "ok" for row in report.rows)
         assert len(walks) == 2
-
-    def test_read_later_equals_the_walk_at_once(self, toy_cfg, monkeypatch):
-        """The history's final load's probe times, read after the rest of the
-        generation has run, equal the walk taken when the load returned, bit
-        for bit; so do those of a load at frozen times.  (The true day's
-        final load releases its link times, so it has no probe times.)"""
-        real = odchain.assignment.load_network
-        loads = []
-
-        def load(net, demand, **kwargs):
-            result = real(net, demand, **kwargs)
-            plan = odchain.assignment._route_plan(net, demand.od_index, cut=False)
-            walked = odchain.assignment._probe_travel_times(plan, demand.grid, result.link_tt)
-            loads.append((result, walked.tobytes()))
-            return result
-
-        monkeypatch.setattr(odchain.generation, "load_network", load)
-        art = generate_truth_and_history(toy_cfg)
-        load(toy_cfg.network, art.history.demand, frozen_link_tt=art.history.load.link_tt)
-        generate_truth_and_history(toy_cfg)  # more passes before the reads
-        history, frozen = (result for result, _ in loads[3:5])
-        assert history is art.history.load
-        assert frozen.link_tt is not history.link_tt
-        for result, walked in loads[3:5]:
-            assert "tt_od" not in vars(result)  # not walked yet
-            assert result.tt_od.tobytes() == walked
-            assert result.tt_od is result.tt_od  # walked once, then kept
 
 
 class TestRefresh:

@@ -192,6 +192,33 @@ class TestRunLegChain:
         assert back_total == pytest.approx(fed_total, abs=1e-9)
         assert states["back"].conservation_residual <= 1e-9
 
+    def test_spkf_conserves_only_the_arrivals_its_operator_carries(self):
+        """Zone b generates none of the chained leg, so its operator drops
+        the arrivals there (``build_leg_operator``): spkf's total equals the
+        feeders' estimated arrivals at zone a alone."""
+        od = (("h", "a"), ("h", "b"), ("a", "h"), ("b", "h"))
+        chain = ChainSpec(feeds={"out": (), "back": ("out",)})
+        out = DemandLeg(name="out", od_index=od, flows=np.array([60.0, 40.0, 0.0, 0.0]),
+                        members=od[:2])
+        back = DemandLeg(name="back", od_index=od, flows=np.array([0.0, 0.0, 50.0, 0.0]),
+                         members=od[2:])
+        operators = {"back": build_leg_operator(chain, [out], back)}
+        assert not operators["back"].matrix[:, 1].any()
+        mapping = CumulativeMapping(horizon=0, od_index=od, channels=("c1",), pieces={
+            "out": np.array([[[0.4, 0.2, 0.0, 0.0]]]),
+            "back": np.array([[[0.0, 0.0, 0.3, 0.1]]]),
+        })
+        delta = np.array([-10.0, 5.0, 0.0, 0.0])
+        states = run_leg_chain(
+            {"out": out, "back": back}, chain, operators, {"out": delta}, mapping,
+            np.array([-3.0]), config=ChainFilterConfig(mode="spkf", cumulative_horizon=0),
+            leg_Q={"back": 25.0 * np.eye(4)}, root_P0={"out": 100.0 * np.eye(4)},
+            R=4.0 * np.eye(1),
+        )
+        back_total = (back.flows + states["back"].state.mean).sum()
+        assert back_total == pytest.approx(60.0 - 10.0, abs=1e-9)
+        assert states["back"].conservation_residual <= 1e-9
+
     def test_spkf_scales_covariance(self):
         chain, legs, operators, mapping, noise = two_leg_setup()
         delta = np.array([-20.0, 0.0])
