@@ -2,7 +2,8 @@
 
 The state of interval h is a deviation of its OD departures from the
 historical matrix.  The identity random walk carries it to the next interval
-(prior covariance ``P + Q``); counts observed at h are a linear function of
+(prior covariance ``P + Q``; the same ``kf_time_update`` gives a chained
+leg's prior from its feeders); counts observed at h are a linear function of
 the state through one measurement matrix per interval.  The sequence runner
 asks its caller for interval h's matrix, so this module does not know how
 the linearization is stored.  Estimation's provider scatters rows of
@@ -232,14 +233,14 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ArModel:
-    """Transition of the interval deviation, ``x_{h+1} = F x_h`` plus noise.
+    """Transition of a deviation state, ``x' = F Σ x`` plus noise.
 
     Built as ``ArModel(coefficients=(F,))`` from one square matrix F.
     ``is_identity`` is set on construction: F is the identity, the random
     walk the sequence filter runs, which the time update applies without
-    matrix products.  A general F stays in ``kf_time_update``'s contract,
-    which the scalar closed-form acceptance test runs with F != 1.  F is a
-    read-only view of the array given; a float array is not copied.
+    matrix products.  A general F is a chained leg's operator, applied to
+    its feeders (``legfilter.leg_time_update``).  F is a read-only view of
+    the array given; a float array is not copied.
     """
 
     coefficients: tuple[np.ndarray, ...]
@@ -260,32 +261,33 @@ class ArModel:
 
 
 def kf_time_update(states: Sequence[FilterState], ar: ArModel, Q: np.ndarray) -> FilterState:
-    """Prior of the next interval from the last posterior, ``states[-1]``.
+    """Prior of the state that ``states`` feed through F: the interval
+    filter's last posterior by the identity, a leg's feeders by its operator.
 
-    The prior is ``F x`` with covariance ``Q + F P F'``, symmetrized, and
-    its root is the Cholesky factor that its check computes.  The identity
-    random walk is applied as ``Q + P`` and ``P``'s mean, which is what the
-    products give bit for bit: the identity's zeros add only ``0.0`` terms.
-    The prior is built by ``FilterState``'s constructor, which checks it
-    and keeps read-only views of these new arrays without copying them.
+    The prior is ``F Σ x``, the means summed from zero in the order given,
+    with covariance ``Q + Σ F P F'``, each term added to ``Q`` in that
+    order, symmetrized.  The identity is applied as ``Σ x`` and ``Q + Σ P``,
+    what the products give bit for bit: its zeros add only ``0.0`` terms.
+    ``FilterState``'s constructor checks the prior, computes its root (the
+    Cholesky factor) and keeps read-only views of these new arrays.
 
     Raises:
         ConfigurationError: if ``states`` is empty, or ``Q`` or ``F`` is not
-            square in the state's dimension.
+            square in the dimension of every state.
     """
     if not states:
         raise ConfigurationError("time update needs a posterior")
-    s = states[-1]
     Q = np.asarray(Q, dtype=float)
     f = ar.coefficients[0]
-    if Q.shape != (s.dim, s.dim) or f.shape != Q.shape:
-        raise ConfigurationError(
-            f"process noise {Q.shape} and transition {f.shape} do not match "
-            f"state of dimension {s.dim}")
+    for s in states:
+        if Q.shape != (s.dim, s.dim) or f.shape != Q.shape:
+            raise ConfigurationError(
+                f"process noise {Q.shape} and transition {f.shape} do not match "
+                f"state of dimension {s.dim}")
+    mean = sum(s.mean for s in states)  # from the int 0, so -0.0 sums to 0.0
     if ar.is_identity:
-        # + 0.0 turns -0.0 into 0.0, as the identity's products summed from zero do
-        return FilterState(mean=s.mean + 0.0, cov=_symmetrize(Q + s.cov))
-    return FilterState(mean=f @ s.mean, cov=_symmetrize(Q + f @ s.cov @ f.T))
+        return FilterState(mean=mean, cov=_symmetrize(sum((s.cov for s in states), Q)))
+    return FilterState(mean=f @ mean, cov=_symmetrize(sum((f @ s.cov @ f.T for s in states), Q)))
 
 
 @functools.lru_cache(maxsize=None)

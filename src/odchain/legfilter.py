@@ -9,10 +9,10 @@ averaged over the measured intervals with the weights ``flows ⊙ shares``
 topological order, from its operator and its feeders' rebuilt flows
 (``chain_consistent_legs``), so the history the chain starts from keeps
 the tour; chained legs then inherit their feeders' deviations through the
-redistribution operators, and cumulative detector counts up to a horizon
-correct each leg in turn.  spkf's conservation step, written inside
-``run_leg_chain``, rescales a leg so its estimated total matches what its
-operator carries of its feeders'.
+redistribution operators (the interval filter's ``kf_time_update``), and
+cumulative detector counts up to a horizon correct each leg in turn.  spkf's
+conservation step, in ``run_leg_chain``, rescales a leg so its estimated
+total matches what its operator carries of its feeders'.
 
 Each chained leg's estimate, its rebuilt flows plus its deviation, is then
 scaled by ``leg_retention``: the share of its feeders' arrivals that the
@@ -46,8 +46,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import CumulativeMapping
-from .errors import ConfigurationError
-from .kalman import FilterState, check_noise_matrix, kf_measurement_update
+from .errors import ChainConsistencyError, ConfigurationError
+from .kalman import (ArModel, FilterState, check_noise_matrix, kf_measurement_update,
+                     kf_time_update)
 from .legs import ChainSpec, DemandLeg, LegOperator, leg_terms, propagate_leg_deviation
 
 logger = logging.getLogger(__name__)
@@ -167,6 +168,8 @@ def chain_consistent_legs(
 
     Raises:
         ConfigurationError: if a chained leg has no operator.
+        ChainConsistencyError: naming the leg and its feeders, if a chained
+            leg is rebuilt as nothing where its own flows are not.
     """
     out = dict(legs)
     for name in chain.topological_order():
@@ -176,6 +179,10 @@ def chain_consistent_legs(
         if name not in operators:
             raise ConfigurationError(f"no operator for chained leg {name!r}")
         flows = propagate_leg_deviation(operators[name], [out[f].flows for f in feeders])
+        if flows.sum() == 0.0 < legs[name].flows.sum():
+            raise ChainConsistencyError(
+                f"chained leg {name!r}: its feeders {list(feeders)} carry nothing to it, "
+                f"so its rebuilt flows total 0 where its own total {legs[name].flows.sum():g}")
         out[name] = replace(legs[name], flows=flows)
     return out
 
@@ -223,27 +230,16 @@ def leg_retention(historical: DemandLeg, consistent: DemandLeg) -> float:
 def leg_time_update(
     predecessors: list[FilterState], operator: LegOperator, Q: np.ndarray
 ) -> FilterState:
-    """Chain the feeders' deviation states into the current leg's prior.
-
-    Mean is the operator applied to the summed feeder means; covariance is
-    the operator-congruent sum of feeder covariances plus the leg process
-    noise, symmetrized against the products' roundoff.
+    """The leg's prior: ``kf_time_update`` of its feeders by its operator.
 
     Raises:
         ValueError: if ``Q`` has a non-finite entry or is not symmetric
-            (``check_noise_matrix``), as ``NoiseModel`` rejects it; the
-            symmetrizing would otherwise average it without a word.
+            (``check_noise_matrix``), which the symmetrizing would hide.
+        ConfigurationError: as ``kf_time_update`` raises it.
     """
-    n = len(operator.od_index)
     Q = np.asarray(Q, dtype=float)
     check_noise_matrix("Q", Q)
-    mean = propagate_leg_deviation(operator, [s.mean for s in predecessors])
-    cov = Q.copy()
-    for s in predecessors:
-        if s.dim != n:
-            raise ConfigurationError("feeder state dimension does not match the operator")
-        cov += operator.matrix @ s.cov @ operator.matrix.T
-    return FilterState(mean=mean, cov=0.5 * (cov + cov.T))
+    return kf_time_update(predecessors, ArModel((operator.matrix,)), Q)
 
 
 def run_leg_chain(

@@ -389,6 +389,31 @@ class TestRunExperiment:
             assert report.row(model).status == "ok"
             assert report.estimates[model].tobytes() == alone.estimates[model].tobytes()
 
+    def test_a_chained_leg_whose_feeders_are_empty_fails_the_chain_models(self, toy_doc):
+        """With ``hw_direct`` at total 0, ``work_home`` is rebuilt from
+        nothing where the history holds 26,000: the scenario is valid, but
+        pkf and spkf fail at the leg chain's inputs with a
+        ``ChainConsistencyError`` naming the leg and its feeder, and the
+        seed and kf rows and estimates are those of a run of them alone."""
+        assert toy_doc["legs"][0]["name"] == "hw_direct"
+        toy_doc["legs"][0]["total"] = 0
+        cfg = scenario_from_mapping(toy_doc)
+        assert cfg.validate() == []
+        report = run_experiment(cfg)
+        for model in ("pkf", "spkf"):
+            row = report.row(model)
+            assert row.status == "failed" and model not in report.estimates
+            assert row.error.startswith(
+                "ChainConsistencyError: chained leg 'work_home': its feeders ['hw_direct'] ")
+        alone = run_experiment(cfg, models=("seed", "kf"))
+        for model, rmse_od in (("seed", 29.916741995874506), ("kf", 2.864177764467847)):
+            row = report.row(model)
+            assert row.status == "ok"
+            assert row.rmse_od == pytest.approx(rmse_od, rel=1e-9, abs=0.0)
+            assert (row.rmse_od, row.rmse_link, row.extras) == (
+                alone.row(model).rmse_od, alone.row(model).rmse_link, alone.row(model).extras)
+            assert report.estimates[model].tobytes() == alone.estimates[model].tobytes()
+
     def test_each_count_series_is_summed_along_the_day_once(self, toy_cfg, monkeypatch):
         """A run takes the running totals of two count series, once each:
         the observed counts and the history's counts, which the cumulative

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -207,6 +209,36 @@ class TestTimeUpdate:
             assert pred.mean.tobytes() == ref_mean.tobytes()
             assert pred.cov.tobytes() == (0.5 * (ref_cov + ref_cov.T)).tobytes()
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("general", [False, True], ids=["identity", "general-F"])
+    def test_several_states_are_summed_from_zero(self, general, k):
+        """``k`` states fed through the identity or a general F give
+        ``F (0 + x_1 + ... + x_k)`` and the symmetrized
+        ``Q + F P_1 F' + ... + F P_k F'``, each term added in the order
+        given, bit for bit, signed zeros included."""
+        rng = np.random.default_rng(10 * k + general)
+        for n in (1, 3, 12):
+            for _ in range(10):
+                f = rng.normal(size=(n, n)) if general else np.eye(n)
+                states = []
+                for _ in range(k):
+                    a = rng.normal(size=(n, n))
+                    mean = rng.normal(scale=50.0, size=n)
+                    mean[rng.random(n) < 0.3] = -0.0
+                    states.append(FilterState(mean=mean, cov=a @ a.T))
+                b = rng.normal(size=(n, n))
+                Q = b @ b.T
+                ar = ArModel(coefficients=(f,))
+                assert ar.is_identity != general
+                pred = kf_time_update(states, ar, Q)
+                total = np.zeros(n)
+                ref_cov = Q.copy()
+                for s in states:
+                    total += s.mean
+                    ref_cov += f @ s.cov @ f.T
+                assert pred.mean.tobytes() == (f @ total).tobytes()
+                assert pred.cov.tobytes() == (0.5 * (ref_cov + ref_cov.T)).tobytes()
+
     @pytest.mark.parametrize("general", [False, True], ids=["identity", "general-F"])
     def test_the_prior_covariance_is_exactly_symmetric(self, general):
         """Random P, Q asymmetric within 1e-10, and the identity or a
@@ -379,6 +411,11 @@ class TestNoiseShapes:
                                             ArModel(coefficients=(np.eye(3),)), np.eye(2)),
                      r"process noise \(2, 2\) and transition \(3, 3\) do not match state "
                      r"of dimension 2", id="time-update-F-3x3"),
+        pytest.param(lambda: kf_time_update([FilterState(mean=np.zeros(3), cov=np.eye(3)),
+                                             FilterState(mean=np.zeros(2), cov=np.eye(2))],
+                                            ArModel.identity(2), np.eye(2)),
+                     r"process noise \(2, 2\) and transition \(2, 2\) do not match state "
+                     r"of dimension 3", id="time-update-first-of-two-states-3"),
         pytest.param(lambda: kf_measurement_update(FilterState(mean=np.zeros(2), cov=np.eye(2)),
                                                    np.ones((1, 2)), np.eye(2), np.zeros(1)),
                      r"measurement noise \(2, 2\) does not match 1 channels",
@@ -508,6 +545,34 @@ class TestRunSequence:
         assert len(run.diagnostics) == 48
         assert len(transitions) == 47
         assert all(isinstance(ar, ArModel) and ar.is_identity for ar in transitions)
+
+    @pytest.mark.parametrize("workload", ["toy-15", "toy-3", "corridor"])
+    def test_a_run_to_an_earlier_cutoff_is_the_later_runs_prefix(self, workload, monkeypatch):
+        """On the generated day, with the experiment's noise and prior, runs
+        to the cutoffs H/4, H/2 and 3H/4, each reading ``lag_rows(c, hist)``:
+        a shorter run's deltas and diagnostics are, byte for byte, the first
+        columns and entries of a longer run's, and its last posterior mean
+        is the longer run's column c - 1."""
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "odbench"))
+        cfg = importlib.import_module("workloads").WORKLOADS[workload].setup()
+        artifacts = generation_mod.generate_truth_and_history(cfg)
+        asg, hist = artifacts.assignment, artifacts.history
+        noise, P0 = estimation_mod._noise_models(cfg, hist)
+        delta_y = artifacts.observed.counts - hist.load.counts.counts
+        init = FilterState(mean=np.zeros(len(asg.od_index)), cov=P0)
+        n_h = asg.grid.n_intervals
+        runs = {}
+        for c in (n_h // 4, n_h // 2, 3 * n_h // 4):
+            rows = asg.lag_rows(c, hist.demand.matrix)
+            runs[c] = run_kf_sequence(lambda h: asg.pair_matrix(rows[h]), delta_y[:, :c], noise,
+                                      init=init)
+        for short, run in runs.items():
+            assert run.deltas.shape[1] == len(run.diagnostics) == short
+            for longer in (runs[c] for c in runs if c > short):
+                assert run.deltas.tobytes() == longer.deltas[:, :short].tobytes()
+                assert [repr(dataclasses.astuple(d)) for d in run.diagnostics] == \
+                    [repr(dataclasses.astuple(d)) for d in longer.diagnostics[:short]]
+                assert run.last.mean.tobytes() == longer.deltas[:, short - 1].tobytes()
 
     def test_a_run_shorter_than_the_lag_window_keeps_only_posteriors(self, toy_artifacts):
         """A run of no steps has no last posterior, and interval 0's prior

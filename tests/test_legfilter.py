@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from odchain import assignment as assignment_mod
+from odchain import kalman as kalman_mod
+from odchain import legfilter as legfilter_mod
 from odchain.assignment import CumulativeMapping
-from odchain.errors import ConfigurationError
-from odchain.kalman import FilterState, kf_measurement_update
+from odchain.errors import ChainConsistencyError, ConfigurationError
+from odchain.experiment import run_experiment
+from odchain.kalman import ArModel, FilterState, kf_measurement_update, kf_time_update
 from odchain.legfilter import (
     ChainFilterConfig,
     attribute_interval_deviations,
@@ -131,6 +134,50 @@ class TestLegTimeUpdate:
         state = FilterState(mean=np.zeros(2), cov=np.eye(2))
         with pytest.raises(ValueError, match=message):
             leg_time_update([state], op, np.array(Q))
+
+    def test_is_the_time_update_with_the_operator_as_transition(self, toy_cfg, toy_artifacts):
+        """On each of the toy's chained legs, with random feeder states,
+        the leg's prior is ``kf_time_update``'s with the leg's operator as
+        F, byte for byte."""
+        legs, chain = toy_artifacts.history.legs, toy_cfg.chain()
+        rng = np.random.default_rng(44)
+        chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
+        assert len(chained) == 3
+        for name in chained:
+            op = build_leg_operator(chain, [legs[f] for f in chain.feeds[name]], legs[name])
+            n = len(op.od_index)
+            for _ in range(5):
+                feeders = []
+                for _ in chain.feeds[name]:
+                    a = rng.normal(size=(n, n))
+                    mean = rng.normal(scale=100.0, size=n)
+                    mean[rng.random(n) < 0.3] = -0.0
+                    feeders.append(FilterState(mean=mean, cov=a @ a.T))
+                b = rng.normal(size=(n, n))
+                Q = b @ b.T
+                pred = leg_time_update(feeders, op, Q)
+                want = kf_time_update(feeders, ArModel((op.matrix,)), Q)
+                assert pred.mean.tobytes() == want.mean.tobytes()
+                assert pred.cov.tobytes() == want.cov.tobytes()
+
+    def test_both_filters_predict_with_one_time_update(self, toy_cfg, monkeypatch):
+        """A toy run makes 47 identity time updates through the interval
+        filter's ``kalman.kf_time_update`` and 6 through the leg chain's
+        ``kf_time_update``, one per chained leg and chain model, each with
+        its one feeder and a general transition."""
+        seen = {}
+        for module in (kalman_mod, legfilter_mod):
+            real = module.kf_time_update
+
+            def spy(states, ar, Q, log=seen.setdefault(module.__name__, []), real=real):
+                log.append((len(states), ar.is_identity))
+                return real(states, ar, Q)
+
+            monkeypatch.setattr(module, "kf_time_update", spy)
+        report = run_experiment(toy_cfg)
+        assert all(row.status == "ok" for row in report.rows)
+        assert seen == {"odchain.kalman": [(1, True)] * 47,
+                        "odchain.legfilter": [(1, False)] * 6}
 
 
 def two_leg_setup():
@@ -427,6 +474,22 @@ class TestChainConsistentLegs:
         legs = {"out": leg2("out", [1.0, 0.0], OD2[:1]), "back": leg2("back", [0.0, 1.0], OD2[1:])}
         with pytest.raises(ConfigurationError, match="'back'"):
             chain_consistent_legs(legs, chain, {})
+
+    def test_a_leg_rebuilt_from_nothing_is_rejected(self):
+        """An empty feeder rebuilds its chained leg as zeros: where the
+        leg's own flows total more, the rebuild would erase them, so it
+        fails naming the leg and its feeders; where they total 0 as well,
+        there is nothing to erase."""
+        chain = ChainSpec(feeds={"out": (), "back": ("out",)})
+        back = leg2("back", [0.0, 150.0], (("b", "a"),))
+        op = build_leg_operator(chain, [leg2("out", [200.0, 0.0], (("a", "b"),))], back)
+        empty = leg2("out", [0.0, 0.0], (("a", "b"),))
+        with pytest.raises(ChainConsistencyError,
+                           match=r"^chained leg 'back': its feeders \['out'\] .* own total 150$"):
+            chain_consistent_legs({"out": empty, "back": back}, chain, {"back": op})
+        nothing = leg2("back", [0.0, 0.0], (("b", "a"),))
+        out = chain_consistent_legs({"out": empty, "back": nothing}, chain, {"back": op})
+        assert out["back"].flows.tolist() == [0.0, 0.0]
 
 
 class TestLegRetention:
