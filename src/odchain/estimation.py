@@ -176,9 +176,10 @@ def _leg_noise(cfg: ScenarioConfig, chain: ChainSpec, history: GeneratedSide,
 def stage(rows: dict[str, ModelRow], models, what: str):
     """Time one stage into the row of every model in ``models``, which share it.
 
-    An exception in the stage does not propagate: it is logged once and
-    every one of those rows is marked failed with it, so the report can
-    still carry the other models.
+    ``models`` are the stage's models still standing (``standing``).  An
+    exception in the stage does not propagate: it is logged once and every
+    one of those rows is marked failed with it, so the report can still
+    carry the other models, and no later stage runs for them.
     """
     t = time.perf_counter()
     try:
@@ -194,6 +195,11 @@ def stage(rows: dict[str, ModelRow], models, what: str):
             rows[model].runtime_s += elapsed
 
 
+def standing(rows: dict[str, ModelRow], models) -> list[str]:
+    """The models of ``models`` whose rows no stage has failed yet, in order."""
+    return [m for m in models if rows[m].status == "ok"]
+
+
 def estimate(cfg: ScenarioConfig, inputs: EstimationInputs, rows: dict[str, ModelRow]):
     """Produce the full-day demand estimate of every model in ``rows``, from
     ``inputs``, whose ``assignment`` it clears.
@@ -207,11 +213,12 @@ def estimate(cfg: ScenarioConfig, inputs: EstimationInputs, rows: dict[str, Mode
     chained, pkf and spkf share the leg chain's inputs (the root legs'
     deviations, the chain-consistent legs, the operators and the cumulative
     counts) and each runs its own leg chain, which gives its chained legs'
-    estimated flows and its leg diagnostics.  One assembly then builds kf,
-    pkf and spkf alike, morning and evening, into each model's own matrix
-    (``combined_demand``, ``predict_horizon``): with no chained leg for kf,
-    nor for any model when no leg is chained, so pkf and spkf then equal kf.
-    The seed's estimate is a read-only view of ``inputs.historical``.
+    estimated flows and its leg diagnostics.  One assembly per model then
+    builds kf, pkf and spkf alike, morning and evening, into each model's
+    own matrix (``combined_demand``, ``predict_horizon``): with no chained
+    leg for kf, nor for any model when no leg is chained, so pkf and spkf
+    then equal kf.  The seed's estimate, made with the other models', is a
+    read-only view of ``inputs.historical``.
 
     Each dense input lives from its first reader to its last.  The filter
     builds only its own noise and frees its measurement rows when it
@@ -221,8 +228,9 @@ def estimate(cfg: ScenarioConfig, inputs: EstimationInputs, rows: dict[str, Mode
     counts summed along the day once, and all of the leg chain's inputs are
     freed before the assembly.
 
-    Each stage runs under ``stage``: its time goes to every row that shares
-    it, and a failure marks those rows failed (a failure of the band's
+    Each stage runs under ``stage`` over the models of its group still
+    standing (``standing``), and not at all where none is: its time goes to
+    each of them, and a failure marks them failed (a failure of the band's
     readings or the filtering pass fails every filter model, the mapping or
     another of the leg chain's inputs, its noise among them, only pkf and
     spkf), so a model whose assembly fails keeps its leg diagnostics.
@@ -254,62 +262,51 @@ def estimate(cfg: ScenarioConfig, inputs: EstimationInputs, rows: dict[str, Mode
     leg_diag: list[LegDiagnostics] = []
     notes: dict = {"attributed_totals": {}, "leg_retention": {}, "unobserved_intervals": 0,
                    "uncounted_intervals": 0, "kf_last_cov_min_eigenvalue": None}
-    result = estimates, kf_diag, leg_diag, notes
-
-    if "seed" in rows:
-        with stage(rows, ("seed",), "model seed"):
-            estimates["seed"] = read_only_view(hist_matrix)
-
-    filter_models = [m for m in rows if m != "seed"]
-    if not filter_models:
-        return result
     chain = cfg.chain()
     chained = [n for n in chain.topological_order() if chain.feeds.get(n)]
+    filter_models = [m for m in rows if m != "seed"]
     chain_models = [m for m in CHAIN_MODELS if m in rows] if chained else []
+
     # the band's readings come first, the cumulative mapping last, and the
     # band is freed before the filter starts
-    with stage(rows, filter_models, "reading the band"):
-        measured, scatter = frozen.lag_rows(cut, hist_matrix), frozen.pair_matrix
-        counted = frozen.band[:cut].any(axis=(1, 2))
-    if chain_models and rows[chain_models[0]].status == "ok":
-        with stage(rows, chain_models, "cumulative mapping"):
+    if models := standing(rows, filter_models):
+        with stage(rows, models, "reading the band"):
+            measured, scatter = frozen.lag_rows(cut, hist_matrix), frozen.pair_matrix
+            counted = frozen.band[:cut].any(axis=(1, 2))
+    if models := standing(rows, chain_models):
+        with stage(rows, models, "cumulative mapping"):
             mapping = cumulative_mapping(frozen, hist.profiles(), cut - 1)
     del frozen
 
-    filter_models = [m for m in filter_models if rows[m].status == "ok"]
-    if not filter_models:
-        return result
-    with stage(rows, filter_models, "interval filtering"):
-        noise, P0 = _noise_models(cfg, hist)
-        delta_y = inputs.observed.counts - hist.load.counts.counts
-        # the provider and the prior are passed, not kept, so the prior's
-        # root is freed when the filter returns
-        kf = run_kf_sequence(
-            lambda h: scatter(measured[h]), delta_y[:, :cut], noise,
-            init=FilterState(mean=np.zeros(len(hist_matrix)), cov=P0))
-        kf_diag.extend(kf.diagnostics)
-        notes["unobserved_intervals"] = sum(d.measurement_norm == 0.0 for d in kf.diagnostics)
-        logger.info("the measurement matrix of %d of %d measured intervals is all zero",
-                    notes["unobserved_intervals"], cut)
-        # the measured intervals with departures that no detector counts at any lag
-        notes["uncounted_intervals"] = int(((hist_matrix[:, :cut] > 0).any(axis=0) & ~counted).sum())
-        if notes["uncounted_intervals"]:
-            logger.warning("the departures of %d of %d measured intervals are counted by no "
-                           "detector: the filter never sees them", notes["uncounted_intervals"], cut)
-        notes["kf_last_cov_min_eigenvalue"] = min_eigenvalue(kf.last.cov)
-        # prediction reads the last posterior's mean alone, so its covariance
-        # and root are not kept through the leg chain and the assembly, nor
-        # are the noise, the prior, the count deviations and the measurement rows
-        deltas, last_mean = kf.deltas, kf.last.mean
-        del kf, noise, P0, delta_y, measured, scatter, counted
-    if rows[filter_models[0]].status == "failed":
-        return result
+    if models := standing(rows, filter_models):
+        with stage(rows, models, "interval filtering"):
+            noise, P0 = _noise_models(cfg, hist)
+            delta_y = inputs.observed.counts - hist.load.counts.counts
+            # the provider and the prior are passed, not kept, so the prior's
+            # root is freed when the filter returns
+            kf = run_kf_sequence(
+                lambda h: scatter(measured[h]), delta_y[:, :cut], noise,
+                init=FilterState(mean=np.zeros(len(hist_matrix)), cov=P0))
+            kf_diag.extend(kf.diagnostics)
+            notes["unobserved_intervals"] = sum(d.measurement_norm == 0.0 for d in kf.diagnostics)
+            logger.info("the measurement matrix of %d of %d measured intervals is all zero",
+                        notes["unobserved_intervals"], cut)
+            # the measured intervals with departures that no detector counts at any lag
+            uncounted = int(((hist_matrix[:, :cut] > 0).any(axis=0) & ~counted).sum())
+            notes["uncounted_intervals"] = uncounted
+            if uncounted:
+                logger.warning("the departures of %d of %d measured intervals are counted by no "
+                               "detector: the filter never sees them", uncounted, cut)
+            notes["kf_last_cov_min_eigenvalue"] = min_eigenvalue(kf.last.cov)
+            # prediction reads the last posterior's mean alone, so its covariance
+            # and root are not kept through the leg chain and the assembly, nor
+            # are the noise, the prior, the count deviations and the measurement rows
+            deltas, last_mean = kf.deltas, kf.last.mean
+            del kf, noise, P0, delta_y, measured, scatter, counted
 
     # pkf and spkf share the chain's inputs, which do not depend on the mode
-    chain_models = [m for m in chain_models if rows[m].status == "ok"]
-    chained_flows: dict[str, dict[str, np.ndarray]] = {}
-    if chain_models:
-        with stage(rows, chain_models, "leg-chain inputs"):
+    if models := standing(rows, chain_models):
+        with stage(rows, models, "leg-chain inputs"):
             attributed = attribute_interval_deviations(
                 hist_matrix[:, :cut] * deltas, [hist.legs[n] for n in chain.topological_order()]
             )
@@ -330,9 +327,8 @@ def estimate(cfg: ScenarioConfig, inputs: EstimationInputs, rows: dict[str, Mode
             delta_Y = inputs.observed.cumulative()[:, cut - 1] - cum_hist
             leg_Q, root_P0, R_cum = _leg_noise(cfg, chain, hist, hist_matrix, cum_hist)
 
-    for model in chain_models:
-        if rows[model].status == "failed":
-            continue
+    chained_flows: dict[str, dict[str, np.ndarray]] = {}
+    for model in standing(rows, chain_models):
         with stage(rows, (model,), f"leg chain {model}"):
             states = run_leg_chain(
                 consistent, chain, operators, roots, mapping, delta_Y,
@@ -350,10 +346,11 @@ def estimate(cfg: ScenarioConfig, inputs: EstimationInputs, rows: dict[str, Mode
 
     # the assembly reads none of the leg chain's inputs
     operators = consistent = mapping = delta_Y = roots = leg_Q = root_P0 = R_cum = None
-    for model in filter_models:
-        if rows[model].status == "failed":
-            continue
+    for model in standing(rows, rows):
         with stage(rows, (model,), f"model {model}"):
+            if model == "seed":
+                estimates[model] = read_only_view(hist_matrix)
+                continue
             terms = chained_flows.get(model, {})
             est = np.empty_like(hist_matrix)
             _, clamped_m = combined_demand(hist_matrix[:, :cut], deltas, terms, hist.legs,
@@ -365,4 +362,4 @@ def estimate(cfg: ScenarioConfig, inputs: EstimationInputs, rows: dict[str, Mode
             estimates[model] = est
             rows[model].extras.update(
                 clamped_cells=clamped_m + clamped_e, prediction_load_calls=pred_loads)
-    return result
+    return estimates, kf_diag, leg_diag, notes

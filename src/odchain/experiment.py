@@ -27,7 +27,7 @@ import numpy as np
 
 from .assignment import DynamicDemand, detector_counts
 from .errors import ConfigurationError
-from .estimation import EstimationInputs, LegDiagnostics, ModelRow, stage
+from .estimation import EstimationInputs, LegDiagnostics, ModelRow, stage, standing
 # bound as ``_estimate``, the name ``odbench/tracing.py`` wraps
 from .estimation import estimate as _estimate
 from .generation import generate_truth_and_history
@@ -137,9 +137,8 @@ def run_experiment(
     seed_rmse_od = rmse(hist_matrix, truth_matrix)
     seed_rmse_link = rmse(hist_counts, truth_counts)
 
-    for model, row in rows.items():
-        if row.status == "failed":
-            continue
+    for model in standing(rows, rows):
+        row = rows[model]
         with stage(rows, (model,), f"scoring {model}"):
             est = estimates[model]
             if model == "seed":

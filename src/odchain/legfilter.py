@@ -50,6 +50,7 @@ from .errors import ChainConsistencyError, ConfigurationError
 from .kalman import (ArModel, FilterState, check_noise_matrix, kf_measurement_update,
                      kf_time_update)
 from .legs import ChainSpec, DemandLeg, LegOperator, leg_terms, propagate_leg_deviation
+from .network import od_label
 
 logger = logging.getLogger(__name__)
 
@@ -164,12 +165,15 @@ def chain_consistent_legs(
     In topological order, a chained leg's flows become its operator applied
     to its feeders' flows, already rebuilt; root legs and their shares stay
     as given.  A history whose tour does not close is so replaced by the
-    one its root legs imply.
+    one its root legs imply.  The check is per OD: an OD with flow of its
+    own is rebuilt as 0 exactly where its origin zone receives nothing from
+    the feeders, and a rebuild that so erases it is refused, whether one
+    origin zone goes unfed or, with an empty feeder, every one does.
 
     Raises:
         ConfigurationError: if a chained leg has no operator.
-        ChainConsistencyError: naming the leg and its feeders, if a chained
-            leg is rebuilt as nothing where its own flows are not.
+        ChainConsistencyError: naming the leg, its feeders and the ODs, if
+            a chained leg's OD is rebuilt as 0 where its own flow is not.
     """
     out = dict(legs)
     for name in chain.topological_order():
@@ -179,10 +183,13 @@ def chain_consistent_legs(
         if name not in operators:
             raise ConfigurationError(f"no operator for chained leg {name!r}")
         flows = propagate_leg_deviation(operators[name], [out[f].flows for f in feeders])
-        if flows.sum() == 0.0 < legs[name].flows.sum():
+        own = legs[name].flows
+        erased = (flows == 0.0) & (own > 0.0)
+        if erased.any():
+            ods = [od_label(legs[name].od_index[i]) for i in np.flatnonzero(erased)]
             raise ChainConsistencyError(
-                f"chained leg {name!r}: its feeders {list(feeders)} carry nothing to it, "
-                f"so its rebuilt flows total 0 where its own total {legs[name].flows.sum():g}")
+                f"chained leg {name!r}: its feeders {list(feeders)} carry nothing to its ODs "
+                f"{ods}, so their rebuilt flows are 0 where their own total {own[erased].sum():g}")
         out[name] = replace(legs[name], flows=flows)
     return out
 

@@ -414,6 +414,34 @@ class TestRunExperiment:
                 alone.row(model).rmse_od, alone.row(model).rmse_link, alone.row(model).extras)
             assert report.estimates[model].tobytes() == alone.estimates[model].tobytes()
 
+    def test_a_chained_leg_whose_feeders_miss_an_origin_zone_fails_the_chain_models(
+            self, toy_doc):
+        """With ``hw_direct`` split over 1-3 and 2-3 alone, no direct
+        commuter reaches zone 4, so ``work_home``'s ODs 4-1 and 4-2 would be
+        rebuilt as 0 where the history holds 13,000, though the leg's total
+        is not 0: pkf and spkf fail at the leg chain's inputs naming those
+        ODs, and the seed and kf rows and estimates are those of a run of
+        them alone."""
+        assert toy_doc["legs"][0]["name"] == "hw_direct"
+        toy_doc["legs"][0]["od_split"] = {"1-3": 0.5, "2-3": 0.5}
+        cfg = scenario_from_mapping(toy_doc)
+        assert cfg.validate() == []
+        report = run_experiment(cfg)
+        for model in ("pkf", "spkf"):
+            row = report.row(model)
+            assert row.status == "failed" and model not in report.estimates
+            assert row.error.startswith(
+                "ChainConsistencyError: chained leg 'work_home': its feeders ['hw_direct'] ")
+            assert "['4-1', '4-2']" in row.error
+        alone = run_experiment(cfg, models=("seed", "kf"))
+        for model, rmse_od in (("seed", 54.25785090094156), ("kf", 26.905076598553485)):
+            row = report.row(model)
+            assert row.status == "ok"
+            assert row.rmse_od == pytest.approx(rmse_od, rel=1e-9, abs=0.0)
+            assert (row.rmse_od, row.rmse_link, row.extras) == (
+                alone.row(model).rmse_od, alone.row(model).rmse_link, alone.row(model).extras)
+            assert report.estimates[model].tobytes() == alone.estimates[model].tobytes()
+
     def test_each_count_series_is_summed_along_the_day_once(self, toy_cfg, monkeypatch):
         """A run takes the running totals of two count series, once each:
         the observed counts and the history's counts, which the cumulative
@@ -438,6 +466,8 @@ class TestRunExperiment:
             (odchain.estimation, "_leg_noise", ("pkf", "spkf")),
             (odchain.estimation, "run_leg_chain", ("pkf", "spkf")),
             (odchain.experiment, "detector_counts", ("kf", "pkf", "spkf")),
+            (odchain.assignment.AssignmentMatrix, "lag_rows", ("kf", "pkf", "spkf")),
+            (odchain.estimation, "chain_consistent_legs", ("pkf", "spkf")),
         )
     ])
     def test_failing_stage_fails_only_its_rows(self, toy_cfg, monkeypatch, module, stage,

@@ -491,6 +491,29 @@ class TestChainConsistentLegs:
         out = chain_consistent_legs({"out": empty, "back": nothing}, chain, {"back": op})
         assert out["back"].flows.tolist() == [0.0, 0.0]
 
+    def test_an_origin_zone_rebuilt_from_nothing_is_rejected(self):
+        """The check is per OD: where the feeder reaches work zone w but not
+        v, the chained leg's total is rebuilt as more than 0, yet v's ODs
+        would be erased, so it fails naming them; where the feeder reaches
+        both zones, nothing is erased."""
+        ods = (("a", "w"), ("a", "v"), ("w", "a"), ("v", "a"), ("v", "b"))
+
+        def leg(name, flows, members):
+            return DemandLeg(name=name, od_index=ods, flows=np.asarray(flows, dtype=float),
+                             members=members)
+
+        chain = ChainSpec(feeds={"out": (), "back": ("out",)})
+        back = leg("back", [0.0, 0.0, 150.0, 40.0, 60.0], ods[2:])
+        op = build_leg_operator(chain, [leg("out", [200.0, 50.0, 0.0, 0.0, 0.0], ods[:2])], back)
+        partial = leg("out", [200.0, 0.0, 0.0, 0.0, 0.0], ods[:2])
+        with pytest.raises(ChainConsistencyError,
+                           match=r"^chained leg 'back': its feeders \['out'\] .*"
+                                 r"\['v-a', 'v-b'\].* own total 100$"):
+            chain_consistent_legs({"out": partial, "back": back}, chain, {"back": op})
+        both = leg("out", [200.0, 50.0, 0.0, 0.0, 0.0], ods[:2])
+        out = chain_consistent_legs({"out": both, "back": back}, chain, {"back": op})
+        assert out["back"].flows.tolist() == [0.0, 0.0, 200.0, 20.0, 30.0]
+
 
 class TestLegRetention:
     OD4 = (("w1", "h1"), ("w1", "h2"), ("w2", "h1"), ("w2", "h2"))
