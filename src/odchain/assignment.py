@@ -17,25 +17,29 @@ nonnegative, so parcels only move forward in time: once every upstream link
 is done, all of a link's parcels are known.  Each link's parcels are kept in
 chronological order, so every sum accumulates as an interval-by-interval
 pass would.  A link passes its parcels on as pieces: each window, shifted by
-the link time, is cut at the next interval edge, and one index over all
-pieces, sorted by next link where routes fan out, gathers every column once
-and hands each next link a slice.  A pass holds in flight only the parcels
-waiting at the links still to visit and those of the link it visits.  So the
-link order puts a source link, where trips only start, just before its first
-consumer rather than at the start of the pass, and its pieces wait through
-few visits.  A link sums its parcels in the order the pass visits their
-senders, its departures first, sorted stably by interval.  A first link's
-departures are built from the demand when its turn comes, in chronological
-order, so none waits through the pass and a link where trips only start
-needs no sort.  A parcel carries one sort key that holds both its entry
-interval and the one at its previous link, so it is five columns, 32 bytes.
-A link frees each array after its last reader: it replaces its columns by
-their sorted gathers one at a time, turns the key into the entry interval in
-place, writes its shifted windows' ends once into one table, from which both
-ends of every piece are read through one index built in place, writes the
-windows' widths over their ends, and scales the mass in place.  The link
-order and each route layout, with the tables the kernel walks, depend on the
-network alone, so each is built once per network (``Network.plans``).
+the link time, is cut at the next interval edge, and each next link's pieces
+are gathered in a pass of their own over the parcels and handed to it as one
+batch, which holds no other link's pieces alive.  A pass holds in flight
+only the parcels waiting at the links still to visit and those of the link
+it visits.  So the link order puts a source link, where trips only start,
+just before its first consumer rather than at the start of the pass, and
+its pieces wait through few visits.  A link sums its parcels in the order
+the pass visits their senders, its departures first, sorted stably by
+interval.  A first link's departures are built from the demand when its
+turn comes, in chronological order, so none waits through the pass and a
+link where trips only start needs no sort.  A parcel carries one sort key that holds both its entry
+interval and the one at its previous link, so it is five columns, 32 bytes;
+bound for a sink, a link that feeds none, it carries no window, as nothing
+reads one there, and is three columns, 16 bytes.  A link frees each array
+after its last reader: it replaces its columns by their sorted gathers one
+at a time, turns the key into the entry interval in place, writes its
+shifted windows' ends once into one table, from which both ends of each next
+link's pieces are read through an index built in place, writes the windows'
+widths over their ends, scales the mass in place, and lets its last next
+link's pass free each of its parcels' arrays after its last read there.
+The link order and each route layout, with the tables the kernel walks,
+depend on the network alone, so each is built once per network
+(``Network.plans``).
 A load keeps the links' times and the channels' counts, not every link's
 inflow.  ``probe_travel_times`` walks its door-to-door probes from those
 times, every OD together, one route position at a time; generation's share
@@ -90,7 +94,8 @@ def load_call_count() -> int:
 
 @dataclass(frozen=True)
 class DynamicDemand:
-    """OD departures per interval: matrix of shape (n_od, n_intervals).
+    """OD departures per interval: matrix of shape (n_od, n_intervals), every
+    cell finite and nonnegative.
 
     ``matrix`` is a read-only view of the array given; a float array is not
     copied."""
@@ -107,8 +112,9 @@ class DynamicDemand:
                 f"demand matrix {m.shape} does not match "
                 f"({len(self.od_index)}, {self.grid.n_intervals})"
             )
-        if (m < 0).any():
-            raise ValueError("negative demand cells")
+        # written so that a NaN, which fails every comparison, fails it too
+        if not (m.min(initial=0.0) >= 0.0 and m.max(initial=0.0) < np.inf):
+            raise ValueError("demand cells must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -341,8 +347,9 @@ def _propagate(
     routes that start there (``plan.by_first``), so no other first link's
     departures exist meanwhile.
     A parcel enters its link uniformly over a window ``[a, b)`` within one
-    interval ``h`` and carries its cell ``r * n_intervals + k``, its mass
-    and its sort key (below).
+    interval ``h`` and carries its cell ``r * n_intervals + k``, its sort key
+    (below), its mass and, unless the link is a sink (its ``fanout`` is
+    empty), its window's ends; nothing reads a window at a sink.
 
     Links are visited in ``plan.order``, each for every interval at once.
     This is exact: a link's time in an interval depends only on its inflow
@@ -358,7 +365,10 @@ def _propagate(
     interval.
     Each parcel then moves on to the next link of its route, its window
     shifted by the link time and cut at interval boundaries; a piece
-    entering after the horizon end is spilled.
+    entering after the horizon end is spilled.  Each next link's pieces are
+    built in a pass of their own over the parcels, in ``fanout`` order, and
+    sent as one batch: the order a stable sort of all pieces by next link
+    would give, with no batch a view of another's array.
 
     A link's parcels are kept in chronological order: by entry interval,
     then by the interval in which they entered the previous link (departures
@@ -374,30 +384,28 @@ def _propagate(
     ``prev`` (-1 for a departure) as one sort key ``h * (n_h + 1) + prev +
     1``, in ``0..n_h * (n_h + 2)`` (``_key_dtype``), built when it leaves
     the previous link; a visit sorts by it and takes ``h = key // (n_h +
-    1)``, in place.  So a parcel in flight is five columns, 32 bytes.
+    1)``, in place.  So a parcel in flight is five columns, 32 bytes, and
+    three, 16 bytes, bound for a sink.
 
     A visit frees each array after its last reader, so the parcels in flight
     and the visited link's columns are all that it holds beyond the entry:
     the sorted gathers replace the columns one at a time, the key becomes
     ``h`` in place, the windows' widths are written over their ends ``b``
-    (a fresh array, or a slice of one that no other link's slice overlaps,
-    which nothing reads after this visit; so is the key), the piece index
-    is built in place from the pieces, and the mass is scaled in place.
+    (the visit's own array, which nothing reads after it; so is the key),
+    each next link's piece index is built in place from its pieces, its
+    mass is scaled in place, a sink's pieces drop their ends once their
+    spans are taken, and the last next link's pass takes each of the
+    parcels' arrays and frees it after its last read.
     """
     n_h = grid.n_intervals
     key_dtype = _key_dtype(n_h)
     # interval edges as grid.bounds gives them; nothing is cut past the end
     edges = np.append(grid.start + grid.interval_minutes * np.arange(n_h + 1.0), np.inf)
     order, succ, fanout = plan.order, plan.succ, plan.fanout
-    # a multi-consumer link sorts its pieces by their next link's position in
-    # ``order``, cast to the narrowest unsigned type that holds every
-    # position: numpy sorts 8- and 16-bit integers stably by radix, to the
-    # permutation a stable sort of the positions themselves gives
-    next_dtype = (np.uint8 if len(order) <= 1 << 8
-                  else np.uint16 if len(order) <= 1 << 16 else succ.dtype)
 
     # per link, the batches of parcels waiting to enter it, in their
-    # senders' order: (cell, sort key, a, b, mass)
+    # senders' order: (cell, sort key, mass), and the window's ends (a, b)
+    # unless the link is a sink
     inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in order]
     spill = dict.fromkeys(order, 0.0)
     nothing = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
@@ -411,39 +419,40 @@ def _propagate(
             if k.size:
                 # the departures join first, keyed k * (n_h + 1) + (-1) + 1
                 r = rows[r]
-                batches.insert(0, ((r * n_h + k).astype(np.int32), k.astype(key_dtype) * (n_h + 1),
-                                   edges[k], edges[k + 1], matrix[r, k]))
+                batch = ((r * n_h + k).astype(np.int32), k.astype(key_dtype) * (n_h + 1),
+                         matrix[r, k])
+                batches.insert(0, batch + (edges[k], edges[k + 1]) if fanout[i] else batch)
+                del batch
             del r, k
         if not batches:
             link_time(lid, np.zeros(n_h), *nothing)
             continue
-        cell, key, a, b, mass = (
-            np.concatenate(col) if len(batches) > 1 else col[0] for col in zip(*batches)
-        )
+        cols = [np.concatenate(col) if len(batches) > 1 else col[0] for col in zip(*batches)]
         del batches
-        if (key[1:] < key[:-1]).any():
-            perm = np.argsort(key, kind="stable")
+        if (cols[1][1:] < cols[1][:-1]).any():
+            perm = np.argsort(cols[1], kind="stable")
             # one column at a time, each old one freed as its gather replaces it
-            cell = cell[perm]
-            key = key[perm]
-            a = a[perm]
-            b = b[perm]
-            mass = mass[perm]
+            for j in range(len(cols)):
+                cols[j] = cols[j][perm]
             del perm
-        # the entry intervals, written over the key: a fresh array, or a
-        # slice of one that no other link's slice overlaps
+        cell, key, mass, *window = cols
+        del cols
+        # the entry intervals, written over the key, this visit's own array
         h = np.floor_divide(key, n_h + 1, out=key)
         del key
         sums = np.bincount(h, weights=mass, minlength=n_h + 1)
         spill[lid] = float(sums[n_h])
         n_in = int(np.searchsorted(h, n_h))  # spilled pieces sort last
         if n_in < h.size:
-            cell, h, a, b, mass = cell[:n_in], h[:n_in], a[:n_in], b[:n_in], mass[:n_in]
+            cell, h, mass = cell[:n_in], h[:n_in], mass[:n_in]
+            window = [end[:n_in] for end in window]
         tt = link_time(lid, sums[:n_h].copy(), h, cell, mass)
 
         if not fanout[i]:
-            del cell, h, a, b, mass
+            del cell, h, mass
             continue
+        a, b = window
+        del window
         # Shift every window by the link time and cut it at the next edge.
         # A window lies inside one interval: departures span one, and every
         # piece is cut at the edges.  Shifted, with each end rounded, it
@@ -459,52 +468,51 @@ def _propagate(
         np.add(a, shift, out=bounds[:, 0])
         np.add(b, shift, out=bounds[:, 2])
         del shift
-        # the widths, written over b: it is a fresh array, or a slice of
-        # one that no other link's slice overlaps, and nothing reads it after
+        # the widths, written over b, this visit's own array, which nothing
+        # reads after
         width = np.subtract(b, a, out=b)
         del a, b
         start = _interval_index(bounds[:, 0] - grid.start, grid.interval_minutes, n_h)
         np.minimum(edges[start + 1], bounds[:, 2], out=bounds[:, 1])
-        nxt = succ[i][cell // n_h]
-        go = nxt >= 0
-        keep = np.empty((nxt.size, 2), dtype=bool)
-        np.logical_and(bounds[:, 0] < bounds[:, 2], go, out=keep[:, 0])
-        np.logical_and(bounds[:, 1] < bounds[:, 2], go, out=keep[:, 1])
-        pieces = np.flatnonzero(keep)
-        del go, keep
-        if len(fanout[i]) > 1:
-            pieces = pieces[np.argsort(nxt[pieces >> 1].astype(next_dtype), kind="stable")]
-        rows, past = pieces >> 1, (pieces & 1).astype(bool)
-        at = np.add(pieces, rows, out=pieces)  # piece 2j + past starts at 3j + past
-        del pieces
-        piece_a = bounds.ravel()[at]
-        at += 1
-        piece_b = bounds.ravel()[at]
-        del bounds, at
-        width = width[rows]
-        span = piece_b - piece_a
-        moved = mass[rows]
-        del mass
-        # mass * span / width in place, rounded as that expression is
-        np.multiply(moved, span, out=moved)
-        np.divide(moved, width, out=moved)
-        del span, width
-        # each piece's key at the next link: its entry interval there, then h
-        key = start[rows].astype(key_dtype, copy=False)
-        key += past
-        key *= n_h + 1
-        key += h[rows]
-        key += 1
-        out = (cell[rows], key, piece_a, piece_b, moved)
-        # free this link's parcels before the next link gathers its own
-        del cell, h, start, past, key, piece_a, piece_b, moved
-        if len(fanout[i]) == 1:
-            inbox[fanout[i][0]].append(out)
-        else:
-            ends = np.searchsorted(nxt[rows], fanout[i], side="right")
-            for n, lo, hi in zip(fanout[i], [0, *ends[:-1].tolist()], ends.tolist()):
-                inbox[n].append(tuple(col[lo:hi] for col in out))
-        del rows, nxt, out
+        keep = np.empty((h.size, 2), dtype=bool)
+        np.less(bounds[:, 0], bounds[:, 2], out=keep[:, 0])
+        np.less(bounds[:, 1], bounds[:, 2], out=keep[:, 1])
+        # Each next link's pieces are built in a pass of their own, in
+        # ``fanout`` order, as a stable sort of all pieces by next link would
+        # order them.  The last pass takes the parcels' arrays from
+        # ``parcels``, so that each is freed after its last reader there; the
+        # others only read them.
+        parcels = {"keep": keep, "nxt": succ[i][cell // n_h], "bounds": bounds, "width": width,
+                   "mass": mass, "start": start, "h": h, "cell": cell}
+        del keep, bounds, width, mass, start, h, cell
+        for n in fanout[i]:
+            take = parcels.pop if n == fanout[i][-1] else parcels.get
+            pieces = np.flatnonzero(take("keep") & (take("nxt") == n)[:, None])
+            rows, past = pieces >> 1, (pieces & 1).astype(bool)
+            at = np.add(pieces, rows, out=pieces)  # piece 2j + past starts at 3j + past
+            del pieces
+            ends = take("bounds").ravel()
+            piece_a = ends[at]
+            at += 1
+            piece_b = ends[at]
+            del ends, at
+            span = piece_b - piece_a
+            # nothing reads a window at a sink
+            window = (piece_a, piece_b) if fanout[n] else ()
+            del piece_a, piece_b
+            # mass * span / width in place, rounded as that expression is
+            moved = take("mass")[rows]
+            np.multiply(moved, span, out=moved)
+            del span
+            np.divide(moved, take("width")[rows], out=moved)
+            # each piece's key at the next link: its entry interval there, then h
+            key = take("start")[rows].astype(key_dtype, copy=False)
+            key += past
+            key *= n_h + 1
+            key += take("h")[rows]
+            key += 1
+            inbox[n].append((take("cell")[rows], key, moved, *window))
+            del rows, past, key, moved, window
     return spill
 
 
@@ -543,7 +551,7 @@ def load_network(
         ConfigurationError: if demand ODs lack paths, a detector channel is
             no link of the network or is listed twice, or the path set feeds
             links cyclically within an interval.
-        ValueError: via :class:`DynamicDemand` on negative demand.
+        ValueError: via :class:`DynamicDemand` on negative or non-finite demand.
     """
     global _LOAD_CALLS
     _LOAD_CALLS += 1

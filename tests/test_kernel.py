@@ -248,6 +248,20 @@ class TestCutRoutes:
         assert_same_as_oracle(net, self.demand(net, matrix))
         assert self.cut(net).routes == (("a",), ("c", "a"))
 
+    def test_a_three_way_fan_out_to_a_sink(self):
+        """The 3 x 3 grid's cut plan sends ``E1_0a``'s parcels on to
+        ``V0b``, ``V1a`` and the sink ``E1_1a``: each next link gets its
+        pieces in the order a stable sort by next link gives, and the
+        sink's batch carries no window."""
+        net = scenario_from_mapping(_grid(0, n=3)).network
+        plan = self.cut(net)
+        fanout = plan.fanout[plan.order.index("E1_0a")]
+        assert [plan.order[n] for n in fanout] == ["V0b", "V1a", "E1_1a"]
+        assert plan.fanout[plan.order.index("E1_1a")] == ()
+        grid = TimeGrid(start=0, interval_minutes=5, n_intervals=24)
+        matrix = np.random.default_rng(5).uniform(0.0, 200.0, (len(net.od_index), 24))
+        assert_same_as_oracle(net, DynamicDemand(od_index=net.od_index, grid=grid, matrix=matrix))
+
     def test_network_without_detectors(self):
         net = _network([_link("a"), _link("b")], [["a", "b"], ["b"]], [])
         demand = self.demand(net, np.full((2, 8), 100.0))
